@@ -149,6 +149,18 @@ impl Log {
         Log::default()
     }
 
+    /// Adopt entries that are already strictly `(origin, clock)`-sorted —
+    /// what [`Log::iter`] yields, and so what the wire codec emits — in one
+    /// pass. `None` when the order is violated (out of order or a
+    /// duplicate write), so a decoder stays total on hostile input.
+    pub fn from_sorted(entries: Vec<LogEntry>) -> Option<Log> {
+        let sorted = entries
+            .windows(2)
+            .all(|w| (w[0].origin, w[0].clock) < (w[1].origin, w[1].clock));
+        let dest_ids = entries.iter().map(|e| e.dests.len()).sum();
+        sorted.then_some(Log { entries, dest_ids })
+    }
+
     /// Number of entries (including empty-destination markers).
     #[inline]
     pub fn len(&self) -> usize {
@@ -688,6 +700,26 @@ mod tests {
             sz <= 32,
             "LogEntry grew to {sz} bytes; clone cost scales with it"
         );
+    }
+
+    #[test]
+    fn from_sorted_adopts_iter_order_and_rejects_anything_else() {
+        let mut log = Log::new();
+        log.record_write(s(1), 1, d(&[2, 3]), cfg());
+        log.record_write(s(0), 1, d(&[2, 4]), cfg());
+        log.record_write(s(1), 2, d(&[0]), cfg());
+        let entries: Vec<LogEntry> = log.iter().copied().collect();
+        let back = Log::from_sorted(entries.clone()).expect("iter order is sorted");
+        assert_eq!(back, log);
+        assert_counters(&back);
+        assert_eq!(Log::from_sorted(Vec::new()), Some(Log::new()));
+
+        let mut swapped = entries.clone();
+        swapped.swap(0, 1);
+        assert_eq!(Log::from_sorted(swapped), None, "out of order");
+        let mut dup = entries;
+        dup.insert(1, dup[0]);
+        assert_eq!(Log::from_sorted(dup), None, "duplicate write");
     }
 
     #[test]

@@ -183,6 +183,7 @@ fn main() {
             "p99 us",
             "sm frames",
             "sm KB",
+            "tcp frames",
             "batched",
             "conn errs",
         ],
@@ -228,6 +229,7 @@ fn main() {
                 format!("{:.0}", r.latency.p99_us),
                 m.all.count(MsgKind::Sm).to_string(),
                 format!("{:.1}", m.all.bytes(MsgKind::Sm) as f64 / 1024.0),
+                m.transport_frames.to_string(),
                 m.batched_sms.to_string(),
                 m.transport_conn_errors.to_string(),
             ]);

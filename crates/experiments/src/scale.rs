@@ -72,6 +72,7 @@ struct Cell {
     p50_us: f64,
     p99_us: f64,
     syscall_writes: u64,
+    transport_frames: u64,
     mailbox_peak: u64,
 }
 
@@ -111,6 +112,7 @@ fn run_cell(scale: Scale, n: usize, fabric: &'static str, workers: usize) -> Cel
         p50_us: r.latency.p50_us,
         p99_us: r.latency.p99_us,
         syscall_writes: r.metrics.syscall_writes,
+        transport_frames: r.metrics.transport_frames,
         mailbox_peak: r.metrics.mailbox_depth_peak,
     }
 }
@@ -209,6 +211,7 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             "p50 us",
             "p99 us",
             "sys writes",
+            "frames",
             "mbox peak",
         ],
     );
@@ -224,13 +227,15 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             format!("{:.0}", c.p50_us),
             format!("{:.0}", c.p99_us),
             c.syscall_writes.to_string(),
+            c.transport_frames.to_string(),
             c.mailbox_peak.to_string(),
         ]);
         let _ = writeln!(
             cell_lines,
             "    {{ \"n\": {}, \"fabric\": \"{}\", \"workers\": {}, \"threads\": {}, \
              \"ops\": {}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"syscall_writes\": {}, \"mailbox_depth_peak\": {} }}{}",
+             \"syscall_writes\": {}, \"transport_frames\": {}, \
+             \"mailbox_depth_peak\": {} }}{}",
             c.n,
             c.fabric,
             c.workers,
@@ -240,6 +245,7 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             c.p50_us,
             c.p99_us,
             c.syscall_writes,
+            c.transport_frames,
             c.mailbox_peak,
             if i + 1 < cells.len() { "," } else { "" },
         );

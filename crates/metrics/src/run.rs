@@ -179,6 +179,10 @@ pub struct RunMetrics {
     /// by this is the amortisation factor. Zero on the channel fabric and
     /// the simulator.
     pub syscall_writes: u64,
+    /// Frames those writes carried. A multicast's copies toward one peer
+    /// worker share a frame, so this is at most — and under write-heavy
+    /// load far below — the cross-worker share of `all`'s message count.
+    pub transport_frames: u64,
     /// Deepest per-site mailbox backlog observed by the worker scheduler
     /// when it picked a site up (frames waiting in the crossbeam channel).
     pub mailbox_depth_peak: u64,
@@ -252,6 +256,7 @@ impl Default for RunMetrics {
             batch_bytes_saved: 0,
             threads_spawned: 0,
             syscall_writes: 0,
+            transport_frames: 0,
             mailbox_depth_peak: 0,
             per_site: SiteRegistry::new(),
         }
@@ -367,6 +372,7 @@ impl RunMetrics {
         self.batch_bytes_saved += other.batch_bytes_saved;
         self.threads_spawned += other.threads_spawned;
         self.syscall_writes += other.syscall_writes;
+        self.transport_frames += other.transport_frames;
         self.mailbox_depth_peak = self.mailbox_depth_peak.max(other.mailbox_depth_peak);
         self.per_site.merge(&other.per_site);
         // StatAccum cannot merge exactly without the raw moments; fold the

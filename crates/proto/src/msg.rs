@@ -186,6 +186,32 @@ pub struct Sm {
     pub meta: SmMeta,
 }
 
+impl Sm {
+    /// `true` when `other` is another copy of this very multicast: the same
+    /// write carrying the *same allocation* as its piggyback — what every
+    /// protocol's `write` emits toward each destination replica. An `O(1)`
+    /// test that implies `self == other`, so a transport may ship one body
+    /// for all the copies.
+    pub fn same_multicast(&self, other: &Sm) -> bool {
+        self.var == other.var
+            && self.value == other.value
+            && match (&self.meta, &other.meta) {
+                (SmMeta::FullTrack { write: a }, SmMeta::FullTrack { write: b }) => {
+                    Arc::ptr_eq(a, b)
+                }
+                (
+                    SmMeta::OptTrack { clock: ca, log: a },
+                    SmMeta::OptTrack { clock: cb, log: b },
+                ) => ca == cb && Arc::ptr_eq(a, b),
+                (SmMeta::Crp { clock: ca, log: a }, SmMeta::Crp { clock: cb, log: b }) => {
+                    ca == cb && Arc::ptr_eq(a, b)
+                }
+                (SmMeta::OptP { write: a }, SmMeta::OptP { write: b }) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
+}
+
 /// One update inside an [`SmBatch`], with the bookkeeping the simulator
 /// needs to unbatch it exactly as if it had been sent alone.
 #[derive(Clone, PartialEq, Debug)]

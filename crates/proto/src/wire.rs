@@ -146,23 +146,29 @@ thread_local! {
     static SCRATCH: RefCell<WireBuf> = RefCell::new(WireBuf::new());
 }
 
-/// Encode `msg` into the thread-local scratch buffer and hand the encoded
-/// bytes to `f` — the zero-allocation hot path (the borrow never escapes,
-/// so the scratch can be reused by the very next call).
-pub fn encode_with<R>(msg: &Msg, f: impl FnOnce(&[u8]) -> R) -> R {
+/// Fill the thread-local scratch with `fill` and hand the encoded bytes to
+/// `f` — the zero-allocation hot path (the borrow never escapes, so the
+/// scratch can be reused by the very next call).
+fn with_scratch<R>(fill: impl FnOnce(&mut WireBuf), f: impl FnOnce(&[u8]) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
-            encode_into(msg, &mut buf);
+            fill(&mut buf);
             f(buf.as_slice())
         }
-        // Re-entrant use (encode_with inside `f`): fall back to a private
+        // Re-entrant use (an encode inside `f`): fall back to a private
         // buffer rather than poisoning the scratch.
         Err(_) => {
             let mut buf = WireBuf::new();
-            encode_into(msg, &mut buf);
+            fill(&mut buf);
             f(buf.as_slice())
         }
     })
+}
+
+/// Encode `msg` into the thread-local scratch buffer and hand the encoded
+/// bytes to `f`.
+pub fn encode_with<R>(msg: &Msg, f: impl FnOnce(&[u8]) -> R) -> R {
+    with_scratch(|buf| encode_into(msg, buf), f)
 }
 
 /// Encode a message to an owned byte vector (compatibility surface; sized
@@ -173,21 +179,11 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
 
 /// Encode a *routed* frame — a `[src][dst]` LEB128 routing header followed
 /// by the ordinary message body — into the thread-local scratch and hand
-/// the bytes to `f`. This is the multiplexed fabric's frame format: one
-/// connection carries every site pair between two workers, and the
+/// the bytes to `f`. This is the multiplexed fabric's unicast frame format:
+/// one connection carries every site pair between two workers, and the
 /// receiver routes on the header alone (see [`decode_routed`]).
 pub fn encode_routed_with<R>(src: SiteId, dst: SiteId, msg: &Msg, f: impl FnOnce(&[u8]) -> R) -> R {
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut buf) => {
-            encode_routed_into(src, dst, msg, &mut buf);
-            f(buf.as_slice())
-        }
-        Err(_) => {
-            let mut buf = WireBuf::new();
-            encode_routed_into(src, dst, msg, &mut buf);
-            f(buf.as_slice())
-        }
-    })
+    with_scratch(|buf| encode_routed_into(src, dst, msg, buf), f)
 }
 
 /// Encode a routed frame into `out`, replacing its previous contents.
@@ -196,6 +192,31 @@ pub fn encode_routed_into(src: SiteId, dst: SiteId, msg: &Msg, out: &mut WireBuf
     out.put_site(src);
     out.put_site(dst);
     put_msg(out, msg);
+}
+
+/// Encode a *multi-routed* frame — `[src][k][dst₁..dst_k]` followed by one
+/// message body shared by all `k` destinations — into the thread-local
+/// scratch and hand the bytes to `f`. A write's fan-out toward one peer
+/// worker crosses the socket as one such frame: encoded once, decoded once
+/// (see [`decode_multi_routed`]).
+pub fn encode_multi_routed_with<R>(
+    src: SiteId,
+    dsts: &[SiteId],
+    msg: &Msg,
+    f: impl FnOnce(&[u8]) -> R,
+) -> R {
+    with_scratch(
+        |buf| {
+            buf.clear();
+            buf.put_site(src);
+            buf.put_usize(dsts.len());
+            for &d in dsts {
+                buf.put_site(d);
+            }
+            put_msg(buf, msg);
+        },
+        f,
+    )
 }
 
 /// Encode `msg` into `out`, replacing its previous contents.
@@ -261,6 +282,44 @@ pub fn decode_routed(buf: &[u8]) -> Result<Routed, WireError> {
     let dst = r.site()?;
     let msg = decode(&buf[r.pos..])?;
     Ok(Routed { src, dst, msg })
+}
+
+/// A decoded multi-routed frame: one message for several destinations.
+#[derive(Debug, PartialEq)]
+pub struct MultiRouted {
+    /// The sending site.
+    pub src: SiteId,
+    /// The destination sites, in the sender's order: at least one, each in
+    /// the legal range, no site twice.
+    pub dsts: Vec<SiteId>,
+    /// The message every destination receives.
+    pub msg: Msg,
+}
+
+/// Decode a multi-routed frame (`[src][k][dst₁..dst_k][body]`); the whole
+/// input must be consumed, `1 ≤ k ≤ MAX_SITES`, and the destinations must
+/// be legal and distinct.
+pub fn decode_multi_routed(buf: &[u8]) -> Result<MultiRouted, WireError> {
+    let mut r = Reader { buf, pos: 0 };
+    let src = r.site()?;
+    let k = match r.count()? {
+        // An empty destination list is never encoded.
+        0 => return Err(WireError::BadTag(0)),
+        k if k > causal_clocks::dests::MAX_SITES => return Err(WireError::Truncated),
+        k => k,
+    };
+    let mut dsts = Vec::with_capacity(k);
+    let mut seen = DestSet::EMPTY;
+    for _ in 0..k {
+        let d = r.site()?;
+        if seen.contains(d) {
+            return Err(WireError::BadTag(d.0 as u8));
+        }
+        seen.insert(d);
+        dsts.push(d);
+    }
+    let msg = decode(&buf[r.pos..])?;
+    Ok(MultiRouted { src, dsts, msg })
 }
 
 // ---------------------------------------------------------------------
@@ -591,6 +650,7 @@ impl Reader<'_> {
     /// A count field for a sequence whose elements occupy ≥ 1 byte each:
     /// anything beyond the remaining input is a lie, rejected *before*
     /// allocation.
+    #[inline]
     fn count(&mut self) -> Result<usize, WireError> {
         let n = self.varint()? as usize;
         if n > self.remaining() {
@@ -599,12 +659,16 @@ impl Reader<'_> {
         Ok(n)
     }
 
+    /// A site id. `MAX_SITES` is `2⁷`, so a legal id is exactly one
+    /// varint byte: anything with the continuation bit set is out of range
+    /// (or an over-long encoding no encoder emits).
+    #[inline]
     fn site(&mut self) -> Result<SiteId, WireError> {
-        let raw = self.varint()?;
-        if raw as usize >= causal_clocks::dests::MAX_SITES {
-            return Err(WireError::Truncated);
+        const _: () = assert!(causal_clocks::dests::MAX_SITES == 128);
+        match self.u8()? {
+            b @ 0..=0x7f => Ok(SiteId(b as u16)),
+            _ => Err(WireError::Truncated),
         }
-        Ok(SiteId(raw as u16))
     }
 
     fn var(&mut self) -> Result<VarId, WireError> {
@@ -664,18 +728,26 @@ impl Reader<'_> {
         Ok(VectorClock::from_entries(entries))
     }
 
+    // Forced: left to the heuristics, `log` keeps a call per entry here and
+    // in `log_entry`, and an Opt-Track SM decodes 1.6x slower (measured).
+    #[inline(always)]
     fn dests(&mut self) -> Result<DestSet, WireError> {
+        // `count` bounds `n` by the remaining input and a site id is one
+        // byte (see `site`), so the members are the next `n` bytes: one
+        // slice, one pass.
         let n = self.count()?;
-        if n > causal_clocks::dests::MAX_SITES {
-            return Err(WireError::Truncated);
-        }
         let mut d = DestSet::EMPTY;
-        for _ in 0..n {
-            d.insert(self.site()?);
+        for &b in &self.buf[self.pos..self.pos + n] {
+            if b > 0x7f {
+                return Err(WireError::Truncated);
+            }
+            d.insert(SiteId(b as u16));
         }
+        self.pos += n;
         Ok(d)
     }
 
+    #[inline(always)]
     fn log_entry(&mut self) -> Result<LogEntry, WireError> {
         let origin = self.site()?;
         let clock = self.varint()?;
@@ -684,12 +756,19 @@ impl Reader<'_> {
     }
 
     fn log(&mut self) -> Result<Log, WireError> {
+        // `put_log` emits `Log::iter` order, which is strictly sorted: one
+        // pass into a pre-sized vector, no per-entry search and regrow.
+        // Anything else is not a log this codec wrote.
         let n = self.count()?;
-        let mut log = Log::new();
-        for _ in 0..n {
-            log.upsert(self.log_entry()?);
+        if n > self.remaining() / 3 {
+            // An entry is at least three bytes: bound the allocation.
+            return Err(WireError::Truncated);
         }
-        Ok(log)
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(self.log_entry()?);
+        }
+        Log::from_sorted(entries).ok_or(WireError::BadTag(0))
     }
 
     fn crp_log(&mut self) -> Result<CrpLog, WireError> {
@@ -910,10 +989,10 @@ mod tests {
         Msg::Batch(Arc::new(SmBatch { sms }))
     }
 
-    #[test]
-    fn roundtrip_each_variant() {
+    /// One message of every variant and piggyback kind.
+    fn sample_msgs() -> Vec<Msg> {
         let value = VersionedValue::with_payload(WriteId::new(SiteId(3), 9), 42, 1000);
-        let msgs = vec![
+        vec![
             Msg::Sm(Sm {
                 var: VarId(5),
                 value,
@@ -965,8 +1044,16 @@ mod tests {
                 meta: RmMeta::FullTrack(Some(Arc::new(MatrixClock::new(3)))),
             }),
             sample_batch(),
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    fn encode_multi(src: SiteId, dsts: &[SiteId], msg: &Msg) -> Vec<u8> {
+        encode_multi_routed_with(src, dsts, msg, |b| b.to_vec())
+    }
+
+    #[test]
+    fn roundtrip_each_variant() {
+        for msg in sample_msgs() {
             let bytes = encode(&msg);
             let back = decode(&bytes).expect("roundtrip");
             assert_eq!(back, msg);
@@ -1155,6 +1242,61 @@ mod tests {
         assert_eq!(decode_routed(&bytes), Err(WireError::Truncated));
     }
 
+    #[test]
+    fn multi_routed_frame_shares_one_body_and_every_prefix_errors() {
+        let dsts = [SiteId(9), SiteId(2), SiteId(30)];
+        for msg in sample_msgs() {
+            let bytes = encode_multi(SiteId(17), &dsts, &msg);
+            // Header: src, k, one varint per destination — then one body.
+            assert_eq!(bytes.len(), encode(&msg).len() + 2 + dsts.len());
+            let m = decode_multi_routed(&bytes).expect("roundtrip");
+            assert_eq!((m.src, &m.dsts[..], &m.msg), (SiteId(17), &dsts[..], &msg));
+            for cut in 0..bytes.len() {
+                assert!(decode_multi_routed(&bytes[..cut]).is_err(), "prefix {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_routed_header_rejects_bad_destination_lists() {
+        let body = encode(&Msg::Fm(Fm { var: VarId(0) }));
+        let frame = |header: &[u8]| [header, &body[..]].concat();
+        // Well-formed control: src 1, k = 2, dsts {2, 3}.
+        assert!(decode_multi_routed(&frame(&[1, 2, 2, 3])).is_ok());
+        // k = 0.
+        assert!(decode_multi_routed(&frame(&[1, 0])).is_err());
+        // A site twice.
+        assert!(decode_multi_routed(&frame(&[1, 2, 3, 3])).is_err());
+        // dst = 128 = MAX_SITES (two-byte varint 0x80 0x01).
+        assert!(decode_multi_routed(&frame(&[1, 1, 0x80, 0x01])).is_err());
+        // k = MAX_SITES + 1 distinct-looking destinations.
+        let max = causal_clocks::dests::MAX_SITES;
+        let mut header = vec![1u8, 0x81, 0x01]; // src 1, k = 129
+        header.extend((0..=max).map(|d| (d % 128) as u8));
+        assert!(decode_multi_routed(&frame(&header)).is_err());
+        // k = MAX_SITES exactly is the largest legal list.
+        let mut header = vec![1u8, 0x80, 0x01]; // src 1, k = 128
+        header.extend((0..max).map(|d| d as u8));
+        assert_eq!(
+            decode_multi_routed(&frame(&header)).unwrap().dsts.len(),
+            max
+        );
+    }
+
+    #[test]
+    fn unsorted_or_duplicated_log_entries_are_rejected() {
+        // An Opt-Track SM whose two log entries arrive (2,1) then (1,7):
+        // not an order `put_log` can emit.
+        let mut evil = vec![0u8, 1]; // Sm, var = 1
+        evil.extend_from_slice(&[0, 1, 0, 0]); // value: writer (0,1), data 0, payload 0
+        evil.extend_from_slice(&[1, 7, 2]); // OptTrack, clock 7, two entries
+        let (a, b) = ([1u8, 7, 0], [2u8, 1, 0]); // (origin, clock, no dests)
+        let with = |x: [u8; 3], y: [u8; 3]| [&evil[..], &x, &y].concat();
+        assert!(decode(&with(a, b)).is_ok());
+        assert_eq!(decode(&with(b, a)), Err(WireError::BadTag(0)));
+        assert_eq!(decode(&with(a, a)), Err(WireError::BadTag(0)));
+    }
+
     proptest! {
         #[test]
         fn prop_opt_track_sm_roundtrip(
@@ -1287,10 +1429,37 @@ mod tests {
         }
 
         #[test]
+        fn prop_multi_routed_roundtrip(
+            which in 0usize..9,
+            src in 0u16..128,
+            k in 1usize..=40,
+            first in 0usize..8,
+            stride in proptest::collection::vec(1usize..4, 40),
+        ) {
+            // k distinct destinations (first + 39·3 < MAX_SITES), not in
+            // ascending order.
+            let mut dsts = Vec::new();
+            let mut d = first;
+            for step in stride.iter().take(k) {
+                dsts.push(SiteId::from(d));
+                d += step;
+            }
+            dsts.rotate_left(first % k);
+            let msgs = sample_msgs();
+            let msg = &msgs[which % msgs.len()];
+            let m = decode_multi_routed(&encode_multi(SiteId(src), &dsts, msg)).unwrap();
+            prop_assert_eq!(m.src, SiteId(src));
+            prop_assert_eq!(m.dsts, dsts);
+            prop_assert_eq!(&m.msg, msg);
+        }
+
+        #[test]
         fn prop_decoder_never_panics_on_noise(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
             // Total decoding: arbitrary bytes must produce Ok or Err, never
             // a panic or huge allocation.
             let _ = decode(&noise);
+            let _ = decode_routed(&noise);
+            let _ = decode_multi_routed(&noise);
         }
 
         #[test]
@@ -1314,11 +1483,20 @@ mod tests {
                     measured: true,
                 }
             }).collect();
-            let mut bytes = encode(&Msg::Batch(Arc::new(SmBatch { sms })));
+            let msg = Msg::Batch(Arc::new(SmBatch { sms }));
+            let mut bytes = encode(&msg);
             let i = flip_at % bytes.len();
             bytes[i] ^= 1 << flip_bit;
             if let Ok(msg) = decode(&bytes) {
                 let _ = encode(&msg);
+            }
+            // Same for a multi-routed frame, header included.
+            let dsts = [SiteId(4), SiteId(1), SiteId(3)];
+            let mut bytes = encode_multi(SiteId(0), &dsts, &msg);
+            let i = flip_at % bytes.len();
+            bytes[i] ^= 1 << flip_bit;
+            if let Ok(m) = decode_multi_routed(&bytes) {
+                let _ = encode_multi(m.src, &m.dsts, &m.msg);
             }
         }
     }

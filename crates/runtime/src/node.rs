@@ -42,15 +42,22 @@ use std::time::{Duration, Instant};
 /// frames over multiplexed loopback sockets — the paper's actual
 /// transport.
 pub trait Transport: Send + Sync {
-    /// Deliver `msg` (tagged with its warm-up attribution) from `from` to
-    /// `to`'s mailbox, reliably and in FIFO order per ordered pair.
+    /// Deliver one copy of `msg` (tagged with its warm-up attribution)
+    /// from `from` to the mailbox of every site in `to` — non-empty, no
+    /// site twice — reliably and in FIFO order per ordered pair. A unicast
+    /// is the one-destination case.
     ///
-    /// Returns `false` when the peer is unreachable — the frame never
-    /// entered the network. The transport records the failure in its
-    /// connection-error counter; the caller un-counts the frame from the
+    /// Returns how many of the destinations are unreachable — those copies
+    /// never entered the network. The transport records the failures in
+    /// its connection-error counter; the caller un-counts them from the
     /// in-flight tally so quiescence detection cannot hang on a message
     /// that will never arrive.
-    fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool;
+    fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize;
+
+    /// `from`'s scheduling step is over: start moving whatever its sends
+    /// queued. A transport that hands frames to I/O threads kicks them
+    /// here, once per step, so no send pays a cross-thread wake.
+    fn flush(&self, _from: SiteId) {}
 }
 
 /// Crossbeam-channel transport: one unbounded mailbox per site, with the
@@ -72,27 +79,16 @@ impl ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool {
-        let ok = self.routes.push(
-            to.index(),
-            Wire::Msg {
-                from,
-                msg: msg.clone(),
-                measured,
-            },
-        );
-        if ok {
-            // A same-shard destination is drained by the worker executing
-            // this very send; only a cross-worker frame needs the wake.
-            if self.routes.owner(from.index()) != self.routes.owner(to.index()) {
-                self.routes.wake_owner(to.index());
-            }
-        } else {
-            // A late frame lost the race against shutdown: drop it
-            // cleanly instead of poisoning the run.
-            self.conn_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+    fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
+        // A same-shard destination is drained by the worker executing this
+        // very send; only the other workers need a wake.
+        let sender = self.routes.owner(from.index());
+        let refused = self.routes.fan_out(from, to, msg, measured, Some(sender));
+        // A late frame lost the race against shutdown: drop it cleanly
+        // instead of poisoning the run.
+        self.conn_errors
+            .fetch_add(refused as u64, Ordering::Relaxed);
+        refused
     }
 }
 
@@ -308,6 +304,8 @@ pub struct Node {
     start: Instant,
     fetch: Option<FetchWait>,
     done_fired: bool,
+    /// Sends were handed to the transport since its last flush.
+    unflushed: bool,
 }
 
 impl Node {
@@ -341,6 +339,7 @@ impl Node {
             start,
             fetch: None,
             done_fired: false,
+            unflushed: false,
         }
     }
 
@@ -355,6 +354,7 @@ impl Node {
     /// timed wake-up for (`None` = it is purely message-driven now).
     pub(crate) fn poll(&mut self) -> (bool, Option<Instant>) {
         let mut progressed = self.fire_due_timers();
+        self.flush_sends();
         loop {
             if self.fetch.is_some() {
                 // Parked in the paper's synchronous RemoteFetch: the site
@@ -367,6 +367,7 @@ impl Node {
                     let due = self.start + off;
                     if due <= Instant::now() {
                         self.issue_next();
+                        self.flush_sends();
                         progressed = true;
                     } else {
                         return (progressed, Some(self.nearest_wake(due)));
@@ -382,6 +383,7 @@ impl Node {
                         // finished — cascades never produce new SMs, so
                         // lanes stay empty from here on.
                         self.flush_all_lanes();
+                        self.flush_sends();
                         self.done_fired = true;
                         progressed = true;
                         self.quiesce.site_finished();
@@ -402,6 +404,7 @@ impl Node {
                 measured,
             } => {
                 self.deliver(from, msg, measured);
+                self.flush_sends();
                 true
             }
             Wire::Stop => {
@@ -459,10 +462,7 @@ impl Node {
                     {
                         self.flush_lane(target, items);
                     }
-                    self.metrics
-                        .record_msg(msg.kind(), msg.meta_size(&self.size_model), measured);
-                    self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-                    self.send(target, msg, measured);
+                    self.ship(&[target], msg, measured);
                     self.fetch = Some(FetchWait {
                         var,
                         target,
@@ -485,14 +485,26 @@ impl Node {
         }
     }
 
-    /// Ship `msg`, keeping the global in-flight tally consistent even when
-    /// the peer is already gone.
-    fn send(&self, to: SiteId, msg: Msg, measured: bool) {
-        self.quiesce.frame_sent();
-        if !self.transport.send(self.site, to, &msg, measured) {
-            // The frame never entered the network; the transport counted
-            // the connection error.
-            self.quiesce.frames_done(1);
+    /// Hand `msg` to the transport for every site in `to`, keeping the
+    /// global in-flight tally (one per destination) consistent even when a
+    /// peer is already gone.
+    fn send(&mut self, to: &[SiteId], msg: &Msg, measured: bool) {
+        self.unflushed = true;
+        self.quiesce.frames_sent(to.len() as u64);
+        let refused = self.transport.send(self.site, to, msg, measured);
+        if refused > 0 {
+            // Those copies never entered the network; the transport
+            // counted the connection errors.
+            self.quiesce.frames_done(refused as u64);
+        }
+    }
+
+    /// Tell the transport this step's sends are complete (see
+    /// [`Transport::flush`]). Runs after the step's own work — for a
+    /// client operation, after its completion was reported.
+    fn flush_sends(&mut self) {
+        if std::mem::take(&mut self.unflushed) {
+            self.transport.flush(self.site);
         }
     }
 
@@ -542,9 +554,34 @@ impl Node {
     }
 
     fn handle_effects(&mut self, effects: Vec<Effect>, measured: bool) {
-        for e in effects {
+        let mut effects = effects.into_iter().peekable();
+        let mut dsts = Vec::new();
+        while let Some(e) = effects.next() {
             match e {
-                Effect::Send { to, msg } => self.dispatch(to, msg, measured),
+                Effect::Send { to, msg } if self.batch.is_some() => {
+                    self.dispatch(to, msg, measured)
+                }
+                Effect::Send { to, msg } => {
+                    // A write's fan-out is a run of sends carrying one SM:
+                    // the transport gets the whole destination list, so
+                    // the body crosses each connection once.
+                    dsts.clear();
+                    dsts.push(to);
+                    if let Msg::Sm(sm) = &msg {
+                        while let Some(Effect::Send {
+                            to,
+                            msg: Msg::Sm(next),
+                        }) = effects.peek()
+                        {
+                            if !sm.same_multicast(next) || dsts.contains(to) {
+                                break;
+                            }
+                            dsts.push(*to);
+                            effects.next();
+                        }
+                    }
+                    self.ship(&dsts, msg, measured);
+                }
                 Effect::Applied { var: _, write } => {
                     self.metrics.applies += 1;
                     self.metrics.per_site.site_mut(self.site.index()).applies += 1;
@@ -562,49 +599,58 @@ impl Node {
         }
     }
 
-    /// Route one outgoing message: park SMs in their destination lane when
-    /// batching is on (flushing on count/byte bounds), flush the lane ahead
-    /// of any non-SM frame to the same destination (per-channel FIFO), and
-    /// account + ship everything else immediately.
+    /// Route one outgoing message through the batching lanes: park an SM
+    /// in its destination lane (flushing on count/byte bounds); flush the
+    /// lane ahead of any non-SM frame to the same destination (per-channel
+    /// FIFO), then ship that frame.
     fn dispatch(&mut self, to: SiteId, msg: Msg, measured: bool) {
+        let lanes = self.batch.as_mut().expect("dispatch runs with lanes on");
         let size = msg.meta_size(&self.size_model);
-        if self.batch.is_some() {
-            if let Msg::Sm(sm) = msg {
+        match msg {
+            Msg::Sm(sm) => {
                 let pending = PendingSm {
                     sm,
                     measured,
                     full_bytes: size,
                 };
-                let flush = {
-                    let lanes = self.batch.as_mut().expect("checked above");
-                    match lanes.batcher.offer(to, pending, size) {
-                        Offer::First { epoch } => {
-                            let at = Instant::now() + lanes.window;
-                            lanes.timers.push((at, to, epoch));
-                            None
-                        }
-                        Offer::Queued => None,
-                        Offer::Flush(items) => Some(items),
+                let flush = match lanes.batcher.offer(to, pending, size) {
+                    Offer::First { epoch } => {
+                        let at = Instant::now() + lanes.window;
+                        lanes.timers.push((at, to, epoch));
+                        None
                     }
+                    Offer::Queued => None,
+                    Offer::Flush(items) => Some(items),
                 };
                 if let Some(items) = flush {
                     self.flush_lane(to, items);
                 }
-                return;
             }
-            // Non-SM (an RM reply): flush the lane toward the same
-            // destination first, so no frame overtakes a parked update on
-            // its channel.
-            if let Some(items) = self.batch.as_mut().and_then(|l| l.batcher.flush_dest(to)) {
-                self.flush_lane(to, items);
+            msg => {
+                // Non-SM (an RM reply): flush the lane toward the same
+                // destination first, so no frame overtakes a parked update
+                // on its channel.
+                if let Some(items) = lanes.batcher.flush_dest(to) {
+                    self.flush_lane(to, items);
+                }
+                self.ship(&[to], msg, measured);
             }
         }
-        if let Msg::Sm(sm) = &msg {
-            self.metrics.sm_entries.record(sm.meta.entry_count() as f64);
+    }
+
+    /// Account `msg` once per destination — the paper's counters are per
+    /// logical message, whatever the transport makes of the list — and
+    /// ship it to every site in `to`.
+    fn ship(&mut self, to: &[SiteId], msg: Msg, measured: bool) {
+        let size = msg.meta_size(&self.size_model);
+        for _ in to {
+            if let Msg::Sm(sm) = &msg {
+                self.metrics.sm_entries.record(sm.meta.entry_count() as f64);
+            }
+            self.metrics.record_msg(msg.kind(), size, measured);
         }
-        self.metrics.record_msg(msg.kind(), size, measured);
-        self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-        self.send(to, msg, measured);
+        self.metrics.per_site.site_mut(self.site.index()).sends += to.len() as u64;
+        self.send(to, &msg, measured);
     }
 
     /// Ship one drained destination lane: a single parked update goes out
@@ -644,7 +690,7 @@ impl Node {
         };
         self.metrics.record_msg(msg.kind(), frame_bytes, measured);
         self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-        self.send(to, msg, measured);
+        self.send(&[to], &msg, measured);
     }
 
     /// Flush every lane whose window timer has expired (stale epochs are

@@ -23,7 +23,7 @@ use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Tr
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
-use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
+use causal_proto::{build_site, Msg, ProtocolConfig, ProtocolKind, Replication};
 use causal_types::{SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -111,7 +111,7 @@ pub(crate) fn resolve_workers(configured: usize, n: usize) -> usize {
 
 /// Run a closure on a possibly-poisoned std mutex (a panicking worker
 /// must not cascade into every other thread's teardown).
-fn locked<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+pub(crate) fn locked<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
     let mut guard = m.lock().unwrap_or_else(|e| e.into_inner());
     f(&mut guard)
 }
@@ -137,10 +137,15 @@ impl WakeLatch {
     }
 
     /// Set the token and wake the parked owner, if any. Saturating: an
-    /// already-signalled latch stays signalled.
+    /// already-signalled latch stays signalled — and costs no futex call,
+    /// because only the false→true flip notifies. The one consumer clears
+    /// the token under the same mutex, so a token found set has either
+    /// been notified for already or will be seen by the owner before it
+    /// can park.
     pub(crate) fn notify(&self) {
-        locked(&self.0.token, |t| *t = true);
-        self.0.cv.notify_one();
+        if !locked(&self.0.token, |t| std::mem::replace(t, true)) {
+            self.0.cv.notify_one();
+        }
     }
 
     /// Park until the token is set (consuming it — returns `true`) or
@@ -274,9 +279,10 @@ impl Quiesce {
         }
     }
 
-    /// A frame is about to enter the network.
-    pub(crate) fn frame_sent(&self) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
+    /// `k` frames are about to enter the network.
+    pub(crate) fn frames_sent(&self, k: u64) {
+        let k = i64::try_from(k).expect("frame batch fits i64");
+        self.in_flight.fetch_add(k, Ordering::SeqCst);
     }
 
     /// `k` frames left the system — fully processed by their receiver, or
@@ -367,26 +373,45 @@ impl Routes {
         self.owner[site]
     }
 
-    /// Nudge the worker that owns `site`.
-    pub(crate) fn wake_owner(&self, site: usize) {
-        self.wakes[self.owner[site]].notify();
-    }
-
-    /// Enqueue a frame for `site` *without* waking its owner — for senders
-    /// running on that very worker, whose pass continues anyway. Returns
-    /// `false` when the site's mailbox is already gone.
-    pub(crate) fn push(&self, site: usize, wire: Wire) -> bool {
-        self.mailboxes[site].push(wire)
-    }
-
     /// Enqueue a frame for `site` and wake its owner. Returns `false` when
     /// the site's mailbox is already gone (worker exited).
     pub(crate) fn deliver(&self, site: usize, wire: Wire) -> bool {
-        let ok = self.push(site, wire);
+        let ok = self.mailboxes[site].push(wire);
         if ok {
-            self.wake_owner(site);
+            self.wakes[self.owner[site]].notify();
         }
         ok
+    }
+
+    /// Enqueue a copy of `msg` (a refcount bump of its piggyback) for every
+    /// site in `dsts`, then wake each distinct owner once — except
+    /// `sender`, the worker executing the send, whose pass continues
+    /// anyway. Returns how many of the mailboxes were already gone.
+    pub(crate) fn fan_out(
+        &self,
+        from: SiteId,
+        dsts: &[SiteId],
+        msg: &Msg,
+        measured: bool,
+        sender: Option<usize>,
+    ) -> usize {
+        let mut refused = 0;
+        for d in dsts {
+            let wire = Wire::Msg {
+                from,
+                msg: msg.clone(),
+                measured,
+            };
+            refused += usize::from(!self.mailboxes[d.index()].push(wire));
+        }
+        for (i, d) in dsts.iter().enumerate() {
+            let w = self.owner[d.index()];
+            let woken = dsts[..i].iter().any(|p| self.owner[p.index()] == w);
+            if Some(w) != sender && !woken {
+                self.wakes[w].notify();
+            }
+        }
+        refused
     }
 }
 
@@ -629,5 +654,72 @@ pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
         metrics,
         final_pending,
         elapsed: start.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A lost wake-up parks `wait_until` forever; the deadline turns that
+    /// into a failed assertion.
+    fn wait(latch: &WakeLatch) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        assert!(latch.wait_until(Some(deadline)), "lost wake-up");
+    }
+
+    #[test]
+    fn wake_latch_loses_no_wake_up_to_a_free_running_notifier() {
+        // The scheduler's pattern: the producer publishes then notifies,
+        // the consumer scans then parks. The producer never waits, so most
+        // of its notifies find the token already set (the no-futex path)
+        // and some race the consumer's scan-then-park.
+        const N: u64 = 200_000;
+        let latch = WakeLatch::new();
+        let published = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 1..=N {
+                    published.store(i, Ordering::SeqCst);
+                    latch.notify();
+                }
+            });
+            while published.load(Ordering::SeqCst) < N {
+                wait(&latch);
+            }
+        });
+    }
+
+    #[test]
+    fn wake_latch_hands_off_every_round_of_a_ping_pong() {
+        // Strict alternation: each side parks until the other's notify, so
+        // every round is a real false→true flip against a parked (or
+        // about-to-park) waiter.
+        const ROUNDS: usize = 20_000;
+        let (ping, pong) = (WakeLatch::new(), WakeLatch::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..ROUNDS {
+                    wait(&ping);
+                    pong.notify();
+                }
+            });
+            for _ in 0..ROUNDS {
+                ping.notify();
+                wait(&pong);
+            }
+        });
+    }
+
+    #[test]
+    fn wake_latch_saturates_and_is_consumed_once() {
+        let latch = WakeLatch::new();
+        latch.notify();
+        latch.notify();
+        assert!(latch.wait_until(Some(Instant::now())));
+        assert!(
+            !latch.wait_until(Some(Instant::now())),
+            "one token, not two"
+        );
     }
 }

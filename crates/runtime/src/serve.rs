@@ -174,11 +174,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     let (history, mut metrics, final_pending) = drive(cluster, &[]);
     let elapsed = start.elapsed();
     if let Some(m) = mesh {
-        let errs = m.conn_error_counter();
-        let syscalls = m.syscall_write_counter();
-        m.teardown();
-        metrics.transport_conn_errors += errs.load(Ordering::Relaxed);
-        metrics.syscall_writes += syscalls.load(Ordering::Relaxed);
+        m.teardown(&mut metrics);
     }
     metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
 

@@ -2,7 +2,7 @@
 //! of cluster size, every pool size yields checker-clean executions, and
 //! `W = n` faithfully emulates the old thread-per-site fabric.
 
-use causal_checker::check;
+use causal_checker::{check, History, OpRecord};
 use causal_proto::ProtocolKind;
 use causal_runtime::{run_tcp, run_threaded, serve, RuntimeConfig, ServeConfig, ServeTransport};
 
@@ -78,6 +78,72 @@ fn every_pool_size_is_checker_clean_for_a_fetching_protocol() {
             assert!(v.protocol_clean(), "{tag}: {:?}", v.examples);
         }
     }
+}
+
+#[test]
+fn every_protocol_is_checker_clean_on_every_pool_size_and_fabric() {
+    // Full-replication protocols fan a write out to every site, so at
+    // W = 2 and W = 4 each write leaves as one multi-routed frame per peer
+    // worker; W = 1 has no sockets at all.
+    for protocol in ProtocolKind::ALL.into_iter().chain([ProtocolKind::HbTrack]) {
+        for workers in [1usize, 2, 4] {
+            for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
+                let mut cfg = ServeConfig::quick(protocol, 8, transport, 31);
+                cfg.load.ops_per_client = 15;
+                cfg.load.w_rate = 0.6;
+                cfg.workers = workers;
+                let report = serve(&cfg).expect("serve runs");
+                let tag = format!("{protocol}/W={workers}/{transport:?}");
+                assert_eq!(report.ops, cfg.load.total_ops(8) as u64, "{tag}");
+                assert_eq!(report.final_pending, 0, "{tag}");
+                assert_eq!(report.metrics.transport_conn_errors, 0, "{tag}");
+                let v = check(&report.history);
+                assert!(v.protocol_clean(), "{tag}: {:?}", v.examples);
+            }
+        }
+    }
+}
+
+/// Logical messages that crossed between the two workers of a `W = 2` run
+/// (site `i` lives on worker `i mod 2`), recovered from the history: every
+/// remote apply is one SM, every remotely served read one FM and one RM.
+fn cross_worker_messages(h: &History) -> u64 {
+    let crosses = |a: usize, b: usize| a % 2 != b % 2;
+    let sms = h.applies().iter().enumerate().map(|(j, applied)| {
+        let remote = applied.iter().filter(|w| crosses(w.site.index(), j));
+        remote.count() as u64
+    });
+    let fetches = h.ops().iter().enumerate().map(|(i, ops)| {
+        let remote = ops.iter().filter(
+            |op| matches!(op, OpRecord::Read { served_by, .. } if crosses(served_by.index(), i)),
+        );
+        2 * remote.count() as u64
+    });
+    sms.sum::<u64>() + fetches.sum::<u64>()
+}
+
+#[test]
+fn a_write_heavy_fan_out_crosses_the_socket_once_per_write() {
+    // Opt-Track, n = 40, W = 2, w = 0.8: a write's ~11 SMs put ~6 on the
+    // peer worker. They must share one frame, so physical frames stay far
+    // below the logical messages that crossed.
+    let mut cfg = ServeConfig::quick(ProtocolKind::OptTrack, 40, ServeTransport::Tcp, 11);
+    cfg.load.ops_per_client = 20;
+    cfg.load.w_rate = 0.8;
+    cfg.workers = 2;
+    let report = serve(&cfg).expect("serve runs");
+    assert_eq!(report.final_pending, 0);
+    assert_eq!(report.metrics.transport_conn_errors, 0);
+    let v = check(&report.history);
+    assert!(v.protocol_clean(), "{:?}", v.examples);
+
+    let frames = report.metrics.transport_frames;
+    let crossed = cross_worker_messages(&report.history);
+    assert!(frames > 0 && frames >= report.metrics.syscall_writes);
+    assert!(
+        frames as f64 <= 0.3 * crossed as f64,
+        "{frames} frames for {crossed} cross-worker messages"
+    );
 }
 
 #[test]
