@@ -1,7 +1,7 @@
 //! The verification pass.
 
 use crate::history::{History, OpRecord};
-use causal_types::{VarId, WriteId};
+use causal_types::{SiteId, VarId, WriteId};
 use std::collections::HashMap;
 
 /// Violation counts found in a history, with capped human-readable examples.
@@ -57,7 +57,7 @@ impl Violations {
         self.protocol_clean() && self.stale_reads == 0 && self.own_write_races == 0
     }
 
-    fn note(&mut self, msg: String) {
+    pub(crate) fn note(&mut self, msg: String) {
         if self.examples.len() < 10 {
             self.examples.push(msg);
         }
@@ -81,30 +81,162 @@ impl std::fmt::Display for Violations {
     }
 }
 
-/// Per-write causal timestamp: `vc[j]` = number of writes by process `j` in
-/// the causal past of this write (inclusive of the write itself for its own
-/// origin). `w1 ≺co w2  ⟺  w2.vc[w1.site] ≥ w1.clock`.
-struct WriteInfo {
-    vc: Vec<u64>,
-    var: VarId,
+/// Every write of a history with its causal timestamp, in flat storage.
+///
+/// The timestamp of the write in `slot` is the row `vc[slot * n..][..n]`:
+/// entry `j` counts the writes by process `j` in its causal past (itself
+/// included for its own origin), so `w1 ≺co w2 ⟺ vc(w2)[w1.site] ≥
+/// w1.clock`. Process `i`'s `k`-th write owns slot `base[i] + k - 1`; a
+/// valid history's clock *is* that ordinal, so a [`WriteId`] addresses its
+/// row without hashing, and every allocation is sized by the number of
+/// recorded writes — never by a clock value, which a corrupt recording
+/// controls.
+struct Writes {
+    n: usize,
+    /// `base[i]..base[i + 1]` are the slots of process `i`'s writes.
+    base: Vec<usize>,
+    slots: Vec<Slot>,
+    vc: Vec<u32>,
+    /// Writes recorded under an id other than `⟨process, ordinal⟩` (each
+    /// one is reported as `unresolved`), by that id.
+    odd: HashMap<WriteId, usize>,
+    /// The written variables, sorted; a variable's rank addresses `on`.
+    vars: Vec<VarId>,
+    /// `on[rank(x) * n + l]`: clocks of process `l`'s resolved writes on
+    /// `x`, ascending because program order resolves them so. Writes in
+    /// `odd` stay out: their clock does not place them in program order.
+    on: Vec<Vec<u32>>,
 }
 
-/// Verify a recorded history. See [`Violations`] for what is checked.
+struct Slot {
+    id: WriteId,
+    var: VarId,
+    /// Pass 1 has reached this write and filled its `vc` row.
+    resolved: bool,
+}
+
+impl Writes {
+    fn index(history: &History) -> Self {
+        let n = history.n();
+        let (mut base, mut slots, mut odd) =
+            (Vec::with_capacity(n + 1), Vec::new(), HashMap::new());
+        for (i, ops) in history.ops().iter().enumerate() {
+            base.push(slots.len());
+            for op in ops {
+                if let OpRecord::Write { write, var } = *op {
+                    let ordinal = (slots.len() - base[i] + 1) as u64;
+                    if write.site.index() != i || write.clock != ordinal {
+                        odd.insert(write, slots.len());
+                    }
+                    slots.push(Slot {
+                        id: write,
+                        var,
+                        resolved: false,
+                    });
+                }
+            }
+        }
+        base.push(slots.len());
+        // Ordinals (hence every `vc` entry) fit `u32` with `u32::MAX` to
+        // spare as pass 2's "no further apply" sentinel.
+        assert!(slots.len() < u32::MAX as usize, "history too large");
+        let mut vars: Vec<VarId> = slots.iter().map(|s| s.var).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        Writes {
+            n,
+            base,
+            vc: vec![0; slots.len() * n],
+            on: vec![Vec::new(); vars.len() * n],
+            slots,
+            odd,
+            vars,
+        }
+    }
+
+    /// The slot of the write recorded as `w`, resolved or not.
+    fn find(&self, w: WriteId) -> Option<usize> {
+        let s = w.site.index();
+        if s < self.n {
+            let k = w.clock.wrapping_sub(1);
+            if k < (self.base[s + 1] - self.base[s]) as u64 {
+                let slot = self.base[s] + k as usize;
+                if self.slots[slot].id == w {
+                    return Some(slot);
+                }
+            }
+        }
+        self.odd.get(&w).copied()
+    }
+
+    fn row(&self, slot: usize) -> &[u32] {
+        &self.vc[slot * self.n..][..self.n]
+    }
+
+    /// Pass 1 reached process `i`'s `ordinal`-th write with causal past
+    /// `past` (the write itself included).
+    fn resolve(&mut self, i: usize, ordinal: u32, past: &[u32]) {
+        let slot = self.base[i] + ordinal as usize - 1;
+        self.vc[slot * self.n..][..self.n].copy_from_slice(past);
+        let s = &mut self.slots[slot];
+        s.resolved = true;
+        if s.id == WriteId::new(SiteId::from(i), u64::from(ordinal)) {
+            let rank = self.vars.binary_search(&s.var).expect("indexed");
+            self.on[rank * self.n + i].push(ordinal);
+        }
+    }
+
+    /// A write on `var` inside the causal past `past` that causally
+    /// follows `returned` — or, for a ⊥ read (`None`), any write on `var`
+    /// in `past`. Per origin only the latest write on `var` in `past` is
+    /// tested: clocks are monotone along program order, so an earlier
+    /// write of that origin overwrites `returned` only if the latest does,
+    /// and when the latest *is* `returned` none of the earlier ones can.
+    fn newer_in_past(
+        &self,
+        var: VarId,
+        past: &[u32],
+        returned: Option<WriteId>,
+    ) -> Option<WriteId> {
+        let rank = self.vars.binary_search(&var).ok()?;
+        let lists = &self.on[rank * self.n..][..self.n];
+        lists
+            .iter()
+            .zip(past)
+            .enumerate()
+            .find_map(|(l, (list, &seen))| {
+                let c = *list[..list.partition_point(|&c| c <= seen)].last()?;
+                let w1 = WriteId::new(SiteId::from(l), u64::from(c));
+                let newer = match returned {
+                    None => true,
+                    Some(r) => r != w1 && covers(self.row(self.base[l] + c as usize - 1), r),
+                };
+                newer.then_some(w1)
+            })
+    }
+}
+
+/// `w` is in the causal past `vc`.
+fn covers(vc: &[u32], w: WriteId) -> bool {
+    vc.get(w.site.index())
+        .is_some_and(|&c| u64::from(c) >= w.clock)
+}
+
+/// Verify a recorded history. See [`Violations`] for what is checked, and
+/// the crate docs for the algorithm: `O((ops + applies) · n)` time.
 pub fn check(history: &History) -> Violations {
     let n = history.n();
     let mut v = Violations::default();
+    let mut ws = Writes::index(history);
 
     // ------------------------------------------------------------------
     // Pass 1: assign vector clocks to writes by sweeping the per-process
     // histories in causal order (a read blocks until the write it observed
     // has its clock; program order otherwise).
     // ------------------------------------------------------------------
-    let mut writes: HashMap<WriteId, WriteInfo> = HashMap::new();
-    // Writes per variable, for the freshness check (filled as resolved).
-    let mut writes_on: HashMap<VarId, Vec<WriteId>> = HashMap::new();
     let mut cursor = vec![0usize; n];
-    let mut proc_vc: Vec<Vec<u64>> = vec![vec![0; n]; n];
-    // (reader, op index) of stale reads, resolved during the sweep.
+    // Row `i` is process `i`'s causal past so far.
+    let mut past = vec![0u32; n * n];
     loop {
         let mut progressed = false;
         let mut done = true;
@@ -112,101 +244,65 @@ pub fn check(history: &History) -> Violations {
             let ops = &history.ops()[i];
             while cursor[i] < ops.len() {
                 match &ops[cursor[i]] {
-                    OpRecord::Write { write, var } => {
-                        proc_vc[i][i] += 1;
-                        if proc_vc[i][i] != write.clock {
+                    OpRecord::Write { write, .. } => {
+                        past[i * n + i] += 1;
+                        let ordinal = past[i * n + i];
+                        if write.site.index() != i || write.clock != u64::from(ordinal) {
                             // Clocks must be the per-process write counter.
                             v.unresolved += 1;
                             v.note(format!(
                                 "write {write} out of clock sequence at s{i} \
-                                 (expected clock {})",
-                                proc_vc[i][i]
+                                 (expected clock {ordinal})"
                             ));
                         }
-                        writes.insert(
-                            *write,
-                            WriteInfo {
-                                vc: proc_vc[i].clone(),
-                                var: *var,
-                            },
-                        );
-                        writes_on.entry(*var).or_default().push(*write);
+                        ws.resolve(i, ordinal, &past[i * n..][..n]);
                     }
                     OpRecord::Read {
                         var,
-                        read_from,
-                        served_by: _,
+                        read_from: Some(w),
+                        ..
                     } => {
-                        if let Some(w) = read_from {
-                            let Some(info) = writes.get(w) else {
-                                if history.ops()[w.site.index()].iter().any(
-                                    |o| matches!(o, OpRecord::Write { write, .. } if write == w),
-                                ) {
-                                    // Not yet resolved: retry later.
-                                    break;
-                                }
-                                v.reads_from += 1;
-                                v.note(format!("read of {var} at s{i} observed unknown write {w}"));
-                                cursor[i] += 1;
-                                continue;
-                            };
-                            if info.var != *var {
-                                v.reads_from += 1;
-                                v.note(format!(
-                                    "read of {var} at s{i} observed {w}, which wrote {}",
-                                    info.var
-                                ));
-                            }
-                            // Freshness: no write on `var` in the reader's
-                            // causal past may causally follow the returned
-                            // write.
-                            let returned = *w;
-                            let vc_snapshot = &proc_vc[i];
-                            if let Some(candidates) = writes_on.get(var) {
-                                for w1 in candidates {
-                                    if *w1 == returned {
-                                        continue;
-                                    }
-                                    let in_past = vc_snapshot[w1.site.index()] >= w1.clock;
-                                    if !in_past {
-                                        continue;
-                                    }
-                                    let overwrites = writes
-                                        .get(w1)
-                                        .map(|i1| i1.vc[returned.site.index()] >= returned.clock)
-                                        .unwrap_or(false);
-                                    if overwrites {
-                                        v.stale_reads += 1;
-                                        v.note(format!(
-                                            "stale read of {var} at s{i}: returned {returned} \
-                                             but {w1} (causally newer) is in the reader's past"
-                                        ));
-                                        break;
-                                    }
-                                }
-                            }
-                            // The read-from edge merges the writer's clock.
-                            let w_vc = writes.get(w).map(|x| x.vc.clone());
-                            if let Some(w_vc) = w_vc {
-                                for (a, b) in proc_vc[i].iter_mut().zip(&w_vc) {
-                                    *a = (*a).max(*b);
-                                }
-                            }
-                        } else {
-                            // ⊥ read: a violation if any write on var is in
-                            // the reader's causal past.
-                            if let Some(candidates) = writes_on.get(var) {
-                                let vc_snapshot = &proc_vc[i];
-                                if let Some(w1) = candidates
-                                    .iter()
-                                    .find(|w1| vc_snapshot[w1.site.index()] >= w1.clock)
-                                {
-                                    v.stale_reads += 1;
-                                    v.note(format!(
-                                        "⊥ read of {var} at s{i} despite {w1} in causal past"
-                                    ));
-                                }
-                            }
+                        let Some(slot) = ws.find(*w) else {
+                            v.reads_from += 1;
+                            v.note(format!("read of {var} at s{i} observed unknown write {w}"));
+                            cursor[i] += 1;
+                            continue;
+                        };
+                        if !ws.slots[slot].resolved {
+                            // Issued but not yet reached: retry later.
+                            break;
+                        }
+                        if ws.slots[slot].var != *var {
+                            v.reads_from += 1;
+                            v.note(format!(
+                                "read of {var} at s{i} observed {w}, which wrote {}",
+                                ws.slots[slot].var
+                            ));
+                        }
+                        // Freshness: no write on `var` in the reader's
+                        // causal past may causally follow the returned
+                        // write.
+                        let me = &mut past[i * n..][..n];
+                        if let Some(w1) = ws.newer_in_past(*var, me, Some(*w)) {
+                            v.stale_reads += 1;
+                            v.note(format!(
+                                "stale read of {var} at s{i}: returned {w} \
+                                 but {w1} (causally newer) is in the reader's past"
+                            ));
+                        }
+                        // The read-from edge merges the writer's clock.
+                        for (a, b) in me.iter_mut().zip(ws.row(slot)) {
+                            *a = (*a).max(*b);
+                        }
+                    }
+                    OpRecord::Read { var, .. } => {
+                        // ⊥ read: a violation if any write on var is in
+                        // the reader's causal past.
+                        if let Some(w1) = ws.newer_in_past(*var, &past[i * n..][..n], None) {
+                            v.stale_reads += 1;
+                            v.note(format!(
+                                "⊥ read of {var} at s{i} despite {w1} in causal past"
+                            ));
                         }
                     }
                 }
@@ -230,81 +326,64 @@ pub fn check(history: &History) -> Violations {
     // ------------------------------------------------------------------
     // Pass 2: per-site apply sequences.
     // ------------------------------------------------------------------
-    for k in 0..n {
-        let seq = &history.applies()[k];
+    let mut last_clock = vec![0u64; n];
+    let mut next_clock = vec![u32::MAX; n];
+    for (k, seq) in history.applies().iter().enumerate() {
         // FIFO per origin: clocks strictly increase.
-        let mut last_clock = vec![0u64; n];
+        last_clock.fill(0);
         for w in seq {
-            if w.clock <= last_clock[w.site.index()] {
+            let Some(last) = last_clock.get_mut(w.site.index()) else {
+                continue; // counted as an unknown write below
+            };
+            if w.clock <= *last {
                 v.fifo += 1;
                 v.note(format!(
-                    "s{k} applied {w} after clock {} from the same origin",
-                    last_clock[w.site.index()]
+                    "s{k} applied {w} after clock {last} from the same origin"
                 ));
             }
-            last_clock[w.site.index()] = w.clock;
+            *last = w.clock;
         }
 
-        // Causal delivery: for each apply position, every causally
-        // preceding write from each origin that this site *ever* applies
-        // must already be applied. Per origin, the applied subsequence is
-        // clock-sorted (FIFO, checked above), so "how many of origin l's
-        // applied writes precede w" is a binary search over clocks, and
-        // their positions are increasing — compare the last one's position.
-        let mut per_origin: Vec<Vec<(u64, usize)>> = vec![Vec::new(); n]; // (clock, pos)
-        for (pos, w) in seq.iter().enumerate() {
-            per_origin[w.site.index()].push((w.clock, pos));
-        }
-        #[allow(clippy::needless_range_loop)]
-        for (pos, w) in seq.iter().enumerate() {
-            let Some(info) = writes.get(w) else {
-                v.unresolved += 1;
-                v.note(format!("s{k} applied unknown write {w}"));
-                continue;
-            };
-            for l in 0..n {
-                let bound = info.vc[l];
-                if bound == 0 {
-                    continue;
-                }
-                let col = &per_origin[l];
-                // Applied writes from l with clock ≤ bound, excluding w
-                // itself.
-                let m = col.partition_point(|&(c, _)| c <= bound);
-                if m == 0 {
-                    continue;
-                }
-                let (c_last, p_last) = col[m - 1];
-                // The applying site's own writes apply immediately by
-                // design; a miss there is the documented remote-fetch race,
-                // not a delivery bug (see `own_write_races`).
-                let own_write = w.site.index() == k;
-                if (l, c_last) == (w.site.index(), w.clock) {
-                    // w itself is the last such write; check the previous.
-                    if m >= 2 {
-                        let (_, p_prev) = col[m - 2];
-                        if p_prev > pos {
-                            if own_write {
-                                v.own_write_races += 1;
-                            } else {
-                                v.delivery += 1;
-                            }
-                            v.note(format!(
-                                "s{k} applied {w} before an earlier write from s{l}"
-                            ));
-                        }
-                    }
-                } else if p_last > pos {
-                    if own_write {
-                        v.own_write_races += 1;
+        // Causal delivery, as a frontier sweep from the last apply to the
+        // first: `next_clock[l]` is the clock of the earliest write from
+        // origin `l` this site applies *after* the current position
+        // (`u32::MAX`, above every timestamp entry, when there is none).
+        // FIFO makes that write the oldest of origin `l` still missing, so
+        // `w` was applied ahead of a causally preceding write from `l`
+        // exactly when `next_clock[l] ≤ vc(w)[l]`. `w`'s own origin never
+        // fires: under FIFO its next apply carries a clock above `w.clock`.
+        next_clock.fill(u32::MAX);
+        for (pos, w) in seq.iter().enumerate().rev() {
+            if let Some(slot) = ws.find(*w) {
+                let row = ws.row(slot);
+                let misses = next_clock
+                    .iter()
+                    .zip(row)
+                    .filter(|(next, seen)| next <= seen);
+                let misses = misses.count() as u64;
+                if misses > 0 {
+                    // The applying site's own writes apply immediately by
+                    // design; a miss there is the documented remote-fetch
+                    // race, not a delivery bug (see `own_write_races`).
+                    if w.site.index() == k {
+                        v.own_write_races += misses;
                     } else {
-                        v.delivery += 1;
+                        v.delivery += misses;
                     }
+                    let l = (0..n).find(|&l| next_clock[l] <= row[l]);
+                    let l = l.expect("counted above");
                     v.note(format!(
                         "s{k} applied {w} at pos {pos} before causally preceding \
-                         w(s{l},{c_last}) at pos {p_last}"
+                         w(s{l},{})",
+                        next_clock[l]
                     ));
                 }
+            } else {
+                v.unresolved += 1;
+                v.note(format!("s{k} applied unknown write {w}"));
+            }
+            if let Some(next) = next_clock.get_mut(w.site.index()) {
+                *next = u32::try_from(w.clock).unwrap_or(u32::MAX);
             }
         }
     }
@@ -527,6 +606,107 @@ mod tests {
         let v = check(&h);
         assert_eq!(v.stale_reads, 20);
         assert!(v.examples.len() <= 10);
+    }
+}
+
+#[cfg(test)]
+mod totality_tests {
+    //! Corrupt recordings: `check` must terminate, allocate by the size of
+    //! the history (never by a value found in it), and count the damage.
+    use super::*;
+
+    fn w(site: usize, clock: u64) -> WriteId {
+        WriteId::new(SiteId::from(site), clock)
+    }
+
+    #[test]
+    fn a_write_with_clock_u64_max_sizes_nothing() {
+        let mut h = History::new(2);
+        h.record_write(SiteId(0), w(0, u64::MAX), VarId(0));
+        h.record_write(SiteId(0), w(0, 2), VarId(0));
+        h.record_read(SiteId(1), VarId(0), Some(w(0, u64::MAX)), SiteId(0));
+        h.record_read(SiteId(1), VarId(0), None, SiteId(0));
+        for k in 0..2 {
+            h.record_apply(SiteId::from(k), w(0, u64::MAX));
+            h.record_apply(SiteId::from(k), w(0, 2));
+        }
+        let v = check(&h);
+        assert_eq!(v.unresolved, 1, "{v:?}");
+        assert_eq!(v.fifo, 2, "clock 2 after u64::MAX at both sites: {v:?}");
+        assert!(!v.protocol_clean());
+    }
+
+    #[test]
+    fn a_duplicated_write_id_is_unresolved() {
+        let mut h = History::new(2);
+        h.record_write(SiteId(0), w(0, 1), VarId(0));
+        h.record_write(SiteId(0), w(0, 1), VarId(1));
+        h.record_read(SiteId(1), VarId(0), Some(w(0, 1)), SiteId(0));
+        h.record_apply(SiteId(0), w(0, 1));
+        h.record_apply(SiteId(1), w(0, 1));
+        let v = check(&h);
+        assert_eq!(v.unresolved, 1, "{v:?}");
+        assert!(!v.protocol_clean());
+    }
+
+    #[test]
+    fn a_write_recorded_under_a_foreign_or_out_of_range_site_is_unresolved() {
+        let mut h = History::new(2);
+        h.record_write(SiteId(0), w(1, 1), VarId(0));
+        h.record_write(SiteId(1), w(9, 1), VarId(0));
+        h.record_read(SiteId(1), VarId(0), Some(w(9, 1)), SiteId(1));
+        h.record_read(SiteId(0), VarId(0), Some(w(7, 3)), SiteId(0));
+        h.record_apply(SiteId(0), w(9, 1));
+        h.record_apply(SiteId(0), w(7, 3));
+        let v = check(&h);
+        assert_eq!(v.unresolved, 3, "two odd writes, one unknown apply: {v:?}");
+        assert_eq!(v.reads_from, 1, "{v:?}");
+    }
+
+    #[test]
+    fn an_apply_of_an_unknown_write_is_unresolved() {
+        let mut h = History::new(2);
+        h.record_write(SiteId(0), w(0, 1), VarId(0));
+        h.record_apply(SiteId(0), w(0, 1));
+        h.record_apply(SiteId(1), w(0, 7));
+        h.record_apply(SiteId(1), w(1, 1));
+        let v = check(&h);
+        assert_eq!(v.unresolved, 2, "{v:?}");
+        assert_eq!((v.fifo, v.delivery), (0, 0), "{v:?}");
+    }
+
+    #[test]
+    fn a_cyclic_reads_from_pair_is_unresolved_not_a_hang() {
+        // Each process reads the other's write before issuing its own.
+        let mut h = History::new(2);
+        h.record_read(SiteId(0), VarId(1), Some(w(1, 1)), SiteId(1));
+        h.record_write(SiteId(0), w(0, 1), VarId(0));
+        h.record_read(SiteId(1), VarId(0), Some(w(0, 1)), SiteId(0));
+        h.record_write(SiteId(1), w(1, 1), VarId(1));
+        let v = check(&h);
+        assert_eq!(v.unresolved, 1, "{v:?}");
+        assert!(!v.protocol_clean());
+    }
+
+    #[test]
+    fn a_process_with_zero_ops_and_a_single_site_system_check_clean() {
+        let mut h = History::new(3);
+        h.record_write(SiteId(0), w(0, 1), VarId(0));
+        h.record_read(SiteId(2), VarId(0), Some(w(0, 1)), SiteId(0));
+        for k in 0..3 {
+            h.record_apply(SiteId::from(k), w(0, 1));
+        }
+        assert!(check(&h).strictly_clean());
+
+        let mut h = History::new(1);
+        h.record_read(SiteId(0), VarId(0), None, SiteId(0));
+        h.record_write(SiteId(0), w(0, 1), VarId(0));
+        h.record_read(SiteId(0), VarId(0), Some(w(0, 1)), SiteId(0));
+        h.record_write(SiteId(0), w(0, 2), VarId(0));
+        h.record_apply(SiteId(0), w(0, 1));
+        h.record_apply(SiteId(0), w(0, 2));
+        assert!(check(&h).strictly_clean());
+        assert!(check(&History::new(0)).strictly_clean());
     }
 }
 

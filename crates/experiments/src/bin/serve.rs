@@ -33,7 +33,7 @@ use causal_metrics::Table;
 use causal_proto::ProtocolKind;
 use causal_runtime::{serve, BatchWindow, ServeConfig, ServeTransport};
 use causal_types::MsgKind;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     protocols: Vec<ProtocolKind>,
@@ -212,11 +212,18 @@ fn main() {
                 std::process::exit(1);
             }
             if a.check {
+                let t = Instant::now();
                 let v = check(&r.history);
                 if !v.protocol_clean() {
                     eprintln!("error: {kind}: causal violations: {:?}", v.examples);
                     std::process::exit(1);
                 }
+                eprintln!(
+                    "[serve] checked {} ops, {} applies in {:.3} s",
+                    r.history.total_ops(),
+                    r.history.total_applies(),
+                    t.elapsed().as_secs_f64()
+                );
             }
             let m = &r.metrics;
             t.push_row(vec![

@@ -86,7 +86,7 @@
 //! churn, stability, partitions, traces, schedule files, multi-seed) are
 //! rejected in runtime mode.
 
-use causal_checker::check;
+use causal_checker::{check, History, Violations};
 use causal_clocks::DestSet;
 use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
@@ -505,7 +505,7 @@ fn run_on_runtime(a: &Args, which: &str) {
         die(&format!("{} updates left parked", out.final_pending));
     }
     if a.check {
-        let v = check(&out.history);
+        let v = timed_check(&out.history);
         if v.protocol_clean() {
             println!("consistency     causal: OK (runtime execution verified)");
         } else {
@@ -513,6 +513,19 @@ fn run_on_runtime(a: &Args, which: &str) {
             std::process::exit(1);
         }
     }
+}
+
+/// Run the causal checker and say how long the verdict took.
+fn timed_check(history: &History) -> Violations {
+    let t = std::time::Instant::now();
+    let v = check(history);
+    println!(
+        "checked         {} ops, {} applies in {:.3} s",
+        history.total_ops(),
+        history.total_applies(),
+        t.elapsed().as_secs_f64()
+    );
+    v
 }
 
 fn main() {
@@ -801,8 +814,8 @@ fn main() {
     }
 
     if a.check {
-        let v = check(r.history.as_ref().expect("recorded"));
         println!();
+        let v = timed_check(r.history.as_ref().expect("recorded"));
         println!(
             "consistency     fifo={} delivery={} reads_from={} stale_reads={} own_write_races={}",
             v.fifo, v.delivery, v.reads_from, v.stale_reads, v.own_write_races

@@ -24,11 +24,13 @@
 //!
 //! Quiescence in a live system needs care: a site may finish its schedule
 //! while its updates are still in flight. The runtime counts in-flight
-//! messages with an atomic; when every site has finished its schedule and
-//! the in-flight count stays zero for a settle window, the coordinator —
-//! parked on a condvar the last decrement notifies, not a sleep-poll —
-//! broadcasts `Stop` and joins the worker pool. A parked update at that
-//! point would be a protocol bug (reported in
+//! messages with an atomic — a send is counted before the frame leaves, a
+//! delivery un-counted only after its cascade sends were counted — so once
+//! every site has finished its schedule, "in-flight count is zero" is an
+//! exact and stable condition, not a guess to be confirmed by waiting. The
+//! coordinator — parked on a condvar the last decrement notifies, not a
+//! sleep-poll — then broadcasts `Stop` at once and joins the worker pool.
+//! A parked update at that point would be a protocol bug (reported in
 //! [`RunOutcome::final_pending`]).
 
 #![forbid(unsafe_code)]

@@ -14,10 +14,11 @@
 //! parked worker re-scans after every wake, so no frame can be stranded
 //! in a mailbox while its owner sleeps.
 //!
-//! Quiescence is detected the same way the old runtime did — every driver
-//! exhausted and the global in-flight frame tally stably zero — but the
-//! coordinator now parks on a condvar that the last decrement notifies
-//! instead of sleep-polling the counters.
+//! Quiescence is an exact condition — every driver exhausted and the
+//! global in-flight frame tally at zero, which is stable once true (see
+//! `Quiesce::wait_quiescent`) — and the coordinator parks on a condvar
+//! that the last decrement notifies; there is no settle window and no
+//! sleep-poll.
 
 use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Transport, Wire};
 use causal_checker::History;
@@ -316,31 +317,25 @@ impl Quiesce {
         self.cv.notify_all();
     }
 
-    /// Park until every driver has finished and the in-flight tally has
-    /// been stably zero for a settle window (a cascade — apply → new SM —
-    /// cannot slip between checks). Event-driven via [`Quiesce::notify`];
-    /// the timeout below is a safety heartbeat, not a poll interval.
+    /// Park until every driver has finished and the in-flight tally reads
+    /// zero. The condition is exact and, once true, stays true: a finished
+    /// site issues no operation and holds no parked lane, so from then on
+    /// only a delivery can send — and its cascade is counted before the
+    /// delivered frame is released, which keeps the tally above zero until
+    /// the last frame of the last cascade is done. `finished` is read
+    /// first: a site counts its final sends before it reports finished, so
+    /// a zero read after `finished == sites` has every send behind it.
+    /// Event-driven via [`Quiesce::notify`]; the timeout is a safety
+    /// heartbeat against a lost notify, not a poll interval.
     pub(crate) fn wait_quiescent(&self) {
-        const SETTLE: Duration = Duration::from_millis(50);
         const HEARTBEAT: Duration = Duration::from_millis(250);
         let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stable_since: Option<Instant> = None;
-        loop {
-            let silent = self.finished.load(Ordering::SeqCst) == self.sites
-                && self.in_flight.load(Ordering::SeqCst) == 0;
-            let wait = if silent {
-                let t0 = *stable_since.get_or_insert_with(Instant::now);
-                match SETTLE.checked_sub(t0.elapsed()) {
-                    None => return,
-                    Some(left) => left,
-                }
-            } else {
-                stable_since = None;
-                HEARTBEAT
-            };
+        while self.finished.load(Ordering::SeqCst) != self.sites
+            || self.in_flight.load(Ordering::SeqCst) != 0
+        {
             guard = self
                 .cv
-                .wait_timeout(guard, wait)
+                .wait_timeout(guard, HEARTBEAT)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
         }
@@ -578,7 +573,7 @@ fn worker_loop(mut slots: Vec<SiteSlot>, wake: WakeLatch) -> Vec<NodeOutcome> {
 }
 
 /// Wait for quiescence (every driver exhausted and the in-flight tally
-/// stably zero), broadcast `Stop`, join the worker pool, and merge the
+/// at zero), broadcast `Stop`, join the worker pool, and merge the
 /// per-site outcomes. `conn_errors` are the transports' connection-failure
 /// counters, folded in *after* the join so late teardown races are
 /// included; the run-wide thread counter lands in

@@ -3,8 +3,9 @@
 //! accounting, clean shutdown, and exact channel-vs-TCP agreement where
 //! determinism allows it.
 
-use causal_checker::check;
-use causal_proto::ProtocolKind;
+use causal_checker::{check, OpRecord};
+use causal_memory::Placement;
+use causal_proto::{ProtocolKind, Replication};
 use causal_runtime::{
     run_tcp, run_threaded, serve, BatchWindow, RuntimeConfig, ServeConfig, ServeTransport,
 };
@@ -173,4 +174,58 @@ fn replay_warmup_window_is_attributed_like_the_simulator() {
         out.metrics.measured.count(MsgKind::Sm) > 0,
         "the measured window is not empty"
     );
+}
+
+#[test]
+fn stop_never_outruns_a_frame_across_200_tiny_deployments() {
+    // Quiescence is the exact condition `finished == sites && in_flight ==
+    // 0` with no settle window behind it, so a `Stop` that overtook a
+    // frame would show up here as a missing apply: zero think time, a
+    // write-heavy mix and a run that is over in a millisecond put the
+    // `Stop` broadcast as close behind the last update as it can get.
+    const N: usize = 4;
+    let mut deployments = 0;
+    for rep in 0..10u64 {
+        for kind in ALL_PROTOCOLS {
+            for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
+                for workers in [1, 2] {
+                    let mut cfg = ServeConfig::quick(kind, N, transport, 100 + rep);
+                    cfg.workers = workers;
+                    cfg.load.ops_per_client = 6;
+                    cfg.load.think = Duration::ZERO;
+                    cfg.load.w_rate = 0.7;
+                    cfg.load.q = 8;
+                    let tag = format!("{kind} {transport:?} W={workers} rep {rep}");
+                    let report = serve(&cfg).expect("serve runs");
+                    assert_eq!(report.ops, cfg.load.total_ops(N) as u64, "{tag}");
+                    assert_eq!(report.final_pending, 0, "{tag}");
+                    assert_eq!(report.metrics.transport_conn_errors, 0, "{tag}");
+                    // Completeness: every write reached every replica of
+                    // its variable before the workers took their `Stop`.
+                    let placement = if kind.supports_partial() {
+                        Placement::paper_partial(N)
+                    } else {
+                        Placement::full(N)
+                    }
+                    .expect("valid n");
+                    let owed: usize = report
+                        .history
+                        .ops()
+                        .iter()
+                        .flatten()
+                        .map(|op| match op {
+                            OpRecord::Write { var, .. } => placement.replicas(*var).len(),
+                            OpRecord::Read { .. } => 0,
+                        })
+                        .sum();
+                    assert!(owed > 0, "{tag}: the mix has writes");
+                    assert_eq!(report.history.total_applies(), owed, "{tag}");
+                    let v = check(&report.history);
+                    assert!(v.protocol_clean(), "{tag}: {:?}", v.examples);
+                    deployments += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(deployments, 200);
 }

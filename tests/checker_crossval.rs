@@ -1,5 +1,6 @@
 //! Checker-of-the-checker: the fast vector-clock verifier and the explicit
-//! transitive-closure verifier must agree on real simulated histories.
+//! transitive-closure verifier must agree on real simulated histories
+//! (3 000 operations each — the quadratic closure is the slow side).
 
 use causal_repro::checker::{check, delivery_inversions_bruteforce};
 use causal_repro::prelude::*;
@@ -12,13 +13,13 @@ fn fast_and_bruteforce_checkers_agree_on_clean_histories() {
         (ProtocolKind::OptTrackCrp, false),
         (ProtocolKind::OptP, false),
     ] {
-        for seed in 0..4 {
+        for seed in 0..2 {
             let mut cfg = if partial {
                 SimConfig::paper_partial(kind, 6, 0.5, seed)
             } else {
                 SimConfig::paper_full(kind, 6, 0.5, seed)
             };
-            cfg.workload.events_per_process = 50;
+            cfg.workload.events_per_process = 500;
             cfg.record_history = true;
             let r = causal_repro::simnet::run(&cfg);
             let h = r.history.as_ref().unwrap();
