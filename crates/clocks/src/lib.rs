@@ -11,6 +11,9 @@
 //!   (Baldoni et al.);
 //! * [`DestSet`] — a compact set of destination sites, the `Dests` field of
 //!   a KS log entry;
+//! * [`DestBatcher`] — per-destination FIFO lanes with count/byte bounds
+//!   and epoch-guarded window timers, the send-side structure the site
+//!   driver parks updates in;
 //! * [`Log`] / [`LogEntry`] — the **Opt-Track** local log
 //!   `{⟨j, clock_j, Dests⟩}` with the paper's explicit and implicit pruning
 //!   conditions (MERGE / PURGE, conditions 1 and 2 of §III-B);
@@ -21,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+pub mod batch;
 pub mod crplog;
 pub mod dests;
 pub mod log;
@@ -29,6 +33,7 @@ pub mod reference;
 pub mod stability;
 pub mod vector;
 
+pub use batch::{BatchPolicy, DestBatcher, Offer};
 pub use crplog::{CrpDelta, CrpLog};
 pub use dests::DestSet;
 pub use log::{Log, LogDelta, LogEntry, PruneConfig};

@@ -296,6 +296,45 @@ impl RunMetrics {
         }
     }
 
+    /// Site `site` sent one protocol message (one copy of a multicast, or
+    /// one batch frame): the traffic totals and the site's send count.
+    pub fn record_send(&mut self, site: usize, kind: MsgKind, meta_bytes: u64, measured: bool) {
+        self.record_msg(kind, meta_bytes, measured);
+        self.per_site.site_mut(site).sends += 1;
+    }
+
+    /// A lane flushed `sms ≥ 2` updates as one batch frame that cost
+    /// `saved` bytes less than the same updates sent alone.
+    pub fn record_batch_flush(&mut self, sms: u64, saved: u64) {
+        self.batch_flushes += 1;
+        self.batched_sms += sms;
+        self.batch_bytes_saved += saved;
+    }
+
+    /// Site `site` applied an update; `dwell_ns` is its receipt-to-apply
+    /// time (`None` for the site's own writes, which have no receipt and
+    /// do not contribute to the apply-latency statistics).
+    pub fn record_apply(&mut self, site: usize, dwell_ns: Option<u64>) {
+        self.applies += 1;
+        let s = self.per_site.site_mut(site);
+        s.applies += 1;
+        if let Some(ns) = dwell_ns {
+            s.record_dwell(ns as f64);
+            self.record_apply_latency(ns as f64);
+        }
+    }
+
+    /// One message reached site `site`'s protocol layer, leaving
+    /// `buffered` more updates parked than before and `pending` parked in
+    /// total.
+    pub fn record_delivery(&mut self, site: usize, buffered: u64, pending: usize) {
+        let s = self.per_site.site_mut(site);
+        s.delivers += 1;
+        s.buffered += buffered;
+        self.max_pending = self.max_pending.max(pending);
+        self.pending_samples.record(pending as f64);
+    }
+
     /// Record an issued operation (post-warm-up only).
     pub fn record_op(&mut self, is_write: bool, remote: bool) {
         if is_write {

@@ -25,11 +25,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-pub mod batch;
 pub mod ks;
 pub mod matrix;
 
-pub use batch::{BatchPolicy, DestBatcher, Offer};
+pub use causal_clocks::batch::{self, BatchPolicy, DestBatcher, Offer};
 pub use ks::{KsMsg, KsNode};
 pub use matrix::{MatrixMsg, MatrixNode};
 

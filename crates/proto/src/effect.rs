@@ -3,8 +3,9 @@
 use crate::msg::Msg;
 use causal_types::{SiteId, VarId, VersionedValue, WriteId};
 
-/// An externally visible consequence of a protocol step. The driver (the
-/// simulator or the threaded runtime) interprets these: `Send` goes to the
+/// An externally visible consequence of a protocol step.
+/// [`crate::SiteDriver`] interprets these on behalf of its harness (the
+/// simulator or the threaded runtime): `Send` goes through the lanes to the
 /// transport, `Applied` and `FetchDone` feed the execution history used for
 /// metrics and consistency checking.
 #[derive(Clone, PartialEq, Debug)]

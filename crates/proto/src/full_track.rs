@@ -446,6 +446,10 @@ impl ProtocolSite for FullTrack {
         );
     }
 
+    fn fetching(&self) -> Option<VarId> {
+        self.outstanding_fetch
+    }
+
     fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
     }

@@ -387,6 +387,10 @@ impl ProtocolSite for HbTrack {
         );
     }
 
+    fn fetching(&self) -> Option<VarId> {
+        self.outstanding_fetch
+    }
+
     fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
     }

@@ -11,13 +11,15 @@
 //! | [`OptTrackCrp`] | full | log of `⟨j, clock_j⟩` 2-tuples |
 //! | [`OptP`] | full | size-`n` Write vector clock |
 //!
-//! Each protocol is a pure state machine implementing [`ProtocolSite`]: the
-//! caller (the discrete-event simulator in `causal-simnet` or the threaded
-//! runtime in `causal-runtime`) invokes [`ProtocolSite::write`],
-//! [`ProtocolSite::read`] and [`ProtocolSite::on_message`], and routes the
-//! returned [`Effect`]s over its transport. The protocols never perform I/O,
-//! which is what lets the same code run deterministically under simulation
-//! and concurrently under real threads.
+//! Each protocol is a pure state machine implementing [`ProtocolSite`]: a
+//! [`SiteDriver`] invokes [`ProtocolSite::write`], [`ProtocolSite::read`]
+//! and [`ProtocolSite::on_message`], and routes the returned [`Effect`]s —
+//! through its per-destination lanes and fetch slot — into [`Output`]s for
+//! its harness (the discrete-event simulator in `causal-simnet` or the
+//! threaded runtime in `causal-runtime`) to put on a transport. Neither
+//! the protocols nor the driver perform I/O or read a clock, which is what
+//! lets the same code run deterministically under simulation and
+//! concurrently under real threads (DESIGN.md, "Driver and harnesses").
 //!
 //! ## Activation predicate
 //!
@@ -40,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+pub mod driver;
 pub mod effect;
 pub mod factory;
 pub mod full_track;
@@ -55,6 +58,7 @@ pub mod site;
 pub mod wal;
 pub mod wire;
 
+pub use driver::{Delivery, Fetch, Output, SiteDriver};
 pub use effect::{Effect, ReadResult};
 pub use factory::{build_site, ProtocolConfig, ProtocolKind};
 pub use full_track::FullTrack;

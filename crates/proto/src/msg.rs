@@ -358,6 +358,17 @@ impl Msg {
             Msg::Rm(_) => MsgKind::Rm,
         }
     }
+
+    /// The updates this message carries: one for an SM, every batched one
+    /// (in send order) for a batch frame, none for an FM or RM.
+    pub fn sms(&self) -> impl Iterator<Item = &Sm> {
+        let (one, many) = match self {
+            Msg::Sm(sm) => (Some(sm), None),
+            Msg::Batch(b) => (None, Some(b.sms.iter().map(|bs| &bs.sm))),
+            Msg::Fm(_) | Msg::Rm(_) => (None, None),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl MetaSized for Msg {

@@ -135,6 +135,14 @@ pub trait ProtocolSite: Send {
         let _ = var;
     }
 
+    /// The variable of the outstanding remote fetch, if any. A crash
+    /// clears it and a WAL replay restores it, so the driver asks rather
+    /// than keeping a copy. `None` for protocols whose reads are always
+    /// local.
+    fn fetching(&self) -> Option<VarId> {
+        None
+    }
+
     // ------------------------------------------------------------------
     // Crash / recovery (fail-stop with state loss; see `crate::reliable`).
     // The driver (simulator) orchestrates the handshake; the protocol only

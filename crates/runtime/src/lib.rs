@@ -11,7 +11,10 @@
 //!
 //! The paper's testbed ran each site as a JDK process over TCP; this runtime
 //! is the analogous live deployment of the *identical* protocol objects that
-//! the discrete-event simulator drives. It demonstrates that the protocol
+//! the discrete-event simulator drives, under the identical
+//! [`causal_proto::SiteDriver`] — lanes, batch framing, the parked fetch
+//! and their accounting are the simulator's own code (DESIGN.md, "Driver
+//! and harnesses"). It demonstrates that the protocol
 //! state machines are genuinely transport-agnostic and correct under real
 //! concurrency — executions are nondeterministic, and every one of them
 //! must still pass the `causal-checker` verification — and, in replay mode,

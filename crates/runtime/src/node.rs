@@ -1,20 +1,23 @@
-//! One site of the live deployment, as a poll-driven state machine.
+//! One site of the live deployment, as a poll-driven harness around a
+//! [`SiteDriver`].
 //!
-//! A [`Node`] is one site: it owns the protocol state machine, a mailbox
-//! fed by the transport, and an [`OpDriver`] that decides *when the next
-//! operation happens* — either replaying a pre-generated workload schedule
-//! (so a simulator run with the same seed predicts this node's traffic
-//! message for message) or running the closed-loop clients of the `serve`
-//! load generator.
+//! The driver owns the site's ordering state — protocol state machine,
+//! per-destination lanes, the parked RemoteFetch (DESIGN.md, "Driver and
+//! harnesses"). A [`Node`] adds what is real about this deployment: the
+//! wall clock, a mailbox fed by the transport, the transport itself, the
+//! recorded history and metrics, and an [`OpDriver`] that decides *when
+//! the next operation happens* — either replaying a pre-generated workload
+//! schedule (so a simulator run with the same seed predicts this node's
+//! traffic message for message) or running the closed-loop clients of the
+//! `serve` load generator.
 //!
-//! Nodes no longer own a thread. The sharded scheduler in
-//! [`crate::runner`] multiplexes K sites onto each worker, calling
-//! [`Node::on_wire`] for every mailbox frame and [`Node::poll`] to issue
-//! due operations; a node must therefore never block. The paper's
-//! synchronous RemoteFetch is expressed as a parked [`FetchWait`] state:
-//! the site issues no new operations while a fetch is outstanding (one
-//! sequential process, exactly the paper's model) but keeps serving
-//! incoming messages, which is what unblocks the fetch in the first place.
+//! The sharded scheduler in [`crate::runner`] multiplexes K sites onto
+//! each worker, calling [`Node::on_wire`] for every mailbox frame and
+//! [`Node::poll`] to issue due operations; a node must therefore never
+//! block. While the driver's fetch slot is occupied the site issues no new
+//! operations (one sequential process, exactly the paper's model) but
+//! keeps serving incoming messages, which is what unblocks the fetch in
+//! the first place.
 //!
 //! Measured-traffic attribution mirrors the simulator exactly: an
 //! operation is measured iff its schedule index is past the warm-up
@@ -26,12 +29,10 @@
 use crate::loadgen::ClosedLoop;
 use crate::runner::{Quiesce, Routes};
 use causal_checker::History;
+use causal_clocks::BatchPolicy;
 use causal_metrics::RunMetrics;
-use causal_multicast::{DestBatcher, Offer};
-use causal_proto::{BatchedSm, Effect, Msg, ProtocolSite, ReadResult, Sm, SmBatch};
-use causal_types::WriteId;
-use causal_types::{MetaSized, OpKind, ScheduledOp, SiteId, SizeModel, VarId, VersionedValue};
-use std::collections::HashMap;
+use causal_proto::{Msg, Output, ProtocolSite, SiteDriver};
+use causal_types::{OpKind, ScheduledOp, SiteId, SizeModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -223,86 +224,32 @@ impl BatchWindow {
     }
 }
 
-/// One parked update: the exact message the receiver will eventually see,
-/// with the bookkeeping to account for it as if it had been sent alone.
-struct PendingSm {
-    sm: Sm,
-    measured: bool,
-    full_bytes: u64,
-}
-
-/// A node's batching state: per-destination lanes plus the wall-clock
-/// window timers (epoch-tagged, so a timer that fires after its lane
-/// already flushed is ignored — exactly the simulator's discipline).
-pub struct Lanes {
-    batcher: DestBatcher<PendingSm>,
-    window: Duration,
-    timers: Vec<(Instant, SiteId, u64)>,
-}
-
-impl Lanes {
-    /// Fresh, empty lanes under `plan`.
-    pub fn new(plan: BatchWindow) -> Self {
-        Lanes {
-            batcher: DestBatcher::new(causal_multicast::BatchPolicy {
-                max_items: plan.max_sms,
-                max_bytes: plan.max_bytes,
-            }),
-            window: plan.window,
-            timers: Vec::new(),
-        }
-    }
-}
-
-/// Expand a batch frame into its per-update messages (original
-/// piggybacks, original order, per-update warm-up attribution); a plain
-/// message passes through untouched. The receiving protocol sees exactly
-/// the deliveries it would have seen without batching.
-fn unbatch(msg: Msg, measured: bool) -> Vec<(Msg, bool)> {
-    match msg {
-        Msg::Batch(b) => b
-            .sms
-            .iter()
-            .map(|bs| (Msg::Sm(bs.sm.clone()), bs.measured))
-            .collect(),
-        m => vec![(m, measured)],
-    }
-}
-
-/// The paper's synchronous RemoteFetch, parked: the FM is on the wire and
-/// the site issues nothing new until the RM's `FetchDone` lands.
-struct FetchWait {
-    /// The variable being fetched (sanity-checked against `FetchDone`).
-    var: VarId,
-    /// The replica serving the fetch (the read is recorded against it).
-    target: SiteId,
-    /// Warm-up attribution of the read operation.
-    measured: bool,
-    /// Issuing closed-loop client, if any.
-    client: Option<usize>,
-    /// Operation issue instant (client completion latency).
-    t0: Instant,
-    /// FM send instant (fetch RTT).
-    issued: Instant,
-}
-
-/// One site's full state: protocol instance, driver, batching lanes, and
-/// the recorded history/metrics. Owned by a scheduler worker and driven
-/// through [`Node::poll`] / [`Node::on_wire`].
+/// One site's full state: its driver, operation source, armed lane
+/// timers, and the recorded history/metrics. Owned by a scheduler worker
+/// and driven through [`Node::poll`] / [`Node::on_wire`].
 pub struct Node {
     site: SiteId,
-    proto: Box<dyn ProtocolSite>,
-    driver: OpDriver,
+    driver: SiteDriver,
+    ops: OpDriver,
     payload_len: u32,
     transport: Arc<dyn Transport>,
     quiesce: Arc<Quiesce>,
-    size_model: SizeModel,
-    batch: Option<Lanes>,
-    receipt: HashMap<WriteId, Instant>,
+    /// Lane flush window; `None` when batching is off.
+    window: Option<Duration>,
+    /// Armed lane timers `(expiry, destination, lane epoch)`; the driver
+    /// ignores one whose epoch went stale.
+    timers: Vec<(Instant, SiteId, u64)>,
+    /// The driver's output buffer and the destination list of the send
+    /// being shipped, both reused across steps.
+    out: Vec<Output>,
+    dsts: Vec<SiteId>,
     history: History,
     metrics: RunMetrics,
     start: Instant,
-    fetch: Option<FetchWait>,
+    /// The read in progress: its closed-loop client, if any, and its issue
+    /// instant. Outlives one step only while the driver's fetch slot is
+    /// occupied.
+    reading: Option<(Option<usize>, Instant)>,
     done_fired: bool,
     /// Sends were handed to the transport since its last flush.
     unflushed: bool,
@@ -315,7 +262,7 @@ impl Node {
     pub(crate) fn new(
         site: SiteId,
         proto: Box<dyn ProtocolSite>,
-        driver: OpDriver,
+        ops: OpDriver,
         n: usize,
         payload_len: u32,
         transport: Arc<dyn Transport>,
@@ -324,20 +271,25 @@ impl Node {
         batch: Option<BatchWindow>,
         start: Instant,
     ) -> Self {
+        let lanes = batch.map(|b| BatchPolicy {
+            max_items: b.max_sms,
+            max_bytes: b.max_bytes,
+        });
         Node {
             site,
-            proto,
-            driver,
+            driver: SiteDriver::new(proto, size_model, lanes),
+            ops,
             payload_len,
             transport,
             quiesce,
-            size_model,
-            batch: batch.map(Lanes::new),
-            receipt: HashMap::new(),
+            window: batch.map(|b| b.window),
+            timers: Vec::new(),
+            out: Vec::new(),
+            dsts: Vec::new(),
             history: History::new(n),
             metrics: RunMetrics::new(),
             start,
-            fetch: None,
+            reading: None,
             done_fired: false,
             unflushed: false,
         }
@@ -356,13 +308,13 @@ impl Node {
         let mut progressed = self.fire_due_timers();
         self.flush_sends();
         loop {
-            if self.fetch.is_some() {
+            if self.driver.fetch().is_some() {
                 // Parked in the paper's synchronous RemoteFetch: the site
                 // is one sequential process, so no new operations until
                 // the RM lands — but lane timers stay armed.
                 return (progressed, self.next_timer_at());
             }
-            match self.driver.next_due() {
+            match self.ops.next_due() {
                 Some(off) => {
                     let due = self.start + off;
                     if due <= Instant::now() {
@@ -382,7 +334,9 @@ impl Node {
                         // time the coordinator can observe this site as
                         // finished — cascades never produce new SMs, so
                         // lanes stay empty from here on.
-                        self.flush_all_lanes();
+                        self.timers.clear();
+                        self.driver.flush_lanes(&mut self.out);
+                        self.apply_outputs();
                         self.flush_sends();
                         self.done_fired = true;
                         progressed = true;
@@ -403,14 +357,20 @@ impl Node {
                 msg,
                 measured,
             } => {
-                self.deliver(from, msg, measured);
+                let now = self.now_ns(Instant::now());
+                SiteDriver::unbatch(msg, measured, |msg, measured| {
+                    self.deliver(now, from, msg, measured)
+                });
+                // Cascade sends were counted while delivering, so the
+                // coordinator cannot observe a spurious in-flight zero.
+                self.quiesce.frames_done(1);
                 self.flush_sends();
                 true
             }
             Wire::Stop => {
-                if self.fetch.take().is_some() {
-                    // The old runtime panicked here and took the whole run
-                    // down; a racing shutdown now degrades this one read.
+                // A shutdown racing an outstanding fetch degrades that one
+                // read instead of taking the run down.
+                if self.driver.abort_fetch().is_some() {
                     self.metrics.degraded_reads += 1;
                 }
                 false
@@ -423,79 +383,48 @@ impl Node {
         NodeOutcome {
             history: self.history,
             metrics: self.metrics,
-            final_pending: self.proto.pending_len(),
+            final_pending: self.driver.site().pending_len(),
         }
     }
 
-    /// Issue the driver's due operation. A remote read parks the node in
-    /// [`FetchWait`] instead of blocking the worker.
+    /// Driver time: nanoseconds since the run's zero instant.
+    fn now_ns(&self, at: Instant) -> u64 {
+        (at - self.start).as_nanos() as u64
+    }
+
+    /// Issue the due operation. A remote read leaves the driver's fetch
+    /// slot occupied instead of blocking the worker.
     fn issue_next(&mut self) {
-        let (kind, measured, client) = self.driver.pop();
+        let (kind, measured, client) = self.ops.pop();
         let t0 = Instant::now();
+        let now = self.now_ns(t0);
         match kind {
             OpKind::Write { var, data } => {
                 if measured {
                     self.metrics.record_op(true, false);
                 }
-                let (wid, effects) = self.proto.write(var, data, self.payload_len);
+                let len = self.payload_len;
+                let (wid, _) = self
+                    .driver
+                    .write(now, var, data, len, measured, &mut self.out);
                 self.history.record_write(self.site, wid, var);
-                self.handle_effects(effects, measured);
+                self.apply_outputs();
                 self.op_completed(client, t0);
             }
-            OpKind::Read { var } => match self.proto.read(var) {
-                ReadResult::Local(v) => {
-                    if measured {
-                        self.metrics.record_op(false, false);
-                    }
-                    self.history
-                        .record_read(self.site, var, v.map(|x| x.writer), self.site);
-                    self.op_completed(client, t0);
-                }
-                ReadResult::Fetch { target, msg } => {
-                    // FIFO: the fetch must not overtake this site's own
-                    // parked updates toward the server (it must observe
-                    // its own in-flight writes).
-                    if let Some(items) = self
-                        .batch
-                        .as_mut()
-                        .and_then(|l| l.batcher.flush_dest(target))
-                    {
-                        self.flush_lane(target, items);
-                    }
-                    self.ship(&[target], msg, measured);
-                    self.fetch = Some(FetchWait {
-                        var,
-                        target,
-                        measured,
-                        client,
-                        t0,
-                        issued: Instant::now(),
-                    });
-                }
-            },
+            OpKind::Read { var } => {
+                self.reading = Some((client, t0));
+                self.driver.read(now, var, measured, &mut self.out);
+                self.apply_outputs();
+            }
         }
     }
 
-    /// Report a locally-completed operation back to its closed-loop
-    /// client (replay drivers ignore this).
+    /// Report a completed operation back to its closed-loop client
+    /// (replay drivers ignore this).
     fn op_completed(&mut self, client: Option<usize>, t0: Instant) {
         if let Some(c) = client {
-            self.driver
+            self.ops
                 .completed(c, self.start.elapsed(), t0.elapsed().as_nanos() as f64);
-        }
-    }
-
-    /// Hand `msg` to the transport for every site in `to`, keeping the
-    /// global in-flight tally (one per destination) consistent even when a
-    /// peer is already gone.
-    fn send(&mut self, to: &[SiteId], msg: &Msg, measured: bool) {
-        self.unflushed = true;
-        self.quiesce.frames_sent(to.len() as u64);
-        let refused = self.transport.send(self.site, to, msg, measured);
-        if refused > 0 {
-            // Those copies never entered the network; the transport
-            // counted the connection errors.
-            self.quiesce.frames_done(refused as u64);
         }
     }
 
@@ -508,248 +437,241 @@ impl Node {
         }
     }
 
-    fn deliver(&mut self, from: SiteId, msg: Msg, measured: bool) {
-        for (msg, measured) in unbatch(msg, measured) {
-            if let Msg::Sm(sm) = &msg {
-                self.receipt.insert(sm.value.writer, Instant::now());
-            }
-            self.metrics.per_site.site_mut(self.site.index()).delivers += 1;
-            let effects = self.proto.on_message(from, msg);
-            let mut rest = Vec::with_capacity(effects.len());
-            for e in effects {
-                if let Effect::FetchDone { var, value } = e {
-                    self.complete_fetch(var, value);
-                } else {
-                    rest.push(e);
-                }
-            }
-            // Cascade sends must be counted before this message is
-            // released, or the coordinator could observe a spurious
-            // in-flight zero.
-            self.handle_effects(rest, measured);
-            let pending = self.proto.pending_len();
-            self.metrics.max_pending = self.metrics.max_pending.max(pending);
-            self.metrics.pending_samples.record(pending as f64);
+    fn deliver(&mut self, now: u64, from: SiteId, msg: Msg, measured: bool) {
+        if !self.driver.accepts(&msg) {
+            self.metrics.dup_drops += 1;
+            return;
         }
-        self.quiesce.frames_done(1);
-    }
-
-    /// The RM landed: un-park the fetch, record the read against the
-    /// serving replica (as the simulator does), and hand the completion
-    /// back to the issuing client.
-    fn complete_fetch(&mut self, var: VarId, value: Option<VersionedValue>) {
-        let fw = self
-            .fetch
-            .take()
-            .expect("FetchDone without an outstanding fetch");
-        assert_eq!(var, fw.var, "fetch completion for the wrong variable");
-        self.history
-            .record_read(self.site, var, value.map(|x| x.writer), fw.target);
+        let d = self
+            .driver
+            .on_message(now, from, msg, measured, &mut self.out);
+        self.apply_outputs();
         self.metrics
-            .record_fetch_rtt(self.site.index(), fw.issued.elapsed().as_nanos() as f64);
-        if fw.measured {
-            self.metrics.record_op(false, true);
-        }
-        self.op_completed(fw.client, fw.t0);
+            .record_delivery(self.site.index(), d.buffered, d.pending);
     }
 
-    fn handle_effects(&mut self, effects: Vec<Effect>, measured: bool) {
-        let mut effects = effects.into_iter().peekable();
-        let mut dsts = Vec::new();
-        while let Some(e) = effects.next() {
-            match e {
-                Effect::Send { to, msg } if self.batch.is_some() => {
-                    self.dispatch(to, msg, measured)
-                }
-                Effect::Send { to, msg } => {
-                    // A write's fan-out is a run of sends carrying one SM:
-                    // the transport gets the whole destination list, so
-                    // the body crosses each connection once.
-                    dsts.clear();
-                    dsts.push(to);
-                    if let Msg::Sm(sm) = &msg {
-                        while let Some(Effect::Send {
-                            to,
-                            msg: Msg::Sm(next),
-                        }) = effects.peek()
-                        {
-                            if !sm.same_multicast(next) || dsts.contains(to) {
-                                break;
-                            }
-                            dsts.push(*to);
-                            effects.next();
-                        }
+    /// Turn what the driver produced into transport sends, armed timers,
+    /// metrics and history records, in order.
+    fn apply_outputs(&mut self) {
+        let me = self.site.index();
+        let mut out = std::mem::take(&mut self.out);
+        for o in out.drain(..) {
+            match o {
+                Output::Send {
+                    dsts,
+                    msg,
+                    measured,
+                    bytes,
+                    saved,
+                } => {
+                    if let Msg::Batch(b) = &msg {
+                        self.metrics.record_batch_flush(b.len() as u64, saved);
                     }
-                    self.ship(&dsts, msg, measured);
-                }
-                Effect::Applied { var: _, write } => {
-                    self.metrics.applies += 1;
-                    self.metrics.per_site.site_mut(self.site.index()).applies += 1;
-                    if let Some(t0) = self.receipt.remove(&write) {
-                        self.metrics
-                            .record_apply_latency(t0.elapsed().as_nanos() as f64);
+                    // The paper's counters are per logical message,
+                    // whatever the transport makes of the list.
+                    self.dsts.clear();
+                    self.dsts.extend(dsts.iter());
+                    for _ in &self.dsts {
+                        self.metrics.record_send(me, msg.kind(), bytes, measured);
+                        let entries = &mut self.metrics.sm_entries;
+                        msg.sms()
+                            .for_each(|sm| entries.record(sm.meta.entry_count() as f64));
                     }
+                    // One in-flight unit per destination, un-counted for
+                    // the copies a dead peer refused (the transport
+                    // counted those as connection errors).
+                    self.unflushed = true;
+                    self.quiesce.frames_sent(self.dsts.len() as u64);
+                    let refused = self.transport.send(self.site, &self.dsts, &msg, measured);
+                    if refused > 0 {
+                        self.quiesce.frames_done(refused as u64);
+                    }
+                }
+                Output::ArmLaneTimer { to, epoch } => {
+                    let window = self.window.expect("lanes imply a window");
+                    self.timers.push((Instant::now() + window, to, epoch));
+                }
+                Output::Applied {
+                    write, dwell_ns, ..
+                } => {
+                    self.metrics.record_apply(me, dwell_ns);
                     self.history.record_apply(self.site, write);
                 }
-                Effect::FetchDone { .. } => {
-                    // Intercepted in `deliver` before effects reach here.
-                    debug_assert!(false, "FetchDone outside a delivery");
-                }
-            }
-        }
-    }
-
-    /// Route one outgoing message through the batching lanes: park an SM
-    /// in its destination lane (flushing on count/byte bounds); flush the
-    /// lane ahead of any non-SM frame to the same destination (per-channel
-    /// FIFO), then ship that frame.
-    fn dispatch(&mut self, to: SiteId, msg: Msg, measured: bool) {
-        let lanes = self.batch.as_mut().expect("dispatch runs with lanes on");
-        let size = msg.meta_size(&self.size_model);
-        match msg {
-            Msg::Sm(sm) => {
-                let pending = PendingSm {
-                    sm,
+                Output::ReadDone {
+                    var,
+                    writer,
+                    served_by,
+                    rtt_ns,
                     measured,
-                    full_bytes: size,
-                };
-                let flush = match lanes.batcher.offer(to, pending, size) {
-                    Offer::First { epoch } => {
-                        let at = Instant::now() + lanes.window;
-                        lanes.timers.push((at, to, epoch));
-                        None
+                } => {
+                    self.history.record_read(self.site, var, writer, served_by);
+                    if let Some(rtt_ns) = rtt_ns {
+                        self.metrics.record_fetch_rtt(me, rtt_ns as f64);
                     }
-                    Offer::Queued => None,
-                    Offer::Flush(items) => Some(items),
-                };
-                if let Some(items) = flush {
-                    self.flush_lane(to, items);
+                    if measured {
+                        self.metrics.record_op(false, rtt_ns.is_some());
+                    }
+                    let (client, t0) = self.reading.take().expect("a read was in progress");
+                    self.op_completed(client, t0);
                 }
             }
-            msg => {
-                // Non-SM (an RM reply): flush the lane toward the same
-                // destination first, so no frame overtakes a parked update
-                // on its channel.
-                if let Some(items) = lanes.batcher.flush_dest(to) {
-                    self.flush_lane(to, items);
-                }
-                self.ship(&[to], msg, measured);
-            }
         }
+        self.out = out;
     }
 
-    /// Account `msg` once per destination — the paper's counters are per
-    /// logical message, whatever the transport makes of the list — and
-    /// ship it to every site in `to`.
-    fn ship(&mut self, to: &[SiteId], msg: Msg, measured: bool) {
-        let size = msg.meta_size(&self.size_model);
-        for _ in to {
-            if let Msg::Sm(sm) = &msg {
-                self.metrics.sm_entries.record(sm.meta.entry_count() as f64);
-            }
-            self.metrics.record_msg(msg.kind(), size, measured);
-        }
-        self.metrics.per_site.site_mut(self.site.index()).sends += to.len() as u64;
-        self.send(to, &msg, measured);
-    }
-
-    /// Ship one drained destination lane: a single parked update goes out
-    /// as a plain SM with exact unbatched accounting; two or more become
-    /// one batch frame charged the merged-piggyback size, with the saving
-    /// recorded in the batching counters — the simulator's `flush_lane`,
-    /// transplanted to wall clocks.
-    fn flush_lane(&mut self, to: SiteId, items: Vec<PendingSm>) {
-        debug_assert!(!items.is_empty(), "a drained lane is never empty");
-        for p in &items {
-            self.metrics
-                .sm_entries
-                .record(p.sm.meta.entry_count() as f64);
-        }
-        let (msg, frame_bytes, measured) = if items.len() == 1 {
-            let p = items.into_iter().next().expect("len checked");
-            (Msg::Sm(p.sm), p.full_bytes, p.measured)
-        } else {
-            let unbatched: u64 = items.iter().map(|p| p.full_bytes).sum();
-            let measured = items.iter().any(|p| p.measured);
-            let batch = SmBatch {
-                sms: items
-                    .into_iter()
-                    .map(|p| BatchedSm {
-                        sm: p.sm,
-                        measured: p.measured,
-                    })
-                    .collect(),
-            };
-            let count = batch.len() as u64;
-            let msg = Msg::Batch(Arc::new(batch));
-            let bytes = msg.meta_size(&self.size_model);
-            self.metrics.batch_flushes += 1;
-            self.metrics.batched_sms += count;
-            self.metrics.batch_bytes_saved += unbatched.saturating_sub(bytes);
-            (msg, bytes, measured)
-        };
-        self.metrics.record_msg(msg.kind(), frame_bytes, measured);
-        self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-        self.send(&[to], &msg, measured);
-    }
-
-    /// Flush every lane whose window timer has expired (stale epochs are
-    /// ignored: those updates already left in a count/byte flush).
-    /// Returns whether anything fired.
+    /// Flush every lane whose window timer has expired. Returns whether
+    /// anything left.
     fn fire_due_timers(&mut self) -> bool {
-        let mut fired_any = false;
-        loop {
-            let fired = match self.batch.as_mut() {
-                None => return fired_any,
-                Some(lanes) => {
-                    let now = Instant::now();
-                    match lanes.timers.iter().position(|(at, _, _)| *at <= now) {
-                        None => return fired_any,
-                        Some(i) => {
-                            let (_, dest, epoch) = lanes.timers.swap_remove(i);
-                            lanes
-                                .batcher
-                                .on_timer(dest, epoch)
-                                .map(|items| (dest, items))
-                        }
-                    }
-                }
-            };
-            if let Some((dest, items)) = fired {
-                fired_any = true;
-                self.flush_lane(dest, items);
-            }
+        if self.timers.is_empty() {
+            return false;
         }
-    }
-
-    /// Drain every lane (end of schedule — no barrier may leave updates
-    /// parked).
-    fn flush_all_lanes(&mut self) {
-        let drained = match self.batch.as_mut() {
-            Some(lanes) => {
-                lanes.timers.clear();
-                lanes.batcher.flush_all()
-            }
-            None => return,
-        };
-        for (dest, items) in drained {
-            self.flush_lane(dest, items);
+        let now = Instant::now();
+        let mut fired = false;
+        while let Some(i) = self.timers.iter().position(|(at, _, _)| *at <= now) {
+            let (_, to, epoch) = self.timers.swap_remove(i);
+            self.driver.on_lane_timer(to, epoch, &mut self.out);
+            fired |= !self.out.is_empty();
+            self.apply_outputs();
         }
+        fired
     }
 
     /// The earliest armed batch-window timer.
     fn next_timer_at(&self) -> Option<Instant> {
-        self.batch
-            .as_ref()
-            .and_then(|l| l.timers.iter().map(|(at, _, _)| *at).min())
+        self.timers.iter().map(|(at, _, _)| *at).min()
     }
 
     /// The next instant the scheduler must wake this node at: the due
     /// operation or an earlier batch-window expiry.
     fn nearest_wake(&self, due: Instant) -> Instant {
-        match self.next_timer_at() {
-            Some(t) if t < due => t,
-            _ => due,
+        self.next_timer_at().map_or(due, |t| t.min(due))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use causal_memory::{Placement, PlacementKind};
+    use causal_proto::{
+        build_site, Effect, Fm, ProtocolConfig, ProtocolKind, Replication, Rm, RmMeta,
+    };
+    use causal_types::{MsgKind, SimTime, VarId};
+    use parking_lot::Mutex;
+
+    /// Swallows every send, remembering destination and kind in order.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(SiteId, MsgKind)>>);
+
+    impl Transport for Recorder {
+        fn send(&self, _: SiteId, to: &[SiteId], msg: &Msg, _: bool) -> usize {
+            self.0.lock().extend(to.iter().map(|d| (*d, msg.kind())));
+            0
         }
+    }
+
+    /// Site 0 of two under `repl`, replaying `schedule` at once.
+    fn node0(
+        kind: ProtocolKind,
+        repl: Arc<dyn Replication>,
+        schedule: Vec<ScheduledOp>,
+        batch: Option<BatchWindow>,
+    ) -> (Node, Arc<Recorder>, Arc<Quiesce>) {
+        let wire = Arc::new(Recorder::default());
+        let quiesce = Arc::new(Quiesce::new(1));
+        let node = Node::new(
+            SiteId(0),
+            build_site(kind, SiteId(0), repl, ProtocolConfig::default()),
+            OpDriver::replay(schedule, 0, 1.0),
+            2,
+            0,
+            wire.clone(),
+            quiesce.clone(),
+            SizeModel::default(),
+            batch,
+            Instant::now(),
+        );
+        (node, wire, quiesce)
+    }
+
+    #[test]
+    fn an_rm_nobody_is_waiting_for_is_counted_not_delivered() {
+        let repl = Arc::new(causal_proto::replication::FullReplication::new(2));
+        let (mut node, _, quiesce) = node0(ProtocolKind::FullTrack, repl, Vec::new(), None);
+        let stray = Msg::Rm(Rm {
+            var: VarId(3),
+            value: None,
+            meta: RmMeta::FullTrack(None),
+        });
+        quiesce.frames_sent(1);
+        let wire = Wire::Msg {
+            from: SiteId(1),
+            msg: stray,
+            measured: true,
+        };
+        assert!(node.on_wire(wire), "the worker keeps running");
+        assert_eq!(quiesce.in_flight(), 0, "the frame still leaves the tally");
+        let out = node.finish();
+        assert_eq!(out.metrics.dup_drops, 1);
+        assert_eq!(out.metrics.per_site.total_buffered(), 0);
+    }
+
+    #[test]
+    fn with_lanes_on_a_fetch_leaves_at_once_and_the_parked_update_after_it() {
+        // x1 lives on site 1 only. Site 0 writes it — the SM parks in the
+        // lane toward 1 — then reads it back remotely. The FM carries no
+        // metadata and touches no lane (the driver's rule, the same under
+        // the simulator), so it overtakes the parked update and the server
+        // answers from before the write: an own-write race the checker
+        // counts apart from causal violations, more frequent the longer
+        // the window. The update itself leaves when its lane drains.
+        let repl: Arc<dyn Replication> =
+            Arc::new(Placement::new(PlacementKind::Even, 2, 1).expect("valid"));
+        let x1 = VarId(1);
+        let at = SimTime::ZERO;
+        let schedule = vec![
+            ScheduledOp {
+                at,
+                kind: OpKind::Write { var: x1, data: 7 },
+            },
+            ScheduledOp {
+                at,
+                kind: OpKind::Read { var: x1 },
+            },
+        ];
+        let window = BatchWindow::windowed(Duration::from_secs(3600));
+        let (mut node, wire, quiesce) =
+            node0(ProtocolKind::OptTrack, repl.clone(), schedule, Some(window));
+        node.poll();
+        assert_eq!(*wire.0.lock(), [(SiteId(1), MsgKind::Fm)]);
+        let mut server = build_site(
+            ProtocolKind::OptTrack,
+            SiteId(1),
+            repl,
+            ProtocolConfig::default(),
+        );
+        let mut answer = server.on_message(SiteId(0), Msg::Fm(Fm { var: x1 }));
+        let Some(Effect::Send { msg, .. }) = answer.pop() else {
+            panic!("the server answers the fetch")
+        };
+        quiesce.frames_sent(1);
+        node.on_wire(Wire::Msg {
+            from: SiteId(1),
+            msg,
+            measured: true,
+        });
+        // The schedule is exhausted: the lane drains before the site
+        // reports itself finished.
+        node.poll();
+        assert_eq!(
+            *wire.0.lock(),
+            [(SiteId(1), MsgKind::Fm), (SiteId(1), MsgKind::Sm)]
+        );
+        let out = node.finish();
+        assert_eq!(
+            out.history.total_ops(),
+            2,
+            "the write and the read both returned"
+        );
+        assert_eq!(out.metrics.dup_drops, 0);
     }
 }

@@ -19,9 +19,13 @@
 //!
 //! * [`kernel`] — the event heap and virtual clock;
 //! * [`channel`] — reliable FIFO channels with latency models;
-//! * [`sim`] — the full-system driver: schedules application operations,
-//!   routes protocol effects, gathers [`causal_metrics::RunMetrics`] and
-//!   records a [`causal_checker::History`] for post-run verification.
+//! * [`sim`] — the full-system harness around one
+//!   [`causal_proto::SiteDriver`] per site (DESIGN.md, "Driver and
+//!   harnesses"): schedules application operations, turns the drivers'
+//!   outputs into channel traffic, gathers [`causal_metrics::RunMetrics`]
+//!   and records a [`causal_checker::History`] for post-run verification;
+//! * [`transport`] / [`stability`] — the reliable-delivery layer of lossy
+//!   runs and the causal-stability tracker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

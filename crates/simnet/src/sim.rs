@@ -1,456 +1,38 @@
-//! The full-system simulation driver.
+//! The full-system simulation: one [`SiteDriver`] per site, and around
+//! them a harness that owns everything the driver does not — virtual time
+//! and the event heap, the channels (plain, or the reliable transport over
+//! a lossy network), the execution history, the trace, the WAL and the
+//! stability tracker. This file is the event loop and the operation, send
+//! and delivery paths; crash recovery, membership changes and the periodic
+//! ticks live in the submodules.
 
-use crate::channel::{ChannelMatrix, FaultPlan, LatencyModel, PartitionWindow};
+mod churn;
+mod config;
+mod recovery;
+mod ticks;
+
+pub use config::{BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig, SimResult};
+
+use crate::channel::ChannelMatrix;
 use crate::kernel::{EventHeap, SimEvent};
-use crate::stability::{StabilityPlan, StabilityState};
-use crate::transport::{Transport, TransportCmd, TransportTuning};
+use crate::stability::StabilityState;
+use crate::transport::TransportCmd;
 use causal_checker::History;
-use causal_clocks::{DestSet, PruneConfig};
-use causal_memory::{DynamicPlacement, Placement};
+use causal_clocks::{BatchPolicy, PruneConfig};
+use causal_memory::DynamicPlacement;
 use causal_metrics::RunMetrics;
-use causal_multicast::{BatchPolicy, DestBatcher, Offer};
 use causal_obs::{EventKind, NoopTracer, TraceEvent, Tracer};
 use causal_proto::{
-    build_site, DurableStore, Effect, Fm, Frame, Msg, OwnLedger, PeerAckInfo, ProtoTraceEvent,
-    ProtocolConfig, ProtocolKind, ProtocolSite, ReadResult, Replication, SmMeta, StableCut,
-    SyncState, WalRecord,
+    build_site, Effect, Frame, Msg, Output, ProtoTraceEvent, ProtocolConfig, Replication,
+    SiteDriver, WalRecord,
 };
-use causal_types::WriteId;
-use causal_types::{MetaSized, OpKind, SimDuration, SimTime, SiteId, SizeModel, VarId};
-use causal_workload::{generate, ChurnOp, ChurnPlan, WorkloadParams};
-use fxhash::{FxHashMap, FxHashSet};
+use causal_types::{OpKind, SimTime, SiteId, VarId};
+use causal_workload::{generate, Schedule};
+use churn::ChurnState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
+use recovery::{Chaos, SiteStatus};
 use std::sync::Arc;
-
-/// A site pause (fail-stop with recovery): during `[start, end)` the site
-/// neither issues operations nor processes incoming messages; everything
-/// addressed to it is buffered and handled at resume, in arrival order.
-/// State survives (the paper's motivation §I: independent hardware
-/// maintenance without systematic disasters).
-#[derive(Clone, Debug)]
-pub struct PauseWindow {
-    /// The paused site.
-    pub site: SiteId,
-    /// Pause onset.
-    pub start: SimTime,
-    /// Resume instant.
-    pub end: SimTime,
-}
-
-impl PauseWindow {
-    /// If `site` is paused at `now`, the instant it resumes.
-    fn resumes(&self, site: SiteId, now: SimTime) -> Option<SimTime> {
-        (self.site == site && now >= self.start && now < self.end).then_some(self.end)
-    }
-}
-
-/// A fail-stop crash **with state loss**: at `start` the site loses all
-/// volatile state — clocks, logs, parked updates, replica values,
-/// `LastWriteOn` metadata — keeping only its durable own-write ledger. At
-/// `end` it restarts, announces a new incarnation, and rebuilds its causal
-/// knowledge through a state-sync handshake with every live replica.
-///
-/// Unlike [`PauseWindow`], messages arriving while the site is down are
-/// *lost* (the reliable transport's senders retransmit them), so crash
-/// windows require chaos mode and are orchestrated together with the
-/// [`FaultPlan`]. Windows of one *site* must not overlap (asserted at
-/// runtime). Windows of different sites may overlap — a correlated
-/// failure — which a [`DurabilityPlan`] WAL recovery survives with full
-/// state, and which otherwise completes in degraded mode once the sync
-/// deadline expires.
-#[derive(Clone, Debug)]
-pub struct CrashWindow {
-    /// The crashing site.
-    pub site: SiteId,
-    /// Crash instant (fail-stop, state loss).
-    pub start: SimTime,
-    /// Restart instant (recovery + sync handshake begins).
-    pub end: SimTime,
-}
-
-/// Durability and graceful-degradation switches of one run.
-///
-/// `Default` is all-off: the own-write ledger is the only durable state,
-/// recovery is a full peer rebuild, and a blocked remote read waits for its
-/// predesignated replica indefinitely. Enabling `wal` gives every site a
-/// [`DurableStore`] and implies chaos mode (the reliable transport), since
-/// crash recovery is its only consumer.
-#[derive(Clone, Debug, Default)]
-pub struct DurabilityPlan {
-    /// Per-site write-ahead log: recovery replays checkpoint + log locally
-    /// and asks peers only for the delta past its replayed high-water
-    /// marks, which makes overlapping crashes and a crash inside a
-    /// partition recoverable.
-    pub wal: bool,
-    /// Periodic checkpoint interval (requires `wal` and must be positive).
-    /// `None` never checkpoints: replay re-drives the whole log.
-    pub checkpoint_every: Option<SimDuration>,
-    /// Deadline after which a blocked remote read fails over to the next
-    /// candidate replica, and after `2·p` expired attempts is abandoned as
-    /// a degraded read. `None` blocks indefinitely.
-    pub fetch_deadline: Option<SimDuration>,
-    /// Sites whose crash also destroys the durable medium
-    /// ([`DurableStore::wipe`]): their recovery falls back to the full
-    /// peer rebuild.
-    pub lose_media: Vec<SiteId>,
-    /// Sites whose WAL loads fail-soft at every recovery: the crash tore
-    /// the final log record, so replay truncates it
-    /// ([`DurableStore::tear_tail`]), rolls the redelivery marks back to
-    /// the checkpoint floor, and reconciles the replayed state against the
-    /// durable own-write ledger so no `WriteId` is ever reused. Requires
-    /// `wal`.
-    pub torn_tail: Vec<SiteId>,
-}
-
-/// Per-destination update batching: a sender parks consecutive SM updates
-/// addressed to the same destination in a FIFO lane and ships the whole
-/// lane as one [`Msg::Batch`] frame when a flush policy fires — the lane
-/// reaches `max_sms` updates, its unbatched bytes reach `max_bytes`, or the
-/// virtual-time `window` since the lane opened expires.
-///
-/// Batching changes only *when and how* updates travel, never what the
-/// receiver sees: frames are unbatched on delivery back into the exact
-/// per-SM messages (original piggybacks, original order), so every
-/// protocol's delivery predicate and the consistency checker observe the
-/// same execution. The payoff is byte accounting — one merged piggyback per
-/// frame instead of one per update (see `SmBatch::batch_meta_size`).
-#[derive(Clone, Copy, Debug)]
-pub struct BatchPlan {
-    /// Flush a lane once it holds this many updates.
-    pub max_sms: usize,
-    /// Flush a lane once its updates' unbatched wire bytes reach this.
-    pub max_bytes: u64,
-    /// Flush a lane this long after its first (oldest) parked update.
-    pub window: SimDuration,
-}
-
-impl BatchPlan {
-    /// A plan bounded by the flush window and a generous update count,
-    /// the configuration the `repro batching` sweep explores.
-    pub fn windowed(window: SimDuration) -> Self {
-        assert!(window > SimDuration::ZERO, "flush window must be positive");
-        BatchPlan {
-            max_sms: 64,
-            max_bytes: u64::MAX,
-            window,
-        }
-    }
-}
-
-/// Configuration of one simulation run.
-#[derive(Clone)]
-pub struct SimConfig {
-    /// Which protocol every site runs.
-    pub protocol: ProtocolKind,
-    /// Replica placement (partial or full).
-    pub placement: Arc<Placement>,
-    /// The operation workload.
-    pub workload: WorkloadParams,
-    /// Channel latency model.
-    pub latency: LatencyModel,
-    /// Byte-accounting calibration.
-    pub size_model: SizeModel,
-    /// Opt-Track pruning switches (ignored by the other protocols).
-    pub prune: PruneConfig,
-    /// Record a [`History`] for post-run consistency checking. Adds memory
-    /// proportional to the operation count; off for large sweeps.
-    pub record_history: bool,
-    /// Injected network partitions (empty by default).
-    pub partitions: Vec<PartitionWindow>,
-    /// Replay this exact schedule instead of generating one from
-    /// `workload` (trace-driven runs; see `causal_workload::csv`). Its
-    /// shape must match `workload.n`.
-    pub schedule_override: Option<causal_workload::Schedule>,
-    /// Injected site pauses (empty by default).
-    pub pauses: Vec<PauseWindow>,
-    /// Lossy-network fault plan. When it is a no-op and `crashes` is empty
-    /// the reliable transport is bypassed entirely and the run takes the
-    /// exact lossless path (bit-identical metrics).
-    pub faults: FaultPlan,
-    /// Injected fail-stop crashes with state loss (empty by default).
-    pub crashes: Vec<CrashWindow>,
-    /// Durability and graceful-degradation switches (all-off by default).
-    pub durability: DurabilityPlan,
-    /// Scheduled membership and placement changes — joins bootstrapped by
-    /// state transfer, graceful and fail-stop leaves, variable migrations —
-    /// executed as epoch'd two-phase view changes while the workload runs.
-    /// `None` keeps the placement static. A churn plan implies chaos mode
-    /// (the reliable transport).
-    pub churn: Option<ChurnPlan>,
-    /// Causal-stability tracking and stable-frontier garbage collection.
-    /// `None` (the default) disables the subsystem entirely — no stability
-    /// tick is ever scheduled, keeping such runs byte-identical to builds
-    /// that predate it.
-    pub stability: Option<StabilityPlan>,
-    /// Per-destination update batching. `None` (the default) sends every
-    /// SM as its own frame, byte-identical to builds that predate the
-    /// batcher; `Some` parks updates in per-destination lanes and ships
-    /// them as merged-piggyback [`Msg::Batch`] frames.
-    pub batching: Option<BatchPlan>,
-}
-
-impl SimConfig {
-    /// The paper's partial-replication setting (`p = 0.3·n`, even
-    /// placement) for the given protocol.
-    pub fn paper_partial(protocol: ProtocolKind, n: usize, w_rate: f64, seed: u64) -> Self {
-        assert!(
-            protocol.supports_partial(),
-            "{protocol} is full-replication only"
-        );
-        SimConfig {
-            protocol,
-            placement: Arc::new(Placement::paper_partial(n).expect("valid n")),
-            workload: WorkloadParams::paper(n, w_rate, seed),
-            latency: LatencyModel::default_wan(),
-            size_model: SizeModel::java_like(),
-            prune: PruneConfig::default(),
-            record_history: false,
-            partitions: Vec::new(),
-            schedule_override: None,
-            pauses: Vec::new(),
-            faults: FaultPlan::default(),
-            crashes: Vec::new(),
-            durability: DurabilityPlan::default(),
-            churn: None,
-            stability: None,
-            batching: None,
-        }
-    }
-
-    /// The paper's full-replication setting (`p = n`) for the given
-    /// protocol. Any of the four protocols can run fully replicated.
-    pub fn paper_full(protocol: ProtocolKind, n: usize, w_rate: f64, seed: u64) -> Self {
-        SimConfig {
-            protocol,
-            placement: Arc::new(Placement::full(n).expect("valid n")),
-            workload: WorkloadParams::paper(n, w_rate, seed),
-            latency: LatencyModel::default_wan(),
-            size_model: SizeModel::java_like(),
-            prune: PruneConfig::default(),
-            record_history: false,
-            partitions: Vec::new(),
-            schedule_override: None,
-            pauses: Vec::new(),
-            faults: FaultPlan::default(),
-            crashes: Vec::new(),
-            durability: DurabilityPlan::default(),
-            churn: None,
-            stability: None,
-            batching: None,
-        }
-    }
-
-    /// Shrink to a fast test-sized run (60 events per process).
-    pub fn small(mut self) -> Self {
-        self.workload.events_per_process = 60;
-        self
-    }
-
-    /// Enable history recording (for the consistency checker).
-    pub fn with_history(mut self) -> Self {
-        self.record_history = true;
-        self
-    }
-
-    /// Inject a lossy-network fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Inject fail-stop crash windows.
-    pub fn with_crashes(mut self, crashes: Vec<CrashWindow>) -> Self {
-        self.crashes = crashes;
-        self
-    }
-
-    /// Install a durability plan (WAL, checkpoints, fetch deadlines).
-    pub fn with_durability(mut self, durability: DurabilityPlan) -> Self {
-        self.durability = durability;
-        self
-    }
-
-    /// Install a churn plan (membership and placement changes).
-    pub fn with_churn(mut self, churn: ChurnPlan) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Install a causal-stability plan (watermark gossip, stable-frontier
-    /// GC, overdue watchdog, soft-cap backpressure).
-    pub fn with_stability(mut self, stability: StabilityPlan) -> Self {
-        self.stability = Some(stability);
-        self
-    }
-
-    /// Enable per-destination update batching under `plan`.
-    pub fn with_batching(mut self, plan: BatchPlan) -> Self {
-        self.batching = Some(plan);
-        self
-    }
-
-    /// `true` when this run needs the reliable transport (lossy network,
-    /// crash injection, WAL-backed durability, or membership churn).
-    pub fn chaos(&self) -> bool {
-        !self.faults.is_noop()
-            || !self.crashes.is_empty()
-            || self.durability.wal
-            || self.churn.as_ref().is_some_and(|p| !p.is_empty())
-    }
-}
-
-/// Everything a run produces.
-pub struct SimResult {
-    /// Counters and byte totals.
-    pub metrics: RunMetrics,
-    /// The recorded execution, when requested.
-    pub history: Option<History>,
-    /// Virtual time at which the system went quiescent.
-    pub duration: SimTime,
-    /// Updates still parked at the end — **must** be zero; nonzero means an
-    /// activation predicate can never fire (a protocol bug).
-    pub final_pending: usize,
-    /// Per-site causality-metadata storage footprint at quiescence, bytes
-    /// (clocks + logs + LastWriteOn structures, under the run's size
-    /// model). The paper notes Full-Track "incurs the same storage cost"
-    /// as its piggybacks; this measures it.
-    pub final_local_meta: Vec<u64>,
-}
-
-/// Per-site application-subsystem state.
-struct AppDriver {
-    next: usize,
-    blocked: Option<BlockedFetch>,
-}
-
-struct BlockedFetch {
-    var: VarId,
-    target: SiteId,
-    measured: bool,
-    /// Issue counter for this logical read: bumped on every failover or
-    /// crash-recovery re-issue so that stale [`SimEvent::FetchDeadline`]
-    /// timers are recognized and ignored.
-    attempt: u32,
-    /// Issue instant of the current attempt, for the fetch-RTT statistic.
-    issued_at: SimTime,
-}
-
-/// How long a recovering site waits for its expected `SyncResp`s before
-/// coming up in degraded mode (2 s of virtual time — correlated crashes
-/// can take an expected responder down mid-handshake).
-const SYNC_DEADLINE: SimDuration = SimDuration(2_000_000_000);
-
-/// How long a proposed view change waits for full quiescence before it is
-/// installed *forced* (2 s of virtual time, mirroring [`SYNC_DEADLINE`]):
-/// a member crashing mid-drain must degrade the view change, not wedge it.
-const VIEW_DEADLINE: SimDuration = SimDuration(2_000_000_000);
-
-/// Poll cadence of the quiescence test while a view change drains.
-const VIEW_POLL: SimDuration = SimDuration(100_000_000);
-
-/// Liveness of a site under crash injection.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum SiteStatus {
-    /// Normal operation.
-    Up,
-    /// Crashed: operations defer, arriving data frames are lost.
-    Down,
-    /// Restarted, collecting `SyncResp`s; data frames buffer until the
-    /// protocol state is reinstalled.
-    Syncing,
-    /// Not in the membership view: either not yet joined or departed for
-    /// good. Operations are dropped, arriving frames are lost.
-    Out,
-}
-
-/// A proposed view change draining toward its install.
-struct PendingView {
-    /// Index into the churn plan's event list.
-    idx: usize,
-    /// Proposal instant (for the view-change-latency statistic and the
-    /// forced-install deadline).
-    proposed_at: SimTime,
-}
-
-/// Everything the membership layer adds to a run.
-struct ChurnState {
-    /// The validated reconfiguration schedule.
-    plan: ChurnPlan,
-    /// The epoch'd view the protocol sites share (via `Arc<dyn
-    /// Replication>`): installs become visible to every site at once.
-    dynp: Arc<DynamicPlacement>,
-    /// The view change currently quiescing, if any. View changes install
-    /// strictly in plan order.
-    pending: Option<PendingView>,
-    /// Proposals that reached their scheduled time while another view
-    /// change was still in flight, FIFO.
-    queued: VecDeque<usize>,
-    /// Operations held during quiescence, replayed at install.
-    view_held: Vec<SimEvent>,
-    /// Sites that joined the view and are still bootstrapping by state
-    /// transfer.
-    joining: Vec<bool>,
-}
-
-/// One recovery's `SyncResp` collection.
-struct SyncCollect {
-    /// The recovery instant (for the recovery-time statistic).
-    started: SimTime,
-    /// The incarnation the responses must echo.
-    inc: u32,
-    /// Peers that were up when the recovery began — the response set the
-    /// recovery waits for. Down peers cannot answer; their own later
-    /// recovery fast-forwards this site past anything missed.
-    expected: Vec<SiteId>,
-    /// Whether the local WAL replay succeeded. If so, the replay restored
-    /// the protocol's outstanding-fetch slot, and recovery completion must
-    /// re-send a raw FM instead of calling `read()` again.
-    via_wal: bool,
-    /// Responses gathered so far.
-    sources: Vec<(SiteId, PeerAckInfo, SyncState)>,
-}
-
-/// An SM parked in a sender's destination lane, awaiting its flush.
-struct PendingSm {
-    /// The exact per-update message the receiver will eventually see.
-    sm: causal_proto::Sm,
-    /// Post-warm-up attribution of the update's issuing operation.
-    measured: bool,
-    /// What this update would have cost as its own SM frame (base + full
-    /// piggyback) — the baseline the batching saving is measured against.
-    full_bytes: u64,
-}
-
-/// Everything update batching adds to a run: one per-destination batcher
-/// per sending site (lanes keyed by destination, FIFO within a lane).
-struct BatchState {
-    plan: BatchPlan,
-    batchers: Vec<DestBatcher<PendingSm>>,
-}
-
-/// Everything the lossy/crashy mode adds to a run.
-struct Chaos {
-    transport: Transport,
-    faults: FaultPlan,
-    /// Fault-decision stream, independent of the latency stream so the
-    /// fault plan never perturbs latency sampling.
-    fault_rng: StdRng,
-    status: Vec<SiteStatus>,
-    /// Events deferred while a site is down or syncing, replayed in order
-    /// at recovery completion.
-    held: Vec<Vec<SimEvent>>,
-    sync: Vec<Option<SyncCollect>>,
-    ledgers: Vec<Option<OwnLedger>>,
-    /// Per-site durable stores (WAL + checkpoint images), present iff the
-    /// run's [`DurabilityPlan::wal`] is on.
-    stores: Option<Vec<DurableStore>>,
-    /// History-level apply dedup: a crashed site re-applies redelivered
-    /// updates it had already applied (and recorded) before losing state;
-    /// the checker's per-origin FIFO pass must see each apply once.
-    applied_seen: FxHashSet<(SiteId, WriteId)>,
-}
 
 /// Run one simulation to quiescence.
 pub fn run(cfg: &SimConfig) -> SimResult {
@@ -462,229 +44,167 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 /// [`run`]: every emission site is gated on `tracer.enabled()` and the
 /// protocol-side trace buffers are never allocated.
 pub fn run_traced(cfg: &SimConfig, tracer: &mut dyn Tracer) -> SimResult {
-    let n = cfg.workload.n;
-    assert_eq!(cfg.placement.n(), n, "placement and workload disagree on n");
-    let schedule = cfg
-        .schedule_override
-        .clone()
-        .unwrap_or_else(|| generate(&cfg.workload));
-    assert_eq!(
-        schedule.per_site.len(),
-        n,
-        "override schedule shape mismatch"
-    );
-    let warmup = schedule.warmup_events;
+    let mut sim = Sim::new(cfg, tracer);
+    while let Some((now, ev)) = sim.heap.pop() {
+        sim.now = now;
+        sim.step(ev);
+    }
+    sim.finish()
+}
 
-    // A churn plan swaps the static placement for a shared dynamic view:
-    // every site holds the same `Arc`, so an installed view change is
-    // visible to all of them at once.
-    let (repl, mut churn): (Arc<dyn Replication>, Option<ChurnState>) = match &cfg.churn {
-        Some(plan) if !plan.is_empty() => {
+/// One run's state. Event handlers are methods; `now` is the timestamp of
+/// the event being handled.
+struct Sim<'a> {
+    cfg: &'a SimConfig,
+    tracer: &'a mut dyn Tracer,
+    n: usize,
+    schedule: Schedule,
+    /// Placement view and protocol switches every site was built with (a
+    /// WAL replay builds a fresh one).
+    repl: Arc<dyn Replication>,
+    proto_cfg: ProtocolConfig,
+    sites: Vec<SiteDriver>,
+    /// Next schedule index of each site's application process.
+    next_op: Vec<usize>,
+    now: SimTime,
+    heap: EventHeap,
+    channels: ChannelMatrix,
+    /// Latency-sampling stream, derived from the workload seed so a
+    /// (seed, config) pair fully determines the run.
+    lat_rng: StdRng,
+    metrics: RunMetrics,
+    history: Option<History>,
+    /// The drivers' output buffer, drained after every driver call.
+    out: Vec<Output>,
+    chaos: Option<Chaos>,
+    churn: Option<ChurnState>,
+    stability: Option<StabilityState>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(cfg: &'a SimConfig, tracer: &'a mut dyn Tracer) -> Self {
+        let n = cfg.workload.n;
+        cfg.validate();
+        let schedule = cfg
+            .schedule_override
+            .clone()
+            .unwrap_or_else(|| generate(&cfg.workload));
+        assert_eq!(
+            schedule.per_site.len(),
+            n,
+            "override schedule shape mismatch"
+        );
+
+        // A churn plan swaps the static placement for a shared dynamic
+        // view: every site holds the same `Arc`, so an installed view
+        // change is visible to all of them at once.
+        let plan = cfg.churn.as_ref().filter(|p| !p.is_empty());
+        let members = plan.map_or_else(|| vec![true; n], |p| p.initial_members(n));
+        let churn = plan.map(|plan| {
             plan.validate(n, cfg.workload.q)
                 .expect("invalid churn plan (validate before running)");
-            let dynp = Arc::new(DynamicPlacement::new(
-                (*cfg.placement).clone(),
-                &plan.initial_members(n),
-            ));
-            // Variables homed solely on not-yet-joined sites start orphaned;
-            // re-home them onto view-1 members so every read and write has a
-            // replica from the first event on.
+            let dynp = Arc::new(DynamicPlacement::new((*cfg.placement).clone(), &members));
+            // Variables homed solely on not-yet-joined sites start
+            // orphaned; re-home them onto view-1 members so every read and
+            // write has a replica from the first event on.
             dynp.rehome_orphans(cfg.workload.q);
-            (
-                dynp.clone() as Arc<dyn Replication>,
-                Some(ChurnState {
-                    plan: plan.clone(),
-                    dynp,
-                    pending: None,
-                    queued: VecDeque::new(),
-                    view_held: Vec::new(),
-                    joining: vec![false; n],
-                }),
-            )
-        }
-        _ => (cfg.placement.clone() as Arc<dyn Replication>, None),
-    };
-    // Batching parks updates in sender lanes for up to a full flush window,
-    // so the log prunings that assume "my own sends cover me" lose their
-    // timing justification; pin the local site's destination mentions until
-    // a clock witness shows them applied (see `PruneConfig::pin_self`).
-    let proto_cfg = ProtocolConfig {
-        prune: PruneConfig {
-            pin_self: cfg.batching.is_some() || cfg.prune.pin_self,
-            ..cfg.prune
-        },
-    };
-    let mut sites: Vec<Box<dyn ProtocolSite>> = SiteId::all(n)
-        .map(|s| build_site(cfg.protocol, s, repl.clone(), proto_cfg))
-        .collect();
-    if tracer.enabled() {
-        for s in sites.iter_mut() {
-            s.set_tracing(true);
-        }
-    }
-
-    let mut heap = EventHeap::new();
-    let mut channels = ChannelMatrix::new(n, cfg.latency).with_partitions(cfg.partitions.clone());
-    // Independent stream for latency sampling, derived from the workload
-    // seed so a (seed, config) pair fully determines the run.
-    let mut lat_rng = StdRng::seed_from_u64(cfg.workload.seed ^ 0xC0FF_EE00_D15E_A5E5);
-    let mut metrics = RunMetrics::new();
-    metrics.per_site.ensure(n);
-    let mut history = cfg.record_history.then(|| History::new(n));
-    let mut drivers: Vec<AppDriver> = (0..n)
-        .map(|_| AppDriver {
-            next: 0,
-            blocked: None,
-        })
-        .collect();
-    // Receipt time of each SM per receiver, for the apply-latency metric.
-    let mut receipt: FxHashMap<(SiteId, WriteId), SimTime> = FxHashMap::default();
-
-    let mut chaos: Option<Chaos> = cfg.chaos().then(|| Chaos {
-        transport: Transport::new(n, TransportTuning::default()),
-        faults: cfg.faults.clone(),
-        fault_rng: StdRng::seed_from_u64(cfg.workload.seed ^ 0xFA17_BAD0_0DD5_EED5),
-        status: vec![SiteStatus::Up; n],
-        held: (0..n).map(|_| Vec::new()).collect(),
-        sync: (0..n).map(|_| None).collect(),
-        ledgers: vec![None; n],
-        stores: cfg
-            .durability
-            .wal
-            .then(|| (0..n).map(|_| DurableStore::new(n)).collect()),
-        applied_seen: FxHashSet::default(),
-    });
-
-    // Per-destination batching: one batcher per sending site. Without a
-    // plan nothing below allocates and every send takes the exact
-    // unbatched path.
-    let mut batching: Option<BatchState> = cfg.batching.map(|plan| {
-        assert!(plan.max_sms >= 1, "max_sms must admit at least one update");
-        BatchState {
-            plan,
-            batchers: (0..n)
-                .map(|_| {
-                    DestBatcher::new(BatchPolicy {
-                        max_items: plan.max_sms,
-                        max_bytes: plan.max_bytes,
-                    })
-                })
-                .collect(),
-        }
-    });
-
-    // The stability subsystem starts with the run's initial membership and
-    // arms its heartbeat/GC tick; without a plan, nothing below allocates
-    // or schedules and the run is byte-identical to a stability-free build.
-    let mut stability: Option<StabilityState> = cfg.stability.as_ref().map(|plan| {
-        let members: Vec<bool> = match &cfg.churn {
-            Some(p) if !p.is_empty() => p.initial_members(n),
-            _ => vec![true; n],
+            ChurnState::new(plan.clone(), dynp, n)
+        });
+        let repl: Arc<dyn Replication> = match &churn {
+            Some(ch) => ch.dynp.clone(),
+            None => cfg.placement.clone(),
         };
-        StabilityState::new(n, plan.clone(), &members)
-    });
-    if let Some(plan) = &cfg.stability {
-        heap.push(
-            SimTime::ZERO + plan.heartbeat_every,
-            SimEvent::StabilityTick,
-        );
-    }
+        // Batching parks updates in sender lanes for up to a full flush
+        // window, so the log prunings that assume "my own sends cover me"
+        // lose their timing justification; pin the local site's
+        // destination mentions until a clock witness shows them applied
+        // (see `PruneConfig::pin_self`).
+        let proto_cfg = ProtocolConfig {
+            prune: PruneConfig {
+                pin_self: cfg.batching.is_some() || cfg.prune.pin_self,
+                ..cfg.prune
+            },
+        };
+        let lanes = cfg.batching.map(|plan| BatchPolicy {
+            max_items: plan.max_sms,
+            max_bytes: plan.max_bytes,
+        });
+        let sites = SiteId::all(n)
+            .map(|s| {
+                let mut site = build_site(cfg.protocol, s, repl.clone(), proto_cfg);
+                site.set_tracing(tracer.enabled());
+                SiteDriver::new(site, cfg.size_model, lanes)
+            })
+            .collect();
 
-    // Seed the initial view: sites whose first churn event is a join start
-    // outside the membership, and each plan event proposes at its time.
-    if let Some(ch) = &churn {
-        let c = chaos.as_mut().expect("churn implies chaos mode");
-        for (i, member) in ch.plan.initial_members(n).iter().enumerate() {
-            if !member {
-                c.status[i] = SiteStatus::Out;
+        let mut metrics = RunMetrics::new();
+        metrics.per_site.ensure(n);
+        let mut sim = Sim {
+            cfg,
+            tracer,
+            n,
+            schedule,
+            repl,
+            proto_cfg,
+            sites,
+            next_op: vec![0; n],
+            now: SimTime::ZERO,
+            heap: EventHeap::new(),
+            channels: ChannelMatrix::new(n, cfg.latency).with_partitions(cfg.partitions.clone()),
+            lat_rng: StdRng::seed_from_u64(cfg.workload.seed ^ 0xC0FF_EE00_D15E_A5E5),
+            metrics,
+            history: cfg.record_history.then(|| History::new(n)),
+            out: Vec::new(),
+            chaos: cfg.chaos().then(|| Chaos::new(cfg, &members)),
+            churn,
+            // Without a plan nothing allocates or schedules and the run is
+            // byte-identical to a stability-free build.
+            stability: cfg
+                .stability
+                .as_ref()
+                .map(|plan| StabilityState::new(n, plan.clone(), &members)),
+        };
+
+        if let Some(plan) = &cfg.stability {
+            sim.heap.push(
+                SimTime::ZERO + plan.heartbeat_every,
+                SimEvent::StabilityTick,
+            );
+        }
+        if let Some(ch) = &sim.churn {
+            for (idx, ev) in ch.plan.events.iter().enumerate() {
+                sim.heap.push(ev.at, SimEvent::ViewPropose { idx });
             }
         }
-        for (idx, ev) in ch.plan.events.iter().enumerate() {
-            heap.push(ev.at, SimEvent::ViewPropose { idx });
-        }
-    }
-
-    // Validate and schedule the crash windows. Windows of one site must
-    // not overlap; windows of different sites may (a correlated failure),
-    // which WAL recovery survives and which otherwise completes degraded.
-    {
-        let mut sorted: Vec<&CrashWindow> = cfg.crashes.iter().collect();
-        sorted.sort_by_key(|c| (c.site, c.start));
-        for w in sorted.windows(2) {
-            assert!(
-                w[0].site != w[1].site || w[0].end <= w[1].start,
-                "crash windows on s{} overlap: {:?} vs {:?}",
-                w[0].site,
-                w[0],
-                w[1]
-            );
-        }
         for c in &cfg.crashes {
-            assert!(c.start < c.end, "empty crash window: {c:?}");
-            assert!(c.site.index() < n, "crash site out of range: {c:?}");
-            heap.push(c.start, SimEvent::Crash { site: c.site });
-            heap.push(c.end, SimEvent::Recover { site: c.site });
+            sim.heap.push(c.start, SimEvent::Crash { site: c.site });
+            sim.heap.push(c.end, SimEvent::Recover { site: c.site });
         }
+        if let Some(every) = cfg.durability.checkpoint_every {
+            sim.heap
+                .push(SimTime::ZERO + every, SimEvent::CheckpointTick);
+        }
+        // Arm the first operation of every process in the initial view; a
+        // joiner's application starts when its view change installs.
+        for s in SiteId::all(n).filter(|s| members[s.index()]) {
+            if let Some(op) = sim.schedule.per_site[s.index()].first() {
+                sim.heap.push(op.at, SimEvent::OpReady { site: s });
+            }
+        }
+        sim
     }
 
-    // Validate the durability plan and arm the checkpoint cadence.
-    {
-        let d = &cfg.durability;
-        if let Some(every) = d.checkpoint_every {
-            assert!(d.wal, "checkpoint interval requires the WAL");
-            assert!(
-                every > SimDuration::ZERO,
-                "checkpoint interval must be positive"
-            );
-            heap.push(SimTime::ZERO + every, SimEvent::CheckpointTick);
-        }
-        assert!(
-            d.lose_media.is_empty() || d.wal,
-            "media loss requires the WAL"
-        );
-        for s in &d.lose_media {
-            assert!(s.index() < n, "lose-media site out of range: s{s}");
-        }
-        assert!(
-            d.torn_tail.is_empty() || d.wal,
-            "torn-tail injection requires the WAL"
-        );
-        for s in &d.torn_tail {
-            assert!(s.index() < n, "torn-tail site out of range: s{s}");
-        }
-    }
-
-    // Arm the first operation of every process in the initial view; a
-    // joiner's application starts when its view change installs.
-    for (i, ops) in schedule.per_site.iter().enumerate() {
-        let out = chaos
-            .as_ref()
-            .is_some_and(|c| c.status[i] == SiteStatus::Out);
-        if out {
-            continue;
-        }
-        if let Some(op) = ops.first() {
-            heap.push(
-                op.at,
-                SimEvent::OpReady {
-                    site: SiteId::from(i),
-                },
-            );
-        }
-    }
-
-    while let Some((now, ev)) = heap.pop() {
+    fn step(&mut self, ev: SimEvent) {
         // A paused site defers everything — operations and deliveries — to
         // its resume instant; heap insertion order preserves the original
         // arrival order among deferred events. Crash and recovery events
         // are the fault injector's own and never defer.
         let event_site = match &ev {
-            SimEvent::OpReady { site } => Some(*site),
-            SimEvent::Deliver { to, .. } => Some(*to),
-            SimEvent::DeliverFrame { to, .. } => Some(*to),
-            SimEvent::RetransmitCheck { from, .. } => Some(*from),
-            SimEvent::FetchDeadline { site, .. } => Some(*site),
-            SimEvent::BatchFlush { from, .. } => Some(*from),
+            SimEvent::OpReady { site } | SimEvent::FetchDeadline { site, .. } => Some(*site),
+            SimEvent::Deliver { to, .. } | SimEvent::DeliverFrame { to, .. } => Some(*to),
+            SimEvent::RetransmitCheck { from, .. } | SimEvent::BatchFlush { from, .. } => {
+                Some(*from)
+            }
             SimEvent::Crash { .. }
             | SimEvent::Recover { .. }
             | SimEvent::SyncTimeout { .. }
@@ -694,2557 +214,688 @@ pub fn run_traced(cfg: &SimConfig, tracer: &mut dyn Tracer) -> SimResult {
             | SimEvent::ViewQuiesceCheck { .. } => None,
         };
         if let Some(site) = event_site {
-            if let Some(resume) = cfg.pauses.iter().filter_map(|p| p.resumes(site, now)).max() {
-                heap.push(resume, ev);
-                continue;
+            let pauses = self.cfg.pauses.iter();
+            if let Some(resume) = pauses.filter_map(|p| p.resumes(site, self.now)).max() {
+                self.heap.push(resume, ev);
+                return;
             }
         }
         match ev {
-            SimEvent::OpReady { site } => {
-                if let Some(c) = chaos.as_mut() {
-                    match c.status[site.index()] {
-                        SiteStatus::Up => {}
-                        // A departed site never issues again.
-                        SiteStatus::Out => continue,
-                        // Crashed or syncing: the application resumes
-                        // after recovery completes.
-                        SiteStatus::Down | SiteStatus::Syncing => {
-                            c.held[site.index()].push(SimEvent::OpReady { site });
-                            continue;
-                        }
-                    }
-                }
-                // Quiesce: while a view change drains, no new operation
-                // starts; held operations replay at install.
-                if let Some(ch) = churn.as_mut() {
-                    if ch.pending.is_some() {
-                        ch.view_held.push(SimEvent::OpReady { site });
-                        continue;
-                    }
-                }
-                // Soft-cap backpressure: while retained metadata exceeds the
-                // stability plan's cap, the next *write* defers one heartbeat
-                // at a time (bounded — see `MAX_WRITE_DEFERRALS`) instead of
-                // growing the unstable window further. Reads always proceed.
-                if let Some(stab) = stability.as_mut() {
-                    let next = drivers[site.index()].next;
-                    let is_write = matches!(
-                        schedule.per_site[site.index()][next].kind,
-                        OpKind::Write { .. }
-                    );
-                    if is_write && stab.defer_write(site) {
-                        heap.push(now + stab.plan.heartbeat_every, SimEvent::OpReady { site });
-                        continue;
-                    }
-                }
-                let d = &mut drivers[site.index()];
-                debug_assert!(d.blocked.is_none(), "op issued while fetch outstanding");
-                let op = schedule.per_site[site.index()][d.next];
-                let measured = d.next >= warmup;
-                d.next += 1;
-                match op.kind {
-                    OpKind::Write { var, data } => {
-                        // WAL fiction: the record is durable before the
-                        // transition is externally visible.
-                        if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                            let bytes = stores[site.index()].append(
-                                WalRecord::OwnWrite {
-                                    var,
-                                    data,
-                                    payload_len: cfg.workload.payload_len,
-                                },
-                                &cfg.size_model,
-                            );
-                            emit(tracer, now, site, EventKind::WalAppend { bytes });
-                        }
-                        let (wid, effects) =
-                            sites[site.index()].write(var, data, cfg.workload.payload_len);
-                        // Register the write with every site that must apply
-                        // it — the SM fan-out plus the origin's own apply —
-                        // *before* the effects run, so the own-apply below
-                        // settles against an existing registration.
-                        if let Some(stab) = stability.as_mut() {
-                            let mut dests = DestSet::EMPTY;
-                            for e in &effects {
-                                match e {
-                                    Effect::Send {
-                                        to,
-                                        msg: Msg::Sm(_),
-                                    } => dests.insert(*to),
-                                    Effect::Applied { write, .. } if *write == wid => {
-                                        dests.insert(site)
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            stab.on_write(site, wid, dests);
-                        }
-                        if tracer.enabled() {
-                            emit(
-                                tracer,
-                                now,
-                                site,
-                                EventKind::Write {
-                                    var,
-                                    clock: wid.clock,
-                                },
-                            );
-                        }
-                        if measured {
-                            metrics.record_op(true, false);
-                        }
-                        if let Some(h) = history.as_mut() {
-                            h.record_write(site, wid, var);
-                        }
-                        process_effects(
-                            site,
-                            effects,
-                            measured,
-                            now,
-                            &schedule,
-                            &mut heap,
-                            &mut channels,
-                            &mut lat_rng,
-                            &mut metrics,
-                            &mut history,
-                            &mut drivers,
-                            &mut receipt,
-                            &cfg.size_model,
-                            &mut stability,
-                            &mut chaos,
-                            &mut batching,
-                            tracer,
-                        );
-                        schedule_next(site, now, &schedule, &mut drivers, &mut heap);
-                    }
-                    OpKind::Read { var } => match sites[site.index()].read(var) {
-                        ReadResult::Local(v) => {
-                            if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                                let bytes = stores[site.index()]
-                                    .append(WalRecord::LocalRead { var }, &cfg.size_model);
-                                emit(tracer, now, site, EventKind::WalAppend { bytes });
-                            }
-                            if measured {
-                                metrics.record_op(false, false);
-                            }
-                            let writer = v.map(|x| x.writer);
-                            if tracer.enabled() {
-                                emit(tracer, now, site, EventKind::ReadLocal { var, writer });
-                            }
-                            if let Some(h) = history.as_mut() {
-                                h.record_read(site, var, writer, site);
-                            }
-                            schedule_next(site, now, &schedule, &mut drivers, &mut heap);
-                        }
-                        ReadResult::Fetch { target, msg } => {
-                            if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                                let bytes = stores[site.index()]
-                                    .append(WalRecord::FetchIssued { var }, &cfg.size_model);
-                                emit(tracer, now, site, EventKind::WalAppend { bytes });
-                            }
-                            metrics.record_msg(
-                                msg.kind(),
-                                msg.meta_size(&cfg.size_model),
-                                measured,
-                            );
-                            metrics.per_site.site_mut(site.index()).sends += 1;
-                            match chaos.as_mut() {
-                                Some(c) => {
-                                    let cmds = c.transport.send(site, target, msg, measured);
-                                    dispatch_cmds(
-                                        site,
-                                        cmds,
-                                        now,
-                                        &mut heap,
-                                        &mut channels,
-                                        &mut lat_rng,
-                                        &mut c.fault_rng,
-                                        &c.faults,
-                                        &mut metrics,
-                                        &cfg.size_model,
-                                        tracer,
-                                    );
-                                }
-                                None => {
-                                    let at =
-                                        channels.delivery_time(site, target, now, &mut lat_rng);
-                                    heap.push(
-                                        at,
-                                        SimEvent::Deliver {
-                                            from: site,
-                                            to: target,
-                                            msg,
-                                            measured,
-                                            sent_at: now,
-                                        },
-                                    );
-                                }
-                            }
-                            drivers[site.index()].blocked = Some(BlockedFetch {
-                                var,
-                                target,
-                                measured,
-                                attempt: 0,
-                                issued_at: now,
-                            });
-                            if tracer.enabled() {
-                                emit(
-                                    tracer,
-                                    now,
-                                    site,
-                                    EventKind::FetchIssue {
-                                        var,
-                                        target,
-                                        attempt: 0,
-                                    },
-                                );
-                            }
-                            if chaos.is_some() {
-                                if let Some(deadline) = cfg.durability.fetch_deadline {
-                                    heap.push(
-                                        now + deadline,
-                                        SimEvent::FetchDeadline {
-                                            site,
-                                            var,
-                                            attempt: 0,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    },
-                }
-            }
+            SimEvent::OpReady { site } => self.on_op_ready(site),
             SimEvent::Deliver {
                 from,
                 to,
                 msg,
                 measured,
                 sent_at,
-            } => {
-                metrics.transit_ns.record((now - sent_at).as_nanos() as f64);
-                for (msg, measured) in unbatch(msg, measured) {
-                    if let Msg::Sm(sm) = &msg {
-                        receipt.insert((to, sm.value.writer), now);
-                    }
-                    // Every app message piggybacks the sender's delivery row;
-                    // an arriving update also arms the stuck-buffer watchdog
-                    // (its apply disarms it).
-                    if let Some(stab) = stability.as_mut() {
-                        stab.on_deliver(from, to);
-                        if let Msg::Sm(sm) = &msg {
-                            stab.note_receipt(to, sm.value.writer, now);
-                        }
-                    }
-                    if tracer.enabled() {
-                        let writer = match &msg {
-                            Msg::Sm(sm) => Some(sm.value.writer),
-                            _ => None,
-                        };
-                        emit(
-                            tracer,
-                            now,
-                            to,
-                            EventKind::Deliver {
-                                from,
-                                kind: msg.kind(),
-                                writer,
-                            },
-                        );
-                    }
-                    metrics.per_site.site_mut(to.index()).delivers += 1;
-                    let pend_before = sites[to.index()].pending_len();
-                    let effects = sites[to.index()].on_message(from, msg);
-                    process_effects(
-                        to,
-                        effects,
-                        measured,
-                        now,
-                        &schedule,
-                        &mut heap,
-                        &mut channels,
-                        &mut lat_rng,
-                        &mut metrics,
-                        &mut history,
-                        &mut drivers,
-                        &mut receipt,
-                        &cfg.size_model,
-                        &mut stability,
-                        &mut chaos,
-                        &mut batching,
-                        tracer,
-                    );
-                    let pend_after = sites[to.index()].pending_len();
-                    if pend_after > pend_before {
-                        metrics.per_site.site_mut(to.index()).buffered +=
-                            (pend_after - pend_before) as u64;
-                    }
-                    drain_proto(sites[to.index()].as_mut(), to, now, tracer);
-                    metrics.max_pending = metrics.max_pending.max(pend_after);
-                    metrics.pending_samples.record(pend_after as f64);
-                }
-            }
+            } => self.on_deliver(from, to, msg, measured, sent_at),
             SimEvent::DeliverFrame {
                 from,
                 to,
                 frame,
                 measured,
                 sent_at,
-            } => {
-                // Liveness gate: a down site loses arriving traffic; a
-                // syncing site buffers data until its state is rebuilt but
-                // must process the sync handshake itself.
-                {
-                    let c = chaos.as_mut().expect("frames require chaos mode");
-                    match c.status[to.index()] {
-                        SiteStatus::Down | SiteStatus::Out => {
-                            metrics.crash_drops += 1;
-                            continue;
-                        }
-                        SiteStatus::Syncing if !frame.is_sync() => {
-                            c.held[to.index()].push(SimEvent::DeliverFrame {
-                                from,
-                                to,
-                                frame,
-                                measured,
-                                sent_at,
-                            });
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-                match *frame {
-                    Frame::SyncReq {
-                        inc,
-                        ledger,
-                        applied,
-                    } => {
-                        handle_sync_req(
-                            to,
-                            from,
-                            inc,
-                            &ledger,
-                            applied,
-                            now,
-                            &mut sites,
-                            &mut heap,
-                            &mut channels,
-                            &mut lat_rng,
-                            &mut metrics,
-                            &mut history,
-                            &mut drivers,
-                            &mut receipt,
-                            &schedule,
-                            &cfg.size_model,
-                            &cfg.durability,
-                            &mut stability,
-                            &mut chaos,
-                            tracer,
-                        );
-                    }
-                    Frame::SyncResp { inc, ack, state } => {
-                        handle_sync_resp(
-                            to,
-                            from,
-                            inc,
-                            ack,
-                            state,
-                            now,
-                            &mut sites,
-                            &mut heap,
-                            &mut channels,
-                            &mut lat_rng,
-                            &mut metrics,
-                            &mut history,
-                            &mut drivers,
-                            &schedule,
-                            &cfg.size_model,
-                            &cfg.durability,
-                            &mut stability,
-                            &mut chaos,
-                            &mut churn,
-                            tracer,
-                        );
-                    }
-                    data_or_ack => {
-                        if matches!(data_or_ack, Frame::Data { .. }) {
-                            metrics.transit_ns.record((now - sent_at).as_nanos() as f64);
-                        }
-                        let c = chaos.as_mut().expect("frames require chaos mode");
-                        let cmds =
-                            c.transport
-                                .on_frame(to, from, data_or_ack, measured, &mut metrics);
-                        let handoffs = dispatch_cmds(
-                            to,
-                            cmds,
-                            now,
-                            &mut heap,
-                            &mut channels,
-                            &mut lat_rng,
-                            &mut c.fault_rng,
-                            &c.faults,
-                            &mut metrics,
-                            &cfg.size_model,
-                            tracer,
-                        );
-                        for (msg, meas) in handoffs {
-                            for (msg, meas) in unbatch(msg, meas) {
-                                // A fetch re-issued across a crash can be
-                                // answered twice: once by an RM that was
-                                // already in flight when the replier crashed,
-                                // once by the recovered replier. The protocols
-                                // assert a single outstanding fetch, so an RM
-                                // that no longer matches it is consumed here.
-                                if let Msg::Rm(rm) = &msg {
-                                    let stale = drivers[to.index()]
-                                        .blocked
-                                        .as_ref()
-                                        .is_none_or(|b| b.var != rm.var);
-                                    if stale {
-                                        metrics.dup_drops += 1;
-                                        continue;
-                                    }
-                                }
-                                // WAL mode: a replayed site has already counted
-                                // the transport's redelivered updates, and every
-                                // delivery it does take is journaled before the
-                                // protocol sees it.
-                                if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut())
-                                {
-                                    let store = &mut stores[to.index()];
-                                    if store.already_seen(&msg) {
-                                        metrics.dup_drops += 1;
-                                        continue;
-                                    }
-                                    let bytes = store.append(
-                                        WalRecord::Recv {
-                                            from,
-                                            msg: msg.clone(),
-                                        },
-                                        &cfg.size_model,
-                                    );
-                                    emit(tracer, now, to, EventKind::WalAppend { bytes });
-                                }
-                                if let Msg::Sm(sm) = &msg {
-                                    receipt.insert((to, sm.value.writer), now);
-                                }
-                                if let Some(stab) = stability.as_mut() {
-                                    stab.on_deliver(from, to);
-                                    if let Msg::Sm(sm) = &msg {
-                                        stab.note_receipt(to, sm.value.writer, now);
-                                    }
-                                }
-                                if tracer.enabled() {
-                                    let writer = match &msg {
-                                        Msg::Sm(sm) => Some(sm.value.writer),
-                                        _ => None,
-                                    };
-                                    emit(
-                                        tracer,
-                                        now,
-                                        to,
-                                        EventKind::Deliver {
-                                            from,
-                                            kind: msg.kind(),
-                                            writer,
-                                        },
-                                    );
-                                }
-                                metrics.per_site.site_mut(to.index()).delivers += 1;
-                                let pend_before = sites[to.index()].pending_len();
-                                let effects = sites[to.index()].on_message(from, msg);
-                                process_effects(
-                                    to,
-                                    effects,
-                                    meas,
-                                    now,
-                                    &schedule,
-                                    &mut heap,
-                                    &mut channels,
-                                    &mut lat_rng,
-                                    &mut metrics,
-                                    &mut history,
-                                    &mut drivers,
-                                    &mut receipt,
-                                    &cfg.size_model,
-                                    &mut stability,
-                                    &mut chaos,
-                                    &mut batching,
-                                    tracer,
-                                );
-                                let pend_after = sites[to.index()].pending_len();
-                                if pend_after > pend_before {
-                                    metrics.per_site.site_mut(to.index()).buffered +=
-                                        (pend_after - pend_before) as u64;
-                                }
-                                drain_proto(sites[to.index()].as_mut(), to, now, tracer);
-                                metrics.max_pending = metrics.max_pending.max(pend_after);
-                                metrics.pending_samples.record(pend_after as f64);
-                            }
-                        }
-                    }
-                }
-            }
+            } => self.on_deliver_frame(from, to, frame, measured, sent_at),
             SimEvent::RetransmitCheck {
                 from,
                 to,
                 epoch,
                 seq,
                 attempt,
-            } => {
-                let c = chaos.as_mut().expect("timers require chaos mode");
-                let cmds = c.transport.retransmit_check(from, to, epoch, seq, attempt);
-                dispatch_cmds(
-                    from,
-                    cmds,
-                    now,
-                    &mut heap,
-                    &mut channels,
-                    &mut lat_rng,
-                    &mut c.fault_rng,
-                    &c.faults,
-                    &mut metrics,
-                    &cfg.size_model,
-                    tracer,
-                );
-            }
-            SimEvent::Crash { site } => {
-                emit(tracer, now, site, EventKind::Crash);
-                let c = chaos.as_mut().expect("crashes require chaos mode");
-                assert_eq!(
-                    c.status[site.index()],
-                    SiteStatus::Up,
-                    "s{site} crashed again before its previous recovery finished"
-                );
-                c.status[site.index()] = SiteStatus::Down;
-                let (ledger, _lost_parked) = sites[site.index()].crash_volatile();
-                c.ledgers[site.index()] = Some(ledger);
-                c.transport.crash(site);
-                // The crashing sender's parked (never-transmitted) updates
-                // are volatile state and die with it, exactly like unsent
-                // writes; recovery's ledger fast-forward settles peers past
-                // them. Draining also stales the lanes' window timers.
-                if let Some(b) = batching.as_mut() {
-                    drop(b.batchers[site.index()].flush_all());
-                }
-                if let Some(stab) = stability.as_mut() {
-                    stab.on_crash(site);
-                }
-                if cfg.durability.lose_media.contains(&site) {
-                    let stores = c.stores.as_mut().expect("media loss requires the WAL");
-                    stores[site.index()].wipe();
-                }
-            }
-            SimEvent::Recover { site } => {
-                let c = chaos.as_mut().expect("crashes require chaos mode");
-                assert_eq!(
-                    c.status[site.index()],
-                    SiteStatus::Down,
-                    "recover without crash"
-                );
-                let ledger = c.ledgers[site.index()]
-                    .clone()
-                    .expect("ledger saved at crash");
-                let inc = c.transport.revive(site, &ledger);
-                emit(tracer, now, site, EventKind::Recover { inc });
-                c.status[site.index()] = SiteStatus::Syncing;
-                // Local-first recovery: rebuild the state machine from the
-                // durable store, so peers only need to fill in the delta.
-                // Media loss (or running without the WAL) falls back to
-                // the full peer rebuild from the cleared state machine.
-                let mut applied = None;
-                let mut via_wal = false;
-                if let Some(stores) = c.stores.as_mut() {
-                    let store = &mut stores[site.index()];
-                    // Fail-soft load: a torn final record is truncated
-                    // rather than aborting the replay; the redelivery
-                    // marks roll back to the checkpoint floor so the lost
-                    // suffix is re-driven by the transport.
-                    if cfg.durability.torn_tail.contains(&site) {
-                        store.tear_tail(1);
-                    }
-                    if let Some((replayed, replay_applied)) =
-                        store.replay(|| build_site(cfg.protocol, site, repl.clone(), proto_cfg))
-                    {
-                        sites[site.index()] = replayed;
-                        if let Some(stab) = stability.as_mut() {
-                            // The rebuilt state has applied exactly the
-                            // checkpoint's applies plus these replayed ones;
-                            // anything else from the volatile window is
-                            // re-parked, not applied, and stays outstanding.
-                            for w in &replay_applied {
-                                stab.applied(site, *w);
-                            }
-                        }
-                        // The replayed site may carry a trace buffer cloned
-                        // from the live site at checkpoint time (stale
-                        // replay-era events): discard it, then restore the
-                        // run's tracing mode.
-                        let _ = sites[site.index()].take_trace();
-                        sites[site.index()].set_tracing(tracer.enabled());
-                        // A truncated tail may have lost the site's latest
-                        // own writes: raise the replayed state to the
-                        // durable ledger so no WriteId is ever reused.
-                        sites[site.index()].restore_own_ledger(&ledger);
-                        metrics.recovery_replays += 1;
-                        applied = Some(store.applied_high_water(site, ledger.own_clock));
-                        via_wal = true;
-                    }
-                }
-                let expected: Vec<SiteId> = SiteId::all(n)
-                    .filter(|p| *p != site && c.status[p.index()] == SiteStatus::Up)
-                    .collect();
-                let nothing_expected = expected.is_empty();
-                c.sync[site.index()] = Some(SyncCollect {
-                    started: now,
-                    inc,
-                    expected,
-                    via_wal,
-                    sources: Vec::new(),
-                });
-                for peer in SiteId::all(n) {
-                    // Departed members never answer (and their channels were
-                    // forgotten): don't waste sync traffic on them.
-                    if peer == site || c.status[peer.index()] == SiteStatus::Out {
-                        continue;
-                    }
-                    let req = Frame::SyncReq {
-                        inc,
-                        ledger: ledger.clone(),
-                        applied: applied.clone(),
-                    };
-                    metrics.sync_count += 1;
-                    metrics.sync_bytes += req.overhead(&cfg.size_model);
-                    emit(tracer, now, site, EventKind::SyncReq { to: peer });
-                    let at = channels.delivery_time(site, peer, now, &mut lat_rng);
-                    heap.push(
-                        at,
-                        SimEvent::DeliverFrame {
-                            from: site,
-                            to: peer,
-                            frame: Box::new(req),
-                            measured: false,
-                            sent_at: now,
-                        },
-                    );
-                }
-                heap.push(now + SYNC_DEADLINE, SimEvent::SyncTimeout { site, inc });
-                if nothing_expected {
-                    // Nothing to wait for: a single-site system, or every
-                    // peer is down too (correlated failure) — the WAL
-                    // replay (or, without it, the bare ledger) is all the
-                    // state there is.
-                    finish_recovery(
-                        site,
-                        now,
-                        &mut sites,
-                        &mut heap,
-                        &mut channels,
-                        &mut lat_rng,
-                        &mut metrics,
-                        &mut history,
-                        &mut drivers,
-                        &schedule,
-                        &cfg.size_model,
-                        &cfg.durability,
-                        &mut stability,
-                        &mut chaos,
-                        &mut churn,
-                        tracer,
-                    );
-                }
-            }
+            } => self.on_retransmit_check(from, to, epoch, seq, attempt),
+            SimEvent::BatchFlush { from, to, epoch } => self.on_lane_timer(from, to, epoch),
             SimEvent::FetchDeadline { site, var, attempt } => {
-                let deadline = cfg
-                    .durability
-                    .fetch_deadline
-                    .expect("fetch-deadline timer without a deadline");
-                // Stale timer: the read completed, or a failover /
-                // crash-recovery re-issue already bumped the attempt.
-                let live = drivers[site.index()]
-                    .blocked
-                    .as_ref()
-                    .is_some_and(|b| b.var == var && b.attempt == attempt);
-                if !live {
-                    continue;
-                }
-                {
-                    let c = chaos.as_mut().expect("fetch deadlines require chaos mode");
-                    if c.status[site.index()] != SiteStatus::Up {
-                        // The reader itself crashed while blocked; its
-                        // recovery re-issues the fetch and re-arms.
-                        continue;
-                    }
-                }
-                // View-aware failover: under churn the candidate walk must
-                // skip departed members and honor installed migrations.
-                let candidates = match churn.as_ref() {
-                    Some(ch) => ch.dynp.fetch_candidates(var, site),
-                    None => cfg.placement.fetch_candidates(var, site),
-                };
-                let budget = 2 * candidates.len() as u32;
-                if attempt + 1 >= budget {
-                    // Degraded read: give up rather than hang. The protocol
-                    // releases its fetch slot (journaled, so a WAL replay
-                    // does not resurrect it); no history record is written
-                    // since the operation returned no value.
-                    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                        let bytes = stores[site.index()]
-                            .append(WalRecord::FetchAborted { var }, &cfg.size_model);
-                        emit(tracer, now, site, EventKind::WalAppend { bytes });
-                    }
-                    sites[site.index()].abort_fetch(var);
-                    drivers[site.index()].blocked = None;
-                    metrics.degraded_reads += 1;
-                    emit(tracer, now, site, EventKind::DegradedRead { var });
-                    schedule_next(site, now, &schedule, &mut drivers, &mut heap);
-                } else {
-                    // Fail over: re-address the FM to the next candidate
-                    // replica in ring-preference order, cycling.
-                    let next = candidates[(attempt as usize + 1) % candidates.len()];
-                    let (measured, next_attempt) = {
-                        let b = drivers[site.index()].blocked.as_mut().expect("live above");
-                        b.target = next;
-                        b.attempt = attempt + 1;
-                        b.issued_at = now;
-                        (b.measured, b.attempt)
-                    };
-                    metrics.fetch_failovers += 1;
-                    if tracer.enabled() {
-                        emit(
-                            tracer,
-                            now,
-                            site,
-                            EventKind::FetchFailover {
-                                var,
-                                attempt: next_attempt,
-                            },
-                        );
-                        emit(
-                            tracer,
-                            now,
-                            site,
-                            EventKind::FetchIssue {
-                                var,
-                                target: next,
-                                attempt: next_attempt,
-                            },
-                        );
-                    }
-                    let msg = Msg::Fm(Fm { var });
-                    metrics.record_msg(msg.kind(), msg.meta_size(&cfg.size_model), measured);
-                    metrics.per_site.site_mut(site.index()).sends += 1;
-                    let c = chaos.as_mut().expect("chaos");
-                    let cmds = c.transport.send(site, next, msg, measured);
-                    dispatch_cmds(
-                        site,
-                        cmds,
-                        now,
-                        &mut heap,
-                        &mut channels,
-                        &mut lat_rng,
-                        &mut c.fault_rng,
-                        &c.faults,
-                        &mut metrics,
-                        &cfg.size_model,
-                        tracer,
-                    );
-                    heap.push(
-                        now + deadline,
-                        SimEvent::FetchDeadline {
-                            site,
-                            var,
-                            attempt: next_attempt,
-                        },
-                    );
-                }
+                self.on_fetch_deadline(site, var, attempt)
             }
-            SimEvent::SyncTimeout { site, inc } => {
-                let stale = {
-                    let c = chaos.as_mut().expect("sync timers require chaos mode");
-                    c.status[site.index()] != SiteStatus::Syncing
-                        || c.sync[site.index()]
-                            .as_ref()
-                            .is_none_or(|col| col.inc != inc)
-                };
-                if stale {
-                    continue;
-                }
-                // An expected responder died mid-handshake: stop waiting
-                // and come up with whatever arrived (plus the WAL replay).
-                metrics.degraded_recoveries += 1;
-                finish_recovery(
-                    site,
-                    now,
-                    &mut sites,
-                    &mut heap,
-                    &mut channels,
-                    &mut lat_rng,
-                    &mut metrics,
-                    &mut history,
-                    &mut drivers,
-                    &schedule,
-                    &cfg.size_model,
-                    &cfg.durability,
-                    &mut stability,
-                    &mut chaos,
-                    &mut churn,
-                    tracer,
-                );
-            }
-            SimEvent::CheckpointTick => {
-                let every = cfg
-                    .durability
-                    .checkpoint_every
-                    .expect("checkpoint tick without an interval");
-                {
-                    let c = chaos.as_mut().expect("checkpoints require chaos mode");
-                    let stores = c.stores.as_mut().expect("checkpoints require the WAL");
-                    for s in SiteId::all(n) {
-                        // Only a live site's state is consistent; a crashed
-                        // or syncing site checkpoints right after its
-                        // recovery completes instead.
-                        if c.status[s.index()] == SiteStatus::Up {
-                            // Skips the deep state clone when nothing was
-                            // journaled since the last image.
-                            if let Some(bytes) = stores[s.index()].take_checkpoint_if_dirty(
-                                sites[s.index()].as_ref(),
-                                &cfg.size_model,
-                            ) {
-                                emit(tracer, now, s, EventKind::Checkpoint { bytes });
-                            }
-                        }
-                    }
-                }
-                // Keep ticking only while the run is otherwise live, so
-                // the cadence never keeps a quiescent system awake.
-                if !heap.is_empty() {
-                    heap.push(now + every, SimEvent::CheckpointTick);
-                }
-            }
-            SimEvent::StabilityTick => {
-                let stab = stability.as_mut().expect("stability tick without a plan");
-                let up: Vec<bool> = match chaos.as_ref() {
-                    Some(c) => c.status.iter().map(|s| *s == SiteStatus::Up).collect(),
-                    None => vec![true; n],
-                };
-                stab.heartbeat(&up);
-                let advanced = stab.advance();
-                if tracer.enabled() {
-                    for (origin, clock) in &advanced {
-                        emit(
-                            tracer,
-                            now,
-                            *origin,
-                            EventKind::FrontierAdvance { clock: *clock },
-                        );
-                    }
-                }
-                metrics.record_stability_lag(stab.lag() as f64);
-                if stab.plan.gc {
-                    // Each live member collects behind *its own* — gossip-
-                    // lagged, hence always ≤ true — frontier; the stable
-                    // counts are global (exact), which is safe for the same
-                    // reason: both only ever under-approximate stability.
-                    for s in SiteId::all(n) {
-                        if !up[s.index()] {
-                            continue;
-                        }
-                        let stats = {
-                            let cut = StableCut {
-                                clocks: stab.site_frontier(s),
-                                counts: stab.stable_counts(),
-                            };
-                            sites[s.index()].gc_stable(&cut)
-                        };
-                        if !stats.is_empty() {
-                            stab.gc_log_entries += stats.log_entries as u64;
-                            stab.gc_slots += stats.slots as u64;
-                            emit(
-                                tracer,
-                                now,
-                                s,
-                                EventKind::GcRun {
-                                    log_entries: stats.log_entries as u64,
-                                    slots: stats.slots as u64,
-                                },
-                            );
-                        }
-                    }
-                    // A frontier advance licenses stable checkpoints: the
-                    // fresh image folds the just-collected state and every
-                    // WAL segment behind it is deleted, so the durable
-                    // footprint tracks the unstable window too.
-                    if !advanced.is_empty() {
-                        if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                            for s in SiteId::all(n) {
-                                if !up[s.index()] {
-                                    continue;
-                                }
-                                if let Some(bytes) = stores[s.index()].take_checkpoint_if_dirty(
-                                    sites[s.index()].as_ref(),
-                                    &cfg.size_model,
-                                ) {
-                                    emit(tracer, now, s, EventKind::Checkpoint { bytes });
-                                }
-                            }
-                        }
-                    }
-                    // Driver-side retention maps keyed on stable writes can
-                    // go too — except the apply-dedup set while a checker
-                    // history is recorded, because a post-crash redelivery
-                    // of even a stable write re-applies and must stay
-                    // deduplicated in the history.
-                    let gf = stab.global_frontier();
-                    if history.is_none() {
-                        if let Some(c) = chaos.as_mut() {
-                            c.applied_seen.retain(|(_, w)| w.clock > gf[w.site.index()]);
-                        }
-                        receipt.retain(|(_, w), _| w.clock > gf[w.site.index()]);
-                    }
-                    if advanced.is_empty()
-                        && stab
-                            .members()
-                            .iter()
-                            .zip(&up)
-                            .any(|(&m, &alive)| m && !alive)
-                    {
-                        stab.gc_stalled_ticks += 1;
-                    }
-                }
-                // Retained-metadata estimate (protocol meta + WAL): feeds
-                // the peak gauge and the soft-cap backpressure decision.
-                let mut retained: u64 = sites
-                    .iter()
-                    .map(|s| s.local_meta_size(&cfg.size_model))
-                    .sum();
-                if let Some(stores) = chaos.as_ref().and_then(|c| c.stores.as_ref()) {
-                    retained += stores.iter().map(|st| st.retained_bytes()).sum::<u64>();
-                }
-                let was_over = stab.over_cap;
-                stab.sample_retained(retained);
-                if stab.over_cap && !was_over {
-                    emit(
-                        tracer,
-                        now,
-                        SiteId::from(0),
-                        EventKind::Backpressure { retained },
-                    );
-                }
-                for (s, w) in stab.overdue_scan(now) {
-                    emit(
-                        tracer,
-                        now,
-                        s,
-                        EventKind::BufferedOverdue {
-                            origin: w.site,
-                            clock: w.clock,
-                        },
-                    );
-                }
-                if !heap.is_empty() {
-                    heap.push(now + stab.plan.heartbeat_every, SimEvent::StabilityTick);
-                }
-            }
-            SimEvent::ViewPropose { idx } => {
-                // Parked updates must drain with the rest of the in-flight
-                // traffic during quiescence: flush every sender's lanes
-                // onto the wire before the view change starts draining.
-                if let Some(b) = batching.as_mut() {
-                    for s in 0..n {
-                        for (dest, items) in b.batchers[s].flush_all() {
-                            flush_lane(
-                                SiteId::from(s),
-                                dest,
-                                items,
-                                now,
-                                &mut heap,
-                                &mut channels,
-                                &mut lat_rng,
-                                &mut metrics,
-                                &cfg.size_model,
-                                &mut chaos,
-                                tracer,
-                            );
-                        }
-                    }
-                }
-                churn
-                    .as_mut()
-                    .expect("view events require a churn plan")
-                    .queued
-                    .push_back(idx);
-                propose_next_view(
-                    now,
-                    &mut sites,
-                    &mut heap,
-                    &mut stability,
-                    &mut chaos,
-                    &mut churn,
-                    tracer,
-                );
-            }
-            SimEvent::ViewQuiesceCheck { idx } => {
-                let proposed_at = {
-                    let ch = churn.as_ref().expect("view events require a churn plan");
-                    match &ch.pending {
-                        Some(p) if p.idx == idx => p.proposed_at,
-                        _ => continue, // stale poll for an installed view
-                    }
-                };
-                // Quiescent: no data frame is in flight or unsettled
-                // between live sites, and no recovery handshake is open.
-                // Held operations guarantee no *new* traffic starts, so
-                // the test is monotone until the install.
-                let quiet = {
-                    let c = chaos.as_ref().expect("churn requires chaos mode");
-                    let up: Vec<bool> = c.status.iter().map(|s| *s == SiteStatus::Up).collect();
-                    !c.status.contains(&SiteStatus::Syncing)
-                        && c.transport.quiescent(&up)
-                        && batching
-                            .as_ref()
-                            .is_none_or(|b| b.batchers.iter().all(|q| q.is_empty()))
-                        && !heap.events().any(|e| match e {
-                            SimEvent::DeliverFrame { to, frame, .. } => {
-                                matches!(**frame, Frame::Data { .. }) && up[to.index()]
-                            }
-                            SimEvent::Deliver { to, .. } => up[to.index()],
-                            _ => false,
-                        })
-                };
-                let forced = !quiet && now >= proposed_at + VIEW_DEADLINE;
-                if quiet || forced {
-                    if forced {
-                        metrics.views_forced += 1;
-                    }
-                    install_view(
-                        idx,
-                        now,
-                        proposed_at,
-                        forced,
-                        n,
-                        cfg.workload.q,
-                        &mut sites,
-                        &mut heap,
-                        &mut channels,
-                        &mut lat_rng,
-                        &mut metrics,
-                        &mut history,
-                        &mut drivers,
-                        &mut receipt,
-                        &schedule,
-                        &cfg.size_model,
-                        &cfg.durability,
-                        &mut stability,
-                        &mut chaos,
-                        &mut churn,
-                        tracer,
-                    );
-                } else {
-                    heap.push(now + VIEW_POLL, SimEvent::ViewQuiesceCheck { idx });
-                }
-            }
-            SimEvent::BatchFlush { from, to, epoch } => {
-                let b = batching.as_mut().expect("flush timers require batching");
-                // A stale epoch means the lane already flushed on a
-                // count/byte trigger (or a crash/view barrier) and the
-                // timer outlived it; the batcher filters that out.
-                if let Some(items) = b.batchers[from.index()].on_timer(to, epoch) {
-                    flush_lane(
-                        from,
-                        to,
-                        items,
-                        now,
-                        &mut heap,
-                        &mut channels,
-                        &mut lat_rng,
-                        &mut metrics,
-                        &cfg.size_model,
-                        &mut chaos,
-                        tracer,
-                    );
-                }
-            }
+            SimEvent::Crash { site } => self.on_crash(site),
+            SimEvent::Recover { site } => self.on_recover(site),
+            SimEvent::SyncTimeout { site, inc } => self.on_sync_timeout(site, inc),
+            SimEvent::CheckpointTick => self.on_checkpoint_tick(),
+            SimEvent::StabilityTick => self.on_stability_tick(),
+            SimEvent::ViewPropose { idx } => self.on_view_propose(idx),
+            SimEvent::ViewQuiesceCheck { idx } => self.on_view_quiesce_check(idx),
         }
     }
 
-    if let Some(stores) = chaos.as_ref().and_then(|c| c.stores.as_ref()) {
-        for st in stores {
-            metrics.wal_appends += st.appends;
-            metrics.wal_bytes += st.append_bytes;
-            metrics.checkpoints += st.checkpoints;
-            metrics.checkpoint_bytes += st.checkpoint_bytes;
-            metrics.wal_truncated += st.truncated;
-            metrics.wal_segments_sealed += st.segments_sealed;
-            metrics.wal_deleted_bytes += st.deleted_bytes;
-        }
-    }
-    if let Some(stab) = stability.as_ref() {
-        metrics.gossip_rows += stab.gossip_rows;
-        metrics.gossip_bytes += stab.gossip_bytes;
-        metrics.buffered_overdue += stab.buffered_overdue;
-        metrics.gc_log_entries += stab.gc_log_entries;
-        metrics.gc_slots += stab.gc_slots;
-        metrics.gc_stalled_ticks += stab.gc_stalled_ticks;
-        metrics.backpressure_events += stab.backpressure_events;
-        metrics.retained_meta_peak = metrics.retained_meta_peak.max(stab.retained_meta_peak);
-        metrics.unstable_peak = metrics.unstable_peak.max(stab.unstable_peak);
-    }
-    let final_pending = sites.iter().map(|s| s.pending_len()).sum();
-    let final_local_meta = sites
-        .iter()
-        .map(|s| s.local_meta_size(&cfg.size_model))
-        .collect();
-    SimResult {
-        metrics,
-        history,
-        duration: heap.now(),
-        final_pending,
-        final_local_meta,
-    }
-}
-
-/// Arm the next scheduled operation of `site`, honoring the schedule time
-/// (an op never fires before its planned instant, and a blocking fetch
-/// pushes it later).
-fn schedule_next(
-    site: SiteId,
-    now: SimTime,
-    schedule: &causal_workload::Schedule,
-    drivers: &mut [AppDriver],
-    heap: &mut EventHeap,
-) {
-    let d = &mut drivers[site.index()];
-    if d.next < schedule.per_site[site.index()].len() {
-        let planned = schedule.per_site[site.index()][d.next].at;
-        heap.push(planned.max(now), SimEvent::OpReady { site });
-    }
-}
-
-/// Emit one trace event. Inlined so the disabled-tracer path folds to a
-/// single branch.
-#[inline]
-fn emit(tracer: &mut dyn Tracer, now: SimTime, site: SiteId, kind: EventKind) {
-    if tracer.enabled() {
-        tracer.emit(TraceEvent::at(now, site, kind));
-    }
-}
-
-/// Drain the protocol-side trace buffer of `site` into the tracer. The
-/// protocols have no notion of simulated time, so their events are
-/// timestamped here, at the driver instant that triggered them.
-fn drain_proto(site: &mut dyn ProtocolSite, s: SiteId, now: SimTime, tracer: &mut dyn Tracer) {
-    if !tracer.enabled() {
-        return;
-    }
-    for ev in site.take_trace() {
-        let kind = match ev {
-            ProtoTraceEvent::Buffered {
-                origin,
-                clock,
-                var,
-                dep_site,
-                dep_clock,
-            } => EventKind::Buffer {
-                origin,
-                clock,
-                var,
-                dep_site,
-                dep_clock,
-            },
-            ProtoTraceEvent::LogPruned { removed, remaining } => EventKind::LogPrune {
-                removed: removed as u64,
-                remaining: remaining as u64,
-            },
-        };
-        tracer.emit(TraceEvent::at(now, s, kind));
-    }
-}
-
-/// Interpret transport commands: put frames on the (lossy) wire, arm
-/// retransmission timers, and collect in-order handoffs for the caller to
-/// feed into the receiving protocol site.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_cmds(
-    origin: SiteId,
-    cmds: Vec<TransportCmd>,
-    now: SimTime,
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    fault_rng: &mut StdRng,
-    faults: &FaultPlan,
-    metrics: &mut RunMetrics,
-    size_model: &SizeModel,
-    tracer: &mut dyn Tracer,
-) -> Vec<(Msg, bool)> {
-    let mut handoffs = Vec::new();
-    for cmd in cmds {
-        match cmd {
-            TransportCmd::Emit {
-                to,
-                frame,
-                measured,
-                retransmit,
-            } => {
-                let overhead = frame.overhead(size_model);
-                match &frame {
-                    Frame::Ack { .. } => {
-                        metrics.ack_count += 1;
-                        metrics.ack_bytes += overhead;
-                    }
-                    Frame::Data { seq, .. } => {
-                        metrics.envelope_bytes += overhead;
-                        if retransmit {
-                            metrics.retransmissions += 1;
-                            metrics.per_site.site_mut(origin.index()).retransmits += 1;
-                            emit(tracer, now, origin, EventKind::Retransmit { to, seq: *seq });
-                        }
-                    }
-                    sync => unreachable!("transport never emits sync frames: {sync:?}"),
-                }
-                if faults.should_drop(origin, to, now, fault_rng) {
-                    metrics.fault_drops += 1;
-                    continue;
-                }
-                let copies = if faults.should_dup(origin, to, fault_rng) {
-                    metrics.fault_dups += 1;
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..copies {
-                    let at = channels.delivery_time(origin, to, now, lat_rng);
-                    heap.push(
-                        at,
-                        SimEvent::DeliverFrame {
-                            from: origin,
-                            to,
-                            frame: Box::new(frame.clone()),
-                            measured,
-                            sent_at: now,
-                        },
-                    );
-                }
+    fn finish(mut self) -> SimResult {
+        if let Some(stores) = self.chaos.as_ref().and_then(|c| c.stores.as_ref()) {
+            for st in stores {
+                self.metrics.wal_appends += st.appends;
+                self.metrics.wal_bytes += st.append_bytes;
+                self.metrics.checkpoints += st.checkpoints;
+                self.metrics.checkpoint_bytes += st.checkpoint_bytes;
+                self.metrics.wal_truncated += st.truncated;
+                self.metrics.wal_segments_sealed += st.segments_sealed;
+                self.metrics.wal_deleted_bytes += st.deleted_bytes;
             }
-            TransportCmd::Arm {
-                to,
-                stream_gen,
-                seq,
-                attempt,
-                after,
-            } => {
-                // `attempt == 1` is the initial RTO timer armed with every
-                // send; only re-arms after a retransmission are backoffs.
-                if attempt > 1 {
-                    emit(
-                        tracer,
-                        now,
-                        origin,
-                        EventKind::Backoff {
-                            to,
-                            seq,
-                            attempt,
-                            after_ns: after.as_nanos(),
-                        },
-                    );
-                }
-                heap.push(
-                    now + after,
-                    SimEvent::RetransmitCheck {
-                        from: origin,
-                        to,
-                        epoch: stream_gen,
-                        seq,
-                        attempt,
-                    },
-                );
-            }
-            TransportCmd::Handoff { msg, measured } => handoffs.push((msg, measured)),
+        }
+        if let Some(stab) = self.stability.as_ref() {
+            let m = &mut self.metrics;
+            m.gossip_rows += stab.gossip_rows;
+            m.gossip_bytes += stab.gossip_bytes;
+            m.buffered_overdue += stab.buffered_overdue;
+            m.gc_log_entries += stab.gc_log_entries;
+            m.gc_slots += stab.gc_slots;
+            m.gc_stalled_ticks += stab.gc_stalled_ticks;
+            m.backpressure_events += stab.backpressure_events;
+            m.retained_meta_peak = m.retained_meta_peak.max(stab.retained_meta_peak);
+            m.unstable_peak = m.unstable_peak.max(stab.unstable_peak);
+        }
+        let sites = self.sites.iter().map(SiteDriver::site);
+        SimResult {
+            final_pending: sites.clone().map(|s| s.pending_len()).sum(),
+            final_local_meta: sites
+                .map(|s| s.local_meta_size(&self.cfg.size_model))
+                .collect(),
+            metrics: self.metrics,
+            history: self.history,
+            duration: self.heap.now(),
         }
     }
-    handoffs
-}
 
-/// A live site (`me`) handles a recovering peer's `SyncReq`: fast-forward
-/// past the peer's lost writes, renumber the SM backlog into the new
-/// epoch, re-issue a blocked fetch that was addressed to the dead
-/// incarnation, and answer with a state snapshot.
-#[allow(clippy::too_many_arguments)]
-fn handle_sync_req(
-    me: SiteId,
-    peer: SiteId,
-    inc: u32,
-    ledger: &OwnLedger,
-    applied: Option<Vec<u64>>,
-    now: SimTime,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    history: &mut Option<History>,
-    drivers: &mut [AppDriver],
-    receipt: &mut FxHashMap<(SiteId, WriteId), SimTime>,
-    schedule: &causal_workload::Schedule,
-    size_model: &SizeModel,
-    durability: &DurabilityPlan,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    tracer: &mut dyn Tracer,
-) {
-    let (ack_info, renumbered) = {
-        let c = chaos.as_mut().expect("sync requires chaos mode");
-        c.transport.peer_recovered(me, peer, inc)
-    };
-    {
-        let c = chaos.as_mut().expect("chaos");
-        dispatch_cmds(
-            me,
-            renumbered,
-            now,
-            heap,
-            channels,
-            lat_rng,
-            &mut c.fault_rng,
-            &c.faults,
-            metrics,
-            size_model,
-            tracer,
-        );
-    }
-    // A fetch blocked on the dead incarnation would wait forever: its FM
-    // (or the RM reply) died with the peer's volatile state. Re-issue it
-    // on the new epoch; a duplicate reply is ignored at completion. The
-    // attempt bump invalidates any armed fetch-deadline timer.
-    let reissue = drivers[me.index()].blocked.as_mut().and_then(|b| {
-        (b.target == peer).then(|| {
-            b.attempt += 1;
-            b.issued_at = now;
-            (b.var, b.measured, b.attempt)
-        })
-    });
-    if let Some((var, measured, attempt)) = reissue {
-        emit(
-            tracer,
-            now,
-            me,
-            EventKind::FetchIssue {
-                var,
-                target: peer,
-                attempt,
-            },
-        );
-        let msg = Msg::Fm(Fm { var });
-        metrics.record_msg(msg.kind(), msg.meta_size(size_model), measured);
-        metrics.per_site.site_mut(me.index()).sends += 1;
-        let c = chaos.as_mut().expect("chaos");
-        let cmds = c.transport.send(me, peer, msg, measured);
-        dispatch_cmds(
-            me,
-            cmds,
-            now,
-            heap,
-            channels,
-            lat_rng,
-            &mut c.fault_rng,
-            &c.faults,
-            metrics,
-            size_model,
-            tracer,
-        );
-        if let Some(deadline) = durability.fetch_deadline {
-            heap.push(
-                now + deadline,
-                SimEvent::FetchDeadline {
-                    site: me,
-                    var,
-                    attempt,
-                },
-            );
+    /// Emit one trace event at `now`.
+    #[inline]
+    fn emit(&mut self, site: SiteId, kind: EventKind) {
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::at(self.now, site, kind));
         }
     }
-    // Protocol-level fast-forward: lost writes count as applied, parked
-    // updates from the dead incarnation are discarded, and anything that
-    // was waiting only on the lost writes drains now. Journaled first, so
-    // a later replay of this site re-drives the same fast-forward.
-    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-        let bytes = stores[me.index()].append(
-            WalRecord::PeerRecovered {
-                peer,
-                ledger: ledger.clone(),
-            },
-            size_model,
-        );
-        emit(tracer, now, me, EventKind::WalAppend { bytes });
-    }
-    let (effects, _dropped) = sites[me.index()].note_peer_recovery(peer, ledger);
-    // The fast-forward counts the peer's lost writes as applied without ever
-    // emitting `Effect::Applied`; settle them or the stable frontier wedges
-    // on updates nobody will deliver again.
-    if let Some(stab) = stability.as_mut() {
-        stab.settle_peer(me, peer, ledger.own_clock);
-    }
-    // Recovery fast-forward effects bypass the batcher (&mut None): this
-    // is a latency-critical control path, not steady-state update traffic.
-    process_effects(
-        me, effects, false, now, schedule, heap, channels, lat_rng, metrics, history, drivers,
-        receipt, size_model, stability, chaos, &mut None, tracer,
-    );
-    drain_proto(sites[me.index()].as_mut(), me, now, tracer);
-    // Answer with this site's causal knowledge and shared-variable values —
-    // filtered down to the delta past the requester's replayed per-origin
-    // high-water marks when it recovered from its WAL.
-    let mut state = sites[me.index()].export_sync(peer);
-    if let Some(applied) = &applied {
-        let full = state.meta_size(size_model);
-        state = state.filter_delta(applied);
-        metrics.delta_sync_saved_bytes += full - state.meta_size(size_model);
-    }
-    let state_bytes = state.meta_size(size_model);
-    let resp = Frame::SyncResp {
-        inc,
-        ack: ack_info,
-        state,
-    };
-    metrics.sync_count += 1;
-    metrics.sync_bytes += resp.overhead(size_model) + state_bytes;
-    emit(
-        tracer,
-        now,
-        me,
-        EventKind::SyncResp {
-            to: peer,
-            bytes: state_bytes,
-        },
-    );
-    let at = channels.delivery_time(me, peer, now, lat_rng);
-    heap.push(
-        at,
-        SimEvent::DeliverFrame {
-            from: me,
-            to: peer,
-            frame: Box::new(resp),
-            measured: false,
-            sent_at: now,
-        },
-    );
-}
 
-/// The recovering site collects one `SyncResp`; once every peer that was
-/// up at recovery start has answered, the snapshot union is installed and
-/// the site goes back up. (A concurrently recovering peer may answer too —
-/// its extra snapshot is folded in but never waited for.)
-#[allow(clippy::too_many_arguments)]
-fn handle_sync_resp(
-    me: SiteId,
-    peer: SiteId,
-    inc: u32,
-    ack: PeerAckInfo,
-    state: SyncState,
-    now: SimTime,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    history: &mut Option<History>,
-    drivers: &mut [AppDriver],
-    schedule: &causal_workload::Schedule,
-    size_model: &SizeModel,
-    durability: &DurabilityPlan,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    churn: &mut Option<ChurnState>,
-    tracer: &mut dyn Tracer,
-) {
-    let complete = {
-        let c = chaos.as_mut().expect("sync requires chaos mode");
-        let Some(col) = c.sync[me.index()].as_mut() else {
-            return; // stale response for an already-finished recovery
-        };
-        if col.inc != inc {
+    /// Drain the protocol-side trace buffer of `site` into the tracer. The
+    /// protocols have no notion of simulated time, so their events are
+    /// timestamped here, at the instant that triggered them.
+    fn drain_proto(&mut self, site: SiteId) {
+        if !self.tracer.enabled() {
             return;
         }
-        col.sources.push((peer, ack, state));
-        col.expected
-            .iter()
-            .all(|e| col.sources.iter().any(|(s, _, _)| s == e))
-    };
-    if complete {
-        finish_recovery(
-            me, now, sites, heap, channels, lat_rng, metrics, history, drivers, schedule,
-            size_model, durability, stability, chaos, churn, tracer,
-        );
-    }
-}
-
-/// Install the collected peer snapshots, mark the site up, replay buffered
-/// events and re-issue the site's own interrupted fetch.
-#[allow(clippy::too_many_arguments)]
-fn finish_recovery(
-    me: SiteId,
-    now: SimTime,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    history: &mut Option<History>,
-    drivers: &mut [AppDriver],
-    schedule: &causal_workload::Schedule,
-    size_model: &SizeModel,
-    durability: &DurabilityPlan,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    churn: &mut Option<ChurnState>,
-    tracer: &mut dyn Tracer,
-) {
-    let (col, held) = {
-        let c = chaos.as_mut().expect("chaos");
-        let col = c.sync[me.index()].take().expect("sync in progress");
-        c.status[me.index()] = SiteStatus::Up;
-        (col, std::mem::take(&mut c.held[me.index()]))
-    };
-    // A join bootstrap rides the recovery handshake verbatim; account its
-    // transfer cost (and whether any donor never answered) to the churn
-    // metrics before installing.
-    if let Some(ch) = churn.as_mut() {
-        if ch.joining[me.index()] {
-            ch.joining[me.index()] = false;
-            for (_, _, st) in &col.sources {
-                metrics.churn_transfer_bytes += st.meta_size(size_model);
-            }
-            if col
-                .expected
-                .iter()
-                .any(|e| !col.sources.iter().any(|(s, _, _)| s == e))
-            {
-                metrics.churn_transfers_degraded += 1;
-            }
-        }
-    }
-    sites[me.index()].install_sync(&col.sources);
-    // Sync-installed writes are fast-forwarded, never individually applied;
-    // settle each donor's acked high-water so the frontier can pass them.
-    if let Some(stab) = stability.as_mut() {
-        for (peer, ack, _) in &col.sources {
-            stab.settle_peer(me, *peer, ack.sm_max_clock);
-        }
-        // The full-replication protocols fast-forward past the whole merged
-        // snapshot horizon and drop its redeliveries as duplicates; those
-        // writes never raise an apply effect, so settle them here too.
-        if let Some(h) = sites[me.index()].applied_horizon() {
-            for (j, hw) in h.iter().enumerate() {
-                if SiteId::from(j) != me {
-                    stab.settle_peer(me, SiteId::from(j), *hw);
-                }
-            }
-        }
-    }
-    // Re-establish durability at the recovered state: a fresh checkpoint
-    // folds in the installed snapshots (which are not journaled) and
-    // truncates the log — and re-arms a wiped medium.
-    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-        let bytes = stores[me.index()].take_checkpoint(sites[me.index()].as_ref(), size_model);
-        emit(tracer, now, me, EventKind::Checkpoint { bytes });
-    }
-    metrics
-        .recovery_ns
-        .record((now - col.started).as_nanos() as f64);
-    emit(
-        tracer,
-        now,
-        me,
-        EventKind::RecoveryDone {
-            dur_ns: (now - col.started).as_nanos(),
-        },
-    );
-    for ev in held {
-        heap.push(now, ev);
-    }
-    // The site's own in-flight fetch died with its old incarnation (the FM
-    // may never have left, or the RM reply now addresses a dead epoch).
-    // The attempt bump invalidates any armed fetch-deadline timer.
-    let pending = drivers[me.index()].blocked.as_mut().map(|b| {
-        b.attempt += 1;
-        b.issued_at = now;
-        (b.var, b.target, b.measured, b.attempt)
-    });
-    if let Some((var, target, measured, attempt)) = pending {
-        if col.via_wal {
-            // The WAL replay restored the protocol's outstanding-fetch
-            // slot (`read()` would assert a double fetch), so re-send a
-            // raw FM on the new epoch to the already-recorded target.
-            emit(
-                tracer,
-                now,
-                me,
-                EventKind::FetchIssue {
+        for ev in self.sites[site.index()].site_mut().take_trace() {
+            let kind = match ev {
+                ProtoTraceEvent::Buffered {
+                    origin,
+                    clock,
                     var,
-                    target,
-                    attempt,
+                    dep_site,
+                    dep_clock,
+                } => EventKind::Buffer {
+                    origin,
+                    clock,
+                    var,
+                    dep_site,
+                    dep_clock,
                 },
-            );
-            let msg = Msg::Fm(Fm { var });
-            metrics.record_msg(msg.kind(), msg.meta_size(size_model), measured);
-            metrics.per_site.site_mut(me.index()).sends += 1;
-            let c = chaos.as_mut().expect("chaos");
-            let cmds = c.transport.send(me, target, msg, measured);
-            dispatch_cmds(
-                me,
-                cmds,
-                now,
-                heap,
-                channels,
-                lat_rng,
-                &mut c.fault_rng,
-                &c.faults,
-                metrics,
-                size_model,
-                tracer,
-            );
-            if let Some(deadline) = durability.fetch_deadline {
-                heap.push(
-                    now + deadline,
-                    SimEvent::FetchDeadline {
-                        site: me,
+                ProtoTraceEvent::LogPruned { removed, remaining } => EventKind::LogPrune {
+                    removed: removed as u64,
+                    remaining: remaining as u64,
+                },
+            };
+            self.tracer.emit(TraceEvent::at(self.now, site, kind));
+        }
+    }
+
+    fn status(&self, site: SiteId) -> SiteStatus {
+        self.chaos
+            .as_ref()
+            .map_or(SiteStatus::Up, |c| c.status[site.index()])
+    }
+
+    /// Arm the next scheduled operation of `site`, honoring the schedule
+    /// time (an op never fires before its planned instant, and a blocking
+    /// fetch pushes it later).
+    fn schedule_next(&mut self, site: SiteId) {
+        if let Some(op) = self.schedule.per_site[site.index()].get(self.next_op[site.index()]) {
+            self.heap
+                .push(op.at.max(self.now), SimEvent::OpReady { site });
+        }
+    }
+
+    fn on_op_ready(&mut self, site: SiteId) {
+        let i = site.index();
+        match self.status(site) {
+            SiteStatus::Up => {}
+            // A departed site never issues again.
+            SiteStatus::Out => return,
+            // Crashed or syncing: the application resumes after recovery
+            // completes.
+            SiteStatus::Down | SiteStatus::Syncing => {
+                let c = self.chaos.as_mut().expect("only chaos takes a site down");
+                return c.held[i].push(SimEvent::OpReady { site });
+            }
+        }
+        // Quiesce: while a view change drains, no new operation starts;
+        // held operations replay at install.
+        if let Some(ch) = self.churn.as_mut().filter(|ch| ch.pending.is_some()) {
+            return ch.view_held.push(SimEvent::OpReady { site });
+        }
+        let op = self.schedule.per_site[i][self.next_op[i]];
+        // Soft-cap backpressure: while retained metadata exceeds the
+        // stability plan's cap, the next *write* defers one heartbeat at a
+        // time (bounded — see `MAX_WRITE_DEFERRALS`) instead of growing
+        // the unstable window further. Reads always proceed.
+        if let Some(stab) = self.stability.as_mut() {
+            if matches!(op.kind, OpKind::Write { .. }) && stab.defer_write(site) {
+                let retry = self.now + stab.plan.heartbeat_every;
+                return self.heap.push(retry, SimEvent::OpReady { site });
+            }
+        }
+        debug_assert!(
+            self.sites[i].fetch().is_none(),
+            "op issued while fetch outstanding"
+        );
+        let measured = self.next_op[i] >= self.schedule.warmup_events;
+        self.next_op[i] += 1;
+        let now = self.now.as_nanos();
+        match op.kind {
+            OpKind::Write { var, data } => {
+                let payload_len = self.cfg.workload.payload_len;
+                // WAL fiction: the record is durable before the transition
+                // is externally visible.
+                self.journal(
+                    site,
+                    WalRecord::OwnWrite {
                         var,
-                        attempt,
+                        data,
+                        payload_len,
                     },
                 );
+                let (wid, dests) =
+                    self.sites[i].write(now, var, data, payload_len, measured, &mut self.out);
+                // Registered before the outputs run, so the own-apply
+                // among them settles against an existing registration.
+                if let Some(stab) = self.stability.as_mut() {
+                    stab.on_write(site, wid, dests);
+                }
+                let clock = wid.clock;
+                self.emit(site, EventKind::Write { var, clock });
+                if measured {
+                    self.metrics.record_op(true, false);
+                }
+                if let Some(h) = self.history.as_mut() {
+                    h.record_write(site, wid, var);
+                }
+                self.apply_outputs(site);
+                self.schedule_next(site);
             }
+            OpKind::Read { var } => {
+                self.sites[i].read(now, var, measured, &mut self.out);
+                self.after_read(site, var);
+            }
+        }
+    }
+
+    /// The driver just ran `site`'s read of `var`: a local read completes
+    /// among the outputs; a fetch is journaled (so a WAL replay restores
+    /// the protocol's fetch slot) and shipped.
+    fn after_read(&mut self, site: SiteId, var: VarId) {
+        if self.sites[site.index()].fetch().is_some() {
+            self.journal(site, WalRecord::FetchIssued { var });
+            self.fetch_issued(site);
         } else {
-            // Full rebuild: the crash cleared the protocol's own
-            // outstanding-fetch state (which the RM handler asserts
-            // against), so re-issue through `read()`, journaling the call
-            // like any other.
-            match sites[me.index()].read(var) {
-                ReadResult::Fetch { target, msg } => {
-                    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                        let bytes =
-                            stores[me.index()].append(WalRecord::FetchIssued { var }, size_model);
-                        emit(tracer, now, me, EventKind::WalAppend { bytes });
-                    }
-                    drivers[me.index()].blocked = Some(BlockedFetch {
-                        var,
-                        target,
-                        measured,
-                        attempt,
-                        issued_at: now,
-                    });
-                    emit(
-                        tracer,
-                        now,
-                        me,
-                        EventKind::FetchIssue {
-                            var,
-                            target,
-                            attempt,
-                        },
-                    );
-                    metrics.record_msg(msg.kind(), msg.meta_size(size_model), measured);
-                    metrics.per_site.site_mut(me.index()).sends += 1;
-                    let c = chaos.as_mut().expect("chaos");
-                    let cmds = c.transport.send(me, target, msg, measured);
-                    dispatch_cmds(
-                        me,
-                        cmds,
-                        now,
-                        heap,
-                        channels,
-                        lat_rng,
-                        &mut c.fault_rng,
-                        &c.faults,
-                        metrics,
-                        size_model,
-                        tracer,
-                    );
-                    if let Some(deadline) = durability.fetch_deadline {
-                        heap.push(
-                            now + deadline,
-                            SimEvent::FetchDeadline {
-                                site: me,
-                                var,
-                                attempt,
-                            },
-                        );
-                    }
-                }
-                // Unreachable in practice (the variable was not locally
-                // replicated or the fetch would never have been issued),
-                // but if the protocol can answer locally now, complete.
-                ReadResult::Local(v) => {
-                    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                        let bytes =
-                            stores[me.index()].append(WalRecord::LocalRead { var }, size_model);
-                        emit(tracer, now, me, EventKind::WalAppend { bytes });
-                    }
-                    drivers[me.index()].blocked = None;
-                    if measured {
-                        metrics.record_op(false, true);
-                    }
-                    let writer = v.map(|x| x.writer);
-                    if tracer.enabled() {
-                        emit(tracer, now, me, EventKind::ReadLocal { var, writer });
-                    }
-                    if let Some(h) = history.as_mut() {
-                        h.record_read(me, var, writer, me);
-                    }
-                    schedule_next(me, now, schedule, drivers, heap);
-                }
-            }
+            self.apply_outputs(site);
         }
     }
-}
 
-/// Start quiescing the next queued view change, if none is in flight.
-/// View changes install strictly in plan order; a proposal that arrives
-/// while another is quiescing waits its turn in the FIFO.
-fn propose_next_view(
-    now: SimTime,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    churn: &mut Option<ChurnState>,
-    tracer: &mut dyn Tracer,
-) {
-    let Some(ch) = churn.as_mut() else { return };
-    if ch.pending.is_some() {
-        return;
-    }
-    let Some(idx) = ch.queued.pop_front() else {
-        return;
-    };
-    ch.pending = Some(PendingView {
-        idx,
-        proposed_at: now,
-    });
-    // A fail-stop leave crashes at the *proposal* — the volatile state is
-    // lost the instant the failure happens; the view change only ratifies
-    // the departure at the epoch boundary. (Skipped when a fault-plan
-    // crash already took the site down: its ledger is saved either way.)
-    if let ChurnOp::CrashLeave(s) = ch.plan.events[idx].op {
-        let c = chaos.as_mut().expect("churn requires chaos mode");
-        if c.status[s.index()] == SiteStatus::Up {
-            emit(tracer, now, s, EventKind::Crash);
-            c.status[s.index()] = SiteStatus::Down;
-            let (ledger, _lost_parked) = sites[s.index()].crash_volatile();
-            c.ledgers[s.index()] = Some(ledger);
-            c.transport.crash(s);
-            if let Some(stab) = stability.as_mut() {
-                stab.on_crash(s);
-            }
-        }
-    }
-    heap.push(now, SimEvent::ViewQuiesceCheck { idx });
-}
-
-/// Re-address every blocked remote fetch whose target replica just left
-/// the view (or stopped replicating `only_var`): fail over to the best
-/// candidate under the new placement, or abandon the read as degraded when
-/// no candidate remains.
-#[allow(clippy::too_many_arguments)]
-fn retarget_blocked_fetches(
-    old_target: SiteId,
-    only_var: Option<VarId>,
-    now: SimTime,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    drivers: &mut [AppDriver],
-    schedule: &causal_workload::Schedule,
-    size_model: &SizeModel,
-    durability: &DurabilityPlan,
-    chaos: &mut Option<Chaos>,
-    churn: &ChurnState,
-    tracer: &mut dyn Tracer,
-) {
-    let n = drivers.len();
-    for s in SiteId::all(n) {
-        if chaos.as_ref().expect("churn requires chaos mode").status[s.index()] != SiteStatus::Up {
-            continue; // a crashed reader's recovery re-issues its own fetch
-        }
-        // The attempt bump invalidates any armed fetch-deadline timer.
-        let hit = drivers[s.index()].blocked.as_mut().and_then(|b| {
-            (b.target == old_target && only_var.is_none_or(|v| v == b.var)).then(|| {
-                b.attempt += 1;
-                b.issued_at = now;
-                (b.var, b.measured, b.attempt)
-            })
-        });
-        let Some((var, measured, attempt)) = hit else {
-            continue;
-        };
-        match churn.dynp.fetch_candidates(var, s).first().copied() {
-            Some(next) => {
-                drivers[s.index()]
-                    .blocked
-                    .as_mut()
-                    .expect("hit above")
-                    .target = next;
-                metrics.fetch_failovers += 1;
-                if tracer.enabled() {
-                    emit(tracer, now, s, EventKind::FetchFailover { var, attempt });
-                    emit(
-                        tracer,
-                        now,
-                        s,
-                        EventKind::FetchIssue {
-                            var,
-                            target: next,
-                            attempt,
-                        },
-                    );
-                }
-                let msg = Msg::Fm(Fm { var });
-                metrics.record_msg(msg.kind(), msg.meta_size(size_model), measured);
-                metrics.per_site.site_mut(s.index()).sends += 1;
-                let c = chaos.as_mut().expect("chaos");
-                let cmds = c.transport.send(s, next, msg, measured);
-                dispatch_cmds(
-                    s,
-                    cmds,
-                    now,
-                    heap,
-                    channels,
-                    lat_rng,
-                    &mut c.fault_rng,
-                    &c.faults,
-                    metrics,
-                    size_model,
-                    tracer,
-                );
-                if let Some(deadline) = durability.fetch_deadline {
-                    heap.push(
-                        now + deadline,
-                        SimEvent::FetchDeadline {
-                            site: s,
-                            var,
-                            attempt,
-                        },
-                    );
-                }
-            }
-            None => {
-                // No replica is reachable under the new view: degraded
-                // read, journaled so a WAL replay does not resurrect the
-                // fetch slot.
-                if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                    let bytes =
-                        stores[s.index()].append(WalRecord::FetchAborted { var }, size_model);
-                    emit(tracer, now, s, EventKind::WalAppend { bytes });
-                }
-                sites[s.index()].abort_fetch(var);
-                drivers[s.index()].blocked = None;
-                metrics.degraded_reads += 1;
-                emit(tracer, now, s, EventKind::DegradedRead { var });
-                schedule_next(s, now, schedule, drivers, heap);
-            }
-        }
-    }
-}
-
-/// Install view change `idx`: apply the membership/placement mutation,
-/// run its state transfers, bump the epoch, release held operations, and
-/// start the next queued proposal.
-#[allow(clippy::too_many_arguments)]
-fn install_view(
-    idx: usize,
-    now: SimTime,
-    proposed_at: SimTime,
-    forced: bool,
-    n: usize,
-    q: usize,
-    sites: &mut [Box<dyn ProtocolSite>],
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    history: &mut Option<History>,
-    drivers: &mut [AppDriver],
-    receipt: &mut FxHashMap<(SiteId, WriteId), SimTime>,
-    schedule: &causal_workload::Schedule,
-    size_model: &SizeModel,
-    durability: &DurabilityPlan,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    churn: &mut Option<ChurnState>,
-    tracer: &mut dyn Tracer,
-) {
-    let mut finish_join: Option<SiteId> = None;
-    {
-        let ch = churn.as_mut().expect("install requires a churn plan");
-        let op = ch.plan.events[idx].op;
-        let subject = match op {
-            ChurnOp::Join(s) => {
-                ch.dynp.install_join(s);
-                ch.joining[s.index()] = true;
-                // A join is a recovery from nothing: revive the transport
-                // endpoint, then bootstrap by the digest/pull handshake —
-                // peers renumber their (empty) streams, ship snapshots,
-                // and the collected union becomes the joiner's state.
-                let (inc, expected) = {
-                    let c = chaos.as_mut().expect("churn requires chaos mode");
-                    assert_eq!(
-                        c.status[s.index()],
-                        SiteStatus::Out,
-                        "join of an in-view site (validate should have caught this)"
-                    );
-                    let ledger = sites[s.index()].own_ledger();
-                    let inc = c.transport.revive(s, &ledger);
-                    emit(tracer, now, s, EventKind::Recover { inc });
-                    c.status[s.index()] = SiteStatus::Syncing;
-                    let expected: Vec<SiteId> = SiteId::all(n)
-                        .filter(|p| *p != s && c.status[p.index()] == SiteStatus::Up)
-                        .collect();
-                    c.sync[s.index()] = Some(SyncCollect {
-                        started: now,
-                        inc,
-                        expected: expected.clone(),
-                        via_wal: false,
-                        sources: Vec::new(),
-                    });
-                    for peer in SiteId::all(n) {
-                        if peer == s || c.status[peer.index()] == SiteStatus::Out {
-                            continue;
-                        }
-                        let req = Frame::SyncReq {
-                            inc,
-                            ledger: ledger.clone(),
-                            applied: None,
-                        };
-                        metrics.sync_count += 1;
-                        metrics.sync_bytes += req.overhead(size_model);
-                        emit(tracer, now, s, EventKind::SyncReq { to: peer });
-                        let at = channels.delivery_time(s, peer, now, lat_rng);
-                        heap.push(
-                            at,
-                            SimEvent::DeliverFrame {
-                                from: s,
-                                to: peer,
-                                frame: Box::new(req),
-                                measured: false,
-                                sent_at: now,
-                            },
-                        );
-                    }
-                    (inc, expected)
-                };
-                // Seed the joiner's per-origin delivery state from every
-                // live peer's ledger: writes up to a peer's current clock
-                // were multicast to the *old* view and will never arrive on
-                // the joiner's fresh channels, while everything after this
-                // install is addressed to it and arrives contiguously.
-                // Without the seed, count/FIFO predicates (Opt-Track-CRP)
-                // park every post-join write behind pre-join tuples the
-                // joiner can never receive.
-                for peer in &expected {
-                    let ledger = sites[peer.index()].own_ledger();
-                    let (eff, _) = sites[s.index()].note_peer_recovery(*peer, &ledger);
-                    debug_assert!(eff.is_empty(), "a fresh joiner has nothing parked");
-                }
-                // The joiner's stability row seeds at today's issued clocks:
-                // pre-join writes were multicast to the old view and reach it
-                // (if at all) only through the bootstrap snapshots, never as
-                // individual applies.
-                if let Some(stab) = stability.as_mut() {
-                    stab.add_member(s);
-                }
-                heap.push(now + SYNC_DEADLINE, SimEvent::SyncTimeout { site: s, inc });
-                // Arm the joiner's first workload operation; it is held
-                // while the bootstrap runs and replayed at completion.
-                schedule_next(s, now, schedule, drivers, heap);
-                metrics.joins += 1;
-                if expected.is_empty() {
-                    finish_join = Some(s);
-                }
-                s
-            }
-            ChurnOp::Leave(s) | ChurnOp::CrashLeave(s) => {
-                let crashed = matches!(op, ChurnOp::CrashLeave(_));
-                // The departure ledger survivors fast-forward past: the
-                // durable one saved at the crash, or the live one drained
-                // at the epoch boundary for a graceful leave.
-                let ledger = {
-                    let c = chaos.as_mut().expect("churn requires chaos mode");
-                    if crashed || c.status[s.index()] != SiteStatus::Up {
-                        c.ledgers[s.index()].clone().expect("ledger saved at crash")
-                    } else {
-                        sites[s.index()].own_ledger()
-                    }
-                };
-                // The checker must not demand deliveries at the departed
-                // site past this point.
-                if let Some(h) = history.as_mut() {
-                    h.seal_site(s);
-                }
-                // Re-home every variable whose replica set would empty,
-                // *before* the member list shrinks: a graceful leaver
-                // donates its copy; a crashed one cannot (degraded).
-                let members_after = {
-                    let mut m = ch.dynp.members();
-                    m.remove(s);
-                    m
-                };
-                for var in VarId::all(q) {
-                    let raw = ch.dynp.raw_replicas(var);
-                    if !raw.contains(s) || !raw.intersect(&members_after).is_empty() {
-                        continue;
-                    }
-                    let target = {
-                        let c = chaos.as_ref().expect("chaos");
-                        members_after
-                            .iter()
-                            .find(|m| c.status[m.index()] == SiteStatus::Up)
-                            .or_else(|| members_after.iter().next())
-                            .expect("a view never empties")
-                    };
-                    if !crashed {
-                        let state = sites[s.index()].export_sync(target).retain_vars(&[var]);
-                        let bytes = state.meta_size(size_model);
-                        // Pure max-merge: installing into a live site only
-                        // adds knowledge, never rolls anything back.
-                        sites[target.index()].install_sync(&[(s, PeerAckInfo::default(), state)]);
-                        metrics.churn_transfer_bytes += bytes;
-                        if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                            let b = stores[target.index()]
-                                .take_checkpoint(sites[target.index()].as_ref(), size_model);
-                            emit(tracer, now, target, EventKind::Checkpoint { bytes: b });
-                        }
-                    } else {
-                        metrics.churn_transfers_degraded += 1;
-                    }
-                    ch.dynp.install_override(var, DestSet::from_sites([target]));
-                }
-                ch.dynp.install_leave(s);
-                {
-                    let c = chaos.as_mut().expect("chaos");
-                    c.status[s.index()] = SiteStatus::Out;
-                    c.held[s.index()].clear();
-                    c.sync[s.index()] = None;
-                    // Kills survivors' retransmission timers toward the
-                    // departed site — there is no future incarnation to
-                    // renumber their backlog for.
-                    c.transport.forget(s);
-                }
-                drivers[s.index()].blocked = None;
-                // Survivors prune their causal metadata of the departed
-                // site — journaled first, so a later WAL replay re-drives
-                // the same pruning. Syncing sites are deliberately
-                // skipped: a joiner mid-bootstrap waiting on the leaver
-                // times out into a degraded transfer instead.
-                for m in SiteId::all(n) {
-                    if m == s || chaos.as_ref().expect("chaos").status[m.index()] != SiteStatus::Up
-                    {
-                        continue;
-                    }
-                    if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                        let bytes = stores[m.index()].append(
-                            WalRecord::PeerDeparted {
-                                peer: s,
-                                ledger: ledger.clone(),
-                            },
-                            size_model,
-                        );
-                        emit(tracer, now, m, EventKind::WalAppend { bytes });
-                    }
-                    let (effects, _dropped) = sites[m.index()].note_peer_departed(s, &ledger);
-                    // Departure fast-forward: control path, unbatched.
-                    process_effects(
-                        m, effects, false, now, schedule, heap, channels, lat_rng, metrics,
-                        history, drivers, receipt, size_model, stability, chaos, &mut None, tracer,
-                    );
-                    drain_proto(sites[m.index()].as_mut(), m, now, tracer);
-                }
-                // Drop the leaver's column from the frontier minimum and
-                // settle survivors past its final clock — its undelivered
-                // updates were just fast-forwarded, not applied.
-                if let Some(stab) = stability.as_mut() {
-                    stab.remove_member(s, ledger.own_clock);
-                }
-                retarget_blocked_fetches(
-                    s, None, now, sites, heap, channels, lat_rng, metrics, drivers, schedule,
-                    size_model, durability, chaos, &*ch, tracer,
-                );
-                metrics.leaves += 1;
-                s
-            }
-            ChurnOp::Migrate { var, from, to } => {
-                if ch.dynp.base().is_full() {
-                    // Under full replication every member already holds
-                    // `var`, and the count-based delivery predicates
-                    // (Full-Track's expected-count, CRP's per-sender FIFO
-                    // contiguity) assume full fan-out: shrinking the
-                    // destination set would starve them. The migration is
-                    // an epoch bump and nothing else.
-                } else {
-                    let raw = ch.dynp.raw_replicas(var);
-                    if !raw.contains(to) {
-                        // Seed the new replica with a one-variable state
-                        // transfer, preferring the vacated replica as
-                        // donor and failing over to any live one.
-                        let donor = {
-                            let c = chaos.as_ref().expect("chaos");
-                            if c.status[to.index()] != SiteStatus::Up {
-                                None
-                            } else if raw.contains(from) && c.status[from.index()] == SiteStatus::Up
-                            {
-                                Some(from)
-                            } else {
-                                let live = raw.intersect(&ch.dynp.members());
-                                let d = live
-                                    .iter()
-                                    .find(|d| *d != to && c.status[d.index()] == SiteStatus::Up);
-                                d
-                            }
-                        };
-                        match donor {
-                            Some(d) => {
-                                let state = sites[d.index()].export_sync(to).retain_vars(&[var]);
-                                let bytes = state.meta_size(size_model);
-                                sites[to.index()].install_sync(&[(
-                                    d,
-                                    PeerAckInfo::default(),
-                                    state,
-                                )]);
-                                metrics.churn_transfer_bytes += bytes;
-                                if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut())
-                                {
-                                    let b = stores[to.index()]
-                                        .take_checkpoint(sites[to.index()].as_ref(), size_model);
-                                    emit(tracer, now, to, EventKind::Checkpoint { bytes: b });
-                                }
-                            }
-                            None => metrics.churn_transfers_degraded += 1,
-                        }
-                    }
-                    let mut replicas = raw;
-                    let vacated = replicas.remove(from);
-                    replicas.insert(to);
-                    ch.dynp.install_override(var, replicas);
-                    if vacated
-                        && chaos.as_ref().expect("chaos").status[from.index()] == SiteStatus::Up
-                    {
-                        sites[from.index()].drop_var(var);
-                        if let Some(stores) = chaos.as_mut().and_then(|c| c.stores.as_mut()) {
-                            let b = stores[from.index()]
-                                .take_checkpoint(sites[from.index()].as_ref(), size_model);
-                            emit(tracer, now, from, EventKind::Checkpoint { bytes: b });
-                        }
-                        // A fetch already addressed to the vacated replica
-                        // would find the variable dropped: re-aim it.
-                        retarget_blocked_fetches(
-                            from,
-                            Some(var),
-                            now,
-                            sites,
-                            heap,
-                            channels,
-                            lat_rng,
-                            metrics,
-                            drivers,
-                            schedule,
-                            size_model,
-                            durability,
-                            chaos,
-                            &*ch,
-                            tracer,
-                        );
-                    }
-                }
-                metrics.migrations += 1;
-                to
-            }
-        };
-        metrics.view_changes += 1;
-        metrics
-            .view_change_ns
-            .record((now - proposed_at).as_nanos() as f64);
-        emit(
-            tracer,
-            now,
-            subject,
-            EventKind::ViewChange {
-                epoch: ch.dynp.epoch(),
-                forced: forced as u64,
+    /// The driver just (re)issued `site`'s fetch: ship what it queued,
+    /// trace the attempt and arm its deadline.
+    fn fetch_issued(&mut self, site: SiteId) {
+        self.apply_outputs(site);
+        let f = *self.sites[site.index()].fetch().expect("fetch just issued");
+        let (var, attempt) = (f.var, f.attempt);
+        self.emit(
+            site,
+            EventKind::FetchIssue {
+                var,
+                target: f.target,
+                attempt,
             },
         );
-        ch.pending = None;
-        // Release the operations held during quiescence in their original
-        // order (same-time heap ties break by insertion sequence).
-        for ev in std::mem::take(&mut ch.view_held) {
-            heap.push(now, ev);
+        if let (Some(_), Some(deadline)) = (&self.chaos, self.cfg.durability.fetch_deadline) {
+            self.heap.push(
+                self.now + deadline,
+                SimEvent::FetchDeadline { site, var, attempt },
+            );
         }
     }
-    if let Some(s) = finish_join {
-        // Single-member (or fully-crashed) view: nothing to wait for.
-        finish_recovery(
-            s, now, sites, heap, channels, lat_rng, metrics, history, drivers, schedule,
-            size_model, durability, stability, chaos, churn, tracer,
-        );
-    }
-    propose_next_view(now, sites, heap, stability, chaos, churn, tracer);
-}
 
-/// Ship one drained destination lane. A single parked update goes out as a
-/// plain [`Msg::Sm`] with exact unbatched accounting (batching that never
-/// amortizes anything must not *cost* anything either); two or more become
-/// one [`Msg::Batch`] frame charged the merged-piggyback size, with the
-/// saving against per-SM frames recorded in the batching counters.
-#[allow(clippy::too_many_arguments)]
-fn flush_lane(
-    from: SiteId,
-    to: SiteId,
-    items: Vec<PendingSm>,
-    now: SimTime,
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    size_model: &SizeModel,
-    chaos: &mut Option<Chaos>,
-    tracer: &mut dyn Tracer,
-) {
-    debug_assert!(!items.is_empty(), "a drained lane is never empty");
-    for p in &items {
-        metrics.sm_entries.record(p.sm.meta.entry_count() as f64);
+    /// Re-address `site`'s blocked fetch to `next` as a counted failover.
+    fn fail_over(&mut self, site: SiteId, next: SiteId) {
+        let d = &mut self.sites[site.index()];
+        let var = d.fetch().expect("failover of a blocked fetch").var;
+        let attempt = d.retarget_fetch(self.now.as_nanos(), next, &mut self.out);
+        self.metrics.fetch_failovers += 1;
+        self.emit(site, EventKind::FetchFailover { var, attempt });
+        self.fetch_issued(site);
     }
-    let (msg, frame_bytes, measured) = if items.len() == 1 {
-        let p = items.into_iter().next().expect("len checked");
-        (Msg::Sm(p.sm), p.full_bytes, p.measured)
-    } else {
-        let unbatched: u64 = items.iter().map(|p| p.full_bytes).sum();
-        let measured = items.iter().any(|p| p.measured);
-        let batch = causal_proto::SmBatch {
-            sms: items
-                .into_iter()
-                .map(|p| causal_proto::BatchedSm {
-                    sm: p.sm,
-                    measured: p.measured,
-                })
-                .collect(),
+
+    /// Degraded read: give up rather than hang. The protocol releases its
+    /// fetch slot (journaled, so a WAL replay does not resurrect it); no
+    /// history record is written since the operation returned no value.
+    fn degrade_read(&mut self, site: SiteId, var: VarId) {
+        self.journal(site, WalRecord::FetchAborted { var });
+        self.sites[site.index()].abort_fetch();
+        self.metrics.degraded_reads += 1;
+        self.emit(site, EventKind::DegradedRead { var });
+        self.schedule_next(site);
+    }
+
+    fn on_fetch_deadline(&mut self, site: SiteId, var: VarId, attempt: u32) {
+        // Stale timer: the read completed, or a failover / crash-recovery
+        // re-issue already bumped the attempt. And a reader that itself
+        // crashed while blocked re-issues (and re-arms) at its recovery.
+        let fetch = self.sites[site.index()].fetch();
+        let live = fetch.is_some_and(|f| f.var == var && f.attempt == attempt);
+        if !live || self.status(site) != SiteStatus::Up {
+            return;
+        }
+        // View-aware failover: under churn the candidate walk must skip
+        // departed members and honor installed migrations.
+        let candidates = match self.churn.as_ref() {
+            Some(ch) => ch.dynp.fetch_candidates(var, site),
+            None => self.cfg.placement.fetch_candidates(var, site),
         };
-        let count = batch.len() as u64;
-        let msg = Msg::Batch(Arc::new(batch));
-        let bytes = msg.meta_size(size_model);
-        metrics.batch_flushes += 1;
-        metrics.batched_sms += count;
-        metrics.batch_bytes_saved += unbatched.saturating_sub(bytes);
-        (msg, bytes, measured)
-    };
-    metrics.record_msg(msg.kind(), frame_bytes, measured);
-    metrics.per_site.site_mut(from.index()).sends += 1;
-    if tracer.enabled() {
-        // One send event per parked update, with the frame's bytes
-        // amortized over them (remainder on the first), so per-site byte
-        // sums over a trace match the metrics.
-        let inner: Vec<WriteId> = match &msg {
-            Msg::Batch(b) => b.sms.iter().map(|bs| bs.sm.value.writer).collect(),
-            Msg::Sm(sm) => vec![sm.value.writer],
-            _ => unreachable!("lanes hold SMs only"),
-        };
-        let share = frame_bytes / inner.len() as u64;
-        let mut first = frame_bytes - share * (inner.len() as u64 - 1);
-        for writer in inner {
-            emit(
-                tracer,
-                now,
-                from,
-                EventKind::Send {
-                    to,
-                    kind: msg.kind(),
-                    bytes: first,
-                    writer: Some(writer),
-                },
-            );
-            first = share;
+        if attempt + 1 >= 2 * candidates.len() as u32 {
+            self.degrade_read(site, var);
+        } else {
+            // The next candidate replica in ring-preference order, cycling.
+            self.fail_over(site, candidates[(attempt as usize + 1) % candidates.len()]);
         }
     }
-    match chaos.as_mut() {
-        Some(c) => {
-            let cmds = c.transport.send(from, to, msg, measured);
-            dispatch_cmds(
-                from,
-                cmds,
-                now,
-                heap,
-                channels,
-                lat_rng,
-                &mut c.fault_rng,
-                &c.faults,
-                metrics,
-                size_model,
-                tracer,
-            );
-        }
-        None => {
-            let at = channels.delivery_time(from, to, now, lat_rng);
-            heap.push(
-                at,
-                SimEvent::Deliver {
-                    from,
-                    to,
+
+    fn on_lane_timer(&mut self, from: SiteId, to: SiteId, epoch: u64) {
+        self.sites[from.index()].on_lane_timer(to, epoch, &mut self.out);
+        self.apply_outputs(from);
+    }
+
+    /// Turn what `site`'s driver produced into channel traffic, heap
+    /// events, metrics, history records and trace events, in order.
+    fn apply_outputs(&mut self, site: SiteId) {
+        let mut out = std::mem::take(&mut self.out);
+        for o in out.drain(..) {
+            match o {
+                Output::Send {
+                    dsts,
                     msg,
                     measured,
-                    sent_at: now,
-                },
-            );
-        }
-    }
-}
-
-/// Unbatch-on-deliver: expand a batch frame into its per-update messages
-/// (original piggybacks, original order, per-update warm-up attribution);
-/// a plain message passes through untouched. The receiving protocol sees
-/// exactly the deliveries it would have seen without batching, so every
-/// delivery predicate — and the checker — observes the same execution.
-fn unbatch(msg: Msg, measured: bool) -> Vec<(Msg, bool)> {
-    match msg {
-        Msg::Batch(b) => b
-            .sms
-            .iter()
-            .map(|bs| (Msg::Sm(bs.sm.clone()), bs.measured))
-            .collect(),
-        m => vec![(m, measured)],
-    }
-}
-
-/// True when two SM metas share the same `Arc`'d snapshot (one multicast's
-/// fan-out). Pointer equality implies value equality; distinct writes always
-/// carry distinct allocations, so this never conflates different snapshots.
-fn sm_meta_shares_snapshot(a: &SmMeta, b: &SmMeta) -> bool {
-    match (a, b) {
-        (SmMeta::FullTrack { write: x }, SmMeta::FullTrack { write: y }) => Arc::ptr_eq(x, y),
-        (SmMeta::OptTrack { log: x, .. }, SmMeta::OptTrack { log: y, .. }) => Arc::ptr_eq(x, y),
-        (SmMeta::Crp { log: x, .. }, SmMeta::Crp { log: y, .. }) => Arc::ptr_eq(x, y),
-        (SmMeta::OptP { write: x }, SmMeta::OptP { write: y }) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_effects(
-    origin: SiteId,
-    effects: Vec<Effect>,
-    measured: bool,
-    now: SimTime,
-    schedule: &causal_workload::Schedule,
-    heap: &mut EventHeap,
-    channels: &mut ChannelMatrix,
-    lat_rng: &mut StdRng,
-    metrics: &mut RunMetrics,
-    history: &mut Option<History>,
-    drivers: &mut [AppDriver],
-    receipt: &mut FxHashMap<(SiteId, WriteId), SimTime>,
-    size_model: &SizeModel,
-    stability: &mut Option<StabilityState>,
-    chaos: &mut Option<Chaos>,
-    batch: &mut Option<BatchState>,
-    tracer: &mut dyn Tracer,
-) {
-    // A multicast write fans out one `Effect::Send` per destination, all
-    // sharing the same `Arc`'d piggyback snapshot. Sizing the piggyback is
-    // `O(entries)`, so memoize it per distinct snapshot: the fan-out is
-    // sized once instead of once per destination.
-    let mut meta_memo: Option<(SmMeta, u64)> = None;
-    for e in effects {
-        match e {
-            Effect::Send { to, msg } => {
-                let size = match &msg {
-                    Msg::Sm(sm) => match &meta_memo {
-                        Some((cached, sz)) if sm_meta_shares_snapshot(cached, &sm.meta) => *sz,
-                        _ => {
-                            let sz = msg.meta_size(size_model);
-                            meta_memo = Some((sm.meta.clone(), sz));
-                            sz
+                    bytes,
+                    saved,
+                } => {
+                    if let Msg::Batch(b) = &msg {
+                        self.metrics.record_batch_flush(b.len() as u64, saved);
+                    }
+                    // Every destination but the last gets a clone (a
+                    // refcount bump of the shared piggyback); the last
+                    // takes the message itself.
+                    let mut dsts = dsts.iter().peekable();
+                    while let Some(to) = dsts.next() {
+                        self.metrics
+                            .record_send(site.index(), msg.kind(), bytes, measured);
+                        let entries = &mut self.metrics.sm_entries;
+                        msg.sms()
+                            .for_each(|sm| entries.record(sm.meta.entry_count() as f64));
+                        self.trace_send(site, to, &msg, bytes);
+                        if dsts.peek().is_none() {
+                            self.transmit(site, to, msg, measured);
+                            break;
                         }
-                    },
-                    _ => msg.meta_size(size_model),
-                };
-                // Batching intercepts SM sends before any accounting: the
-                // update parks in the sender's lane toward `to`, and the
-                // bytes/trace/entry bookkeeping happens at flush time with
-                // the whole lane in hand. FMs and RMs (the read fast path)
-                // are never delayed — but before one departs, the lane
-                // toward the same destination flushes: the protocols'
-                // metadata-pruning rules assume per-channel FIFO order, so
-                // no message may overtake an earlier parked update on its
-                // channel (and a fetch must observe the fetcher's own
-                // in-flight writes).
-                if let Some(b) = batch.as_mut() {
-                    if matches!(msg, Msg::Sm(_)) {
-                        let Msg::Sm(sm) = msg else { unreachable!() };
-                        let pending = PendingSm {
-                            sm,
-                            measured,
-                            full_bytes: size,
-                        };
-                        match b.batchers[origin.index()].offer(to, pending, size) {
-                            Offer::First { epoch } => heap.push(
-                                now + b.plan.window,
-                                SimEvent::BatchFlush {
-                                    from: origin,
-                                    to,
-                                    epoch,
-                                },
-                            ),
-                            Offer::Queued => {}
-                            Offer::Flush(items) => flush_lane(
-                                origin, to, items, now, heap, channels, lat_rng, metrics,
-                                size_model, chaos, tracer,
-                            ),
+                        self.transmit(site, to, msg.clone(), measured);
+                    }
+                }
+                Output::ArmLaneTimer { to, epoch } => {
+                    let window = self.cfg.batching.expect("lanes imply a plan").window;
+                    let from = site;
+                    self.heap
+                        .push(self.now + window, SimEvent::BatchFlush { from, to, epoch });
+                }
+                Output::Applied {
+                    var,
+                    write,
+                    dwell_ns,
+                } => {
+                    self.metrics.record_apply(site.index(), dwell_ns);
+                    if let Some(stab) = self.stability.as_mut() {
+                        stab.applied(site, write);
+                    }
+                    // After a crash a site re-applies redelivered updates
+                    // it already recorded before losing state; the history
+                    // (and the trace) keep each apply once.
+                    let seen = self.chaos.as_mut().map(|c| &mut c.applied_seen);
+                    if seen.is_none_or(|s| s.insert((site, write))) {
+                        if let Some(h) = self.history.as_mut() {
+                            h.record_apply(site, write);
                         }
-                        continue;
-                    }
-                    if let Some(items) = b.batchers[origin.index()].flush_dest(to) {
-                        flush_lane(
-                            origin, to, items, now, heap, channels, lat_rng, metrics, size_model,
-                            chaos, tracer,
-                        );
-                    }
-                }
-                metrics.record_msg(msg.kind(), size, measured);
-                metrics.per_site.site_mut(origin.index()).sends += 1;
-                if let Msg::Sm(sm) = &msg {
-                    metrics.sm_entries.record(sm.meta.entry_count() as f64);
-                }
-                if tracer.enabled() {
-                    let writer = match &msg {
-                        Msg::Sm(sm) => Some(sm.value.writer),
-                        _ => None,
-                    };
-                    emit(
-                        tracer,
-                        now,
-                        origin,
-                        EventKind::Send {
-                            to,
-                            kind: msg.kind(),
-                            bytes: size,
-                            writer,
-                        },
-                    );
-                }
-                match chaos.as_mut() {
-                    Some(c) => {
-                        let cmds = c.transport.send(origin, to, msg, measured);
-                        dispatch_cmds(
-                            origin,
-                            cmds,
-                            now,
-                            heap,
-                            channels,
-                            lat_rng,
-                            &mut c.fault_rng,
-                            &c.faults,
-                            metrics,
-                            size_model,
-                            tracer,
-                        );
-                    }
-                    None => {
-                        let at = channels.delivery_time(origin, to, now, lat_rng);
-                        heap.push(
-                            at,
-                            SimEvent::Deliver {
-                                from: origin,
-                                to,
-                                msg,
-                                measured,
-                                sent_at: now,
-                            },
-                        );
-                    }
-                }
-            }
-            Effect::Applied { var, write } => {
-                metrics.applies += 1;
-                metrics.per_site.site_mut(origin.index()).applies += 1;
-                if let Some(stab) = stability.as_mut() {
-                    stab.applied(origin, write);
-                }
-                // Own-write applies have no receipt; only received updates
-                // contribute to the apply-latency (dwell) statistic.
-                let mut dwell_ns = 0u64;
-                if let Some(t0) = receipt.remove(&(origin, write)) {
-                    dwell_ns = (now - t0).as_nanos();
-                    metrics.record_apply_latency(dwell_ns as f64);
-                    metrics
-                        .per_site
-                        .site_mut(origin.index())
-                        .record_dwell(dwell_ns as f64);
-                }
-                // After a crash a site re-applies redelivered updates it
-                // already recorded before losing state; the history must
-                // keep each apply once.
-                let first_apply = chaos
-                    .as_mut()
-                    .is_none_or(|c| c.applied_seen.insert((origin, write)));
-                if first_apply {
-                    if let Some(h) = history.as_mut() {
-                        h.record_apply(origin, write);
-                    }
-                    if tracer.enabled() {
-                        emit(
-                            tracer,
-                            now,
-                            origin,
+                        self.emit(
+                            site,
                             EventKind::Apply {
                                 origin: write.site,
                                 clock: write.clock,
                                 var,
-                                dwell_ns,
+                                dwell_ns: dwell_ns.unwrap_or(0),
                             },
                         );
                     }
                 }
+                Output::ReadDone {
+                    var,
+                    writer,
+                    served_by,
+                    rtt_ns,
+                    measured,
+                } => {
+                    match rtt_ns {
+                        Some(rtt_ns) => {
+                            self.metrics.record_fetch_rtt(site.index(), rtt_ns as f64);
+                            self.emit(
+                                site,
+                                EventKind::FetchDone {
+                                    var,
+                                    served_by,
+                                    rtt_ns,
+                                    writer,
+                                },
+                            );
+                        }
+                        None => {
+                            self.journal(site, WalRecord::LocalRead { var });
+                            self.emit(site, EventKind::ReadLocal { var, writer });
+                        }
+                    }
+                    if measured {
+                        self.metrics.record_op(false, rtt_ns.is_some());
+                    }
+                    if let Some(h) = self.history.as_mut() {
+                        h.record_read(site, var, writer, served_by);
+                    }
+                    // The application subsystem resumes: its next op fires
+                    // at the later of its planned time and this return.
+                    self.schedule_next(site);
+                }
             }
-            Effect::FetchDone { var, value } => {
-                let matches_blocked = drivers[origin.index()]
-                    .blocked
-                    .as_ref()
-                    .is_some_and(|b| b.var == var);
-                if !matches_blocked {
-                    // Duplicate RM from a fetch re-issued across a crash;
-                    // impossible on the lossless path.
-                    assert!(chaos.is_some(), "FetchDone without an outstanding fetch");
-                    continue;
+        }
+        self.out = out;
+    }
+
+    /// One `Send` trace event per update the message carries (an RM counts
+    /// as one, without a writer), the frame's bytes amortized over them
+    /// with the remainder on the first, so per-site byte sums over a trace
+    /// match the metrics. An FM is traced as the fetch attempt it belongs
+    /// to instead.
+    fn trace_send(&mut self, from: SiteId, to: SiteId, msg: &Msg, bytes: u64) {
+        if !self.tracer.enabled() || matches!(msg, Msg::Fm(_)) {
+            return;
+        }
+        let mut writers: Vec<_> = msg.sms().map(|sm| Some(sm.value.writer)).collect();
+        if writers.is_empty() {
+            writers.push(None);
+        }
+        let share = bytes / writers.len() as u64;
+        let mut bytes = bytes - share * (writers.len() as u64 - 1);
+        let kind = msg.kind();
+        for writer in writers {
+            self.emit(
+                from,
+                EventKind::Send {
+                    to,
+                    kind,
+                    bytes,
+                    writer,
+                },
+            );
+            bytes = share;
+        }
+    }
+
+    /// Put `msg` on the `from → to` channel: through the reliable
+    /// transport when the run is chaotic, otherwise straight onto the
+    /// lossless FIFO channel.
+    fn transmit(&mut self, from: SiteId, to: SiteId, msg: Msg, measured: bool) {
+        match self.chaos.as_mut() {
+            Some(c) => {
+                let cmds = c.transport.send(from, to, msg, measured);
+                self.dispatch_cmds(from, cmds);
+            }
+            None => {
+                let at = self
+                    .channels
+                    .delivery_time(from, to, self.now, &mut self.lat_rng);
+                let sent_at = self.now;
+                self.heap.push(
+                    at,
+                    SimEvent::Deliver {
+                        from,
+                        to,
+                        msg,
+                        measured,
+                        sent_at,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Put a transport or sync frame on the wire, no questions asked.
+    fn send_frame(&mut self, from: SiteId, to: SiteId, frame: Frame, measured: bool) {
+        let at = self
+            .channels
+            .delivery_time(from, to, self.now, &mut self.lat_rng);
+        self.heap.push(
+            at,
+            SimEvent::DeliverFrame {
+                from,
+                to,
+                frame: Box::new(frame),
+                measured,
+                sent_at: self.now,
+            },
+        );
+    }
+
+    /// Interpret transport commands: put frames on the (lossy) wire, arm
+    /// retransmission timers, and collect in-order handoffs for the caller
+    /// to feed into the receiving protocol site.
+    fn dispatch_cmds(&mut self, origin: SiteId, cmds: Vec<TransportCmd>) -> Vec<(Msg, bool)> {
+        let mut handoffs = Vec::new();
+        for cmd in cmds {
+            match cmd {
+                TransportCmd::Emit {
+                    to,
+                    frame,
+                    measured,
+                    retransmit,
+                } => {
+                    let overhead = frame.overhead(&self.cfg.size_model);
+                    match &frame {
+                        Frame::Ack { .. } => {
+                            self.metrics.ack_count += 1;
+                            self.metrics.ack_bytes += overhead;
+                        }
+                        Frame::Data { seq, .. } => {
+                            self.metrics.envelope_bytes += overhead;
+                            if retransmit {
+                                self.metrics.retransmissions += 1;
+                                self.metrics.per_site.site_mut(origin.index()).retransmits += 1;
+                                self.emit(origin, EventKind::Retransmit { to, seq: *seq });
+                            }
+                        }
+                        sync => unreachable!("transport never emits sync frames: {sync:?}"),
+                    }
+                    let c = self.chaos.as_mut().expect("transport implies chaos mode");
+                    if c.faults.should_drop(origin, to, self.now, &mut c.fault_rng) {
+                        self.metrics.fault_drops += 1;
+                        continue;
+                    }
+                    if c.faults.should_dup(origin, to, &mut c.fault_rng) {
+                        self.metrics.fault_dups += 1;
+                        self.send_frame(origin, to, frame.clone(), measured);
+                    }
+                    self.send_frame(origin, to, frame, measured);
                 }
-                let blocked = drivers[origin.index()]
-                    .blocked
-                    .take()
-                    .expect("checked above");
-                let rtt_ns = (now - blocked.issued_at).as_nanos();
-                metrics.record_fetch_rtt(origin.index(), rtt_ns as f64);
-                if blocked.measured {
-                    metrics.record_op(false, true);
-                }
-                let writer = value.map(|x| x.writer);
-                if tracer.enabled() {
-                    emit(
-                        tracer,
-                        now,
-                        origin,
-                        EventKind::FetchDone {
-                            var,
-                            served_by: blocked.target,
-                            rtt_ns,
-                            writer,
+                TransportCmd::Arm {
+                    to,
+                    stream_gen,
+                    seq,
+                    attempt,
+                    after,
+                } => {
+                    // `attempt == 1` is the initial RTO timer armed with
+                    // every send; only re-arms after a retransmission are
+                    // backoffs.
+                    if attempt > 1 {
+                        self.emit(
+                            origin,
+                            EventKind::Backoff {
+                                to,
+                                seq,
+                                attempt,
+                                after_ns: after.as_nanos(),
+                            },
+                        );
+                    }
+                    self.heap.push(
+                        self.now + after,
+                        SimEvent::RetransmitCheck {
+                            from: origin,
+                            to,
+                            epoch: stream_gen,
+                            seq,
+                            attempt,
                         },
                     );
                 }
-                if let Some(h) = history.as_mut() {
-                    h.record_read(origin, var, writer, blocked.target);
-                }
-                // The application subsystem resumes: its next op fires at
-                // the later of its planned time and the fetch return.
-                schedule_next(origin, now, schedule, drivers, heap);
+                TransportCmd::Handoff { msg, measured } => handoffs.push((msg, measured)),
             }
+        }
+        handoffs
+    }
+
+    fn on_retransmit_check(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        epoch: u32,
+        seq: u64,
+        attempt: u32,
+    ) {
+        let c = self.chaos.as_mut().expect("timers require chaos mode");
+        let cmds = c.transport.retransmit_check(from, to, epoch, seq, attempt);
+        self.dispatch_cmds(from, cmds);
+    }
+
+    fn on_deliver(&mut self, from: SiteId, to: SiteId, msg: Msg, measured: bool, sent_at: SimTime) {
+        self.metrics
+            .transit_ns
+            .record((self.now - sent_at).as_nanos() as f64);
+        SiteDriver::unbatch(msg, measured, |msg, measured| {
+            self.deliver_one(from, to, msg, measured)
+        });
+    }
+
+    fn on_deliver_frame(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        frame: Box<Frame>,
+        measured: bool,
+        sent_at: SimTime,
+    ) {
+        // Liveness gate: a down site loses arriving traffic; a syncing
+        // site buffers data until its state is rebuilt but must process
+        // the sync handshake itself.
+        let c = self.chaos.as_mut().expect("frames require chaos mode");
+        match c.status[to.index()] {
+            SiteStatus::Down | SiteStatus::Out => {
+                self.metrics.crash_drops += 1;
+                return;
+            }
+            SiteStatus::Syncing if !frame.is_sync() => {
+                return c.held[to.index()].push(SimEvent::DeliverFrame {
+                    from,
+                    to,
+                    frame,
+                    measured,
+                    sent_at,
+                });
+            }
+            _ => {}
+        }
+        match *frame {
+            Frame::SyncReq {
+                inc,
+                ledger,
+                applied,
+            } => self.handle_sync_req(to, from, inc, &ledger, applied),
+            Frame::SyncResp { inc, ack, state } => self.handle_sync_resp(to, from, inc, ack, state),
+            data_or_ack => {
+                if matches!(data_or_ack, Frame::Data { .. }) {
+                    self.metrics
+                        .transit_ns
+                        .record((self.now - sent_at).as_nanos() as f64);
+                }
+                let cmds = c
+                    .transport
+                    .on_frame(to, from, data_or_ack, measured, &mut self.metrics);
+                for (msg, measured) in self.dispatch_cmds(to, cmds) {
+                    SiteDriver::unbatch(msg, measured, |msg, measured| {
+                        self.deliver_one(from, to, msg, measured)
+                    });
+                }
+            }
+        }
+    }
+
+    /// Hand one unbatched message to `to`'s driver, with the bookkeeping
+    /// every delivery gets.
+    fn deliver_one(&mut self, from: SiteId, to: SiteId, msg: Msg, measured: bool) {
+        let i = to.index();
+        if !self.sites[i].accepts(&msg) {
+            self.metrics.dup_drops += 1;
+            return;
+        }
+        // WAL mode: a replayed site has already counted the transport's
+        // redelivered updates, and every delivery it does take is
+        // journaled before the protocol sees it.
+        if let Some(stores) = self.chaos.as_mut().and_then(|c| c.stores.as_mut()) {
+            if stores[i].already_seen(&msg) {
+                self.metrics.dup_drops += 1;
+                return;
+            }
+            let msg = msg.clone();
+            self.journal(to, WalRecord::Recv { from, msg });
+        }
+        let writer = match &msg {
+            Msg::Sm(sm) => Some(sm.value.writer),
+            _ => None,
+        };
+        // Every app message piggybacks the sender's delivery row; an
+        // arriving update also arms the stuck-buffer watchdog (its apply
+        // disarms it).
+        if let Some(stab) = self.stability.as_mut() {
+            stab.on_deliver(from, to);
+            if let Some(w) = writer {
+                stab.note_receipt(to, w, self.now);
+            }
+        }
+        let kind = msg.kind();
+        self.emit(to, EventKind::Deliver { from, kind, writer });
+        let now = self.now.as_nanos();
+        let d = self.sites[i].on_message(now, from, msg, measured, &mut self.out);
+        self.apply_outputs(to);
+        self.metrics.record_delivery(i, d.buffered, d.pending);
+        self.drain_proto(to);
+    }
+
+    /// Run the effects of a recovery or membership fast-forward at `site`
+    /// (parked updates draining; unmeasured).
+    fn absorb(&mut self, site: SiteId, effects: Vec<Effect>) {
+        let now = self.now.as_nanos();
+        self.sites[site.index()].route(now, effects, false, &mut self.out);
+        self.apply_outputs(site);
+        self.drain_proto(site);
+    }
+
+    /// Append `rec` to `site`'s write-ahead log, when the run has one.
+    fn journal(&mut self, site: SiteId, rec: WalRecord) {
+        if let Some(stores) = self.chaos.as_mut().and_then(|c| c.stores.as_mut()) {
+            let bytes = stores[site.index()].append(rec, &self.cfg.size_model);
+            self.emit(site, EventKind::WalAppend { bytes });
         }
     }
 }

@@ -352,34 +352,20 @@ impl Transport {
         measured: bool,
         metrics: &mut RunMetrics,
     ) -> Vec<TransportCmd> {
-        match frame {
+        let (src_inc, dst_inc, seq, msg) = match frame {
             Frame::Data {
                 src_inc,
                 dst_inc,
                 seq,
                 msg,
-            } => self.on_data(to, from, src_inc, dst_inc, seq, msg, measured, metrics),
+            } => (src_inc, dst_inc, seq, msg),
             Frame::Ack {
                 epoch,
                 src_inc,
                 cum_seq,
-            } => self.on_ack(to, from, epoch, src_inc, cum_seq),
+            } => return self.on_ack(to, from, epoch, src_inc, cum_seq),
             sync => panic!("sync frame routed into the transport: {sync:?}"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_data(
-        &mut self,
-        to: SiteId,
-        from: SiteId,
-        src_inc: u32,
-        dst_inc: u32,
-        seq: u64,
-        msg: Msg,
-        measured: bool,
-        metrics: &mut RunMetrics,
-    ) -> Vec<TransportCmd> {
+        };
         if dst_inc != self.inc[to.index()] {
             // Addressed to a dead incarnation of this site.
             metrics.crash_drops += 1;

@@ -9,8 +9,9 @@
 //! epoch.
 
 use causal_checker::check;
+use causal_obs::{BufTracer, EventKind};
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, CrashWindow, DurabilityPlan, SimConfig};
+use causal_simnet::{run, run_traced, CrashWindow, DurabilityPlan, SimConfig};
 use causal_types::{SimDuration, SimTime, SiteId};
 use causal_workload::ChurnPlan;
 
@@ -121,6 +122,67 @@ fn crash_leave_loses_volatile_state_but_stays_causal() {
         assert_eq!(r.metrics.leaves, 1, "{kind}");
         let v = check(r.history.as_ref().unwrap());
         assert!(v.protocol_clean(), "{kind}: {:?}", v.examples);
+    }
+}
+
+#[test]
+fn crash_leave_of_a_site_blocked_in_a_remote_fetch_releases_the_read() {
+    // The leaver's application is waiting for an RM when it fails: the
+    // crash clears the protocol's fetch state, the read never returns, and
+    // the view change must release it without asking the protocol again.
+    let leaver = SiteId(2);
+    for kind in [
+        ProtocolKind::FullTrack,
+        ProtocolKind::OptTrack,
+        ProtocolKind::HbTrack,
+    ] {
+        let traced = |at_ms: u64| {
+            let plan = ChurnPlan::parse(&format!("crash-leave:2@{at_ms}ms")).expect("valid spec");
+            let cfg = cfg_for(kind, true, 6, 305).with_churn(plan);
+            let mut tracer = BufTracer::new();
+            let r = run_traced(&cfg, &mut tracer);
+            (r, tracer.events)
+        };
+        // A departure after the workload ends shows when the leaver's
+        // fetches are in flight; the run is identical up to the crash.
+        let (_, events) = traced(10_000_000);
+        let mut issued = None;
+        let mut blocked_at = Vec::new();
+        for ev in events.iter().filter(|ev| ev.site == leaver) {
+            match ev.kind {
+                EventKind::FetchIssue { .. } => issued = Some(ev.t),
+                EventKind::FetchDone { .. } => {
+                    let at_ms = issued.take().expect("issued before done") / 1_000_000 + 1;
+                    if at_ms * 1_000_000 < ev.t {
+                        blocked_at.push(at_ms);
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(blocked_at.len() >= 3, "{kind}: the leaver fetches remotely");
+        for at_ms in blocked_at.into_iter().take(3) {
+            let (r, events) = traced(at_ms);
+            let mut mine = events.iter().filter(|ev| ev.site == leaver);
+            let before_crash: Vec<_> = mine
+                .by_ref()
+                .take_while(|ev| ev.kind != EventKind::Crash)
+                .collect();
+            let last_fetch = before_crash.iter().rev().find_map(|ev| match ev.kind {
+                EventKind::FetchIssue { .. } => Some(true),
+                EventKind::FetchDone { .. } => Some(false),
+                _ => None,
+            });
+            assert_eq!(
+                last_fetch,
+                Some(true),
+                "{kind}@{at_ms}ms: blocked at the crash"
+            );
+            assert_eq!(r.metrics.leaves, 1, "{kind}@{at_ms}ms");
+            assert_eq!(r.final_pending, 0, "{kind}@{at_ms}ms");
+            let v = check(r.history.as_ref().unwrap());
+            assert!(v.protocol_clean(), "{kind}@{at_ms}ms: {:?}", v.examples);
+        }
     }
 }
 
