@@ -1,10 +1,10 @@
 //! # causal-clocks
 //!
-//! The causality-tracking data structures of the four protocols compared in
-//! *"Performance of Causal Consistency Algorithms for Partially Replicated
-//! Systems"* (Hsu & Kshemkalyani, 2016):
+//! The causality-tracking data structures of the five bundled protocols —
+//! the four compared in *"Performance of Causal Consistency Algorithms for
+//! Partially Replicated Systems"* (Hsu & Kshemkalyani, 2016) and HB-Track:
 //!
-//! * [`MatrixClock`] — the `Write[n][n]` matrix of **Full-Track**
+//! * [`MatrixClock`] — the `Write[n][n]` matrix of **Full-Track** and HB-Track
 //!   (`Write[j][k]` = number of updates sent by process `j` to site `k` that
 //!   causally happened before, under the `→co` relation);
 //! * [`VectorClock`] — the size-`n` `Write` vector of **optP**

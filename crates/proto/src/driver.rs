@@ -533,29 +533,10 @@ mod tests {
     use super::*;
     use crate::factory::{build_site, ProtocolConfig, ProtocolKind};
     use crate::msg::Rm;
+    use crate::replica::kit::Ring;
     use crate::replication::{FullReplication, Replication};
     use causal_clocks::PruneConfig;
     use std::collections::VecDeque;
-
-    /// Variable `v` lives on sites `v mod n` and `v + 1 mod n`; the first
-    /// serves everyone else's fetches.
-    struct Ring(usize);
-
-    impl Replication for Ring {
-        fn n(&self) -> usize {
-            self.0
-        }
-        fn replicas(&self, var: VarId) -> DestSet {
-            let home = var.0 as usize % self.0;
-            DestSet::from_sites([SiteId::from(home), SiteId::from((home + 1) % self.0)])
-        }
-        fn fetch_target(&self, var: VarId, _site: SiteId) -> SiteId {
-            SiteId::from(var.0 as usize % self.0)
-        }
-        fn is_full(&self) -> bool {
-            false
-        }
-    }
 
     const ALL: [ProtocolKind; 5] = [
         ProtocolKind::FullTrack,

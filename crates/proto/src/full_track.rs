@@ -9,490 +9,257 @@
 //! piggybacked matrix is stashed in `LastWriteOn⟨h⟩` and merged into the
 //! local matrix only by a later read of `h`.
 
-use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
-use crate::msg::{Fm, Msg, Rm, RmMeta, Sm, SmMeta};
-use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
+use crate::msg::{RmMeta, SmMeta};
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
+use crate::replica::{retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
-use crate::site::{GcStats, ProtocolSite, StableCut};
-use causal_clocks::MatrixClock;
+use crate::site::{GcStats, StableCut};
+use causal_clocks::{DestSet, MatrixClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parked Full-Track update. The matrix snapshot stays shared (`Arc`)
-/// all the way from the writer's fan-out into the receiver's stash.
-#[derive(Clone, Debug)]
-struct PendingSm {
-    var: VarId,
-    value: VersionedValue,
-    write: Arc<MatrixClock>,
-}
-
-/// Mutable state shared between the drain loop and the apply action.
-#[derive(Clone)]
-struct ApplyState {
-    values: HashMap<VarId, VersionedValue>,
-    last_write_on: HashMap<VarId, Arc<MatrixClock>>,
-    apply: Vec<u64>,
-    applied_effects: Vec<Effect>,
-}
-
-/// One site running Full-Track.
+/// Full-Track's `Write_i` matrix and its rules; one site is a
+/// [`Replica<FullTrack>`](crate::Replica).
 #[derive(Clone)]
 pub struct FullTrack {
-    site: SiteId,
-    n: usize,
-    repl: Arc<dyn Replication>,
     /// `Write_i` — the site's matrix clock.
-    write_clock: MatrixClock,
-    /// `Apply_i[j]` + replica values + `LastWriteOn_i`.
-    state: ApplyState,
-    /// Local write counter (for `WriteId`s; Full-Track itself needs only the
-    /// matrix).
-    own_writes: u64,
-    pending: PendingQueues<PendingSm>,
-    outstanding_fetch: Option<VarId>,
-    trace: ProtoTrace,
+    write: MatrixClock,
 }
 
 impl FullTrack {
-    /// Create the Full-Track state machine for `site`.
-    pub fn new(site: SiteId, repl: Arc<dyn Replication>) -> Self {
-        let n = repl.n();
+    /// The Full-Track tracker for a site under `repl`.
+    pub fn new(repl: &dyn Replication) -> Self {
         FullTrack {
-            site,
-            n,
-            repl,
-            write_clock: MatrixClock::new(n),
-            state: ApplyState {
-                values: HashMap::new(),
-                last_write_on: HashMap::new(),
-                apply: vec![0; n],
-                applied_effects: Vec::new(),
-            },
-            own_writes: 0,
-            pending: PendingQueues::new(n),
-            outstanding_fetch: None,
-            trace: ProtoTrace::default(),
+            write: MatrixClock::new(repl.n()),
         }
-    }
-
-    /// The activation predicate `A_OPT` for an update from `sender` carrying
-    /// matrix `w`, evaluated at this site `k`:
-    ///
-    /// * every process `l ≠ sender` must have had all its causally preceding
-    ///   writes *to this site* applied: `Apply_k[l] ≥ W[l][k]`;
-    /// * the sender's row counts this very update, hence
-    ///   `Apply_k[sender] ≥ W[sender][k] − 1`.
-    fn ready(state: &ApplyState, me: SiteId, sender: SiteId, m: &PendingSm) -> bool {
-        Self::blocking_dep(state, me, sender, m).is_none()
-    }
-
-    /// The first unsatisfied dependency of `m` at this site, as
-    /// `(site, required apply count)` — `None` when `A_OPT` holds. `ready`
-    /// is this predicate's emptiness; the trace records the witness.
-    fn blocking_dep(
-        state: &ApplyState,
-        me: SiteId,
-        sender: SiteId,
-        m: &PendingSm,
-    ) -> Option<(SiteId, u64)> {
-        let n = state.apply.len();
-        for l in SiteId::all(n) {
-            let required = m.write.get(l, me);
-            let threshold = if l == sender {
-                required.saturating_sub(1)
-            } else {
-                required
-            };
-            if state.apply[l.index()] < threshold {
-                return Some((l, threshold));
-            }
-        }
-        None
-    }
-
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
-        state.values.insert(m.var, m.value);
-        state.apply[sender.index()] += 1;
-        state.applied_effects.push(Effect::Applied {
-            var: m.var,
-            write: m.value.writer,
-        });
-        state.last_write_on.insert(m.var, m.write);
-    }
-
-    /// Run the drain loop and collect `Applied` effects.
-    fn drain(&mut self) -> Vec<Effect> {
-        let me = self.site;
-        self.pending.drain(
-            &mut self.state,
-            |s, sender, m| Self::ready(s, me, sender, m),
-            Self::apply_update,
-        );
-        std::mem::take(&mut self.state.applied_effects)
     }
 }
 
-impl ProtocolSite for FullTrack {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::FullTrack
+/// `Write[i][k]++` for every destination `k` of a write by `me`.
+pub(crate) fn count_write(write: &mut MatrixClock, me: SiteId, dests: DestSet) {
+    for k in dests.iter() {
+        write.increment(me, k);
     }
+}
 
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
-        self.own_writes += 1;
-        let wid = WriteId::new(self.site, self.own_writes);
-        let value = VersionedValue::with_payload(wid, data, payload_len);
-        let dests = self.repl.replicas(var);
-
-        // Count this write towards every destination replica, then snapshot
-        // once; every destination's SM shares the same immutable matrix.
-        for k in dests.iter() {
-            self.write_clock.increment(self.site, k);
-        }
-        let snapshot = Arc::new(self.write_clock.clone());
-
-        let mut effects = Vec::new();
-        for k in dests.iter() {
-            if k != self.site {
-                effects.push(Effect::Send {
-                    to: k,
-                    msg: Msg::Sm(Sm {
-                        var,
-                        value,
-                        meta: SmMeta::FullTrack {
-                            write: Arc::clone(&snapshot),
-                        },
-                    }),
-                });
-            }
-        }
-
-        if dests.contains(self.site) {
-            // The writer applies its own update immediately: everything in
-            // its causal past that was destined here has already been
-            // applied here or was learned through a remote read (see the
-            // crate-level note on remote reads).
-            self.state.values.insert(var, value);
-            self.state.apply[self.site.index()] += 1;
-            self.state.last_write_on.insert(var, snapshot);
-            effects.push(Effect::Applied { var, write: wid });
-            // The local apply can unblock parked updates that were waiting
-            // on this site's own writes.
-            effects.extend(self.drain());
-        }
-        (wid, effects)
-    }
-
-    fn read(&mut self, var: VarId) -> ReadResult {
-        if self.repl.is_replicated_at(var, self.site) {
-            // Reading the value creates the →co edge: merge the matrix that
-            // travelled with the last write applied to this variable.
-            if let Some(w) = self.state.last_write_on.get(&var) {
-                self.write_clock.merge_max(w);
-            }
-            ReadResult::Local(self.state.values.get(&var).copied())
+/// The activation predicate `A_OPT` for an update from `sender` carrying
+/// matrix `w`, evaluated at site `cx.site = k`, as its first unsatisfied
+/// dependency `(site, required apply count)`:
+///
+/// * every process `l ≠ sender` must have had all its causally preceding
+///   writes *to this site* applied: `Apply_k[l] ≥ W[l][k]`;
+/// * the sender's row counts this very update, hence
+///   `Apply_k[sender] ≥ W[sender][k] − 1`.
+pub(crate) fn matrix_blocking_dep(
+    cx: &Core,
+    sender: SiteId,
+    w: &MatrixClock,
+) -> Option<(SiteId, u64)> {
+    for l in SiteId::all(cx.n) {
+        let required = w.get(l, cx.site);
+        let threshold = if l == sender {
+            required.saturating_sub(1)
         } else {
-            assert!(
-                self.outstanding_fetch.is_none(),
-                "application subsystem blocks on RemoteFetch; a second read \
-                 cannot start while one is outstanding"
-            );
-            self.outstanding_fetch = Some(var);
-            let target = self.repl.fetch_target(var, self.site);
-            ReadResult::Fetch {
-                target,
-                msg: Msg::Fm(Fm { var }),
-            }
+            required
+        };
+        if cx.apply[l.index()] < threshold {
+            return Some((l, threshold));
+        }
+    }
+    None
+}
+
+/// The own row of `write`: own writes per destination — ledger material,
+/// since no peer's matrix can know more of this row than the site itself.
+pub(crate) fn matrix_own_row(write: &MatrixClock, cx: &Core) -> Vec<u64> {
+    SiteId::all(cx.n).map(|d| write.get(cx.site, d)).collect()
+}
+
+/// Raise the own row of `write` to at least the ledger's.
+pub(crate) fn raise_own_row(write: &mut MatrixClock, cx: &Core, ledger: &OwnLedger) {
+    for d in SiteId::all(cx.n) {
+        let row = write.get(cx.site, d).max(ledger.own_row[d.index()]);
+        write.set(cx.site, d, row);
+    }
+}
+
+/// The matrix a crash leaves: nothing learned, the own row as the ledger
+/// justifies it.
+pub(crate) fn matrix_after_crash(cx: &Core, ledger: &OwnLedger) -> MatrixClock {
+    let mut write = MatrixClock::new(cx.n);
+    raise_own_row(&mut write, cx, ledger);
+    write
+}
+
+/// The peer's unacked pre-crash writes are gone forever; pretend they were
+/// applied so predicates counting them can fire.
+pub(crate) fn count_lost_as_applied(cx: &mut Core, peer: SiteId, ledger: &OwnLedger) {
+    let sent_here = ledger.own_row[cx.site.index()];
+    let applied = &mut cx.apply[peer.index()];
+    *applied = (*applied).max(sent_here);
+}
+
+/// Acked SMs were received exactly once and are never redelivered; unacked
+/// ones will be. The acked count therefore IS the per-origin receive counter
+/// the crash erased. Never regress: a WAL-replayed site may already count
+/// logged-but-unacked ones.
+pub(crate) fn restore_received(cx: &mut Core, peer: SiteId, ack: &PeerAckInfo) {
+    let applied = &mut cx.apply[peer.index()];
+    *applied = (*applied).max(ack.sm_count);
+}
+
+impl Tracker for FullTrack {
+    const KIND: ProtocolKind = ProtocolKind::FullTrack;
+    /// The writer's matrix snapshot, shared (`Arc`) all the way from the
+    /// fan-out into each receiver's stash.
+    type Stamp = Arc<MatrixClock>;
+    /// The matrix that travelled with the last write applied: received
+    /// matrices are **not** merged at receipt, only by a later read.
+    type Slot = Arc<MatrixClock>;
+    type SyncMeta = MatrixClock;
+
+    fn stamp(&mut self, cx: &Core, _wid: WriteId, dests: DestSet) -> Self::Stamp {
+        // Count this write towards every destination replica, then snapshot.
+        count_write(&mut self.write, cx.site, dests);
+        Arc::new(self.write.clone())
+    }
+
+    fn sm_meta(stamp: &Self::Stamp) -> SmMeta {
+        SmMeta::FullTrack {
+            write: Arc::clone(stamp),
         }
     }
 
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
-        match msg {
-            Msg::Sm(sm) => {
-                let SmMeta::FullTrack { write } = sm.meta else {
-                    panic!("Full-Track site received a foreign SM meta");
-                };
-                let m = PendingSm {
-                    var: sm.var,
-                    value: sm.value,
-                    write,
-                };
-                if self.trace.enabled() {
-                    if let Some((dep_site, dep_clock)) =
-                        Self::blocking_dep(&self.state, self.site, from, &m)
-                    {
-                        self.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: m.value.writer.site,
-                            clock: m.value.writer.clock,
-                            var: m.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
-                }
-                self.pending.push(from, m);
-                self.drain()
-            }
-            Msg::Fm(fm) => {
-                // Serve the fetch from current local state (remote_return
-                // event). FMs carry no causal metadata, so no waiting.
-                let value = self.state.values.get(&fm.var).copied();
-                let meta = RmMeta::FullTrack(self.state.last_write_on.get(&fm.var).cloned());
-                vec![Effect::Send {
-                    to: from,
-                    msg: Msg::Rm(Rm {
-                        var: fm.var,
-                        value,
-                        meta,
-                    }),
-                }]
-            }
-            Msg::Rm(rm) => {
-                assert_eq!(
-                    self.outstanding_fetch.take(),
-                    Some(rm.var),
-                    "RM must answer the single outstanding fetch"
-                );
-                let RmMeta::FullTrack(meta) = rm.meta else {
-                    panic!("Full-Track site received a foreign RM meta");
-                };
-                // The remote read creates the →co edge now.
-                if let Some(w) = &meta {
-                    self.write_clock.merge_max(w);
-                }
-                vec![Effect::FetchDone {
-                    var: rm.var,
-                    value: rm.value,
-                }]
-            }
-            Msg::Batch(_) => panic!("batches are unbatched by the transport before delivery"),
+    fn from_sm_meta(meta: SmMeta) -> Option<Self::Stamp> {
+        match meta {
+            SmMeta::FullTrack { write } => Some(write),
+            _ => None,
         }
     }
 
-    fn pending_len(&self) -> usize {
-        self.pending.len()
+    fn blocking_dep(&self, cx: &Core, sender: SiteId, w: &Self::Stamp) -> Option<(SiteId, u64)> {
+        matrix_blocking_dep(cx, sender, w)
     }
 
-    fn local_meta_size(&self, model: &SizeModel) -> u64 {
-        let mut total = self.write_clock.meta_size(model);
-        for w in self.state.last_write_on.values() {
-            total += w.meta_size(model);
+    fn applied(&mut self, _cx: &Core, _sender: SiteId, m: Parked<Self::Stamp>) -> Self::Slot {
+        m.stamp
+    }
+
+    fn read_merge(&mut self, _cx: &mut Core, slot: &mut Self::Slot) {
+        self.write.merge_max(slot);
+    }
+
+    fn rm_reply(&mut self, _cx: &Core, slot: Option<&mut Self::Slot>) -> RmMeta {
+        RmMeta::FullTrack(slot.map(|w| Arc::clone(w)))
+    }
+
+    fn rm_merge(&mut self, _cx: &mut Core, meta: RmMeta) -> bool {
+        let RmMeta::FullTrack(meta) = meta else {
+            return false;
+        };
+        if let Some(w) = &meta {
+            self.write.merge_max(w);
         }
-        total
+        true
     }
 
-    fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.state.values.get(&var).copied()
+    fn local_meta_size(
+        &self,
+        _cx: &Core,
+        slots: &HashMap<VarId, Self::Slot>,
+        model: &SizeModel,
+    ) -> u64 {
+        let stashed: u64 = slots.values().map(|w| w.meta_size(model)).sum();
+        self.write.meta_size(model) + stashed
     }
 
-    fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
         // A stashed `LastWriteOn` matrix wholly within the stable cut
         // describes only writes already applied at every live member: a
         // future read's merge of it could never raise the local matrix
         // above knowledge whose constraints are vacuous everywhere, so the
         // stash can go. The value itself stays — only the metadata is GC'd.
-        let before = self.state.last_write_on.len();
-        self.state.last_write_on.retain(|_, w| !w.le(cut.counts));
         GcStats {
             log_entries: 0,
-            slots: before - self.state.last_write_on.len(),
+            slots: retain_slots(slots, |w| !w.le(cut.counts)),
         }
     }
 
-    fn own_ledger(&self) -> OwnLedger {
-        OwnLedger {
-            site: self.site,
-            own_clock: self.own_writes,
-            own_row: SiteId::all(self.n)
-                .map(|d| self.write_clock.get(self.site, d))
-                .collect(),
-            self_applied: self.state.apply[self.site.index()],
-        }
+    fn own_row(&self, cx: &Core) -> Vec<u64> {
+        matrix_own_row(&self.write, cx)
     }
 
-    fn drop_var(&mut self, var: VarId) {
-        self.state.values.remove(&var);
-        self.state.last_write_on.remove(&var);
+    fn restore_own(&mut self, cx: &Core, ledger: &OwnLedger) {
+        raise_own_row(&mut self.write, cx, ledger);
     }
 
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        self.own_writes = self.own_writes.max(ledger.own_clock);
-        for d in SiteId::all(self.n) {
-            let row = self
-                .write_clock
-                .get(self.site, d)
-                .max(ledger.own_row[d.index()]);
-            self.write_clock.set(self.site, d, row);
-        }
-        let applied = &mut self.state.apply[self.site.index()];
-        *applied = (*applied).max(ledger.self_applied);
+    fn crash(&mut self, cx: &Core, ledger: &OwnLedger) {
+        self.write = matrix_after_crash(cx, ledger);
     }
 
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        let ledger = self.own_ledger();
-        // Forget everything learned; re-seed what the ledger justifies.
-        self.write_clock = MatrixClock::new(self.n);
-        for d in SiteId::all(self.n) {
-            self.write_clock
-                .set(self.site, d, ledger.own_row[d.index()]);
-        }
-        self.state.values.clear();
-        self.state.last_write_on.clear();
-        self.state.apply = vec![0; self.n];
-        self.state.apply[self.site.index()] = ledger.self_applied;
-        self.state.applied_effects.clear();
-        let mut dropped = 0;
-        for s in SiteId::all(self.n) {
-            dropped += self.pending.clear_sender(s);
-        }
-        self.outstanding_fetch = None;
-        (ledger, dropped)
+    fn peer_recovered(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, _dropped: usize) {
+        count_lost_as_applied(cx, peer, ledger);
     }
 
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
-        // The peer's unacked pre-crash writes are gone forever; pretend they
-        // were applied so predicates counting them can fire. Parked updates
-        // from the peer fall inside the acked prefix the fast-forward now
-        // covers — applying them later would double-count, so drop them.
-        let dropped = self.pending.clear_sender(peer);
-        let me = self.site.index();
-        self.state.apply[peer.index()] = self.state.apply[peer.index()].max(ledger.own_row[me]);
-        (self.drain(), dropped)
-    }
-
-    fn export_sync(&self, requester: SiteId) -> SyncState {
-        let vars = self
-            .state
-            .values
-            .iter()
-            .filter(|(var, _)| self.repl.is_replicated_at(**var, requester))
-            .map(|(var, value)| {
-                // A stash collected by `gc_stable` means the variable's last
-                // write is stable at every member — its dependency
-                // constraints are vacuous, so the zero matrix is exact.
-                let meta = self
-                    .state
-                    .last_write_on
-                    .get(var)
-                    .map(|w| w.as_ref().clone())
-                    .unwrap_or_else(|| MatrixClock::new(self.n));
-                (*var, *value, meta)
-            })
-            .collect();
+    fn export_sync<'a>(
+        &self,
+        cx: &Core,
+        vars: impl Iterator<Item = (VarId, VersionedValue, Option<&'a Self::Slot>)>,
+    ) -> SyncState {
+        // A stash collected by `gc_stable` means the variable's last write
+        // is stable at every member — its dependency constraints are
+        // vacuous, so the zero matrix is exact.
+        let stash =
+            |w: Option<&Self::Slot>| w.map_or_else(|| MatrixClock::new(cx.n), |w| (**w).clone());
         SyncState::FullTrack {
-            clock: self.write_clock.clone(),
-            vars,
+            clock: self.write.clone(),
+            vars: vars.map(|(var, value, w)| (var, value, stash(w))).collect(),
         }
     }
 
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        let mut best: HashMap<VarId, (VersionedValue, MatrixClock)> = HashMap::new();
-        for (peer, ack, state) in sources {
-            let SyncState::FullTrack { clock, vars } = state else {
-                panic!("Full-Track site received a foreign sync snapshot");
-            };
-            // Acked SMs were received exactly once and are never redelivered;
-            // unacked ones will be. The acked count therefore IS the
-            // per-origin receive counter the crash erased. Never regress: a
-            // WAL-replayed site may already count logged-but-unacked ones.
-            let apply = &mut self.state.apply[peer.index()];
-            *apply = (*apply).max(ack.sm_count);
-            // Merging every live peer's matrix over-approximates the lost
-            // causal knowledge (each observed write is in its writer's own
-            // row) — safe: never violates →co, only adds waiting.
-            self.write_clock.merge_max(clock);
-            for (var, value, meta) in vars {
-                let replace = best.get(var).is_none_or(|(b, _)| {
-                    (value.writer.clock, value.writer.site) > (b.writer.clock, b.writer.site)
-                });
-                if replace {
-                    best.insert(*var, (*value, meta.clone()));
-                }
-            }
-        }
-        for (var, (value, meta)) in best {
-            // Install only values strictly newer than the local replica (a
-            // delta snapshot must not roll a WAL-replayed state back).
-            let newer = self.state.values.get(&var).is_none_or(|cur| {
-                (value.writer.clock, value.writer.site) > (cur.writer.clock, cur.writer.site)
-            });
-            if newer {
-                self.state.values.insert(var, value);
-                self.state.last_write_on.insert(var, Arc::new(meta));
-            }
-        }
+    fn absorb_sync<'a>(
+        &mut self,
+        cx: &mut Core,
+        peer: SiteId,
+        ack: &PeerAckInfo,
+        state: &'a SyncState,
+    ) -> Option<Donor<'a, Self::SyncMeta>> {
+        let SyncState::FullTrack { clock, vars } = state else {
+            return None;
+        };
+        restore_received(cx, peer, ack);
+        // Merging every live peer's matrix over-approximates the lost
+        // causal knowledge (each observed write is in its writer's own
+        // row) — safe: never violates →co, only adds waiting.
+        self.write.merge_max(clock);
+        Some(Donor {
+            known: &[],
+            vars: vars
+                .iter()
+                .map(|(var, value, w)| (*var, *value, w))
+                .collect(),
+        })
     }
 
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        Box::new(self.clone())
-    }
-
-    fn abort_fetch(&mut self, var: VarId) {
-        assert_eq!(
-            self.outstanding_fetch.take(),
-            Some(var),
-            "abort of a fetch that is not outstanding"
-        );
-    }
-
-    fn fetching(&self) -> Option<VarId> {
-        self.outstanding_fetch
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        self.trace.take()
+    fn slot_from_sync(&self, _cx: &Core, _value: VersionedValue, meta: &MatrixClock) -> Self::Slot {
+        Arc::new(meta.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::ReadResult;
+    use crate::msg::Msg;
+    use crate::replica::kit::{self, applied, sends};
+    use crate::replica::Replica;
     use crate::replication::FullReplication;
+    use crate::site::ProtocolSite;
 
-    fn system(n: usize) -> Vec<FullTrack> {
-        let repl = Arc::new(FullReplication::new(n));
-        SiteId::all(n)
-            .map(|s| FullTrack::new(s, repl.clone()))
-            .collect()
-    }
-
-    /// Extract the SM sends from an effect list as `(to, Sm)` pairs.
-    fn sends(effects: &[Effect]) -> Vec<(SiteId, Sm)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::Sm(sm),
-                } => Some((*to, sm.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn applied(effects: &[Effect]) -> Vec<WriteId> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Applied { write, .. } => Some(*write),
-                _ => None,
-            })
-            .collect()
+    fn system(n: usize) -> Vec<Replica<FullTrack>> {
+        kit::system(FullReplication::new(n), FullTrack::new)
     }
 
     #[test]

@@ -17,422 +17,178 @@
 //! pending-buffer metrics. This protocol is an extension, not part of the
 //! paper's measured set.
 
-use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
-use crate::msg::{Fm, Msg, Rm, RmMeta, Sm, SmMeta};
-use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
+use crate::full_track::{
+    count_lost_as_applied, count_write, matrix_after_crash, matrix_blocking_dep, matrix_own_row,
+    raise_own_row, restore_received,
+};
+use crate::msg::{RmMeta, SmMeta};
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
+use crate::replica::{Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
-use crate::site::ProtocolSite;
-use causal_clocks::MatrixClock;
+use crate::site::{GcStats, StableCut};
+use causal_clocks::{DestSet, MatrixClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parked HB-Track update (shared matrix snapshot, as in Full-Track).
-#[derive(Clone, Debug)]
-struct PendingSm {
-    var: VarId,
-    value: VersionedValue,
+/// HB-Track's happened-before matrix and its rules; one site is a
+/// [`Replica<HbTrack>`](crate::Replica).
+#[derive(Clone)]
+pub struct HbTrack {
+    /// The local matrix, behind shared ownership: a write's fan-out and an
+    /// FM's reply take the snapshot by refcount alone, and the next mutation
+    /// pays the copy-on-write clone ([`Arc::make_mut`]) only while such a
+    /// snapshot is still alive.
     write: Arc<MatrixClock>,
 }
 
-#[derive(Clone)]
-struct ApplyState {
-    values: HashMap<VarId, VersionedValue>,
-    apply: Vec<u64>,
-    /// The local matrix — mutated on apply (receipt-merge), which is
-    /// exactly the false-causality-inducing difference from Full-Track.
-    write_clock: MatrixClock,
-    applied_effects: Vec<Effect>,
-}
-
-/// One site running HB-Track.
-#[derive(Clone)]
-pub struct HbTrack {
-    site: SiteId,
-    n: usize,
-    repl: Arc<dyn Replication>,
-    state: ApplyState,
-    own_writes: u64,
-    pending: PendingQueues<PendingSm>,
-    outstanding_fetch: Option<VarId>,
-    trace: ProtoTrace,
-}
-
 impl HbTrack {
-    /// Create the HB-Track state machine for `site`.
-    pub fn new(site: SiteId, repl: Arc<dyn Replication>) -> Self {
-        let n = repl.n();
+    /// The HB-Track tracker for a site under `repl`.
+    pub fn new(repl: &dyn Replication) -> Self {
         HbTrack {
-            site,
-            n,
-            repl,
-            state: ApplyState {
-                values: HashMap::new(),
-                apply: vec![0; n],
-                write_clock: MatrixClock::new(n),
-                applied_effects: Vec::new(),
-            },
-            own_writes: 0,
-            pending: PendingQueues::new(n),
-            outstanding_fetch: None,
-            trace: ProtoTrace::default(),
+            write: Arc::new(MatrixClock::new(repl.n())),
+        }
+    }
+}
+
+impl Tracker for HbTrack {
+    const KIND: ProtocolKind = ProtocolKind::HbTrack;
+    /// The writer's matrix snapshot — on the wire exactly Full-Track's.
+    type Stamp = Arc<MatrixClock>;
+    /// Receipt-merge protocols keep no per-variable metadata.
+    type Slot = ();
+    type SyncMeta = ();
+
+    fn stamp(&mut self, cx: &Core, _wid: WriteId, dests: DestSet) -> Self::Stamp {
+        count_write(Arc::make_mut(&mut self.write), cx.site, dests);
+        Arc::clone(&self.write)
+    }
+
+    fn sm_meta(stamp: &Self::Stamp) -> SmMeta {
+        SmMeta::FullTrack {
+            write: Arc::clone(stamp),
+        }
+    }
+
+    fn from_sm_meta(meta: SmMeta) -> Option<Self::Stamp> {
+        match meta {
+            SmMeta::FullTrack { write } => Some(write),
+            _ => None,
         }
     }
 
     /// The same counting predicate as Full-Track — but because the matrix
     /// was merged at receipt, `W[l][k]` counts messages that happened
     /// before under `→`, not `→co`: the site waits for more than causality
-    /// requires.
-    fn ready(state: &ApplyState, me: SiteId, sender: SiteId, m: &PendingSm) -> bool {
-        Self::blocking_dep(state, me, sender, m).is_none()
+    /// requires, and the witness may well be a *false* dependency — that is
+    /// the point of the `falseco` experiment.
+    fn blocking_dep(&self, cx: &Core, sender: SiteId, w: &Self::Stamp) -> Option<(SiteId, u64)> {
+        matrix_blocking_dep(cx, sender, w)
     }
 
-    /// First unsatisfied dependency (witness for the trace); under HB
-    /// semantics it may well be a *false* one — that is the point of the
-    /// `falseco` experiment.
-    fn blocking_dep(
-        state: &ApplyState,
-        me: SiteId,
-        sender: SiteId,
-        m: &PendingSm,
-    ) -> Option<(SiteId, u64)> {
-        let n = state.apply.len();
-        for l in SiteId::all(n) {
-            let required = m.write.get(l, me);
-            let threshold = if l == sender {
-                required.saturating_sub(1)
-            } else {
-                required
-            };
-            if state.apply[l.index()] < threshold {
-                return Some((l, threshold));
-            }
-        }
-        None
-    }
-
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
-        state.values.insert(m.var, m.value);
-        state.apply[sender.index()] += 1;
-        state.applied_effects.push(Effect::Applied {
-            var: m.var,
-            write: m.value.writer,
-        });
+    fn applied(&mut self, cx: &Core, sender: SiteId, m: Parked<Self::Stamp>) {
         // Receipt-merge: this is where HB-Track manufactures the false
         // dependencies that its later multicasts will impose on others.
-        state.write_clock.merge_max(&m.write);
-    }
-
-    fn drain(&mut self) -> Vec<Effect> {
-        let me = self.site;
-        self.pending.drain(
-            &mut self.state,
-            |s, sender, m| Self::ready(s, me, sender, m),
-            Self::apply_update,
-        );
-        std::mem::take(&mut self.state.applied_effects)
-    }
-}
-
-impl ProtocolSite for HbTrack {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HbTrack
-    }
-
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
-        self.own_writes += 1;
-        let wid = WriteId::new(self.site, self.own_writes);
-        let value = VersionedValue::with_payload(wid, data, payload_len);
-        let dests = self.repl.replicas(var);
-        for k in dests.iter() {
-            self.state.write_clock.increment(self.site, k);
-        }
-        let snapshot = Arc::new(self.state.write_clock.clone());
-        let mut effects = Vec::new();
-        for k in dests.iter() {
-            if k != self.site {
-                effects.push(Effect::Send {
-                    to: k,
-                    msg: Msg::Sm(Sm {
-                        var,
-                        value,
-                        meta: SmMeta::FullTrack {
-                            write: Arc::clone(&snapshot),
-                        },
-                    }),
-                });
-            }
-        }
-        if dests.contains(self.site) {
-            self.state.values.insert(var, value);
-            self.state.apply[self.site.index()] += 1;
-            effects.push(Effect::Applied { var, write: wid });
-            effects.extend(self.drain());
-        }
-        (wid, effects)
-    }
-
-    fn read(&mut self, var: VarId) -> ReadResult {
-        if self.repl.is_replicated_at(var, self.site) {
-            // No read-time merge: receipt already merged (that is the whole
-            // difference from Full-Track).
-            ReadResult::Local(self.state.values.get(&var).copied())
-        } else {
-            assert!(self.outstanding_fetch.is_none());
-            self.outstanding_fetch = Some(var);
-            let target = self.repl.fetch_target(var, self.site);
-            ReadResult::Fetch {
-                target,
-                msg: Msg::Fm(Fm { var }),
-            }
+        // (The writer's own stamp is its live matrix already.)
+        if sender != cx.site {
+            Arc::make_mut(&mut self.write).merge_max(&m.stamp);
         }
     }
 
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
-        match msg {
-            Msg::Sm(sm) => {
-                let SmMeta::FullTrack { write } = sm.meta else {
-                    panic!("HB-Track site received a foreign SM meta");
-                };
-                let m = PendingSm {
-                    var: sm.var,
-                    value: sm.value,
-                    write,
-                };
-                if self.trace.enabled() {
-                    if let Some((dep_site, dep_clock)) =
-                        Self::blocking_dep(&self.state, self.site, from, &m)
-                    {
-                        self.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: m.value.writer.site,
-                            clock: m.value.writer.clock,
-                            var: m.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
-                }
-                self.pending.push(from, m);
-                self.drain()
-            }
-            Msg::Fm(fm) => {
-                // The server answers with its whole matrix (HB semantics:
-                // the reply transfers the server's knowledge wholesale).
-                let value = self.state.values.get(&fm.var).copied();
-                let meta = RmMeta::FullTrack(Some(Arc::new(self.state.write_clock.clone())));
-                vec![Effect::Send {
-                    to: from,
-                    msg: Msg::Rm(Rm {
-                        var: fm.var,
-                        value,
-                        meta,
-                    }),
-                }]
-            }
-            Msg::Rm(rm) => {
-                assert_eq!(self.outstanding_fetch.take(), Some(rm.var));
-                let RmMeta::FullTrack(meta) = rm.meta else {
-                    panic!("HB-Track site received a foreign RM meta");
-                };
-                if let Some(w) = &meta {
-                    self.state.write_clock.merge_max(w);
-                }
-                vec![Effect::FetchDone {
-                    var: rm.var,
-                    value: rm.value,
-                }]
-            }
-            Msg::Batch(_) => panic!("batches are unbatched by the transport before delivery"),
+    /// No read-time merge: receipt already merged (that is the whole
+    /// difference from Full-Track).
+    fn read_merge(&mut self, _cx: &mut Core, _slot: &mut ()) {}
+
+    fn rm_reply(&mut self, _cx: &Core, _slot: Option<&mut ()>) -> RmMeta {
+        // The server answers with its whole matrix (HB semantics: the reply
+        // transfers the server's knowledge wholesale).
+        RmMeta::FullTrack(Some(Arc::clone(&self.write)))
+    }
+
+    fn rm_merge(&mut self, _cx: &mut Core, meta: RmMeta) -> bool {
+        let RmMeta::FullTrack(meta) = meta else {
+            return false;
+        };
+        if let Some(w) = &meta {
+            Arc::make_mut(&mut self.write).merge_max(w);
         }
+        true
     }
 
-    fn pending_len(&self) -> usize {
-        self.pending.len()
+    fn local_meta_size(&self, _cx: &Core, _slots: &HashMap<VarId, ()>, model: &SizeModel) -> u64 {
+        self.write.meta_size(model)
     }
 
-    fn local_meta_size(&self, model: &SizeModel) -> u64 {
-        self.state.write_clock.meta_size(model)
+    fn gc_stable(&mut self, _slots: &mut HashMap<VarId, ()>, _cut: &StableCut) -> GcStats {
+        // The one fixed matrix is already O(n²)-bounded: nothing to collect.
+        GcStats::default()
     }
 
-    fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.state.values.get(&var).copied()
+    fn own_row(&self, cx: &Core) -> Vec<u64> {
+        matrix_own_row(&self.write, cx)
     }
 
-    fn own_ledger(&self) -> OwnLedger {
-        // HB-Track's own matrix row counts only own writes (peers' matrices
-        // can never know more of this row than the site itself), so the row
-        // snapshot is ledger material just as in Full-Track.
-        OwnLedger {
-            site: self.site,
-            own_clock: self.own_writes,
-            own_row: SiteId::all(self.n)
-                .map(|d| self.state.write_clock.get(self.site, d))
-                .collect(),
-            self_applied: self.state.apply[self.site.index()],
-        }
+    fn restore_own(&mut self, cx: &Core, ledger: &OwnLedger) {
+        raise_own_row(Arc::make_mut(&mut self.write), cx, ledger);
     }
 
-    fn drop_var(&mut self, var: VarId) {
-        self.state.values.remove(&var);
+    fn crash(&mut self, cx: &Core, ledger: &OwnLedger) {
+        self.write = Arc::new(matrix_after_crash(cx, ledger));
     }
 
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        self.own_writes = self.own_writes.max(ledger.own_clock);
-        for d in SiteId::all(self.n) {
-            let row = self
-                .state
-                .write_clock
-                .get(self.site, d)
-                .max(ledger.own_row[d.index()]);
-            self.state.write_clock.set(self.site, d, row);
-        }
-        let applied = &mut self.state.apply[self.site.index()];
-        *applied = (*applied).max(ledger.self_applied);
+    fn peer_recovered(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, _dropped: usize) {
+        count_lost_as_applied(cx, peer, ledger);
     }
 
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        let ledger = self.own_ledger();
-        self.state.write_clock = MatrixClock::new(self.n);
-        for d in SiteId::all(self.n) {
-            self.state
-                .write_clock
-                .set(self.site, d, ledger.own_row[d.index()]);
-        }
-        self.state.values.clear();
-        self.state.apply = vec![0; self.n];
-        self.state.apply[self.site.index()] = ledger.self_applied;
-        self.state.applied_effects.clear();
-        let mut dropped = 0;
-        for s in SiteId::all(self.n) {
-            dropped += self.pending.clear_sender(s);
-        }
-        self.outstanding_fetch = None;
-        (ledger, dropped)
-    }
-
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
-        let dropped = self.pending.clear_sender(peer);
-        let me = self.site.index();
-        self.state.apply[peer.index()] = self.state.apply[peer.index()].max(ledger.own_row[me]);
-        (self.drain(), dropped)
-    }
-
-    fn export_sync(&self, requester: SiteId) -> SyncState {
-        let vars = self
-            .state
-            .values
-            .iter()
-            .filter(|(var, _)| self.repl.is_replicated_at(**var, requester))
-            .map(|(var, value)| (*var, *value))
-            .collect();
+    fn export_sync<'a>(
+        &self,
+        _cx: &Core,
+        vars: impl Iterator<Item = (VarId, VersionedValue, Option<&'a ()>)>,
+    ) -> SyncState {
         SyncState::HbTrack {
-            clock: self.state.write_clock.clone(),
-            vars,
+            clock: (*self.write).clone(),
+            vars: vars.map(|(var, value, _)| (var, value)).collect(),
         }
     }
 
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        let mut best: HashMap<VarId, VersionedValue> = HashMap::new();
-        for (peer, ack, state) in sources {
-            let SyncState::HbTrack { clock, vars } = state else {
-                panic!("HB-Track site received a foreign sync snapshot");
-            };
-            // Never regress: a WAL-replayed site may already count
-            // logged-but-unacked deliveries beyond the acked prefix.
-            let apply = &mut self.state.apply[peer.index()];
-            *apply = (*apply).max(ack.sm_count);
-            // Receipt-merge protocol: merging peers' matrices is exactly the
-            // HB knowledge transfer an RM reply performs, just n-wide.
-            self.state.write_clock.merge_max(clock);
-            for (var, value) in vars {
-                let replace = best.get(var).is_none_or(|b| {
-                    (value.writer.clock, value.writer.site) > (b.writer.clock, b.writer.site)
-                });
-                if replace {
-                    best.insert(*var, *value);
-                }
-            }
-        }
-        for (var, value) in best {
-            // Install only values strictly newer than the local replica (a
-            // delta snapshot must not roll a WAL-replayed state back).
-            let newer = self.state.values.get(&var).is_none_or(|cur| {
-                (value.writer.clock, value.writer.site) > (cur.writer.clock, cur.writer.site)
-            });
-            if newer {
-                self.state.values.insert(var, value);
-            }
-        }
+    fn absorb_sync<'a>(
+        &mut self,
+        cx: &mut Core,
+        peer: SiteId,
+        ack: &PeerAckInfo,
+        state: &'a SyncState,
+    ) -> Option<Donor<'a, ()>> {
+        let SyncState::HbTrack { clock, vars } = state else {
+            return None;
+        };
+        restore_received(cx, peer, ack);
+        // Receipt-merge protocol: merging peers' matrices is exactly the
+        // HB knowledge transfer an RM reply performs, just n-wide.
+        Arc::make_mut(&mut self.write).merge_max(clock);
+        Some(Donor {
+            known: &[],
+            vars: vars
+                .iter()
+                .map(|(var, value)| (*var, *value, &()))
+                .collect(),
+        })
     }
 
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        Box::new(self.clone())
-    }
-
-    fn abort_fetch(&mut self, var: VarId) {
-        assert_eq!(
-            self.outstanding_fetch.take(),
-            Some(var),
-            "abort of a fetch that is not outstanding"
-        );
-    }
-
-    fn fetching(&self) -> Option<VarId> {
-        self.outstanding_fetch
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        self.trace.take()
-    }
+    fn slot_from_sync(&self, _cx: &Core, _value: VersionedValue, _meta: &()) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Msg;
+    use crate::replica::kit::{self, applied, sends};
+    use crate::replica::Replica;
     use crate::replication::FullReplication;
+    use crate::site::ProtocolSite;
 
-    fn system(n: usize) -> Vec<HbTrack> {
-        let repl = Arc::new(FullReplication::new(n));
-        SiteId::all(n)
-            .map(|s| HbTrack::new(s, repl.clone()))
-            .collect()
-    }
-
-    fn sends(effects: &[Effect]) -> Vec<(SiteId, Sm)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::Sm(sm),
-                } => Some((*to, sm.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn applied(effects: &[Effect]) -> Vec<WriteId> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Applied { write, .. } => Some(*write),
-                _ => None,
-            })
-            .collect()
+    fn system(n: usize) -> Vec<Replica<HbTrack>> {
+        kit::system(FullReplication::new(n), HbTrack::new)
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! Transport-agnostic implementations of the four causal-consistency
 //! protocols compared in *"Performance of Causal Consistency Algorithms for
-//! Partially Replicated Systems"* (Hsu & Kshemkalyani, 2016):
+//! Partially Replicated Systems"* (Hsu & Kshemkalyani, 2016), plus the
+//! happened-before baseline they improve on — five in all:
 //!
-//! | Type | Replication | Metadata |
+//! | [`Tracker`] | Replication | Metadata |
 //! |------|-------------|----------|
 //! | [`FullTrack`] | partial | `n×n` Write matrix clock |
 //! | [`OptTrack`]  | partial | KS log `{⟨j, clock_j, Dests⟩}` |
 //! | [`OptTrackCrp`] | full | log of `⟨j, clock_j⟩` 2-tuples |
 //! | [`OptP`] | full | size-`n` Write vector clock |
+//! | [`HbTrack`] | partial | `n×n` matrix merged at *receipt* (not in the paper's measured set) |
 //!
-//! Each protocol is a pure state machine implementing [`ProtocolSite`]: a
+//! §III gives every site the same state and distinguishes the protocols
+//! only by this metadata and its rules, so a site is one generic
+//! [`Replica`] — replica values, `Apply`, `LastWriteOn`, the parked-update
+//! buffer, the fetch slot — around one of the five trackers. It is a pure
+//! state machine behind [`ProtocolSite`]: a
 //! [`SiteDriver`] invokes [`ProtocolSite::write`], [`ProtocolSite::read`]
 //! and [`ProtocolSite::on_message`], and routes the returned [`Effect`]s —
 //! through its per-destination lanes and fetch slot — into [`Output`]s for
@@ -23,12 +29,14 @@
 //!
 //! ## Activation predicate
 //!
-//! All four protocols implement the optimal activation predicate `A_OPT` of
-//! Baldoni et al.: an arriving update is buffered until every update that
-//! causally precedes it (under the `→co` relation — causality created by
-//! *reading* values, not by message receipt) and is destined to this site
-//! has been applied. The per-protocol predicate implementations live with
-//! each protocol; the shared buffering machinery is in [`pending`].
+//! The paper's four protocols implement the optimal activation predicate
+//! `A_OPT` of Baldoni et al.: an arriving update is buffered until every
+//! update that causally precedes it (under the `→co` relation — causality
+//! created by *reading* values, not by message receipt) and is destined to
+//! this site has been applied (HB-Track waits on happened-before instead,
+//! a superset). Each tracker states its predicate as
+//! [`Tracker::blocking_dep`]; the shared buffering machinery is in
+//! [`pending`].
 //!
 //! ## A note on remote reads (partial replication)
 //!
@@ -53,6 +61,7 @@ pub mod opt_track_crp;
 pub mod optp;
 pub mod pending;
 pub mod reliable;
+pub mod replica;
 pub mod replication;
 pub mod site;
 pub mod wal;
@@ -69,6 +78,7 @@ pub use opt_track_crp::OptTrackCrp;
 pub use optp::OptP;
 pub use pending::{ProtoTrace, ProtoTraceEvent};
 pub use reliable::{Frame, OwnLedger, PeerAckInfo, SyncState};
+pub use replica::{Replica, Tracker};
 pub use replication::Replication;
 pub use site::{GcStats, ProtocolSite, StableCut};
 pub use wal::{DurableStore, WalRecord};

@@ -12,30 +12,17 @@
 //! The MERGE function runs at *read* time (the `→co` edge is created by
 //! reading), and the PURGE machinery runs at write/merge time.
 
-use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
-use crate::msg::{Fm, Msg, Rm, RmMeta, Sm, SmMeta};
-use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
+use crate::msg::{RmMeta, SmMeta};
+use crate::pending::ProtoTraceEvent;
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
+use crate::replica::{Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
-use crate::site::{GcStats, ProtocolSite, StableCut};
-#[cfg(test)]
-use causal_clocks::DestSet;
-use causal_clocks::{Log, LogEntry, PruneConfig};
+use crate::site::{GcStats, StableCut};
+use causal_clocks::{DestSet, Log, LogEntry, PruneConfig};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A parked Opt-Track update. The piggybacked log is shared across the
-/// multicast fan-out; apply unwraps it (or clones, if still shared) when it
-/// needs the private mutable copy for `assoc`.
-#[derive(Clone, Debug)]
-struct PendingSm {
-    var: VarId,
-    value: VersionedValue,
-    clock: u64,
-    log: Arc<Log>,
-}
 
 /// The `LastWriteOn⟨h⟩` slot: the log that will accompany this variable's
 /// value out of future reads — the piggybacked records plus the write's own
@@ -49,7 +36,7 @@ struct PendingSm {
 /// snapshot (copy-on-write via `Arc::try_unwrap`-or-clone), so piggybacks
 /// still in flight are never aliased by a mutated log.
 #[derive(Clone, Debug)]
-struct LastWrite {
+pub struct LastWrite {
     log: Arc<Log>,
     /// The write's own record, still to be folded in; `None` once
     /// materialized.
@@ -129,329 +116,163 @@ impl LastWrite {
     }
 }
 
-/// State consulted and mutated by the drain loop.
-#[derive(Clone)]
-struct ApplyState {
-    me: SiteId,
-    values: HashMap<VarId, VersionedValue>,
-    last_write_on: HashMap<VarId, LastWrite>,
-    /// `Apply_i[j]` — number of updates from `ap_j` applied here.
-    apply: Vec<u64>,
-    /// Largest write-clock from each origin applied here. In partial
-    /// replication a site receives only a subset of an origin's writes, so
-    /// counts and clocks differ; the activation predicate needs clocks.
-    last_clock: Vec<u64>,
-    applied_effects: Vec<Effect>,
-    /// Destination sets by variable (placement is static; cached on apply).
-    repl: Arc<dyn Replication>,
-}
-
-/// One site running Opt-Track.
+/// Opt-Track's KS log and its rules; one site is a
+/// [`Replica<OptTrack>`](crate::Replica).
 #[derive(Clone)]
 pub struct OptTrack {
-    site: SiteId,
-    n: usize,
-    repl: Arc<dyn Replication>,
-    /// `clock_i` — local write counter.
-    clock: u64,
     /// `LOG_i` — the local KS log, behind shared ownership so a write's
     /// fan-out piggybacks the snapshot by refcount alone. Mutations go
     /// through [`Arc::make_mut`]: the deep clone is paid only when the log
     /// actually changes while a piggyback of it is still in flight
     /// (copy-on-write), never per destination and never per send.
     log: Arc<Log>,
-    state: ApplyState,
-    pending: PendingQueues<PendingSm>,
-    outstanding_fetch: Option<VarId>,
+    /// Largest write-clock from each origin applied here. In partial
+    /// replication a site receives only a subset of an origin's writes, so
+    /// counts and clocks differ; the activation predicate needs clocks.
+    last_clock: Vec<u64>,
     prune: PruneConfig,
-    trace: ProtoTrace,
 }
 
 impl OptTrack {
-    /// Create the Opt-Track state machine for `site` with default pruning.
-    pub fn new(site: SiteId, repl: Arc<dyn Replication>) -> Self {
-        Self::with_prune(site, repl, PruneConfig::default())
+    /// The Opt-Track tracker for a site under `repl`, with default pruning.
+    pub fn new(repl: &dyn Replication) -> Self {
+        Self::with_prune(repl, PruneConfig::default())
     }
 
-    /// Create with an explicit [`PruneConfig`] (the `ablation_purge` bench
-    /// disables condition 2 to quantify the PURGE machinery's effect).
-    pub fn with_prune(site: SiteId, repl: Arc<dyn Replication>, prune: PruneConfig) -> Self {
-        let n = repl.n();
+    /// With an explicit [`PruneConfig`] (the `ablation_purge` bench disables
+    /// condition 2 to quantify the PURGE machinery's effect).
+    pub fn with_prune(repl: &dyn Replication, prune: PruneConfig) -> Self {
         OptTrack {
-            site,
-            n,
-            repl: repl.clone(),
-            clock: 0,
             log: Arc::new(Log::new()),
-            state: ApplyState {
-                me: site,
-                values: HashMap::new(),
-                last_write_on: HashMap::new(),
-                apply: vec![0; n],
-                last_clock: vec![0; n],
-                applied_effects: Vec::new(),
-                repl,
-            },
-            pending: PendingQueues::new(n),
-            outstanding_fetch: None,
+            last_clock: vec![0; repl.n()],
             prune,
-            trace: ProtoTrace::default(),
         }
-    }
-
-    /// Activation predicate `A_OPT`: every piggybacked record that lists
-    /// this site as a destination must already be applied here. Records from
-    /// the sender itself are additionally ordered by the per-sender FIFO
-    /// queue (multicast sends leave in clock order over FIFO channels).
-    fn ready(state: &ApplyState, _sender: SiteId, m: &PendingSm) -> bool {
-        Self::blocking_dep(state, m).is_none()
-    }
-
-    /// The first piggybacked record that still blocks `m` here, as
-    /// `(origin, clock)` — `None` when `A_OPT` holds.
-    fn blocking_dep(state: &ApplyState, m: &PendingSm) -> Option<(SiteId, u64)> {
-        m.log
-            .iter()
-            .filter(|e| e.dests.contains(state.me))
-            .find(|e| state.last_clock[e.origin.index()] < e.clock)
-            .map(|e| (e.origin, e.clock))
-    }
-
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
-        debug_assert!(
-            state.last_clock[sender.index()] < m.clock,
-            "FIFO channels deliver one origin's writes in clock order"
-        );
-        state.values.insert(m.var, m.value);
-        state.apply[sender.index()] += 1;
-        state.last_clock[sender.index()] = m.clock;
-        state.applied_effects.push(Effect::Applied {
-            var: m.var,
-            write: m.value.writer,
-        });
-
-        // Park the ingredients of the assoc log (see [`LastWrite`]): the
-        // shared piggyback and this write's own record. Implicit condition 1
-        // (minus every mention of this site — the predicate just guaranteed
-        // those writes are applied here) folds in lazily on first read.
-        let own = LogEntry::new(sender, m.clock, state.repl.replicas(m.var));
-        state
-            .last_write_on
-            .insert(m.var, LastWrite::applied(m.log, own));
-    }
-
-    fn drain(&mut self) -> Vec<Effect> {
-        self.pending
-            .drain(&mut self.state, Self::ready, Self::apply_update);
-        std::mem::take(&mut self.state.applied_effects)
     }
 
     /// Read-side MERGE: fold a value's `LastWriteOn` log into `LOG_i`,
     /// prune what this site already knows to be applied here, normalize.
-    fn merge_on_read(&mut self, incoming: &Log) {
+    fn merge_on_read(&mut self, cx: &mut Core, incoming: &Log) {
         let log = Arc::make_mut(&mut self.log);
         log.merge(incoming, self.prune);
         let merged = log.len();
-        log.prune_applied(self.site, &self.state.last_clock);
+        log.prune_applied(cx.site, &self.last_clock);
         log.purge(self.prune);
         let remaining = log.len();
         if merged > remaining {
-            self.trace.emit(ProtoTraceEvent::LogPruned {
+            cx.trace.emit(ProtoTraceEvent::LogPruned {
                 removed: merged - remaining,
                 remaining,
             });
         }
     }
-
-    /// Current log length (diagnostics; the paper discusses amortized log
-    /// size following Chandra et al.).
-    pub fn log_size(&self) -> usize {
-        self.log.len()
-    }
 }
 
-impl ProtocolSite for OptTrack {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::OptTrack
-    }
+impl Tracker for OptTrack {
+    const KIND: ProtocolKind = ProtocolKind::OptTrack;
+    /// The write's clock and the writer's pre-write log, shared across the
+    /// fan-out; apply unwraps it (or clones, if still shared) when it needs
+    /// the private mutable copy for `assoc`.
+    type Stamp = (u64, Arc<Log>);
+    type Slot = LastWrite;
+    type SyncMeta = Log;
 
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
-        self.clock += 1;
-        let wid = WriteId::new(self.site, self.clock);
-        let value = VersionedValue::with_payload(wid, data, payload_len);
-        let dests = self.repl.replicas(var);
-
+    fn stamp(&mut self, cx: &Core, wid: WriteId, dests: DestSet) -> Self::Stamp {
         // Piggyback the *pre-write* log: "the outgoing update messages will
         // piggyback the currently stored records". Receivers thereby see the
         // writer's causal past, including its own still-relevant writes.
-        // One shared snapshot serves the whole fan-out — taking it is a
-        // refcount bump; `record_write` below pays the copy-on-write clone.
+        // Taking the snapshot is a refcount bump; `record_write` below pays
+        // the copy-on-write clone.
         let piggyback = Arc::clone(&self.log);
-
-        let mut effects = Vec::new();
-        for k in dests.iter() {
-            if k != self.site {
-                effects.push(Effect::Send {
-                    to: k,
-                    msg: Msg::Sm(Sm {
-                        var,
-                        value,
-                        meta: SmMeta::OptTrack {
-                            clock: self.clock,
-                            log: Arc::clone(&piggyback),
-                        },
-                    }),
-                });
-            }
-        }
-
         // Local log update: condition 2 prunes destinations covered by this
         // causally-later send, then the write's own record is added.
-        Arc::make_mut(&mut self.log).record_write(self.site, self.clock, dests, self.prune);
-
-        if dests.contains(self.site) {
-            // Writer applies its own update immediately.
-            self.state.values.insert(var, value);
-            self.state.apply[self.site.index()] += 1;
-            self.state.last_clock[self.site.index()] = self.clock;
-            let own = LogEntry::new(self.site, self.clock, dests);
-            self.state
-                .last_write_on
-                .insert(var, LastWrite::applied(piggyback, own));
-            effects.push(Effect::Applied { var, write: wid });
-            effects.extend(self.drain());
-        }
-        (wid, effects)
+        Arc::make_mut(&mut self.log).record_write(cx.site, wid.clock, dests, self.prune);
+        (wid.clock, piggyback)
     }
 
-    fn read(&mut self, var: VarId) -> ReadResult {
-        if self.repl.is_replicated_at(var, self.site) {
-            let (site, prune) = (self.site, self.prune);
-            let ApplyState {
-                last_write_on,
-                last_clock,
-                ..
-            } = &mut self.state;
-            let log = last_write_on
-                .get_mut(&var)
-                .map(|lw| Arc::clone(lw.materialize(site, last_clock, prune)));
-            if let Some(log) = log {
-                self.merge_on_read(&log);
-            }
-            ReadResult::Local(self.state.values.get(&var).copied())
-        } else {
-            assert!(
-                self.outstanding_fetch.is_none(),
-                "application subsystem blocks on RemoteFetch"
-            );
-            self.outstanding_fetch = Some(var);
-            let target = self.repl.fetch_target(var, self.site);
-            ReadResult::Fetch {
-                target,
-                msg: Msg::Fm(Fm { var }),
-            }
+    fn sm_meta((clock, log): &Self::Stamp) -> SmMeta {
+        SmMeta::OptTrack {
+            clock: *clock,
+            log: Arc::clone(log),
         }
     }
 
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
-        match msg {
-            Msg::Sm(sm) => {
-                let SmMeta::OptTrack { clock, log } = sm.meta else {
-                    panic!("Opt-Track site received a foreign SM meta");
-                };
-                let m = PendingSm {
-                    var: sm.var,
-                    value: sm.value,
-                    clock,
-                    log,
-                };
-                if self.trace.enabled() {
-                    if let Some((dep_site, dep_clock)) = Self::blocking_dep(&self.state, &m) {
-                        self.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: m.value.writer.site,
-                            clock: m.value.writer.clock,
-                            var: m.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
-                }
-                self.pending.push(from, m);
-                self.drain()
-            }
-            Msg::Fm(fm) => {
-                let value = self.state.values.get(&fm.var).copied();
-                let site = self.site;
-                let prune = self.prune;
-                let ApplyState {
-                    last_write_on,
-                    last_clock,
-                    ..
-                } = &mut self.state;
-                let meta = RmMeta::OptTrack(
-                    last_write_on
-                        .get_mut(&fm.var)
-                        .map(|lw| Arc::clone(lw.materialize(site, last_clock, prune))),
-                );
-                vec![Effect::Send {
-                    to: from,
-                    msg: Msg::Rm(Rm {
-                        var: fm.var,
-                        value,
-                        meta,
-                    }),
-                }]
-            }
-            Msg::Rm(rm) => {
-                assert_eq!(
-                    self.outstanding_fetch.take(),
-                    Some(rm.var),
-                    "RM must answer the single outstanding fetch"
-                );
-                let RmMeta::OptTrack(meta) = rm.meta else {
-                    panic!("Opt-Track site received a foreign RM meta");
-                };
-                if let Some(log) = &meta {
-                    self.merge_on_read(log);
-                }
-                vec![Effect::FetchDone {
-                    var: rm.var,
-                    value: rm.value,
-                }]
-            }
-            Msg::Batch(_) => panic!("batches are unbatched by the transport before delivery"),
+    fn from_sm_meta(meta: SmMeta) -> Option<Self::Stamp> {
+        match meta {
+            SmMeta::OptTrack { clock, log } => Some((clock, log)),
+            _ => None,
         }
     }
 
-    fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// `A_OPT`: every piggybacked record that lists this site as a
+    /// destination must already be applied here. Records from the sender
+    /// itself are additionally ordered by the per-sender FIFO queue
+    /// (multicast sends leave in clock order over FIFO channels).
+    fn blocking_dep(
+        &self,
+        cx: &Core,
+        _sender: SiteId,
+        (_, log): &Self::Stamp,
+    ) -> Option<(SiteId, u64)> {
+        log.iter()
+            .filter(|e| e.dests.contains(cx.site))
+            .find(|e| self.last_clock[e.origin.index()] < e.clock)
+            .map(|e| (e.origin, e.clock))
     }
 
-    fn local_meta_size(&self, model: &SizeModel) -> u64 {
-        let mut total = self.log.meta_size(model);
-        for l in self.state.last_write_on.values() {
-            total += l.meta_size(model, self.site, &self.state.last_clock, self.prune);
+    fn applied(&mut self, cx: &Core, sender: SiteId, m: Parked<Self::Stamp>) -> Self::Slot {
+        let (clock, log) = m.stamp;
+        debug_assert!(
+            self.last_clock[sender.index()] < clock,
+            "FIFO channels deliver one origin's writes in clock order"
+        );
+        self.last_clock[sender.index()] = clock;
+        // Park the ingredients of the assoc log (see [`LastWrite`]): the
+        // shared piggyback and this write's own record. Implicit condition 1
+        // (minus every mention of this site — the predicate just guaranteed
+        // those writes are applied here) folds in lazily on first read.
+        let own = LogEntry::new(sender, clock, cx.repl.replicas(m.var));
+        LastWrite::applied(log, own)
+    }
+
+    fn read_merge(&mut self, cx: &mut Core, slot: &mut Self::Slot) {
+        let log = Arc::clone(slot.materialize(cx.site, &self.last_clock, self.prune));
+        self.merge_on_read(cx, &log);
+    }
+
+    fn rm_reply(&mut self, cx: &Core, slot: Option<&mut Self::Slot>) -> RmMeta {
+        RmMeta::OptTrack(
+            slot.map(|lw| Arc::clone(lw.materialize(cx.site, &self.last_clock, self.prune))),
+        )
+    }
+
+    fn rm_merge(&mut self, cx: &mut Core, meta: RmMeta) -> bool {
+        let RmMeta::OptTrack(meta) = meta else {
+            return false;
+        };
+        if let Some(log) = &meta {
+            self.merge_on_read(cx, log);
         }
-        total
+        true
     }
 
-    fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.state.values.get(&var).copied()
+    fn local_meta_size(
+        &self,
+        cx: &Core,
+        slots: &HashMap<VarId, Self::Slot>,
+        model: &SizeModel,
+    ) -> u64 {
+        let stashed: u64 = slots
+            .values()
+            .map(|lw| lw.meta_size(model, cx.site, &self.last_clock, self.prune))
+            .sum();
+        self.log.meta_size(model) + stashed
     }
 
     fn log_len(&self) -> Option<usize> {
         Some(self.log.len())
     }
 
-    fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
         let mut stats = GcStats::default();
         // The main KS log: entries at or below the cut are applied at every
         // destination, so their (now vacuous) constraints can go. Run-tail
@@ -474,7 +295,7 @@ impl ProtocolSite for OptTrack {
         // Unmaterialized slots still alias the shared in-flight snapshot —
         // forcing materialization to GC them would *grow* memory, and their
         // Arc is usually dropped wholesale on overwrite anyway.
-        for lw in self.state.last_write_on.values_mut() {
+        for lw in slots.values_mut() {
             if lw.own.is_some() {
                 continue;
             }
@@ -485,180 +306,116 @@ impl ProtocolSite for OptTrack {
         stats
     }
 
-    fn own_ledger(&self) -> OwnLedger {
-        OwnLedger {
-            site: self.site,
-            own_clock: self.clock,
-            // Opt-Track's predicate is clock-based, not count-based, so the
-            // per-destination row is only an upper bound (nothing reads it).
-            own_row: vec![self.clock; self.n],
-            self_applied: self.state.apply[self.site.index()],
-        }
+    fn own_row(&self, cx: &Core) -> Vec<u64> {
+        // Opt-Track's predicate is clock-based, not count-based, so the
+        // per-destination row is only an upper bound (nothing reads it).
+        vec![cx.clock; cx.n]
     }
 
-    fn note_peer_departed(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
-        // Same fast-forward as a recovery announcement, plus: the peer is
-        // gone for good, so its KS-log entries (as origin or destination)
-        // can never constrain a future delivery — forget them.
-        let dropped = self.pending.clear_sender(peer);
-        let pi = peer.index();
-        self.state.last_clock[pi] = self.state.last_clock[pi].max(ledger.own_clock);
-        self.state.apply[pi] += dropped as u64;
-        let log = Arc::make_mut(&mut self.log);
-        log.prune_applied(self.site, &self.state.last_clock);
-        log.forget_site(peer, self.prune);
-        (self.drain(), dropped)
+    fn restore_own(&mut self, cx: &Core, _ledger: &OwnLedger) {
+        let own = &mut self.last_clock[cx.site.index()];
+        *own = (*own).max(cx.clock);
     }
 
-    fn drop_var(&mut self, var: VarId) {
-        self.state.values.remove(&var);
-        self.state.last_write_on.remove(&var);
-    }
-
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        // Fail-soft WAL truncation may have replayed fewer own writes than
-        // the durable ledger records; never reuse a clock (= WriteId).
-        self.clock = self.clock.max(ledger.own_clock);
-        let me = self.site.index();
-        self.state.last_clock[me] = self.state.last_clock[me].max(self.clock);
-        self.state.apply[me] = self.state.apply[me].max(ledger.self_applied);
-    }
-
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        let ledger = self.own_ledger();
-        // The write counter is the durable bit — reusing a clock would mint
-        // duplicate WriteIds. Everything learned is volatile.
+    fn crash(&mut self, cx: &Core, _ledger: &OwnLedger) {
         self.log = Arc::new(Log::new());
-        self.state.values.clear();
-        self.state.last_write_on.clear();
-        self.state.apply = vec![0; self.n];
-        self.state.apply[self.site.index()] = ledger.self_applied;
-        self.state.last_clock = vec![0; self.n];
+        self.last_clock = vec![0; cx.n];
         // Own self-replicated writes were applied here at write time; the
         // clock-based fast-forward to the full own counter is safe (any own
         // write not self-applied was not destined here at all).
-        self.state.last_clock[self.site.index()] = self.clock;
-        self.state.applied_effects.clear();
-        let mut dropped = 0;
-        for s in SiteId::all(self.n) {
-            dropped += self.pending.clear_sender(s);
-        }
-        self.outstanding_fetch = None;
-        (ledger, dropped)
+        self.last_clock[cx.site.index()] = cx.clock;
     }
 
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
+    fn peer_recovered(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, dropped: usize) {
         // The peer's unacked pre-crash writes are permanently lost:
         // fast-forward the per-origin clock so predicates that reference
-        // them can fire, and drop updates parked from the peer (the
-        // fast-forward already covers their clocks).
-        let dropped = self.pending.clear_sender(peer);
+        // them can fire (it already covers the dropped updates' clocks).
         let pi = peer.index();
-        self.state.last_clock[pi] = self.state.last_clock[pi].max(ledger.own_clock);
-        self.state.apply[pi] += dropped as u64;
-        Arc::make_mut(&mut self.log).prune_applied(self.site, &self.state.last_clock);
-        (self.drain(), dropped)
+        self.last_clock[pi] = self.last_clock[pi].max(ledger.own_clock);
+        cx.apply[pi] += dropped as u64;
+        Arc::make_mut(&mut self.log).prune_applied(cx.site, &self.last_clock);
     }
 
-    fn export_sync(&self, requester: SiteId) -> SyncState {
-        let vars = self
-            .state
-            .values
-            .iter()
-            .filter(|(var, _)| self.repl.is_replicated_at(**var, requester))
-            .map(|(var, value)| {
-                let lw = &self.state.last_write_on[var];
-                (
-                    *var,
-                    *value,
-                    lw.materialize_owned(self.site, &self.state.last_clock, self.prune),
-                )
-            })
-            .collect();
+    fn peer_departed(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, dropped: usize) {
+        // Same fast-forward as a recovery announcement, plus: the peer is
+        // gone for good, so its KS-log entries (as origin or destination)
+        // can never constrain a future delivery — forget them.
+        self.peer_recovered(cx, peer, ledger, dropped);
+        Arc::make_mut(&mut self.log).forget_site(peer, self.prune);
+    }
+
+    fn export_sync<'a>(
+        &self,
+        cx: &Core,
+        vars: impl Iterator<Item = (VarId, VersionedValue, Option<&'a Self::Slot>)>,
+    ) -> SyncState {
+        let stash = |lw: Option<&LastWrite>| {
+            lw.expect("every applied Opt-Track value keeps its slot")
+                .materialize_owned(cx.site, &self.last_clock, self.prune)
+        };
         SyncState::OptTrack {
             log: (*self.log).clone(),
-            vars,
+            vars: vars
+                .map(|(var, value, lw)| (var, value, stash(lw)))
+                .collect(),
         }
     }
 
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        let mut best: HashMap<VarId, (VersionedValue, Log)> = HashMap::new();
-        for (peer, ack, state) in sources {
-            let SyncState::OptTrack { log, vars } = state else {
-                panic!("Opt-Track site received a foreign sync snapshot");
-            };
-            // Acked SMs were received exactly once and never redeliver;
-            // unacked ones will be, starting right after the acked prefix
-            // (FIFO), so the acked maximum restores last_clock exactly.
-            // Never regress: a WAL-replayed site may already count unacked
-            // (logged but never re-acked) deliveries beyond the acked prefix.
-            let apply = &mut self.state.apply[peer.index()];
-            *apply = (*apply).max(ack.sm_count);
-            let last = &mut self.state.last_clock[peer.index()];
-            *last = (*last).max(ack.sm_max_clock);
-            // Merge every live peer's log: a conservative over-approximation
-            // of the lost causal knowledge (each observed write lives in its
-            // writer's own log until all destinations are covered).
-            Arc::make_mut(&mut self.log).merge(log, self.prune);
-            for (var, value, meta) in vars {
-                let replace = best.get(var).is_none_or(|(b, _)| {
-                    (value.writer.clock, value.writer.site) > (b.writer.clock, b.writer.site)
-                });
-                if replace {
-                    best.insert(*var, (*value, meta.clone()));
-                }
-            }
-        }
-        let local = Arc::make_mut(&mut self.log);
-        local.prune_applied(self.site, &self.state.last_clock);
-        local.purge(self.prune);
-        for (var, (value, mut meta)) in best {
-            // Install only values strictly newer than the local replica: a
-            // WAL-replayed state already holds everything up to its durable
-            // point, and a delta snapshot must not roll it back.
-            let newer = self.state.values.get(&var).is_none_or(|cur| {
-                (value.writer.clock, value.writer.site) > (cur.writer.clock, cur.writer.site)
-            });
-            if newer {
-                meta.remove_site(self.site);
-                meta.normalize(self.prune);
-                self.state.values.insert(var, value);
-                self.state
-                    .last_write_on
-                    .insert(var, LastWrite::materialized(Arc::new(meta)));
-            }
-        }
+    fn absorb_sync<'a>(
+        &mut self,
+        cx: &mut Core,
+        peer: SiteId,
+        ack: &PeerAckInfo,
+        state: &'a SyncState,
+    ) -> Option<Donor<'a, Self::SyncMeta>> {
+        let SyncState::OptTrack { log, vars } = state else {
+            return None;
+        };
+        // Acked SMs were received exactly once and never redeliver;
+        // unacked ones will be, starting right after the acked prefix
+        // (FIFO), so the acked maximum restores last_clock exactly.
+        // Never regress: a WAL-replayed site may already count unacked
+        // (logged but never re-acked) deliveries beyond the acked prefix.
+        let pi = peer.index();
+        cx.apply[pi] = cx.apply[pi].max(ack.sm_count);
+        self.last_clock[pi] = self.last_clock[pi].max(ack.sm_max_clock);
+        // Merge every live peer's log: a conservative over-approximation
+        // of the lost causal knowledge (each observed write lives in its
+        // writer's own log until all destinations are covered).
+        Arc::make_mut(&mut self.log).merge(log, self.prune);
+        Some(Donor {
+            known: &[],
+            vars: vars
+                .iter()
+                .map(|(var, value, l)| (*var, *value, l))
+                .collect(),
+        })
     }
 
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        Box::new(self.clone())
+    fn sync_merged(&mut self, cx: &Core) {
+        let log = Arc::make_mut(&mut self.log);
+        log.prune_applied(cx.site, &self.last_clock);
+        log.purge(self.prune);
     }
 
-    fn abort_fetch(&mut self, var: VarId) {
-        assert_eq!(
-            self.outstanding_fetch.take(),
-            Some(var),
-            "abort of a fetch that is not outstanding"
-        );
-    }
-
-    fn fetching(&self) -> Option<VarId> {
-        self.outstanding_fetch
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        self.trace.take()
+    fn slot_from_sync(&self, cx: &Core, _value: VersionedValue, meta: &Log) -> Self::Slot {
+        let mut log = meta.clone();
+        log.remove_site(cx.site);
+        log.normalize(self.prune);
+        LastWrite::materialized(Arc::new(log))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::{Effect, ReadResult};
+    use crate::msg::{Msg, Sm};
+    use crate::replica::kit::{self, applied, sends};
+    use crate::replica::Replica;
     use crate::replication::FullReplication;
+    use crate::site::ProtocolSite;
+    use causal_clocks::DestSet;
 
     /// Three sites; x at {0,1}, y at {1,2}, z at {0,2}, w at {2}.
     struct Toy;
@@ -683,34 +440,8 @@ mod tests {
         }
     }
 
-    fn toy_system() -> Vec<OptTrack> {
-        let repl = Arc::new(Toy);
-        SiteId::all(3)
-            .map(|s| OptTrack::new(s, repl.clone()))
-            .collect()
-    }
-
-    fn sends(effects: &[Effect]) -> Vec<(SiteId, Sm)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::Sm(sm),
-                } => Some((*to, sm.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn applied(effects: &[Effect]) -> Vec<WriteId> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Applied { write, .. } => Some(*write),
-                _ => None,
-            })
-            .collect()
+    fn toy_system() -> Vec<Replica<OptTrack>> {
+        kit::system(Toy, OptTrack::new)
     }
 
     #[test]
@@ -929,17 +660,18 @@ mod tests {
         // After applying at s1, the log stored for x0 must not mention s1.
         sys[1].read(VarId(0));
         // s1's own LOG (post merge) must not list s1 as a pending dest.
-        assert!(sys[1].log.iter().all(|e| !e.dests.contains(SiteId(1))));
+        assert!(sys[1]
+            .tracker
+            .log
+            .iter()
+            .all(|e| !e.dests.contains(SiteId(1))));
     }
 
     #[test]
     fn log_stays_small_under_repeated_full_replication_writes() {
         // Under full replication every write supersedes all previous dest
         // info: the log must stay O(1) per origin.
-        let repl = Arc::new(FullReplication::new(4));
-        let mut sites: Vec<OptTrack> = SiteId::all(4)
-            .map(|s| OptTrack::new(s, repl.clone()))
-            .collect();
+        let mut sites = kit::system(FullReplication::new(4), OptTrack::new);
         for round in 0..50u64 {
             let (_w, effects) = sites[0].write(VarId((round % 7) as u32), round, 0);
             for (to, sm) in sends(&effects) {
@@ -951,23 +683,24 @@ mod tests {
         }
         for site in &sites {
             assert!(
-                site.log_size() <= 8,
+                site.log_len().unwrap() <= 8,
                 "log must stay bounded, got {}",
-                site.log_size()
+                site.log_len().unwrap()
             );
         }
     }
 
     #[test]
     fn ablation_condition2_off_grows_larger_logs() {
-        let repl = Arc::new(FullReplication::new(4));
+        let repl: Arc<dyn Replication> = Arc::new(FullReplication::new(4));
         let loose = PruneConfig {
             condition2: false,
             ..PruneConfig::default()
         };
-        let mut tight_site = OptTrack::new(SiteId(1), repl.clone());
-        let mut loose_site = OptTrack::with_prune(SiteId(2), repl.clone(), loose);
-        let mut writer = OptTrack::new(SiteId(0), repl.clone());
+        let site = |s, prune| Replica::new(s, repl.clone(), |r| OptTrack::with_prune(r, prune));
+        let mut tight_site = site(SiteId(1), PruneConfig::default());
+        let mut loose_site = site(SiteId(2), loose);
+        let mut writer = site(SiteId(0), PruneConfig::default());
         for round in 0..30u64 {
             let (_w, effects) = writer.write(VarId((round % 5) as u32), round, 0);
             for (to, sm) in sends(&effects) {
@@ -981,10 +714,10 @@ mod tests {
             loose_site.read(VarId((round % 5) as u32));
         }
         assert!(
-            loose_site.log_size() > tight_site.log_size(),
+            loose_site.log_len().unwrap() > tight_site.log_len().unwrap(),
             "disabling condition 2 must inflate the log ({} vs {})",
-            loose_site.log_size(),
-            tight_site.log_size()
+            loose_site.log_len().unwrap(),
+            tight_site.log_len().unwrap()
         );
     }
 

@@ -8,458 +8,218 @@
 //! is the `O(d)` (effectively constant) per-message overhead that beats
 //! optP's `O(n)` vector in Figs. 5–8 / Table III.
 
-use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
-use crate::msg::{Msg, Sm, SmMeta};
-use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
+use crate::msg::SmMeta;
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
+use crate::replica::{raise_to_horizon, retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
-use crate::site::{GcStats, ProtocolSite, StableCut};
-use causal_clocks::CrpLog;
+use crate::site::{GcStats, StableCut};
+use causal_clocks::{CrpLog, DestSet};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parked Opt-Track-CRP update (shared tuple-log snapshot).
-#[derive(Clone, Debug)]
-struct PendingSm {
-    var: VarId,
-    value: VersionedValue,
-    clock: u64,
-    log: Arc<CrpLog>,
-}
-
-#[derive(Clone)]
-struct ApplyState {
-    values: HashMap<VarId, VersionedValue>,
-    /// `LastWriteOn⟨h⟩` — under CRP only the applied write's own tuple is
-    /// stored ("only w' itself needs to be stored in LastWriteOn_i⟨x_h⟩").
-    last_write_on: HashMap<VarId, WriteId>,
-    apply: Vec<u64>,
-    /// Under full replication every write from an origin reaches every site
-    /// in clock order, so the applied count equals the applied clock; we
-    /// still track clocks for uniformity with Opt-Track.
-    last_clock: Vec<u64>,
-    applied_effects: Vec<Effect>,
-}
-
-/// One site running Opt-Track-CRP.
+/// Opt-Track-CRP's 2-tuple log and its rules; one site is a
+/// [`Replica<OptTrackCrp>`](crate::Replica).
 #[derive(Clone)]
 pub struct OptTrackCrp {
-    site: SiteId,
-    n: usize,
-    repl: Arc<dyn Replication>,
-    /// `clock_i` — local write counter.
-    clock: u64,
     /// The local dependency log (`≤ d + 1` tuples).
     log: CrpLog,
-    state: ApplyState,
-    pending: PendingQueues<PendingSm>,
-    trace: ProtoTrace,
+    /// Largest write clock from each origin applied here. Under full
+    /// replication every write of an origin reaches every site in clock
+    /// order, so this equals the applied count; the predicate speaks clocks.
+    last_clock: Vec<u64>,
 }
 
 impl OptTrackCrp {
-    /// Create the CRP state machine for `site`. The placement must be full
+    /// The CRP tracker for a site under `repl`. The placement must be full
     /// replication — the protocol's correctness depends on it.
-    pub fn new(site: SiteId, repl: Arc<dyn Replication>) -> Self {
+    pub fn new(repl: &dyn Replication) -> Self {
         assert!(
             repl.is_full(),
             "Opt-Track-CRP requires full replication (p = n)"
         );
-        let n = repl.n();
         OptTrackCrp {
-            site,
-            n,
-            repl,
-            clock: 0,
             log: CrpLog::new(),
-            state: ApplyState {
-                values: HashMap::new(),
-                last_write_on: HashMap::new(),
-                apply: vec![0; n],
-                last_clock: vec![0; n],
-                applied_effects: Vec::new(),
-            },
-            pending: PendingQueues::new(n),
-            trace: ProtoTrace::default(),
+            last_clock: vec![0; repl.n()],
         }
-    }
-
-    /// Activation predicate: every dependency tuple must be applied here.
-    /// The sender's own tuples are additionally covered by per-sender FIFO.
-    fn ready(state: &ApplyState, _sender: SiteId, m: &PendingSm) -> bool {
-        Self::blocking_dep(state, m).is_none()
-    }
-
-    /// The first dependency tuple not yet applied here (trace witness);
-    /// `None` when the predicate holds.
-    fn blocking_dep(state: &ApplyState, m: &PendingSm) -> Option<(SiteId, u64)> {
-        m.log
-            .iter()
-            .find(|w| state.last_clock[w.site.index()] < w.clock)
-            .map(|w| (w.site, w.clock))
-    }
-
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
-        debug_assert_eq!(
-            state.last_clock[sender.index()] + 1,
-            m.clock,
-            "full replication delivers every write of an origin, in order"
-        );
-        state.values.insert(m.var, m.value);
-        state.apply[sender.index()] += 1;
-        state.last_clock[sender.index()] = m.clock;
-        state.last_write_on.insert(m.var, m.value.writer);
-        state.applied_effects.push(Effect::Applied {
-            var: m.var,
-            write: m.value.writer,
-        });
-    }
-
-    fn drain(&mut self) -> Vec<Effect> {
-        self.pending
-            .drain(&mut self.state, Self::ready, Self::apply_update);
-        std::mem::take(&mut self.state.applied_effects)
-    }
-
-    /// Current log length (`d + 1` of §III-C; Table III's size driver).
-    pub fn log_size(&self) -> usize {
-        self.log.len()
     }
 }
 
-impl ProtocolSite for OptTrackCrp {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::OptTrackCrp
-    }
+impl Tracker for OptTrackCrp {
+    const KIND: ProtocolKind = ProtocolKind::OptTrackCrp;
+    /// The write's clock and the writer's pre-write log.
+    type Stamp = (u64, Arc<CrpLog>);
+    /// Under CRP only the applied write's own tuple is stored ("only w'
+    /// itself needs to be stored in LastWriteOn_i⟨x_h⟩").
+    type Slot = WriteId;
+    /// The tuple is the shipped value's own writer.
+    type SyncMeta = ();
 
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
-        self.clock += 1;
-        let wid = WriteId::new(self.site, self.clock);
-        let value = VersionedValue::with_payload(wid, data, payload_len);
-
+    fn stamp(&mut self, _cx: &Core, wid: WriteId, _dests: DestSet) -> Self::Stamp {
         // Piggyback the pre-write log (own previous write tuple + one tuple
-        // per distinct origin read since then); one shared snapshot serves
-        // the whole fan-out.
-        // "Full replication" means every *member* of the current view; a
-        // dynamic placement excludes departed or not-yet-joined slots.
+        // per distinct origin read since then).
         let piggyback = Arc::new(self.log.clone());
-        let mut effects = Vec::with_capacity(self.n);
-        for k in self.repl.replicas(var).iter() {
-            if k != self.site {
-                effects.push(Effect::Send {
-                    to: k,
-                    msg: Msg::Sm(Sm {
-                        var,
-                        value,
-                        meta: SmMeta::Crp {
-                            clock: self.clock,
-                            log: Arc::clone(&piggyback),
-                        },
-                    }),
-                });
-            }
-        }
-
         // "The local log always incurs reset after each write."
         self.log.reset_to(wid);
-
-        // Local apply (full replication: the writer always replicates).
-        self.state.values.insert(var, value);
-        self.state.apply[self.site.index()] += 1;
-        self.state.last_clock[self.site.index()] = self.clock;
-        self.state.last_write_on.insert(var, wid);
-        effects.push(Effect::Applied { var, write: wid });
-        effects.extend(self.drain());
-        (wid, effects)
+        (wid.clock, piggyback)
     }
 
-    fn read(&mut self, var: VarId) -> ReadResult {
-        // Full replication: reads are always local. Reading establishes the
-        // →co edge by observing the value's write tuple.
-        if let Some(w) = self.state.last_write_on.get(&var) {
-            self.log.observe(*w);
-        }
-        ReadResult::Local(self.state.values.get(&var).copied())
-    }
-
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
-        match msg {
-            Msg::Sm(sm) => {
-                let SmMeta::Crp { clock, log } = sm.meta else {
-                    panic!("Opt-Track-CRP site received a foreign SM meta");
-                };
-                // Post-recovery duplicate suppression: an SM at or below
-                // the per-origin delivery high-water is a retransmission
-                // whose effect is already folded into the installed sync
-                // snapshot (or covered by a peer-recovery fast-forward);
-                // re-applying it would roll the variable backwards.
-                if clock <= self.state.last_clock[from.index()] {
-                    return Vec::new();
-                }
-                let m = PendingSm {
-                    var: sm.var,
-                    value: sm.value,
-                    clock,
-                    log,
-                };
-                if self.trace.enabled() {
-                    if let Some((dep_site, dep_clock)) = Self::blocking_dep(&self.state, &m) {
-                        self.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: m.value.writer.site,
-                            clock: m.value.writer.clock,
-                            var: m.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
-                }
-                self.pending.push(from, m);
-                self.drain()
-            }
-            other => panic!(
-                "Opt-Track-CRP never receives {:?} messages: reads are local \
-                 under full replication",
-                other.kind()
-            ),
+    fn sm_meta((clock, log): &Self::Stamp) -> SmMeta {
+        SmMeta::Crp {
+            clock: *clock,
+            log: Arc::clone(log),
         }
     }
 
-    fn pending_len(&self) -> usize {
-        self.pending.len()
+    fn from_sm_meta(meta: SmMeta) -> Option<Self::Stamp> {
+        match meta {
+            SmMeta::Crp { clock, log } => Some((clock, log)),
+            _ => None,
+        }
     }
 
-    fn local_meta_size(&self, model: &SizeModel) -> u64 {
+    /// Every dependency tuple must be applied here. The sender's own tuples
+    /// are additionally covered by per-sender FIFO.
+    fn blocking_dep(
+        &self,
+        _cx: &Core,
+        _sender: SiteId,
+        (_, log): &Self::Stamp,
+    ) -> Option<(SiteId, u64)> {
+        log.iter()
+            .find(|w| self.last_clock[w.site.index()] < w.clock)
+            .map(|w| (w.site, w.clock))
+    }
+
+    fn applied(&mut self, _cx: &Core, sender: SiteId, m: Parked<Self::Stamp>) -> Self::Slot {
+        let (clock, _) = m.stamp;
+        debug_assert_eq!(
+            self.last_clock[sender.index()] + 1,
+            clock,
+            "full replication delivers every write of an origin, in order"
+        );
+        self.last_clock[sender.index()] = clock;
+        m.value.writer
+    }
+
+    fn read_merge(&mut self, _cx: &mut Core, slot: &mut Self::Slot) {
+        self.log.observe(*slot);
+    }
+
+    fn horizon<'a>(&'a self, _cx: &'a Core) -> Option<&'a [u64]> {
+        Some(&self.last_clock)
+    }
+
+    fn local_meta_size(
+        &self,
+        _cx: &Core,
+        slots: &HashMap<VarId, Self::Slot>,
+        model: &SizeModel,
+    ) -> u64 {
         // Log tuples + one stored tuple per written variable.
-        self.log.meta_size(model) + model.scalars(2 * self.state.last_write_on.len())
-    }
-
-    fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.state.values.get(&var).copied()
+        self.log.meta_size(model) + model.scalars(2 * slots.len())
     }
 
     fn log_len(&self) -> Option<usize> {
         Some(self.log.len())
     }
 
-    fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
         // Tuples at or below the stable frontier piggyback constraints that
         // are vacuous at every live member; likewise a stable stored
         // `LastWriteOn` tuple would only ever feed such a vacuous observe.
-        let log_entries = self.log.prune_stable(cut.clocks);
-        let before = self.state.last_write_on.len();
-        self.state
-            .last_write_on
-            .retain(|_, w| cut.clocks.get(w.site.index()).is_none_or(|&f| w.clock > f));
+        let unstable = |w: &WriteId| cut.clocks.get(w.site.index()).is_none_or(|&f| w.clock > f);
         GcStats {
-            log_entries,
-            slots: before - self.state.last_write_on.len(),
+            log_entries: self.log.prune_stable(cut.clocks),
+            slots: retain_slots(slots, unstable),
         }
     }
 
-    fn own_ledger(&self) -> OwnLedger {
+    fn own_row(&self, cx: &Core) -> Vec<u64> {
         // Under full replication every own write counts toward every site,
         // so the durable per-destination row is uniformly `clock_i`.
-        OwnLedger {
-            site: self.site,
-            own_clock: self.clock,
-            own_row: vec![self.clock; self.n],
-            self_applied: self.state.apply[self.site.index()],
-        }
+        vec![cx.clock; cx.n]
     }
 
-    fn drop_var(&mut self, var: VarId) {
-        self.state.values.remove(&var);
-        self.state.last_write_on.remove(&var);
+    fn restore_own(&mut self, cx: &Core, _ledger: &OwnLedger) {
+        let own = &mut self.last_clock[cx.site.index()];
+        *own = (*own).max(cx.clock);
     }
 
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        // Fail-soft WAL truncation may have replayed fewer own writes than
-        // the durable ledger records; never reuse a clock (= WriteId).
-        self.clock = self.clock.max(ledger.own_clock);
-        let me = self.site.index();
-        self.state.last_clock[me] = self.state.last_clock[me].max(self.clock);
-        self.state.apply[me] = self.state.apply[me].max(ledger.self_applied);
-    }
-
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        let ledger = self.own_ledger();
+    fn crash(&mut self, cx: &Core, _ledger: &OwnLedger) {
         self.log = CrpLog::new();
-        if self.clock > 0 {
+        if cx.clock > 0 {
             // Post-recovery writes causally follow the last pre-crash write;
             // keep its tuple so the next piggyback still says so.
-            self.log.observe(WriteId::new(self.site, self.clock));
+            self.log.observe(WriteId::new(cx.site, cx.clock));
         }
-        self.state.values.clear();
-        self.state.last_write_on.clear();
-        self.state.apply = vec![0; self.n];
-        self.state.apply[self.site.index()] = ledger.self_applied;
-        self.state.last_clock = vec![0; self.n];
-        self.state.last_clock[self.site.index()] = self.clock;
-        self.state.applied_effects.clear();
-        let mut dropped = 0;
-        for s in SiteId::all(self.n) {
-            dropped += self.pending.clear_sender(s);
-        }
-        (ledger, dropped)
+        self.last_clock = vec![0; cx.n];
+        self.last_clock[cx.site.index()] = cx.clock;
     }
 
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
+    fn peer_recovered(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, _dropped: usize) {
         // The peer's unacked pre-crash writes are lost; fast-forward to its
-        // durable write counter so dependencies on them can fire, and drop
-        // parked updates from the peer — they sit inside the acked prefix
-        // the fast-forward now covers.
-        let dropped = self.pending.clear_sender(peer);
+        // durable write counter so dependencies on them can fire.
         let p = peer.index();
-        self.state.last_clock[p] = self.state.last_clock[p].max(ledger.own_clock);
-        self.state.apply[p] = self.state.apply[p].max(ledger.own_clock);
-        (self.drain(), dropped)
+        self.last_clock[p] = self.last_clock[p].max(ledger.own_clock);
+        cx.apply[p] = cx.apply[p].max(ledger.own_clock);
     }
 
-    fn export_sync(&self, _requester: SiteId) -> SyncState {
-        // Full replication: every variable lives everywhere.
+    fn export_sync<'a>(
+        &self,
+        _cx: &Core,
+        vars: impl Iterator<Item = (VarId, VersionedValue, Option<&'a Self::Slot>)>,
+    ) -> SyncState {
         SyncState::Crp {
             log: self.log.clone(),
-            applied: self.state.last_clock.clone(),
-            vars: self
-                .state
-                .values
-                .iter()
-                .map(|(v, val)| (*v, *val))
-                .collect(),
+            applied: self.last_clock.clone(),
+            vars: vars.map(|(var, value, _)| (var, value)).collect(),
         }
     }
 
-    fn applied_horizon(&self) -> Option<Vec<u64>> {
-        Some(self.state.last_clock.clone())
-    }
-
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        // Donor `known` vector attests `w`: the donor applied the write, so
-        // its effect is folded into every value the donor exports.
-        let knows =
-            |known: &[u64], w: WriteId| known.get(w.site.index()).is_some_and(|&hw| hw >= w.clock);
-        // The snapshot horizon: per origin, the highest clock any donor has
-        // applied (plus the acked prefix of each donor's own stream). The
-        // installed values reflect exactly this causally-closed cut, so the
-        // delivery counters must fast-forward all the way to it: stopping at
-        // the acked prefix would let the unacked remainder redeliver and
-        // roll the installed values backwards, and would let fresh writes
-        // whose transitive dependencies sit inside the skipped prefix apply
+    fn absorb_sync<'a>(
+        &mut self,
+        cx: &mut Core,
+        peer: SiteId,
+        ack: &PeerAckInfo,
+        state: &'a SyncState,
+    ) -> Option<Donor<'a, Self::SyncMeta>> {
+        let SyncState::Crp { log, applied, vars } = state else {
+            return None;
+        };
+        self.log.merge(log);
+        // Short of the donor's horizon, fresh writes whose transitive
+        // dependencies sit inside the skipped prefix would also apply
         // before those dependencies (the d+1-tuple log cannot re-park them).
-        let mut horizon = vec![0u64; self.n];
-        let mut best: HashMap<VarId, (VersionedValue, &[u64])> = HashMap::new();
-        for (peer, ack, state) in sources {
-            let SyncState::Crp { log, applied, vars } = state else {
-                panic!("Opt-Track-CRP site received a foreign sync snapshot");
-            };
-            horizon[peer.index()] = horizon[peer.index()].max(ack.sm_max_clock);
-            for (j, hw) in applied.iter().enumerate() {
-                horizon[j] = horizon[j].max(*hw);
-            }
-            // Merge every live peer's dependency log: a safe
-            // over-approximation of pre-crash causal knowledge.
-            self.log.merge(log);
-            // Per variable, prefer the value whose donor provably applied
-            // the rival's write and still kept this one; the bare
-            // `(clock, site)` order can resurrect a causally-overwritten
-            // value whose overwriter carries a smaller clock.
-            for (var, value) in vars {
-                let better = match best.get(var) {
-                    None => true,
-                    Some((b, b_known)) => {
-                        let v_covers_b = knows(applied, b.writer);
-                        let b_covers_v = knows(b_known, value.writer);
-                        if v_covers_b != b_covers_v {
-                            v_covers_b
-                        } else {
-                            (value.writer.clock, value.writer.site)
-                                > (b.writer.clock, b.writer.site)
-                        }
-                    }
-                };
-                if better {
-                    best.insert(*var, (*value, applied.as_slice()));
-                }
-            }
-        }
-        for (var, (value, known)) in best {
-            // Install unless it would roll a WAL-replayed local state back:
-            // the donor attesting the local write makes its value at least
-            // as fresh; otherwise fall back to the writer-pair order.
-            let newer = self.state.values.get(&var).is_none_or(|cur| {
-                knows(known, cur.writer)
-                    || (value.writer.clock, value.writer.site) > (cur.writer.clock, cur.writer.site)
-            });
-            if newer {
-                self.state.last_write_on.insert(var, value.writer);
-                self.state.values.insert(var, value);
-            }
-        }
-        // Never regress: a WAL-replayed site may already count deliveries
-        // beyond any donor's horizon.
-        for (j, hw) in horizon.iter().enumerate() {
-            let apply = &mut self.state.apply[j];
-            *apply = (*apply).max(*hw);
-            let last = &mut self.state.last_clock[j];
-            *last = (*last).max(*hw);
-        }
+        raise_to_horizon(&mut cx.apply, peer, ack, applied);
+        raise_to_horizon(&mut self.last_clock, peer, ack, applied);
+        Some(Donor {
+            known: applied,
+            vars: vars
+                .iter()
+                .map(|(var, value)| (*var, *value, &()))
+                .collect(),
+        })
     }
 
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        Box::new(self.clone())
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        self.trace.take()
+    fn slot_from_sync(&self, _cx: &Core, value: VersionedValue, _meta: &()) -> Self::Slot {
+        value.writer
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::ReadResult;
+    use crate::msg::Msg;
+    use crate::replica::kit::{self, applied, sends};
+    use crate::replica::Replica;
     use crate::replication::FullReplication;
+    use crate::site::ProtocolSite;
 
-    fn system(n: usize) -> Vec<OptTrackCrp> {
-        let repl = Arc::new(FullReplication::new(n));
-        SiteId::all(n)
-            .map(|s| OptTrackCrp::new(s, repl.clone()))
-            .collect()
-    }
-
-    fn sends(effects: &[Effect]) -> Vec<(SiteId, Sm)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::Sm(sm),
-                } => Some((*to, sm.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn applied(effects: &[Effect]) -> Vec<WriteId> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Applied { write, .. } => Some(*write),
-                _ => None,
-            })
-            .collect()
+    fn system(n: usize) -> Vec<Replica<OptTrackCrp>> {
+        kit::system(FullReplication::new(n), OptTrackCrp::new)
     }
 
     #[test]
@@ -486,20 +246,20 @@ mod tests {
                 sys[0].on_message(SiteId(2), Msg::Sm(sm));
             }
         }
-        assert_eq!(sys[0].log_size(), 0);
+        assert_eq!(sys[0].log_len().unwrap(), 0);
         sys[0].read(VarId(1));
-        assert_eq!(sys[0].log_size(), 1, "one tuple per read origin");
+        assert_eq!(sys[0].log_len().unwrap(), 1, "one tuple per read origin");
         sys[0].read(VarId(2));
-        assert_eq!(sys[0].log_size(), 2);
+        assert_eq!(sys[0].log_len().unwrap(), 2);
         sys[0].read(VarId(1));
         assert_eq!(
-            sys[0].log_size(),
+            sys[0].log_len().unwrap(),
             2,
             "re-reading the same origin adds nothing"
         );
         sys[0].write(VarId(0), 5, 0);
         assert_eq!(
-            sys[0].log_size(),
+            sys[0].log_len().unwrap(),
             1,
             "write resets the log to its own tuple"
         );
@@ -586,7 +346,7 @@ mod tests {
         }
         sys[0].read(VarId(1));
         sys[0].read(VarId(2));
-        assert_eq!(sys[0].log_size(), 2);
+        assert_eq!(sys[0].log_len().unwrap(), 2);
 
         let counts = MatrixClock::new(3);
         // Only origin 1's write is stable: its tuple and stored last-write
@@ -598,7 +358,7 @@ mod tests {
         let stats = sys[0].gc_stable(&cut);
         assert_eq!(stats.log_entries, 1, "stats: {stats:?}");
         assert_eq!(stats.slots, 1, "stats: {stats:?}");
-        assert_eq!(sys[0].log_size(), 1);
+        assert_eq!(sys[0].log_len().unwrap(), 1);
         assert!(sys[0].gc_stable(&cut).is_empty(), "idempotent");
 
         // Values survive; re-reading a GC'd variable is still fine (the
@@ -607,7 +367,7 @@ mod tests {
             ReadResult::Local(Some(v)) => assert_eq!(v.data, 10),
             other => panic!("expected local value, got {other:?}"),
         }
-        assert_eq!(sys[0].log_size(), 1, "no tuple re-materializes");
+        assert_eq!(sys[0].log_len().unwrap(), 1, "no tuple re-materializes");
     }
 
     #[test]
@@ -616,8 +376,8 @@ mod tests {
         use crate::opt_track::OptTrack;
         // A partial placement must be rejected at construction.
         let repl: Arc<dyn Replication> = Arc::new(PartialToy);
-        let _ok = OptTrack::new(SiteId(0), repl.clone()); // fine for Opt-Track
-        let _crp = OptTrackCrp::new(SiteId(0), repl); // must panic
+        let _ok = OptTrack::new(&*repl); // fine for Opt-Track
+        let _crp = OptTrackCrp::new(&*repl); // must panic
     }
 
     struct PartialToy;

@@ -9,82 +9,70 @@
 //! (under full replication every process's writes reach every site, so
 //! per-destination counting is unnecessary).
 
-use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
-use crate::msg::{Msg, Sm, SmMeta};
-use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
+use crate::msg::SmMeta;
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
+use crate::replica::{raise_to_horizon, retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
-use crate::site::{GcStats, ProtocolSite, StableCut};
-use causal_clocks::VectorClock;
+use crate::site::{GcStats, StableCut};
+use causal_clocks::{DestSet, VectorClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parked optP update (shared vector snapshot).
-#[derive(Clone, Debug)]
-struct PendingSm {
-    var: VarId,
-    value: VersionedValue,
-    write: Arc<VectorClock>,
-}
-
-#[derive(Clone)]
-struct ApplyState {
-    values: HashMap<VarId, VersionedValue>,
-    last_write_on: HashMap<VarId, Arc<VectorClock>>,
-    apply: Vec<u64>,
-    applied_effects: Vec<Effect>,
-}
-
-/// One site running optP.
+/// optP's `Write_i` vector and its rules; one site is a
+/// [`Replica<OptP>`](crate::Replica).
 #[derive(Clone)]
 pub struct OptP {
-    site: SiteId,
-    n: usize,
-    /// Placement handle — full replication, but consulted per write so a
-    /// dynamic view (members joining/leaving) narrows the fan-out without
-    /// protocol changes.
-    repl: Arc<dyn Replication>,
     /// `Write_i` — the site's vector clock.
-    write_clock: VectorClock,
-    state: ApplyState,
-    pending: PendingQueues<PendingSm>,
-    trace: ProtoTrace,
+    pub(crate) write: VectorClock,
 }
 
 impl OptP {
-    /// Create the optP state machine for `site`. Requires full replication.
-    pub fn new(site: SiteId, repl: Arc<dyn Replication>) -> Self {
+    /// The optP tracker for a site under `repl`. Requires full replication.
+    pub fn new(repl: &dyn Replication) -> Self {
         assert!(repl.is_full(), "optP requires full replication (p = n)");
-        let n = repl.n();
         OptP {
-            site,
-            n,
-            repl,
-            write_clock: VectorClock::new(n),
-            state: ApplyState {
-                values: HashMap::new(),
-                last_write_on: HashMap::new(),
-                apply: vec![0; n],
-                applied_effects: Vec::new(),
-            },
-            pending: PendingQueues::new(n),
-            trace: ProtoTrace::default(),
+            write: VectorClock::new(repl.n()),
+        }
+    }
+}
+
+impl Tracker for OptP {
+    const KIND: ProtocolKind = ProtocolKind::OptP;
+    /// The writer's vector snapshot, this write included.
+    type Stamp = Arc<VectorClock>;
+    type Slot = Arc<VectorClock>;
+    type SyncMeta = VectorClock;
+
+    fn stamp(&mut self, cx: &Core, wid: WriteId, _dests: DestSet) -> Self::Stamp {
+        let own = self.write.increment(cx.site);
+        debug_assert_eq!(own, wid.clock, "the own component is the write counter");
+        Arc::new(self.write.clone())
+    }
+
+    fn sm_meta(stamp: &Self::Stamp) -> SmMeta {
+        SmMeta::OptP {
+            write: Arc::clone(stamp),
         }
     }
 
-    /// Activation predicate: all causally preceding writes counted by the
-    /// piggybacked vector must be applied; the sender's component counts the
-    /// update itself.
-    fn ready(state: &ApplyState, sender: SiteId, m: &PendingSm) -> bool {
-        Self::blocking_dep(state, sender, m).is_none()
+    fn from_sm_meta(meta: SmMeta) -> Option<Self::Stamp> {
+        match meta {
+            SmMeta::OptP { write } => Some(write),
+            _ => None,
+        }
     }
 
-    /// The first vector component still short of its threshold (trace
-    /// witness); `None` when the predicate holds.
-    fn blocking_dep(state: &ApplyState, sender: SiteId, m: &PendingSm) -> Option<(SiteId, u64)> {
-        m.write
+    /// All causally preceding writes counted by the piggybacked vector must
+    /// be applied; the sender's component counts the update itself.
+    fn blocking_dep(
+        &self,
+        cx: &Core,
+        sender: SiteId,
+        stamp: &Self::Stamp,
+    ) -> Option<(SiteId, u64)> {
+        stamp
             .iter()
             .map(|(l, required)| {
                 let threshold = if l == sender {
@@ -94,348 +82,130 @@ impl OptP {
                 };
                 (l, threshold)
             })
-            .find(|&(l, threshold)| state.apply[l.index()] < threshold)
+            .find(|&(l, threshold)| cx.apply[l.index()] < threshold)
     }
 
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
-        state.values.insert(m.var, m.value);
-        state.apply[sender.index()] += 1;
-        state.applied_effects.push(Effect::Applied {
-            var: m.var,
-            write: m.value.writer,
-        });
-        state.last_write_on.insert(m.var, m.write);
+    fn applied(&mut self, _cx: &Core, _sender: SiteId, m: Parked<Self::Stamp>) -> Self::Slot {
+        m.stamp
     }
 
-    fn drain(&mut self) -> Vec<Effect> {
-        self.pending
-            .drain(&mut self.state, Self::ready, Self::apply_update);
-        std::mem::take(&mut self.state.applied_effects)
-    }
-}
-
-impl ProtocolSite for OptP {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::OptP
+    fn read_merge(&mut self, _cx: &mut Core, slot: &mut Self::Slot) {
+        self.write.merge_max(slot);
     }
 
-    fn site(&self) -> SiteId {
-        self.site
+    fn horizon<'a>(&'a self, cx: &'a Core) -> Option<&'a [u64]> {
+        Some(&cx.apply)
     }
 
-    fn n(&self) -> usize {
-        self.n
+    fn local_meta_size(
+        &self,
+        _cx: &Core,
+        slots: &HashMap<VarId, Self::Slot>,
+        model: &SizeModel,
+    ) -> u64 {
+        let stashed: u64 = slots.values().map(|w| w.meta_size(model)).sum();
+        self.write.meta_size(model) + stashed
     }
 
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
-        let clock = self.write_clock.increment(self.site);
-        let wid = WriteId::new(self.site, clock);
-        let value = VersionedValue::with_payload(wid, data, payload_len);
-        let snapshot = Arc::new(self.write_clock.clone());
-
-        let mut effects = Vec::with_capacity(self.n);
-        for k in self.repl.replicas(var).iter() {
-            if k != self.site {
-                effects.push(Effect::Send {
-                    to: k,
-                    msg: Msg::Sm(Sm {
-                        var,
-                        value,
-                        meta: SmMeta::OptP {
-                            write: Arc::clone(&snapshot),
-                        },
-                    }),
-                });
-            }
-        }
-
-        // Local apply.
-        self.state.values.insert(var, value);
-        self.state.apply[self.site.index()] += 1;
-        self.state.last_write_on.insert(var, snapshot);
-        effects.push(Effect::Applied { var, write: wid });
-        effects.extend(self.drain());
-        (wid, effects)
-    }
-
-    fn read(&mut self, var: VarId) -> ReadResult {
-        // Reading merges the stored vector — the →co edge.
-        if let Some(w) = self.state.last_write_on.get(&var) {
-            self.write_clock.merge_max(w);
-        }
-        ReadResult::Local(self.state.values.get(&var).copied())
-    }
-
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
-        match msg {
-            Msg::Sm(sm) => {
-                let SmMeta::OptP { write } = sm.meta else {
-                    panic!("optP site received a foreign SM meta");
-                };
-                // Post-recovery duplicate suppression: an SM at or below
-                // the per-origin receive counter is a retransmission whose
-                // effect is already folded into the installed sync snapshot
-                // (or covered by a peer-recovery fast-forward); re-applying
-                // it would roll the variable backwards.
-                if sm.value.writer.clock <= self.state.apply[from.index()] {
-                    return Vec::new();
-                }
-                let m = PendingSm {
-                    var: sm.var,
-                    value: sm.value,
-                    write,
-                };
-                if self.trace.enabled() {
-                    if let Some((dep_site, dep_clock)) = Self::blocking_dep(&self.state, from, &m) {
-                        self.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: m.value.writer.site,
-                            clock: m.value.writer.clock,
-                            var: m.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
-                }
-                self.pending.push(from, m);
-                self.drain()
-            }
-            other => panic!(
-                "optP never receives {:?} messages: reads are local under \
-                 full replication",
-                other.kind()
-            ),
-        }
-    }
-
-    fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn local_meta_size(&self, model: &SizeModel) -> u64 {
-        let mut total = self.write_clock.meta_size(model);
-        for w in self.state.last_write_on.values() {
-            total += w.meta_size(model);
-        }
-        total
-    }
-
-    fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.state.values.get(&var).copied()
-    }
-
-    fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
         // Full replication makes per-origin write clocks and destination
         // counts the same number, so the clock frontier is directly the
         // stability test for a stashed vector: a `LastWriteOn` clock wholly
         // below it only names writes applied at every live member, and the
         // read-merge it feeds can no longer influence any delivery.
-        let before = self.state.last_write_on.len();
-        self.state
-            .last_write_on
-            .retain(|_, w| !w.le_frontier(cut.clocks));
         GcStats {
             log_entries: 0,
-            slots: before - self.state.last_write_on.len(),
+            slots: retain_slots(slots, |w| !w.le_frontier(cut.clocks)),
         }
     }
 
-    fn own_ledger(&self) -> OwnLedger {
-        let own_clock = self.write_clock.get(self.site);
-        OwnLedger {
-            site: self.site,
-            own_clock,
-            // Full replication: every own write goes to every site.
-            own_row: vec![own_clock; self.n],
-            self_applied: self.state.apply[self.site.index()],
-        }
+    fn own_row(&self, cx: &Core) -> Vec<u64> {
+        // Full replication: every own write goes to every site.
+        vec![cx.clock; cx.n]
     }
 
-    fn drop_var(&mut self, var: VarId) {
-        self.state.values.remove(&var);
-        self.state.last_write_on.remove(&var);
+    fn restore_own(&mut self, cx: &Core, ledger: &OwnLedger) {
+        let own = self.write.get(cx.site).max(ledger.own_clock);
+        self.write.set(cx.site, own);
     }
 
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        let own = self.write_clock.get(self.site).max(ledger.own_clock);
-        self.write_clock.set(self.site, own);
-        let applied = &mut self.state.apply[self.site.index()];
-        *applied = (*applied).max(ledger.self_applied);
+    fn crash(&mut self, cx: &Core, ledger: &OwnLedger) {
+        self.write = VectorClock::new(cx.n);
+        self.write.set(cx.site, ledger.own_clock);
     }
 
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        let own_clock = self.write_clock.get(self.site);
-        let ledger = self.own_ledger();
-        self.write_clock = VectorClock::new(self.n);
-        self.write_clock.set(self.site, own_clock);
-        self.state.values.clear();
-        self.state.last_write_on.clear();
-        self.state.apply = vec![0; self.n];
-        self.state.apply[self.site.index()] = ledger.self_applied;
-        self.state.applied_effects.clear();
-        let mut dropped = 0;
-        for s in SiteId::all(self.n) {
-            dropped += self.pending.clear_sender(s);
-        }
-        (ledger, dropped)
-    }
-
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
+    fn peer_recovered(&mut self, cx: &mut Core, peer: SiteId, ledger: &OwnLedger, _dropped: usize) {
         // The peer's unacked pre-crash writes died with it; count them as
-        // applied so predicates waiting on them can fire, and drop parked
-        // updates from it (the fast-forward already covers them).
-        let dropped = self.pending.clear_sender(peer);
-        self.state.apply[peer.index()] = self.state.apply[peer.index()].max(ledger.own_clock);
-        (self.drain(), dropped)
+        // applied so predicates waiting on them can fire.
+        let applied = &mut cx.apply[peer.index()];
+        *applied = (*applied).max(ledger.own_clock);
     }
 
-    fn export_sync(&self, _requester: SiteId) -> SyncState {
-        let vars = self
-            .state
-            .values
-            .iter()
-            .map(|(var, value)| {
-                // A stash collected by `gc_stable` means the variable's last
-                // write is stable at every member — its dependency
-                // constraints are vacuous, so the zero clock is exact.
-                let meta = self
-                    .state
-                    .last_write_on
-                    .get(var)
-                    .map(|w| w.as_ref().clone())
-                    .unwrap_or_else(|| VectorClock::new(self.n));
-                (*var, *value, meta)
-            })
-            .collect();
+    fn export_sync<'a>(
+        &self,
+        cx: &Core,
+        vars: impl Iterator<Item = (VarId, VersionedValue, Option<&'a Self::Slot>)>,
+    ) -> SyncState {
+        // A stash collected by `gc_stable` means the variable's last write
+        // is stable at every member — its dependency constraints are
+        // vacuous, so the zero clock is exact.
+        let stash =
+            |w: Option<&Self::Slot>| w.map_or_else(|| VectorClock::new(cx.n), |w| (**w).clone());
         SyncState::OptP {
-            clock: self.write_clock.clone(),
-            applied: self.state.apply.clone(),
+            clock: self.write.clone(),
+            applied: cx.apply.clone(),
+            vars: vars.map(|(var, value, w)| (var, value, stash(w))).collect(),
+        }
+    }
+
+    fn absorb_sync<'a>(
+        &mut self,
+        cx: &mut Core,
+        peer: SiteId,
+        ack: &PeerAckInfo,
+        state: &'a SyncState,
+    ) -> Option<Donor<'a, Self::SyncMeta>> {
+        let SyncState::OptP {
+            clock,
+            applied,
             vars,
-        }
+        } = state
+        else {
+            return None;
+        };
+        self.write.merge_max(clock);
+        raise_to_horizon(&mut cx.apply, peer, ack, applied);
+        Some(Donor {
+            known: applied,
+            vars: vars
+                .iter()
+                .map(|(var, value, w)| (*var, *value, w))
+                .collect(),
+        })
     }
 
-    fn applied_horizon(&self) -> Option<Vec<u64>> {
-        // Full replication: the per-origin receive counters are clocks.
-        Some(self.state.apply.clone())
-    }
-
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        // Donor `known` counters attest `w`: the donor applied the write, so
-        // its effect is folded into every value the donor exports.
-        let knows =
-            |known: &[u64], w: WriteId| known.get(w.site.index()).is_some_and(|&hw| hw >= w.clock);
-        // The snapshot horizon: per origin, the highest write any donor has
-        // applied (full replication: counters are clocks), plus the acked
-        // prefix of each donor's own stream. The installed values reflect
-        // exactly this causally-closed cut, so the receive counters must
-        // fast-forward all the way to it — stopping at the acked prefix
-        // would let the unacked remainder redeliver and roll the installed
-        // values backwards.
-        let mut horizon = vec![0u64; self.n];
-        let mut best: HashMap<VarId, (VersionedValue, &VectorClock, &[u64])> = HashMap::new();
-        for (peer, ack, state) in sources {
-            let SyncState::OptP {
-                clock,
-                applied,
-                vars,
-            } = state
-            else {
-                panic!("optP site received a foreign sync snapshot");
-            };
-            horizon[peer.index()] = horizon[peer.index()].max(ack.sm_max_clock);
-            for (j, hw) in applied.iter().enumerate() {
-                horizon[j] = horizon[j].max(*hw);
-            }
-            // Merge every live peer's vector: a safe over-approximation of
-            // the lost causal knowledge.
-            self.write_clock.merge_max(clock);
-            // Per variable, prefer the value whose donor provably applied
-            // the rival's write and still kept this one; the bare
-            // `(clock, site)` order can resurrect a causally-overwritten
-            // value whose overwriter carries a smaller clock.
-            for (var, value, meta) in vars {
-                let replace = match best.get(var) {
-                    None => true,
-                    Some((b, _, b_known)) => {
-                        let v_covers_b = knows(applied, b.writer);
-                        let b_covers_v = knows(b_known, value.writer);
-                        if v_covers_b != b_covers_v {
-                            v_covers_b
-                        } else {
-                            (value.writer.clock, value.writer.site)
-                                > (b.writer.clock, b.writer.site)
-                        }
-                    }
-                };
-                if replace {
-                    best.insert(*var, (*value, meta, applied.as_slice()));
-                }
-            }
-        }
-        for (var, (value, meta, known)) in best {
-            // Install unless it would roll a WAL-replayed local state back:
-            // the donor attesting the local write makes its value at least
-            // as fresh; otherwise fall back to the writer-pair order.
-            let newer = self.state.values.get(&var).is_none_or(|cur| {
-                knows(known, cur.writer)
-                    || (value.writer.clock, value.writer.site) > (cur.writer.clock, cur.writer.site)
-            });
-            if newer {
-                self.state.values.insert(var, value);
-                self.state.last_write_on.insert(var, Arc::new(meta.clone()));
-            }
-        }
-        // Never regress: a WAL-replayed site may already count deliveries
-        // beyond any donor's horizon.
-        for (j, hw) in horizon.iter().enumerate() {
-            let apply = &mut self.state.apply[j];
-            *apply = (*apply).max(*hw);
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        Box::new(self.clone())
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        self.trace.take()
+    fn slot_from_sync(
+        &self,
+        _cx: &Core,
+        _value: VersionedValue,
+        meta: &Self::SyncMeta,
+    ) -> Self::Slot {
+        Arc::new(meta.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::ReadResult;
+    use crate::msg::Msg;
+    use crate::replica::kit::{self, applied, sends};
+    use crate::replica::Replica;
     use crate::replication::FullReplication;
+    use crate::site::ProtocolSite;
 
-    fn system(n: usize) -> Vec<OptP> {
-        let repl = Arc::new(FullReplication::new(n));
-        SiteId::all(n).map(|s| OptP::new(s, repl.clone())).collect()
-    }
-
-    fn sends(effects: &[Effect]) -> Vec<(SiteId, Sm)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::Sm(sm),
-                } => Some((*to, sm.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn applied(effects: &[Effect]) -> Vec<WriteId> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Applied { write, .. } => Some(*write),
-                _ => None,
-            })
-            .collect()
+    fn system(n: usize) -> Vec<Replica<OptP>> {
+        kit::system(FullReplication::new(n), OptP::new)
     }
 
     #[test]
@@ -526,9 +296,9 @@ mod tests {
         sys[1].on_message(SiteId(0), Msg::Sm(sm));
         // Before the read the receiver's write clock must not know s0's
         // write (receipt does not merge).
-        assert_eq!(sys[1].write_clock.get(SiteId(0)), 0);
+        assert_eq!(sys[1].tracker.write.get(SiteId(0)), 0);
         sys[1].read(VarId(0));
-        assert_eq!(sys[1].write_clock.get(SiteId(0)), 1);
+        assert_eq!(sys[1].tracker.write.get(SiteId(0)), 1);
     }
 
     #[test]

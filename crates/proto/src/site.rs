@@ -1,4 +1,5 @@
-//! The protocol-site trait implemented by all four protocols.
+//! The protocol-site trait: what a driver sees of one site, whichever of
+//! the five protocols it runs. [`crate::Replica`] is its one implementor.
 
 use crate::effect::{Effect, ReadResult};
 use crate::factory::ProtocolKind;
@@ -95,9 +96,7 @@ pub trait ProtocolSite: Send {
     /// Number of entries in the site's causality log, where applicable
     /// (Opt-Track / Opt-Track-CRP); `None` for clock-based protocols. Used
     /// by the `d`-parameter analysis (paper §V-B).
-    fn log_len(&self) -> Option<usize> {
-        None
-    }
+    fn log_len(&self) -> Option<usize>;
 
     /// Deep-copy this site's complete state as a checkpoint image.
     ///
@@ -106,59 +105,42 @@ pub trait ProtocolSite: Send {
     /// names — Full-Track's `n×n` matrix, Opt-Track's KS log, Opt-Track-CRP's
     /// 2-tuple log, optP's vector clock — plus replica values, parked
     /// updates and `LastWriteOn` metadata, so checkpoint + WAL replay
-    /// reproduces the pre-crash state exactly. The default panics so that a
-    /// third-party site that never opted into durability fails loudly.
-    fn clone_box(&self) -> Box<dyn ProtocolSite> {
-        panic!("{} does not support checkpointing", self.kind())
-    }
+    /// reproduces the pre-crash state exactly.
+    fn clone_box(&self) -> Box<dyn ProtocolSite>;
 
     /// Switch protocol-level trace recording on or off (buffering and log
-    /// pruning decisions, drained via [`ProtocolSite::take_trace`]). Off by
-    /// default; the no-op default keeps third-party sites working — they
-    /// simply emit no events.
-    fn set_tracing(&mut self, on: bool) {
-        let _ = on;
-    }
+    /// pruning decisions, drained via [`ProtocolSite::take_trace`]). Off
+    /// until switched on.
+    fn set_tracing(&mut self, on: bool);
 
     /// Drain the protocol-level trace events recorded since the last take.
     /// Empty unless [`ProtocolSite::set_tracing`] enabled recording.
-    fn take_trace(&mut self) -> Vec<ProtoTraceEvent> {
-        Vec::new()
-    }
+    fn take_trace(&mut self) -> Vec<ProtoTraceEvent>;
 
     /// Abandon the single outstanding remote fetch (degraded read): the
     /// driver gave up on every candidate replica before a deadline. Clears
     /// the fetch slot so later reads can proceed; a straggling RM for the
-    /// abandoned variable is filtered by the driver. No-op for protocols
-    /// whose reads are always local (full replication).
-    fn abort_fetch(&mut self, var: VarId) {
-        let _ = var;
-    }
+    /// abandoned variable is filtered by the driver. Panics when `var` is
+    /// not the outstanding fetch — the driver asks
+    /// [`ProtocolSite::fetching`] first.
+    fn abort_fetch(&mut self, var: VarId);
 
     /// The variable of the outstanding remote fetch, if any. A crash
     /// clears it and a WAL replay restores it, so the driver asks rather
-    /// than keeping a copy. `None` for protocols whose reads are always
-    /// local.
-    fn fetching(&self) -> Option<VarId> {
-        None
-    }
+    /// than keeping a copy.
+    fn fetching(&self) -> Option<VarId>;
 
     // ------------------------------------------------------------------
     // Crash / recovery (fail-stop with state loss; see `crate::reliable`).
     // The driver (simulator) orchestrates the handshake; the protocol only
-    // snapshots, forgets and rebuilds its own state. Every bundled protocol
-    // implements these; the defaults panic so that a third-party
-    // `ProtocolSite` that never opted into crash injection fails loudly
-    // rather than silently corrupting an execution.
+    // snapshots, forgets and rebuilds its own state.
     // ------------------------------------------------------------------
 
     /// Fail-stop: discard all volatile state (clocks, logs, values, parked
     /// updates, outstanding fetches), keeping only what the durable
     /// own-write ledger justifies (own write counter, own clock row).
     /// Returns the ledger and the number of parked updates lost.
-    fn crash_volatile(&mut self) -> (OwnLedger, usize) {
-        panic!("{} does not support crash injection", self.kind())
-    }
+    fn crash_volatile(&mut self) -> (OwnLedger, usize);
 
     /// A crashed `peer` announced recovery with `ledger`: fast-forward this
     /// site's per-origin bookkeeping past the peer's permanently-lost
@@ -166,27 +148,18 @@ pub trait ProtocolSite: Send {
     /// discard updates parked from it, so activation predicates referring
     /// to those writes can still fire. Returns `(drained-apply effects,
     /// parked updates dropped)`.
-    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
-        let _ = (peer, ledger);
-        panic!("{} does not support crash injection", self.kind())
-    }
+    fn note_peer_recovery(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize);
 
     /// Export this site's causal knowledge plus a snapshot of the variables
     /// shared with `requester`, for the requester's state rebuild.
-    fn export_sync(&self, requester: SiteId) -> SyncState {
-        let _ = requester;
-        panic!("{} does not support crash injection", self.kind())
-    }
+    fn export_sync(&self, requester: SiteId) -> SyncState;
 
     /// Rebuild after a crash from every live peer's [`SyncState`] (merge all
     /// causal knowledge — a safe over-approximation of the lost state — and
     /// reinstall shared-variable values) and the per-channel ack bookkeeping
     /// (restore per-origin apply counters exactly: acked updates were
     /// received and will never be redelivered, unacked ones will be).
-    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]) {
-        let _ = sources;
-        panic!("{} does not support crash injection", self.kind())
-    }
+    fn install_sync(&mut self, sources: &[(SiteId, PeerAckInfo, SyncState)]);
 
     // ------------------------------------------------------------------
     // Membership (epoch'd view changes; see the simulator's churn layer).
@@ -200,41 +173,29 @@ pub trait ProtocolSite: Send {
     /// volatile state intact. View changes hand this to joiners (so their
     /// activation predicates fast-forward past history they will receive
     /// via state transfer instead) and to survivors of a graceful leave.
-    fn own_ledger(&self) -> OwnLedger {
-        panic!("{} does not support membership changes", self.kind())
-    }
+    fn own_ledger(&self) -> OwnLedger;
 
     /// `peer` left the view for good (graceful drain or fail-stop): forget
-    /// it. The default delegates to [`ProtocolSite::note_peer_recovery`] —
-    /// the bookkeeping is the same fast-forward past traffic that will
-    /// never arrive — and implementations may additionally drop metadata
-    /// that only mattered while the peer could still return (e.g.
-    /// Opt-Track's KS-log entries whose remaining destinations all
-    /// departed).
-    fn note_peer_departed(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize) {
-        self.note_peer_recovery(peer, ledger)
-    }
+    /// it. The bookkeeping of [`ProtocolSite::note_peer_recovery`] — the
+    /// same fast-forward past traffic that will never arrive — and a
+    /// protocol may additionally drop metadata that only mattered while
+    /// the peer could still return (e.g. Opt-Track's KS-log entries whose
+    /// remaining destinations all departed).
+    fn note_peer_departed(&mut self, peer: SiteId, ledger: &OwnLedger) -> (Vec<Effect>, usize);
 
     /// Stop replicating `var`: discard its local value and per-variable
     /// metadata (migration cutover on the vacated replica). Causal
     /// knowledge about past writes of `var` is retained — it may still
-    /// guard other applies. No-op by default.
-    fn drop_var(&mut self, var: VarId) {
-        let _ = var;
-    }
+    /// guard other applies.
+    fn drop_var(&mut self, var: VarId);
 
     /// Garbage-collect causality metadata that a stability `cut` proves
     /// redundant: every write at or below the cut is applied at every live
     /// member, so log entries and `LastWriteOn` records describing it can
     /// never again block or constrain a delivery. Implementations must only
     /// drop state — never mutate clocks or counters — so a GC pass is
-    /// invisible to the protocol's observable behaviour. The no-op default
-    /// suits protocols whose metadata is already O(n²)-bounded (HB-Track's
-    /// fixed matrix) and third-party sites that never opted in.
-    fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
-        let _ = cut;
-        GcStats::default()
-    }
+    /// invisible to the protocol's observable behaviour.
+    fn gc_stable(&mut self, cut: &StableCut) -> GcStats;
 
     /// The per-origin applied-clock vector, for protocols whose delivery
     /// counters are clock-valued (the full-replication pair). After
@@ -244,16 +205,12 @@ pub trait ProtocolSite: Send {
     /// stability ground truth must settle them from here. `None` for the
     /// partially-replicated protocols, whose counters count destined SMs
     /// rather than clocks.
-    fn applied_horizon(&self) -> Option<Vec<u64>> {
-        None
-    }
+    fn applied_horizon(&self) -> Option<Vec<u64>>;
 
     /// Reconcile this site's own-write bookkeeping with a durable `ledger`
     /// after a WAL replay that may have lost trailing records (fail-soft
     /// torn-tail truncation): raise the own write counter / clock rows to
     /// at least the ledger's values so no `WriteId` is ever reused. No-op
     /// when the replayed state already covers the ledger.
-    fn restore_own_ledger(&mut self, ledger: &OwnLedger) {
-        let _ = ledger;
-    }
+    fn restore_own_ledger(&mut self, ledger: &OwnLedger);
 }

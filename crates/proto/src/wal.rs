@@ -478,47 +478,19 @@ mod tests {
     use crate::effect::{Effect, ReadResult};
     use crate::factory::{build_site, ProtocolConfig, ProtocolKind};
     use crate::msg::{Fm, Sm, SmMeta};
+    use crate::replica::kit::Ring;
     use crate::replication::{FullReplication, Replication};
-    use causal_clocks::{DestSet, VectorClock};
+    use causal_clocks::VectorClock;
     use causal_types::{VersionedValue, WriteId};
     use proptest::prelude::*;
     use std::collections::VecDeque;
     use std::sync::Arc;
 
-    /// Test-only partial placement: `var` lives at sites `var % n` and
-    /// `(var + 1) % n`; fetches are served by `var % n` (always a replica,
-    /// and never the requester when the requester fetches remotely —
-    /// a remote requester replicates neither, in particular not `var % n`
-    /// ... unless it *is* `var % n`, in which case the read was local).
-    struct ModPair {
-        n: usize,
-    }
-
-    impl Replication for ModPair {
-        fn n(&self) -> usize {
-            self.n
-        }
-
-        fn replicas(&self, var: VarId) -> DestSet {
-            let a = var.index() % self.n;
-            let b = (var.index() + 1) % self.n;
-            DestSet::from_sites([SiteId::from(a), SiteId::from(b)])
-        }
-
-        fn fetch_target(&self, var: VarId, _site: SiteId) -> SiteId {
-            SiteId::from(var.index() % self.n)
-        }
-
-        fn is_full(&self) -> bool {
-            false
-        }
-    }
-
     const Q: usize = 8;
 
     fn repl_for(kind: ProtocolKind, n: usize) -> Arc<dyn Replication> {
         if kind.supports_partial() {
-            Arc::new(ModPair { n })
+            Arc::new(Ring(n))
         } else {
             Arc::new(FullReplication::new(n))
         }

@@ -207,7 +207,7 @@ impl SimConfig {
     }
 
     /// The paper's full-replication setting (`p = n`) for the given
-    /// protocol. Any of the four protocols can run fully replicated.
+    /// protocol. Any of the five protocols can run fully replicated.
     pub fn paper_full(protocol: ProtocolKind, n: usize, w_rate: f64, seed: u64) -> Self {
         SimConfig {
             protocol,

@@ -1,7 +1,10 @@
-//! Each send-path mechanism exists once: lanes, batch framing, unbatching
-//! and the parked-update record live in `causal_proto::driver`, and the
-//! harnesses (simulator, runtime) call it. A second copy growing back in a
-//! harness is how the two drifted apart before.
+//! Each mechanism exists once. Send path: lanes, batch framing, unbatching
+//! and the lane record live in `causal_proto::driver`, and the harnesses
+//! (simulator, runtime) call it. Receive path: the site every protocol runs
+//! in — the one `impl ProtocolSite`, the update parked on its activation
+//! predicate, the drain loop — lives in `causal_proto::{replica, pending}`,
+//! and the five protocol files hold only their `Tracker`. A second copy
+//! growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,25 +49,35 @@ fn send_path_mechanisms_are_defined_once_and_lanes_are_built_only_by_the_driver(
     assert!(sources.len() > 50, "the walk found the workspace");
     let driver = ["crates/proto/src/driver.rs".to_string()];
     for definition in ["fn unbatch(", "struct PendingSm ", "fn flush_lane("] {
-        let mut found = files_with(&sources, definition);
-        // Each protocol keeps a private receive-side `PendingSm` (an update
-        // awaiting its activation predicate) — not the lane record.
-        let protocols = [
-            "full_track",
-            "hb_track",
-            "opt_track",
-            "opt_track_crp",
-            "optp",
-        ];
-        found.retain(|f| {
-            !protocols
-                .iter()
-                .any(|p| *f == format!("crates/proto/src/{p}.rs"))
-        });
+        let found = files_with(&sources, definition);
         assert_eq!(found, driver, "`{definition}` is defined once");
     }
     // `DestBatcher`'s own module constructs it in its unit tests.
     let mut built = files_with(&sources, "DestBatcher::new");
     built.retain(|f| f != "crates/clocks/src/batch.rs");
     assert_eq!(built, driver, "only the driver builds lanes");
+}
+
+#[test]
+fn the_replica_shell_is_the_only_protocol_site_and_parks_and_drains_once() {
+    let sources = sources();
+    let implementors: Vec<_> = sources
+        .iter()
+        .flat_map(|(path, text)| text.lines().map(move |line| (path, line)))
+        .filter(|(_, line)| line.starts_with("impl") && line.contains(" ProtocolSite for "))
+        .collect();
+    assert_eq!(implementors.len(), 1, "{implementors:?}");
+    assert!(implementors[0].0.ends_with("crates/proto/src/replica.rs"));
+
+    let proto: Vec<_> = sources
+        .into_iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("crates/proto/src/"))
+        .collect();
+    for (definition, home) in [
+        ("struct Parked<", "crates/proto/src/replica.rs"),
+        ("fn drain", "crates/proto/src/pending.rs"),
+    ] {
+        let found = files_with(&proto, definition);
+        assert_eq!(found, [home], "`{definition}` is defined once");
+    }
 }
