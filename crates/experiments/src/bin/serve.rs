@@ -25,8 +25,8 @@
 //! instead of an op-count-bounded one: clients issue until the deadline and
 //! then retire (if `--ops` is not also given, the per-client budget is
 //! lifted to a large safety cap). `--workers` sets the scheduler pool size
-//! (0 = one worker per core, the default; `--workers <n>` emulates the old
-//! thread-per-site fabric).
+//! (0 = one worker per core, the default; `--workers <n>` gives every site
+//! its own worker).
 
 use causal_checker::check;
 use causal_metrics::Table;
@@ -184,6 +184,7 @@ fn main() {
             "sm frames",
             "sm KB",
             "tcp frames",
+            "wr stalls",
             "batched",
             "conn errs",
         ],
@@ -237,6 +238,7 @@ fn main() {
                 m.all.count(MsgKind::Sm).to_string(),
                 format!("{:.1}", m.all.bytes(MsgKind::Sm) as f64 / 1024.0),
                 m.transport_frames.to_string(),
+                m.transport_write_stalls.to_string(),
                 m.batched_sms.to_string(),
                 m.transport_conn_errors.to_string(),
             ]);

@@ -1,32 +1,26 @@
-//! Scaling sweep: the sharded M:N runtime vs. thread-per-site emulation.
+//! Scaling sweep: the sharded M:N runtime over TCP at pool sizes 1, 2, 4.
 //!
-//! `repro scale` answers the question the runtime redesign was for: what
-//! does the old fabric's thread count cost, and does the worker-pool
-//! runtime hold throughput while shedding it? For each system size it runs
-//! the same duration-bounded closed-loop load over loopback TCP twice —
-//! once with `workers = n` (one worker per site plus a reader/writer pair
-//! per directed socket: the old thread-per-site fabric, faithfully
-//! emulated) and once with a fixed pool of [`SHARDED_WORKERS`] workers
-//! multiplexing every site over one socket per worker pair — and reports
-//! threads spawned, completed ops, ops/s, latency tails, coalesced write
-//! syscalls, and peak mailbox depth side by side.
+//! `repro scale` runs the same duration-bounded closed-loop load over the
+//! loopback-TCP mesh at `W ∈` [`POOL_SIZES`] for each system size and
+//! reports threads spawned, completed ops, ops/s, latency tails, coalesced
+//! write syscalls, write stalls and peak mailbox depth, one row per cell —
+//! so whether a second or fourth worker buys throughput on this host, or
+//! costs more in cross-worker hand-offs than its core returns, is read off
+//! adjacent rows.
 //!
 //! The sweep is also a gate, not just a table:
 //!
 //! * every cell must drain, stay connection-error free, and pass the
 //!   causal-consistency checker;
-//! * thread counts must equal the closed forms exactly
-//!   (`n + 2n(n-1)` old, `W + 2W(W-1)` new) — the new fabric's count is
-//!   independent of `n`, which is the whole point;
-//! * the sharded fabric must hold at least [`MIN_THROUGHPUT_RATIO`] of the
-//!   per-site fabric's throughput at every size (the ratio is recorded in
-//!   the artifact so regressions are visible before they trip the floor);
+//! * a cell spawns exactly `W` threads — the workers, which drive their
+//!   sockets themselves — whatever `n` and however many sockets;
 //! * one sim-vs-real replay parity check (Opt-Track, n = 8) re-asserts
-//!   that the scheduler rewrite did not perturb protocol behavior: message
-//!   counts must match the simulator exactly.
+//!   that the scheduler does not perturb protocol behavior: message counts
+//!   must match the simulator exactly.
 //!
-//! The table lands in `BENCH_PR10.json` (in `--out` or the working
-//! directory) together with the host's available parallelism.
+//! Throughput is printed, not gated: cells share one noisy host. The
+//! table lands in `BENCH_PR10.json` (in `--out` or the working directory)
+//! together with the host's available parallelism.
 
 use causal_checker::check;
 use causal_metrics::Table;
@@ -40,31 +34,17 @@ use std::time::Duration;
 
 use crate::Scale;
 
-/// Pool size for the sharded cells. Fixed (not auto) so the expected
-/// thread count is host-independent: `4 + 2·4·3 = 28` threads over TCP at
-/// every `n`.
-pub const SHARDED_WORKERS: usize = 4;
-
-/// Minimum sharded-over-per-site throughput ratio per size. The design
-/// target is ≥ 1.0 (no regression); the gate sits lower because both
-/// cells share one noisy host, and the measured ratio is recorded in the
-/// artifact.
-pub const MIN_THROUGHPUT_RATIO: f64 = 0.5;
+/// Pool sizes swept per system size. Fixed (not auto) so the expected
+/// thread counts are host-independent.
+pub const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
 /// The protocol under load: Opt-Track is the paper's headline
 /// partial-replication algorithm and exercises every runtime path —
 /// multicast updates, blocking remote fetches, and the reply fast path.
 const PROTOCOL: ProtocolKind = ProtocolKind::OptTrack;
 
-/// Threads a TCP run spawns at pool size `w`: the workers plus a reader
-/// and a writer per endpoint of each worker-pair socket.
-fn tcp_threads(w: u64) -> u64 {
-    w + 2 * w * (w - 1)
-}
-
 struct Cell {
     n: usize,
-    fabric: &'static str,
     workers: usize,
     threads: u64,
     ops: u64,
@@ -73,10 +53,11 @@ struct Cell {
     p99_us: f64,
     syscall_writes: u64,
     transport_frames: u64,
+    write_stalls: u64,
     mailbox_peak: u64,
 }
 
-fn run_cell(scale: Scale, n: usize, fabric: &'static str, workers: usize) -> Cell {
+fn run_cell(scale: Scale, n: usize, workers: usize) -> Cell {
     let mut cfg = ServeConfig::quick(PROTOCOL, n, ServeTransport::Tcp, 4242);
     cfg.workers = workers;
     cfg.load.clients_per_site = 2;
@@ -86,7 +67,7 @@ fn run_cell(scale: Scale, n: usize, fabric: &'static str, workers: usize) -> Cel
         Scale::Quick => Duration::from_millis(250),
     });
     cfg.load.think = Duration::from_micros(200);
-    let tag = format!("scale n={n} {fabric} (W={workers})");
+    let tag = format!("scale n={n} W={workers}");
     eprintln!("[scale] {tag} …");
     let r = causal_runtime::serve(&cfg).unwrap_or_else(|e| panic!("{tag}: serve failed: {e:?}"));
     assert!(r.ops > 0, "{tag}: the deadline must leave room for ops");
@@ -96,15 +77,13 @@ fn run_cell(scale: Scale, n: usize, fabric: &'static str, workers: usize) -> Cel
         "{tag}: healthy mesh, no connection errors"
     );
     assert_eq!(
-        r.metrics.threads_spawned,
-        tcp_threads(workers as u64),
-        "{tag}: thread count must match the closed form"
+        r.metrics.threads_spawned, workers as u64,
+        "{tag}: the workers are the only threads"
     );
     let v = check(&r.history);
     assert!(v.protocol_clean(), "{tag}: causal violations: {v:?}");
     Cell {
         n,
-        fabric,
         workers,
         threads: r.metrics.threads_spawned,
         ops: r.ops,
@@ -113,13 +92,13 @@ fn run_cell(scale: Scale, n: usize, fabric: &'static str, workers: usize) -> Cel
         p99_us: r.latency.p99_us,
         syscall_writes: r.metrics.syscall_writes,
         transport_frames: r.metrics.transport_frames,
+        write_stalls: r.metrics.transport_write_stalls,
         mailbox_peak: r.metrics.mailbox_depth_peak,
     }
 }
 
 /// Replay parity at n = 8: the sharded scheduler must reproduce the
-/// simulator's message counts exactly (same workload, same seed), as the
-/// PR9 serving sweep established for the thread-per-site runtime.
+/// simulator's message counts exactly (same workload, same seed).
 fn parity_gate(scale: Scale) {
     let (n, w, seed) = (8usize, 0.3, 7u64);
     let events = match scale {
@@ -153,57 +132,25 @@ fn parity_gate(scale: Scale) {
     }
 }
 
-/// The `repro scale` job: parity gate first, then the old-vs-new fabric
-/// sweep, then the `BENCH_PR10.json` artifact.
+/// The `repro scale` job: parity gate first, then the pool-size sweep,
+/// then the `BENCH_PR10.json` artifact.
 pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
     parity_gate(scale);
 
-    let ns: &[usize] = match scale {
-        Scale::Paper => &[8, 16, 40],
-        Scale::Quick => &[8, 16, 40],
-    };
     let mut cells = Vec::new();
-    for &n in ns {
-        // The per-site fabric's socket mesh grows as n^2 (3,160 threads at
-        // n = 40); at quick scale the largest size runs sharded-only and
-        // the emulation ceiling is measured at the sizes CI can afford.
-        let run_per_site = scale == Scale::Paper || n <= 16;
-        let per_site = run_per_site.then(|| run_cell(scale, n, "per-site", n));
-        let sharded = run_cell(scale, n, "sharded", SHARDED_WORKERS.min(n));
-        assert!(
-            sharded.threads < n as u64 || n as u64 <= tcp_threads(SHARDED_WORKERS as u64),
-            "n={n}: sharded fabric must need fewer threads than sites"
-        );
-        if let Some(ref old) = per_site {
-            assert!(
-                sharded.threads < old.threads,
-                "n={n}: sharding must shed threads ({} vs {})",
-                sharded.threads,
-                old.threads
-            );
-            let ratio = sharded.ops_per_sec / old.ops_per_sec.max(1e-9);
-            eprintln!("[scale] n={n}: sharded/per-site throughput ratio {ratio:.2}");
-            assert!(
-                ratio >= MIN_THROUGHPUT_RATIO,
-                "n={n}: sharded fabric lost throughput ({:.0} vs {:.0} ops/s)",
-                sharded.ops_per_sec,
-                old.ops_per_sec
-            );
-        } else {
-            eprintln!("[scale] n={n}: skipping per-site cell at quick scale");
+    for n in [8, 16, 40] {
+        for workers in POOL_SIZES {
+            cells.push(run_cell(scale, n, workers));
         }
-        cells.extend(per_site);
-        cells.push(sharded);
     }
 
     let mut t = Table::new(
         format!(
             "Scaling: {PROTOCOL} over TCP, duration-bounded closed loop — \
-             thread-per-site (W=n) vs sharded (W={SHARDED_WORKERS}) fabric"
+             worker pools of {POOL_SIZES:?}"
         ),
         &[
             "n",
-            "fabric",
             "workers",
             "threads",
             "ops",
@@ -212,6 +159,7 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             "p99 us",
             "sys writes",
             "frames",
+            "wr stalls",
             "mbox peak",
         ],
     );
@@ -219,7 +167,6 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
     for (i, c) in cells.iter().enumerate() {
         t.push_row(vec![
             c.n.to_string(),
-            c.fabric.to_string(),
             c.workers.to_string(),
             c.threads.to_string(),
             c.ops.to_string(),
@@ -228,16 +175,16 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             format!("{:.0}", c.p99_us),
             c.syscall_writes.to_string(),
             c.transport_frames.to_string(),
+            c.write_stalls.to_string(),
             c.mailbox_peak.to_string(),
         ]);
         let _ = writeln!(
             cell_lines,
-            "    {{ \"n\": {}, \"fabric\": \"{}\", \"workers\": {}, \"threads\": {}, \
+            "    {{ \"n\": {}, \"workers\": {}, \"threads\": {}, \
              \"ops\": {}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
              \"syscall_writes\": {}, \"transport_frames\": {}, \
-             \"mailbox_depth_peak\": {} }}{}",
+             \"transport_write_stalls\": {}, \"mailbox_depth_peak\": {} }}{}",
             c.n,
-            c.fabric,
             c.workers,
             c.threads,
             c.ops,
@@ -246,6 +193,7 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             c.p99_us,
             c.syscall_writes,
             c.transport_frames,
+            c.write_stalls,
             c.mailbox_peak,
             if i + 1 < cells.len() { "," } else { "" },
         );
@@ -258,7 +206,7 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
     let json = format!(
         "{{\n  \"scale\": \"{scale_name}\",\n  \"protocol\": \"{PROTOCOL}\",\n  \
          \"host\": {{ \"available_parallelism\": {host_parallelism} }},\n  \
-         \"sharded_workers\": {SHARDED_WORKERS},\n  \"cells\": [\n{cell_lines}  ]\n}}\n"
+         \"pool_sizes\": {POOL_SIZES:?},\n  \"cells\": [\n{cell_lines}  ]\n}}\n"
     );
     let path = out
         .map(|d| d.join("BENCH_PR10.json"))
@@ -276,14 +224,15 @@ mod tests {
     fn quick_sweep_gates_and_reports() {
         let dir = std::env::temp_dir().join(format!("scale-sweep-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // The asserts inside scale_sweep (thread closed forms, drains,
-        // checker, parity, throughput floor) are the test.
+        // The asserts inside scale_sweep (threads == W, drains, checker,
+        // parity) are the test.
         let t = scale_sweep(Scale::Quick, Some(&dir));
         let csv = t.to_csv();
-        assert!(csv.contains("per-site") && csv.contains("sharded"));
-        assert!(csv.contains("40,sharded,4,28,"), "n=40 runs on 28 threads");
+        for row in ["\n40,1,1,", "\n40,2,2,", "\n40,4,4,"] {
+            assert!(csv.contains(row), "n=40 runs on W threads: {csv}");
+        }
         let json = std::fs::read_to_string(dir.join("BENCH_PR10.json")).unwrap();
-        assert!(json.contains("\"sharded_workers\": 4"));
+        assert!(json.contains("\"pool_sizes\": [1, 2, 4]"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -169,12 +169,12 @@ pub struct RunMetrics {
     /// the lane's updates would have cost as individual SMs minus the
     /// batch frame actually charged.
     pub batch_bytes_saved: u64,
-    /// OS threads spawned by the live runtime for the run: scheduler
-    /// workers plus one reader and one writer per connection endpoint.
+    /// OS threads spawned by the live runtime for the run: the scheduler
+    /// workers, on either fabric (they drive their sockets themselves).
     /// The coordinator is the caller's thread and is not counted. Zero on
     /// the simulator.
     pub threads_spawned: u64,
-    /// `write(2)` calls issued by the TCP fabric's coalescing writers —
+    /// `write(2)` calls issued by the TCP fabric's coalescing flushes —
     /// each syscall may carry many frames, so `all` frame counts divided
     /// by this is the amortisation factor. Zero on the channel fabric and
     /// the simulator.
@@ -183,6 +183,11 @@ pub struct RunMetrics {
     /// worker share a frame, so this is at most — and under write-heavy
     /// load far below — the cross-worker share of `all`'s message count.
     pub transport_frames: u64,
+    /// Flushes of a TCP endpoint that ended with the socket refusing bytes
+    /// (`WouldBlock`), leaving a tail for a later pass — back-pressure from
+    /// a peer that reads slower than this side writes. Zero on a healthy
+    /// paced run, on the channel fabric and on the simulator.
+    pub transport_write_stalls: u64,
     /// Deepest per-site mailbox backlog observed by the worker scheduler
     /// when it picked a site up (frames waiting in the crossbeam channel).
     pub mailbox_depth_peak: u64,
@@ -257,6 +262,7 @@ impl Default for RunMetrics {
             threads_spawned: 0,
             syscall_writes: 0,
             transport_frames: 0,
+            transport_write_stalls: 0,
             mailbox_depth_peak: 0,
             per_site: SiteRegistry::new(),
         }
@@ -412,6 +418,7 @@ impl RunMetrics {
         self.threads_spawned += other.threads_spawned;
         self.syscall_writes += other.syscall_writes;
         self.transport_frames += other.transport_frames;
+        self.transport_write_stalls += other.transport_write_stalls;
         self.mailbox_depth_peak = self.mailbox_depth_peak.max(other.mailbox_depth_peak);
         self.per_site.merge(&other.per_site);
         // StatAccum cannot merge exactly without the raw moments; fold the

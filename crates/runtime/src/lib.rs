@@ -2,10 +2,11 @@
 //!
 //! A real multi-threaded runtime for the causal-consistency protocols: a
 //! sharded M:N scheduler (a fixed pool of `W` worker threads multiplexing
-//! the `n` sites, `W = n` emulating the old thread-per-site fabric), a
-//! transport fabric between the workers (crossbeam FIFO channels or a
-//! multiplexed loopback-TCP mesh with one socket per worker pair and
-//! coalesced writes), and two ways to drive operations — wall-clock
+//! the `n` sites — the only threads a run has), a transport fabric
+//! between the workers (crossbeam FIFO channels or a multiplexed
+//! loopback-TCP mesh with one nonblocking socket per worker pair, read by
+//! its owning worker when a pass begins and written, coalesced, when it
+//! ends), and two ways to drive operations — wall-clock
 //! schedule replay (scaled) and the closed-loop load generator behind
 //! [`serve`] (budget- or duration-bounded).
 //!

@@ -55,10 +55,25 @@ pub trait Transport: Send + Sync {
     /// that will never arrive.
     fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize;
 
-    /// `from`'s scheduling step is over: start moving whatever its sends
-    /// queued. A transport that hands frames to I/O threads kicks them
-    /// here, once per step, so no send pays a cross-thread wake.
-    fn flush(&self, _from: SiteId) {}
+    /// `worker`'s pass begins: move whatever peers have shipped toward it
+    /// into its sites' mailboxes. Only `worker`'s own thread calls this.
+    ///
+    /// Returns whether the transport is left *unsettled* — it knows of
+    /// work that no wake-up will announce, so the worker must come back
+    /// shortly instead of parking until woken. A transport whose sends
+    /// land in the mailboxes directly has nothing to pump.
+    fn pump(&self, _worker: usize) -> bool {
+        false
+    }
+
+    /// `worker`'s pass is over: ship whatever its sites' sends queued —
+    /// once per pass, so no send pays a syscall or a cross-thread wake
+    /// inside an operation's latency window. Only `worker`'s own thread
+    /// calls this. Returns whether the transport is left unsettled, as
+    /// [`Transport::pump`] does.
+    fn flush(&self, _worker: usize) -> bool {
+        false
+    }
 }
 
 /// Crossbeam-channel transport: one unbounded mailbox per site, with the
@@ -251,8 +266,6 @@ pub struct Node {
     /// occupied.
     reading: Option<(Option<usize>, Instant)>,
     done_fired: bool,
-    /// Sends were handed to the transport since its last flush.
-    unflushed: bool,
 }
 
 impl Node {
@@ -291,7 +304,6 @@ impl Node {
             start,
             reading: None,
             done_fired: false,
-            unflushed: false,
         }
     }
 
@@ -306,7 +318,6 @@ impl Node {
     /// timed wake-up for (`None` = it is purely message-driven now).
     pub(crate) fn poll(&mut self) -> (bool, Option<Instant>) {
         let mut progressed = self.fire_due_timers();
-        self.flush_sends();
         loop {
             if self.driver.fetch().is_some() {
                 // Parked in the paper's synchronous RemoteFetch: the site
@@ -319,7 +330,6 @@ impl Node {
                     let due = self.start + off;
                     if due <= Instant::now() {
                         self.issue_next();
-                        self.flush_sends();
                         progressed = true;
                     } else {
                         return (progressed, Some(self.nearest_wake(due)));
@@ -337,7 +347,6 @@ impl Node {
                         self.timers.clear();
                         self.driver.flush_lanes(&mut self.out);
                         self.apply_outputs();
-                        self.flush_sends();
                         self.done_fired = true;
                         progressed = true;
                         self.quiesce.site_finished();
@@ -364,7 +373,6 @@ impl Node {
                 // Cascade sends were counted while delivering, so the
                 // coordinator cannot observe a spurious in-flight zero.
                 self.quiesce.frames_done(1);
-                self.flush_sends();
                 true
             }
             Wire::Stop => {
@@ -428,15 +436,6 @@ impl Node {
         }
     }
 
-    /// Tell the transport this step's sends are complete (see
-    /// [`Transport::flush`]). Runs after the step's own work — for a
-    /// client operation, after its completion was reported.
-    fn flush_sends(&mut self) {
-        if std::mem::take(&mut self.unflushed) {
-            self.transport.flush(self.site);
-        }
-    }
-
     fn deliver(&mut self, now: u64, from: SiteId, msg: Msg, measured: bool) {
         if !self.driver.accepts(&msg) {
             self.metrics.dup_drops += 1;
@@ -480,7 +479,6 @@ impl Node {
                     // One in-flight unit per destination, un-counted for
                     // the copies a dead peer refused (the transport
                     // counted those as connection errors).
-                    self.unflushed = true;
                     self.quiesce.frames_sent(self.dsts.len() as u64);
                     let refused = self.transport.send(self.site, &self.dsts, &msg, measured);
                     if refused > 0 {

@@ -1,18 +1,20 @@
 //! The sharded M:N scheduler and run coordinator.
 //!
 //! A run spawns a fixed pool of `W` worker threads (not one thread per
-//! site): site `i` is owned by worker `i mod W`, and each worker drains
-//! its sites' mailboxes and issues their due operations in a fair
-//! round-robin event loop. `W = n` degenerates to the old thread-per-site
-//! fabric (useful as a baseline and exercised by the determinism tests);
-//! `W = 0` auto-sizes to the machine's available parallelism.
+//! site) and nothing else: site `i` is owned by worker `i mod W`, and each
+//! worker runs one event loop — pump the transport (move what peers wrote
+//! toward it into its mailboxes), drain its sites' mailboxes and issue
+//! their due operations in fair round-robin, flush the transport (ship
+//! what the pass's sends queued). `W = n` gives every site its own
+//! worker; `W = 0` auto-sizes to the machine's available parallelism.
 //!
 //! Workers never spin. A worker parks on its wake latch (a saturating
 //! one-shot token) until either a peer enqueues a frame for one of its
-//! sites or the earliest timed event — a scheduled operation or a batch
-//! window expiry — comes due. Senders always enqueue *then* wake, and a
-//! parked worker re-scans after every wake, so no frame can be stranded
-//! in a mailbox while its owner sleeps.
+//! sites — or writes to one of its sockets — or the earliest timed event
+//! — a scheduled operation or a batch window expiry — comes due. Senders
+//! always publish *then* wake, and a parked worker re-scans after every
+//! wake, so no frame can be stranded in a mailbox or a socket while its
+//! owner sleeps.
 //!
 //! Quiescence is an exact condition — every driver exhausted and the
 //! global in-flight frame tally at zero, which is stable once true (see
@@ -55,8 +57,8 @@ pub struct RuntimeConfig {
     /// ones, so message counts only line up unbatched).
     pub batch: Option<BatchWindow>,
     /// Scheduler worker threads. `0` auto-sizes to the machine's available
-    /// parallelism; `n` (one worker per site) emulates the old
-    /// thread-per-site fabric. Always clamped to `[1, n]`.
+    /// parallelism; `n` gives every site its own worker. Always clamped to
+    /// `[1, n]`.
     pub workers: usize,
 }
 
@@ -222,19 +224,6 @@ impl MailboxRx {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Blocking receive with a deadline — test instrumentation only; the
-    /// scheduler itself never blocks on a single mailbox.
-    #[cfg(test)]
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Wire> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(w) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Some(w)
-            }
-            Err(_) => None,
-        }
-    }
-
     #[cfg(test)]
     pub(crate) fn try_recv_test(&self) -> Option<Wire> {
         self.try_recv()
@@ -343,8 +332,8 @@ impl Quiesce {
 }
 
 /// The run's routing table: every site's mailbox, its owning worker, and
-/// each worker's wake latch. Shared by transports, mux-socket readers,
-/// and the coordinator — anything that needs to hand a frame to a site.
+/// each worker's wake latch. Shared by the transports and the coordinator
+/// — anything that needs to hand a frame to a site.
 pub(crate) struct Routes {
     mailboxes: Vec<Mailbox>,
     /// `owner[site]` = index of the worker that drains the site.
@@ -373,9 +362,15 @@ impl Routes {
     pub(crate) fn deliver(&self, site: usize, wire: Wire) -> bool {
         let ok = self.mailboxes[site].push(wire);
         if ok {
-            self.wakes[self.owner[site]].notify();
+            self.wake(self.owner[site]);
         }
         ok
+    }
+
+    /// Wake `worker` — the caller has already published what it should
+    /// find.
+    pub(crate) fn wake(&self, worker: usize) {
+        self.wakes[worker].notify();
     }
 
     /// Enqueue a copy of `msg` (a refcount bump of its piggyback) for every
@@ -399,10 +394,13 @@ impl Routes {
             };
             refused += usize::from(!self.mailboxes[d.index()].push(wire));
         }
-        for (i, d) in dsts.iter().enumerate() {
+        // One bit per worker (`W ≤ MAX_WORKERS`): the sender counts as
+        // woken from the start.
+        let mut woken = sender.map_or(0u128, |w| 1 << w);
+        for d in dsts {
             let w = self.owner[d.index()];
-            let woken = dsts[..i].iter().any(|p| self.owner[p.index()] == w);
-            if Some(w) != sender && !woken {
+            if woken & (1 << w) == 0 {
+                woken |= 1 << w;
                 self.wakes[w].notify();
             }
         }
@@ -414,8 +412,7 @@ impl Routes {
 pub(crate) struct Cluster {
     pub(crate) routes: Arc<Routes>,
     pub(crate) quiesce: Arc<Quiesce>,
-    /// Run-wide spawned-thread counter (workers + transport threads).
-    pub(crate) threads: Arc<AtomicU64>,
+    /// The worker pool — every thread the run spawned.
     handles: Vec<JoinHandle<Vec<NodeOutcome>>>,
 }
 
@@ -426,14 +423,19 @@ pub(crate) struct Cluster {
 pub(crate) struct Fabric {
     pub(crate) routes: Arc<Routes>,
     pub(crate) quiesce: Arc<Quiesce>,
-    pub(crate) threads: Arc<AtomicU64>,
     rxs: Vec<MailboxRx>,
 }
+
+/// The widest pool a fabric supports: [`Routes::fan_out`] keeps its
+/// woken-owner set in one `u128`. Site ids stop at 128 too
+/// (`causal_clocks::dests::MAX_SITES`), so no valid `n` is refused.
+const MAX_WORKERS: usize = u128::BITS as usize;
 
 /// Build the fabric for `n` sites sharded over `workers` workers
 /// (`workers` must already be resolved via [`resolve_workers`]).
 pub(crate) fn build_fabric(n: usize, workers: usize) -> Fabric {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
+    assert!(workers <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mailbox()).unzip();
     let wakes = (0..workers).map(|_| WakeLatch::new()).collect();
     let owner = (0..n).map(|i| i % workers).collect();
@@ -444,7 +446,6 @@ pub(crate) fn build_fabric(n: usize, workers: usize) -> Fabric {
             wakes,
         }),
         quiesce: Arc::new(Quiesce::new(n)),
-        threads: Arc::new(AtomicU64::new(0)),
         rxs,
     }
 }
@@ -467,14 +468,18 @@ impl Routes {
 }
 
 impl Fabric {
-    /// Spawn the worker pool. `make_node` is called once per site index,
-    /// on the coordinator thread, to build the site's [`Node`]; the node
-    /// is then moved to its owning worker.
-    pub(crate) fn spawn(self, mut make_node: impl FnMut(usize) -> Node) -> Cluster {
+    /// Spawn the worker pool — the only threads a run has. `make_node` is
+    /// called once per site index, on the coordinator thread, to build the
+    /// site's [`Node`]; the node is then moved to its owning worker, which
+    /// also pumps and flushes `transport` once per pass.
+    pub(crate) fn spawn(
+        self,
+        transport: &Arc<dyn Transport>,
+        mut make_node: impl FnMut(usize) -> Node,
+    ) -> Cluster {
         let Fabric {
             routes,
             quiesce,
-            threads,
             rxs,
         } = self;
         let workers = routes.workers();
@@ -488,14 +493,14 @@ impl Fabric {
         }
         let mut handles = Vec::with_capacity(workers);
         for (w, slots) in per_worker.into_iter().enumerate() {
-            let wake = routes.wakes[w].clone();
-            threads.fetch_add(1, Ordering::Relaxed);
-            handles.push(std::thread::spawn(move || worker_loop(slots, wake)));
+            let (wake, transport) = (routes.wakes[w].clone(), transport.clone());
+            handles.push(std::thread::spawn(move || {
+                worker_loop(w, slots, &wake, &*transport)
+            }));
         }
         Cluster {
             routes,
             quiesce,
-            threads,
             handles,
         }
     }
@@ -509,20 +514,42 @@ struct SiteSlot {
     stopped: bool,
 }
 
+/// The earlier of two optional deadlines.
+fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// How many mailbox frames one site may drain per scheduler pass before
 /// the worker moves on to its next site. Bounds per-site burst latency
 /// under K:1 sharding without starving a busy neighbour.
 const DRAIN_BUDGET: usize = 64;
 
-/// A worker's event loop: round-robin over owned sites — drain (bounded),
-/// then issue due operations — and park until woken or the earliest timed
-/// event when a full pass makes no progress. Exits once every owned site
-/// has taken its `Stop`.
-fn worker_loop(mut slots: Vec<SiteSlot>, wake: WakeLatch) -> Vec<NodeOutcome> {
+/// How long a worker parks when a pass did nothing but the transport is
+/// not settled — an unwritten tail the peer's socket would not take, or
+/// bytes a peer announced that the kernel has not handed over yet. Nobody
+/// will wake it for either, so it comes back by itself.
+const UNSETTLED_PARK: Duration = Duration::from_micros(50);
+
+/// Worker `me`'s event loop. One pass: pump the transport, round-robin
+/// over owned sites — drain (bounded), then issue due operations — and
+/// flush the transport; park until woken or the earliest timed event when
+/// the pass made no progress. Exits once every owned site has taken its
+/// `Stop`.
+fn worker_loop(
+    me: usize,
+    mut slots: Vec<SiteSlot>,
+    wake: &WakeLatch,
+    transport: &dyn Transport,
+) -> Vec<NodeOutcome> {
     let mut live = slots.len();
     while live > 0 {
         let mut progressed = false;
         let mut next_wake: Option<Instant> = None;
+        // What peers wrote lands in the mailboxes the drain below reads.
+        let mut unsettled = transport.pump(me);
         for slot in &mut slots {
             if slot.stopped {
                 continue;
@@ -557,16 +584,17 @@ fn worker_loop(mut slots: Vec<SiteSlot>, wake: WakeLatch) -> Vec<NodeOutcome> {
             }
             let (did, wake_at) = slot.node.poll();
             progressed |= did;
-            next_wake = match (next_wake, wake_at) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            next_wake = earlier(next_wake, wake_at);
         }
+        // One encode-and-write per peer for everything this pass sent.
+        unsettled |= transport.flush(me);
         if live > 0 && !progressed {
-            // Park. Senders enqueue before they notify and the latch
-            // saturates, so a frame pushed after the drain above leaves
-            // the token set and the wait returns immediately.
-            wake.wait_until(next_wake);
+            // Park. Senders publish — a mailbox push, or a socket write
+            // and its byte count — before they notify and the latch
+            // saturates, so anything published after the pump and drain
+            // above leaves the token set and the wait returns at once.
+            let retry = unsettled.then(|| Instant::now() + UNSETTLED_PARK);
+            wake.wait_until(earlier(next_wake, retry));
         }
     }
     slots.into_iter().map(|s| s.node.finish()).collect()
@@ -576,8 +604,7 @@ fn worker_loop(mut slots: Vec<SiteSlot>, wake: WakeLatch) -> Vec<NodeOutcome> {
 /// at zero), broadcast `Stop`, join the worker pool, and merge the
 /// per-site outcomes. `conn_errors` are the transports' connection-failure
 /// counters, folded in *after* the join so late teardown races are
-/// included; the run-wide thread counter lands in
-/// `metrics.threads_spawned`.
+/// included; the pool size lands in `metrics.threads_spawned`.
 pub(crate) fn drive(
     cluster: Cluster,
     conn_errors: &[Arc<AtomicU64>],
@@ -591,6 +618,7 @@ pub(crate) fn drive(
     let mut history = History::new(n);
     let mut metrics = RunMetrics::new();
     let mut final_pending = 0;
+    metrics.threads_spawned = cluster.handles.len() as u64;
     for h in cluster.handles {
         for out in h.join().expect("worker thread panicked") {
             history.absorb(out.history);
@@ -601,7 +629,6 @@ pub(crate) fn drive(
     for c in conn_errors {
         metrics.transport_conn_errors += c.load(Ordering::Relaxed);
     }
-    metrics.threads_spawned = cluster.threads.load(Ordering::Relaxed);
     (history, metrics, final_pending)
 }
 
@@ -621,7 +648,7 @@ pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
         conn_errors.clone(),
     ));
     let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
+    let cluster = fabric.spawn(&transport, |i| {
         let site = SiteId::from(i);
         Node::new(
             site,
@@ -704,6 +731,32 @@ mod tests {
                 wait(&pong);
             }
         });
+    }
+
+    #[test]
+    fn fan_out_wakes_each_distinct_owner_once_and_never_the_sender() {
+        // 40 sites over 4 workers: a 39-destination multicast from site 0
+        // leaves one copy per mailbox and one token per other worker.
+        let (routes, mailboxes) = test_fabric(40, 4);
+        let dsts: Vec<SiteId> = (1..40usize).map(SiteId::from).collect();
+        let msg = Msg::Fm(causal_proto::Fm {
+            var: causal_types::VarId(0),
+        });
+        assert_eq!(routes.fan_out(SiteId(0), &dsts, &msg, true, Some(0)), 0);
+        for (i, m) in mailboxes.iter().enumerate() {
+            let copies = std::iter::from_fn(|| m.try_recv_test()).count();
+            assert_eq!(copies, usize::from(i != 0), "site {i}");
+        }
+        assert!(
+            !routes.take_wake(0, Duration::ZERO),
+            "the sender is running"
+        );
+        for w in 1..4 {
+            assert!(routes.take_wake(w, Duration::ZERO), "worker {w}");
+        }
+        // Nobody executing the send (a pump rerouting): every owner.
+        routes.fan_out(SiteId(0), &dsts[..4], &msg, true, None);
+        assert!((0..4).all(|w| routes.take_wake(w, Duration::ZERO)));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::loadgen::{ClosedLoop, LoadProfile};
 use crate::node::{BatchWindow, ChannelTransport, Node, OpDriver, Transport};
 use crate::runner::{build_fabric, drive, resolve_workers};
-use crate::tcp::build_mesh;
+use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, OpLatency, RunMetrics};
@@ -65,8 +65,8 @@ pub struct ServeConfig {
     pub payload_len: u32,
     /// Byte accounting for the metrics.
     pub size_model: SizeModel,
-    /// Scheduler worker threads (`0` = auto, `n` = thread-per-site
-    /// emulation; clamped to `[1, n]`).
+    /// Scheduler worker threads (`0` = auto, `n` = one worker per site;
+    /// clamped to `[1, n]`).
     pub workers: usize,
 }
 
@@ -134,19 +134,18 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     let start = Instant::now();
 
     let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    // One transport per fabric; TCP additionally owns writer/reader
-    // threads that must be joined after the workers exit.
+    // One transport per fabric; the TCP mesh's gauges are folded into the
+    // metrics after the workers exit.
     let channel_errors = Arc::new(AtomicU64::new(0));
     let mesh = match cfg.transport {
-        ServeTransport::Tcp => Some(build_mesh(
+        ServeTransport::Tcp => Some(Arc::new(MuxTransport::connect(
             &fabric.routes,
             &fabric.quiesce,
-            &fabric.threads,
-        )?),
+        )?)),
         ServeTransport::Channel => None,
     };
     let transport: Arc<dyn Transport> = match &mesh {
-        Some(m) => m.transport(),
+        Some(m) => m.clone(),
         None => Arc::new(ChannelTransport::new(
             fabric.routes.clone(),
             channel_errors.clone(),
@@ -154,7 +153,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     };
 
     let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
+    let cluster = fabric.spawn(&transport, |i| {
         let site = SiteId::from(i);
         Node::new(
             site,
@@ -174,7 +173,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     let (history, mut metrics, final_pending) = drive(cluster, &[]);
     let elapsed = start.elapsed();
     if let Some(m) = mesh {
-        m.teardown(&mut metrics);
+        m.fold_gauges(&mut metrics);
     }
     metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
 

@@ -1,4 +1,5 @@
-//! The paper's transport: TCP, multiplexed per worker pair.
+//! The paper's transport: TCP, multiplexed per worker pair and driven by
+//! the workers themselves.
 //!
 //! §IV-C of the paper: "the system relies on TCP channels to deliver
 //! messages ... it guarantees that messages can be successfully transmitted
@@ -6,16 +7,17 @@
 //! `causal_proto::wire` and shipped through a real kernel socket — the
 //! closest this repository gets to the authors' JDK-over-TCP testbed.
 //!
-//! ## Topology
+//! ## Topology and threads
 //!
-//! The old runtime kept a full site mesh: `n(n-1)/2` sockets and two
-//! reader threads per socket — ~1,600 threads at `n = 40`. Sites are now
-//! sharded over `W` scheduler workers (see [`crate::runner`]), and the
-//! mesh connects *workers*: one socket per unordered worker pair, carrying
-//! the traffic of every site pair whose owners differ. Each socket
-//! endpoint gets one writer thread and one reader thread, so the whole
-//! fabric is `W + 2·W·(W-1)` threads. Same-worker site pairs never touch a
-//! socket — the frame goes straight into the destination mailbox.
+//! Sites are sharded over `W` scheduler workers (see [`crate::runner`]),
+//! and the mesh connects *workers*: one socket per unordered worker pair,
+//! carrying the traffic of every site pair whose owners differ. Both ends
+//! of every socket are nonblocking and belong to the worker at that end:
+//! it reads them when its pass begins ([`Transport::pump`]) and writes
+//! them when its pass ends ([`Transport::flush`]). The fabric spawns no
+//! thread — a TCP run is `W` threads, whatever `n` and however many
+//! sockets. Same-worker site pairs never touch a socket: the frame goes
+//! straight into the destination mailbox.
 //!
 //! ## Framing
 //!
@@ -36,62 +38,77 @@
 //! [`RunMetrics::transport_conn_errors`], never a panic or a multi-GiB
 //! allocation.
 //!
-//! Receivers route on the header, not on the connection: a frame for any
-//! valid site is delivered to that site's mailbox and its owner woken,
-//! so a frame arriving on an unexpected connection is *rerouted*, never
-//! dropped. A reader pulls whatever the socket holds into one reusable
-//! buffer and decodes frames from the borrowed bytes — many frames per
-//! `read(2)`, no allocation per frame.
+//! ## Pump
 //!
-//! ## Coalesced writes
+//! Each endpoint has a byte counter its *peer* advances after every
+//! successful `write`. A pump compares it with the bytes the endpoint has
+//! read so far: equal means nothing to do — an idle pass makes no syscall
+//! — and otherwise the worker `read`s into the endpoint's reusable buffer
+//! until it has caught up, decoding frames from the borrowed bytes (many
+//! frames per `read(2)`, no allocation per frame). Receivers route on the
+//! header, not on the connection: own-shard copies go to their mailboxes
+//! with no wake (the pumping worker drains them next), and a frame for a
+//! site another worker owns is *rerouted* to that owner, never dropped. A
+//! `read` that would block while announced bytes are still missing — the
+//! kernel has taken them from the peer but not handed them over yet —
+//! leaves the transport unsettled, and the worker retries shortly.
 //!
-//! A site's send appends the frame to the connection's queue and returns;
-//! when the site's scheduling step ends, [`Transport::flush`] kicks the
-//! writer threads of the connections it queued on — one cross-thread wake
-//! per step, and none inside an operation's latency window. The writer
-//! takes everything queued at each kick into one buffer and ships it with
-//! a single `write_all` — one syscall per kick instead of one per frame
-//! (`RunMetrics::syscall_writes`, carrying `RunMetrics::transport_frames`
-//! frames). Lane flushes from per-destination batching (PR8) land on the
-//! same queue, so a batch window closing produces exactly one coalesced
-//! write. A failed write marks the connection dead and un-counts the
-//! queued messages — every destination of every frame — from the
-//! in-flight tally; later sends fail fast.
+//! ## Flush
+//!
+//! A site's send appends one frame per peer worker to that endpoint's
+//! queue and returns. When the worker's pass ends it encodes each
+//! endpoint's queue into one reusable buffer — outside every operation's
+//! latency window, in slices of up to [`WRITE_COALESCE_BYTES`] — and
+//! `write`s until done or `WouldBlock` (`RunMetrics::syscall_writes`,
+//! carrying `RunMetrics::transport_frames` frames), then advances the
+//! peer's byte counter and notifies its wake latch: write, then count,
+//! then notify, so a pump that ran too early to see the bytes is followed
+//! by a park that returns at once. Bytes the socket would not take stay
+//! in the buffer as the endpoint's *tail*
+//! (`RunMetrics::transport_write_stalls`); later sends queue behind it,
+//! the worker keeps pumping — which is why two full socket buffers cannot
+//! deadlock — and parks only briefly until the tail is gone. A tail that
+//! makes no progress for [`WRITE_TIMEOUT`], or a failed write, marks the
+//! connection dead and un-counts from the in-flight tally exactly the
+//! messages not yet fully written — every destination of every such frame
+//! — and later sends fail fast. Lane flushes from per-destination batching
+//! (PR8) land on the same queue.
 //!
 //! ## Handshake & teardown
 //!
 //! Each worker binds an ephemeral listener; worker `a` dials every `b > a`
-//! and sends a 2-byte hello carrying its worker id. `TCP_NODELAY` is set
-//! on every stream — Nagle would otherwise delay small frames behind
-//! unacked data and poison the latency tails the serve mode measures.
-//! Teardown is ordered: close every connection queue and kick its writer
-//! (it drains what is left and exits), join the writers, then
-//! `shutdown(Both)` each socket to wake the readers blocked in `read`
-//! (they hold dups of the fd, so a plain drop would never deliver the
-//! EOF) and join them — nothing leaks.
+//! and sends a 2-byte hello carrying its worker id — the only blocking
+//! socket operations there are; both ends go nonblocking right after.
+//! `TCP_NODELAY` is set on every stream — Nagle would otherwise delay small
+//! frames behind unacked data and poison the latency tails the serve mode
+//! measures. Teardown is the worker join: quiescence means every queue and
+//! socket is empty, and dropping the transport closes the sockets.
+//!
+//! Readiness comes from the in-process counters, which is why std sockets
+//! suffice. A multi-host mesh (`--join`, parked) has no shared memory to
+//! carry them and is where a `poll`/`epoll` shim would be needed.
 
 use crate::node::{Node, OpDriver, Transport};
 use crate::runner::{
     build_fabric, drive, locked, resolve_workers, Quiesce, Routes, RunOutcome, RuntimeConfig,
-    WakeLatch,
 };
 use causal_metrics::RunMetrics;
 use causal_proto::{build_site, wire, Msg, ProtocolConfig, Replication};
 use causal_types::{Error, Result, SiteId};
 use causal_workload::generate;
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Coalescing bound: a writer stops draining its queue once the batched
+/// Coalescing bound: a flush stops encoding an endpoint's queue once the
 /// buffer reaches this size, ships it, and comes back for the rest.
 const WRITE_COALESCE_BYTES: usize = 256 * 1024;
 
-/// A blocked writer gives up (and declares the connection dead) after
-/// this long — insurance against a peer that stopped draining.
+/// An unwritten tail that makes no progress for this long fails its
+/// connection — insurance against a peer that stopped draining.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// TCP header `flags` bit 0: the frame's warm-up attribution.
@@ -102,13 +119,13 @@ const FLAG_MULTI: u8 = 0b10;
 /// `[len: u32 LE][flags: u8]`.
 const HEADER_BYTES: usize = 5;
 
-/// A reader's receive buffer: one `read(2)` picks up every frame the peer's
-/// writer coalesced, up to this much (it grows only for a single frame
-/// that is larger, bounded by [`wire::MAX_FRAME`]).
+/// An endpoint's receive buffer: one `read(2)` picks up every frame the
+/// peer's flush coalesced, up to this much (it grows only for a single
+/// frame that is larger, bounded by [`wire::MAX_FRAME`]).
 const READ_BUF_BYTES: usize = 64 * 1024;
 
-/// One frame queued toward a connection's writer thread: one message for
-/// every site in `dsts` (all owned by the peer worker; never empty).
+/// One frame queued toward a peer worker: one message for every site in
+/// `dsts` (all owned by that peer; never empty).
 struct OutFrame {
     src: SiteId,
     dsts: Vec<SiteId>,
@@ -121,107 +138,400 @@ struct OutFrame {
 struct Gauges {
     /// Messages positively lost plus connections failed by a bad frame.
     conn_errors: AtomicU64,
-    /// `write(2)` calls (one per coalesced writer wake).
+    /// `write(2)` calls that moved bytes.
     syscall_writes: AtomicU64,
-    /// Frames those writes carried.
+    /// `read(2)` calls (what the idle-pass test watches).
+    syscall_reads: AtomicU64,
+    /// Frames fully written.
     frames: AtomicU64,
+    /// Flushes that left a tail.
+    write_stalls: AtomicU64,
 }
 
-/// One directed connection endpoint, shared by the sending worker and the
-/// endpoint's writer thread.
-struct Conn {
-    /// Frames waiting for the writer, in send order.
-    queue: Mutex<Vec<OutFrame>>,
-    /// The writer parks here; [`MuxTransport::flush`] and teardown notify.
-    kick: WakeLatch,
-    /// Frames were queued since the last kick (`Release` store by the
-    /// send, `Acquire` swap by the flush that kicks for it).
-    unkicked: AtomicBool,
-    /// Raised by the writer when the socket dies: later sends fail fast.
-    dead: AtomicBool,
-    /// Raised at teardown: the writer drains what is queued and exits.
-    closed: AtomicBool,
+/// One worker's end of its socket to one peer. Touched only by that
+/// worker's thread (under the worker's uncontended mutex).
+struct Endpoint {
+    stream: TcpStream,
+    /// The connection failed: sends are refused, pumps and flushes skip it.
+    dead: bool,
+    /// Frames sent but not yet encoded, in send order.
+    queue: Vec<OutFrame>,
+    /// `send`'s scratch: this peer's share of the multicast being sent.
+    group: Vec<SiteId>,
+    /// The encoded slice being written; `wbuf[wpos..]` is the tail the
+    /// socket has not taken yet.
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// `(end offset in wbuf, destinations)` of every frame in `wbuf` that
+    /// is not fully written — what is lost if the connection fails now.
+    unwritten: VecDeque<(usize, u64)>,
+    /// When the tail last stopped moving.
+    stalled_since: Option<Instant>,
+    /// `rbuf[start..end]` is received but not yet routed.
+    rbuf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes read off the socket so far — compared against what the peer
+    /// announced in [`MuxTransport::arrived`].
+    consumed: u64,
 }
 
-impl Conn {
-    fn new() -> Arc<Conn> {
-        Arc::new(Conn {
-            queue: Mutex::new(Vec::new()),
-            kick: WakeLatch::new(),
-            unkicked: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-        })
+impl Endpoint {
+    fn new(stream: TcpStream) -> Self {
+        Endpoint {
+            stream,
+            dead: false,
+            queue: Vec::new(),
+            group: Vec::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            unwritten: VecDeque::new(),
+            stalled_since: None,
+            rbuf: vec![0u8; READ_BUF_BYTES],
+            start: 0,
+            end: 0,
+            consumed: 0,
+        }
     }
+
+    fn has_tail(&self) -> bool {
+        self.wpos < self.wbuf.len()
+    }
+}
+
+/// Everything worker `a` owns of the mesh: `peers[b]` is its endpoint
+/// toward worker `b` (`None` iff `a == b`).
+struct WorkerIo {
+    peers: Vec<Option<Endpoint>>,
+    /// `send`'s scratch: the peers the multicast being sent touches.
+    touched: Vec<usize>,
 }
 
 /// The multiplexed transport every site shares: same-worker copies go
 /// straight to the destination mailbox, cross-worker copies are queued on
-/// the owning pair's connection — one frame per peer worker.
+/// the owning pair's endpoint — one frame per peer worker — and move when
+/// the owning worker pumps and flushes.
 pub(crate) struct MuxTransport {
     routes: Arc<Routes>,
-    workers: usize,
-    /// `conns[wa * workers + wb]` is the endpoint at worker `wa` writing
-    /// toward worker `wb`; `None` iff `wa == wb`.
-    conns: Vec<Option<Arc<Conn>>>,
-    gauges: Arc<Gauges>,
+    quiesce: Arc<Quiesce>,
+    workers: Vec<Mutex<WorkerIo>>,
+    /// `arrived[a * W + b]`: bytes worker `b` has written toward worker
+    /// `a`. Advanced by `b` after each write (`Release`), read by `a`'s
+    /// pump (`Acquire`) — the one piece of an endpoint its peer touches.
+    arrived: Vec<AtomicU64>,
+    write_timeout: Duration,
+    gauges: Gauges,
 }
 
 impl Transport for MuxTransport {
     fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
-        let owner = |s: &SiteId| self.routes.owner(s.index());
-        let wa = owner(&from);
+        let wa = self.routes.owner(from.index());
         let mut refused = 0;
-        for (i, d) in to.iter().enumerate() {
-            let wb = owner(d);
-            if wb == wa {
-                // Same shard: the copy never touches a socket, and the
-                // draining thread is the one executing this send — no
-                // wake needed.
-                let local = std::slice::from_ref(d);
-                refused += self.routes.fan_out(from, local, msg, measured, Some(wa));
-            } else if !to[..i].iter().any(|p| owner(p) == wb) {
-                // First destination on this peer: its whole group leaves
-                // now as one frame, so the group sits in the connection
-                // queue where this copy alone would have (per-pair FIFO).
-                let dsts: Vec<SiteId> =
-                    to[i..].iter().copied().filter(|p| owner(p) == wb).collect();
-                let conn = self.conns[wa * self.workers + wb]
-                    .as_ref()
-                    .expect("mesh covers every cross-worker pair");
-                if conn.dead.load(Ordering::Relaxed) {
+        locked(&self.workers[wa], |io| {
+            let WorkerIo { peers, touched } = io;
+            // One walk buckets the destinations by owner, in send order.
+            for d in to {
+                let wb = self.routes.owner(d.index());
+                if wb == wa {
+                    // Same shard: the copy never touches a socket, and the
+                    // draining thread is the one executing this send — no
+                    // wake needed.
+                    let local = std::slice::from_ref(d);
+                    refused += self.routes.fan_out(from, local, msg, measured, Some(wa));
+                    continue;
+                }
+                let group = &mut endpoint(peers, wb).group;
+                if group.is_empty() {
+                    touched.push(wb);
+                }
+                group.push(*d);
+            }
+            // One frame per peer, in the queue slot its first destination's
+            // own frame would have had (per-pair FIFO).
+            for wb in touched.drain(..) {
+                let ep = endpoint(peers, wb);
+                let dsts = std::mem::take(&mut ep.group);
+                if ep.dead {
                     refused += dsts.len();
                     continue;
                 }
-                let frame = OutFrame {
+                ep.queue.push(OutFrame {
                     src: from,
                     dsts,
                     msg: msg.clone(),
                     measured,
-                };
-                locked(&conn.queue, |q| q.push(frame));
-                conn.unkicked.store(true, Ordering::Release);
+                });
             }
-        }
+        });
         self.gauges
             .conn_errors
             .fetch_add(refused as u64, Ordering::Relaxed);
         refused
     }
 
-    fn flush(&self, from: SiteId) {
-        let wa = self.routes.owner(from.index());
-        let row = &self.conns[wa * self.workers..(wa + 1) * self.workers];
-        for conn in row.iter().flatten() {
-            if conn.unkicked.swap(false, Ordering::Acquire) {
-                conn.kick.notify();
+    fn pump(&self, wa: usize) -> bool {
+        let w = self.workers.len();
+        let mut behind = false;
+        locked(&self.workers[wa], |io| {
+            for (wb, ep) in io.peers.iter_mut().enumerate() {
+                let Some(ep) = ep else { continue };
+                let announced = self.arrived[wa * w + wb].load(Ordering::Acquire);
+                if !ep.dead && announced > ep.consumed {
+                    behind |= self.read_in(wa, ep, announced);
+                }
             }
+        });
+        behind
+    }
+
+    fn flush(&self, wa: usize) -> bool {
+        let w = self.workers.len();
+        let mut tail = false;
+        locked(&self.workers[wa], |io| {
+            for (wb, ep) in io.peers.iter_mut().enumerate() {
+                let Some(ep) = ep else { continue };
+                if ep.queue.is_empty() && !ep.has_tail() {
+                    continue;
+                }
+                let wrote = self.write_out(ep);
+                if wrote > 0 {
+                    // Write, then count, then notify: the peer either sees
+                    // the count in the pump it is running, or finds its
+                    // token set when it tries to park.
+                    self.arrived[wb * w + wa].fetch_add(wrote, Ordering::Release);
+                    self.routes.wake(wb);
+                }
+                tail |= ep.has_tail();
+            }
+        });
+        tail
+    }
+}
+
+fn endpoint(peers: &mut [Option<Endpoint>], wb: usize) -> &mut Endpoint {
+    peers[wb]
+        .as_mut()
+        .expect("mesh covers every cross-worker pair")
+}
+
+impl MuxTransport {
+    /// Establish the worker mesh over `routes`: one socket per unordered
+    /// worker pair, `TCP_NODELAY` everywhere, both ends nonblocking once
+    /// the hello has crossed. With a single worker the mesh is empty —
+    /// every site pair is same-shard and no socket exists.
+    pub(crate) fn connect(routes: &Arc<Routes>, quiesce: &Arc<Quiesce>) -> Result<MuxTransport> {
+        let w = routes.workers();
+        // Row-major: `peers[a * w + b]` is worker `a`'s end toward `b`.
+        let mut peers: Vec<Option<Endpoint>> = (0..w * w).map(|_| None).collect();
+
+        let sock_err = |_| Error::ChannelClosed;
+        let mut listeners = Vec::with_capacity(w);
+        let mut addrs = Vec::with_capacity(w);
+        for _ in 0..w {
+            let l = TcpListener::bind("127.0.0.1:0").map_err(sock_err)?;
+            addrs.push(l.local_addr().map_err(sock_err)?);
+            listeners.push(l);
+        }
+
+        // Worker a dials every b > a; the accepting side reads the 2-byte
+        // hello. Dialing and accepting are interleaved deterministically:
+        // for each (a, b) pair we connect and accept inline — loopback
+        // makes this immediate and avoids a thread per handshake.
+        for a in 0..w {
+            for b in (a + 1)..w {
+                let mut out = TcpStream::connect(addrs[b]).map_err(sock_err)?;
+                out.write_all(&(a as u16).to_le_bytes()).map_err(sock_err)?;
+                let (mut inc, _) = listeners[b].accept().map_err(sock_err)?;
+                let mut hello = [0u8; 2];
+                inc.read_exact(&mut hello).map_err(sock_err)?;
+                debug_assert_eq!(u16::from_le_bytes(hello) as usize, a);
+                for s in [&out, &inc] {
+                    // Nagle would delay small frames behind unacked data —
+                    // fatal for latency measurement on a chatty mesh.
+                    s.set_nodelay(true).map_err(sock_err)?;
+                    s.set_nonblocking(true).map_err(sock_err)?;
+                }
+                peers[a * w + b] = Some(Endpoint::new(out));
+                peers[b * w + a] = Some(Endpoint::new(inc));
+            }
+        }
+
+        let mut peers = peers.into_iter();
+        let worker_io = |_| {
+            Mutex::new(WorkerIo {
+                peers: peers.by_ref().take(w).collect(),
+                touched: Vec::new(),
+            })
+        };
+        Ok(MuxTransport {
+            routes: routes.clone(),
+            quiesce: quiesce.clone(),
+            workers: (0..w).map(worker_io).collect(),
+            arrived: (0..w * w).map(|_| AtomicU64::new(0)).collect(),
+            write_timeout: WRITE_TIMEOUT,
+            gauges: Gauges::default(),
+        })
+    }
+
+    /// Fold the mesh's gauges into `metrics`. Call after the workers have
+    /// been joined, so teardown races are included.
+    pub(crate) fn fold_gauges(&self, metrics: &mut RunMetrics) {
+        let read = |g: &AtomicU64| g.load(Ordering::Relaxed);
+        metrics.transport_conn_errors += read(&self.gauges.conn_errors);
+        metrics.syscall_writes += read(&self.gauges.syscall_writes);
+        metrics.transport_frames += read(&self.gauges.frames);
+        metrics.transport_write_stalls += read(&self.gauges.write_stalls);
+    }
+
+    /// Encode `ep`'s queue, a slice at a time, and write until everything
+    /// is out or the socket would block; what it would not take stays as
+    /// the endpoint's tail. Returns the bytes written.
+    fn write_out(&self, ep: &mut Endpoint) -> u64 {
+        let bump = |g: &AtomicU64| g.fetch_add(1, Ordering::Relaxed);
+        let mut wrote = 0u64;
+        loop {
+            if !ep.has_tail() {
+                ep.wbuf.clear();
+                ep.wpos = 0;
+                let mut taken = 0;
+                for f in &ep.queue {
+                    if ep.wbuf.len() >= WRITE_COALESCE_BYTES {
+                        break;
+                    }
+                    append_frame(&mut ep.wbuf, f);
+                    ep.unwritten.push_back((ep.wbuf.len(), f.dsts.len() as u64));
+                    taken += 1;
+                }
+                ep.queue.drain(..taken);
+                if ep.wbuf.is_empty() {
+                    return wrote;
+                }
+            }
+            match ep.stream.write(&ep.wbuf[ep.wpos..]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    bump(&self.gauges.syscall_writes);
+                    wrote += n as u64;
+                    ep.wpos += n;
+                    ep.stalled_since = None;
+                    while ep.unwritten.front().is_some_and(|f| f.0 <= ep.wpos) {
+                        ep.unwritten.pop_front();
+                        bump(&self.gauges.frames);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    bump(&self.gauges.write_stalls);
+                    let since = *ep.stalled_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() < self.write_timeout {
+                        return wrote;
+                    }
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.fail(ep, 0);
+        wrote
+    }
+
+    /// Read until `ep` has consumed the `announced` bytes, routing every
+    /// complete frame straight from the borrowed buffer. A frame that
+    /// fails validation — length beyond [`wire::MAX_FRAME`], reserved flag
+    /// bits, a body the codec rejects, or a destination outside the system
+    /// — counts a connection error and fails the connection cleanly.
+    /// Returns whether announced bytes are still missing.
+    fn read_in(&self, me: usize, ep: &mut Endpoint, announced: u64) -> bool {
+        loop {
+            let mut need = HEADER_BYTES;
+            while ep.end - ep.start >= need {
+                let at = ep.start;
+                let len = u32::from_le_bytes(ep.rbuf[at..at + 4].try_into().expect("4 bytes"));
+                let flags = ep.rbuf[at + 4];
+                if len as usize > wire::MAX_FRAME || flags & !(FLAG_MEASURED | FLAG_MULTI) != 0 {
+                    // Never trust the prefix: a corrupt length would
+                    // otherwise ask for a buffer of up to 4 GiB.
+                    self.fail(ep, 1);
+                    return false;
+                }
+                need = HEADER_BYTES + len as usize;
+                if ep.end - at < need {
+                    break;
+                }
+                let body = &ep.rbuf[at + HEADER_BYTES..at + need];
+                match route_frame(&self.routes, body, flags, me) {
+                    Ok(0) => {}
+                    // A destination's worker already left: that copy is
+                    // positively lost.
+                    Ok(gone) => self.lost(gone as u64, 0),
+                    Err(()) => {
+                        self.fail(ep, 1);
+                        return false;
+                    }
+                }
+                ep.start += need;
+                need = HEADER_BYTES;
+            }
+            if ep.consumed >= announced {
+                return false;
+            }
+            // Only a frame that straddles the end of what was read is
+            // copied (to the front); one larger than the buffer grows it,
+            // within the bound validated above.
+            if ep.start > 0 {
+                ep.rbuf.copy_within(ep.start..ep.end, 0);
+                ep.end -= ep.start;
+                ep.start = 0;
+            }
+            if ep.rbuf.len() < need {
+                ep.rbuf.resize(need, 0);
+            }
+            self.gauges.syscall_reads.fetch_add(1, Ordering::Relaxed);
+            match ep.stream.read(&mut ep.rbuf[ep.end..]) {
+                Ok(0) => break, // the peer failed the connection
+                Ok(n) => {
+                    ep.end += n;
+                    ep.consumed += n as u64;
+                }
+                // Announced, but still inside the kernel.
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.fail(ep, 0);
+        false
+    }
+
+    /// Fail `ep`'s connection: every message not fully written — one per
+    /// destination of every frame in the tail or the queue — is positively
+    /// lost, and later sends are refused. `bad_frames` is 1 when an
+    /// invalid frame is the reason.
+    fn fail(&self, ep: &mut Endpoint, bad_frames: u64) {
+        let tail = ep.unwritten.drain(..).map(|f| f.1);
+        let queued = ep.queue.drain(..).map(|f| f.dsts.len() as u64);
+        self.lost(tail.sum::<u64>() + queued.sum::<u64>(), bad_frames);
+        ep.dead = true;
+        ep.wbuf.clear();
+        ep.wpos = 0;
+        let _ = ep.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Count `copies` lost messages (plus `bad_frames`) as connection
+    /// errors and take the copies out of the in-flight tally, so
+    /// quiescence detection cannot hang on them.
+    fn lost(&self, copies: u64, bad_frames: u64) {
+        self.gauges
+            .conn_errors
+            .fetch_add(copies + bad_frames, Ordering::Relaxed);
+        if copies > 0 {
+            self.quiesce.frames_done(copies);
         }
     }
 }
 
-/// Append one framed message to the writer's coalescing buffer: the body
-/// is encoded once however many destinations it has.
+/// Append one framed message to an endpoint's write buffer: the body is
+/// encoded once however many destinations it has.
 fn append_frame(buf: &mut Vec<u8>, f: &OutFrame) {
     let mut put = |flags: u8, body: &[u8]| {
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -234,59 +544,17 @@ fn append_frame(buf: &mut Vec<u8>, f: &OutFrame) {
     }
 }
 
-/// One connection endpoint's writer: at each kick, take everything queued
-/// and ship it in buffered `write_all`s of up to [`WRITE_COALESCE_BYTES`].
-/// Exits once the connection is closed (teardown) and drained. A write
-/// failure marks the connection dead and un-counts the doomed messages —
-/// one per destination of every frame not yet written — from the
-/// in-flight tally so quiescence detection cannot hang on them.
-fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>, quiesce: Arc<Quiesce>, gauges: Arc<Gauges>) {
-    let lost = |copies: u64| {
-        gauges.conn_errors.fetch_add(copies, Ordering::Relaxed);
-        quiesce.frames_done(copies);
-    };
-    let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
-    // Swapped with the connection's queue at each kick, so neither side
-    // regrows a vector per kick.
-    let mut taken: Vec<OutFrame> = Vec::new();
-    loop {
-        conn.kick.wait_until(None);
-        // Read before draining: whatever was queued ahead of the close
-        // still leaves.
-        let closed = conn.closed.load(Ordering::Acquire);
-        locked(&conn.queue, |q| std::mem::swap(q, &mut taken));
-        let mut queued = taken.iter().peekable();
-        while queued.peek().is_some() {
-            buf.clear();
-            let (mut frames, mut copies) = (0u64, 0u64);
-            while buf.len() < WRITE_COALESCE_BYTES {
-                let Some(f) = queued.next() else { break };
-                append_frame(&mut buf, f);
-                frames += 1;
-                copies += f.dsts.len() as u64;
-            }
-            // Once the socket has failed, every later frame is positively
-            // lost.
-            if conn.dead.load(Ordering::Relaxed) || stream.write_all(&buf).is_err() {
-                conn.dead.store(true, Ordering::Relaxed);
-                lost(copies);
-                continue;
-            }
-            gauges.syscall_writes.fetch_add(1, Ordering::Relaxed);
-            gauges.frames.fetch_add(frames, Ordering::Relaxed);
-        }
-        taken.clear();
-        if closed {
-            return;
-        }
-    }
-}
-
 /// Decode one frame body and deliver a copy of its message to every
-/// mailbox its *header* names, waking each owning worker once. `Err` when
-/// the codec rejects the body or a destination is outside the system;
-/// `Ok(false)` when a destination node is already gone.
-fn route_frame(routes: &Routes, body: &[u8], flags: u8) -> std::result::Result<bool, ()> {
+/// mailbox its *header* names, waking each owning worker once — except
+/// `me`, the worker pumping. `Err` when the codec rejects the body or a
+/// destination is outside the system; otherwise how many destination
+/// nodes were already gone.
+fn route_frame(
+    routes: &Routes,
+    body: &[u8],
+    flags: u8,
+    me: usize,
+) -> std::result::Result<usize, ()> {
     // Route on the header, not the connection: any in-range destination
     // is honoured, so a wrong-shard frame is rerouted to its owner rather
     // than dropped.
@@ -295,7 +563,7 @@ fn route_frame(routes: &Routes, body: &[u8], flags: u8) -> std::result::Result<b
             return Err(());
         }
         let measured = flags & FLAG_MEASURED != 0;
-        Ok(routes.fan_out(src, dsts, &msg, measured, None) == 0)
+        Ok(routes.fan_out(src, dsts, &msg, measured, Some(me)))
     };
     if flags & FLAG_MULTI != 0 {
         let m = wire::decode_multi_routed(body).map_err(drop)?;
@@ -304,212 +572,6 @@ fn route_frame(routes: &Routes, body: &[u8], flags: u8) -> std::result::Result<b
         let r = wire::decode_routed(body).map_err(drop)?;
         deliver(r.src, &[r.dst], r.msg)
     }
-}
-
-/// One connection endpoint's reader: pull whatever the socket holds into
-/// one reusable buffer — the peer's writer coalesces, so one `read(2)`
-/// usually carries many frames — and route every complete frame straight
-/// from the borrowed bytes, until EOF. A frame that fails validation —
-/// length beyond [`wire::MAX_FRAME`], reserved flag bits, a body the codec
-/// rejects, or a destination outside the system — counts a connection
-/// error and fails the connection cleanly.
-fn reader_loop(mut stream: TcpStream, routes: Arc<Routes>, gauges: Arc<Gauges>) {
-    let fail = |stream: &TcpStream| {
-        gauges.conn_errors.fetch_add(1, Ordering::Relaxed);
-        let _ = stream.shutdown(Shutdown::Both);
-    };
-    let mut buf = vec![0u8; READ_BUF_BYTES];
-    // `buf[start..end]` is received but not yet routed.
-    let (mut start, mut end) = (0usize, 0usize);
-    loop {
-        let mut need = HEADER_BYTES;
-        while end - start >= need {
-            let len = u32::from_le_bytes(buf[start..start + 4].try_into().expect("4 bytes"));
-            let flags = buf[start + 4];
-            if len as usize > wire::MAX_FRAME || flags & !(FLAG_MEASURED | FLAG_MULTI) != 0 {
-                // Never trust the prefix: a corrupt length would otherwise
-                // ask for a buffer of up to 4 GiB.
-                return fail(&stream);
-            }
-            need = HEADER_BYTES + len as usize;
-            if end - start < need {
-                break;
-            }
-            match route_frame(&routes, &buf[start + HEADER_BYTES..start + need], flags) {
-                Ok(true) => {}
-                Ok(false) => return, // node already gone
-                Err(()) => return fail(&stream),
-            }
-            start += need;
-            need = HEADER_BYTES;
-        }
-        // Only a frame that straddles the end of what was read is copied
-        // (to the front); one larger than the buffer grows it, within the
-        // bound validated above.
-        if start > 0 {
-            buf.copy_within(start..end, 0);
-            end -= start;
-            start = 0;
-        }
-        if buf.len() < need {
-            buf.resize(need, 0);
-        }
-        match stream.read(&mut buf[end..]) {
-            Ok(0) => return, // EOF: shutdown
-            Ok(n) => end += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// An established worker mesh: the shared transport, the writer and reader
-/// threads, and the teardown handles that wake blocked readers.
-pub(crate) struct Mesh {
-    transport: Arc<MuxTransport>,
-    writers: Vec<JoinHandle<()>>,
-    readers: Vec<JoinHandle<()>>,
-    shutdowns: Vec<TcpStream>,
-    gauges: Arc<Gauges>,
-}
-
-impl Mesh {
-    /// The shared transport (clone per site).
-    pub(crate) fn transport(&self) -> Arc<dyn Transport> {
-        self.transport.clone()
-    }
-
-    /// Tear the mesh down, in dependency order, then fold its gauges into
-    /// `metrics` (after the joins, so teardown races are included). Call
-    /// after the workers have exited (their nodes hold transport clones).
-    pub(crate) fn teardown(self, metrics: &mut RunMetrics) {
-        let Mesh {
-            transport,
-            writers,
-            readers,
-            shutdowns,
-            gauges,
-        } = self;
-        // Every node is gone, so nothing is queued behind the close; the
-        // writers drain what is left and exit.
-        for conn in transport.conns.iter().flatten() {
-            conn.closed.store(true, Ordering::Release);
-            conn.kick.notify();
-        }
-        for h in writers {
-            let _ = h.join();
-        }
-        // Readers block in `read` on a dup of the fd — only an explicit
-        // shutdown delivers the EOF that wakes them.
-        for s in &shutdowns {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        for h in readers {
-            let _ = h.join();
-        }
-        metrics.transport_conn_errors += gauges.conn_errors.load(Ordering::Relaxed);
-        metrics.syscall_writes += gauges.syscall_writes.load(Ordering::Relaxed);
-        metrics.transport_frames += gauges.frames.load(Ordering::Relaxed);
-    }
-}
-
-/// Establish the worker mesh over `routes`: one socket per unordered
-/// worker pair, `TCP_NODELAY` everywhere, one writer + one reader thread
-/// per endpoint (all counted in `threads`). With a single worker the mesh
-/// is empty — every site pair is same-shard and no socket exists.
-pub(crate) fn build_mesh(
-    routes: &Arc<Routes>,
-    quiesce: &Arc<Quiesce>,
-    threads: &Arc<AtomicU64>,
-) -> Result<Mesh> {
-    let w = routes.workers();
-    let gauges = Arc::new(Gauges::default());
-    let mut conns: Vec<Option<Arc<Conn>>> = (0..w * w).map(|_| None).collect();
-    let mut writers = Vec::new();
-    let mut readers = Vec::new();
-    let mut shutdowns = Vec::new();
-
-    let mut listeners = Vec::with_capacity(w);
-    let mut addrs = Vec::with_capacity(w);
-    for _ in 0..w {
-        let l = TcpListener::bind("127.0.0.1:0").map_err(|_| Error::ChannelClosed)?;
-        addrs.push(l.local_addr().map_err(|_| Error::ChannelClosed)?);
-        listeners.push(l);
-    }
-
-    // Worker a dials every b > a; the accepting side reads the 2-byte
-    // hello. Dialing and accepting are interleaved deterministically: for
-    // each (a, b) pair we connect and accept inline — loopback makes this
-    // immediate and avoids a thread per handshake.
-    let sock_err = |_| Error::ChannelClosed;
-    for a in 0..w {
-        for b in (a + 1)..w {
-            let out = TcpStream::connect(addrs[b]).map_err(sock_err)?;
-            // Nagle would delay small frames behind unacked data — fatal
-            // for latency measurement on a chatty mesh.
-            out.set_nodelay(true).map_err(sock_err)?;
-            out.set_write_timeout(Some(WRITE_TIMEOUT))
-                .map_err(sock_err)?;
-            out.try_clone()
-                .map_err(sock_err)?
-                .write_all(&(a as u16).to_le_bytes())
-                .map_err(sock_err)?;
-            let (inc, _) = listeners[b].accept().map_err(sock_err)?;
-            inc.set_nodelay(true).map_err(sock_err)?;
-            inc.set_write_timeout(Some(WRITE_TIMEOUT))
-                .map_err(sock_err)?;
-            let mut hello = [0u8; 2];
-            let mut inc_read = inc.try_clone().map_err(sock_err)?;
-            inc_read.read_exact(&mut hello).map_err(sock_err)?;
-            debug_assert_eq!(u16::from_le_bytes(hello) as usize, a);
-
-            shutdowns.push(out.try_clone().map_err(sock_err)?);
-            shutdowns.push(inc.try_clone().map_err(sock_err)?);
-
-            // Endpoint at a: writes a → b on `out`, reads b → a off `out`.
-            let conn_ab = Conn::new();
-            conns[a * w + b] = Some(conn_ab.clone());
-            writers.push({
-                let (s, q, g) = (
-                    out.try_clone().map_err(sock_err)?,
-                    quiesce.clone(),
-                    gauges.clone(),
-                );
-                std::thread::spawn(move || writer_loop(s, conn_ab, q, g))
-            });
-            readers.push({
-                let (r, g) = (routes.clone(), gauges.clone());
-                std::thread::spawn(move || reader_loop(out, r, g))
-            });
-
-            // Endpoint at b: writes b → a on `inc`, reads a → b off `inc`.
-            let conn_ba = Conn::new();
-            conns[b * w + a] = Some(conn_ba.clone());
-            writers.push({
-                let (q, g) = (quiesce.clone(), gauges.clone());
-                std::thread::spawn(move || writer_loop(inc, conn_ba, q, g))
-            });
-            readers.push({
-                let (r, g) = (routes.clone(), gauges.clone());
-                std::thread::spawn(move || reader_loop(inc_read, r, g))
-            });
-
-            threads.fetch_add(4, Ordering::Relaxed);
-        }
-    }
-
-    Ok(Mesh {
-        transport: Arc::new(MuxTransport {
-            routes: routes.clone(),
-            workers: w,
-            conns,
-            gauges: gauges.clone(),
-        }),
-        writers,
-        readers,
-        shutdowns,
-        gauges,
-    })
 }
 
 /// Run the workload over the multiplexed loopback-TCP worker mesh. Blocks
@@ -521,11 +583,11 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
     let start = Instant::now();
 
     let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let mesh = build_mesh(&fabric.routes, &fabric.quiesce, &fabric.threads)?;
+    let mesh = Arc::new(MuxTransport::connect(&fabric.routes, &fabric.quiesce)?);
     let repl: Arc<dyn Replication> = cfg.placement.clone();
-    let transport = mesh.transport();
+    let transport: Arc<dyn Transport> = mesh.clone();
     let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
+    let cluster = fabric.spawn(&transport, |i| {
         let site = SiteId::from(i);
         Node::new(
             site,
@@ -547,7 +609,7 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
     drop(transport);
 
     let (history, mut metrics, final_pending) = drive(cluster, &[]);
-    mesh.teardown(&mut metrics);
+    mesh.fold_gauges(&mut metrics);
 
     Ok(RunOutcome {
         history,
@@ -561,210 +623,244 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
 mod tests {
     use super::*;
     use crate::node::Wire;
-    use crate::runner::test_fabric;
+    use crate::runner::{test_fabric, MailboxRx};
     use causal_proto::Fm;
     use causal_types::VarId;
 
-    /// A connected loopback socket pair.
-    fn pair() -> (TcpStream, TcpStream) {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let (b, _) = l.accept().unwrap();
-        (a, b)
+    /// A connected mesh whose workers are the test itself: it calls
+    /// `pump` and `flush` where a worker's pass would — no helper thread.
+    struct Rig {
+        routes: Arc<Routes>,
+        mailboxes: Vec<MailboxRx>,
+        quiesce: Arc<Quiesce>,
+        mesh: MuxTransport,
+    }
+
+    fn rig(n: usize, workers: usize) -> Rig {
+        let (routes, mailboxes) = test_fabric(n, workers);
+        let quiesce = Arc::new(Quiesce::new(n));
+        let mesh = MuxTransport::connect(&routes, &quiesce).unwrap();
+        Rig {
+            routes,
+            mailboxes,
+            quiesce,
+            mesh,
+        }
+    }
+
+    impl Rig {
+        fn gauge(&self, g: impl Fn(&Gauges) -> &AtomicU64) -> u64 {
+            g(&self.mesh.gauges).load(Ordering::Relaxed)
+        }
+
+        fn conn_errors(&self) -> u64 {
+            self.gauge(|g| &g.conn_errors)
+        }
+
+        /// Look at worker `a`'s endpoint toward worker `b`.
+        fn endpoint<R>(&self, a: usize, b: usize, f: impl FnOnce(&mut Endpoint) -> R) -> R {
+            locked(&self.mesh.workers[a], |io| f(endpoint(&mut io.peers, b)))
+        }
+
+        /// Put raw bytes on the wire from worker `a`'s end toward worker
+        /// `b` and announce them, as a flush would; `b` pumps whenever the
+        /// socket is full.
+        fn inject(&self, a: usize, b: usize, mut bytes: &[u8]) {
+            let w = self.routes.workers();
+            while !bytes.is_empty() {
+                match self.endpoint(a, b, |ep| ep.stream.write(bytes)) {
+                    Ok(n) => {
+                        self.mesh.arrived[b * w + a].fetch_add(n as u64, Ordering::Release);
+                        bytes = &bytes[n..];
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        self.mesh.pump(b);
+                    }
+                    Err(e) => panic!("inject: {e}"),
+                }
+            }
+        }
+
+        /// Pump worker `w` until everything announced to it has arrived.
+        fn pump_all(&self, w: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.mesh.pump(w) {
+                assert!(Instant::now() < deadline, "announced bytes never arrived");
+                std::thread::yield_now();
+            }
+        }
+
+        fn no_mailbox_touched(&self) -> bool {
+            self.mailboxes.iter().all(|m| m.try_recv_test().is_none())
+        }
     }
 
     fn site(i: usize) -> SiteId {
         SiteId::from(i)
     }
 
-    fn spawn_reader(stream: TcpStream, routes: Arc<Routes>, errs: Arc<Gauges>) -> JoinHandle<()> {
-        std::thread::spawn(move || reader_loop(stream, routes, errs))
+    fn fm(var: u32) -> Msg {
+        Msg::Fm(Fm { var: VarId(var) })
+    }
+
+    /// `msg` from site 0 to `dst`, framed as it crosses the wire.
+    fn frame(dst: usize, msg: &Msg) -> Vec<u8> {
+        let mut f = Vec::new();
+        append_frame(
+            &mut f,
+            &OutFrame {
+                src: site(0),
+                dsts: vec![site(dst)],
+                msg: msg.clone(),
+                measured: false,
+            },
+        );
+        f
+    }
+
+    /// A Full-Track SM whose 128 × 128 matrix makes a ~100 KB frame —
+    /// larger than the read buffer, and a few dozen fill a socket.
+    fn big_sm(var: u32) -> Msg {
+        Msg::Sm(causal_proto::Sm {
+            var: VarId(var),
+            value: causal_types::VersionedValue::new(causal_types::WriteId::new(site(0), 1), 0),
+            meta: causal_proto::SmMeta::FullTrack {
+                write: Arc::new(causal_clocks::MatrixClock::from_cells(
+                    128,
+                    vec![1 << 40; 128 * 128],
+                )),
+            },
+        })
+    }
+
+    /// Worker 1 of a two-worker mesh receives `bytes`, which must fail the
+    /// connection: one connection error, the endpoint dead, no mailbox
+    /// touched, no panic.
+    fn assert_bad_frame_fails_the_connection(bytes: &[u8]) {
+        let r = rig(2, 2);
+        r.inject(0, 1, bytes);
+        r.pump_all(1);
+        assert_eq!(r.conn_errors(), 1);
+        assert!(r.endpoint(1, 0, |ep| ep.dead), "the connection is failed");
+        assert!(r.no_mailbox_touched(), "no message reaches any mailbox");
+        // Whatever follows on the failed connection is never looked at.
+        assert!(!r.mesh.pump(1));
+        assert_eq!(r.conn_errors(), 1);
     }
 
     #[test]
     fn oversized_length_prefix_fails_the_connection_not_the_process() {
-        let (mut tx, rx) = pair();
-        let (routes, mailboxes) = test_fabric(2, 1);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes, errs.clone());
         // A frame claiming 2 GiB: must be rejected before any allocation.
         let mut header = [0u8; 5];
         header[..4].copy_from_slice(&(2u32 << 30).to_le_bytes());
-        tx.write_all(&header).unwrap();
-        reader.join().expect("reader exits cleanly, no panic");
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 1);
-        assert!(
-            mailboxes.iter().all(|m| m.try_recv_test().is_none()),
-            "no message reaches any mailbox"
-        );
+        assert_bad_frame_fails_the_connection(&header);
     }
 
     #[test]
     fn corrupt_frame_tears_the_connection_down_cleanly() {
-        let (mut tx, rx) = pair();
-        let (routes, mailboxes) = test_fabric(2, 1);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes, errs.clone());
-        // Well-formed header, garbage body: the codec must reject it and
-        // the reader must return (the pre-PR6 code panicked here).
-        let body = [0xFFu8; 16];
-        let mut header = [0u8; 5];
-        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        tx.write_all(&header).unwrap();
-        tx.write_all(&body).unwrap();
-        reader.join().expect("reader exits cleanly, no panic");
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 1);
-        assert!(mailboxes.iter().all(|m| m.try_recv_test().is_none()));
+        // Well-formed header, garbage body: the codec must reject it (the
+        // pre-PR6 code panicked here).
+        let mut frame = 16u32.to_le_bytes().to_vec();
+        frame.push(0);
+        frame.extend_from_slice(&[0xFF; 16]);
+        assert_bad_frame_fails_the_connection(&frame);
     }
 
     #[test]
     fn reserved_flag_bits_are_rejected() {
-        let (mut tx, rx) = pair();
-        let (routes, _mailboxes) = test_fabric(2, 1);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes, errs.clone());
-        let header = [0u8, 0, 0, 0, 0x80];
-        tx.write_all(&header).unwrap();
-        reader.join().expect("reader exits cleanly");
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 1);
+        assert_bad_frame_fails_the_connection(&[0, 0, 0, 0, 0x80]);
     }
 
     #[test]
     fn out_of_range_destination_fails_the_connection() {
-        let (mut tx, rx) = pair();
-        let (routes, mailboxes) = test_fabric(2, 1);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes, errs.clone());
         // Valid routed frame, but dst = 5 in a 2-site system.
-        let msg = Msg::Fm(Fm { var: VarId(0) });
-        let body =
-            wire::encode_routed_with(SiteId::from(0usize), SiteId::from(5usize), &msg, |b| {
-                b.to_vec()
-            });
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.push(0);
-        frame.extend_from_slice(&body);
-        tx.write_all(&frame).unwrap();
-        reader.join().expect("reader exits cleanly");
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 1);
-        assert!(mailboxes.iter().all(|m| m.try_recv_test().is_none()));
+        assert_bad_frame_fails_the_connection(&frame(5, &fm(0)));
     }
 
     #[test]
     fn wrong_shard_frame_is_rerouted_not_dropped() {
         // 4 sites over 2 workers: sites {0, 2} on worker 0, {1, 3} on
-        // worker 1. A frame addressed to site 3 arriving on *any*
-        // connection must land in site 3's mailbox and wake worker 1 —
-        // the reader trusts the routing header, not the socket it came in
-        // on.
-        let (mut tx, rx) = pair();
-        let (routes, mailboxes) = test_fabric(4, 2);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes.clone(), errs.clone());
-        let msg = Msg::Fm(Fm { var: VarId(7) });
-        let body =
-            wire::encode_routed_with(SiteId::from(0usize), SiteId::from(3usize), &msg, |b| {
-                b.to_vec()
-            });
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.push(1);
-        frame.extend_from_slice(&body);
-        tx.write_all(&frame).unwrap();
+        // worker 1. A frame addressed to site 2 arriving at worker 1 must
+        // land in site 2's mailbox and wake worker 0 — the pump trusts the
+        // routing header, not the socket the frame came in on — while an
+        // own-shard frame wakes nobody: the pumping worker drains it next.
+        let r = rig(4, 2);
+        let mut wrong = frame(2, &fm(7));
+        wrong[4] |= FLAG_MEASURED;
+        r.inject(0, 1, &wrong);
+        r.inject(0, 1, &frame(3, &fm(8)));
+        r.pump_all(1);
 
-        let delivered = mailboxes[3]
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the frame reaches the header's destination");
-        match delivered {
-            Wire::Msg {
+        match r.mailboxes[2].try_recv_test() {
+            Some(Wire::Msg {
                 from,
-                msg: Msg::Fm(fm),
+                msg,
                 measured,
-            } => {
-                assert_eq!(from, SiteId::from(0usize));
-                assert_eq!(fm.var, VarId(7));
+            }) => {
+                assert_eq!((from, msg), (site(0), fm(7)));
                 assert!(measured);
             }
-            _ => panic!("expected the routed FM"),
+            _ => panic!("the frame reaches the header's destination"),
         }
         assert!(
-            routes.take_wake(1, Duration::from_secs(5)),
+            r.routes.take_wake(0, Duration::ZERO),
             "the destination's owner is woken"
         );
+        assert_eq!(next_msg(&r.mailboxes[3]), (site(0), fm(8)));
         assert!(
-            mailboxes[0].try_recv_test().is_none() && mailboxes[1].try_recv_test().is_none(),
-            "no other mailbox sees the frame"
+            !r.routes.take_wake(1, Duration::ZERO),
+            "own-shard copies need no wake"
         );
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 0);
-        tx.shutdown(Shutdown::Both).unwrap();
-        reader.join().unwrap();
+        assert!(r.no_mailbox_touched(), "no other mailbox sees a frame");
+        assert_eq!(r.conn_errors(), 0);
     }
 
     #[test]
     fn dead_connection_fails_sends_fast_without_blocking() {
         // Two sites on two workers with the connection already marked
         // dead: the send must fail immediately (no socket interaction, no
-        // sleep-poll) and count a connection error.
-        let (routes, _mailboxes) = test_fabric(2, 2);
-        let errs = Arc::new(Gauges::default());
-        let conn = Conn::new();
-        conn.dead.store(true, Ordering::Relaxed);
-        let t = MuxTransport {
-            routes,
-            workers: 2,
-            conns: vec![None, Some(conn.clone()), Some(conn.clone()), None],
-            gauges: errs.clone(),
-        };
-        let msg = Msg::Fm(Fm { var: VarId(0) });
-        assert_eq!(t.send(site(0), &[site(1)], &msg, true), 1);
-        assert_eq!(t.send(site(1), &[site(0)], &msg, true), 1);
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 2);
-        assert!(locked(&conn.queue, |q| q.is_empty()));
+        // sleep-poll) and count a connection error per refused copy.
+        let r = rig(4, 2);
+        r.endpoint(0, 1, |ep| ep.dead = true);
+        r.endpoint(1, 0, |ep| ep.dead = true);
+        assert_eq!(r.mesh.send(site(0), &[site(1)], &fm(0), true), 1);
+        assert_eq!(r.mesh.send(site(1), &[site(0), site(2)], &fm(0), true), 2);
+        assert_eq!(r.conn_errors(), 3);
+        assert!(r.endpoint(0, 1, |ep| ep.queue.is_empty()));
+        assert!(!r.mesh.flush(0) && !r.mesh.flush(1));
+        assert_eq!(r.gauge(|g| &g.syscall_writes), 0);
     }
 
     #[test]
     fn writer_marks_dead_peer_and_uncounts_inflight_frames() {
-        // The peer vanishes; the writer must surface the failure (dead
+        // The peer vanishes; the flush must surface the failure (dead
         // flag + connection errors) and un-count every doomed message —
         // all k destinations of a multi-routed frame — from the in-flight
-        // tally, so quiescence cannot hang. The writer thread's exit
-        // (connection closed and drained) is a deterministic sync point.
-        let (a, b) = pair();
-        drop(b);
-        a.set_write_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let quiesce = Arc::new(Quiesce::new(1));
-        let conn = Conn::new();
-        let errs = Arc::new(Gauges::default());
-        // Far more bytes than any socket buffer: with nothing draining,
-        // some write must fail (RST or timeout).
-        let msg = Msg::Fm(Fm { var: VarId(0) });
+        // tally, so quiescence cannot hang.
+        let r = rig(8, 2);
+        r.endpoint(1, 0, |ep| ep.stream.shutdown(Shutdown::Both).unwrap());
+        // Several coalescing slices: the first write may still reach the
+        // kernel, a later one must fail (RST).
         let (frames, k): (u64, u64) = (100_000, 3);
         let sent = frames * k;
+        let dsts = [site(1), site(3), site(5)];
         for _ in 0..frames {
-            quiesce.frames_sent(k);
-            locked(&conn.queue, |q| {
-                q.push(OutFrame {
-                    src: site(0),
-                    dsts: vec![site(1), site(2), site(3)],
-                    msg: msg.clone(),
-                    measured: false,
-                })
-            });
+            r.quiesce.frames_sent(k);
+            assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 0);
         }
-        conn.closed.store(true, Ordering::Release);
-        conn.kick.notify();
-        let writer = {
-            let (c, q, e) = (conn.clone(), quiesce.clone(), errs.clone());
-            std::thread::spawn(move || writer_loop(a, c, q, e))
-        };
-        writer.join().expect("writer exits once closed and drained");
-        assert!(conn.dead.load(Ordering::Relaxed), "the dead flag is raised");
-        let failed = errs.conn_errors.load(Ordering::Relaxed);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !r.endpoint(0, 1, |ep| ep.dead) {
+            assert!(Instant::now() < deadline, "the failure never surfaced");
+            r.mesh.flush(0);
+        }
+        let failed = r.conn_errors();
         assert!(failed > 0, "some frames positively failed");
         assert_eq!(failed % k, 0, "a frame fails with all its destinations");
         // Every frame either reached the kernel (still counted in flight —
         // nothing received them in this test) or was un-counted as failed.
-        assert_eq!(quiesce.in_flight(), (sent - failed) as i64);
+        assert_eq!(r.quiesce.in_flight(), (sent - failed) as i64);
+        // Later sends fail fast and leave the tally where it was.
+        assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 3);
     }
 
     /// An Opt-Track SM whose piggyback holds one log entry.
@@ -783,9 +879,9 @@ mod tests {
         })
     }
 
-    /// The next frame in `mailbox`, within the test deadline.
-    fn next_msg(mailbox: &crate::runner::MailboxRx) -> (SiteId, Msg) {
-        match mailbox.recv_timeout(Duration::from_secs(5)) {
+    /// The next frame in `mailbox`, which must already be there.
+    fn next_msg(mailbox: &MailboxRx) -> (SiteId, Msg) {
+        match mailbox.try_recv_test() {
             Some(Wire::Msg { from, msg, .. }) => (from, msg),
             _ => panic!("expected a message"),
         }
@@ -796,33 +892,35 @@ mod tests {
         // 6 sites over 2 workers: {0, 2, 4} on worker 0, {1, 3, 5} on
         // worker 1. Site 0 multicasts to everyone else, then answers site
         // 1 with a unicast RM.
-        let (routes, mailboxes) = test_fabric(6, 2);
-        let quiesce = Arc::new(Quiesce::new(6));
-        let mesh = build_mesh(&routes, &quiesce, &Arc::new(AtomicU64::new(0))).unwrap();
-        let transport = mesh.transport();
+        let r = rig(6, 2);
         let sm = sm_with_log();
         let everyone: Vec<SiteId> = (1..6).map(site).collect();
-        assert_eq!(transport.send(site(0), &everyone, &sm, true), 0);
+        assert_eq!(r.mesh.send(site(0), &everyone, &sm, true), 0);
         let rm = Msg::Rm(causal_proto::Rm {
             var: VarId(9),
             value: None,
             meta: causal_proto::RmMeta::OptTrack(None),
         });
-        assert_eq!(transport.send(site(0), &[site(1)], &rm, true), 0);
-        transport.flush(site(0));
+        assert_eq!(r.mesh.send(site(0), &[site(1)], &rm, true), 0);
+        assert!(
+            !r.routes.take_wake(1, Duration::ZERO),
+            "nothing moves, and nobody is woken, before the pass ends"
+        );
+        assert!(!r.mesh.flush(0));
+        assert!(r.routes.take_wake(1, Duration::ZERO));
+        r.pump_all(1);
 
         // Exactly one copy per destination, local or remote.
         let copies: Vec<Msg> = (1..6)
             .map(|i| {
-                let (from, msg) = next_msg(&mailboxes[i]);
+                let (from, msg) = next_msg(&r.mailboxes[i]);
                 assert_eq!((from, &msg), (site(0), &sm), "site {i}");
                 msg
             })
             .collect();
         // Per-pair FIFO: the later unicast arrives behind the multicast.
-        assert_eq!(next_msg(&mailboxes[1]).1, rm);
-        assert!(mailboxes.iter().all(|m| m.try_recv_test().is_none()));
-        assert!(routes.take_wake(1, Duration::from_secs(5)));
+        assert_eq!(next_msg(&r.mailboxes[1]).1, rm);
+        assert!(r.no_mailbox_touched());
 
         // The remote copies (sites 1, 3, 5) were decoded once: they share
         // one piggyback, distinct from the sender's.
@@ -842,14 +940,49 @@ mod tests {
             "local copies share the sender's"
         );
 
-        drop(transport);
         let mut metrics = RunMetrics::new();
-        mesh.teardown(&mut metrics);
+        r.mesh.fold_gauges(&mut metrics);
         assert_eq!(
             metrics.transport_frames, 2,
             "one multi-routed frame, one unicast"
         );
+        assert_eq!(metrics.syscall_writes, 1, "in one write");
         assert_eq!(metrics.transport_conn_errors, 0);
+        assert_eq!(metrics.transport_write_stalls, 0);
+    }
+
+    #[test]
+    fn a_wide_multicast_is_one_frame_per_peer_in_send_order() {
+        // 40 sites over 4 workers; site 0 multicasts to the other 39. One
+        // walk of the list must leave exactly one frame per peer worker,
+        // each naming that worker's destinations in send order.
+        let r = rig(40, 4);
+        let everyone: Vec<SiteId> = (1..40).rev().map(site).collect();
+        assert_eq!(r.mesh.send(site(0), &everyone, &fm(1), false), 0);
+        for wb in 1..4 {
+            let dsts = r.endpoint(0, wb, |ep| {
+                assert_eq!(ep.queue.len(), 1, "one frame toward worker {wb}");
+                assert!(ep.group.is_empty());
+                ep.queue[0].dsts.clone()
+            });
+            let expected: Vec<SiteId> = (1..40).rev().filter(|i| i % 4 == wb).map(site).collect();
+            assert_eq!(dsts, expected, "worker {wb}");
+        }
+        assert!(!r.mesh.flush(0));
+        for wb in 1..4 {
+            assert!(r.routes.take_wake(wb, Duration::ZERO), "worker {wb} woken");
+            r.pump_all(wb);
+            assert!(
+                !r.routes.take_wake(wb, Duration::ZERO),
+                "its own copies wake nobody"
+            );
+        }
+        assert!(!r.routes.take_wake(0, Duration::ZERO));
+        for i in 1..40 {
+            assert_eq!(next_msg(&r.mailboxes[i]), (site(0), fm(1)), "site {i}");
+        }
+        assert!(r.no_mailbox_touched(), "one copy each");
+        assert_eq!(r.gauge(|g| &g.frames), 3);
     }
 
     #[test]
@@ -857,51 +990,168 @@ mod tests {
         // One burst far larger than the receive buffer: small frames, one
         // of which must straddle a buffer end, then a single frame larger
         // than the whole buffer, then a small one behind it.
-        let (mut tx, rx) = pair();
-        let (routes, mailboxes) = test_fabric(2, 1);
-        let errs = Arc::new(Gauges::default());
-        let reader = spawn_reader(rx, routes, errs.clone());
-        let frame = |msg: &Msg| {
-            let mut f = Vec::new();
-            append_frame(
-                &mut f,
-                &OutFrame {
-                    src: site(0),
-                    dsts: vec![site(1)],
-                    msg: msg.clone(),
-                    measured: false,
-                },
-            );
-            f
-        };
+        let r = rig(2, 2);
         let small = 20_000u32;
         let mut burst = Vec::new();
         for i in 0..small {
-            burst.extend(frame(&Msg::Fm(Fm { var: VarId(i) })));
+            burst.extend(frame(1, &fm(i)));
         }
         assert!(burst.len() > 2 * READ_BUF_BYTES);
-        let big = Msg::Sm(causal_proto::Sm {
-            var: VarId(1),
-            value: causal_types::VersionedValue::new(causal_types::WriteId::new(site(0), 1), 0),
-            meta: causal_proto::SmMeta::FullTrack {
-                write: Arc::new(causal_clocks::MatrixClock::from_cells(
-                    128,
-                    vec![1 << 40; 128 * 128],
-                )),
-            },
-        });
-        assert!(frame(&big).len() > READ_BUF_BYTES);
-        burst.extend(frame(&big));
-        burst.extend(frame(&Msg::Fm(Fm { var: VarId(small) })));
-        tx.write_all(&burst).unwrap();
+        let big = big_sm(1);
+        assert!(frame(1, &big).len() > READ_BUF_BYTES);
+        burst.extend(frame(1, &big));
+        burst.extend(frame(1, &fm(small)));
+        r.inject(0, 1, &burst);
+        r.pump_all(1);
 
         for i in 0..small {
-            assert_eq!(next_msg(&mailboxes[1]).1, Msg::Fm(Fm { var: VarId(i) }));
+            assert_eq!(next_msg(&r.mailboxes[1]).1, fm(i));
         }
-        assert_eq!(next_msg(&mailboxes[1]).1, big);
-        assert_eq!(next_msg(&mailboxes[1]).1, Msg::Fm(Fm { var: VarId(small) }));
-        assert_eq!(errs.conn_errors.load(Ordering::Relaxed), 0);
-        tx.shutdown(Shutdown::Both).unwrap();
-        reader.join().unwrap();
+        assert_eq!(next_msg(&r.mailboxes[1]).1, big);
+        assert_eq!(next_msg(&r.mailboxes[1]).1, fm(small));
+        assert!(r.no_mailbox_touched());
+        assert_eq!(r.conn_errors(), 0);
+    }
+
+    /// Site 0 sends site 1 the next distinct ~100 KB frame.
+    fn send_big(r: &Rig, sent: &mut u32) {
+        r.quiesce.frames_sent(1);
+        assert_eq!(r.mesh.send(site(0), &[site(1)], &big_sm(*sent), false), 0);
+        *sent += 1;
+    }
+
+    #[test]
+    fn a_partial_write_keeps_its_tail_and_every_frame_arrives_once_in_order() {
+        // Nobody pumps worker 1: sooner or later a flush stops mid-slice.
+        let r = rig(2, 2);
+        let mut sent = 0;
+        while !r.mesh.flush(0) {
+            assert!(sent < 2_000, "200 MB vanished into a socket nobody reads");
+            send_big(&r, &mut sent);
+        }
+        assert!(r.gauge(|g| &g.write_stalls) > 0);
+        // Later sends queue behind the tail.
+        (0..5).for_each(|_| send_big(&r, &mut sent));
+        r.endpoint(0, 1, |ep| {
+            assert!(ep.has_tail() && ep.queue.len() == 5);
+        });
+
+        // The peer pumps again: both sides alternate until all is across.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut next = 0;
+        while next < sent {
+            assert!(Instant::now() < deadline, "frames stuck behind the tail");
+            r.mesh.flush(0);
+            r.mesh.pump(1);
+            while let Some(Wire::Msg { msg, .. }) = r.mailboxes[1].try_recv_test() {
+                assert_eq!(msg, big_sm(next), "whole, once, in order");
+                r.quiesce.frames_done(1);
+                next += 1;
+            }
+        }
+        assert!(!r.mesh.flush(0) && !r.mesh.pump(1), "settled");
+        assert!(r.no_mailbox_touched());
+        assert_eq!(r.gauge(|g| &g.frames), u64::from(sent));
+        assert_eq!(r.conn_errors(), 0);
+        assert_eq!(r.quiesce.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_stuck_peer_fails_the_connection_after_the_write_timeout() {
+        let mut r = rig(2, 2);
+        r.mesh.write_timeout = Duration::from_millis(100);
+        // Worker 1 never pumps while site 0 keeps sending: once the kernel
+        // stops growing the socket's buffers the tail stops moving, and
+        // after the timeout the connection is failed with every copy not
+        // fully written counted lost.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut sent = 0;
+        while !r.endpoint(0, 1, |ep| ep.dead) {
+            assert!(Instant::now() < deadline, "the stall never timed out");
+            send_big(&r, &mut sent);
+            r.mesh.flush(0);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let lost = r.conn_errors();
+        assert!(lost > 0, "the frame cut in two is lost, at least");
+        assert!(!r.mesh.flush(0), "nothing is kept for a dead peer");
+        // What the socket did take is still deliverable: received plus
+        // lost is exactly what was sent, so the tally ends at zero.
+        r.pump_all(1);
+        let mut received = 0;
+        while let Some(Wire::Msg { msg, .. }) = r.mailboxes[1].try_recv_test() {
+            assert_eq!(msg, big_sm(received));
+            r.quiesce.frames_done(1);
+            received += 1;
+        }
+        assert_eq!(u64::from(received) + lost, u64::from(sent));
+        assert_eq!(r.quiesce.in_flight(), 0);
+        assert_eq!(r.conn_errors(), lost, "the peer counts nothing twice");
+    }
+
+    #[test]
+    fn an_idle_pass_makes_no_syscall() {
+        let r = rig(6, 3);
+        // Some traffic first, so every endpoint has been used.
+        let everyone: Vec<SiteId> = (0..6).map(site).collect();
+        for from in 0..3 {
+            r.mesh.send(site(from), &everyone, &fm(0), false);
+            assert!(!r.mesh.flush(from));
+        }
+        (0..3).for_each(|w| r.pump_all(w));
+        let syscalls = || r.gauge(|g| &g.syscall_reads) + r.gauge(|g| &g.syscall_writes);
+        let before = syscalls();
+        assert!(before > 0);
+        for _ in 0..1_000 {
+            for w in 0..3 {
+                assert!(!r.mesh.pump(w) && !r.mesh.flush(w));
+            }
+        }
+        assert_eq!(syscalls(), before, "nothing to move, nothing asked");
+    }
+
+    #[test]
+    fn two_workers_ping_pong_through_a_socket_without_losing_a_wake() {
+        // The socket analogue of the wake latch's ping-pong hammer: each
+        // side sends one frame, flushes, and parks until the other's
+        // answer has been pumped into its mailbox. A wake lost between a
+        // pump that found nothing and the park strands a round until the
+        // deadline.
+        const ROUNDS: u32 = 20_000;
+        let mut r = rig(2, 2);
+        let theirs = r.mailboxes.pop().expect("site 1's mailbox");
+        let mine = r.mailboxes.pop().expect("site 0's mailbox");
+        let (mesh, routes) = (&r.mesh, &*r.routes);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let await_frame = |me: usize, mailbox: &MailboxRx, round: u32| loop {
+            let unsettled = mesh.pump(me);
+            if let Some(Wire::Msg { msg, .. }) = mailbox.try_recv_test() {
+                return assert_eq!(msg, fm(round));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "lost wake-up in round {round}");
+            let park = if unsettled {
+                Duration::from_micros(50)
+            } else {
+                left
+            };
+            routes.take_wake(me, park);
+        };
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    await_frame(1, &theirs, round);
+                    mesh.send(site(1), &[site(0)], &fm(round), false);
+                    assert!(!mesh.flush(1));
+                }
+            });
+            for round in 0..ROUNDS {
+                mesh.send(site(0), &[site(1)], &fm(round), false);
+                assert!(!mesh.flush(0));
+                await_frame(0, &mine, round);
+            }
+        });
+        assert_eq!(r.gauge(|g| &g.frames), 2 * u64::from(ROUNDS));
+        assert_eq!(r.conn_errors(), 0);
     }
 }

@@ -3,25 +3,29 @@
 //! (simulator, runtime) call it. Receive path: the site every protocol runs
 //! in — the one `impl ProtocolSite`, the update parked on its activation
 //! predicate, the drain loop — lives in `causal_proto::{replica, pending}`,
-//! and the five protocol files hold only their `Tracker`. A second copy
-//! growing back is how the copies drifted apart before.
+//! and the five protocol files hold only their `Tracker`. Threads: a live
+//! run is its scheduler workers, spawned in one place; the TCP fabric has
+//! none of its own. A second copy growing back is how the copies drifted
+//! apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Every `.rs` file under `crates/*/src`.
-fn sources() -> Vec<(PathBuf, String)> {
-    fn walk(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
-        for entry in fs::read_dir(dir).expect("readable source tree") {
-            let path = entry.expect("readable entry").path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = fs::read_to_string(&path).expect("utf-8 source");
-                out.push((path, text));
-            }
+/// Add every `.rs` file under `dir` to `out`.
+fn walk(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in fs::read_dir(dir).expect("readable source tree") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            walk(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = fs::read_to_string(&path).expect("utf-8 source");
+            out.push((path, text));
         }
     }
+}
+
+/// Every `.rs` file under `crates/*/src`.
+fn sources() -> Vec<(PathBuf, String)> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut out = Vec::new();
     for entry in fs::read_dir(crates).expect("crates/ exists") {
@@ -79,5 +83,60 @@ fn the_replica_shell_is_the_only_protocol_site_and_parks_and_drains_once() {
     ] {
         let found = files_with(&proto, definition);
         assert_eq!(found, [home], "`{definition}` is defined once");
+    }
+}
+
+/// `text` without its top-level `#[cfg(test)]` items (the test modules).
+fn outside_test_modules(text: &str) -> String {
+    let mut kept = String::new();
+    let (mut pending, mut skipping) = (false, false);
+    for line in text.lines() {
+        if skipping {
+            skipping = !line.starts_with('}');
+        } else if pending {
+            pending = false;
+            skipping = !line.trim_end().ends_with(';');
+        } else if line.starts_with("#[cfg(test)]") {
+            pending = true;
+        } else {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    kept
+}
+
+#[test]
+fn the_worker_pool_is_the_only_thread_the_runtime_spawns() {
+    let sources = sources();
+    let spawns: Vec<_> = sources
+        .iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("crates/runtime/src/"))
+        .flat_map(|(path, text)| {
+            let code = outside_test_modules(text);
+            let hits = code.matches("thread::spawn").count();
+            std::iter::repeat_n(path.clone(), hits)
+        })
+        .collect();
+    assert_eq!(spawns.len(), 1, "{spawns:?}");
+    assert!(spawns[0].ends_with("crates/runtime/src/runner.rs"));
+    let runner = fs::read_to_string(&spawns[0]).expect("utf-8 source");
+    let spawn_fn = runner.find("pub(crate) fn spawn(").expect("Fabric::spawn");
+    let worker_loop = runner.find("\nfn worker_loop(").expect("worker_loop");
+    let at = runner.find("thread::spawn").expect("counted above");
+    assert!(
+        (spawn_fn..worker_loop).contains(&at),
+        "inside Fabric::spawn"
+    );
+
+    // The reader and writer thread bodies are gone from the whole workspace
+    // (the root package and the benchmark included), not renamed or moved.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "bench/src"] {
+        walk(&root.join(dir), &mut everywhere);
+    }
+    for gone in [["fn writer", "_loop"], ["fn reader", "_loop"]].map(|h| h.concat()) {
+        assert_eq!(files_with(&everywhere, &gone), [""; 0], "`{gone}`");
     }
 }
