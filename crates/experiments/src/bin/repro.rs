@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|bench|all>
+//! repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all>
 //!       [--quick] [--out <dir>] [--jobs <n>] [--no-cache] [--trace-dir <dir>]
 //! ```
 //!
@@ -30,19 +30,11 @@
 //! asserts message-count/meta-byte parity against simnet's prediction for
 //! the same seed, then prints the throughput/latency benchmark table
 //! (which `--out` also writes as `serve.csv`).
-//!
-//! `bench` times one n = 40, w = 0.5 cell per protocol — sequentially, at
-//! every pool width up to `--jobs`, and cold vs warm cache — plus the flat
-//! wire codec (encode/decode of the two piggyback families and batched vs
-//! per-SM framing) — and writes `BENCH_PR10.json` (including the host's
-//! available parallelism, so a recorded run documents the hardware it came
-//! from).
 
 use causal_experiments::figures;
-use causal_experiments::{Mode, Scale, Sweep};
+use causal_experiments::{Scale, Sweep};
 use causal_metrics::Table;
-use causal_proto::ProtocolKind;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,11 +88,6 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create trace directory");
     }
 
-    if subcommand == "bench" {
-        bench(scale, jobs, out.as_deref());
-        return;
-    }
-
     let mut sw = Sweep::new(scale);
     sw.set_jobs(jobs);
     if !no_cache {
@@ -116,7 +103,6 @@ fn main() {
     type Job = (&'static str, Box<dyn Fn(&mut Sweep) -> Table>, bool);
     let chaos_trace = trace_dir.clone();
     let dur_trace = trace_dir.clone();
-    let scale_out = out.clone();
     let jobs_table: Vec<Job> = vec![
         ("fig1", Box::new(figures::fig1), true),
         (
@@ -205,9 +191,7 @@ fn main() {
         ),
         (
             "scale",
-            Box::new(move |s: &mut Sweep| {
-                causal_experiments::scale::scale_sweep(s.scale(), scale_out.as_deref())
-            }),
+            Box::new(|s: &mut Sweep| causal_experiments::scale::scale_sweep(s.scale())),
             false,
         ),
     ];
@@ -252,239 +236,6 @@ fn main() {
         }
         eprintln!("[repro] {name} done in {:.1?}\n", t0.elapsed());
     }
-}
-
-/// `bench` subcommand: wall-clock the n = 40, w = 0.5 cell of each protocol
-/// (the paper's largest point), then the same four cells through the
-/// parallel pool at every width from 1 to `--jobs` (powers of two), then a
-/// cold-vs-warm persistent-cache pass, then the wire-codec microtimings;
-/// results land in `BENCH_PR10.json` (in `--out` or the working directory)
-/// together with the host's available parallelism and the job count
-/// actually used.
-fn bench(scale: Scale, jobs: usize, out: Option<&Path>) {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let grid: [(ProtocolKind, Mode); 4] = [
-        (ProtocolKind::FullTrack, Mode::Partial),
-        (ProtocolKind::OptTrack, Mode::Partial),
-        (ProtocolKind::OptTrackCrp, Mode::Full),
-        (ProtocolKind::OptP, Mode::Full),
-    ];
-    let (n, w) = (40usize, 0.5f64);
-    let scratch = std::env::temp_dir().join(format!("repro-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    // Sequential pass, storing into a scratch cache: per-protocol cold
-    // timings and the `--jobs 1` baseline.
-    let mut protocol_lines = String::new();
-    let mut seq_s = 0.0f64;
-    let mut cold = Sweep::new(scale);
-    cold.set_disk_cache(Some(scratch.clone()));
-    for (i, &(kind, mode)) in grid.iter().enumerate() {
-        eprintln!("[bench] {kind} n={n} w={w} (sequential) …");
-        let t0 = Instant::now();
-        let _ = cold.cell(kind, mode, n, w);
-        let dt = t0.elapsed().as_secs_f64();
-        seq_s += dt;
-        let _ = writeln!(
-            protocol_lines,
-            "    {{ \"protocol\": \"{kind}\", \"mode\": \"{}\", \"n\": {n}, \"w_rate\": {w}, \
-             \"wall_ms\": {:.1}, \"cells_per_sec\": {:.4} }}{}",
-            mode.name(),
-            dt * 1e3,
-            1.0 / dt,
-            if i + 1 < grid.len() { "," } else { "" },
-        );
-    }
-
-    // Warm pass: same cells from the scratch cache.
-    let t0 = Instant::now();
-    let mut warm = Sweep::new(scale);
-    warm.set_disk_cache(Some(scratch.clone()));
-    for &(kind, mode) in &grid {
-        let _ = warm.cell(kind, mode, n, w);
-    }
-    let warm_s = t0.elapsed().as_secs_f64();
-
-    // Pool scaling: all per-seed units of the four cells at every pool
-    // width (powers of two up to --jobs, always including --jobs itself),
-    // no cache, so each width's speedup over the sequential pass is honest.
-    let mut widths: Vec<usize> = std::iter::successors(Some(1usize), |&j| Some(j * 2))
-        .take_while(|&j| j < jobs)
-        .collect();
-    widths.push(jobs);
-    let mut scaling_lines = String::new();
-    let mut par_s = seq_s;
-    for (i, &width) in widths.iter().enumerate() {
-        eprintln!("[bench] same 4 cells on {width} worker(s) …");
-        let t0 = Instant::now();
-        let mut par = Sweep::new(scale);
-        par.set_jobs(width);
-        par.plan_begin();
-        for &(kind, mode) in &grid {
-            let _ = par.cell(kind, mode, n, w);
-        }
-        par.plan_execute();
-        let dt = t0.elapsed().as_secs_f64();
-        if width == jobs {
-            par_s = dt;
-        }
-        let _ = writeln!(
-            scaling_lines,
-            "      {{ \"jobs\": {width}, \"wall_ms\": {:.1}, \"speedup\": {:.3} }}{}",
-            dt * 1e3,
-            seq_s / dt,
-            if i + 1 < widths.len() { "," } else { "" },
-        );
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    eprintln!("[bench] wire codec microtimings …");
-    let codec_lines = codec_timings();
-
-    let scale_name = match scale {
-        Scale::Paper => "paper",
-        Scale::Quick => "quick",
-    };
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let json = format!(
-        "{{\n  \"scale\": \"{scale_name}\",\n  \"events_per_process\": {},\n  \
-         \"seeds_per_cell\": {},\n  \"host\": {{ \"available_parallelism\": {host_parallelism} }},\n  \
-         \"protocol_cells\": [\n{}  ],\n  \
-         \"pool\": {{ \"jobs\": {jobs}, \"cells\": {}, \"sequential_ms\": {:.1}, \
-         \"parallel_ms\": {:.1}, \"speedup\": {:.3},\n    \"scaling\": [\n{}    ] }},\n  \
-         \"cache\": {{ \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"cold_over_warm\": {:.1} }},\n  \
-         \"codec\": {{\n{codec_lines}  }}\n}}\n",
-        scale.events(),
-        scale.seeds(),
-        protocol_lines,
-        grid.len(),
-        seq_s * 1e3,
-        par_s * 1e3,
-        seq_s / par_s,
-        scaling_lines,
-        seq_s * 1e3,
-        warm_s * 1e3,
-        seq_s / warm_s,
-    );
-    let path = out
-        .map(|d| d.join("BENCH_PR10.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_PR10.json"));
-    std::fs::write(&path, &json).expect("write BENCH_PR10.json");
-    print!("{json}");
-    eprintln!("[bench] wrote {}", path.display());
-}
-
-/// Wire-codec microtimings for the recorded bench artifact: encode (via the
-/// thread-local scratch) and total decode of the two piggyback families, and
-/// one 16-update `SmBatch` frame against 16 per-SM frames. Same sample
-/// shapes as `crates/bench/benches/hotpath.rs`; the frame byte counts are
-/// deterministic, the ns/op figures are best-of-5 medians over 10k
-/// iterations so the CI gate can hold them to a generous absolute budget.
-fn codec_timings() -> String {
-    use causal_clocks::{DestSet, Log, LogEntry, MatrixClock};
-    use causal_proto::{wire, BatchedSm, Msg, Sm, SmBatch, SmMeta};
-    use causal_types::{SiteId, VarId, VersionedValue, WriteId};
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    // Median-of-runs ns/op: each run times `iters` back-to-back calls.
-    fn ns_per_op(mut f: impl FnMut() -> usize) -> f64 {
-        let iters = 10_000u32;
-        let mut runs: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                let mut acc = 0usize;
-                for _ in 0..iters {
-                    acc = acc.wrapping_add(f());
-                }
-                std::hint::black_box(acc);
-                t0.elapsed().as_nanos() as f64 / f64::from(iters)
-            })
-            .collect();
-        runs.sort_by(f64::total_cmp);
-        runs[runs.len() / 2]
-    }
-
-    // An Opt-Track SM with a paper-shaped log piggyback (n = 20 origins).
-    let mut log = Log::new();
-    for o in 0..20usize {
-        log.upsert(LogEntry::new(
-            SiteId::from(o),
-            40 + o as u64,
-            DestSet::from_sites([SiteId::from((o + 1) % 20), SiteId::from((o + 7) % 20)]),
-        ));
-    }
-    let opt = Msg::Sm(Sm {
-        var: VarId(3),
-        value: VersionedValue::new(WriteId::new(SiteId(0), 40), 99),
-        meta: SmMeta::OptTrack {
-            clock: 40,
-            log: Arc::new(log),
-        },
-    });
-
-    // 16 consecutive Full-Track SMs from one sender (matrix advances one
-    // send per snapshot), so the batch frame pays one matrix + 15 deltas.
-    let n = 20usize;
-    let mut m = MatrixClock::new(n);
-    let sms: Vec<Sm> = (0..16u64)
-        .map(|i| {
-            m.increment(SiteId(0), SiteId::from((i as usize + 1) % n));
-            Sm {
-                var: VarId(i as u32 % 8),
-                value: VersionedValue::new(WriteId::new(SiteId(0), i + 1), i),
-                meta: SmMeta::FullTrack {
-                    write: Arc::new(m.clone()),
-                },
-            }
-        })
-        .collect();
-    let full = Msg::Sm(sms[0].clone());
-    let batch = Msg::Batch(Arc::new(SmBatch {
-        sms: sms
-            .iter()
-            .map(|sm| BatchedSm {
-                sm: sm.clone(),
-                measured: true,
-            })
-            .collect(),
-    }));
-    let singles: Vec<Msg> = sms.into_iter().map(Msg::Sm).collect();
-
-    let mut lines = String::new();
-    for (name, msg) in [("opt_track_sm", &opt), ("full_track_sm", &full)] {
-        let bytes = wire::encode(msg);
-        let enc = ns_per_op(|| wire::encode_with(msg, |b| b.len()));
-        let dec = ns_per_op(|| {
-            let _ = std::hint::black_box(wire::decode(&bytes).unwrap());
-            bytes.len()
-        });
-        let _ = writeln!(
-            lines,
-            "    \"encode_{name}_ns\": {enc:.1}, \"decode_{name}_ns\": {dec:.1}, \
-             \"{name}_bytes\": {},",
-            bytes.len(),
-        );
-    }
-    let batch_bytes = wire::encode(&batch).len();
-    let singles_bytes: usize = singles.iter().map(|m| wire::encode(m).len()).sum();
-    let batch_enc = ns_per_op(|| wire::encode_with(&batch, |b| b.len()));
-    let singles_enc = ns_per_op(|| {
-        singles
-            .iter()
-            .map(|m| wire::encode_with(m, |b| b.len()))
-            .sum()
-    });
-    let _ = writeln!(
-        lines,
-        "    \"batch_frame_16_encode_ns\": {batch_enc:.1}, \
-         \"per_sm_frames_16_encode_ns\": {singles_enc:.1},\n    \
-         \"batch_frame_16_bytes\": {batch_bytes}, \"per_sm_frames_16_bytes\": {singles_bytes}",
-    );
-    lines
 }
 
 /// Emit `<name>.dat` + `<name>.gp` for a figure whose first column is `n`
@@ -537,7 +288,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|bench|all> \
+        "usage: repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all> \
          [--quick] [--out <dir>] [--jobs <n>] [--no-cache] [--trace-dir <dir>]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });

@@ -19,7 +19,7 @@
 //! | `repro batching` | extension — bytes/op under per-destination update batching |
 //! | `repro durability` | extension — WAL/checkpoint recovery vs. full rebuild under overlapping crashes |
 //! | `repro serve` | extension — real-cluster throughput/latency benchmark + sim-vs-real parity |
-//! | `repro scale` | extension — sharded worker-pool fabric over TCP at W = 1, 2, 4 (writes `BENCH_PR10.json`) |
+//! | `repro scale` | extension — sharded worker-pool fabric over TCP at W = 1, 2, 4 |
 //! | `repro all` | everything above, sharing simulation runs |
 //!
 //! [`analytic`] carries the closed-form complexity models of §V-A/V-B, and

@@ -18,9 +18,8 @@
 //!   that the scheduler does not perturb protocol behavior: message counts
 //!   must match the simulator exactly.
 //!
-//! Throughput is printed, not gated: cells share one noisy host. The
-//! table lands in `BENCH_PR10.json` (in `--out` or the working directory)
-//! together with the host's available parallelism.
+//! Throughput is printed, not gated: cells share one noisy host; with
+//! `--out` the table is also written as `scale.csv`.
 
 use causal_checker::check;
 use causal_metrics::Table;
@@ -28,8 +27,6 @@ use causal_proto::ProtocolKind;
 use causal_runtime::{run_tcp, RuntimeConfig, ServeConfig, ServeTransport};
 use causal_simnet::SimConfig;
 use causal_types::MsgKind;
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::Scale;
@@ -43,21 +40,8 @@ pub const POOL_SIZES: [usize; 3] = [1, 2, 4];
 /// multicast updates, blocking remote fetches, and the reply fast path.
 const PROTOCOL: ProtocolKind = ProtocolKind::OptTrack;
 
-struct Cell {
-    n: usize,
-    workers: usize,
-    threads: u64,
-    ops: u64,
-    ops_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-    syscall_writes: u64,
-    transport_frames: u64,
-    write_stalls: u64,
-    mailbox_peak: u64,
-}
-
-fn run_cell(scale: Scale, n: usize, workers: usize) -> Cell {
+/// One gated cell, as its table row.
+fn run_cell(scale: Scale, n: usize, workers: usize) -> Vec<String> {
     let mut cfg = ServeConfig::quick(PROTOCOL, n, ServeTransport::Tcp, 4242);
     cfg.workers = workers;
     cfg.load.clients_per_site = 2;
@@ -82,19 +66,19 @@ fn run_cell(scale: Scale, n: usize, workers: usize) -> Cell {
     );
     let v = check(&r.history);
     assert!(v.protocol_clean(), "{tag}: causal violations: {v:?}");
-    Cell {
-        n,
-        workers,
-        threads: r.metrics.threads_spawned,
-        ops: r.ops,
-        ops_per_sec: r.ops_per_sec(),
-        p50_us: r.latency.p50_us,
-        p99_us: r.latency.p99_us,
-        syscall_writes: r.metrics.syscall_writes,
-        transport_frames: r.metrics.transport_frames,
-        write_stalls: r.metrics.transport_write_stalls,
-        mailbox_peak: r.metrics.mailbox_depth_peak,
-    }
+    vec![
+        n.to_string(),
+        workers.to_string(),
+        r.metrics.threads_spawned.to_string(),
+        r.ops.to_string(),
+        format!("{:.0}", r.ops_per_sec()),
+        format!("{:.0}", r.latency.p50_us),
+        format!("{:.0}", r.latency.p99_us),
+        r.metrics.syscall_writes.to_string(),
+        r.metrics.transport_frames.to_string(),
+        r.metrics.transport_write_stalls.to_string(),
+        r.metrics.mailbox_depth_peak.to_string(),
+    ]
 }
 
 /// Replay parity at n = 8: the sharded scheduler must reproduce the
@@ -132,17 +116,9 @@ fn parity_gate(scale: Scale) {
     }
 }
 
-/// The `repro scale` job: parity gate first, then the pool-size sweep,
-/// then the `BENCH_PR10.json` artifact.
-pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
+/// The `repro scale` job: parity gate first, then the pool-size sweep.
+pub fn scale_sweep(scale: Scale) -> Table {
     parity_gate(scale);
-
-    let mut cells = Vec::new();
-    for n in [8, 16, 40] {
-        for workers in POOL_SIZES {
-            cells.push(run_cell(scale, n, workers));
-        }
-    }
 
     let mut t = Table::new(
         format!(
@@ -163,56 +139,11 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
             "mbox peak",
         ],
     );
-    let mut cell_lines = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        t.push_row(vec![
-            c.n.to_string(),
-            c.workers.to_string(),
-            c.threads.to_string(),
-            c.ops.to_string(),
-            format!("{:.0}", c.ops_per_sec),
-            format!("{:.0}", c.p50_us),
-            format!("{:.0}", c.p99_us),
-            c.syscall_writes.to_string(),
-            c.transport_frames.to_string(),
-            c.write_stalls.to_string(),
-            c.mailbox_peak.to_string(),
-        ]);
-        let _ = writeln!(
-            cell_lines,
-            "    {{ \"n\": {}, \"workers\": {}, \"threads\": {}, \
-             \"ops\": {}, \"ops_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"syscall_writes\": {}, \"transport_frames\": {}, \
-             \"transport_write_stalls\": {}, \"mailbox_depth_peak\": {} }}{}",
-            c.n,
-            c.workers,
-            c.threads,
-            c.ops,
-            c.ops_per_sec,
-            c.p50_us,
-            c.p99_us,
-            c.syscall_writes,
-            c.transport_frames,
-            c.write_stalls,
-            c.mailbox_peak,
-            if i + 1 < cells.len() { "," } else { "" },
-        );
+    for n in [8, 16, 40] {
+        for workers in POOL_SIZES {
+            t.push_row(run_cell(scale, n, workers));
+        }
     }
-    let scale_name = match scale {
-        Scale::Paper => "paper",
-        Scale::Quick => "quick",
-    };
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let json = format!(
-        "{{\n  \"scale\": \"{scale_name}\",\n  \"protocol\": \"{PROTOCOL}\",\n  \
-         \"host\": {{ \"available_parallelism\": {host_parallelism} }},\n  \
-         \"pool_sizes\": {POOL_SIZES:?},\n  \"cells\": [\n{cell_lines}  ]\n}}\n"
-    );
-    let path = out
-        .map(|d| d.join("BENCH_PR10.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_PR10.json"));
-    std::fs::write(&path, &json).expect("write BENCH_PR10.json");
-    eprintln!("[scale] wrote {}", path.display());
     t
 }
 
@@ -222,17 +153,12 @@ mod tests {
 
     #[test]
     fn quick_sweep_gates_and_reports() {
-        let dir = std::env::temp_dir().join(format!("scale-sweep-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         // The asserts inside scale_sweep (threads == W, drains, checker,
         // parity) are the test.
-        let t = scale_sweep(Scale::Quick, Some(&dir));
+        let t = scale_sweep(Scale::Quick);
         let csv = t.to_csv();
         for row in ["\n40,1,1,", "\n40,2,2,", "\n40,4,4,"] {
             assert!(csv.contains(row), "n=40 runs on W threads: {csv}");
         }
-        let json = std::fs::read_to_string(dir.join("BENCH_PR10.json")).unwrap();
-        assert!(json.contains("\"pool_sizes\": [1, 2, 4]"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -316,7 +316,7 @@ impl Sweep {
         let (scale, base_seed) = (self.scale, self.base_seed);
         // `--jobs 1` bypasses the worker pool entirely: no unit vector, no
         // shared-cursor indirection — a plain loop in the exact fold order.
-        // (BENCH_PR5 measured the pooled width-1 pass at 0.975× sequential;
+        // (PR 5 measured the pooled width-1 pass at 0.975× sequential;
         // planning must never be slower than not planning.)
         let runs: Vec<SeedRun> = if self.jobs <= 1 {
             to_run

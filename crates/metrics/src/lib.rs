@@ -11,6 +11,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#[macro_use]
+mod fold;
 pub mod latency;
 pub mod quantile;
 pub mod registry;

@@ -11,41 +11,27 @@ use crate::quantile::P2Quantile;
 use crate::stats::StatAccum;
 use serde::{Deserialize, Serialize};
 
-/// Counters and latency summaries for one site.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SiteMetrics {
-    /// Protocol messages this site sent (SM + FM + RM).
-    pub sends: u64,
-    /// Protocol messages delivered to this site's protocol layer.
-    pub delivers: u64,
-    /// Updates applied to this site's replica.
-    pub applies: u64,
-    /// Arriving updates the activation predicate parked in the pending
-    /// buffer (releases are counted by `applies` with a non-zero dwell).
-    pub buffered: u64,
-    /// Data-frame retransmissions this site's transport performed.
-    pub retransmits: u64,
-    /// Pending-queue dwell time per applied update, virtual nanoseconds
-    /// (0 when applied on arrival).
-    pub dwell_ns: StatAccum,
-    /// Streaming p99 of the dwell time.
-    pub dwell_p99: P2Quantile,
-    /// Remote-fetch round-trip time observed by this site as the reader.
-    pub fetch_rtt_ns: StatAccum,
-}
-
-impl Default for SiteMetrics {
-    fn default() -> Self {
-        SiteMetrics {
-            sends: 0,
-            delivers: 0,
-            applies: 0,
-            buffered: 0,
-            retransmits: 0,
-            dwell_ns: StatAccum::default(),
-            dwell_p99: P2Quantile::new(0.99),
-            fetch_rtt_ns: StatAccum::default(),
-        }
+metrics_struct! {
+    /// Counters and latency summaries for one site.
+    pub struct SiteMetrics {
+        /// Protocol messages this site sent (SM + FM + RM).
+        pub sends: u64 => sum,
+        /// Protocol messages delivered to this site's protocol layer.
+        pub delivers: u64 => sum,
+        /// Updates applied to this site's replica.
+        pub applies: u64 => sum,
+        /// Arriving updates the activation predicate parked in the pending
+        /// buffer (releases are counted by `applies` with a non-zero dwell).
+        pub buffered: u64 => sum,
+        /// Data-frame retransmissions this site's transport performed.
+        pub retransmits: u64 => sum,
+        /// Pending-queue dwell time per applied update, virtual nanoseconds
+        /// (0 when applied on arrival).
+        pub dwell_ns: StatAccum => merge,
+        /// Streaming p99 of the dwell time.
+        pub dwell_p99: P2Quantile => p99,
+        /// Remote-fetch round-trip time observed by this site as the reader.
+        pub fetch_rtt_ns: StatAccum => merge,
     }
 }
 
@@ -109,26 +95,11 @@ impl SiteRegistry {
         self.sites.iter().map(|s| s.buffered).sum()
     }
 
-    /// Fold another registry into this one, site by site. Counters add;
-    /// `StatAccum`s fold as weighted mean contributions (same compromise
-    /// as [`RunMetrics::merge`](crate::RunMetrics::merge)); P² states
-    /// cannot merge and keep this registry's estimate.
+    /// Fold another registry into this one, site by site.
     pub fn merge(&mut self, other: &SiteRegistry) {
         self.ensure(other.sites.len());
         for (mine, theirs) in self.sites.iter_mut().zip(&other.sites) {
-            mine.sends += theirs.sends;
-            mine.delivers += theirs.delivers;
-            mine.applies += theirs.applies;
-            mine.buffered += theirs.buffered;
-            mine.retransmits += theirs.retransmits;
-            for (m, t) in [
-                (&mut mine.dwell_ns, &theirs.dwell_ns),
-                (&mut mine.fetch_rtt_ns, &theirs.fetch_rtt_ns),
-            ] {
-                for _ in 0..t.count() {
-                    m.record(t.mean());
-                }
-            }
+            mine.merge(theirs);
         }
     }
 }

@@ -6,266 +6,194 @@ use crate::stats::{MessageStats, StatAccum};
 use causal_types::MsgKind;
 use serde::{Deserialize, Serialize};
 
-/// Everything measured during one simulation run.
-///
-/// Two parallel message accumulators are kept: `measured` only counts
-/// traffic attributable to post-warm-up operations (the paper stores
-/// "experimental data ... after the first 15 % operation events to eliminate
-/// the side effect in startup"), while `all` covers the entire run (used for
-/// conservation checks in tests).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RunMetrics {
-    /// Post-warm-up traffic.
-    pub measured: MessageStats,
-    /// Whole-run traffic.
-    pub all: MessageStats,
-    /// Post-warm-up write operations issued.
-    pub writes: u64,
-    /// Post-warm-up read operations issued.
-    pub reads: u64,
-    /// Post-warm-up reads that needed a remote fetch.
-    pub remote_reads: u64,
-    /// Piggybacked dependency-structure entry counts sampled per SM
-    /// (Opt-Track log entries, CRP tuples; `n`/`n²` for the clock
-    /// protocols). Diagnoses the paper's `d` parameter.
-    pub sm_entries: StatAccum,
-    /// Updates applied across all sites (whole run).
-    pub applies: u64,
-    /// Largest pending-buffer population observed at any site.
-    pub max_pending: usize,
-    /// Virtual nanoseconds between an update's receipt and its apply
-    /// (0 for updates applied on arrival). False causality — waiting on
-    /// dependencies that are not real `→co` dependencies — shows up here.
-    pub apply_latency_ns: StatAccum,
-    /// Pending-buffer population sampled after every delivery event.
-    pub pending_samples: StatAccum,
-    /// Channel transit time per message, virtual nanoseconds (simulator
-    /// runs only; reflects the latency model, partitions included).
-    pub transit_ns: StatAccum,
-    /// p99 of the apply latency (streaming P² estimate) — tail buffering
-    /// that the mean hides.
-    pub apply_latency_p99: P2Quantile,
-    /// Data-frame retransmissions performed by the reliable transport
-    /// (zero on a lossless network or when the transport is bypassed).
-    pub retransmissions: u64,
-    /// Frames discarded by the receiver as duplicates (already-delivered
-    /// sequence numbers — fault-injected dups and spurious retransmits).
-    pub dup_drops: u64,
-    /// Ack frames sent by the transport.
-    pub ack_count: u64,
-    /// Wire bytes of those ack frames.
-    pub ack_bytes: u64,
-    /// Transport-envelope overhead bytes added to data frames (sequence
-    /// numbers and incarnations), original sends and retransmissions alike.
-    pub envelope_bytes: u64,
-    /// Frames destroyed in transit by the fault plan.
-    pub fault_drops: u64,
-    /// Frames duplicated in transit by the fault plan.
-    pub fault_dups: u64,
-    /// Frames dropped because their destination site was crashed or the
-    /// frame addressed a dead incarnation (stale epoch).
-    pub crash_drops: u64,
-    /// Sync-handshake frames exchanged during crash recoveries.
-    pub sync_count: u64,
-    /// Wire bytes of the sync handshake (ledgers + state snapshots).
-    pub sync_bytes: u64,
-    /// Virtual nanoseconds from each crash's recovery instant until the
-    /// recovering site finished installing peer state.
-    pub recovery_ns: StatAccum,
-    /// Records appended to write-ahead logs (durable-storage model).
-    pub wal_appends: u64,
-    /// Modeled bytes of those WAL records.
-    pub wal_bytes: u64,
-    /// Protocol-state checkpoints taken.
-    pub checkpoints: u64,
-    /// Modeled bytes of checkpoint images written.
-    pub checkpoint_bytes: u64,
-    /// Recoveries that rebuilt state locally by WAL replay (checkpoint +
-    /// log) instead of the full peer rebuild.
-    pub recovery_replays: u64,
-    /// Snapshot bytes *saved* by delta sync: full-snapshot size minus the
-    /// delta actually shipped, summed over all delta-sync responses.
-    pub delta_sync_saved_bytes: u64,
-    /// Remote fetches re-issued to an alternate replica after the serving
-    /// replica missed the fetch deadline.
-    pub fetch_failovers: u64,
-    /// Reads abandoned after every candidate replica missed the deadline —
-    /// the run degrades (the read returns nothing) instead of hanging.
-    pub degraded_reads: u64,
-    /// Recoveries finished in degraded mode: a sync deadline expired before
-    /// every expected peer responded (correlated-failure overlap).
-    pub degraded_recoveries: u64,
-    /// Records dropped by fail-soft WAL loads (torn-tail truncation).
-    pub wal_truncated: u64,
-    /// Membership view changes installed (epoch bumps: joins, leaves,
-    /// migrations).
-    pub view_changes: u64,
-    /// View changes force-installed at the quiescence deadline (in-flight
-    /// deliveries still pending — availability was chosen over waiting).
-    pub views_forced: u64,
-    /// Sites that joined the view (state-transfer bootstraps).
-    pub joins: u64,
-    /// Sites that left the view (graceful drains and fail-stop leaves).
-    pub leaves: u64,
-    /// Variables whose replica set was migrated live.
-    pub migrations: u64,
-    /// Modeled wire bytes of membership state transfers (join bootstraps
-    /// and migration snapshots).
-    pub churn_transfer_bytes: u64,
-    /// Membership transfers that completed degraded: the donor died
-    /// mid-transfer and no replacement held the state.
-    pub churn_transfers_degraded: u64,
-    /// Virtual nanoseconds from each view-change proposal to its install
-    /// (the quiescence window).
-    pub view_change_ns: StatAccum,
-    /// Remote-fetch round-trip time, virtual nanoseconds (issue → return,
-    /// including failover re-issues' tail).
-    pub fetch_rtt_ns: StatAccum,
-    /// p99 of the fetch RTT (streaming P² estimate).
-    pub fetch_rtt_p99: P2Quantile,
-    /// Updates flagged by the stuck-buffer watchdog: parked past the
-    /// overdue deadline without applying (each counted once).
-    pub buffered_overdue: u64,
-    /// Stability watermark rows exchanged (piggybacks + heartbeats).
-    pub gossip_rows: u64,
-    /// Modeled bytes of those rows (`8n` per row).
-    pub gossip_bytes: u64,
-    /// KS-log entries reclaimed behind the stable frontier.
-    pub gc_log_entries: u64,
-    /// Materialized `LastWriteOn` slots reclaimed behind the frontier.
-    pub gc_slots: u64,
-    /// Stability ticks where the frontier could not advance while some
-    /// member was down — the expected GC pause under failure.
-    pub gc_stalled_ticks: u64,
-    /// Writes deferred because retained metadata exceeded the soft cap.
-    pub backpressure_events: u64,
-    /// Peak retained metadata estimate (protocol state + WAL bytes)
-    /// sampled at stability ticks.
-    pub retained_meta_peak: u64,
-    /// Peak count of writes issued but not yet globally stable.
-    pub unstable_peak: u64,
-    /// WAL segments sealed (filled past the segment size limit).
-    pub wal_segments_sealed: u64,
-    /// Bytes of fully-checkpointed WAL segments deleted by truncation.
-    pub wal_deleted_bytes: u64,
-    /// Stability lag — max over origins of (issued − stable frontier) —
-    /// sampled at every stability tick.
-    pub stability_lag: StatAccum,
-    /// p99 of the stability lag (streaming P² estimate).
-    pub stability_lag_p99: P2Quantile,
-    /// Live-transport connection failures survived without taking the run
-    /// down: frames refused because the peer socket died, oversized or
-    /// corrupt frames that tore a connection down cleanly, and sends
-    /// raced against a peer that already processed `Stop`. Zero on the
-    /// simulator and on a healthy live run.
-    pub transport_conn_errors: u64,
-    /// Multi-update batch frames flushed by the per-destination batcher
-    /// (zero when batching is off; lanes that flush a single update send
-    /// it as a plain SM and do not count here).
-    pub batch_flushes: u64,
-    /// Updates that travelled inside a batch frame (≥ 2 per flush).
-    pub batched_sms: u64,
-    /// Modeled wire bytes saved by batching: the sum, per flush, of what
-    /// the lane's updates would have cost as individual SMs minus the
-    /// batch frame actually charged.
-    pub batch_bytes_saved: u64,
-    /// OS threads spawned by the live runtime for the run: the scheduler
-    /// workers, on either fabric (they drive their sockets themselves).
-    /// The coordinator is the caller's thread and is not counted. Zero on
-    /// the simulator.
-    pub threads_spawned: u64,
-    /// `write(2)` calls issued by the TCP fabric's coalescing flushes —
-    /// each syscall may carry many frames, so `all` frame counts divided
-    /// by this is the amortisation factor. Zero on the channel fabric and
-    /// the simulator.
-    pub syscall_writes: u64,
-    /// Frames those writes carried. A multicast's copies toward one peer
-    /// worker share a frame, so this is at most — and under write-heavy
-    /// load far below — the cross-worker share of `all`'s message count.
-    pub transport_frames: u64,
-    /// Flushes of a TCP endpoint that ended with the socket refusing bytes
-    /// (`WouldBlock`), leaving a tail for a later pass — back-pressure from
-    /// a peer that reads slower than this side writes. Zero on a healthy
-    /// paced run, on the channel fabric and on the simulator.
-    pub transport_write_stalls: u64,
-    /// Deepest per-site mailbox backlog observed by the worker scheduler
-    /// when it picked a site up (frames waiting in the crossbeam channel).
-    pub mailbox_depth_peak: u64,
-    /// Per-site breakdown of the counters above (sends, delivers, applies,
-    /// buffering, retransmits, dwell, fetch RTT).
-    pub per_site: SiteRegistry,
-}
-
-impl Default for RunMetrics {
-    fn default() -> Self {
-        RunMetrics {
-            measured: MessageStats::default(),
-            all: MessageStats::default(),
-            writes: 0,
-            reads: 0,
-            remote_reads: 0,
-            sm_entries: StatAccum::default(),
-            applies: 0,
-            max_pending: 0,
-            apply_latency_ns: StatAccum::default(),
-            pending_samples: StatAccum::default(),
-            transit_ns: StatAccum::default(),
-            apply_latency_p99: P2Quantile::new(0.99),
-            retransmissions: 0,
-            dup_drops: 0,
-            ack_count: 0,
-            ack_bytes: 0,
-            envelope_bytes: 0,
-            fault_drops: 0,
-            fault_dups: 0,
-            crash_drops: 0,
-            sync_count: 0,
-            sync_bytes: 0,
-            recovery_ns: StatAccum::default(),
-            wal_appends: 0,
-            wal_bytes: 0,
-            checkpoints: 0,
-            checkpoint_bytes: 0,
-            recovery_replays: 0,
-            delta_sync_saved_bytes: 0,
-            fetch_failovers: 0,
-            degraded_reads: 0,
-            degraded_recoveries: 0,
-            wal_truncated: 0,
-            view_changes: 0,
-            views_forced: 0,
-            joins: 0,
-            leaves: 0,
-            migrations: 0,
-            churn_transfer_bytes: 0,
-            churn_transfers_degraded: 0,
-            view_change_ns: StatAccum::default(),
-            fetch_rtt_ns: StatAccum::default(),
-            fetch_rtt_p99: P2Quantile::new(0.99),
-            buffered_overdue: 0,
-            gossip_rows: 0,
-            gossip_bytes: 0,
-            gc_log_entries: 0,
-            gc_slots: 0,
-            gc_stalled_ticks: 0,
-            backpressure_events: 0,
-            retained_meta_peak: 0,
-            unstable_peak: 0,
-            wal_segments_sealed: 0,
-            wal_deleted_bytes: 0,
-            stability_lag: StatAccum::default(),
-            stability_lag_p99: P2Quantile::new(0.99),
-            transport_conn_errors: 0,
-            batch_flushes: 0,
-            batched_sms: 0,
-            batch_bytes_saved: 0,
-            threads_spawned: 0,
-            syscall_writes: 0,
-            transport_frames: 0,
-            transport_write_stalls: 0,
-            mailbox_depth_peak: 0,
-            per_site: SiteRegistry::new(),
-        }
+metrics_struct! {
+    /// Everything measured during one simulation run.
+    ///
+    /// Two parallel message accumulators are kept: `measured` only counts
+    /// traffic attributable to post-warm-up operations (the paper stores
+    /// "experimental data ... after the first 15 % operation events to eliminate
+    /// the side effect in startup"), while `all` covers the entire run (used for
+    /// conservation checks in tests).
+    pub struct RunMetrics {
+        /// Post-warm-up traffic.
+        pub measured: MessageStats => merge,
+        /// Whole-run traffic.
+        pub all: MessageStats => merge,
+        /// Post-warm-up write operations issued.
+        pub writes: u64 => sum,
+        /// Post-warm-up read operations issued.
+        pub reads: u64 => sum,
+        /// Post-warm-up reads that needed a remote fetch.
+        pub remote_reads: u64 => sum,
+        /// Piggybacked dependency-structure entry counts sampled per SM
+        /// (Opt-Track log entries, CRP tuples; `n`/`n²` for the clock
+        /// protocols). Diagnoses the paper's `d` parameter.
+        pub sm_entries: StatAccum => merge,
+        /// Updates applied across all sites (whole run).
+        pub applies: u64 => sum,
+        /// Largest pending-buffer population observed at any site.
+        pub max_pending: usize => max,
+        /// Virtual nanoseconds between an update's receipt and its apply
+        /// (0 for updates applied on arrival). False causality — waiting on
+        /// dependencies that are not real `→co` dependencies — shows up here.
+        pub apply_latency_ns: StatAccum => merge,
+        /// Pending-buffer population sampled after every delivery event.
+        pub pending_samples: StatAccum => merge,
+        /// Channel transit time per message, virtual nanoseconds (simulator
+        /// runs only; reflects the latency model, partitions included).
+        pub transit_ns: StatAccum => merge,
+        /// p99 of the apply latency (streaming P² estimate) — tail buffering
+        /// that the mean hides.
+        pub apply_latency_p99: P2Quantile => p99,
+        /// Data-frame retransmissions performed by the reliable transport
+        /// (zero on a lossless network or when the transport is bypassed).
+        pub retransmissions: u64 => sum,
+        /// Frames discarded by the receiver as duplicates (already-delivered
+        /// sequence numbers — fault-injected dups and spurious retransmits).
+        pub dup_drops: u64 => sum,
+        /// Ack frames sent by the transport.
+        pub ack_count: u64 => sum,
+        /// Wire bytes of those ack frames.
+        pub ack_bytes: u64 => sum,
+        /// Transport-envelope overhead bytes added to data frames (sequence
+        /// numbers and incarnations), original sends and retransmissions alike.
+        pub envelope_bytes: u64 => sum,
+        /// Frames destroyed in transit by the fault plan.
+        pub fault_drops: u64 => sum,
+        /// Frames duplicated in transit by the fault plan.
+        pub fault_dups: u64 => sum,
+        /// Frames dropped because their destination site was crashed or the
+        /// frame addressed a dead incarnation (stale epoch).
+        pub crash_drops: u64 => sum,
+        /// Sync-handshake frames exchanged during crash recoveries.
+        pub sync_count: u64 => sum,
+        /// Wire bytes of the sync handshake (ledgers + state snapshots).
+        pub sync_bytes: u64 => sum,
+        /// Virtual nanoseconds from each crash's recovery instant until the
+        /// recovering site finished installing peer state.
+        pub recovery_ns: StatAccum => merge,
+        /// Records appended to write-ahead logs (durable-storage model).
+        pub wal_appends: u64 => sum,
+        /// Modeled bytes of those WAL records.
+        pub wal_bytes: u64 => sum,
+        /// Protocol-state checkpoints taken.
+        pub checkpoints: u64 => sum,
+        /// Modeled bytes of checkpoint images written.
+        pub checkpoint_bytes: u64 => sum,
+        /// Recoveries that rebuilt state locally by WAL replay (checkpoint +
+        /// log) instead of the full peer rebuild.
+        pub recovery_replays: u64 => sum,
+        /// Snapshot bytes *saved* by delta sync: full-snapshot size minus the
+        /// delta actually shipped, summed over all delta-sync responses.
+        pub delta_sync_saved_bytes: u64 => sum,
+        /// Remote fetches re-issued to an alternate replica after the serving
+        /// replica missed the fetch deadline.
+        pub fetch_failovers: u64 => sum,
+        /// Reads abandoned after every candidate replica missed the deadline —
+        /// the run degrades (the read returns nothing) instead of hanging.
+        pub degraded_reads: u64 => sum,
+        /// Recoveries finished in degraded mode: a sync deadline expired before
+        /// every expected peer responded (correlated-failure overlap).
+        pub degraded_recoveries: u64 => sum,
+        /// Records dropped by fail-soft WAL loads (torn-tail truncation).
+        pub wal_truncated: u64 => sum,
+        /// Membership view changes installed (epoch bumps: joins, leaves,
+        /// migrations).
+        pub view_changes: u64 => sum,
+        /// View changes force-installed at the quiescence deadline (in-flight
+        /// deliveries still pending — availability was chosen over waiting).
+        pub views_forced: u64 => sum,
+        /// Sites that joined the view (state-transfer bootstraps).
+        pub joins: u64 => sum,
+        /// Sites that left the view (graceful drains and fail-stop leaves).
+        pub leaves: u64 => sum,
+        /// Variables whose replica set was migrated live.
+        pub migrations: u64 => sum,
+        /// Modeled wire bytes of membership state transfers (join bootstraps
+        /// and migration snapshots).
+        pub churn_transfer_bytes: u64 => sum,
+        /// Membership transfers that completed degraded: the donor died
+        /// mid-transfer and no replacement held the state.
+        pub churn_transfers_degraded: u64 => sum,
+        /// Virtual nanoseconds from each view-change proposal to its install
+        /// (the quiescence window).
+        pub view_change_ns: StatAccum => merge,
+        /// Remote-fetch round-trip time, virtual nanoseconds (issue → return,
+        /// including failover re-issues' tail).
+        pub fetch_rtt_ns: StatAccum => merge,
+        /// p99 of the fetch RTT (streaming P² estimate).
+        pub fetch_rtt_p99: P2Quantile => p99,
+        /// Updates flagged by the stuck-buffer watchdog: parked past the
+        /// overdue deadline without applying (each counted once).
+        pub buffered_overdue: u64 => sum,
+        /// Stability watermark rows exchanged (piggybacks + heartbeats).
+        pub gossip_rows: u64 => sum,
+        /// Modeled bytes of those rows (`8n` per row).
+        pub gossip_bytes: u64 => sum,
+        /// KS-log entries reclaimed behind the stable frontier.
+        pub gc_log_entries: u64 => sum,
+        /// Materialized `LastWriteOn` slots reclaimed behind the frontier.
+        pub gc_slots: u64 => sum,
+        /// Stability ticks where the frontier could not advance while some
+        /// member was down — the expected GC pause under failure.
+        pub gc_stalled_ticks: u64 => sum,
+        /// Writes deferred because retained metadata exceeded the soft cap.
+        pub backpressure_events: u64 => sum,
+        /// Peak retained metadata estimate (protocol state + WAL bytes)
+        /// sampled at stability ticks.
+        pub retained_meta_peak: u64 => max,
+        /// Peak count of writes issued but not yet globally stable.
+        pub unstable_peak: u64 => max,
+        /// WAL segments sealed (filled past the segment size limit).
+        pub wal_segments_sealed: u64 => sum,
+        /// Bytes of fully-checkpointed WAL segments deleted by truncation.
+        pub wal_deleted_bytes: u64 => sum,
+        /// Stability lag — max over origins of (issued − stable frontier) —
+        /// sampled at every stability tick.
+        pub stability_lag: StatAccum => merge,
+        /// p99 of the stability lag (streaming P² estimate).
+        pub stability_lag_p99: P2Quantile => p99,
+        /// Live-transport connection failures survived without taking the run
+        /// down: frames refused because the peer socket died, oversized or
+        /// corrupt frames that tore a connection down cleanly, and sends
+        /// raced against a peer that already processed `Stop`. Zero on the
+        /// simulator and on a healthy live run.
+        pub transport_conn_errors: u64 => sum,
+        /// Multi-update batch frames flushed by the per-destination batcher
+        /// (zero when batching is off; lanes that flush a single update send
+        /// it as a plain SM and do not count here).
+        pub batch_flushes: u64 => sum,
+        /// Updates that travelled inside a batch frame (≥ 2 per flush).
+        pub batched_sms: u64 => sum,
+        /// Modeled wire bytes saved by batching: the sum, per flush, of what
+        /// the lane's updates would have cost as individual SMs minus the
+        /// batch frame actually charged.
+        pub batch_bytes_saved: u64 => sum,
+        /// OS threads spawned by the live runtime for the run: the scheduler
+        /// workers, on either fabric (they drive their sockets themselves).
+        /// The coordinator is the caller's thread and is not counted. Zero on
+        /// the simulator.
+        pub threads_spawned: u64 => sum,
+        /// `write(2)` calls issued by the TCP fabric's coalescing flushes —
+        /// each syscall may carry many frames, so `all` frame counts divided
+        /// by this is the amortisation factor. Zero on the channel fabric and
+        /// the simulator.
+        pub syscall_writes: u64 => sum,
+        /// Frames those writes carried. A multicast's copies toward one peer
+        /// worker share a frame, so this is at most — and under write-heavy
+        /// load far below — the cross-worker share of `all`'s message count.
+        pub transport_frames: u64 => sum,
+        /// Flushes of a TCP endpoint that ended with the socket refusing bytes
+        /// (`WouldBlock`), leaving a tail for a later pass — back-pressure from
+        /// a peer that reads slower than this side writes. Zero on a healthy
+        /// paced run, on the channel fabric and on the simulator.
+        pub transport_write_stalls: u64 => sum,
+        /// Deepest per-site mailbox backlog observed by the worker scheduler
+        /// when it picked a site up (frames waiting in the crossbeam channel).
+        pub mailbox_depth_peak: u64 => max,
+        /// Per-site breakdown of the counters above (sends, delivers, applies,
+        /// buffering, retransmits, dwell, fetch RTT).
+        pub per_site: SiteRegistry => merge,
     }
 }
 
@@ -362,82 +290,6 @@ impl RunMetrics {
             self.writes as f64 / total as f64
         }
     }
-
-    /// Fold another run's metrics into this one (multi-seed averaging keeps
-    /// totals; derive means at presentation time).
-    pub fn merge(&mut self, other: &RunMetrics) {
-        self.measured.merge(&other.measured);
-        self.all.merge(&other.all);
-        self.writes += other.writes;
-        self.reads += other.reads;
-        self.remote_reads += other.remote_reads;
-        self.applies += other.applies;
-        self.max_pending = self.max_pending.max(other.max_pending);
-        self.retransmissions += other.retransmissions;
-        self.dup_drops += other.dup_drops;
-        self.ack_count += other.ack_count;
-        self.ack_bytes += other.ack_bytes;
-        self.envelope_bytes += other.envelope_bytes;
-        self.fault_drops += other.fault_drops;
-        self.fault_dups += other.fault_dups;
-        self.crash_drops += other.crash_drops;
-        self.sync_count += other.sync_count;
-        self.sync_bytes += other.sync_bytes;
-        self.wal_appends += other.wal_appends;
-        self.wal_bytes += other.wal_bytes;
-        self.checkpoints += other.checkpoints;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        self.recovery_replays += other.recovery_replays;
-        self.delta_sync_saved_bytes += other.delta_sync_saved_bytes;
-        self.fetch_failovers += other.fetch_failovers;
-        self.degraded_reads += other.degraded_reads;
-        self.degraded_recoveries += other.degraded_recoveries;
-        self.wal_truncated += other.wal_truncated;
-        self.view_changes += other.view_changes;
-        self.views_forced += other.views_forced;
-        self.joins += other.joins;
-        self.leaves += other.leaves;
-        self.migrations += other.migrations;
-        self.churn_transfer_bytes += other.churn_transfer_bytes;
-        self.churn_transfers_degraded += other.churn_transfers_degraded;
-        self.buffered_overdue += other.buffered_overdue;
-        self.gossip_rows += other.gossip_rows;
-        self.gossip_bytes += other.gossip_bytes;
-        self.gc_log_entries += other.gc_log_entries;
-        self.gc_slots += other.gc_slots;
-        self.gc_stalled_ticks += other.gc_stalled_ticks;
-        self.backpressure_events += other.backpressure_events;
-        self.retained_meta_peak = self.retained_meta_peak.max(other.retained_meta_peak);
-        self.unstable_peak = self.unstable_peak.max(other.unstable_peak);
-        self.wal_segments_sealed += other.wal_segments_sealed;
-        self.wal_deleted_bytes += other.wal_deleted_bytes;
-        self.transport_conn_errors += other.transport_conn_errors;
-        self.batch_flushes += other.batch_flushes;
-        self.batched_sms += other.batched_sms;
-        self.batch_bytes_saved += other.batch_bytes_saved;
-        self.threads_spawned += other.threads_spawned;
-        self.syscall_writes += other.syscall_writes;
-        self.transport_frames += other.transport_frames;
-        self.transport_write_stalls += other.transport_write_stalls;
-        self.mailbox_depth_peak = self.mailbox_depth_peak.max(other.mailbox_depth_peak);
-        self.per_site.merge(&other.per_site);
-        // StatAccum cannot merge exactly without the raw moments; fold the
-        // other's summary as a weighted contribution.
-        for (mine, theirs) in [
-            (&mut self.sm_entries, &other.sm_entries),
-            (&mut self.apply_latency_ns, &other.apply_latency_ns),
-            (&mut self.pending_samples, &other.pending_samples),
-            (&mut self.transit_ns, &other.transit_ns),
-            (&mut self.recovery_ns, &other.recovery_ns),
-            (&mut self.view_change_ns, &other.view_change_ns),
-            (&mut self.fetch_rtt_ns, &other.fetch_rtt_ns),
-            (&mut self.stability_lag, &other.stability_lag),
-        ] {
-            for _ in 0..theirs.count() {
-                mine.record(theirs.mean());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -481,6 +333,183 @@ mod tests {
         assert_eq!(a.writes, 1);
         assert_eq!(a.reads, 1);
         assert_eq!(a.max_pending, 9);
+    }
+
+    /// The fold rule of every field, stated a second time: the struct
+    /// pattern below has no `..`, so a field added to [`RunMetrics`] does
+    /// not compile until it is given a rule here too.
+    #[test]
+    fn merge_folds_every_field_by_its_declared_rule() {
+        macro_rules! want {
+            (sum, $a:expr, $b:expr) => {
+                $a + $b
+            };
+            (max, $a:expr, $b:expr) => {
+                $a.max($b)
+            };
+        }
+        macro_rules! check {
+            (counters { $($field:ident: $rule:ident,)* } stats { $($stat:ident,)* } tails { $($tail:ident,)* }) => {{
+                let (mut a, mut b) = (RunMetrics::new(), RunMetrics::new());
+                // Distinct values per field; the larger side alternates so
+                // a `max` that always kept one side would show.
+                let sides = |i: u64| if i % 2 == 0 { (100 + i, 1000 + i) } else { (1000 + i, 100 + i) };
+                let mut i = 0;
+                $( i += 1; (a.$field, b.$field) = sides(i); )*
+                (a.max_pending, b.max_pending) = (7, 3);
+                $(
+                    a.$stat.record(4.0);
+                    b.$stat.record(1.0);
+                    b.$stat.record(10.0);
+                )*
+                $(
+                    a.$tail.record(5.0);
+                    b.$tail.record(50.0);
+                )*
+                a.record_msg(MsgKind::Sm, 10, true);
+                b.record_msg(MsgKind::Sm, 20, false);
+                a.per_site.site_mut(0).sends = 1;
+                b.per_site.site_mut(1).sends = 2;
+
+                a.merge(&b);
+                let mut i = 0;
+                $(
+                    i += 1;
+                    let (x, y) = sides(i);
+                    assert_eq!(a.$field, want!($rule, x, y), stringify!($field));
+                )*
+                assert_eq!(a.max_pending, 7);
+                $(
+                    assert_eq!(a.$stat.count(), 3, stringify!($stat));
+                    assert!((a.$stat.mean() - 5.0).abs() < 1e-12, stringify!($stat));
+                    assert_eq!(a.$stat.min(), Some(1.0), stringify!($stat));
+                    assert_eq!(a.$stat.max(), Some(10.0), stringify!($stat));
+                )*
+                // Not mergeable: the other side's tail is dropped.
+                $(
+                    assert_eq!(a.$tail.count(), 1, stringify!($tail));
+                    assert_eq!(a.$tail.estimate(), Some(5.0), stringify!($tail));
+                )*
+                assert_eq!(a.all.bytes(MsgKind::Sm), 30);
+                assert_eq!(a.measured.bytes(MsgKind::Sm), 10);
+                assert_eq!(a.per_site.len(), 2);
+                let RunMetrics {
+                    $($field: _,)*
+                    $($stat: _,)*
+                    $($tail: _,)*
+                    max_pending: _,
+                    measured: _,
+                    all: _,
+                    per_site: _,
+                } = a;
+            }};
+        }
+        check! {
+            counters {
+                writes: sum,
+                reads: sum,
+                remote_reads: sum,
+                applies: sum,
+                retransmissions: sum,
+                dup_drops: sum,
+                ack_count: sum,
+                ack_bytes: sum,
+                envelope_bytes: sum,
+                fault_drops: sum,
+                fault_dups: sum,
+                crash_drops: sum,
+                sync_count: sum,
+                sync_bytes: sum,
+                wal_appends: sum,
+                wal_bytes: sum,
+                checkpoints: sum,
+                checkpoint_bytes: sum,
+                recovery_replays: sum,
+                delta_sync_saved_bytes: sum,
+                fetch_failovers: sum,
+                degraded_reads: sum,
+                degraded_recoveries: sum,
+                wal_truncated: sum,
+                view_changes: sum,
+                views_forced: sum,
+                joins: sum,
+                leaves: sum,
+                migrations: sum,
+                churn_transfer_bytes: sum,
+                churn_transfers_degraded: sum,
+                buffered_overdue: sum,
+                gossip_rows: sum,
+                gossip_bytes: sum,
+                gc_log_entries: sum,
+                gc_slots: sum,
+                gc_stalled_ticks: sum,
+                backpressure_events: sum,
+                retained_meta_peak: max,
+                unstable_peak: max,
+                wal_segments_sealed: sum,
+                wal_deleted_bytes: sum,
+                transport_conn_errors: sum,
+                batch_flushes: sum,
+                batched_sms: sum,
+                batch_bytes_saved: sum,
+                threads_spawned: sum,
+                syscall_writes: sum,
+                transport_frames: sum,
+                transport_write_stalls: sum,
+                mailbox_depth_peak: max,
+            }
+            stats {
+                sm_entries,
+                apply_latency_ns,
+                pending_samples,
+                transit_ns,
+                recovery_ns,
+                view_change_ns,
+                fetch_rtt_ns,
+                stability_lag,
+            }
+            tails {
+                apply_latency_p99,
+                fetch_rtt_p99,
+                stability_lag_p99,
+            }
+        }
+    }
+
+    /// Two nodes' fetch round trips and apply dwells, merged as the
+    /// runtime's `drive` merges them: the mean is what the parent's
+    /// formula gave, the spread and the extremes are now the pooled
+    /// samples' own (the parent collapsed each side to its mean).
+    #[test]
+    fn merged_means_match_the_replayed_mean_formula_and_moments_are_exact() {
+        let nodes: [&[f64]; 2] = [&[1_000.0, 3_000.0, 8_000.0], &[500.0, 2_500.0]];
+        let mut merged = RunMetrics::new();
+        for (site, samples) in nodes.iter().enumerate() {
+            let mut node = RunMetrics::new();
+            for &ns in *samples {
+                node.record_fetch_rtt(site, ns);
+                node.record_apply_latency(ns * 2.0);
+            }
+            merged.merge(&node);
+        }
+        // The parent's fold: the other side's mean, recorded once per sample.
+        let mut replayed = StatAccum::new();
+        let mut pooled = StatAccum::new();
+        for samples in nodes {
+            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+            for &ns in samples {
+                replayed.record(mean);
+                pooled.record(ns);
+            }
+        }
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        assert!(close(merged.fetch_rtt_ns.mean(), replayed.mean()));
+        assert!(close(merged.apply_latency_ns.mean(), 2.0 * replayed.mean()));
+        assert!(close(merged.fetch_rtt_ns.std_dev(), pooled.std_dev()));
+        assert!(replayed.std_dev() < 0.5 * pooled.std_dev());
+        assert_eq!(merged.fetch_rtt_ns.min(), Some(500.0));
+        assert_eq!(merged.fetch_rtt_ns.max(), Some(8_000.0));
+        assert_eq!(merged.apply_latency_ns.max(), Some(16_000.0));
     }
 
     #[test]

@@ -62,13 +62,19 @@ impl MessageStats {
 
 /// Streaming summary statistics (Welford's algorithm): count, mean,
 /// variance, min, max. Constant memory, numerically stable.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct StatAccum {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for StatAccum {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StatAccum {
@@ -91,6 +97,28 @@ impl StatAccum {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
+    }
+
+    /// Fold another accumulator's samples into this one, exactly and in
+    /// constant time (Chan et al.'s pairwise update of the moments): the
+    /// result is what recording both sample sets into one accumulator
+    /// gives. An empty side is the identity.
+    pub fn merge(&mut self, other: &StatAccum) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let (na, nb) = (self.count as f64, other.count as f64);
+        let n = na + nb;
+        let delta = other.mean - self.mean;
+        self.count += other.count;
+        self.mean += delta * nb / n;
+        self.m2 += other.m2 + delta * delta * na * nb / n;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -175,7 +203,53 @@ mod tests {
         assert!((s.std_dev() - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(StatAccum::default(), StatAccum::new());
+        let mut s = StatAccum::default();
+        s.record(3.0);
+        assert_eq!((s.min(), s.max()), (Some(3.0), Some(3.0)));
+    }
+
+    #[test]
+    fn merge_with_an_empty_side_is_the_identity() {
+        let mut full = StatAccum::new();
+        for x in [2.0, 4.0, 9.0] {
+            full.record(x);
+        }
+        let mut left = full;
+        left.merge(&StatAccum::new());
+        assert_eq!(left, full);
+        let mut right = StatAccum::new();
+        right.merge(&full);
+        assert_eq!(right, full);
+        let mut neither = StatAccum::new();
+        neither.merge(&StatAccum::new());
+        assert_eq!(neither, StatAccum::new());
+    }
+
     proptest! {
+        #[test]
+        fn prop_merge_equals_recording_both_sample_sets(
+            xs in proptest::collection::vec(-1e6f64..1e6, 0..100),
+            ys in proptest::collection::vec(-1e6f64..1e6, 0..100),
+        ) {
+            let record_all = |samples: &[f64]| {
+                let mut s = StatAccum::new();
+                samples.iter().for_each(|&x| s.record(x));
+                s
+            };
+            let mut merged = record_all(&xs);
+            merged.merge(&record_all(&ys));
+            let one = record_all(&[xs.as_slice(), ys.as_slice()].concat());
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+            prop_assert_eq!(merged.count(), one.count());
+            prop_assert!(close(merged.mean(), one.mean()));
+            prop_assert!(close(merged.std_dev(), one.std_dev()));
+            prop_assert_eq!(merged.min(), one.min());
+            prop_assert_eq!(merged.max(), one.max());
+        }
+
         #[test]
         fn prop_welford_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
             let mut s = StatAccum::new();

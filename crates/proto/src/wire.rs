@@ -1084,6 +1084,40 @@ mod tests {
     }
 
     #[test]
+    fn a_16_update_full_track_batch_is_at_least_5x_smaller_than_16_frames() {
+        // 16 consecutive Full-Track SMs from one sender over a 20-site
+        // matrix, one send per snapshot: the batch frame pays one matrix
+        // plus 15 single-cell deltas, the per-SM frames pay 16 matrices.
+        let n = 20usize;
+        let mut m = MatrixClock::new(n);
+        let sms: Vec<Sm> = (0..16u64)
+            .map(|i| {
+                m.increment(SiteId(0), SiteId::from((i as usize + 1) % n));
+                Sm {
+                    var: VarId(i as u32 % 8),
+                    value: VersionedValue::new(WriteId::new(SiteId(0), i + 1), i),
+                    meta: SmMeta::FullTrack {
+                        write: Arc::new(m.clone()),
+                    },
+                }
+            })
+            .collect();
+        let batch = Msg::Batch(Arc::new(SmBatch {
+            sms: sms
+                .iter()
+                .map(|sm| BatchedSm {
+                    sm: sm.clone(),
+                    measured: true,
+                })
+                .collect(),
+        }));
+        let batch_bytes = encode(&batch).len();
+        let frames_bytes: usize = sms.into_iter().map(|sm| encode(&Msg::Sm(sm)).len()).sum();
+        assert_eq!((batch_bytes, frames_bytes), (590, 6528));
+        assert!(batch_bytes * 5 <= frames_bytes);
+    }
+
+    #[test]
     fn frame_view_classifies_without_decoding() {
         let bytes = encode(&Msg::Fm(Fm { var: VarId(3) }));
         let frame = Frame::new(&bytes).unwrap();

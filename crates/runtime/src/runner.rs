@@ -23,11 +23,13 @@
 //! sleep-poll.
 
 use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Transport, Wire};
+use crate::serve::ServeTransport;
+use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
 use causal_proto::{build_site, Msg, ProtocolConfig, ProtocolKind, Replication};
-use causal_types::{SiteId, SizeModel};
+use causal_types::{Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -103,7 +105,7 @@ pub struct RunOutcome {
 /// Resolve a configured worker count against a system size: `0` means one
 /// worker per available core, and the result is always in `[1, n]` (more
 /// workers than sites would only idle).
-pub(crate) fn resolve_workers(configured: usize, n: usize) -> usize {
+fn resolve_workers(configured: usize, n: usize) -> usize {
     let w = if configured == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
@@ -409,9 +411,9 @@ impl Routes {
 }
 
 /// A spawned-but-not-yet-collected run: the fabric plus the worker pool.
-pub(crate) struct Cluster {
-    pub(crate) routes: Arc<Routes>,
-    pub(crate) quiesce: Arc<Quiesce>,
+struct Cluster {
+    routes: Arc<Routes>,
+    quiesce: Arc<Quiesce>,
     /// The worker pool — every thread the run spawned.
     handles: Vec<JoinHandle<Vec<NodeOutcome>>>,
 }
@@ -420,9 +422,9 @@ pub(crate) struct Cluster {
 /// transports can capture it: mailboxes + routing on the sending side,
 /// the matching receivers held here until [`Fabric::spawn`] hands them to
 /// the workers.
-pub(crate) struct Fabric {
-    pub(crate) routes: Arc<Routes>,
-    pub(crate) quiesce: Arc<Quiesce>,
+struct Fabric {
+    routes: Arc<Routes>,
+    quiesce: Arc<Quiesce>,
     rxs: Vec<MailboxRx>,
 }
 
@@ -433,7 +435,7 @@ const MAX_WORKERS: usize = u128::BITS as usize;
 
 /// Build the fabric for `n` sites sharded over `workers` workers
 /// (`workers` must already be resolved via [`resolve_workers`]).
-pub(crate) fn build_fabric(n: usize, workers: usize) -> Fabric {
+fn build_fabric(n: usize, workers: usize) -> Fabric {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
     assert!(workers <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mailbox()).unzip();
@@ -602,13 +604,8 @@ fn worker_loop(
 
 /// Wait for quiescence (every driver exhausted and the in-flight tally
 /// at zero), broadcast `Stop`, join the worker pool, and merge the
-/// per-site outcomes. `conn_errors` are the transports' connection-failure
-/// counters, folded in *after* the join so late teardown races are
-/// included; the pool size lands in `metrics.threads_spawned`.
-pub(crate) fn drive(
-    cluster: Cluster,
-    conn_errors: &[Arc<AtomicU64>],
-) -> (History, RunMetrics, usize) {
+/// per-site outcomes; the pool size lands in `metrics.threads_spawned`.
+fn drive(cluster: Cluster) -> (History, RunMetrics, usize) {
     let n = cluster.routes.sites();
     cluster.quiesce.wait_quiescent();
     for site in 0..n {
@@ -626,57 +623,104 @@ pub(crate) fn drive(
             final_pending += out.final_pending;
         }
     }
-    for c in conn_errors {
-        metrics.transport_conn_errors += c.load(Ordering::Relaxed);
-    }
     (history, metrics, final_pending)
 }
 
-/// Run the workload on the sharded worker pool over in-process channels.
-/// Blocks until quiescent.
-pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
-    let n = cfg.workload.n;
-    assert_eq!(cfg.placement.n(), n);
-    let schedule = generate(&cfg.workload);
+/// Deploy one cluster and run it to quiescence: build the fabric, pick
+/// the transport, spawn the worker pool with one [`Node`] per site —
+/// `ops(i)` is site `i`'s operation driver — drive it, and fold the
+/// transport's gauges in *after* the join, so late teardown races are
+/// included. `elapsed` runs from before the fabric exists to quiescence.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn deploy(
+    protocol: ProtocolKind,
+    placement: Arc<Placement>,
+    transport: ServeTransport,
+    workers: usize,
+    payload_len: u32,
+    size_model: SizeModel,
+    batch: Option<BatchWindow>,
+    ops: impl Fn(usize) -> OpDriver,
+) -> Result<RunOutcome> {
+    let n = placement.n();
+    let repl: Arc<dyn Replication> = placement;
     let start = Instant::now();
 
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let repl: Arc<dyn Replication> = cfg.placement.clone();
-    let conn_errors = Arc::new(AtomicU64::new(0));
-    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new(
-        fabric.routes.clone(),
-        conn_errors.clone(),
-    ));
+    let fabric = build_fabric(n, resolve_workers(workers, n));
+    let channel_errors = Arc::new(AtomicU64::new(0));
+    let mesh = match transport {
+        ServeTransport::Tcp => Some(Arc::new(MuxTransport::connect(
+            &fabric.routes,
+            &fabric.quiesce,
+        )?)),
+        ServeTransport::Channel => None,
+    };
+    let transport: Arc<dyn Transport> = match &mesh {
+        Some(m) => m.clone(),
+        None => Arc::new(ChannelTransport::new(
+            fabric.routes.clone(),
+            channel_errors.clone(),
+        )),
+    };
+
     let quiesce = fabric.quiesce.clone();
     let cluster = fabric.spawn(&transport, |i| {
         let site = SiteId::from(i);
         Node::new(
             site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
+            build_site(protocol, site, repl.clone(), ProtocolConfig::default()),
+            ops(i),
+            n,
+            payload_len,
+            transport.clone(),
+            quiesce.clone(),
+            size_model,
+            batch,
+            start,
+        )
+    });
+
+    let (history, mut metrics, final_pending) = drive(cluster);
+    let elapsed = start.elapsed();
+    if let Some(m) = mesh {
+        m.fold_gauges(&mut metrics);
+    }
+    metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
+    Ok(RunOutcome {
+        history,
+        metrics,
+        final_pending,
+        elapsed,
+    })
+}
+
+/// Replay `cfg`'s workload (the simulator's schedule for the same seed)
+/// on a deployment over `transport`.
+pub(crate) fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<RunOutcome> {
+    assert_eq!(cfg.placement.n(), cfg.workload.n);
+    let schedule = generate(&cfg.workload);
+    deploy(
+        cfg.protocol,
+        cfg.placement.clone(),
+        transport,
+        cfg.workers,
+        cfg.workload.payload_len,
+        cfg.size_model,
+        cfg.batch,
+        |i| {
             OpDriver::replay(
                 schedule.per_site[i].clone(),
                 schedule.warmup_events,
                 cfg.time_scale,
-            ),
-            n,
-            cfg.workload.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
-        )
-    });
-    drop(transport);
+            )
+        },
+    )
+}
 
-    let (history, metrics, final_pending) = drive(cluster, &[conn_errors]);
-
-    RunOutcome {
-        history,
-        metrics,
-        final_pending,
-        elapsed: start.elapsed(),
-    }
+/// Run the workload on the sharded worker pool over in-process channels.
+/// Blocks until quiescent.
+pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
+    replay(cfg, ServeTransport::Channel).expect("the channel fabric opens no socket")
 }
 
 #[cfg(test)]

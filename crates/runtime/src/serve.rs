@@ -15,17 +15,15 @@
 //! [`crate::run_threaded`] with the simulator's workload) instead.
 
 use crate::loadgen::{ClosedLoop, LoadProfile};
-use crate::node::{BatchWindow, ChannelTransport, Node, OpDriver, Transport};
-use crate::runner::{build_fabric, drive, resolve_workers};
-use crate::tcp::MuxTransport;
+use crate::node::{BatchWindow, OpDriver};
+use crate::runner::deploy;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, OpLatency, RunMetrics};
-use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
+use causal_proto::ProtocolKind;
 use causal_types::{Result, SiteId, SizeModel};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which fabric carries the mesh traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,67 +121,30 @@ impl ServeReport {
 /// Deploy the cluster, run the client fleet to completion, and collect the
 /// report. Blocks until quiescent.
 pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
-    let n = cfg.n;
     let placement = if cfg.protocol.supports_partial() {
-        Arc::new(Placement::paper_partial(n)?)
+        Placement::paper_partial(cfg.n)?
     } else {
-        Arc::new(Placement::full(n)?)
+        Placement::full(cfg.n)?
     };
-    let repl: Arc<dyn Replication> = placement;
     let latency = Arc::new(Mutex::new(OpLatency::new()));
-    let start = Instant::now();
-
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    // One transport per fabric; the TCP mesh's gauges are folded into the
-    // metrics after the workers exit.
-    let channel_errors = Arc::new(AtomicU64::new(0));
-    let mesh = match cfg.transport {
-        ServeTransport::Tcp => Some(Arc::new(MuxTransport::connect(
-            &fabric.routes,
-            &fabric.quiesce,
-        )?)),
-        ServeTransport::Channel => None,
-    };
-    let transport: Arc<dyn Transport> = match &mesh {
-        Some(m) => m.clone(),
-        None => Arc::new(ChannelTransport::new(
-            fabric.routes.clone(),
-            channel_errors.clone(),
-        )),
-    };
-
-    let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(&transport, |i| {
-        let site = SiteId::from(i);
-        Node::new(
-            site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
-            OpDriver::Closed(ClosedLoop::new(&cfg.load, site, latency.clone())),
-            n,
-            cfg.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
-        )
-    });
-    drop(transport);
-
-    let (history, mut metrics, final_pending) = drive(cluster, &[]);
-    let elapsed = start.elapsed();
-    if let Some(m) = mesh {
-        m.fold_gauges(&mut metrics);
-    }
-    metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
+    let run = deploy(
+        cfg.protocol,
+        Arc::new(placement),
+        cfg.transport,
+        cfg.workers,
+        cfg.payload_len,
+        cfg.size_model,
+        cfg.batch,
+        |i| OpDriver::Closed(ClosedLoop::new(&cfg.load, SiteId::from(i), latency.clone())),
+    )?;
 
     let latency = latency.lock().expect("latency recorder poisoned");
     Ok(ServeReport {
         ops: latency.count(),
-        elapsed,
+        elapsed: run.elapsed,
         latency: latency.summary(),
-        metrics,
-        history,
-        final_pending,
+        metrics: run.metrics,
+        history: run.history,
+        final_pending: run.final_pending,
     })
 }

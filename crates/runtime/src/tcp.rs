@@ -88,14 +88,12 @@
 //! suffice. A multi-host mesh (`--join`, parked) has no shared memory to
 //! carry them and is where a `poll`/`epoll` shim would be needed.
 
-use crate::node::{Node, OpDriver, Transport};
-use crate::runner::{
-    build_fabric, drive, locked, resolve_workers, Quiesce, Routes, RunOutcome, RuntimeConfig,
-};
+use crate::node::Transport;
+use crate::runner::{locked, replay, Quiesce, Routes, RunOutcome, RuntimeConfig};
+use crate::serve::ServeTransport;
 use causal_metrics::RunMetrics;
-use causal_proto::{build_site, wire, Msg, ProtocolConfig, Replication};
+use causal_proto::{wire, Msg};
 use causal_types::{Error, Result, SiteId};
-use causal_workload::generate;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -577,46 +575,7 @@ fn route_frame(
 /// Run the workload over the multiplexed loopback-TCP worker mesh. Blocks
 /// until quiescent.
 pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
-    let n = cfg.workload.n;
-    assert_eq!(cfg.placement.n(), n);
-    let schedule = generate(&cfg.workload);
-    let start = Instant::now();
-
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let mesh = Arc::new(MuxTransport::connect(&fabric.routes, &fabric.quiesce)?);
-    let repl: Arc<dyn Replication> = cfg.placement.clone();
-    let transport: Arc<dyn Transport> = mesh.clone();
-    let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(&transport, |i| {
-        let site = SiteId::from(i);
-        Node::new(
-            site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
-            OpDriver::replay(
-                schedule.per_site[i].clone(),
-                schedule.warmup_events,
-                cfg.time_scale,
-            ),
-            n,
-            cfg.workload.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
-        )
-    });
-    drop(transport);
-
-    let (history, mut metrics, final_pending) = drive(cluster, &[]);
-    mesh.fold_gauges(&mut metrics);
-
-    Ok(RunOutcome {
-        history,
-        metrics,
-        final_pending,
-        elapsed: start.elapsed(),
-    })
+    replay(cfg, ServeTransport::Tcp)
 }
 
 #[cfg(test)]

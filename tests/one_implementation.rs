@@ -5,8 +5,9 @@
 //! predicate, the drain loop — lives in `causal_proto::{replica, pending}`,
 //! and the five protocol files hold only their `Tracker`. Threads: a live
 //! run is its scheduler workers, spawned in one place; the TCP fabric has
-//! none of its own. A second copy growing back is how the copies drifted
-//! apart before.
+//! none of its own, and a cluster is deployed — fabric, transport, spawn,
+//! drive — in one place. Benchmark: `bench/` is the only one. A second copy
+//! growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -138,5 +139,77 @@ fn the_worker_pool_is_the_only_thread_the_runtime_spawns() {
     }
     for gone in [["fn writer", "_loop"], ["fn reader", "_loop"]].map(|h| h.concat()) {
         assert_eq!(files_with(&everywhere, &gone), [""; 0], "`{gone}`");
+    }
+}
+
+#[test]
+fn a_cluster_is_deployed_in_one_place() {
+    let sources = sources();
+    for call in ["build_fabric(", ".spawn(&transport", "drive(cluster"] {
+        let callers: Vec<_> = sources
+            .iter()
+            .filter(|(path, _)| path.to_string_lossy().contains("crates/runtime/src/"))
+            .flat_map(|(path, text)| {
+                let code = outside_test_modules(text);
+                let calls = code.lines().filter(|l| l.contains(call));
+                // `fn build_fabric(` is the definition, not a deployment.
+                let hits = calls.filter(|l| !l.contains("fn ")).count();
+                std::iter::repeat_n(path.clone(), hits)
+            })
+            .collect();
+        assert_eq!(callers.len(), 1, "`{call}`: {callers:?}");
+        assert!(callers[0].ends_with("crates/runtime/src/runner.rs"));
+    }
+}
+
+/// Add every file under `dir` to `out`, build output excepted.
+fn walk_all(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in fs::read_dir(dir).expect("readable tree") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                walk_all(&path, out);
+            }
+        } else if let Ok(text) = fs::read_to_string(&path) {
+            out.push((path, text));
+        }
+    }
+}
+
+#[test]
+fn bench_is_the_only_benchmark() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "scripts", ".github", "vendor"] {
+        walk_all(&root.join(dir), &mut files);
+    }
+    let manifest = root.join("Cargo.toml");
+    let text = fs::read_to_string(&manifest).expect("root manifest");
+    files.push((manifest, text));
+    let rel = |path: &Path| path.strip_prefix(root).expect("under the root").to_owned();
+
+    // No cargo bench target and no criterion outside `bench/`.
+    for (path, text) in &files {
+        assert!(
+            !path.components().any(|c| c.as_os_str() == "benches"),
+            "{}: a benches/ directory",
+            rel(path).display()
+        );
+        if path.ends_with("Cargo.toml") {
+            for gone in ["[[bench]]", "criterion", "[profile.bench]"] {
+                assert!(!text.contains(gone), "{}: `{gone}`", rel(path).display());
+            }
+        }
+    }
+    // The superseded reports and the cross-machine baseline are not
+    // written, read or gated on anywhere. (The needles are split so this
+    // file does not match itself.)
+    for gone in [["BENCH", "_PR"], ["bench-", "baseline"]].map(|h| h.concat()) {
+        let hits: Vec<_> = files
+            .iter()
+            .filter(|(path, text)| text.contains(&gone) || path.to_string_lossy().contains(&gone))
+            .map(|(path, _)| rel(path))
+            .collect();
+        assert!(hits.is_empty(), "`{gone}`: {hits:?}");
     }
 }
