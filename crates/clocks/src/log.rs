@@ -239,9 +239,8 @@ impl Log {
             }
             let mut removed = 0;
             for e in &mut self.entries {
-                let before = e.dests.len();
+                removed += e.dests.intersect(&covered).len();
                 e.dests.subtract(&covered);
-                removed += before - e.dests.len();
             }
             self.dest_ids -= removed;
         }
@@ -429,9 +428,8 @@ impl Log {
                 }
                 let mut newer = DestSet::EMPTY;
                 for e in self.entries[group_start..group_end].iter_mut().rev() {
-                    let before = e.dests.len();
+                    removed += e.dests.intersect(&newer).len();
                     e.dests.subtract(&newer);
-                    removed += before - e.dests.len();
                     newer = newer.union(&e.dests);
                 }
                 group_end = group_start;

@@ -203,6 +203,13 @@ struct Applying<'a, T: Tracker> {
 }
 
 impl<T: Tracker> Applying<'_, T> {
+    /// The activation predicate of `m` from `sender`.
+    fn ready(&self, sender: SiteId, m: &Parked<T::Stamp>) -> bool {
+        self.tracker
+            .blocking_dep(self.core, sender, &m.stamp)
+            .is_none()
+    }
+
     fn apply(&mut self, sender: SiteId, m: Parked<T::Stamp>) {
         let (var, value) = (m.var, m.value);
         self.values.insert(var, value);
@@ -242,25 +249,31 @@ impl<T: Tracker> Replica<T> {
         }
     }
 
-    /// Apply `own` — the writer's own update, which skips the predicate —
-    /// when given, then every parked update whose predicate holds, to a
-    /// fixpoint; the `Applied` effects go to `out` in apply order.
-    fn apply_ready(&mut self, own: Option<Parked<T::Stamp>>, out: &mut Vec<Effect>) {
-        let mut st = Applying {
+    /// The parked updates, and beside them everything applying one touches;
+    /// the `Applied` effects go to `out` in apply order.
+    fn applying<'a>(
+        &'a mut self,
+        out: &'a mut Vec<Effect>,
+    ) -> (&'a mut PendingQueues<Parked<T::Stamp>>, Applying<'a, T>) {
+        let st = Applying {
             core: &mut self.core,
             values: &mut self.values,
             slots: &mut self.slots,
             tracker: &mut self.tracker,
             out,
         };
+        (&mut self.pending, st)
+    }
+
+    /// Apply `own` — the writer's own update, which skips the predicate —
+    /// when given, then every parked update whose predicate holds, to a
+    /// fixpoint.
+    fn apply_ready(&mut self, own: Option<Parked<T::Stamp>>, out: &mut Vec<Effect>) {
+        let (pending, mut st) = self.applying(out);
         if let Some(m) = own {
             st.apply(st.core.site, m);
         }
-        self.pending.drain(
-            &mut st,
-            |st, sender, m| st.tracker.blocking_dep(st.core, sender, &m.stamp).is_none(),
-            |st, sender, m| st.apply(sender, m),
-        );
+        pending.drain(&mut st, Applying::ready, Applying::apply);
     }
 
     /// `peer`'s lost traffic will never arrive: drop what is parked from it
@@ -357,22 +370,29 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
                 if horizon.is_some_and(|h| sm.value.writer.clock <= h[from.index()]) {
                     return Vec::new();
                 }
-                if self.core.trace.enabled() {
-                    let dep = self.tracker.blocking_dep(&self.core, from, &stamp);
-                    if let Some((dep_site, dep_clock)) = dep {
-                        self.core.trace.emit(ProtoTraceEvent::Buffered {
-                            origin: sm.value.writer.site,
-                            clock: sm.value.writer.clock,
-                            var: sm.var,
-                            dep_site,
-                            dep_clock,
-                        });
-                    }
+                // The predicate is evaluated here, once: its witness is what
+                // a trace names, its verdict what the offer acts on.
+                let dep = self.tracker.blocking_dep(&self.core, from, &stamp);
+                if let Some((dep_site, dep_clock)) = dep {
+                    self.core.trace.emit(ProtoTraceEvent::Buffered {
+                        origin: sm.value.writer.site,
+                        clock: sm.value.writer.clock,
+                        var: sm.var,
+                        dep_site,
+                        dep_clock,
+                    });
                 }
                 let (var, value) = (sm.var, sm.value);
-                self.pending.push(from, Parked { var, value, stamp });
                 let mut effects = Vec::new();
-                self.apply_ready(None, &mut effects);
+                let (pending, mut st) = self.applying(&mut effects);
+                pending.offer(
+                    &mut st,
+                    from,
+                    Parked { var, value, stamp },
+                    dep.is_none(),
+                    Applying::ready,
+                    Applying::apply,
+                );
                 effects
             }
             Msg::Fm(_) | Msg::Rm(_) if self.core.repl.is_full() => panic!(
@@ -696,13 +716,19 @@ mod tests {
     }
 
     /// s0 writes `X`; s1 applies it, reads it and overwrites it. Returns
-    /// the two SMs addressed to s2 — s0's, then s1's, which depends on it —
-    /// and the two writes.
-    fn dependent_pair(sys: &mut [Box<dyn ProtocolSite>]) -> ([Msg; 2], [WriteId; 2]) {
+    /// the two writes — s0's, then s1's, which depends on it — each with
+    /// its effects.
+    fn dependent_writes(sys: &mut [Box<dyn ProtocolSite>]) -> [(WriteId, Vec<Effect>); 2] {
         let (w0, e0) = sys[0].write(X, 10, 0);
         sys[1].on_message(SiteId(0), sm_to(&e0, SiteId(1)));
         sys[1].read(X);
-        let (w1, e1) = sys[1].write(X, 11, 0);
+        [(w0, e0), sys[1].write(X, 11, 0)]
+    }
+
+    /// [`dependent_writes`], as the two SMs addressed to s2 and the two
+    /// writes.
+    fn dependent_pair(sys: &mut [Box<dyn ProtocolSite>]) -> ([Msg; 2], [WriteId; 2]) {
+        let [(w0, e0), (w1, e1)] = dependent_writes(sys);
         ([sm_to(&e0, SiteId(2)), sm_to(&e1, SiteId(2))], [w0, w1])
     }
 
@@ -754,6 +780,99 @@ mod tests {
             sys[2].on_message(SiteId(1), second);
             assert_eq!(sys[2].pending_len(), 1, "{kind}");
             assert!(sys[2].take_trace().is_empty(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_ready_arrival_applies_past_a_parked_update_and_leaves_it_parked() {
+        for kind in KINDS {
+            let mut sys = cluster(kind);
+            sys[2].set_tracing(true);
+            // An earlier write of s0, on a variable s2 also holds, that
+            // nothing depends on.
+            let (w, e) = sys[0].write(VarId(2), 9, 0);
+            let unrelated = sm_to(&e, SiteId(2));
+            if !kind.supports_partial() {
+                sys[1].on_message(SiteId(0), sm_to(&e, SiteId(1)));
+            }
+            let ([first, second], [w0, w1]) = dependent_pair(&mut sys);
+
+            let eff = sys[2].on_message(SiteId(1), second);
+            assert!(applied(&eff).is_empty(), "{kind}");
+            assert_eq!(sys[2].pending_len(), 1, "{kind}");
+            // Ready on arrival, with s1's update parked: it applies, and
+            // the parked update neither moves nor is reported again.
+            let eff = sys[2].on_message(SiteId(0), unrelated);
+            assert_eq!(applied(&eff), vec![w], "{kind}");
+            assert_eq!(sys[2].pending_len(), 1, "{kind}");
+            let eff = sys[2].on_message(SiteId(0), first);
+            assert_eq!(applied(&eff), vec![w0, w1], "{kind}");
+            assert_eq!(sys[2].pending_len(), 0, "{kind}");
+            let trace = sys[2].take_trace();
+            let buffered = trace
+                .iter()
+                .filter(|e| matches!(e, ProtoTraceEvent::Buffered { .. }));
+            assert_eq!(buffered.count(), 1, "{kind}: {trace:?}");
+        }
+    }
+
+    #[test]
+    fn a_peer_fast_forward_drops_what_the_peer_parked_and_releases_what_waited_on_it() {
+        let forward = |site: &mut Box<dyn ProtocolSite>, ledger: &OwnLedger, departed| {
+            if departed {
+                site.note_peer_departed(SiteId(1), ledger)
+            } else {
+                site.note_peer_recovery(SiteId(1), ledger)
+            }
+        };
+        for (kind, departed) in KINDS.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+            // `dependent_writes`, then s0 reads what s1 wrote — from s1
+            // where it does not hold `X` — and writes: at s2 that write
+            // waits for s1's.
+            let script = || {
+                let mut sys = cluster(kind);
+                let [(w0, e0), (_, e1)] = dependent_writes(&mut sys);
+                let (first, second) = (sm_to(&e0, SiteId(2)), sm_to(&e1, SiteId(2)));
+                if let ReadResult::Fetch { target, msg } = sys[0].read(X) {
+                    let reply = sys[target.index()].on_message(SiteId(0), msg);
+                    let [Effect::Send { msg: rm, .. }] = &reply[..] else {
+                        panic!("{kind}: an FM is answered by one RM, not {reply:?}");
+                    };
+                    sys[0].on_message(target, rm.clone());
+                } else {
+                    sys[0].on_message(SiteId(1), sm_to(&e1, SiteId(0)));
+                    sys[0].read(X);
+                }
+                let (w2, e2) = sys[0].write(VarId(2), 13, 0);
+                let third = sm_to(&e2, SiteId(2));
+                let ledger = sys[1].own_ledger();
+                (sys.remove(2), ledger, [first, second, third], [w0, w2])
+            };
+
+            // s1's own update is parked when s1 is fast-forwarded past: it
+            // is dropped, and what arrives afterwards applies on arrival.
+            let (mut s2, ledger, [first, second, third], [w0, w2]) = script();
+            s2.on_message(SiteId(1), second);
+            assert_eq!(s2.pending_len(), 1, "{kind}");
+            let (eff, dropped) = forward(&mut s2, &ledger, departed);
+            assert_eq!((applied(&eff), dropped), (vec![], 1), "{kind}");
+            assert_eq!(s2.pending_len(), 0, "{kind}");
+            let eff = s2.on_message(SiteId(0), first);
+            assert_eq!(applied(&eff), vec![w0], "{kind}");
+            let eff = s2.on_message(SiteId(0), third);
+            assert_eq!(applied(&eff), vec![w2], "{kind}");
+            assert_eq!(s2.pending_len(), 0, "{kind}");
+
+            // s1's update never arrives and s0's waits for it: the
+            // fast-forward releases it.
+            let (mut s2, ledger, [first, _, third], [_, w2]) = script();
+            s2.on_message(SiteId(0), first);
+            let eff = s2.on_message(SiteId(0), third);
+            assert!(applied(&eff).is_empty(), "{kind}");
+            assert_eq!(s2.pending_len(), 1, "{kind}");
+            let (eff, dropped) = forward(&mut s2, &ledger, departed);
+            assert_eq!((applied(&eff), dropped), (vec![w2], 0), "{kind}");
+            assert_eq!(s2.pending_len(), 0, "{kind}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use causal_proto::{Frame, Msg};
 use causal_types::{SimTime, SiteId, VarId};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An event in the simulation.
@@ -124,35 +124,19 @@ pub enum SimEvent {
     },
 }
 
-struct Queued {
-    at: SimTime,
-    seq: u64,
-    ev: SimEvent,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (time, seq) pops
-        // first. `seq` breaks ties deterministically in insertion order.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// A deterministic event heap ordered by `(time, insertion sequence)`.
+///
+/// The heap sifts 24-byte keys; the events themselves sit still in a slab
+/// until popped.
 #[derive(Default)]
 pub struct EventHeap {
-    heap: BinaryHeap<Queued>,
+    /// `BinaryHeap` is a max-heap: `Reverse` makes the earliest `(at, seq)`
+    /// pop first, and `seq` breaks ties in insertion order. The last field
+    /// is the event's slot in `slab` (never compared: `seq` is unique).
+    heap: BinaryHeap<(Reverse<SimTime>, Reverse<u64>, u32)>,
+    slab: Vec<Option<SimEvent>>,
+    /// Vacant `slab` slots.
+    free: Vec<u32>,
     seq: u64,
     now: SimTime,
 }
@@ -172,20 +156,25 @@ impl EventHeap {
     /// logic error.
     pub fn push(&mut self, at: SimTime, ev: SimEvent) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.heap.push(Queued {
-            at,
-            seq: self.seq,
-            ev,
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("under 2^32 queued events")
         });
+        self.slab[slot as usize] = Some(ev);
+        self.heap.push((Reverse(at), Reverse(self.seq), slot));
         self.seq += 1;
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, SimEvent)> {
-        let q = self.heap.pop()?;
-        debug_assert!(q.at >= self.now, "clock must be monotone");
-        self.now = q.at;
-        Some((q.at, q.ev))
+        let (Reverse(at), _, slot) = self.heap.pop()?;
+        debug_assert!(at >= self.now, "clock must be monotone");
+        self.now = at;
+        let ev = self.slab[slot as usize]
+            .take()
+            .expect("a key names a full slot");
+        self.free.push(slot);
+        Some((at, ev))
     }
 
     /// Number of pending events.
@@ -202,7 +191,7 @@ impl EventHeap {
     /// membership layer's quiescence scan ("is any data frame still in
     /// flight?"), which only needs existence, not ordering.
     pub fn events(&self) -> impl Iterator<Item = &SimEvent> + '_ {
-        self.heap.iter().map(|q| &q.ev)
+        self.slab.iter().flatten()
     }
 }
 
@@ -279,13 +268,14 @@ mod tests {
 mod size_regression {
     use super::*;
 
-    /// Every queued event is moved through the [`EventHeap`] many times
-    /// (push, sift, pop), so `SimEvent` must stay register-friendly. The
-    /// dominant variant is `Deliver`, whose inline `Msg` shrank to a couple
-    /// of words once the piggybacked clocks/logs moved behind `Arc`s;
-    /// boxing it (as `DeliverFrame` does with the much larger `Frame`)
-    /// would trade these 88 bytes for a heap allocation per delivered
-    /// message on the hot path, which is the worse deal. If this grows,
+    /// A queued event is written into the [`EventHeap`]'s slab once and read
+    /// out once (the heap sifts keys, not events), and is passed by value
+    /// between the kernel and the simulator on either side of that, so
+    /// `SimEvent` should stay a few cache lines at most. The dominant
+    /// variant is `Deliver`, whose inline `Msg` is a couple of words because
+    /// the piggybacked clocks/logs sit behind `Arc`s; boxing it (as
+    /// `DeliverFrame` does with the much larger `Frame`) would add a heap
+    /// allocation per delivered message on the hot path. If this grows,
     /// find what fattened `Msg` — or box the new payload.
     #[test]
     fn sim_event_stays_small() {

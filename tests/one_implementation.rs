@@ -2,12 +2,13 @@
 //! and the lane record live in `causal_proto::driver`, and the harnesses
 //! (simulator, runtime) call it. Receive path: the site every protocol runs
 //! in — the one `impl ProtocolSite`, the update parked on its activation
-//! predicate, the drain loop — lives in `causal_proto::{replica, pending}`,
-//! and the five protocol files hold only their `Tracker`. Threads: a live
-//! run is its scheduler workers, spawned in one place; the TCP fabric has
-//! none of its own, and a cluster is deployed — fabric, transport, spawn,
-//! drive — in one place. Benchmark: `bench/` is the only one. A second copy
-//! growing back is how the copies drifted apart before.
+//! predicate, the offer and the drain loop — lives in
+//! `causal_proto::{replica, pending}`, and the five protocol files hold
+//! only their `Tracker`. Threads: a live run is its scheduler workers,
+//! spawned in one place; the TCP fabric has none of its own, and a cluster
+//! is deployed — fabric, transport, spawn, drive — in one place. Benchmark:
+//! `bench/` is the only one. A second copy growing back is how the copies
+//! drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,6 +86,20 @@ fn the_replica_shell_is_the_only_protocol_site_and_parks_and_drains_once() {
         let found = files_with(&proto, definition);
         assert_eq!(found, [home], "`{definition}` is defined once");
     }
+
+    // A delivery goes through `PendingQueues::offer`: outside the test
+    // modules nothing else in the crate appends to a queue of parked
+    // updates, and the shell has no push-then-drain of its own.
+    let code: Vec<_> = proto
+        .iter()
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    let parks = files_with(&code, "push_back(");
+    assert_eq!(parks, ["crates/proto/src/pending.rs"], "one place parks");
+    let shell = code.iter().find(|(path, _)| path.ends_with("replica.rs"));
+    let (_, shell) = shell.expect("replica.rs is in the walk");
+    assert_eq!(shell.matches("pending.offer(").count(), 1, "one delivery");
+    assert!(!shell.contains("pending.push("), "the shell parks nothing");
 }
 
 /// `text` without its top-level `#[cfg(test)]` items (the test modules).
