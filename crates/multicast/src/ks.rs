@@ -67,14 +67,18 @@ impl KsNode {
     fn deliver(&mut self, from: SiteId, m: KsMsg) -> Delivery {
         debug_assert!(self.delivered[from.index()] < m.seq, "FIFO per sender");
         self.delivered[from.index()] = m.seq;
-        // Delivery creates the causal edge: merge the piggyback, add the
-        // message's own record, scrub this process (condition 1) and
-        // normalize (condition 2 within senders + markers).
-        let mut incoming = m.log;
-        incoming.upsert(LogEntry::new(from, m.seq, m.dests));
-        self.log.merge(&incoming, self.prune);
-        self.log.remove_site(self.me);
-        self.log.purge(self.prune);
+        // Delivery creates the causal edge, composed as Opt-Track composes
+        // it: the piggyback plus the message's own record, minus this
+        // process (condition 1 — the delivery condition covered every
+        // mention), is what the message stands for; MERGE folds it in,
+        // scrubbing what `delivered` witnesses and normalizing (condition 2
+        // within senders + markers).
+        let own = LogEntry::new(from, m.seq, m.dests);
+        let incoming = m.log.with_own(own, self.me, None, self.prune);
+        let delivered = Some(&self.delivered[..]);
+        (self.log, _) = self
+            .log
+            .merge_applied(&incoming, self.me, delivered, self.prune);
         Delivery {
             id: WriteId::new(from, m.seq),
             payload: m.payload,
@@ -125,17 +129,17 @@ impl CausalMulticast for KsNode {
                 )
             })
             .collect();
+        let mut owed = dests;
+        if owed.remove(self.me) {
+            // Self-delivery is immediate (everything in our causal past is
+            // already delivered here, by definition of `→`), so the own
+            // record never lists this process. Nor does any other record:
+            // every delivery scrubs it (condition 1).
+            self.delivered[self.me.index()] = self.clock;
+        }
         // Local log update: condition 2 against the new send, then own
         // record.
-        self.log
-            .record_write(self.me, self.clock, dests, self.prune);
-        if dests.contains(self.me) {
-            // Self-delivery is immediate (everything in our causal past is
-            // already delivered here, by definition of `→`).
-            self.delivered[self.me.index()] = self.clock;
-            self.log.remove_site(self.me);
-            self.log.purge(self.prune);
-        }
+        self.log.record_write(self.me, self.clock, owed, self.prune);
         (id, outgoing)
     }
 

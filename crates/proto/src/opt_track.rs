@@ -32,9 +32,9 @@ use std::sync::Arc;
 /// Constructed **lazily**: most applied values are overwritten before ever
 /// being read, so the apply path just stores the shared piggyback snapshot
 /// and the write's own record, and the read / fetch-reply / sync paths
-/// materialize on first use. Materialization never mutates the shared
-/// snapshot (copy-on-write via `Arc::try_unwrap`-or-clone), so piggybacks
-/// still in flight are never aliased by a mutated log.
+/// materialize on first use. Materialization reads the shared snapshot and
+/// builds the slot's own log in one pass ([`Log::with_own`]), so piggybacks
+/// still in flight are never aliased by a mutated log — and never copied.
 #[derive(Clone, Debug)]
 pub struct LastWrite {
     log: Arc<Log>,
@@ -57,32 +57,22 @@ impl LastWrite {
         LastWrite { log, own: None }
     }
 
-    /// Implicit condition 1 on a freshly combined slot log. The historical
-    /// rule removes *every* mention of `me` — justified by the activation
-    /// predicate only for slots whose write arrived as an SM. A slot parked
-    /// by the site's *own* write skipped the predicate, so under `pin_self`
-    /// the removal is narrowed to the entries `last_clock` can witness as
-    /// applied here (equivalent for predicate-covered slots, strictly
-    /// sound for own-write slots).
-    fn condition1(log: &mut Log, me: SiteId, last_clock: &[u64], prune: PruneConfig) {
-        if prune.pin_self {
-            log.prune_applied(me, last_clock);
-        } else {
-            log.remove_site(me);
-        }
+    /// The piggyback with `own` folded in. The historical implicit
+    /// condition 1 removes *every* mention of `me` — justified by the
+    /// activation predicate only for slots whose write arrived as an SM. A
+    /// slot parked by the site's *own* write skipped the predicate, so
+    /// under `pin_self` the removal is narrowed to the entries `last_clock`
+    /// can witness as applied here (equivalent for predicate-covered slots,
+    /// strictly sound for own-write slots).
+    fn assoc(&self, own: LogEntry, me: SiteId, last_clock: &[u64], prune: PruneConfig) -> Log {
+        let caps = prune.pin_self.then_some(last_clock);
+        self.log.with_own(own, me, caps, prune)
     }
 
-    /// The assoc log, materializing in place on first use. The stored
-    /// snapshot is deep-cloned only if still shared with in-flight
-    /// messages or other sites' slots.
+    /// The assoc log, materializing in place on first use.
     fn materialize(&mut self, me: SiteId, last_clock: &[u64], prune: PruneConfig) -> &Arc<Log> {
         if let Some(own) = self.own.take() {
-            let mut log = Arc::try_unwrap(std::mem::take(&mut self.log))
-                .unwrap_or_else(|shared| (*shared).clone());
-            log.upsert(own);
-            Self::condition1(&mut log, me, last_clock, prune);
-            log.normalize(prune);
-            self.log = Arc::new(log);
+            self.log = Arc::new(self.assoc(own, me, last_clock, prune));
         }
         &self.log
     }
@@ -90,13 +80,10 @@ impl LastWrite {
     /// Owned materialized log without caching (for `&self` paths: sync
     /// export and size accounting).
     fn materialize_owned(&self, me: SiteId, last_clock: &[u64], prune: PruneConfig) -> Log {
-        let mut log = (*self.log).clone();
-        if let Some(own) = self.own {
-            log.upsert(own);
-            Self::condition1(&mut log, me, last_clock, prune);
-            log.normalize(prune);
+        match self.own {
+            Some(own) => self.assoc(own, me, last_clock, prune),
+            None => (*self.log).clone(),
         }
-        log
     }
 
     /// Size of the materialized log — what this slot will weigh once read.
@@ -121,10 +108,11 @@ impl LastWrite {
 #[derive(Clone)]
 pub struct OptTrack {
     /// `LOG_i` — the local KS log, behind shared ownership so a write's
-    /// fan-out piggybacks the snapshot by refcount alone. Mutations go
-    /// through [`Arc::make_mut`]: the deep clone is paid only when the log
-    /// actually changes while a piggyback of it is still in flight
-    /// (copy-on-write), never per destination and never per send.
+    /// fan-out piggybacks the snapshot by refcount alone. The write and
+    /// read paths build the successor log from the shared one in a single
+    /// pass and swap it in; nothing deep-clones it first. The rare paths
+    /// (stability GC, sync merge, departures) mutate through
+    /// [`Arc::make_mut`].
     log: Arc<Log>,
     /// Largest write-clock from each origin applied here. In partial
     /// replication a site receives only a subset of an origin's writes, so
@@ -150,28 +138,27 @@ impl OptTrack {
     }
 
     /// Read-side MERGE: fold a value's `LastWriteOn` log into `LOG_i`,
-    /// prune what this site already knows to be applied here, normalize.
+    /// prune what this site already knows to be applied here, normalize —
+    /// one pass ([`Log::merge_applied`]).
     fn merge_on_read(&mut self, cx: &mut Core, incoming: &Log) {
-        let log = Arc::make_mut(&mut self.log);
-        log.merge(incoming, self.prune);
-        let merged = log.len();
-        log.prune_applied(cx.site, &self.last_clock);
-        log.purge(self.prune);
-        let remaining = log.len();
-        if merged > remaining {
-            cx.trace.emit(ProtoTraceEvent::LogPruned {
-                removed: merged - remaining,
-                remaining,
-            });
+        let last_clock = Some(&self.last_clock[..]);
+        let (log, removed) = self
+            .log
+            .merge_applied(incoming, cx.site, last_clock, self.prune);
+        if removed > 0 {
+            let remaining = log.len();
+            cx.trace
+                .emit(ProtoTraceEvent::LogPruned { removed, remaining });
         }
+        self.log = Arc::new(log);
     }
 }
 
 impl Tracker for OptTrack {
     const KIND: ProtocolKind = ProtocolKind::OptTrack;
     /// The write's clock and the writer's pre-write log, shared across the
-    /// fan-out; apply unwraps it (or clones, if still shared) when it needs
-    /// the private mutable copy for `assoc`.
+    /// fan-out; a receiver's slot keeps the shared log and reads it in place
+    /// when it materializes.
     type Stamp = (u64, Arc<Log>);
     type Slot = LastWrite;
     type SyncMeta = Log;
@@ -180,12 +167,12 @@ impl Tracker for OptTrack {
         // Piggyback the *pre-write* log: "the outgoing update messages will
         // piggyback the currently stored records". Receivers thereby see the
         // writer's causal past, including its own still-relevant writes.
-        // Taking the snapshot is a refcount bump; `record_write` below pays
-        // the copy-on-write clone.
+        // Taking the snapshot is a refcount bump.
         let piggyback = Arc::clone(&self.log);
         // Local log update: condition 2 prunes destinations covered by this
-        // causally-later send, then the write's own record is added.
-        Arc::make_mut(&mut self.log).record_write(cx.site, wid.clock, dests, self.prune);
+        // causally-later send, then the write's own record is added. The
+        // successor is built from the snapshot, which stays as it is.
+        self.log = Arc::new(piggyback.with_write(cx.site, wid.clock, dests, self.prune));
         (wid.clock, piggyback)
     }
 
@@ -333,6 +320,9 @@ impl Tracker for OptTrack {
         let pi = peer.index();
         self.last_clock[pi] = self.last_clock[pi].max(ledger.own_clock);
         cx.apply[pi] += dropped as u64;
+        // In place and without a purge: what empties here stays until the
+        // next write or MERGE, as it always has (sync exports and
+        // piggybacks in between carry it, so purging would move bytes).
         Arc::make_mut(&mut self.log).prune_applied(cx.site, &self.last_clock);
     }
 
@@ -393,15 +383,19 @@ impl Tracker for OptTrack {
     }
 
     fn sync_merged(&mut self, cx: &Core) {
-        let log = Arc::make_mut(&mut self.log);
-        log.prune_applied(cx.site, &self.last_clock);
-        log.purge(self.prune);
+        // Implicit condition 1 on the merged `LOG_i`: a MERGE with nothing
+        // incoming drops what `last_clock` shows applied here.
+        let last_clock = Some(&self.last_clock[..]);
+        let (log, _) = self
+            .log
+            .merge_applied(&Log::new(), cx.site, last_clock, self.prune);
+        self.log = Arc::new(log);
     }
 
     fn slot_from_sync(&self, cx: &Core, _value: VersionedValue, meta: &Log) -> Self::Slot {
-        let mut log = meta.clone();
-        log.remove_site(cx.site);
-        log.normalize(self.prune);
+        // The donor's log minus every mention of this site, normalized: a
+        // MERGE with nothing incoming.
+        let (log, _) = meta.merge_applied(&Log::new(), cx.site, None, self.prune);
         LastWrite::materialized(Arc::new(log))
     }
 }
@@ -723,12 +717,11 @@ mod tests {
 
     #[test]
     fn piggyback_snapshot_never_aliases_mutated_log() {
-        // Regression test for the copy-on-write sharing: a captured
-        // piggyback is an immutable snapshot. Neither later writes at the
-        // writer (which fork `LOG_i` via `Arc::make_mut`) nor lazy
-        // materialization of a receiver's `LastWriteOn` slot (the
-        // `Arc::try_unwrap`-or-clone path) may alter the snapshot in place
-        // while an in-flight message still holds it.
+        // Regression test for the snapshot sharing: a captured piggyback
+        // is an immutable snapshot. Neither later writes and reads at the
+        // writer (which build `LOG_i`'s successor from the shared log) nor
+        // lazy materialization of a receiver's `LastWriteOn` slot may alter
+        // the snapshot in place while an in-flight message still holds it.
         let mut sys = toy_system();
         let snapshot_of = |sm: &Sm| -> Arc<Log> {
             let SmMeta::OptTrack { log, .. } = &sm.meta else {
@@ -747,8 +740,8 @@ mod tests {
         let expected = contents(&held);
         assert!(!expected.is_empty(), "snapshot must carry the causal past");
 
-        // Writer keeps going: record_write + merge-on-read must fork, not
-        // mutate the shared snapshot.
+        // Writer keeps going: the write-side record and merge-on-read must
+        // build anew, not mutate the shared snapshot.
         sys[0].write(VarId(0), 3, 0);
         sys[0].read(VarId(0));
         assert_eq!(contents(&held), expected, "writer mutated a live snapshot");
@@ -762,6 +755,60 @@ mod tests {
             contents(&held),
             expected,
             "receiver mutated a live snapshot"
+        );
+    }
+
+    #[test]
+    fn merge_on_read_reads_a_shared_log_in_place_and_reports_what_apply_knowledge_dropped() {
+        // s2 writes y (→ s1), then z (→ s0) piggybacking ⟨s2,1,{1,2}⟩. s1
+        // applies y, writes x so its own LOG is not empty, then fetches z
+        // from s0: the RM's log is [⟨s2,1,{1}⟩, ⟨s2,2,{2}⟩] and s1 already
+        // applied ⟨s2,1⟩, so that entry goes by apply knowledge alone.
+        let mut sys = toy_system();
+        let (_, e) = sys[2].write(VarId(1), 1, 0);
+        let sm_y = sends(&e)[0].1.clone();
+        let (_, e) = sys[2].write(VarId(2), 2, 0);
+        let sm_z = sends(&e)[0].1.clone();
+        sys[0].on_message(SiteId(2), Msg::Sm(sm_z));
+        sys[1].on_message(SiteId(2), Msg::Sm(sm_y));
+        sys[1].write(VarId(0), 3, 0);
+        let ReadResult::Fetch { msg, .. } = sys[1].read(VarId(2)) else {
+            panic!("z is not replicated at s1");
+        };
+        let reply = sys[0].on_message(SiteId(1), msg);
+        let Effect::Send { msg: rm, .. } = &reply[0] else {
+            panic!("expected RM send");
+        };
+        let Msg::Rm(crate::msg::Rm {
+            meta: RmMeta::OptTrack(Some(incoming)),
+            ..
+        }) = rm
+        else {
+            panic!("expected an Opt-Track RM with a log");
+        };
+
+        // A piggyback still in flight holds LOG_1.
+        let in_flight = Arc::clone(&sys[1].tracker.log);
+        let before = (*in_flight).clone();
+        assert!(!before.is_empty());
+        // The composition the fused MERGE replaced.
+        let mut expected = before.clone();
+        expected.merge(incoming, PruneConfig::default());
+        let merged = expected.len();
+        expected.prune_applied(SiteId(1), &sys[1].tracker.last_clock);
+        expected.purge(PruneConfig::default());
+        assert_eq!((merged, expected.len()), (3, 2), "the scenario prunes");
+
+        sys[1].set_tracing(true);
+        sys[1].on_message(SiteId(0), rm.clone());
+        assert_eq!(*in_flight, before, "the shared log was read, not written");
+        assert_eq!(*sys[1].tracker.log, expected);
+        assert_eq!(
+            sys[1].take_trace(),
+            vec![ProtoTraceEvent::LogPruned {
+                removed: 1,
+                remaining: 2,
+            }]
         );
     }
 

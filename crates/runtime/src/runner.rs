@@ -14,7 +14,9 @@
 //! — a scheduled operation or a batch window expiry — comes due. Senders
 //! always publish *then* wake, and a parked worker re-scans after every
 //! wake, so no frame can be stranded in a mailbox or a socket while its
-//! owner sleeps.
+//! owner sleeps. A pass that did work ends with one `yield_now`: a peer
+//! that shares this worker's CPU runs on what the pass just shipped now,
+//! not after this worker has run itself dry (see `worker_loop`).
 //!
 //! Quiescence is an exact condition — every driver exhausted and the
 //! global in-flight frame tally at zero, which is stable once true (see
@@ -538,8 +540,20 @@ const UNSETTLED_PARK: Duration = Duration::from_micros(50);
 /// Worker `me`'s event loop. One pass: pump the transport, round-robin
 /// over owned sites — drain (bounded), then issue due operations — and
 /// flush the transport; park until woken or the earliest timed event when
-/// the pass made no progress. Exits once every owned site has taken its
-/// `Stop`.
+/// the pass made no progress, yield the CPU once when it did. Exits once
+/// every owned site has taken its `Stop`.
+///
+/// The yield is for two workers on one CPU — more workers than cores, or a
+/// pool the kernel left where `main` spawned it. Without it the running
+/// worker keeps its time slice through the ~6 passes it takes until every
+/// one of its sites waits on the peer, sleeps, and the peer does the same:
+/// ~0.6 ms stretches, ~850 futex sleeps a second each. The 2-vCPU test
+/// host does not pull such a pair apart — whole 2 s saturated
+/// `serve-tcp-read` deployments ran on one vCPU, 140k ops/s instead of
+/// 240k, in bursts lasting minutes — and it does separate two threads
+/// that are both always runnable, which is what the pair becomes once each
+/// pass ends in a yield (docs/RUNTIME.md, "Scheduling loop"). A worker
+/// alone on its CPU pays one `sched_yield` that returns at once.
 fn worker_loop(
     me: usize,
     mut slots: Vec<SiteSlot>,
@@ -590,7 +604,9 @@ fn worker_loop(
         }
         // One encode-and-write per peer for everything this pass sent.
         unsettled |= transport.flush(me);
-        if live > 0 && !progressed {
+        if progressed {
+            std::thread::yield_now();
+        } else if live > 0 {
             // Park. Senders publish — a mailbox push, or a socket write
             // and its byte count — before they notify and the latch
             // saturates, so anything published after the pump and drain

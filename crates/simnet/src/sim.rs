@@ -79,6 +79,8 @@ struct Sim<'a> {
     chaos: Option<Chaos>,
     churn: Option<ChurnState>,
     stability: Option<StabilityState>,
+    /// Periodic ticks (checkpoint, stability) sitting in `heap`.
+    ticks_armed: usize,
 }
 
 impl<'a> Sim<'a> {
@@ -163,13 +165,11 @@ impl<'a> Sim<'a> {
                 .stability
                 .as_ref()
                 .map(|plan| StabilityState::new(n, plan.clone(), &members)),
+            ticks_armed: 0,
         };
 
         if let Some(plan) = &cfg.stability {
-            sim.heap.push(
-                SimTime::ZERO + plan.heartbeat_every,
-                SimEvent::StabilityTick,
-            );
+            sim.arm_tick(plan.heartbeat_every, SimEvent::StabilityTick);
         }
         if let Some(ch) = &sim.churn {
             for (idx, ev) in ch.plan.events.iter().enumerate() {
@@ -181,8 +181,7 @@ impl<'a> Sim<'a> {
             sim.heap.push(c.end, SimEvent::Recover { site: c.site });
         }
         if let Some(every) = cfg.durability.checkpoint_every {
-            sim.heap
-                .push(SimTime::ZERO + every, SimEvent::CheckpointTick);
+            sim.arm_tick(every, SimEvent::CheckpointTick);
         }
         // Arm the first operation of every process in the initial view; a
         // joiner's application starts when its view change installs.

@@ -5,21 +5,37 @@ use super::Sim;
 use crate::kernel::SimEvent;
 use causal_obs::EventKind;
 use causal_proto::StableCut;
-use causal_types::SiteId;
+use causal_types::{SimDuration, SiteId};
 
 impl Sim<'_> {
+    /// Schedule a periodic `tick` to fire `after` from now.
+    pub(super) fn arm_tick(&mut self, after: SimDuration, tick: SimEvent) {
+        self.ticks_armed += 1;
+        self.heap.push(self.now + after, tick);
+    }
+
+    /// The tick being handled left the heap; report whether it should be
+    /// re-armed. A tick keeps ticking only while the run is otherwise
+    /// live — some event that is not itself a periodic tick is pending —
+    /// so the cadence never keeps a quiescent system awake, and two
+    /// cadences never keep each other awake.
+    fn tick_fired(&mut self) -> bool {
+        self.ticks_armed -= 1;
+        self.heap.len() > self.ticks_armed
+    }
+
     pub(super) fn on_checkpoint_tick(&mut self) {
+        let rearm = self.tick_fired();
         self.checkpoint_dirty();
-        // Keep ticking only while the run is otherwise live, so the
-        // cadence never keeps a quiescent system awake.
-        if !self.heap.is_empty() {
+        if rearm {
             let every = self.cfg.durability.checkpoint_every;
             let every = every.expect("checkpoint tick without an interval");
-            self.heap.push(self.now + every, SimEvent::CheckpointTick);
+            self.arm_tick(every, SimEvent::CheckpointTick);
         }
     }
 
     pub(super) fn on_stability_tick(&mut self) {
+        let rearm = self.tick_fired();
         let up = match self.chaos.as_ref() {
             Some(c) => c.up(),
             None => vec![true; self.n],
@@ -100,9 +116,8 @@ impl Sim<'_> {
             let (origin, clock) = (w.site, w.clock);
             self.emit(s, EventKind::BufferedOverdue { origin, clock });
         }
-        if !self.heap.is_empty() {
-            self.heap
-                .push(self.now + heartbeat_every, SimEvent::StabilityTick);
+        if rearm {
+            self.arm_tick(heartbeat_every, SimEvent::StabilityTick);
         }
     }
 }

@@ -216,3 +216,32 @@ fn lag_metrics_are_recorded() {
         "lag quantile never fed"
     );
 }
+
+/// The stability heartbeat and the checkpoint cadence each re-arm only
+/// while the run is otherwise live. Each used to count the other's pending
+/// tick as liveness, so with both on the run never quiesced; a regression
+/// would spin forever, hence the watchdog.
+#[test]
+fn stability_and_checkpoint_ticks_do_not_keep_each_other_awake() {
+    for (kind, partial) in PROTOCOLS {
+        let cfg = soak_cfg(kind, partial, 40)
+            .with_durability(DurabilityPlan {
+                wal: true,
+                checkpoint_every: Some(SimDuration::from_millis(400)),
+                ..Default::default()
+            })
+            .with_stability(StabilityPlan::default());
+        let (done, result) = std::sync::mpsc::channel();
+        // A run that hangs cannot be joined; the send fails only once the
+        // watchdog below has already given up on it.
+        let worker = std::thread::spawn(move || drop(done.send(run(&cfg))));
+        let r = result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{kind}: the run did not quiesce"));
+        worker.join().expect("the run thread finished cleanly");
+        assert_eq!(r.final_pending, 0, "{kind}: parked updates left");
+        assert!(r.metrics.checkpoints > 0, "{kind}: the cadence never ran");
+        let v = check(r.history.as_ref().unwrap());
+        assert!(v.protocol_clean(), "{kind}: {:?}", v.examples);
+    }
+}

@@ -6,9 +6,12 @@
 //! `causal_proto::{replica, pending}`, and the five protocol files hold
 //! only their `Tracker`. Threads: a live run is its scheduler workers,
 //! spawned in one place; the TCP fabric has none of its own, and a cluster
-//! is deployed — fabric, transport, spawn, drive — in one place. Benchmark:
-//! `bench/` is the only one. A second copy growing back is how the copies
-//! drifted apart before.
+//! is deployed — fabric, transport, spawn, drive — in one place. KS log:
+//! MERGE, the write-side record and the `LastWriteOn` materialization are
+//! single passes in `causal_clocks::log`, and the protocols call them
+//! instead of composing whole-log passes by hand. Benchmark: `bench/` is
+//! the only one. A second copy growing back is how the copies drifted
+//! apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -175,6 +178,38 @@ fn a_cluster_is_deployed_in_one_place() {
         assert_eq!(callers.len(), 1, "`{call}`: {callers:?}");
         assert!(callers[0].ends_with("crates/runtime/src/runner.rs"));
     }
+}
+
+#[test]
+fn ks_log_operations_are_composed_in_the_log_not_by_its_callers() {
+    let sources = sources();
+    let code_of = |file: &str| {
+        let found = sources.iter().find(|(path, _)| path.ends_with(file));
+        outside_test_modules(&found.unwrap_or_else(|| panic!("{file} is in the walk")).1)
+    };
+    // The in-place primitives a multi-pass composition is made of. The one
+    // use left is Opt-Track's recovery fast-forward, a lone
+    // `prune_applied` that by design purges nothing.
+    let primitives = [
+        ".normalize(",
+        ".purge(",
+        ".prune_applied(",
+        ".remove_site(",
+        ".upsert(",
+    ];
+    for (file, allowed) in [
+        ("crates/proto/src/opt_track.rs", [0, 0, 1, 0, 0]),
+        ("crates/multicast/src/ks.rs", [0; 5]),
+    ] {
+        let code = code_of(file);
+        let calls = primitives.map(|call| code.matches(call).count());
+        assert_eq!(calls, allowed, "{file}: calls of {primitives:?}");
+    }
+    let opt_track = code_of("crates/proto/src/opt_track.rs");
+    let recovery = opt_track.find("fn peer_recovered(").expect("the hook");
+    let departure = opt_track.find("fn peer_departed(").expect("the next hook");
+    let at = opt_track.find(".prune_applied(").expect("counted above");
+    assert!((recovery..departure).contains(&at), "in peer_recovered");
 }
 
 /// Add every file under `dir` to `out`, build output excepted.
