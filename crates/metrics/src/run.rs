@@ -188,8 +188,8 @@ metrics_struct! {
         /// a peer that reads slower than this side writes. Zero on a healthy
         /// paced run, on the channel fabric and on the simulator.
         pub transport_write_stalls: u64 => sum,
-        /// Deepest per-site mailbox backlog observed by the worker scheduler
-        /// when it picked a site up (frames waiting in the crossbeam channel).
+        /// Deepest per-site backlog observed by the worker scheduler: the most
+        /// frames one taken inbox batch held for one site.
         pub mailbox_depth_peak: u64 => max,
         /// Per-site breakdown of the counters above (sends, delivers, applies,
         /// buffering, retransmits, dwell, fetch RTT).

@@ -2,13 +2,14 @@
 //!
 //! A real multi-threaded runtime for the causal-consistency protocols: a
 //! sharded M:N scheduler (a fixed pool of `W` worker threads multiplexing
-//! the `n` sites — the only threads a run has), a transport fabric
-//! between the workers (crossbeam FIFO channels or a multiplexed
-//! loopback-TCP mesh with one nonblocking socket per worker pair, read by
-//! its owning worker when a pass begins and written, coalesced, when it
-//! ends), and two ways to drive operations — wall-clock
-//! schedule replay (scaled) and the closed-loop load generator behind
-//! [`serve`] (budget- or duration-bounded).
+//! the `n` sites — the only threads a run has), one inbox per worker that
+//! its owner swaps out once per pass, a transport fabric between the
+//! workers (a hand-over from the sender's staging area into the peer's
+//! inbox, or a multiplexed loopback-TCP mesh with one nonblocking socket
+//! per worker pair, read by its owning worker when a pass begins — either
+//! way shipped once per peer when the pass ends), and two ways to drive
+//! operations — wall-clock schedule replay (scaled) and the closed-loop
+//! load generator behind [`serve`] (budget- or duration-bounded).
 //!
 //! The paper's testbed ran each site as a JDK process over TCP; this runtime
 //! is the analogous live deployment of the *identical* protocol objects that
@@ -27,12 +28,15 @@
 //! ## Shutdown protocol
 //!
 //! Quiescence in a live system needs care: a site may finish its schedule
-//! while its updates are still in flight. The runtime counts in-flight
-//! messages with an atomic — a send is counted before the frame leaves, a
-//! delivery un-counted only after its cascade sends were counted — so once
-//! every site has finished its schedule, "in-flight count is zero" is an
-//! exact and stable condition, not a guess to be confirmed by waiting. The
-//! coordinator — parked on a condvar the last decrement notifies, not a
+//! while its updates are still in flight. Every worker keeps two tallies
+//! that only grow — frames its sites sent, frames its sites are done with
+//! — a send counted before the frame leaves, a delivery counted done only
+//! after its cascade sends were counted sent; nothing is shared between
+//! workers. Once every site has finished its schedule, "the done tallies,
+//! summed first, equal the sent tallies, summed after" is an exact and
+//! stable condition, not a guess to be confirmed by waiting
+//! (docs/RUNTIME.md, "Quiescence"). The coordinator — parked on a condvar
+//! that a finishing site and a worker about to park notify, not a
 //! sleep-poll — then broadcasts `Stop` at once and joins the worker pool.
 //! A parked update at that point would be a protocol bug (reported in
 //! [`RunOutcome::final_pending`]).

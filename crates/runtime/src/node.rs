@@ -4,17 +4,17 @@
 //! The driver owns the site's ordering state — protocol state machine,
 //! per-destination lanes, the parked RemoteFetch (DESIGN.md, "Driver and
 //! harnesses"). A [`Node`] adds what is real about this deployment: the
-//! wall clock, a mailbox fed by the transport, the transport itself, the
-//! recorded history and metrics, and an [`OpDriver`] that decides *when
-//! the next operation happens* — either replaying a pre-generated workload
-//! schedule (so a simulator run with the same seed predicts this node's
-//! traffic message for message) or running the closed-loop clients of the
-//! `serve` load generator.
+//! wall clock, the transport that feeds its worker's inbox and carries its
+//! sends, the recorded history and metrics, and an [`OpDriver`] that
+//! decides *when the next operation happens* — either replaying a
+//! pre-generated workload schedule (so a simulator run with the same seed
+//! predicts this node's traffic message for message) or running the
+//! closed-loop clients of the `serve` load generator.
 //!
 //! The sharded scheduler in [`crate::runner`] multiplexes K sites onto
-//! each worker, calling [`Node::on_wire`] for every mailbox frame and
-//! [`Node::poll`] to issue due operations; a node must therefore never
-//! block. While the driver's fetch slot is occupied the site issues no new
+//! each worker, calling [`Node::on_wire`] for every frame the worker's
+//! inbox held for the site and [`Node::poll`] to issue due operations; a
+//! node must therefore never block. While the driver's fetch slot is occupied the site issues no new
 //! operations (one sequential process, exactly the paper's model) but
 //! keeps serving incoming messages, which is what unblocks the fetch in
 //! the first place.
@@ -27,41 +27,43 @@
 //! predictions run for run.
 
 use crate::loadgen::ClosedLoop;
-use crate::runner::{Quiesce, Routes};
+use crate::runner::{locked, Addressed, OwnLine, Quiesce, Routes};
 use causal_checker::History;
 use causal_clocks::BatchPolicy;
 use causal_metrics::RunMetrics;
 use causal_proto::{Msg, Output, ProtocolSite, SiteDriver};
 use causal_types::{OpKind, ScheduledOp, SiteId, SizeModel};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a node's outgoing messages reach their destination. The node logic
-/// is transport-agnostic: in-process runs use [`ChannelTransport`]
-/// (crossbeam channels), the TCP runner in [`crate::tcp`] moves the same
-/// frames over multiplexed loopback sockets — the paper's actual
-/// transport.
+/// is transport-agnostic: in-process runs use [`ChannelTransport`] (the
+/// workers' inboxes, nothing in between), the TCP runner in [`crate::tcp`]
+/// moves the same frames over multiplexed loopback sockets — the paper's
+/// actual transport.
 pub trait Transport: Send + Sync {
     /// Deliver one copy of `msg` (tagged with its warm-up attribution)
-    /// from `from` to the mailbox of every site in `to` — non-empty, no
-    /// site twice — reliably and in FIFO order per ordered pair. A unicast
-    /// is the one-destination case.
+    /// from `from` to every site in `to` — non-empty, no site twice —
+    /// reliably and in FIFO order per ordered pair. A unicast is the
+    /// one-destination case. Copies for another worker's sites may sit in
+    /// the transport until the sending worker's [`Transport::flush`].
     ///
     /// Returns how many of the destinations are unreachable — those copies
     /// never entered the network. The transport records the failures in
-    /// its connection-error counter; the caller un-counts them from the
-    /// in-flight tally so quiescence detection cannot hang on a message
-    /// that will never arrive.
+    /// its connection-error counter; the caller counts them done, so
+    /// quiescence detection cannot hang on a message that will never
+    /// arrive. (A copy the transport loses *after* `send` returned, it
+    /// counts done itself.)
     fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize;
 
     /// `worker`'s pass begins: move whatever peers have shipped toward it
-    /// into its sites' mailboxes. Only `worker`'s own thread calls this.
+    /// into its inbox. Only `worker`'s own thread calls this.
     ///
     /// Returns whether the transport is left *unsettled* — it knows of
     /// work that no wake-up will announce, so the worker must come back
-    /// shortly instead of parking until woken. A transport whose sends
-    /// land in the mailboxes directly has nothing to pump.
+    /// shortly instead of parking until woken. A transport whose
+    /// hand-overs land in the inboxes directly has nothing to pump.
     fn pump(&self, _worker: usize) -> bool {
         false
     }
@@ -76,19 +78,36 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// Crossbeam-channel transport: one unbounded mailbox per site, with the
-/// destination's worker woken through the shared routing table.
+/// The in-process transport: nothing but the workers' inboxes. A copy for
+/// a shard-mate of the sender goes straight into the sending worker's own
+/// inbox; a copy for another worker's site is *staged* — per (sending
+/// worker → peer worker), in send order — and handed over when the sending
+/// worker's pass ends: one lock, one append and one wake per peer and
+/// pass, however many frames (the shape [`crate::tcp`] has: queue in
+/// `send`, ship in `flush`).
 pub struct ChannelTransport {
     routes: Arc<Routes>,
+    quiesce: Arc<Quiesce>,
     conn_errors: Arc<AtomicU64>,
+    /// `stages[a][b]`: what worker `a`'s sites sent toward worker `b`'s
+    /// since `a`'s last flush. Only `a`'s thread locks `stages[a]`.
+    stages: Vec<OwnLine<Mutex<Vec<Vec<Addressed>>>>>,
 }
 
 impl ChannelTransport {
-    /// A channel fabric over `routes`, counting refused sends (peer
-    /// mailbox already gone) into `conn_errors`.
-    pub(crate) fn new(routes: Arc<Routes>, conn_errors: Arc<AtomicU64>) -> Self {
+    /// A channel fabric over `routes`, counting refused copies (the
+    /// destination's worker already gone) into `conn_errors`.
+    pub(crate) fn new(
+        routes: Arc<Routes>,
+        quiesce: Arc<Quiesce>,
+        conn_errors: Arc<AtomicU64>,
+    ) -> Self {
+        let w = routes.workers();
+        let stage = || OwnLine(Mutex::new((0..w).map(|_| Vec::new()).collect()));
         ChannelTransport {
+            stages: (0..w).map(|_| stage()).collect(),
             routes,
+            quiesce,
             conn_errors,
         }
     }
@@ -96,15 +115,44 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
-        // A same-shard destination is drained by the worker executing this
-        // very send; only the other workers need a wake.
-        let sender = self.routes.owner(from.index());
-        let refused = self.routes.fan_out(from, to, msg, measured, Some(sender));
-        // A late frame lost the race against shutdown: drop it cleanly
-        // instead of poisoning the run.
-        self.conn_errors
-            .fetch_add(refused as u64, Ordering::Relaxed);
+        let wa = self.routes.owner(from.index());
+        // One copy per destination: a refcount bump of the piggyback.
+        let copy = |d: &SiteId| (*d, Wire::msg(from, msg, measured));
+        let owner = |d: &SiteId| self.routes.owner(d.index());
+        // Same shard: the worker executing this very send takes the copy
+        // with its next pass — no wake.
+        let own = to.iter().filter(|d| owner(d) == wa);
+        let refused = self.routes.push_own(wa, own.map(copy));
+        locked(&self.stages[wa].0, |stage| {
+            for d in to.iter().filter(|d| owner(d) != wa) {
+                stage[owner(d)].push(copy(d));
+            }
+        });
+        if refused > 0 {
+            // A late frame lost the race against shutdown: drop it cleanly
+            // instead of poisoning the run.
+            self.conn_errors
+                .fetch_add(refused as u64, Ordering::Relaxed);
+        }
         refused
+    }
+
+    fn flush(&self, worker: usize) -> bool {
+        locked(&self.stages[worker].0, |stage| {
+            for (peer, staged) in stage.iter_mut().enumerate() {
+                if staged.is_empty() {
+                    continue;
+                }
+                // `send` has long returned: a copy the peer's closed inbox
+                // refuses is counted lost, and done, here.
+                let refused = self.routes.hand_over(peer, staged) as u64;
+                if refused > 0 {
+                    self.conn_errors.fetch_add(refused, Ordering::Relaxed);
+                    self.quiesce.frames_done(worker, refused);
+                }
+            }
+        });
+        false
     }
 }
 
@@ -122,6 +170,17 @@ pub enum Wire {
     },
     /// Coordinator broadcast: drain and exit.
     Stop,
+}
+
+impl Wire {
+    /// A copy of `msg` from `from` (a refcount bump of its piggyback).
+    pub(crate) fn msg(from: SiteId, msg: &Msg, measured: bool) -> Wire {
+        Wire::Msg {
+            from,
+            msg: msg.clone(),
+            measured,
+        }
+    }
 }
 
 /// What a site hands back to the coordinator when it stops.
@@ -249,6 +308,8 @@ pub struct Node {
     payload_len: u32,
     transport: Arc<dyn Transport>,
     quiesce: Arc<Quiesce>,
+    /// The worker that runs this site — whose tallies its frames count on.
+    worker: usize,
     /// Lane flush window; `None` when batching is off.
     window: Option<Duration>,
     /// Armed lane timers `(expiry, destination, lane epoch)`; the driver
@@ -280,6 +341,7 @@ impl Node {
         payload_len: u32,
         transport: Arc<dyn Transport>,
         quiesce: Arc<Quiesce>,
+        worker: usize,
         size_model: SizeModel,
         batch: Option<BatchWindow>,
         start: Instant,
@@ -295,6 +357,7 @@ impl Node {
             payload_len,
             transport,
             quiesce,
+            worker,
             window: batch.map(|b| b.window),
             timers: Vec::new(),
             out: Vec::new(),
@@ -307,8 +370,8 @@ impl Node {
         }
     }
 
-    /// Record the mailbox backlog the scheduler found when it picked this
-    /// site up.
+    /// Record how many frames the batch its worker just delivered held for
+    /// this site.
     pub(crate) fn note_mailbox_depth(&mut self, depth: usize) {
         self.metrics.mailbox_depth_peak = self.metrics.mailbox_depth_peak.max(depth as u64);
     }
@@ -340,10 +403,10 @@ impl Node {
                         // Driver exhausted (and no fetch outstanding).
                         // Flush parked lanes *before* reporting
                         // completion: every remaining update must be on
-                        // the wire (and in the in-flight tally) by the
-                        // time the coordinator can observe this site as
-                        // finished — cascades never produce new SMs, so
-                        // lanes stay empty from here on.
+                        // the wire (and counted sent) by the time the
+                        // coordinator can observe this site as finished —
+                        // cascades never produce new SMs, so lanes stay
+                        // empty from here on.
                         self.timers.clear();
                         self.driver.flush_lanes(&mut self.out);
                         self.apply_outputs();
@@ -357,7 +420,7 @@ impl Node {
         }
     }
 
-    /// Feed one mailbox frame. Returns `false` on `Stop` — the node is
+    /// Feed one inbox frame. Returns `false` on `Stop` — the node is
     /// done and must be collected with [`Node::finish`].
     pub(crate) fn on_wire(&mut self, wire: Wire) -> bool {
         match wire {
@@ -371,8 +434,8 @@ impl Node {
                     self.deliver(now, from, msg, measured)
                 });
                 // Cascade sends were counted while delivering, so the
-                // coordinator cannot observe a spurious in-flight zero.
-                self.quiesce.frames_done(1);
+                // coordinator cannot find the tallies equal too early.
+                self.quiesce.frames_done(self.worker, 1);
                 true
             }
             Wire::Stop => {
@@ -431,8 +494,10 @@ impl Node {
     /// (replay drivers ignore this).
     fn op_completed(&mut self, client: Option<usize>, t0: Instant) {
         if let Some(c) = client {
-            self.ops
-                .completed(c, self.start.elapsed(), t0.elapsed().as_nanos() as f64);
+            // One clock read serves the due-time offset and the latency.
+            let now = Instant::now();
+            let latency_ns = (now - t0).as_nanos() as f64;
+            self.ops.completed(c, now - self.start, latency_ns);
         }
     }
 
@@ -476,13 +541,15 @@ impl Node {
                         msg.sms()
                             .for_each(|sm| entries.record(sm.meta.entry_count() as f64));
                     }
-                    // One in-flight unit per destination, un-counted for
-                    // the copies a dead peer refused (the transport
-                    // counted those as connection errors).
-                    self.quiesce.frames_sent(self.dsts.len() as u64);
+                    // One frame per destination, counted sent before the
+                    // transport sees it and done at once for the copies a
+                    // dead peer refused (the transport counted those as
+                    // connection errors).
+                    let k = self.dsts.len() as u64;
+                    self.quiesce.frames_sent(self.worker, k);
                     let refused = self.transport.send(self.site, &self.dsts, &msg, measured);
                     if refused > 0 {
-                        self.quiesce.frames_done(refused as u64);
+                        self.quiesce.frames_done(self.worker, refused as u64);
                     }
                 }
                 Output::ArmLaneTimer { to, epoch } => {
@@ -575,7 +642,7 @@ mod tests {
         batch: Option<BatchWindow>,
     ) -> (Node, Arc<Recorder>, Arc<Quiesce>) {
         let wire = Arc::new(Recorder::default());
-        let quiesce = Arc::new(Quiesce::new(1));
+        let quiesce = Arc::new(Quiesce::new(1, 1));
         let node = Node::new(
             SiteId(0),
             build_site(kind, SiteId(0), repl, ProtocolConfig::default()),
@@ -584,6 +651,7 @@ mod tests {
             0,
             wire.clone(),
             quiesce.clone(),
+            0,
             SizeModel::default(),
             batch,
             Instant::now(),
@@ -600,7 +668,7 @@ mod tests {
             value: None,
             meta: RmMeta::FullTrack(None),
         });
-        quiesce.frames_sent(1);
+        quiesce.frames_sent(0, 1);
         let wire = Wire::Msg {
             from: SiteId(1),
             msg: stray,
@@ -651,7 +719,7 @@ mod tests {
         let Some(Effect::Send { msg, .. }) = answer.pop() else {
             panic!("the server answers the fetch")
         };
-        quiesce.frames_sent(1);
+        quiesce.frames_sent(0, 1);
         node.on_wire(Wire::Msg {
             from: SiteId(1),
             msg,
@@ -671,5 +739,99 @@ mod tests {
             "the write and the read both returned"
         );
         assert_eq!(out.metrics.dup_drops, 0);
+    }
+
+    /// A channel fabric of `n` sites over `workers` workers that the test
+    /// drives itself, with its refused-copy counter.
+    fn channel(n: usize, workers: usize) -> (ChannelTransport, Arc<Routes>, Arc<Quiesce>) {
+        let (routes, quiesce) = crate::runner::test_fabric(n, workers);
+        let fabric = ChannelTransport::new(routes.clone(), quiesce.clone(), Arc::default());
+        (fabric, routes, quiesce)
+    }
+
+    fn fm(var: u32) -> Msg {
+        Msg::Fm(Fm { var: VarId(var) })
+    }
+
+    /// `(destination, variable)` of every FM worker `w`'s inbox holds, in
+    /// arrival order.
+    fn inbox(routes: &Routes, w: usize) -> Vec<(usize, u32)> {
+        let var = |wire| match wire {
+            Wire::Msg {
+                msg: Msg::Fm(Fm { var }),
+                ..
+            } => var.0,
+            _ => panic!("expected an FM"),
+        };
+        let taken = routes.taken(w).into_iter();
+        taken
+            .map(|(site, wire)| (site.index(), var(wire)))
+            .collect()
+    }
+
+    #[test]
+    fn hand_over_keeps_pair_fifo_with_own_shard_and_cross_worker_copies_interleaved() {
+        // 4 sites over 2 workers: {0, 2} on worker 0, {1, 3} on worker 1.
+        // Site 0 alternates unicasts and a multicast toward its shard-mate
+        // and the other worker's sites; every receiver must see its frames
+        // in send order whichever way they travelled.
+        let (fabric, routes, _) = channel(4, 2);
+        let sends: [&[usize]; 5] = [&[1], &[2], &[3, 2, 1], &[2], &[1]];
+        for (var, to) in sends.iter().enumerate() {
+            let to: Vec<SiteId> = to.iter().map(|d| SiteId::from(*d)).collect();
+            assert_eq!(fabric.send(SiteId(0), &to, &fm(var as u32), false), 0);
+        }
+        assert_eq!(
+            inbox(&routes, 0),
+            [(2, 1), (2, 2), (2, 3)],
+            "own-shard copies arrive with the send"
+        );
+        assert!(inbox(&routes, 1).is_empty(), "cross-worker copies wait");
+        assert!(!fabric.flush(0));
+        assert_eq!(inbox(&routes, 1), [(1, 0), (3, 2), (1, 2), (1, 4)]);
+        assert!(inbox(&routes, 0).is_empty() && inbox(&routes, 1).is_empty());
+    }
+
+    #[test]
+    fn hand_over_to_a_closed_inbox_is_refused_at_flush_and_counted_once() {
+        let (fabric, routes, quiesce) = channel(2, 2);
+        let errors = || fabric.conn_errors.load(Ordering::Relaxed);
+        quiesce.frames_sent(0, 3);
+        for var in 0..3 {
+            // The copy is only staged: `send` cannot know yet.
+            assert_eq!(fabric.send(SiteId(0), &[SiteId(1)], &fm(var), false), 0);
+        }
+        routes.close(1);
+        assert_eq!((errors(), quiesce.in_flight()), (0, 3));
+        fabric.flush(0);
+        assert_eq!((errors(), quiesce.in_flight()), (3, 0), "lost, and done");
+        assert!(!routes.take_wake(1, Duration::ZERO), "nobody to wake");
+        fabric.flush(0);
+        assert_eq!((errors(), quiesce.in_flight()), (3, 0), "once");
+        // A worker that has left refuses its own sites' copies at `send`,
+        // where the caller counts them done.
+        routes.close(0);
+        assert_eq!(fabric.send(SiteId(0), &[SiteId(0)], &fm(9), false), 1);
+        assert_eq!((errors(), quiesce.in_flight()), (4, 0));
+    }
+
+    #[test]
+    fn an_idle_hand_over_takes_no_foreign_lock_and_wakes_nobody() {
+        // Worker 0 flushes with nothing staged while the test holds both
+        // other inboxes' locks: a flush that touched either would never
+        // report back.
+        let (fabric, routes, _) = channel(3, 3);
+        fabric.send(SiteId(0), &[SiteId(0)], &fm(0), false);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            routes.with_inbox_locked(1, || {
+                routes.with_inbox_locked(2, || {
+                    s.spawn(|| done_tx.send(fabric.flush(0)).expect("the test waits"));
+                    let flushed = done_rx.recv_timeout(Duration::from_secs(10));
+                    assert_eq!(flushed, Ok(false), "an idle flush waits for nobody");
+                })
+            })
+        });
+        assert!((0..3).all(|w| !routes.take_wake(w, Duration::ZERO)));
     }
 }

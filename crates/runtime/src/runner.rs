@@ -3,26 +3,34 @@
 //! A run spawns a fixed pool of `W` worker threads (not one thread per
 //! site) and nothing else: site `i` is owned by worker `i mod W`, and each
 //! worker runs one event loop — pump the transport (move what peers wrote
-//! toward it into its mailboxes), drain its sites' mailboxes and issue
-//! their due operations in fair round-robin, flush the transport (ship
-//! what the pass's sends queued). `W = n` gives every site its own
+//! toward it into its inbox), take the inbox (one swap under the worker's
+//! own mutex), deliver what it held in arrival order, issue every owned
+//! site's due operations, flush the transport (hand each peer worker what
+//! the pass's sends staged for it). `W = n` gives every site its own
 //! worker; `W = 0` auto-sizes to the machine's available parallelism.
 //!
+//! Frames cross workers once per pass, not once per frame: every worker
+//! has *one* inbox, a mutex-guarded `Vec` of `(destination, frame)`. A
+//! send toward a shard-mate appends to the sender's own inbox and wakes
+//! nobody; a send toward another worker is staged by the transport and
+//! handed over — one lock, one append, one wake per peer — when the pass
+//! ends (docs/RUNTIME.md, "Inbox and hand-over").
+//!
 //! Workers never spin. A worker parks on its wake latch (a saturating
-//! one-shot token) until either a peer enqueues a frame for one of its
-//! sites — or writes to one of its sockets — or the earliest timed event
-//! — a scheduled operation or a batch window expiry — comes due. Senders
-//! always publish *then* wake, and a parked worker re-scans after every
-//! wake, so no frame can be stranded in a mailbox or a socket while its
-//! owner sleeps. A pass that did work ends with one `yield_now`: a peer
-//! that shares this worker's CPU runs on what the pass just shipped now,
-//! not after this worker has run itself dry (see `worker_loop`).
+//! one-shot token) until either a peer hands frames over to its inbox —
+//! or writes to one of its sockets — or the earliest timed event — a
+//! scheduled operation or a batch window expiry — comes due. Senders
+//! always publish *then* wake, and a parked worker takes its inbox again
+//! after every wake, so no frame can be stranded in an inbox or a socket
+//! while its owner sleeps. A pass that did work ends with one `yield_now`:
+//! a peer that shares this worker's CPU runs on what the pass just shipped
+//! now, not after this worker has run itself dry (see `worker_loop`).
 //!
 //! Quiescence is an exact condition — every driver exhausted and the
-//! global in-flight frame tally at zero, which is stable once true (see
-//! `Quiesce::wait_quiescent`) — and the coordinator parks on a condvar
-//! that the last decrement notifies; there is no settle window and no
-//! sleep-poll.
+//! workers' sent and done frame tallies summing to the same number, which
+//! is stable once true (see `Quiesce::quiescent`) — and the coordinator
+//! parks on a condvar that a finishing site and a worker about to park
+//! notify; there is no settle window and no sleep-poll.
 
 use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Transport, Wire};
 use crate::serve::ServeTransport;
@@ -30,11 +38,10 @@ use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
-use causal_proto::{build_site, Msg, ProtocolConfig, ProtocolKind, Replication};
+use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
 use causal_types::{Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -185,115 +192,81 @@ impl WakeLatch {
     }
 }
 
-/// The sending side of one site's mailbox, with a depth gauge the
-/// scheduler samples (the vendored channel stub has no `len`).
-pub(crate) struct Mailbox {
-    tx: Sender<Wire>,
-    depth: Arc<AtomicUsize>,
+/// A value alone on its cache lines (128 bytes: x86-64 prefetches lines
+/// in adjacent pairs), so that what one worker writes on every frame
+/// shares no line with what another does.
+#[repr(align(128))]
+pub(crate) struct OwnLine<T>(pub(crate) T);
+
+/// What travels through an inbox: a frame and the site it is for.
+pub(crate) type Addressed = (SiteId, Wire);
+
+/// One worker's inbox: every frame for a site the worker owns, in arrival
+/// order. The owner swaps `q` out once per pass; its own sends append
+/// single frames, a peer's hand-over appends a pass's worth at once.
+#[derive(Default)]
+struct Inbox {
+    q: Vec<Addressed>,
+    /// The owner has left its loop: whatever arrives now is refused.
+    closed: bool,
 }
 
-impl Mailbox {
-    /// Enqueue a frame. Returns `false` when the receiving worker has
-    /// already exited.
-    fn push(&self, wire: Wire) -> bool {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(wire).is_ok() {
-            true
-        } else {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            false
-        }
-    }
+/// One worker's frame tallies. Both only grow, and in a run only the
+/// worker's own thread adds to them.
+#[derive(Default)]
+struct Tally {
+    sent: AtomicU64,
+    done: AtomicU64,
 }
 
-/// The receiving side of one site's mailbox (owned by the site's worker).
-pub(crate) struct MailboxRx {
-    rx: Receiver<Wire>,
-    depth: Arc<AtomicUsize>,
-}
-
-impl MailboxRx {
-    fn try_recv(&self) -> Option<Wire> {
-        match self.rx.try_recv() {
-            Ok(w) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Some(w)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Current backlog (approximate under concurrent pushes — a gauge).
-    fn len(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn try_recv_test(&self) -> Option<Wire> {
-        self.try_recv()
-    }
-}
-
-fn mailbox() -> (Mailbox, MailboxRx) {
-    let (tx, rx) = unbounded::<Wire>();
-    let depth = Arc::new(AtomicUsize::new(0));
-    (
-        Mailbox {
-            tx,
-            depth: depth.clone(),
-        },
-        MailboxRx { rx, depth },
-    )
-}
-
-/// The run-wide quiescence tracker: an in-flight frame tally, a
-/// finished-drivers count, and a condvar the coordinator parks on.
+/// The run-wide quiescence tracker: per-worker sent and done frame
+/// tallies, a finished-drivers count, and a condvar the coordinator parks
+/// on.
 ///
-/// A frame is in flight from the moment its sender commits to shipping it
-/// (before it can touch a queue or socket) until the receiving node has
-/// processed it — including any cascade sends, which are counted before
-/// the triggering frame is released, so the tally can only read zero when
-/// the system is genuinely silent.
+/// A frame is counted *sent* on its sender's worker the moment the sender
+/// commits to shipping it (before it can touch a queue or socket) and
+/// *done* on its receiver's worker once the receiving node has processed
+/// it — including any cascade sends, which are counted sent before the
+/// triggering frame is counted done. A frame the fabric positively loses
+/// is counted done by whoever lost it. No worker ever writes another's
+/// line; the coordinator sums them (see [`Quiesce::quiescent`]).
 pub(crate) struct Quiesce {
     sites: usize,
-    in_flight: AtomicI64,
+    tallies: Vec<OwnLine<Tally>>,
     finished: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl Quiesce {
-    pub(crate) fn new(sites: usize) -> Self {
+    pub(crate) fn new(sites: usize, workers: usize) -> Self {
         Quiesce {
             sites,
-            in_flight: AtomicI64::new(0),
+            tallies: (0..workers).map(|_| OwnLine(Tally::default())).collect(),
             finished: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
 
-    /// `k` frames are about to enter the network.
-    pub(crate) fn frames_sent(&self, k: u64) {
-        let k = i64::try_from(k).expect("frame batch fits i64");
-        self.in_flight.fetch_add(k, Ordering::SeqCst);
+    /// `k` frames are about to enter the network from a site of `worker`.
+    /// `Release`, paired with the `Acquire` loads of
+    /// [`Quiesce::quiescent`] — as is [`Quiesce::frames_done`].
+    pub(crate) fn frames_sent(&self, worker: usize, k: u64) {
+        self.tallies[worker].0.sent.fetch_add(k, Ordering::Release);
     }
 
-    /// `k` frames left the system — fully processed by their receiver, or
-    /// positively lost (refused send, dead connection).
-    pub(crate) fn frames_done(&self, k: u64) {
-        let k = i64::try_from(k).expect("frame batch fits i64");
-        let prev = self.in_flight.fetch_sub(k, Ordering::SeqCst);
-        debug_assert!(prev >= k, "in-flight tally went negative");
-        if prev == k && self.finished.load(Ordering::SeqCst) == self.sites {
-            self.notify();
-        }
+    /// `k` frames left the system on `worker` — fully processed by their
+    /// receiver (cascade sends already counted), or positively lost
+    /// (refused send, dead connection, closed inbox).
+    pub(crate) fn frames_done(&self, worker: usize, k: u64) {
+        self.tallies[worker].0.done.fetch_add(k, Ordering::Release);
     }
 
-    /// Current in-flight frame tally (tests only).
-    #[cfg(test)]
-    pub(crate) fn in_flight(&self) -> i64 {
-        self.in_flight.load(Ordering::SeqCst)
+    /// The sum of one of the two tallies over every worker.
+    fn scan(&self, cell: fn(&Tally) -> &AtomicU64) -> u64 {
+        let cells = self.tallies.iter().map(|t| cell(&t.0));
+        cells.map(|c| c.load(Ordering::Acquire)).sum()
     }
 
     /// One site's driver issued its last operation.
@@ -302,30 +275,62 @@ impl Quiesce {
         self.notify();
     }
 
+    /// A worker is about to park. Once every driver has finished, the
+    /// frame it just counted done may have been the last one, and no
+    /// shared counter says so — have the coordinator look.
+    pub(crate) fn idle(&self) {
+        if self.finished.load(Ordering::SeqCst) == self.sites {
+            self.notify();
+        }
+    }
+
     /// Wake the coordinator to re-check the quiescence condition. Taking
     /// the lock orders the notify against a coordinator that has checked
-    /// the counters but not yet parked — no lost wake-ups.
+    /// the tallies but not yet parked — no lost wake-ups.
     fn notify(&self) {
         locked(&self.lock, |()| ());
         self.cv.notify_all();
     }
 
-    /// Park until every driver has finished and the in-flight tally reads
-    /// zero. The condition is exact and, once true, stays true: a finished
-    /// site issues no operation and holds no parked lane, so from then on
-    /// only a delivery can send — and its cascade is counted before the
-    /// delivered frame is released, which keeps the tally above zero until
-    /// the last frame of the last cascade is done. `finished` is read
-    /// first: a site counts its final sends before it reports finished, so
-    /// a zero read after `finished == sites` has every send behind it.
-    /// Event-driven via [`Quiesce::notify`]; the timeout is a safety
-    /// heartbeat against a lost notify, not a poll interval.
+    /// Whether every driver has finished and every frame ever sent is
+    /// done. Three reads in this order: `finished`, then every `done`
+    /// cell, then every `sent` cell.
+    ///
+    /// Exact: a frame is counted sent before it is published and done only
+    /// after its cascade is counted sent, and both tallies only grow, so
+    /// for the instant `t` between the two scans `done_read ≤ done(t) ≤
+    /// sent(t) ≤ sent_read` — equal sums mean nothing was in flight at
+    /// `t`. In happens-before terms: a `done` the scan observed (`Acquire`
+    /// on its `Release`) makes that frame's own `sent` and its cascade's
+    /// visible to the later `sent` scan, and `finished == sites` (read
+    /// first) does the same for every send an operation made, so with
+    /// equal sums the frames seen sent are exactly the frames seen done, and
+    /// that set holds every operation's sends and every cascade of its
+    /// members: nothing else will ever be sent. Stable: a finished site
+    /// issues no operation and holds no parked lane, so from then on only
+    /// a delivery can send.
+    ///
+    /// One *net* cell per worker (sent − done) would be wrong however it
+    /// is scanned: A sends X, the scan reads A = +1, B processes X
+    /// (B = −1), A sends Y, the scan reads B = −1 and sums zero while Y
+    /// travels.
+    pub(crate) fn quiescent(&self) -> bool {
+        if self.finished.load(Ordering::SeqCst) != self.sites {
+            return false;
+        }
+        let done = self.scan(|t| &t.done);
+        let sent = self.scan(|t| &t.sent);
+        debug_assert!(done <= sent, "more frames done than sent");
+        done == sent
+    }
+
+    /// Park until [`Quiesce::quiescent`]. Event-driven via
+    /// [`Quiesce::site_finished`] and [`Quiesce::idle`]; the timeout is a
+    /// safety heartbeat against a lost notify, not a poll interval.
     pub(crate) fn wait_quiescent(&self) {
         const HEARTBEAT: Duration = Duration::from_millis(250);
         let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.finished.load(Ordering::SeqCst) != self.sites
-            || self.in_flight.load(Ordering::SeqCst) != 0
-        {
+        while !self.quiescent() {
             guard = self
                 .cv
                 .wait_timeout(guard, HEARTBEAT)
@@ -335,12 +340,27 @@ impl Quiesce {
     }
 }
 
-/// The run's routing table: every site's mailbox, its owning worker, and
-/// each worker's wake latch. Shared by the transports and the coordinator
-/// — anything that needs to hand a frame to a site.
+#[cfg(test)]
+impl Quiesce {
+    /// Worker `w`'s `(sent, done)`.
+    fn tally(&self, w: usize) -> (u64, u64) {
+        let cell = |c: &AtomicU64| c.load(Ordering::Acquire);
+        (cell(&self.tallies[w].0.sent), cell(&self.tallies[w].0.done))
+    }
+
+    /// Frames sent and not yet done (exact while nothing moves).
+    pub(crate) fn in_flight(&self) -> u64 {
+        let done = self.scan(|t| &t.done);
+        self.scan(|t| &t.sent) - done
+    }
+}
+
+/// The run's routing table: every worker's inbox and wake latch, and each
+/// site's owning worker. Shared by the transports and the coordinator —
+/// anything that needs to hand a frame to a site.
 pub(crate) struct Routes {
-    mailboxes: Vec<Mailbox>,
-    /// `owner[site]` = index of the worker that drains the site.
+    inboxes: Vec<OwnLine<Mutex<Inbox>>>,
+    /// `owner[site]` = index of the worker that runs the site.
     owner: Vec<usize>,
     wakes: Vec<WakeLatch>,
 }
@@ -353,22 +373,12 @@ impl Routes {
 
     /// Number of sites.
     pub(crate) fn sites(&self) -> usize {
-        self.mailboxes.len()
+        self.owner.len()
     }
 
     /// The worker that owns `site`.
     pub(crate) fn owner(&self, site: usize) -> usize {
         self.owner[site]
-    }
-
-    /// Enqueue a frame for `site` and wake its owner. Returns `false` when
-    /// the site's mailbox is already gone (worker exited).
-    pub(crate) fn deliver(&self, site: usize, wire: Wire) -> bool {
-        let ok = self.mailboxes[site].push(wire);
-        if ok {
-            self.wake(self.owner[site]);
-        }
-        ok
     }
 
     /// Wake `worker` — the caller has already published what it should
@@ -377,38 +387,68 @@ impl Routes {
         self.wakes[worker].notify();
     }
 
-    /// Enqueue a copy of `msg` (a refcount bump of its piggyback) for every
-    /// site in `dsts`, then wake each distinct owner once — except
-    /// `sender`, the worker executing the send, whose pass continues
-    /// anyway. Returns how many of the mailboxes were already gone.
-    pub(crate) fn fan_out(
-        &self,
-        from: SiteId,
-        dsts: &[SiteId],
-        msg: &Msg,
-        measured: bool,
-        sender: Option<usize>,
-    ) -> usize {
-        let mut refused = 0;
-        for d in dsts {
-            let wire = Wire::Msg {
-                from,
-                msg: msg.clone(),
-                measured,
-            };
-            refused += usize::from(!self.mailboxes[d.index()].push(wire));
-        }
-        // One bit per worker (`W ≤ MAX_WORKERS`): the sender counts as
-        // woken from the start.
-        let mut woken = sender.map_or(0u128, |w| 1 << w);
-        for d in dsts {
-            let w = self.owner[d.index()];
-            if woken & (1 << w) == 0 {
-                woken |= 1 << w;
-                self.wakes[w].notify();
+    /// Append `copies` — frames for sites `worker` owns — to `worker`'s
+    /// inbox, called by `worker`'s own thread: one lock that only a peer's
+    /// hand-over contends for, and no wake, because the thread that takes
+    /// the inbox is the one running. Returns how many were refused (the
+    /// inbox is closed).
+    pub(crate) fn push_own(&self, worker: usize, copies: impl Iterator<Item = Addressed>) -> usize {
+        locked(&self.inboxes[worker].0, |inbox| {
+            if inbox.closed {
+                return copies.count();
             }
+            inbox.q.extend(copies);
+            0
+        })
+    }
+
+    /// Hand everything in `stage` — frames for sites `worker` owns, in
+    /// send order — over to `worker`'s inbox and wake it: one lock, one
+    /// append, one wake, however many frames. `stage` is left empty (and
+    /// keeps its allocation). Returns how many frames were refused: all of
+    /// them when `worker` has already left, none otherwise.
+    pub(crate) fn hand_over(&self, worker: usize, stage: &mut Vec<Addressed>) -> usize {
+        let refused = locked(&self.inboxes[worker].0, |inbox| {
+            if inbox.closed {
+                let refused = stage.len();
+                stage.clear();
+                return refused;
+            }
+            inbox.q.append(stage);
+            0
+        });
+        if refused == 0 {
+            self.wake(worker);
         }
         refused
+    }
+
+    /// Push one frame for `site` and wake its owner at once — the two
+    /// paths that have no pass to ride on: the coordinator's `Stop` and a
+    /// wrong-shard frame's re-route. Returns `false` when the owner has
+    /// already left.
+    pub(crate) fn deliver(&self, site: SiteId, wire: Wire) -> bool {
+        self.hand_over(self.owner[site.index()], &mut vec![(site, wire)]) == 0
+    }
+
+    /// Swap everything `worker`'s inbox holds into `batch` (empty; its
+    /// allocation becomes the inbox's). Called by `worker`'s own thread,
+    /// and the lock is released before the first frame is delivered — a
+    /// delivery sends into this very inbox.
+    pub(crate) fn take(&self, worker: usize, batch: &mut Vec<Addressed>) {
+        debug_assert!(batch.is_empty(), "the last batch was delivered");
+        locked(&self.inboxes[worker].0, |inbox| {
+            std::mem::swap(&mut inbox.q, batch);
+        });
+    }
+
+    /// `worker` has left its loop: drop what it will never deliver and
+    /// refuse whatever arrives from now on.
+    pub(crate) fn close(&self, worker: usize) {
+        locked(&self.inboxes[worker].0, |inbox| {
+            inbox.closed = true;
+            inbox.q = Vec::new();
+        });
     }
 }
 
@@ -421,45 +461,36 @@ struct Cluster {
 }
 
 /// The communication fabric of a run, built before any node exists so
-/// transports can capture it: mailboxes + routing on the sending side,
-/// the matching receivers held here until [`Fabric::spawn`] hands them to
-/// the workers.
+/// transports can capture it: the inboxes and routing, and the quiescence
+/// tallies.
 struct Fabric {
     routes: Arc<Routes>,
     quiesce: Arc<Quiesce>,
-    rxs: Vec<MailboxRx>,
 }
-
-/// The widest pool a fabric supports: [`Routes::fan_out`] keeps its
-/// woken-owner set in one `u128`. Site ids stop at 128 too
-/// (`causal_clocks::dests::MAX_SITES`), so no valid `n` is refused.
-const MAX_WORKERS: usize = u128::BITS as usize;
 
 /// Build the fabric for `n` sites sharded over `workers` workers
 /// (`workers` must already be resolved via [`resolve_workers`]).
 fn build_fabric(n: usize, workers: usize) -> Fabric {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
-    assert!(workers <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mailbox()).unzip();
+    let inboxes = (0..workers).map(|_| OwnLine(Mutex::default())).collect();
     let wakes = (0..workers).map(|_| WakeLatch::new()).collect();
     let owner = (0..n).map(|i| i % workers).collect();
     Fabric {
         routes: Arc::new(Routes {
-            mailboxes: txs,
+            inboxes,
             owner,
             wakes,
         }),
-        quiesce: Arc::new(Quiesce::new(n)),
-        rxs,
+        quiesce: Arc::new(Quiesce::new(n, workers)),
     }
 }
 
-/// A fabric whose receive sides stay in the caller's hands — unit-test
+/// A fabric nobody runs: the test plays the workers — unit-test
 /// instrumentation for the transport layers.
 #[cfg(test)]
-pub(crate) fn test_fabric(n: usize, workers: usize) -> (Arc<Routes>, Vec<MailboxRx>) {
+pub(crate) fn test_fabric(n: usize, workers: usize) -> (Arc<Routes>, Arc<Quiesce>) {
     let fabric = build_fabric(n, workers);
-    (fabric.routes, fabric.rxs)
+    (fabric.routes, fabric.quiesce)
 }
 
 #[cfg(test)]
@@ -469,37 +500,43 @@ impl Routes {
     pub(crate) fn take_wake(&self, w: usize, timeout: Duration) -> bool {
         self.wakes[w].wait_until(Some(Instant::now() + timeout))
     }
+
+    /// Everything worker `w`'s inbox holds, in arrival order (tests only).
+    pub(crate) fn taken(&self, w: usize) -> Vec<Addressed> {
+        let mut batch = Vec::new();
+        self.take(w, &mut batch);
+        batch
+    }
+
+    /// Run `f` while holding worker `w`'s inbox lock (tests only).
+    pub(crate) fn with_inbox_locked<R>(&self, w: usize, f: impl FnOnce() -> R) -> R {
+        locked(&self.inboxes[w].0, |_| f())
+    }
 }
 
 impl Fabric {
     /// Spawn the worker pool — the only threads a run has. `make_node` is
-    /// called once per site index, on the coordinator thread, to build the
-    /// site's [`Node`]; the node is then moved to its owning worker, which
-    /// also pumps and flushes `transport` once per pass.
+    /// called once per site index and its owning worker, on the
+    /// coordinator thread, to build the site's [`Node`]; the node is then
+    /// moved to that worker, which also pumps and flushes `transport` once
+    /// per pass.
     pub(crate) fn spawn(
         self,
         transport: &Arc<dyn Transport>,
-        mut make_node: impl FnMut(usize) -> Node,
+        mut make_node: impl FnMut(usize, usize) -> Node,
     ) -> Cluster {
-        let Fabric {
-            routes,
-            quiesce,
-            rxs,
-        } = self;
+        let Fabric { routes, quiesce } = self;
         let workers = routes.workers();
         let mut per_worker: Vec<Vec<SiteSlot>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, rx) in rxs.into_iter().enumerate() {
-            per_worker[i % workers].push(SiteSlot {
-                node: make_node(i),
-                rx,
-                stopped: false,
-            });
+        for i in 0..routes.sites() {
+            let w = routes.owner(i);
+            per_worker[w].push(SiteSlot::new(make_node(i, w)));
         }
         let mut handles = Vec::with_capacity(workers);
         for (w, slots) in per_worker.into_iter().enumerate() {
-            let (wake, transport) = (routes.wakes[w].clone(), transport.clone());
+            let (routes, quiesce, transport) = (routes.clone(), quiesce.clone(), transport.clone());
             handles.push(std::thread::spawn(move || {
-                worker_loop(w, slots, &wake, &*transport)
+                worker_loop(Worker::new(w, slots, &routes, &*transport), &quiesce)
             }));
         }
         Cluster {
@@ -510,12 +547,22 @@ impl Fabric {
     }
 }
 
-/// One site as seen by its worker: the node, its mailbox receiver, and
-/// whether it has taken its `Stop`.
+/// One site as seen by its worker: the node, how many frames the batch
+/// being delivered held for it, and whether it has taken its `Stop`.
 struct SiteSlot {
     node: Node,
-    rx: MailboxRx,
+    taken: usize,
     stopped: bool,
+}
+
+impl SiteSlot {
+    fn new(node: Node) -> Self {
+        SiteSlot {
+            node,
+            taken: 0,
+            stopped: false,
+        }
+    }
 }
 
 /// The earlier of two optional deadlines.
@@ -526,22 +573,15 @@ fn earlier(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
     }
 }
 
-/// How many mailbox frames one site may drain per scheduler pass before
-/// the worker moves on to its next site. Bounds per-site burst latency
-/// under K:1 sharding without starving a busy neighbour.
-const DRAIN_BUDGET: usize = 64;
-
 /// How long a worker parks when a pass did nothing but the transport is
 /// not settled — an unwritten tail the peer's socket would not take, or
 /// bytes a peer announced that the kernel has not handed over yet. Nobody
 /// will wake it for either, so it comes back by itself.
 const UNSETTLED_PARK: Duration = Duration::from_micros(50);
 
-/// Worker `me`'s event loop. One pass: pump the transport, round-robin
-/// over owned sites — drain (bounded), then issue due operations — and
-/// flush the transport; park until woken or the earliest timed event when
-/// the pass made no progress, yield the CPU once when it did. Exits once
-/// every owned site has taken its `Stop`.
+/// A worker's event loop: pass after pass — park until woken or the
+/// earliest timed event when a pass made no progress, yield the CPU once
+/// when it did — until every owned site has taken its `Stop`.
 ///
 /// The yield is for two workers on one CPU — more workers than cores, or a
 /// pool the kernel left where `main` spawned it. Without it the running
@@ -554,78 +594,119 @@ const UNSETTLED_PARK: Duration = Duration::from_micros(50);
 /// that are both always runnable, which is what the pair becomes once each
 /// pass ends in a yield (docs/RUNTIME.md, "Scheduling loop"). A worker
 /// alone on its CPU pays one `sched_yield` that returns at once.
-fn worker_loop(
+fn worker_loop(mut worker: Worker<'_>, quiesce: &Quiesce) -> Vec<NodeOutcome> {
+    while worker.live > 0 {
+        let pass = worker.pass();
+        if pass.progressed {
+            std::thread::yield_now();
+        } else if worker.live > 0 {
+            // Park. Senders publish — an append under the inbox mutex, or
+            // a socket write and its byte count — before they notify and
+            // the latch saturates, so anything published after the pass's
+            // pump and take leaves the token set and the wait returns at
+            // once. The frame this worker counted done last may have been
+            // the run's last: the coordinator is told to look.
+            quiesce.idle();
+            let retry = pass.unsettled.then(|| Instant::now() + UNSETTLED_PARK);
+            let wake = &worker.routes.wakes[worker.me];
+            wake.wait_until(earlier(pass.next_wake, retry));
+        }
+    }
+    worker.routes.close(worker.me);
+    worker.slots.into_iter().map(|s| s.node.finish()).collect()
+}
+
+/// A scheduler worker: the sites it owns (site `i` of worker `me` sits at
+/// `slots[i / W]`) and the batch it swaps its inbox into.
+struct Worker<'a> {
     me: usize,
-    mut slots: Vec<SiteSlot>,
-    wake: &WakeLatch,
-    transport: &dyn Transport,
-) -> Vec<NodeOutcome> {
-    let mut live = slots.len();
-    while live > 0 {
-        let mut progressed = false;
-        let mut next_wake: Option<Instant> = None;
-        // What peers wrote lands in the mailboxes the drain below reads.
-        let mut unsettled = transport.pump(me);
-        for slot in &mut slots {
+    slots: Vec<SiteSlot>,
+    /// Owned sites that have not taken their `Stop`.
+    live: usize,
+    /// The taken inbox; empty between passes, its allocation reused.
+    batch: Vec<Addressed>,
+    routes: &'a Routes,
+    transport: &'a dyn Transport,
+}
+
+/// What one pass of a worker came to.
+struct Pass {
+    /// A frame was delivered, an operation issued or a lane flushed.
+    progressed: bool,
+    /// The earliest timed event of any owned site.
+    next_wake: Option<Instant>,
+    /// The transport knows of work no wake-up will announce.
+    unsettled: bool,
+}
+
+impl<'a> Worker<'a> {
+    fn new(
+        me: usize,
+        slots: Vec<SiteSlot>,
+        routes: &'a Routes,
+        transport: &'a dyn Transport,
+    ) -> Self {
+        Worker {
+            me,
+            live: slots.len(),
+            slots,
+            batch: Vec::new(),
+            routes,
+            transport,
+        }
+    }
+
+    /// One pass: pump the transport, take the inbox, deliver what it held
+    /// in arrival order, issue every live site's due operations, flush the
+    /// transport. The pass is bounded by what had arrived when it took the
+    /// inbox: a frame one of its deliveries sends to a shard-mate lands in
+    /// the inbox behind the swap and waits for the next pass — which the
+    /// worker starts without parking, because a pass that delivered
+    /// anything progressed.
+    fn pass(&mut self) -> Pass {
+        // What peers wrote lands in the inbox the take below empties.
+        let mut unsettled = self.transport.pump(self.me);
+        self.routes.take(self.me, &mut self.batch);
+        let mut progressed = !self.batch.is_empty();
+        let stride = self.routes.workers();
+        for (site, wire) in self.batch.drain(..) {
+            let slot = &mut self.slots[site.index() / stride];
             if slot.stopped {
                 continue;
             }
-            let backlog = slot.rx.len();
-            if backlog > 0 {
-                slot.node.note_mailbox_depth(backlog);
+            slot.taken += 1;
+            if !slot.node.on_wire(wire) {
+                slot.stopped = true;
+                self.live -= 1;
             }
-            let mut budget = DRAIN_BUDGET;
-            while budget > 0 {
-                match slot.rx.try_recv() {
-                    Some(wire) => {
-                        progressed = true;
-                        budget -= 1;
-                        if !slot.node.on_wire(wire) {
-                            slot.stopped = true;
-                            live -= 1;
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
-            if slot.stopped {
-                continue;
-            }
-            if budget == 0 {
-                // Budget exhausted with backlog likely remaining: force
-                // another pass so the leftover cannot wait on a stale
-                // wake token.
-                progressed = true;
-            }
+        }
+        let mut next_wake = None;
+        for slot in self.slots.iter_mut().filter(|s| !s.stopped) {
+            slot.node
+                .note_mailbox_depth(std::mem::take(&mut slot.taken));
             let (did, wake_at) = slot.node.poll();
             progressed |= did;
             next_wake = earlier(next_wake, wake_at);
         }
-        // One encode-and-write per peer for everything this pass sent.
-        unsettled |= transport.flush(me);
-        if progressed {
-            std::thread::yield_now();
-        } else if live > 0 {
-            // Park. Senders publish — a mailbox push, or a socket write
-            // and its byte count — before they notify and the latch
-            // saturates, so anything published after the pump and drain
-            // above leaves the token set and the wait returns at once.
-            let retry = unsettled.then(|| Instant::now() + UNSETTLED_PARK);
-            wake.wait_until(earlier(next_wake, retry));
+        // One hand-over, or one encode-and-write, per peer for everything
+        // this pass sent.
+        unsettled |= self.transport.flush(self.me);
+        Pass {
+            progressed,
+            next_wake,
+            unsettled,
         }
     }
-    slots.into_iter().map(|s| s.node.finish()).collect()
 }
 
-/// Wait for quiescence (every driver exhausted and the in-flight tally
-/// at zero), broadcast `Stop`, join the worker pool, and merge the
+/// Wait for quiescence (every driver exhausted and every frame sent
+/// done), broadcast `Stop`, join the worker pool, and merge the
 /// per-site outcomes; the pool size lands in `metrics.threads_spawned`.
 fn drive(cluster: Cluster) -> (History, RunMetrics, usize) {
     let n = cluster.routes.sites();
     cluster.quiesce.wait_quiescent();
     for site in 0..n {
-        let _ = cluster.routes.deliver(site, Wire::Stop);
+        let _ = cluster.routes.deliver(SiteId::from(site), Wire::Stop);
     }
 
     let mut history = History::new(n);
@@ -675,12 +756,13 @@ pub(crate) fn deploy(
         Some(m) => m.clone(),
         None => Arc::new(ChannelTransport::new(
             fabric.routes.clone(),
+            fabric.quiesce.clone(),
             channel_errors.clone(),
         )),
     };
 
     let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(&transport, |i| {
+    let cluster = fabric.spawn(&transport, |i, worker| {
         let site = SiteId::from(i);
         Node::new(
             site,
@@ -690,6 +772,7 @@ pub(crate) fn deploy(
             payload_len,
             transport.clone(),
             quiesce.clone(),
+            worker,
             size_model,
             batch,
             start,
@@ -742,6 +825,7 @@ pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causal_proto::Msg;
 
     /// A lost wake-up parks `wait_until` forever; the deadline turns that
     /// into a failed assertion.
@@ -793,30 +877,186 @@ mod tests {
         });
     }
 
+    fn fm() -> Msg {
+        Msg::Fm(causal_proto::Fm {
+            var: causal_types::VarId(0),
+        })
+    }
+
     #[test]
     fn fan_out_wakes_each_distinct_owner_once_and_never_the_sender() {
         // 40 sites over 4 workers: a 39-destination multicast from site 0
-        // leaves one copy per mailbox and one token per other worker.
-        let (routes, mailboxes) = test_fabric(40, 4);
-        let dsts: Vec<SiteId> = (1..40usize).map(SiteId::from).collect();
-        let msg = Msg::Fm(causal_proto::Fm {
-            var: causal_types::VarId(0),
-        });
-        assert_eq!(routes.fan_out(SiteId(0), &dsts, &msg, true, Some(0)), 0);
-        for (i, m) in mailboxes.iter().enumerate() {
-            let copies = std::iter::from_fn(|| m.try_recv_test()).count();
-            assert_eq!(copies, usize::from(i != 0), "site {i}");
-        }
-        assert!(
-            !routes.take_wake(0, Duration::ZERO),
-            "the sender is running"
-        );
+        // leaves one copy per destination in its owner's inbox, in send
+        // order. Own-shard copies are there with the send and set no
+        // token; each peer is woken once, by the hand-over, not by `send`.
+        let (routes, quiesce) = test_fabric(40, 4);
+        let fabric = ChannelTransport::new(routes.clone(), quiesce, Arc::default());
+        let dsts: Vec<SiteId> = (1..40usize).rev().map(SiteId::from).collect();
+        assert_eq!(fabric.send(SiteId(0), &dsts, &fm(), true), 0);
+        let woken = |w| routes.take_wake(w, Duration::ZERO);
+        assert!(!(0..4).any(woken), "a send wakes nobody");
+        let inbox = |w: usize| {
+            let copy = |(to, wire): Addressed| match wire {
+                Wire::Msg {
+                    from: SiteId(0),
+                    msg,
+                    measured: true,
+                } if msg == fm() => to.index(),
+                _ => panic!("site 0's measured FM"),
+            };
+            routes.taken(w).into_iter().map(copy).collect::<Vec<_>>()
+        };
+        let owned = |w: usize| (1..40).rev().filter(|i| i % 4 == w).collect::<Vec<_>>();
+        assert_eq!(inbox(0), owned(0));
+        assert!((1..4).all(|w| inbox(w).is_empty()), "the rest is staged");
+        assert!(!fabric.flush(0));
+        assert!(!woken(0), "the sender is running");
         for w in 1..4 {
-            assert!(routes.take_wake(w, Duration::ZERO), "worker {w}");
+            assert!(woken(w), "worker {w}");
+            assert_eq!(inbox(w), owned(w), "worker {w}");
         }
-        // Nobody executing the send (a pump rerouting): every owner.
-        routes.fan_out(SiteId(0), &dsts[..4], &msg, true, None);
-        assert!((0..4).all(|w| routes.take_wake(w, Duration::ZERO)));
+        // The paths with no pass to ride on push one frame and wake at
+        // once: the coordinator's `Stop` (and a pump's re-route).
+        for site in 0..4 {
+            assert!(routes.deliver(SiteId::from(site), Wire::Stop));
+        }
+        assert!((0..4).all(woken));
+    }
+
+    #[test]
+    fn quiescence_scan_reads_zero_under_a_net_cell_sum_and_not_under_done_then_sent() {
+        // The schedule that fools one net (sent − done) cell per worker:
+        // A sends X; the scan reads A; B processes X; A sends Y; the scan
+        // reads B. Y is in flight the whole time.
+        let q = Quiesce::new(0, 2);
+        let (a, b) = (0, 1);
+        let net = |w| {
+            let (sent, done) = q.tally(w);
+            sent as i64 - done as i64
+        };
+        q.frames_sent(a, 1); // X
+        let (net_a, (_, done_a)) = (net(a), q.tally(a));
+        q.frames_done(b, 1); // X
+        q.frames_sent(a, 1); // Y
+        let (net_b, (_, done_b)) = (net(b), q.tally(b));
+        assert_eq!(net_a + net_b, 0, "the negative control reads quiescent");
+        // The same two reads as the `done` scan, then the `sent` scan —
+        // which cannot start before the last `done` read.
+        let sent = q.tally(a).0 + q.tally(b).0;
+        assert_eq!((done_a + done_b, sent), (1, 2), "Y is seen in flight");
+        assert!(!q.quiescent());
+        q.frames_done(b, 1); // Y
+        assert!(q.quiescent());
+    }
+
+    #[test]
+    fn quiescence_is_never_seen_while_a_token_travels_and_is_seen_once_it_is_retired() {
+        // Two workers ping-pong a token: every hop is counted sent by the
+        // worker that passes it on — as the cascade of the hop it received,
+        // before that one is counted done — so a frame is in flight at
+        // every instant until the last hop is retired. A third thread
+        // scans the whole time, and the coordinator's wait must end.
+        const HOPS: u64 = 100_000;
+        let q = Quiesce::new(2, 2);
+        q.site_finished();
+        q.site_finished();
+        // Hop `h` travels toward worker `h % 2`; `ball` publishes it.
+        let ball = AtomicU64::new(0);
+        let retiring = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        q.frames_sent(1, 1);
+        let worker = |me: u64| {
+            for hop in (me..HOPS).step_by(2) {
+                while ball.load(Ordering::Acquire) != hop {
+                    assert!(Instant::now() < deadline, "hop {hop} never arrived");
+                    std::thread::yield_now();
+                }
+                if hop + 1 < HOPS {
+                    q.frames_sent(me as usize, 1);
+                    q.frames_done(me as usize, 1);
+                    ball.store(hop + 1, Ordering::Release);
+                } else {
+                    retiring.store(1, Ordering::SeqCst);
+                    q.frames_done(me as usize, 1);
+                    q.idle();
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| worker(0));
+            s.spawn(|| worker(1));
+            s.spawn(|| {
+                while !q.quiescent() {
+                    assert!(Instant::now() < deadline, "never quiescent");
+                }
+                assert_eq!(retiring.load(Ordering::SeqCst), 1, "a spurious zero");
+            });
+            q.wait_quiescent();
+            assert_eq!(retiring.load(Ordering::SeqCst), 1, "a spurious zero");
+        });
+        assert_eq!(q.in_flight(), 0);
+    }
+
+    /// A node of a two-site Opt-Track cluster (variable `i` lives on site
+    /// `i` only) with nothing to issue.
+    fn idle_node(i: usize, fabric: &Arc<dyn Transport>, q: &Arc<Quiesce>) -> Node {
+        use causal_memory::PlacementKind;
+        let site = SiteId::from(i);
+        let repl = Arc::new(Placement::new(PlacementKind::Even, 2, 1).expect("valid"));
+        Node::new(
+            site,
+            build_site(
+                ProtocolKind::OptTrack,
+                site,
+                repl,
+                ProtocolConfig::default(),
+            ),
+            OpDriver::replay(Vec::new(), 0, 1.0),
+            2,
+            0,
+            fabric.clone(),
+            q.clone(),
+            0,
+            SizeModel::default(),
+            None,
+            Instant::now(),
+        )
+    }
+
+    #[test]
+    fn a_frame_sent_during_a_delivery_waits_for_the_next_pass() {
+        // One worker, two sites. Site 0 answers a fetch of its variable
+        // from its shard-mate: the RM is appended to the inbox the pass has already
+        // taken, so this pass does not deliver it, reports progress, and
+        // the next one does.
+        let (routes, quiesce) = test_fabric(2, 1);
+        let fabric: Arc<dyn Transport> = Arc::new(ChannelTransport::new(
+            routes.clone(),
+            quiesce.clone(),
+            Arc::default(),
+        ));
+        let slots = (0..2).map(|i| SiteSlot::new(idle_node(i, &fabric, &quiesce)));
+        let mut worker = Worker::new(0, slots.collect(), &routes, &*fabric);
+        assert!(worker.pass().progressed, "both sites report finished");
+        assert!(!worker.pass().progressed, "and have nothing else to do");
+
+        quiesce.frames_sent(0, 1);
+        let fetch = (SiteId(0), Wire::msg(SiteId(1), &fm(), true));
+        assert_eq!(routes.push_own(0, std::iter::once(fetch)), 0);
+        assert!(worker.pass().progressed);
+        assert_eq!(quiesce.in_flight(), 1, "the FM is done, its RM is not");
+        assert!(!quiesce.quiescent());
+        assert!(worker.pass().progressed, "the RM's pass");
+        assert!(quiesce.quiescent());
+        assert!(!worker.pass().progressed);
+        let mut outcomes = worker.slots.into_iter().map(|s| s.node.finish());
+        let (server, fetcher) = (outcomes.next().unwrap(), outcomes.next().unwrap());
+        assert_eq!(server.metrics.mailbox_depth_peak, 1);
+        // Nobody at site 1 was waiting for the answer.
+        assert_eq!(
+            (server.metrics.dup_drops, fetcher.metrics.dup_drops),
+            (0, 1)
+        );
     }
 
     #[test]

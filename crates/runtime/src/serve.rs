@@ -28,7 +28,8 @@ use std::time::Duration;
 /// Which fabric carries the mesh traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeTransport {
-    /// In-process crossbeam channels (single-box A/B baseline).
+    /// In-process: nothing between the workers but their inboxes
+    /// (single-box A/B baseline).
     Channel,
     /// Multiplexed loopback TCP with `TCP_NODELAY` — the paper's actual
     /// transport, one socket per worker pair.

@@ -17,7 +17,7 @@
 //! them when its pass ends ([`Transport::flush`]). The fabric spawns no
 //! thread — a TCP run is `W` threads, whatever `n` and however many
 //! sockets. Same-worker site pairs never touch a socket: the frame goes
-//! straight into the destination mailbox.
+//! straight into the worker's own inbox.
 //!
 //! ## Framing
 //!
@@ -28,7 +28,7 @@
 //! and `encode_multi_routed_with`). The routing header is what lets one
 //! socket carry many site pairs, and the multi-routed form is what lets a
 //! write's fan-out toward one peer worker cross it once: encoded once,
-//! shipped once, decoded once, the `k` mailboxes sharing the one decoded
+//! shipped once, decoded once, the `k` copies sharing the one decoded
 //! piggyback. `len` counts the body only and must not exceed
 //! [`wire::MAX_FRAME`]; `flags` bit 0 carries the frame's warm-up
 //! attribution (batch frames additionally carry per-update bits in the
@@ -46,12 +46,13 @@
 //! — and otherwise the worker `read`s into the endpoint's reusable buffer
 //! until it has caught up, decoding frames from the borrowed bytes (many
 //! frames per `read(2)`, no allocation per frame). Receivers route on the
-//! header, not on the connection: own-shard copies go to their mailboxes
-//! with no wake (the pumping worker drains them next), and a frame for a
-//! site another worker owns is *rerouted* to that owner, never dropped. A
-//! `read` that would block while announced bytes are still missing — the
-//! kernel has taken them from the peer but not handed them over yet —
-//! leaves the transport unsettled, and the worker retries shortly.
+//! header, not on the connection: own-shard copies are appended to the
+//! pumping worker's own inbox with no wake (it takes them next), and a
+//! frame for a site another worker owns is *rerouted* to that owner — one
+//! frame and one wake at once — never dropped. A `read` that would block
+//! while announced bytes are still missing — the kernel has taken them
+//! from the peer but not handed them over yet — leaves the transport
+//! unsettled, and the worker retries shortly.
 //!
 //! ## Flush
 //!
@@ -69,10 +70,10 @@
 //! the worker keeps pumping — which is why two full socket buffers cannot
 //! deadlock — and parks only briefly until the tail is gone. A tail that
 //! makes no progress for [`WRITE_TIMEOUT`], or a failed write, marks the
-//! connection dead and un-counts from the in-flight tally exactly the
-//! messages not yet fully written — every destination of every such frame
-//! — and later sends fail fast. Lane flushes from per-destination batching
-//! (PR8) land on the same queue.
+//! connection dead and counts done, on the failing worker's tally, exactly
+//! the messages not yet fully written — every destination of every such
+//! frame — and later sends fail fast. Lane flushes from per-destination
+//! batching (PR8) land on the same queue.
 //!
 //! ## Handshake & teardown
 //!
@@ -88,7 +89,7 @@
 //! suffice. A multi-host mesh (`--join`, parked) has no shared memory to
 //! carry them and is where a `poll`/`epoll` shim would be needed.
 
-use crate::node::Transport;
+use crate::node::{Transport, Wire};
 use crate::runner::{locked, replay, Quiesce, Routes, RunOutcome, RuntimeConfig};
 use crate::serve::ServeTransport;
 use causal_metrics::RunMetrics;
@@ -206,7 +207,7 @@ struct WorkerIo {
 }
 
 /// The multiplexed transport every site shares: same-worker copies go
-/// straight to the destination mailbox, cross-worker copies are queued on
+/// straight to the worker's own inbox, cross-worker copies are queued on
 /// the owning pair's endpoint — one frame per peer worker — and move when
 /// the owning worker pumps and flushes.
 pub(crate) struct MuxTransport {
@@ -224,18 +225,20 @@ pub(crate) struct MuxTransport {
 impl Transport for MuxTransport {
     fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
         let wa = self.routes.owner(from.index());
-        let mut refused = 0;
+        let owner = |d: &SiteId| self.routes.owner(d.index());
+        // Same shard: the copy never touches a socket, and the thread that
+        // takes the inbox is the one executing this send — no wake needed.
+        let own = to.iter().filter(|d| owner(d) == wa);
+        let mut refused = self
+            .routes
+            .push_own(wa, own.map(|d| (*d, Wire::msg(from, msg, measured))));
         locked(&self.workers[wa], |io| {
             let WorkerIo { peers, touched } = io;
-            // One walk buckets the destinations by owner, in send order.
+            // One walk buckets the other destinations by owner, in send
+            // order.
             for d in to {
-                let wb = self.routes.owner(d.index());
+                let wb = owner(d);
                 if wb == wa {
-                    // Same shard: the copy never touches a socket, and the
-                    // draining thread is the one executing this send — no
-                    // wake needed.
-                    let local = std::slice::from_ref(d);
-                    refused += self.routes.fan_out(from, local, msg, measured, Some(wa));
                     continue;
                 }
                 let group = &mut endpoint(peers, wb).group;
@@ -261,9 +264,11 @@ impl Transport for MuxTransport {
                 });
             }
         });
-        self.gauges
-            .conn_errors
-            .fetch_add(refused as u64, Ordering::Relaxed);
+        if refused > 0 {
+            self.gauges
+                .conn_errors
+                .fetch_add(refused as u64, Ordering::Relaxed);
+        }
         refused
     }
 
@@ -291,7 +296,7 @@ impl Transport for MuxTransport {
                 if ep.queue.is_empty() && !ep.has_tail() {
                     continue;
                 }
-                let wrote = self.write_out(ep);
+                let wrote = self.write_out(wa, ep);
                 if wrote > 0 {
                     // Write, then count, then notify: the peer either sees
                     // the count in the pump it is running, or finds its
@@ -384,7 +389,7 @@ impl MuxTransport {
     /// Encode `ep`'s queue, a slice at a time, and write until everything
     /// is out or the socket would block; what it would not take stays as
     /// the endpoint's tail. Returns the bytes written.
-    fn write_out(&self, ep: &mut Endpoint) -> u64 {
+    fn write_out(&self, wa: usize, ep: &mut Endpoint) -> u64 {
         let bump = |g: &AtomicU64| g.fetch_add(1, Ordering::Relaxed);
         let mut wrote = 0u64;
         loop {
@@ -429,7 +434,7 @@ impl MuxTransport {
                 Err(_) => break,
             }
         }
-        self.fail(ep, 0);
+        self.fail(wa, ep, 0);
         wrote
     }
 
@@ -449,7 +454,7 @@ impl MuxTransport {
                 if len as usize > wire::MAX_FRAME || flags & !(FLAG_MEASURED | FLAG_MULTI) != 0 {
                     // Never trust the prefix: a corrupt length would
                     // otherwise ask for a buffer of up to 4 GiB.
-                    self.fail(ep, 1);
+                    self.fail(me, ep, 1);
                     return false;
                 }
                 need = HEADER_BYTES + len as usize;
@@ -461,9 +466,9 @@ impl MuxTransport {
                     Ok(0) => {}
                     // A destination's worker already left: that copy is
                     // positively lost.
-                    Ok(gone) => self.lost(gone as u64, 0),
+                    Ok(gone) => self.lost(me, gone as u64, 0),
                     Err(()) => {
-                        self.fail(ep, 1);
+                        self.fail(me, ep, 1);
                         return false;
                     }
                 }
@@ -497,33 +502,33 @@ impl MuxTransport {
                 Err(_) => break,
             }
         }
-        self.fail(ep, 0);
+        self.fail(me, ep, 0);
         false
     }
 
-    /// Fail `ep`'s connection: every message not fully written — one per
-    /// destination of every frame in the tail or the queue — is positively
-    /// lost, and later sends are refused. `bad_frames` is 1 when an
-    /// invalid frame is the reason.
-    fn fail(&self, ep: &mut Endpoint, bad_frames: u64) {
+    /// Fail `ep`, worker `me`'s end of a connection: every message not
+    /// fully written — one per destination of every frame in the tail or
+    /// the queue — is positively lost, and later sends are refused.
+    /// `bad_frames` is 1 when an invalid frame is the reason.
+    fn fail(&self, me: usize, ep: &mut Endpoint, bad_frames: u64) {
         let tail = ep.unwritten.drain(..).map(|f| f.1);
         let queued = ep.queue.drain(..).map(|f| f.dsts.len() as u64);
-        self.lost(tail.sum::<u64>() + queued.sum::<u64>(), bad_frames);
+        self.lost(me, tail.sum::<u64>() + queued.sum::<u64>(), bad_frames);
         ep.dead = true;
         ep.wbuf.clear();
         ep.wpos = 0;
         let _ = ep.stream.shutdown(Shutdown::Both);
     }
 
-    /// Count `copies` lost messages (plus `bad_frames`) as connection
-    /// errors and take the copies out of the in-flight tally, so
+    /// Count `copies` messages worker `me` lost (plus `bad_frames`) as
+    /// connection errors, and the copies as done on `me`'s tally, so
     /// quiescence detection cannot hang on them.
-    fn lost(&self, copies: u64, bad_frames: u64) {
+    fn lost(&self, me: usize, copies: u64, bad_frames: u64) {
         self.gauges
             .conn_errors
             .fetch_add(copies + bad_frames, Ordering::Relaxed);
         if copies > 0 {
-            self.quiesce.frames_done(copies);
+            self.quiesce.frames_done(me, copies);
         }
     }
 }
@@ -542,11 +547,12 @@ fn append_frame(buf: &mut Vec<u8>, f: &OutFrame) {
     }
 }
 
-/// Decode one frame body and deliver a copy of its message to every
-/// mailbox its *header* names, waking each owning worker once — except
-/// `me`, the worker pumping. `Err` when the codec rejects the body or a
-/// destination is outside the system; otherwise how many destination
-/// nodes were already gone.
+/// Decode one frame body and deliver a copy of its message to every site
+/// its *header* names: the copies for sites of `me`, the worker pumping,
+/// are appended to its own inbox with no wake; a copy for a site another
+/// worker owns is pushed to that owner and wakes it at once. `Err` when
+/// the codec rejects the body or a destination is outside the system;
+/// otherwise how many destinations' workers were already gone.
 fn route_frame(
     routes: &Routes,
     body: &[u8],
@@ -560,8 +566,14 @@ fn route_frame(
         if dsts.iter().any(|d| d.index() >= routes.sites()) {
             return Err(());
         }
-        let measured = flags & FLAG_MEASURED != 0;
-        Ok(routes.fan_out(src, dsts, &msg, measured, Some(me)))
+        let copy = |d: &SiteId| (*d, Wire::msg(src, &msg, flags & FLAG_MEASURED != 0));
+        let mine = |d: &&SiteId| routes.owner(d.index()) == me;
+        let mut gone = routes.push_own(me, dsts.iter().filter(mine).map(copy));
+        for d in dsts.iter().filter(|d| !mine(d)) {
+            let (site, wire) = copy(d);
+            gone += usize::from(!routes.deliver(site, wire));
+        }
+        Ok(gone)
     };
     if flags & FLAG_MULTI != 0 {
         let m = wire::decode_multi_routed(body).map_err(drop)?;
@@ -581,27 +593,27 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Wire;
-    use crate::runner::{test_fabric, MailboxRx};
+    use crate::runner::test_fabric;
     use causal_proto::Fm;
     use causal_types::VarId;
 
     /// A connected mesh whose workers are the test itself: it calls
-    /// `pump` and `flush` where a worker's pass would — no helper thread.
+    /// `pump` and `flush` where a worker's pass would — no helper thread —
+    /// and takes the inboxes, sorting what they held by destination.
     struct Rig {
         routes: Arc<Routes>,
-        mailboxes: Vec<MailboxRx>,
+        /// Per site, the frames taken out of its owner's inbox so far.
+        mailboxes: Mutex<Vec<VecDeque<Wire>>>,
         quiesce: Arc<Quiesce>,
         mesh: MuxTransport,
     }
 
     fn rig(n: usize, workers: usize) -> Rig {
-        let (routes, mailboxes) = test_fabric(n, workers);
-        let quiesce = Arc::new(Quiesce::new(n));
+        let (routes, quiesce) = test_fabric(n, workers);
         let mesh = MuxTransport::connect(&routes, &quiesce).unwrap();
         Rig {
             routes,
-            mailboxes,
+            mailboxes: Mutex::new((0..n).map(|_| VecDeque::new()).collect()),
             quiesce,
             mesh,
         }
@@ -649,8 +661,34 @@ mod tests {
             }
         }
 
+        /// Take every inbox and run `f` on the per-site frames so far.
+        fn mailboxes<R>(&self, f: impl FnOnce(&mut [VecDeque<Wire>]) -> R) -> R {
+            locked(&self.mailboxes, |boxes| {
+                for w in 0..self.routes.workers() {
+                    for (site, wire) in self.routes.taken(w) {
+                        assert_eq!(self.routes.owner(site.index()), w, "in its owner's inbox");
+                        boxes[site.index()].push_back(wire);
+                    }
+                }
+                f(boxes)
+            })
+        }
+
+        /// The next frame for `site`, if one has arrived.
+        fn try_recv(&self, site: usize) -> Option<Wire> {
+            self.mailboxes(|boxes| boxes[site].pop_front())
+        }
+
+        /// The next frame for `site`, which must already be there.
+        fn next_msg(&self, site: usize) -> (SiteId, Msg) {
+            match self.try_recv(site) {
+                Some(Wire::Msg { from, msg, .. }) => (from, msg),
+                _ => panic!("expected a message"),
+            }
+        }
+
         fn no_mailbox_touched(&self) -> bool {
-            self.mailboxes.iter().all(|m| m.try_recv_test().is_none())
+            self.mailboxes(|boxes| boxes.iter().all(VecDeque::is_empty))
         }
     }
 
@@ -693,7 +731,7 @@ mod tests {
     }
 
     /// Worker 1 of a two-worker mesh receives `bytes`, which must fail the
-    /// connection: one connection error, the endpoint dead, no mailbox
+    /// connection: one connection error, the endpoint dead, no inbox
     /// touched, no panic.
     fn assert_bad_frame_fails_the_connection(bytes: &[u8]) {
         let r = rig(2, 2);
@@ -701,7 +739,7 @@ mod tests {
         r.pump_all(1);
         assert_eq!(r.conn_errors(), 1);
         assert!(r.endpoint(1, 0, |ep| ep.dead), "the connection is failed");
-        assert!(r.no_mailbox_touched(), "no message reaches any mailbox");
+        assert!(r.no_mailbox_touched(), "no message reaches any inbox");
         // Whatever follows on the failed connection is never looked at.
         assert!(!r.mesh.pump(1));
         assert_eq!(r.conn_errors(), 1);
@@ -740,9 +778,10 @@ mod tests {
     fn wrong_shard_frame_is_rerouted_not_dropped() {
         // 4 sites over 2 workers: sites {0, 2} on worker 0, {1, 3} on
         // worker 1. A frame addressed to site 2 arriving at worker 1 must
-        // land in site 2's mailbox and wake worker 0 — the pump trusts the
-        // routing header, not the socket the frame came in on — while an
-        // own-shard frame wakes nobody: the pumping worker drains it next.
+        // land in worker 0's inbox, for site 2, and wake worker 0 — the
+        // pump trusts the routing header, not the socket the frame came in
+        // on — while an own-shard frame wakes nobody: the pumping worker
+        // takes it next.
         let r = rig(4, 2);
         let mut wrong = frame(2, &fm(7));
         wrong[4] |= FLAG_MEASURED;
@@ -750,7 +789,7 @@ mod tests {
         r.inject(0, 1, &frame(3, &fm(8)));
         r.pump_all(1);
 
-        match r.mailboxes[2].try_recv_test() {
+        match r.try_recv(2) {
             Some(Wire::Msg {
                 from,
                 msg,
@@ -765,12 +804,12 @@ mod tests {
             r.routes.take_wake(0, Duration::ZERO),
             "the destination's owner is woken"
         );
-        assert_eq!(next_msg(&r.mailboxes[3]), (site(0), fm(8)));
+        assert_eq!(r.next_msg(3), (site(0), fm(8)));
         assert!(
             !r.routes.take_wake(1, Duration::ZERO),
             "own-shard copies need no wake"
         );
-        assert!(r.no_mailbox_touched(), "no other mailbox sees a frame");
+        assert!(r.no_mailbox_touched(), "no other site sees a frame");
         assert_eq!(r.conn_errors(), 0);
     }
 
@@ -793,9 +832,9 @@ mod tests {
     #[test]
     fn writer_marks_dead_peer_and_uncounts_inflight_frames() {
         // The peer vanishes; the flush must surface the failure (dead
-        // flag + connection errors) and un-count every doomed message —
-        // all k destinations of a multi-routed frame — from the in-flight
-        // tally, so quiescence cannot hang.
+        // flag + connection errors) and count every doomed message — all k
+        // destinations of a multi-routed frame — done on the flushing
+        // worker's tally, so quiescence cannot hang.
         let r = rig(8, 2);
         r.endpoint(1, 0, |ep| ep.stream.shutdown(Shutdown::Both).unwrap());
         // Several coalescing slices: the first write may still reach the
@@ -804,7 +843,7 @@ mod tests {
         let sent = frames * k;
         let dsts = [site(1), site(3), site(5)];
         for _ in 0..frames {
-            r.quiesce.frames_sent(k);
+            r.quiesce.frames_sent(0, k);
             assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 0);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -817,7 +856,7 @@ mod tests {
         assert_eq!(failed % k, 0, "a frame fails with all its destinations");
         // Every frame either reached the kernel (still counted in flight —
         // nothing received them in this test) or was un-counted as failed.
-        assert_eq!(r.quiesce.in_flight(), (sent - failed) as i64);
+        assert_eq!(r.quiesce.in_flight(), sent - failed);
         // Later sends fail fast and leave the tally where it was.
         assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 3);
     }
@@ -836,14 +875,6 @@ mod tests {
                 log: Arc::new(Log::from_sorted(vec![entry]).unwrap()),
             },
         })
-    }
-
-    /// The next frame in `mailbox`, which must already be there.
-    fn next_msg(mailbox: &MailboxRx) -> (SiteId, Msg) {
-        match mailbox.try_recv_test() {
-            Some(Wire::Msg { from, msg, .. }) => (from, msg),
-            _ => panic!("expected a message"),
-        }
     }
 
     #[test]
@@ -872,13 +903,13 @@ mod tests {
         // Exactly one copy per destination, local or remote.
         let copies: Vec<Msg> = (1..6)
             .map(|i| {
-                let (from, msg) = next_msg(&r.mailboxes[i]);
+                let (from, msg) = r.next_msg(i);
                 assert_eq!((from, &msg), (site(0), &sm), "site {i}");
                 msg
             })
             .collect();
         // Per-pair FIFO: the later unicast arrives behind the multicast.
-        assert_eq!(next_msg(&r.mailboxes[1]).1, rm);
+        assert_eq!(r.next_msg(1).1, rm);
         assert!(r.no_mailbox_touched());
 
         // The remote copies (sites 1, 3, 5) were decoded once: they share
@@ -938,7 +969,7 @@ mod tests {
         }
         assert!(!r.routes.take_wake(0, Duration::ZERO));
         for i in 1..40 {
-            assert_eq!(next_msg(&r.mailboxes[i]), (site(0), fm(1)), "site {i}");
+            assert_eq!(r.next_msg(i), (site(0), fm(1)), "site {i}");
         }
         assert!(r.no_mailbox_touched(), "one copy each");
         assert_eq!(r.gauge(|g| &g.frames), 3);
@@ -964,17 +995,17 @@ mod tests {
         r.pump_all(1);
 
         for i in 0..small {
-            assert_eq!(next_msg(&r.mailboxes[1]).1, fm(i));
+            assert_eq!(r.next_msg(1).1, fm(i));
         }
-        assert_eq!(next_msg(&r.mailboxes[1]).1, big);
-        assert_eq!(next_msg(&r.mailboxes[1]).1, fm(small));
+        assert_eq!(r.next_msg(1).1, big);
+        assert_eq!(r.next_msg(1).1, fm(small));
         assert!(r.no_mailbox_touched());
         assert_eq!(r.conn_errors(), 0);
     }
 
     /// Site 0 sends site 1 the next distinct ~100 KB frame.
     fn send_big(r: &Rig, sent: &mut u32) {
-        r.quiesce.frames_sent(1);
+        r.quiesce.frames_sent(0, 1);
         assert_eq!(r.mesh.send(site(0), &[site(1)], &big_sm(*sent), false), 0);
         *sent += 1;
     }
@@ -1002,9 +1033,9 @@ mod tests {
             assert!(Instant::now() < deadline, "frames stuck behind the tail");
             r.mesh.flush(0);
             r.mesh.pump(1);
-            while let Some(Wire::Msg { msg, .. }) = r.mailboxes[1].try_recv_test() {
+            while let Some(Wire::Msg { msg, .. }) = r.try_recv(1) {
                 assert_eq!(msg, big_sm(next), "whole, once, in order");
-                r.quiesce.frames_done(1);
+                r.quiesce.frames_done(1, 1);
                 next += 1;
             }
         }
@@ -1038,9 +1069,9 @@ mod tests {
         // lost is exactly what was sent, so the tally ends at zero.
         r.pump_all(1);
         let mut received = 0;
-        while let Some(Wire::Msg { msg, .. }) = r.mailboxes[1].try_recv_test() {
+        while let Some(Wire::Msg { msg, .. }) = r.try_recv(1) {
             assert_eq!(msg, big_sm(received));
-            r.quiesce.frames_done(1);
+            r.quiesce.frames_done(1, 1);
             received += 1;
         }
         assert_eq!(u64::from(received) + lost, u64::from(sent));
@@ -1073,18 +1104,16 @@ mod tests {
     fn two_workers_ping_pong_through_a_socket_without_losing_a_wake() {
         // The socket analogue of the wake latch's ping-pong hammer: each
         // side sends one frame, flushes, and parks until the other's
-        // answer has been pumped into its mailbox. A wake lost between a
+        // answer has been pumped into its inbox. A wake lost between a
         // pump that found nothing and the park strands a round until the
         // deadline.
         const ROUNDS: u32 = 20_000;
-        let mut r = rig(2, 2);
-        let theirs = r.mailboxes.pop().expect("site 1's mailbox");
-        let mine = r.mailboxes.pop().expect("site 0's mailbox");
+        let r = rig(2, 2);
         let (mesh, routes) = (&r.mesh, &*r.routes);
         let deadline = Instant::now() + Duration::from_secs(10);
-        let await_frame = |me: usize, mailbox: &MailboxRx, round: u32| loop {
+        let await_frame = |me: usize, round: u32| loop {
             let unsettled = mesh.pump(me);
-            if let Some(Wire::Msg { msg, .. }) = mailbox.try_recv_test() {
+            if let Some(Wire::Msg { msg, .. }) = r.try_recv(me) {
                 return assert_eq!(msg, fm(round));
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -1099,7 +1128,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || {
                 for round in 0..ROUNDS {
-                    await_frame(1, &theirs, round);
+                    await_frame(1, round);
                     mesh.send(site(1), &[site(0)], &fm(round), false);
                     assert!(!mesh.flush(1));
                 }
@@ -1107,7 +1136,7 @@ mod tests {
             for round in 0..ROUNDS {
                 mesh.send(site(0), &[site(1)], &fm(round), false);
                 assert!(!mesh.flush(0));
-                await_frame(0, &mine, round);
+                await_frame(0, round);
             }
         });
         assert_eq!(r.gauge(|g| &g.frames), 2 * u64::from(ROUNDS));

@@ -1,8 +1,8 @@
 //! A live multi-threaded cluster run, checked for causal consistency.
 //!
-//! Spawns one OS thread per site (the same protocol objects the simulator
-//! drives), replays a workload in scaled wall-clock time over crossbeam
-//! channels, then verifies the recorded execution with the independent
+//! Spawns the scheduler's worker pool (running the same protocol objects
+//! the simulator drives), replays a workload in scaled wall-clock time over
+//! the in-process fabric — the workers' inboxes — then verifies the recorded execution with the independent
 //! checker — the closest thing to the paper's JDK-over-TCP testbed that
 //! fits in an example.
 //!

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Symbolise a samp.c dump: exclusive / inclusive shares per function.
 
-    report.py samp.out [--top N] [--callers SUBSTRING]
+    report.py samp.out [--top N] [--callers SUBSTRING] [--lines SUBSTRING]
 
 Exclusive = the sample's innermost frame; inclusive = anywhere on its
 stack, once per sample. Names are addr2line's, so an inlined callee is
 named at its call site's address and a frame is the innermost inlined
-function there. Read shares, not times: the sampler keeps ~200-250 samples
-per CPU-second.
+function there. --lines breaks the exclusive samples of the matching
+functions down by source line, following the inlining (`addr2line -i`):
+a function's self time is often one line of something inlined into it.
+Read shares, not times: the sampler keeps ~200-250 samples per CPU-second.
 """
 import argparse
 import collections
+import os
 import subprocess
+import sys
 
 
 def load(path):
@@ -35,31 +39,60 @@ def load(path):
     return stacks, maps, base
 
 
+def locate(keys, maps, base):
+    """{object path: [(key, offset in the object)]} for the (address, is a
+    return address) keys that fall in a mapped object, and the rest."""
+    by_object, unmapped = collections.defaultdict(list), []
+    for addr, ret in keys:
+        hit = next((m for m in maps if m[0] <= addr < m[1]), None)
+        if hit:
+            # A return address points past its call: step back inside it.
+            by_object[hit[2]].append(((addr, ret), addr - base[hit[2]] - ret))
+        else:
+            unmapped.append((addr, ret))
+    return by_object, unmapped
+
+
+def addr2line(path, offsets, *flags):
+    """addr2line's output lines for the offsets in one object."""
+    query = "\n".join(hex(rel) for rel in offsets)
+    return subprocess.run(
+        ["addr2line", "-f", "-C", *flags, "-e", path],
+        input=query, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+
+
 def symbolise(stacks, maps, base):
     """{(address, is a return address): function name}, one addr2line run
     per mapped object."""
-    where = {}
-    for stack in stacks:
-        for depth, addr in enumerate(stack):
-            key = (addr, depth > 0)
-            if key not in where:
-                hit = next((m for m in maps if m[0] <= addr < m[1]), None)
-                # A return address points past its call: step back inside it.
-                where[key] = hit and (hit[2], addr - base[hit[2]] - (depth > 0))
-    names = {key: "[unmapped]" for key, obj in where.items() if not obj}
-    by_object = collections.defaultdict(list)
-    for key, obj in where.items():
-        if obj:
-            by_object[obj[0]].append((key, obj[1]))
+    keys = {(addr, depth > 0) for stack in stacks for depth, addr in enumerate(stack)}
+    by_object, unmapped = locate(keys, maps, base)
+    names = {key: "[unmapped]" for key in unmapped}
     for path, addrs in by_object.items():
-        query = "\n".join(hex(rel) for _, rel in addrs)
-        out = subprocess.run(
-            ["addr2line", "-f", "-C", "-e", path],
-            input=query, capture_output=True, text=True, check=True,
-        ).stdout.splitlines()
+        out = addr2line(path, [rel for _, rel in addrs])
         for (key, _), name in zip(addrs, out[0::2]):
             names[key] = name if name != "??" else f"[{path.rsplit('/', 1)[-1]}]"
     return names
+
+
+def inline_chains(addrs, maps, base):
+    """{address: [(function, file:line), ...]}, the innermost inlined
+    function first and the function whose code the address is in last."""
+    by_object, _ = locate({(addr, False) for addr in addrs}, maps, base)
+    chains = {}
+    for path, located in by_object.items():
+        # -a prints each queried address ahead of its (function, location)
+        # pairs, one pair per level of inlining.
+        out = addr2line(path, [rel for _, rel in located], "-i", "-a")
+        at = 0
+        for (addr, _), _ in located:
+            at += 1
+            chain = chains[addr] = []
+            while at < len(out) and not out[at].startswith("0x"):
+                where = out[at + 1].rsplit("/", 1)[-1].split(" (discriminator")[0]
+                chain.append((out[at], where))
+                at += 2
+    return chains
 
 
 def main():
@@ -68,6 +101,9 @@ def main():
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--callers", metavar="SUBSTRING",
                     help="also list who calls the functions whose name contains this")
+    ap.add_argument("--lines", metavar="SUBSTRING",
+                    help="also break the exclusive samples of the functions whose name "
+                         "contains this down by inlined source line")
     args = ap.parse_args()
 
     stacks, maps, base = load(args.dump)
@@ -93,7 +129,28 @@ def main():
         print(f"\n'{args.callers}' on the stack in {100 * matched / total:.2f} % of samples; called from:")
         for name, n in callers.most_common(15):
             print(f"{100 * n / total:7.2f}  {name}")
+    if args.lines:
+        # A sample belongs to every function on its inline chain: the one
+        # whose code the address is in, and whatever was inlined there.
+        chains = inline_chains({stack[0] for stack in stacks}, maps, base)
+        lines = collections.Counter()
+        for stack in stacks:
+            chain = chains.get(stack[0], [])
+            if any(args.lines in fn for fn, _ in chain):
+                lines[" < ".join(f"{loc} {fn}" for fn, loc in chain[:3])] += 1
+        matched = sum(lines.values())
+        print(f"\nexclusive samples in '{args.lines}' or code inlined into it: "
+              f"{100 * matched / total:.2f} % of all; by source line "
+              f"(innermost three levels of inlining):")
+        for where, n in lines.most_common(args.top):
+            print(f"{100 * n / total:7.2f}  {where}")
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `report.py ... | head` closed the pipe: nothing left to say. Point
+        # stdout somewhere harmless so the interpreter's exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

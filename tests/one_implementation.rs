@@ -6,7 +6,9 @@
 //! `causal_proto::{replica, pending}`, and the five protocol files hold
 //! only their `Tracker`. Threads: a live run is its scheduler workers,
 //! spawned in one place; the TCP fabric has none of its own, and a cluster
-//! is deployed — fabric, transport, spawn, drive — in one place. KS log:
+//! is deployed — fabric, transport, spawn, drive — in one place; frames
+//! cross workers through one inbox per worker, counted on per-worker
+//! tallies — no channel per site, no shared in-flight counter. KS log:
 //! MERGE, the write-side record and the `LastWriteOn` materialization are
 //! single passes in `causal_clocks::log`, and the protocols call them
 //! instead of composing whole-log passes by hand. Benchmark: `bench/` is
@@ -178,6 +180,65 @@ fn a_cluster_is_deployed_in_one_place() {
         assert_eq!(callers.len(), 1, "`{call}`: {callers:?}");
         assert!(callers[0].ends_with("crates/runtime/src/runner.rs"));
     }
+}
+
+#[test]
+fn frames_cross_workers_through_one_inbox_each_and_are_counted_per_worker() {
+    let sources = sources();
+    let runtime: Vec<_> = sources
+        .iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("crates/runtime/src/"))
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    assert!(runtime.len() >= 5, "the walk found the runtime");
+    // The per-site channel mailboxes, their drain budget and the shared
+    // signed in-flight counter are gone, not kept beside the inboxes.
+    for gone in [
+        "crossbeam::channel",
+        "mpsc",
+        "AtomicI64",
+        "DRAIN_BUDGET",
+        "fetch_sub",
+    ] {
+        assert_eq!(files_with(&runtime, gone), [""; 0], "`{gone}`");
+    }
+    // Sequentially consistent operations are left on `finished` alone: the
+    // tallies pair `Release` with `Acquire` and no worker writes another's.
+    for (path, code) in &runtime {
+        for line in code.lines().filter(|l| l.contains("SeqCst")) {
+            assert!(line.contains("finished"), "{}: {line}", path.display());
+        }
+    }
+
+    let code_of = |file: &str| {
+        let found = runtime.iter().find(|(path, _)| path.ends_with(file));
+        &found.unwrap_or_else(|| panic!("{file} is in the walk")).1
+    };
+    // `Routes` holds one queue type — a worker's inbox — and nothing per site
+    // but the owner table.
+    let runner = code_of("runner.rs");
+    let routes = runner.find("pub(crate) struct Routes {").expect("Routes");
+    let body = &runner[routes..][..runner[routes..].find("\n}").expect("its end")];
+    let fields: Vec<_> = body
+        .lines()
+        .skip(1)
+        .map(str::trim)
+        .filter(|l| !l.starts_with("//"))
+        .collect();
+    assert_eq!(
+        fields,
+        [
+            "inboxes: Vec<OwnLine<Mutex<Inbox>>>,",
+            "owner: Vec<usize>,",
+            "wakes: Vec<WakeLatch>,"
+        ]
+    );
+    // Cross-worker copies move at the end of a pass, on both fabrics.
+    let node = code_of("node.rs");
+    let imp = node.find("impl Transport for ChannelTransport {");
+    let imp = &node[imp.expect("the channel fabric")..];
+    let imp = &imp[..imp.find("\n}").expect("its end")];
+    assert!(imp.contains("fn flush("), "hand-over happens in flush");
 }
 
 #[test]
