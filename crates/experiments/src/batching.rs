@@ -16,22 +16,13 @@
 //! The `window = off` rows double as the unbatched baseline and must report
 //! all-zero batching counters.
 
-use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, BatchPlan, SimConfig, SimResult};
+use causal_simnet::{BatchPlan, SimConfig, SimResult};
 use causal_types::{MsgKind, SimDuration, SizeModel};
 
-use crate::{pool, Scale};
-
-/// All five protocols, each under its paper placement.
-const PROTOCOLS: [(ProtocolKind, bool); 5] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::HbTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
+use crate::harness::{paper_cfg, run_units, PROTOCOLS};
+use crate::Scale;
 
 /// Write rates of Figs. 2–4 / 6–8.
 const W_RATES: [f64; 3] = [0.2, 0.5, 0.8];
@@ -51,18 +42,12 @@ fn window_name(w: Option<u64>) -> String {
 
 fn batching_cfg(
     kind: ProtocolKind,
-    partial: bool,
     w_rate: f64,
     window: Option<u64>,
     events: usize,
     seed: u64,
 ) -> SimConfig {
-    let mut cfg = if partial {
-        SimConfig::paper_partial(kind, N, w_rate, seed)
-    } else {
-        SimConfig::paper_full(kind, N, w_rate, seed)
-    };
-    cfg = cfg.with_history();
+    let mut cfg = paper_cfg(kind, N, w_rate, seed).with_history();
     cfg.workload.events_per_process = events;
     // Bytes/op comparisons need the calibrated flat-wire cost model; the
     // java_like model's per-message object overhead would mask the
@@ -104,26 +89,29 @@ pub fn batching_sweep(scale: Scale, jobs: usize) -> Table {
     );
     let events = scale.events();
     let seed = 801;
-    let units: Vec<(ProtocolKind, bool, f64, Option<u64>)> = PROTOCOLS
+    let units: Vec<(ProtocolKind, f64, Option<u64>)> = PROTOCOLS
         .iter()
-        .flat_map(|&(kind, partial)| {
+        .flat_map(|&kind| {
             W_RATES
                 .iter()
-                .flat_map(move |&w| WINDOWS.iter().map(move |&win| (kind, partial, w, win)))
+                .flat_map(move |&w| WINDOWS.iter().map(move |&win| (kind, w, win)))
         })
         .collect();
-    let results: Vec<SimResult> = pool::run_indexed(jobs, units.len(), |i| {
-        let (kind, partial, w, win) = units[i];
-        run(&batching_cfg(kind, partial, w, win, events, seed))
-    });
+    let tag = |&(kind, w, win): &(ProtocolKind, f64, Option<u64>)| {
+        format!("{kind}/w={w}/{}", window_name(win))
+    };
+    let results = run_units(
+        jobs,
+        &units,
+        |&(kind, w, win)| batching_cfg(kind, w, win, events, seed),
+        tag,
+        None,
+    );
 
     let mut baseline = f64::NAN; // bytes/op of this (protocol, w)'s `off` row
-    for ((kind, _, w, win), r) in units.iter().zip(&results) {
-        let (kind, w, win) = (*kind, *w, *win);
-        let tag = format!("{kind}/w={w}/{}", window_name(win));
-        assert_eq!(r.final_pending, 0, "{tag}: run must drain");
-        let v = check(r.history.as_ref().expect("recorded"));
-        assert!(v.protocol_clean(), "{tag}: causal violations: {v:?}");
+    for (unit, r) in units.iter().zip(&results) {
+        let (kind, w, win) = *unit;
+        let tag = tag(unit);
         let m = &r.metrics;
         if win.is_none() {
             assert_eq!(
@@ -169,7 +157,7 @@ mod tests {
         let t = batching_sweep(Scale::Quick, 1);
         assert_eq!(t.len(), PROTOCOLS.len() * W_RATES.len() * WINDOWS.len());
         let csv = t.to_csv();
-        for (kind, _) in PROTOCOLS {
+        for kind in PROTOCOLS {
             assert!(csv.contains(&kind.to_string()), "{kind} missing");
         }
         // Baseline rows report exactly 1.0× by construction.

@@ -29,6 +29,7 @@
 //! its own worker).
 
 use causal_checker::check;
+use causal_experiments::harness::{parse_protocol, PROTOCOLS};
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
 use causal_runtime::{serve, BatchWindow, ServeConfig, ServeTransport};
@@ -52,14 +53,6 @@ struct Args {
     check: bool,
 }
 
-const ALL_PROTOCOLS: [ProtocolKind; 5] = [
-    ProtocolKind::FullTrack,
-    ProtocolKind::OptTrack,
-    ProtocolKind::HbTrack,
-    ProtocolKind::OptTrackCrp,
-    ProtocolKind::OptP,
-];
-
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
@@ -74,7 +67,7 @@ fn die(msg: &str) -> ! {
 
 fn parse() -> Args {
     let mut a = Args {
-        protocols: ALL_PROTOCOLS.to_vec(),
+        protocols: PROTOCOLS.to_vec(),
         transports: vec![ServeTransport::Channel, ServeTransport::Tcp],
         n: 6,
         clients: 2,
@@ -100,13 +93,11 @@ fn parse() -> Args {
         match flag.as_str() {
             "--protocol" => {
                 a.protocols = match val().as_str() {
-                    "full-track" => vec![ProtocolKind::FullTrack],
-                    "opt-track" => vec![ProtocolKind::OptTrack],
-                    "opt-track-crp" => vec![ProtocolKind::OptTrackCrp],
-                    "optp" => vec![ProtocolKind::OptP],
-                    "hb-track" => vec![ProtocolKind::HbTrack],
-                    "all" => ALL_PROTOCOLS.to_vec(),
-                    other => die(&format!("unknown protocol {other}")),
+                    "all" => PROTOCOLS.to_vec(),
+                    name => match parse_protocol(name) {
+                        Some(kind) => vec![kind],
+                        None => die(&format!("unknown protocol {name}")),
+                    },
                 }
             }
             "--transport" => {

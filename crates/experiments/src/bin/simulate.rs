@@ -88,8 +88,10 @@
 
 use causal_checker::{check, History, Violations};
 use causal_clocks::DestSet;
+use causal_experiments::harness::{paper_cfg, parse_protocol, run_units};
 use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
+use causal_metrics::{MessageStats, RunMetrics};
 use causal_obs::BufTracer;
 use causal_proto::ProtocolKind;
 use causal_simnet::{
@@ -97,27 +99,40 @@ use causal_simnet::{
     SimConfig, StabilityPlan,
 };
 use causal_types::{MsgKind, SimDuration, SimTime, SiteId, SizeModel};
-use causal_workload::VarDistribution;
+use causal_workload::{VarDistribution, WorkloadParams};
+use std::str::FromStr;
 use std::sync::Arc;
+
+/// Flags that configure what only the simulator has; `--runtime` rejects
+/// them (and `--seeds` above 1).
+const SIM_ONLY: [&str; 11] = [
+    "--partition",
+    "--faults",
+    "--crash",
+    "--wal",
+    "--checkpoint-interval",
+    "--fetch-deadline",
+    "--churn",
+    "--stability",
+    "--schedule",
+    "--trace",
+    "--verify-trace",
+];
 
 struct Args {
     protocol: ProtocolKind,
-    n: usize,
-    w: f64,
-    q: usize,
-    events: usize,
-    seed: u64,
+    /// `--n`, `--w`, `--q`, `--events`, `--seed` and `--zipf`.
+    workload: WorkloadParams,
     p: Option<usize>,
     latency: LatencyModel,
     partition: Option<(u64, u64)>,
-    zipf: Option<f64>,
     wire_model: bool,
     check: bool,
-    faults: Option<(f64, f64)>,
-    crashes: Vec<(usize, u64, u64, bool)>,
-    wal: bool,
-    checkpoint_interval: Option<u64>,
-    fetch_deadline: Option<u64>,
+    faults: FaultPlan,
+    crashes: Vec<CrashWindow>,
+    /// `--wal`, `--checkpoint-interval`, `--fetch-deadline` and the sites
+    /// of `--crash …:media`.
+    durability: DurabilityPlan,
     dump_schedule: Option<String>,
     schedule: Option<String>,
     churn: Option<String>,
@@ -131,27 +146,30 @@ struct Args {
     trace: Option<String>,
     verify_trace: bool,
     runtime: Option<String>,
+    /// The first [`SIM_ONLY`] flag given.
+    sim_only: Option<String>,
+}
+
+/// `v` as a `T`, or exit 2 with `bad <what>`.
+fn num<T: FromStr>(v: &str, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| die(&format!("bad {what}")))
 }
 
 fn parse() -> Args {
     let mut a = Args {
         protocol: ProtocolKind::OptTrack,
-        n: 10,
-        w: 0.5,
-        q: 100,
-        events: 200,
-        seed: 1,
+        workload: WorkloadParams {
+            events_per_process: 200,
+            ..WorkloadParams::paper(10, 0.5, 1)
+        },
         p: None,
         latency: LatencyModel::default_wan(),
         partition: None,
-        zipf: None,
         wire_model: false,
         check: false,
-        faults: None,
+        faults: FaultPlan::default(),
         crashes: Vec::new(),
-        wal: false,
-        checkpoint_interval: None,
-        fetch_deadline: None,
+        durability: DurabilityPlan::default(),
         dump_schedule: None,
         schedule: None,
         churn: None,
@@ -165,10 +183,14 @@ fn parse() -> Args {
         trace: None,
         verify_trace: false,
         runtime: None,
+        sim_only: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
+        if a.sim_only.is_none() && SIM_ONLY.contains(&flag.as_str()) {
+            a.sim_only = Some(flag.clone());
+        }
         let mut val = || {
             it.next()
                 .unwrap_or_else(|| die(&format!("missing value for {flag}")))
@@ -176,50 +198,41 @@ fn parse() -> Args {
         };
         match flag.as_str() {
             "--protocol" => {
-                a.protocol = match val().as_str() {
-                    "full-track" => ProtocolKind::FullTrack,
-                    "opt-track" => ProtocolKind::OptTrack,
-                    "opt-track-crp" => ProtocolKind::OptTrackCrp,
-                    "optp" => ProtocolKind::OptP,
-                    "hb-track" => ProtocolKind::HbTrack,
-                    other => die(&format!("unknown protocol {other}")),
-                }
+                let v = val();
+                a.protocol =
+                    parse_protocol(&v).unwrap_or_else(|| die(&format!("unknown protocol {v}")));
             }
-            "--n" => a.n = val().parse().unwrap_or_else(|_| die("bad --n")),
-            "--w" => a.w = val().parse().unwrap_or_else(|_| die("bad --w")),
-            "--q" => a.q = val().parse().unwrap_or_else(|_| die("bad --q")),
-            "--events" => a.events = val().parse().unwrap_or_else(|_| die("bad --events")),
-            "--seed" => a.seed = val().parse().unwrap_or_else(|_| die("bad --seed")),
-            "--p" => a.p = Some(val().parse().unwrap_or_else(|_| die("bad --p"))),
+            "--n" => a.workload.n = num(&val(), "--n"),
+            "--w" => a.workload.w_rate = num(&val(), "--w"),
+            "--q" => a.workload.q = num(&val(), "--q"),
+            "--events" => a.workload.events_per_process = num(&val(), "--events"),
+            "--seed" => a.workload.seed = num(&val(), "--seed"),
+            "--p" => a.p = Some(num(&val(), "--p")),
             "--latency" => {
                 let v = val();
-                a.latency = if let Some((lo, hi)) = v.split_once(':') {
-                    LatencyModel::Uniform {
-                        min_micros: lo.parse().unwrap_or_else(|_| die("bad --latency")),
-                        max_micros: hi.parse().unwrap_or_else(|_| die("bad --latency")),
-                    }
-                } else {
-                    LatencyModel::Constant {
-                        micros: v.parse().unwrap_or_else(|_| die("bad --latency")),
-                    }
+                a.latency = match v.split_once(':') {
+                    Some((lo, hi)) => LatencyModel::Uniform {
+                        min_micros: num(lo, "--latency"),
+                        max_micros: num(hi, "--latency"),
+                    },
+                    None => LatencyModel::Constant {
+                        micros: num(&v, "--latency"),
+                    },
                 };
             }
             "--partition" => {
                 let v = val();
                 let (s, e) = v.split_once(':').unwrap_or_else(|| die("bad --partition"));
-                a.partition = Some((
-                    s.parse().unwrap_or_else(|_| die("bad --partition")),
-                    e.parse().unwrap_or_else(|_| die("bad --partition")),
-                ));
+                a.partition = Some((num(s, "--partition"), num(e, "--partition")));
             }
-            "--zipf" => a.zipf = Some(val().parse().unwrap_or_else(|_| die("bad --zipf"))),
+            "--zipf" => {
+                let theta = num(&val(), "--zipf");
+                a.workload.var_dist = VarDistribution::Zipf { theta };
+            }
             "--faults" => {
                 let v = val();
                 let (d, u) = v.split_once(',').unwrap_or((v.as_str(), "0"));
-                a.faults = Some((
-                    d.parse().unwrap_or_else(|_| die("bad --faults")),
-                    u.parse().unwrap_or_else(|_| die("bad --faults")),
-                ));
+                a.faults = FaultPlan::uniform(num(d, "--faults"), num(u, "--faults"));
             }
             "--crash" => {
                 let v = val();
@@ -229,36 +242,33 @@ fn parse() -> Args {
                     [site, start, end, "media"] => (site, start, end, true),
                     _ => die("bad --crash (want site:start_ms:end_ms[:media])"),
                 };
-                a.crashes.push((
-                    site.parse().unwrap_or_else(|_| die("bad --crash site")),
-                    start.parse().unwrap_or_else(|_| die("bad --crash start")),
-                    end.parse().unwrap_or_else(|_| die("bad --crash end")),
-                    media,
-                ));
+                let site = SiteId::from(num::<usize>(site, "--crash site"));
+                a.crashes.push(CrashWindow {
+                    site,
+                    start: SimTime::from_millis(num(start, "--crash start")),
+                    end: SimTime::from_millis(num(end, "--crash end")),
+                });
+                if media {
+                    a.durability.lose_media.push(site);
+                }
             }
-            "--wal" => a.wal = true,
+            "--wal" => a.durability.wal = true,
             "--checkpoint-interval" => {
-                a.checkpoint_interval = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --checkpoint-interval (want milliseconds)")),
-                )
+                let ms = num(&val(), "--checkpoint-interval (want milliseconds)");
+                a.durability.checkpoint_every = Some(SimDuration::from_millis(ms));
             }
             "--fetch-deadline" => {
-                a.fetch_deadline = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --fetch-deadline (want milliseconds)")),
-                )
+                let ms = num(&val(), "--fetch-deadline (want milliseconds)");
+                a.durability.fetch_deadline = Some(SimDuration::from_millis(ms));
             }
             "--seeds" => {
-                a.seeds = val().parse().unwrap_or_else(|_| die("bad --seeds"));
+                a.seeds = num(&val(), "--seeds");
                 if a.seeds == 0 {
                     die("--seeds must be at least 1");
                 }
             }
             "--jobs" => {
-                a.jobs = val().parse().unwrap_or_else(|_| die("bad --jobs"));
+                a.jobs = num(&val(), "--jobs");
                 if a.jobs == 0 {
                     die("--jobs must be at least 1");
                 }
@@ -277,26 +287,15 @@ fn parse() -> Args {
             "--churn" => a.churn = Some(val()),
             "--stability" => a.stability = true,
             "--stability-heartbeat" => {
-                a.stability_heartbeat = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --stability-heartbeat (want milliseconds)")),
-                );
+                a.stability_heartbeat =
+                    Some(num(&val(), "--stability-heartbeat (want milliseconds)"));
             }
             "--no-gc" => a.no_gc = true,
             "--overdue-after" => {
-                a.overdue_after = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --overdue-after (want milliseconds)")),
-                );
+                a.overdue_after = Some(num(&val(), "--overdue-after (want milliseconds)"));
             }
             "--soft-meta-cap" => {
-                a.soft_meta_cap = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --soft-meta-cap (want bytes)")),
-                );
+                a.soft_meta_cap = Some(num(&val(), "--soft-meta-cap (want bytes)"));
             }
             "--dump-schedule" => a.dump_schedule = Some(val()),
             "--schedule" => a.schedule = Some(val()),
@@ -311,21 +310,60 @@ fn parse() -> Args {
     a
 }
 
-/// Cross-flag sanity checks, each with a message naming the fix.
+/// Range and cross-flag checks, each with a message naming the flag.
 fn validate(a: &Args) {
+    if a.runtime.is_some() {
+        let flag = a.sim_only.as_deref();
+        if let Some(flag) = flag.or((a.seeds > 1).then_some("--seeds")) {
+            die(&format!(
+                "{flag} is simulator-only (incompatible with --runtime)"
+            ));
+        }
+    }
     if a.seeds > 1 && (a.check || a.dump_schedule.is_some() || a.schedule.is_some()) {
         die("--seeds > 1 is incompatible with --check / --dump-schedule / --schedule (those operate on one concrete run; drop --seeds or run them per seed)");
     }
     if a.seeds > 1 && (a.trace.is_some() || a.verify_trace) {
         die("--seeds > 1 is incompatible with --trace / --verify-trace (a trace records one concrete run; drop --seeds or trace each seed separately)");
     }
-    if a.checkpoint_interval == Some(0) {
+    let n = a.workload.n;
+    if let Err(e) = Placement::full(n) {
+        die(&format!("--n: {e}"));
+    }
+    if let Err(e) = a.workload.validate() {
+        die(&format!("--n/--w/--q/--zipf: {e}"));
+    }
+    if let LatencyModel::Uniform {
+        min_micros,
+        max_micros,
+    } = a.latency
+    {
+        if min_micros > max_micros {
+            die(&format!(
+                "--latency {min_micros}:{max_micros}: the minimum exceeds the maximum"
+            ));
+        }
+    }
+    if let Some((s, e)) = a.partition {
+        if s >= e {
+            die(&format!("--partition window {s}:{e} is empty"));
+        }
+    }
+    let FaultPlan { drop, dup, .. } = a.faults;
+    if !(0.0..1.0).contains(&drop) || !(0.0..=1.0).contains(&dup) {
+        die(&format!(
+            "--faults drop={drop} dup={dup}: want 0 <= drop < 1 (a channel that drops \
+             every frame never delivers) and 0 <= dup <= 1"
+        ));
+    }
+    let d = &a.durability;
+    if d.checkpoint_every == Some(SimDuration::ZERO) {
         die("--checkpoint-interval must be positive (0 would checkpoint never-endingly at t=0; omit the flag to disable checkpoints)");
     }
-    if a.checkpoint_interval.is_some() && !a.wal {
+    if d.checkpoint_every.is_some() && !d.wal {
         die("--checkpoint-interval requires --wal (checkpoints live in the write-ahead log's durable store)");
     }
-    if a.crashes.iter().any(|c| c.3) && !a.wal {
+    if !d.lose_media.is_empty() && !d.wal {
         die("--crash ...:media requires --wal (without a durable medium there is nothing to lose)");
     }
     if a.stability_heartbeat == Some(0) {
@@ -345,15 +383,28 @@ fn validate(a: &Args) {
             die("--soft-meta-cap requires --stability (backpressure reads its retained gauge)");
         }
     }
-    let mut windows = a.crashes.clone();
-    windows.sort_by_key(|&(site, start, _, _)| (site, start));
+    for c in &a.crashes {
+        let (site, s, e) = (c.site.index(), c.start.as_millis(), c.end.as_millis());
+        if site >= n {
+            die(&format!("--crash site {site} out of range (n={n})"));
+        }
+        if s >= e {
+            die(&format!("--crash window {s}:{e} is empty"));
+        }
+    }
+    let mut windows: Vec<&CrashWindow> = a.crashes.iter().collect();
+    windows.sort_by_key(|c| (c.site, c.start));
     for w in windows.windows(2) {
-        let (s0, a0, b0, _) = w[0];
-        let (s1, a1, _, _) = w[1];
-        if s0 == s1 && a1 < b0 {
+        if w[0].site == w[1].site && w[1].start < w[0].end {
+            let (a0, b0, a1) = (
+                w[0].start.as_millis(),
+                w[0].end.as_millis(),
+                w[1].start.as_millis(),
+            );
             die(&format!(
-                "--crash windows on site {s0} overlap ({a0}:{b0} vs {a1}:..): \
-                 a site cannot crash while already down; merge the windows or move one"
+                "--crash windows on site {} overlap ({a0}:{b0} vs {a1}:..): \
+                 a site cannot crash while already down; merge the windows or move one",
+                w[0].site.index()
             ));
         }
     }
@@ -364,36 +415,115 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The run `a` describes: the paper's cell for the protocol, with every
+/// flag applied on top.
+fn sim_config(a: &Args) -> SimConfig {
+    let w = &a.workload;
+    let mut cfg = paper_cfg(a.protocol, w.n, w.w_rate, w.seed);
+    if let (Some(p), true) = (a.p, a.protocol.supports_partial()) {
+        let placement =
+            Placement::new(PlacementKind::Even, w.n, p).unwrap_or_else(|e| die(&e.to_string()));
+        cfg.placement = Arc::new(placement);
+    }
+    cfg.workload = a.workload;
+    cfg.latency = a.latency;
+    if a.wire_model {
+        cfg.size_model = SizeModel::wire();
+    }
+    cfg.record_history = a.check;
+    cfg.faults = a.faults.clone();
+    cfg.crashes = a.crashes.clone();
+    cfg.durability = a.durability.clone();
+    if let Some(spec) = &a.churn {
+        let plan = causal_workload::ChurnPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
+        plan.validate(w.n, w.q)
+            .unwrap_or_else(|e| die(&e.to_string()));
+        cfg.churn = Some(plan);
+    }
+    if a.stability {
+        let mut plan = StabilityPlan::default();
+        if let Some(ms) = a.stability_heartbeat {
+            plan.heartbeat_every = SimDuration::from_millis(ms);
+        }
+        if a.no_gc {
+            plan = plan.without_gc();
+        }
+        if let Some(ms) = a.overdue_after {
+            plan = plan.with_overdue_after(SimDuration::from_millis(ms));
+        }
+        if let Some(bytes) = a.soft_meta_cap {
+            plan = plan.with_soft_meta_cap(bytes);
+        }
+        cfg.stability = Some(plan);
+    }
+    if let Some(path) = &a.schedule {
+        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        let sched = causal_workload::schedule_from_csv(&csv, cfg.workload)
+            .unwrap_or_else(|e| die(&e.to_string()));
+        cfg.schedule_override = Some(sched);
+    }
+    if let Some((s, e)) = a.partition {
+        cfg.partitions.push(PartitionWindow {
+            start: SimTime::from_millis(s),
+            end: SimTime::from_millis(e),
+            side_a: DestSet::from_sites((0..w.n / 2).map(SiteId::from)),
+        });
+    }
+    cfg
+}
+
+/// The measured operation tallies and per-kind message traffic, as both
+/// the simulator and the runtime report them.
+fn print_traffic(m: &RunMetrics) {
+    println!(
+        "measured ops    {} writes, {} reads ({} remote)",
+        m.writes, m.reads, m.remote_reads
+    );
+    for kind in MsgKind::ALL {
+        let c = m.measured.count(kind);
+        if c > 0 {
+            println!(
+                "{kind} messages     {c:>8}   avg meta {:>8.1} B   total {:>10.1} KB",
+                m.measured.avg_bytes(kind).unwrap_or(0.0),
+                m.measured.bytes(kind) as f64 / 1000.0,
+            );
+        }
+    }
+}
+
 /// `--seeds k`: run the configured simulation for `k` consecutive seeds on
 /// the worker pool and print per-seed lines (in seed order) plus
 /// seed-averaged message statistics.
 fn multi_seed(a: &Args, cfg: &SimConfig) {
-    use causal_experiments::pool;
-    use causal_metrics::MessageStats;
-
     let t0 = std::time::Instant::now();
-    let runs = pool::run_indexed(a.jobs, a.seeds, |i| {
-        let mut c = cfg.clone();
-        c.workload.seed = a.seed + i as u64;
-        let r = run(&c);
-        assert_eq!(r.final_pending, 0, "simulation must reach quiescence");
-        r
-    });
+    let first = cfg.workload.seed;
+    let seeds: Vec<u64> = (first..first + a.seeds as u64).collect();
+    let runs = run_units(
+        a.jobs,
+        &seeds,
+        |&seed| {
+            let mut c = cfg.clone();
+            c.workload.seed = seed;
+            c
+        },
+        |seed| format!("seed {seed}"),
+        None,
+    );
     println!("protocol        {}", a.protocol);
     println!(
         "seeds           {}..{} on {} worker(s)",
-        a.seed,
-        a.seed + a.seeds as u64 - 1,
+        first,
+        first + a.seeds as u64 - 1,
         a.jobs
     );
     println!("wall time       {:.2?}", t0.elapsed());
     println!();
     let mut agg = MessageStats::new();
-    for (i, r) in runs.iter().enumerate() {
+    for (seed, r) in seeds.iter().zip(&runs) {
         let m = &r.metrics;
         println!(
             "seed {:<6} {:>8} msgs  {:>10.1} KB meta  apply {:>7.2} ms  vtime {}",
-            a.seed + i as u64,
+            seed,
             m.measured.total_count(),
             m.measured.total_bytes() as f64 / 1000.0,
             m.apply_latency_ns.mean() / 1e6,
@@ -403,7 +533,7 @@ fn multi_seed(a: &Args, cfg: &SimConfig) {
     }
     println!();
     let sf = a.seeds as f64;
-    for kind in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
+    for kind in MsgKind::ALL {
         if agg.count(kind) > 0 {
             println!(
                 "{kind} mean/seed    {:>10.1} msgs   avg meta {:>8.1} B   total {:>10.1} KB",
@@ -415,67 +545,32 @@ fn multi_seed(a: &Args, cfg: &SimConfig) {
     }
 }
 
-/// `--runtime` mode: replay the configured cell on the threaded runtime
-/// (real threads, channel or loopback-TCP transport) and print its
-/// counters in the same shape as the simulated run.
-fn run_on_runtime(a: &Args, which: &str) {
-    let sim_only = [
-        (a.partition.is_some(), "--partition"),
-        (a.faults.is_some(), "--faults"),
-        (!a.crashes.is_empty(), "--crash"),
-        (a.wal, "--wal"),
-        (a.checkpoint_interval.is_some(), "--checkpoint-interval"),
-        (a.fetch_deadline.is_some(), "--fetch-deadline"),
-        (a.churn.is_some(), "--churn"),
-        (a.stability, "--stability"),
-        (a.schedule.is_some(), "--schedule"),
-        (a.trace.is_some(), "--trace"),
-        (a.verify_trace, "--verify-trace"),
-        (a.seeds > 1, "--seeds"),
-    ];
-    for (set, flag) in sim_only {
-        if set {
-            die(&format!(
-                "{flag} is simulator-only (incompatible with --runtime)"
-            ));
-        }
-    }
-    let placement = if a.protocol.supports_partial() {
-        let p = a.p.unwrap_or(((0.3 * a.n as f64).round() as usize).max(1));
-        Placement::new(PlacementKind::Even, a.n, p).unwrap_or_else(|e| die(&e.to_string()))
-    } else {
-        Placement::full(a.n).unwrap_or_else(|e| die(&e.to_string()))
-    };
-    let mut workload = causal_workload::WorkloadParams::paper(a.n, a.w, a.seed);
-    workload.q = a.q;
-    workload.events_per_process = a.events;
-    if let Some(theta) = a.zipf {
-        workload.var_dist = VarDistribution::Zipf { theta };
-    }
-    let cfg = causal_runtime::RuntimeConfig {
+/// `--runtime` mode: replay the configured cell — its placement, workload
+/// and size model — on the threaded runtime (real threads, channel or
+/// loopback-TCP transport) and print its counters in the same shape as the
+/// simulated run.
+fn run_on_runtime(a: &Args, cfg: &SimConfig, which: &str) {
+    let rt = causal_runtime::RuntimeConfig {
         protocol: a.protocol,
-        placement: Arc::new(placement),
-        workload,
+        placement: cfg.placement.clone(),
+        workload: cfg.workload,
         time_scale: 0.005,
-        size_model: if a.wire_model {
-            SizeModel::wire()
-        } else {
-            SizeModel::java_like()
-        },
+        size_model: cfg.size_model,
         batch: None,
         workers: 0,
     };
     let t0 = std::time::Instant::now();
     let out = match which {
-        "channel" => causal_runtime::run_threaded(&cfg),
-        "tcp" => causal_runtime::run_tcp(&cfg).unwrap_or_else(|e| die(&format!("{e:?}"))),
+        "channel" => causal_runtime::run_threaded(&rt),
+        "tcp" => causal_runtime::run_tcp(&rt).unwrap_or_else(|e| die(&format!("{e:?}"))),
         _ => unreachable!("validated in parse"),
     };
     let m = &out.metrics;
+    let w = &cfg.workload;
     println!("protocol        {} (runtime: {which})", a.protocol);
     println!(
         "workload        {} events/proc, w_rate {}, seed {}, time scale 0.005",
-        a.events, a.w, a.seed
+        w.events_per_process, w.w_rate, w.seed
     );
     println!(
         "wall time       {:.2?} (total {:.2?})",
@@ -483,20 +578,7 @@ fn run_on_runtime(a: &Args, which: &str) {
         t0.elapsed()
     );
     println!();
-    println!(
-        "measured ops    {} writes, {} reads ({} remote)",
-        m.writes, m.reads, m.remote_reads
-    );
-    for kind in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-        let c = m.measured.count(kind);
-        if c > 0 {
-            println!(
-                "{kind} messages     {c:>8}   avg meta {:>8.1} B   total {:>10.1} KB",
-                m.measured.avg_bytes(kind).unwrap_or(0.0),
-                m.measured.bytes(kind) as f64 / 1000.0,
-            );
-        }
-    }
+    print_traffic(m);
     println!(
         "applies         {} (max parked {}, {} degraded reads, {} conn errors)",
         m.applies, m.max_pending, m.degraded_reads, m.transport_conn_errors
@@ -530,100 +612,10 @@ fn timed_check(history: &History) -> Violations {
 
 fn main() {
     let a = parse();
-    if let Some(which) = a.runtime.clone() {
-        run_on_runtime(&a, &which);
+    let cfg = sim_config(&a);
+    if let Some(which) = &a.runtime {
+        run_on_runtime(&a, &cfg, which);
         return;
-    }
-    let placement = if a.protocol.supports_partial() {
-        let p = a.p.unwrap_or(((0.3 * a.n as f64).round() as usize).max(1));
-        Placement::new(PlacementKind::Even, a.n, p).unwrap_or_else(|e| die(&e.to_string()))
-    } else {
-        Placement::full(a.n).unwrap_or_else(|e| die(&e.to_string()))
-    };
-    let mut cfg = SimConfig {
-        protocol: a.protocol,
-        placement: Arc::new(placement),
-        workload: causal_workload::WorkloadParams::paper(a.n, a.w, a.seed),
-        latency: a.latency,
-        size_model: if a.wire_model {
-            SizeModel::wire()
-        } else {
-            SizeModel::java_like()
-        },
-        prune: Default::default(),
-        record_history: a.check,
-        partitions: Vec::new(),
-        schedule_override: None,
-        pauses: Vec::new(),
-        faults: match a.faults {
-            Some((drop, dup)) => FaultPlan::uniform(drop, dup),
-            None => FaultPlan::default(),
-        },
-        crashes: a
-            .crashes
-            .iter()
-            .map(|&(site, s, e, _)| {
-                if site >= a.n {
-                    die(&format!("--crash site {site} out of range (n={})", a.n));
-                }
-                if s >= e {
-                    die(&format!("--crash window {s}:{e} is empty"));
-                }
-                CrashWindow {
-                    site: SiteId::from(site),
-                    start: SimTime::from_millis(s),
-                    end: SimTime::from_millis(e),
-                }
-            })
-            .collect(),
-        durability: DurabilityPlan {
-            wal: a.wal,
-            checkpoint_every: a.checkpoint_interval.map(SimDuration::from_millis),
-            fetch_deadline: a.fetch_deadline.map(SimDuration::from_millis),
-            lose_media: a
-                .crashes
-                .iter()
-                .filter(|c| c.3)
-                .map(|c| SiteId::from(c.0))
-                .collect(),
-            torn_tail: Vec::new(),
-        },
-        churn: None,
-        stability: None,
-        batching: None,
-    };
-    cfg.workload.q = a.q;
-    cfg.workload.events_per_process = a.events;
-    if let Some(spec) = &a.churn {
-        let plan = causal_workload::ChurnPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
-        plan.validate(a.n, a.q)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        cfg.churn = Some(plan);
-    }
-    if let Some(theta) = a.zipf {
-        cfg.workload.var_dist = VarDistribution::Zipf { theta };
-    }
-    if a.stability {
-        let mut plan = StabilityPlan::default();
-        if let Some(ms) = a.stability_heartbeat {
-            plan.heartbeat_every = SimDuration::from_millis(ms);
-        }
-        if a.no_gc {
-            plan = plan.without_gc();
-        }
-        if let Some(ms) = a.overdue_after {
-            plan = plan.with_overdue_after(SimDuration::from_millis(ms));
-        }
-        if let Some(bytes) = a.soft_meta_cap {
-            plan = plan.with_soft_meta_cap(bytes);
-        }
-        cfg.stability = Some(plan);
-    }
-    if let Some(path) = &a.schedule {
-        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let sched = causal_workload::schedule_from_csv(&csv, cfg.workload)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        cfg.schedule_override = Some(sched);
     }
     if let Some(path) = &a.dump_schedule {
         let sched = cfg
@@ -633,13 +625,6 @@ fn main() {
         std::fs::write(path, causal_workload::schedule_to_csv(&sched))
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         eprintln!("wrote schedule to {path}");
-    }
-    if let Some((s, e)) = a.partition {
-        cfg.partitions.push(PartitionWindow {
-            start: SimTime::from_millis(s),
-            end: SimTime::from_millis(e),
-            side_a: DestSet::from_sites((0..a.n / 2).map(SiteId::from)),
-        });
     }
 
     if a.seeds > 1 {
@@ -656,39 +641,23 @@ fn main() {
         run(&cfg)
     };
     let m = &r.metrics;
+    let w = &cfg.workload;
 
     println!("protocol        {}", a.protocol);
     println!(
         "system          n={} q={} p={}",
-        a.n,
-        a.q,
-        if a.protocol.supports_partial() {
-            a.p.unwrap_or(((0.3 * a.n as f64).round() as usize).max(1))
-        } else {
-            a.n
-        }
+        w.n,
+        w.q,
+        cfg.placement.p()
     );
     println!(
         "workload        {} events/proc, w_rate {}, seed {}",
-        a.events, a.w, a.seed
+        w.events_per_process, w.w_rate, w.seed
     );
     println!("virtual time    {}", r.duration);
     println!("wall time       {:.2?}", t0.elapsed());
     println!();
-    println!(
-        "measured ops    {} writes, {} reads ({} remote)",
-        m.writes, m.reads, m.remote_reads
-    );
-    for kind in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-        let c = m.measured.count(kind);
-        if c > 0 {
-            println!(
-                "{kind} messages     {c:>8}   avg meta {:>8.1} B   total {:>10.1} KB",
-                m.measured.avg_bytes(kind).unwrap_or(0.0),
-                m.measured.bytes(kind) as f64 / 1000.0,
-            );
-        }
-    }
+    print_traffic(m);
     println!(
         "applies         {} (max parked {}, mean buffered apply latency {:.2} ms)",
         m.applies,
@@ -721,7 +690,7 @@ fn main() {
                 m.recovery_ns.mean() / 1e6
             );
         }
-        if a.wal {
+        if cfg.durability.wal {
             println!(
                 "durability      {} WAL appends ({:.1} KB), {} checkpoints ({:.1} KB)",
                 m.wal_appends,
@@ -754,7 +723,7 @@ fn main() {
             );
         }
     }
-    if a.stability {
+    if cfg.stability.is_some() {
         println!();
         let p99 = m
             .stability_lag_p99
@@ -775,7 +744,7 @@ fn main() {
             m.gc_slots,
             m.gc_stalled_ticks,
         );
-        if a.wal {
+        if cfg.durability.wal {
             println!(
                 "                wal {} segments sealed, {:.1} KB deleted behind the frontier",
                 m.wal_segments_sealed,
@@ -801,7 +770,7 @@ fn main() {
         println!("                written to {path}");
     }
     if a.verify_trace {
-        let v = check_trace(&tracer.events, a.n);
+        let v = check_trace(&tracer.events, w.n);
         if v.protocol_clean() {
             println!("                reconstructed causal chains pass the checker ✓");
         } else {

@@ -10,52 +10,30 @@
 //! the sweep is also a large randomized correctness net for the transport.
 //!
 //! The grid's runs are independent, so they fan out across `jobs` worker
-//! threads ([`crate::pool`]); results fold in input order, keeping the
+//! threads ([`crate::harness`]); results fold in input order, keeping the
 //! table — and any `--trace-dir` JSONL traces — byte-identical to a
 //! sequential run.
 
-use causal_checker::check;
 use causal_metrics::Table;
-use causal_obs::{BufTracer, TraceEvent};
 use causal_proto::ProtocolKind;
-use causal_simnet::{run_traced, CrashWindow, FaultPlan, SimConfig, SimResult};
+use causal_simnet::{CrashWindow, FaultPlan, SimConfig};
 use causal_types::{SimTime, SiteId};
 use std::path::Path;
 
-use crate::trace::write_trace;
-use crate::{pool, Scale};
+use crate::harness::{ms_cell, paper_cfg, run_units, slug};
+use crate::Scale;
 
 /// The loss-rate grid: drop probability per transport frame; duplication
 /// rides along at one quarter of the drop rate.
 pub const LOSS_GRID: [f64; 4] = [0.0, 0.05, 0.15, 0.30];
 
-/// The protocols compared (one partial- and one full-replication pairing,
-/// as in the paper's Table IV).
-const PROTOCOLS: [(ProtocolKind, bool); 4] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
-
-fn chaos_cfg(
-    kind: ProtocolKind,
-    partial: bool,
-    n: usize,
-    loss: f64,
-    crash: bool,
-    events: usize,
-    seed: u64,
-) -> SimConfig {
-    let mut cfg = if partial {
-        SimConfig::paper_partial(kind, n, 0.5, seed)
-    } else {
-        SimConfig::paper_full(kind, n, 0.5, seed)
-    };
+fn chaos_cfg(kind: ProtocolKind, n: usize, loss: f64, events: usize, seed: u64) -> SimConfig {
+    let mut cfg = paper_cfg(kind, n, 0.5, seed).with_history();
     cfg.workload.events_per_process = events;
-    cfg.record_history = true;
     cfg.faults = FaultPlan::uniform(loss, loss / 4.0);
-    if crash {
+    // Crashes join the sweep once the network is already hostile, so the
+    // recovery column reflects loss-degraded sync latency.
+    if loss >= 0.15 {
         cfg.crashes = vec![CrashWindow {
             site: SiteId(1),
             start: SimTime::from_millis(500),
@@ -65,19 +43,14 @@ fn chaos_cfg(
     cfg
 }
 
-/// A lowercase, filename-safe protocol slug (`opt-track-crp` etc.).
-fn slug(kind: ProtocolKind) -> String {
-    kind.to_string().to_lowercase().replace(' ', "-")
-}
-
-/// Transport overhead vs. loss rate: for each protocol and loss level,
-/// the retransmission fraction, duplicate drops, ack traffic, the
-/// protocol-payload vs. transport-overhead byte split, and the per-site
-/// registry's P² tails (apply dwell, fetch RTT) with the buffered-update
-/// total. Runs fan out over `jobs` threads; with a `trace_dir`, each run's
-/// structured trace lands there as `chaos-<protocol>-<loss>.jsonl`. Panics
-/// if any run fails to quiesce or violates causal consistency — chaos runs
-/// are correctness tests first.
+/// Transport overhead vs. loss rate: for each of the paper's four
+/// protocols and each loss level, the retransmission fraction, duplicate
+/// drops, ack traffic, the protocol-payload vs. transport-overhead byte
+/// split, and the per-site registry's P² tails (apply dwell, fetch RTT)
+/// with the buffered-update total. Runs fan out over `jobs` threads; with a
+/// `trace_dir`, each run's structured trace lands there as
+/// `chaos-<protocol>-<loss>.jsonl`. Panics if any run fails to quiesce or
+/// violates causal consistency — chaos runs are correctness tests first.
 pub fn chaos_overhead(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&Path>) -> Table {
     let mut t = Table::new(
         format!("Chaos sweep: transport overhead vs. loss rate (n={n}, w=0.5, one crash at 15% loss and above)"),
@@ -88,38 +61,18 @@ pub fn chaos_overhead(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&Pa
         ],
     );
     let events = scale.events().min(200);
-    let units: Vec<(ProtocolKind, bool, f64)> = PROTOCOLS
+    let units: Vec<(ProtocolKind, f64)> = ProtocolKind::ALL
         .iter()
-        .flat_map(|&(kind, partial)| LOSS_GRID.iter().map(move |&loss| (kind, partial, loss)))
+        .flat_map(|&kind| LOSS_GRID.iter().map(move |&loss| (kind, loss)))
         .collect();
-    let tracing = trace_dir.is_some();
-    let results: Vec<(SimResult, Vec<TraceEvent>)> = pool::run_indexed(jobs, units.len(), |i| {
-        let (kind, partial, loss) = units[i];
-        // Crashes join the sweep once the network is already hostile,
-        // so the recovery column reflects loss-degraded sync latency.
-        let crash = loss >= 0.15;
-        let cfg = chaos_cfg(kind, partial, n, loss, crash, events, 0xC4A0_5EED);
-        let mut tracer = BufTracer::default();
-        if tracing {
-            (run_traced(&cfg, &mut tracer), tracer.events)
-        } else {
-            (causal_simnet::run(&cfg), Vec::new())
-        }
-    });
-    for ((kind, _, loss), (r, events)) in units.iter().zip(results) {
-        let kind = *kind;
-        let loss = *loss;
-        assert_eq!(r.final_pending, 0, "{kind} loss={loss}: no quiescence");
-        let v = check(r.history.as_ref().expect("recorded"));
-        assert!(
-            v.protocol_clean(),
-            "{kind} loss={loss}: causal violations: {:?}",
-            v.examples
-        );
-        if let Some(dir) = trace_dir {
-            let path = dir.join(format!("chaos-{}-{loss:.2}.jsonl", slug(kind)));
-            write_trace(&path, &events).expect("trace write");
-        }
+    let results = run_units(
+        jobs,
+        &units,
+        |&(kind, loss)| chaos_cfg(kind, n, loss, events, 0xC4A0_5EED),
+        |&(kind, loss)| format!("chaos-{}-{loss:.2}", slug(kind)),
+        trace_dir,
+    );
+    for (&(kind, loss), r) in units.iter().zip(&results) {
         let m = &r.metrics;
         t.push_row(vec![
             kind.to_string(),
@@ -131,20 +84,10 @@ pub fn chaos_overhead(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&Pa
             format!("{:.1}", m.ack_bytes as f64 / 1000.0),
             format!("{:.1}", m.envelope_bytes as f64 / 1000.0),
             format!("{:.1}", m.sync_bytes as f64 / 1000.0),
-            if m.recovery_ns.count() > 0 {
-                format!("{:.1}", m.recovery_ns.mean() / 1e6)
-            } else {
-                "-".to_string()
-            },
+            ms_cell((m.recovery_ns.count() > 0).then(|| m.recovery_ns.mean())),
             format!("{:.1}", r.duration.as_secs_f64()),
-            match m.apply_latency_p99.estimate() {
-                Some(p) => format!("{:.1}", p / 1e6),
-                None => "-".to_string(),
-            },
-            match m.fetch_rtt_p99.estimate() {
-                Some(p) => format!("{:.1}", p / 1e6),
-                None => "-".to_string(),
-            },
+            ms_cell(m.apply_latency_p99.estimate()),
+            ms_cell(m.fetch_rtt_p99.estimate()),
             m.per_site.total_buffered().to_string(),
         ]);
     }
@@ -158,7 +101,7 @@ mod tests {
     #[test]
     fn chaos_sweep_runs_clean_at_quick_scale() {
         let t = chaos_overhead(Scale::Quick, 5, 1, None);
-        assert_eq!(t.len(), PROTOCOLS.len() * LOSS_GRID.len());
+        assert_eq!(t.len(), ProtocolKind::ALL.len() * LOSS_GRID.len());
         let csv = t.to_csv();
         // The zero-loss rows are pass-through: no retransmissions.
         for line in csv.lines().skip(1).step_by(LOSS_GRID.len()) {
@@ -182,7 +125,7 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         names.sort();
-        assert_eq!(names.len(), PROTOCOLS.len() * LOSS_GRID.len());
+        assert_eq!(names.len(), ProtocolKind::ALL.len() * LOSS_GRID.len());
         for name in names {
             let a = std::fs::read(seq_dir.join(&name)).unwrap();
             let b = std::fs::read(par_dir.join(&name)).unwrap();

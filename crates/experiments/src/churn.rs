@@ -22,24 +22,14 @@
 //!   sync requests go out; the joiner must time out into a *degraded*
 //!   transfer (no hang, no panic) and the run must still drain.
 
-use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, CrashWindow, SimConfig, SimResult};
+use causal_simnet::{CrashWindow, SimConfig};
 use causal_types::{SimTime, SiteId};
 use causal_workload::ChurnPlan;
 
-use crate::{pool, Scale};
-
-/// All five protocols, each under its paper placement (partial where
-/// supported, full otherwise).
-const PROTOCOLS: [(ProtocolKind, bool); 5] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::HbTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
+use crate::harness::{ms_cell, paper_cfg, run_units, PROTOCOLS};
+use crate::Scale;
 
 /// Seeds per scripted cell: the acceptance bar is zero checker violations
 /// across at least three seeds, regardless of scale.
@@ -62,22 +52,11 @@ impl Scenario {
     }
 }
 
-fn base_cfg(kind: ProtocolKind, partial: bool, n: usize, seed: u64) -> SimConfig {
-    let cfg = if partial {
-        SimConfig::paper_partial(kind, n, 0.5, seed)
-    } else {
-        SimConfig::paper_full(kind, n, 0.5, seed)
-    };
-    cfg.with_history()
+fn base_cfg(kind: ProtocolKind, n: usize, seed: u64) -> SimConfig {
+    paper_cfg(kind, n, 0.5, seed).with_history()
 }
 
-fn churn_cfg(
-    kind: ProtocolKind,
-    partial: bool,
-    scenario: Scenario,
-    events: usize,
-    seed: u64,
-) -> SimConfig {
+fn churn_cfg(kind: ProtocolKind, scenario: Scenario, events: usize, seed: u64) -> SimConfig {
     match scenario {
         // n = 8: site 7 joins by state transfer, a variable migrates onto
         // it, site 2 drains out gracefully, site 4 fail-stops.
@@ -85,12 +64,12 @@ fn churn_cfg(
             let plan =
                 ChurnPlan::parse("join:7@5s;migrate:3:0->7@20s;leave:2@40s;crash-leave:4@60s")
                     .expect("valid scripted spec");
-            let mut cfg = base_cfg(kind, partial, 8, seed).with_churn(plan);
+            let mut cfg = base_cfg(kind, 8, seed).with_churn(plan);
             cfg.workload.events_per_process = events;
             cfg
         }
         Scenario::Poisson => {
-            let mut cfg = base_cfg(kind, partial, 6, seed);
+            let mut cfg = base_cfg(kind, 6, seed);
             let plan =
                 ChurnPlan::poisson(seed, 6, cfg.workload.q, 0.1, SimTime::from_millis(40_000));
             cfg = cfg.with_churn(plan);
@@ -102,7 +81,7 @@ fn churn_cfg(
         // sync window.
         Scenario::DonorCrash => {
             let plan = ChurnPlan::parse("join:2@80s").expect("valid spec");
-            let mut cfg = base_cfg(kind, partial, 3, seed).with_churn(plan);
+            let mut cfg = base_cfg(kind, 3, seed).with_churn(plan);
             cfg.workload.events_per_process = 20;
             cfg.crashes = (0..2)
                 .map(|s| CrashWindow {
@@ -143,35 +122,29 @@ pub fn churn_sweep(scale: Scale, jobs: usize) -> Table {
         ],
     );
     let events = scale.events().min(150);
-    let units: Vec<(ProtocolKind, bool, Scenario, u64)> = PROTOCOLS
+    let units: Vec<(ProtocolKind, Scenario, u64)> = PROTOCOLS
         .iter()
-        .flat_map(|&(kind, partial)| {
+        .flat_map(|&kind| {
             (0..SEEDS)
-                .map(move |s| (kind, partial, Scenario::Scripted, 301 + s))
-                .chain([(kind, partial, Scenario::Poisson, 308)])
-                .chain([(kind, partial, Scenario::DonorCrash, 306)])
+                .map(move |s| (kind, Scenario::Scripted, 301 + s))
+                .chain([(kind, Scenario::Poisson, 308)])
+                .chain([(kind, Scenario::DonorCrash, 306)])
         })
         .collect();
-    let results: Vec<SimResult> = pool::run_indexed(jobs, units.len(), |i| {
-        let (kind, partial, scenario, seed) = units[i];
-        run(&churn_cfg(kind, partial, scenario, events, seed))
-    });
-    for ((kind, _, scenario, seed), r) in units.iter().zip(results) {
-        let (kind, scenario) = (*kind, *scenario);
-        let tag = format!("{kind}/{}/{seed}", scenario.name());
-        assert_eq!(r.final_pending, 0, "{tag}: churned run must drain");
+    let results = run_units(
+        jobs,
+        &units,
+        |&(kind, scenario, seed)| churn_cfg(kind, scenario, events, seed),
+        |&(kind, scenario, seed)| format!("{kind}/{}/{seed}", scenario.name()),
+        None,
+    );
+    for (&(kind, scenario, seed), r) in units.iter().zip(&results) {
         let h = r.history.as_ref().expect("recorded");
-        let v = check(h);
-        assert!(
-            v.protocol_clean(),
-            "{tag}: causal violations: {:?}",
-            v.examples
-        );
         let m = &r.metrics;
         if scenario == Scenario::DonorCrash {
             assert!(
                 m.degraded_recoveries >= 1 && m.churn_transfers_degraded >= 1,
-                "{tag}: donor crash must end in a degraded transfer"
+                "{kind}/donor-crash/{seed}: donor crash must end in a degraded transfer"
             );
         }
         // Availability: the fraction of scheduled operations that actually
@@ -193,11 +166,7 @@ pub fn churn_sweep(scale: Scale, jobs: usize) -> Table {
             format!("{:.1}", m.churn_transfer_bytes as f64 / 1000.0),
             m.churn_transfers_degraded.to_string(),
             format!("{:.4}", m.degraded_reads as f64 / reads as f64),
-            if m.view_change_ns.count() > 0 {
-                format!("{:.1}", m.view_change_ns.mean() / 1e6)
-            } else {
-                "-".to_string()
-            },
+            ms_cell((m.view_change_ns.count() > 0).then(|| m.view_change_ns.mean())),
             format!(
                 "{:.1}",
                 r.final_local_meta.iter().sum::<u64>() as f64 / 1000.0
@@ -217,7 +186,7 @@ mod tests {
         let t = churn_sweep(Scale::Quick, 1);
         assert_eq!(t.len(), PROTOCOLS.len() * (SEEDS as usize + 2));
         let csv = t.to_csv();
-        for (kind, _) in PROTOCOLS {
+        for kind in PROTOCOLS {
             assert!(csv.contains(&kind.to_string()), "{kind} missing");
         }
         // Every scripted row installs all four view changes.

@@ -12,50 +12,36 @@
 //! recovery latency). Every run must still pass the causal-consistency
 //! checker — like the chaos sweep, this is a correctness net first.
 
-use causal_checker::check;
 use causal_metrics::Table;
-use causal_obs::{BufTracer, TraceEvent};
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, run_traced, CrashWindow, DurabilityPlan, SimConfig, SimResult};
+use causal_simnet::{CrashWindow, DurabilityPlan, SimConfig};
 use causal_types::{SimDuration, SimTime, SiteId};
 use std::path::Path;
 
-use crate::trace::write_trace;
-use crate::{pool, Scale};
+use crate::harness::{ms_cell, paper_cfg, run_units, slug};
+use crate::Scale;
 
-/// The recovery modes compared: `(label, wal, checkpoint interval)`.
-pub const MODES: [(&str, bool, Option<u64>); 4] = [
+/// One recovery mode: `(label, wal, checkpoint interval in ms)`.
+type RecoveryMode = (&'static str, bool, Option<u64>);
+
+/// The recovery modes compared.
+pub const MODES: [RecoveryMode; 4] = [
     ("rebuild", false, None),
     ("wal", true, None),
     ("wal+ckpt250", true, Some(250)),
     ("wal+ckpt1000", true, Some(1000)),
 ];
 
-/// The protocols compared (one partial- and one full-replication pairing,
-/// as in the chaos sweep).
-const PROTOCOLS: [(ProtocolKind, bool); 4] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
-
 fn durability_cfg(
     kind: ProtocolKind,
-    partial: bool,
     n: usize,
-    wal: bool,
-    ckpt_ms: Option<u64>,
+    mode: RecoveryMode,
     events: usize,
     seed: u64,
 ) -> SimConfig {
-    let mut cfg = if partial {
-        SimConfig::paper_partial(kind, n, 0.5, seed)
-    } else {
-        SimConfig::paper_full(kind, n, 0.5, seed)
-    };
+    let (_, wal, ckpt_ms) = mode;
+    let mut cfg = paper_cfg(kind, n, 0.5, seed).with_history();
     cfg.workload.events_per_process = events;
-    cfg.record_history = true;
     // Two overlapping windows: sites 0 and 1 are down together during
     // [800 ms, 1200 ms) — with the paper's even placement and p = 3 that
     // covers two of the three replicas of the low-numbered variables.
@@ -81,18 +67,14 @@ fn durability_cfg(
     cfg
 }
 
-/// A lowercase, filename-safe protocol slug.
-fn slug(kind: ProtocolKind) -> String {
-    kind.to_string().to_lowercase().replace(' ', "-")
-}
-
 /// Recovery cost vs. durability mode under two overlapping crashes: for
-/// each protocol and mode, the bytes spent on the WAL and on checkpoints
-/// against the sync traffic avoided and the recovery latency, plus the
-/// per-site registry's P² tails and buffered-update total. Runs fan out
-/// over `jobs` threads; with a `trace_dir`, each run's structured trace
-/// lands there as `durability-<protocol>-<mode>.jsonl`. Panics if any run
-/// fails to quiesce or violates causal consistency.
+/// each of the paper's four protocols and each mode, the bytes spent on
+/// the WAL and on checkpoints against the sync traffic avoided and the
+/// recovery latency, plus the per-site registry's P² tails and
+/// buffered-update total. Runs fan out over `jobs` threads; with a
+/// `trace_dir`, each run's structured trace lands there as
+/// `durability-<protocol>-<mode>.jsonl`. Panics if any run fails to
+/// quiesce or violates causal consistency.
 pub fn durability_sweep(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&Path>) -> Table {
     let mut t = Table::new(
         format!(
@@ -117,47 +99,23 @@ pub fn durability_sweep(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&
         ],
     );
     let events = scale.events().min(200);
-    let units: Vec<(ProtocolKind, bool, &'static str, bool, Option<u64>)> = PROTOCOLS
+    let units: Vec<(ProtocolKind, RecoveryMode)> = ProtocolKind::ALL
         .iter()
-        .flat_map(|&(kind, partial)| {
-            MODES
-                .iter()
-                .map(move |&(label, wal, ckpt)| (kind, partial, label, wal, ckpt))
-        })
+        .flat_map(|&kind| MODES.iter().map(move |&mode| (kind, mode)))
         .collect();
-    let tracing = trace_dir.is_some();
-    let results: Vec<(SimResult, Vec<TraceEvent>)> = pool::run_indexed(jobs, units.len(), |i| {
-        let (kind, partial, _, wal, ckpt_ms) = units[i];
-        let cfg = durability_cfg(kind, partial, n, wal, ckpt_ms, events, 0xD04A_B1E5);
-        let mut tracer = BufTracer::default();
-        if tracing {
-            (run_traced(&cfg, &mut tracer), tracer.events)
-        } else {
-            (run(&cfg), Vec::new())
-        }
-    });
-    for ((kind, _, label, _, _), (r, events)) in units.iter().zip(results) {
-        let kind = *kind;
-        assert_eq!(r.final_pending, 0, "{kind} {label}: no quiescence");
-        let v = check(r.history.as_ref().expect("recorded"));
-        assert!(
-            v.protocol_clean(),
-            "{kind} {label}: causal violations: {:?}",
-            v.examples
-        );
-        if let Some(dir) = trace_dir {
-            let path = dir.join(format!("durability-{}-{label}.jsonl", slug(kind)));
-            write_trace(&path, &events).expect("trace write");
-        }
+    let results = run_units(
+        jobs,
+        &units,
+        |&(kind, mode)| durability_cfg(kind, n, mode, events, 0xD04A_B1E5),
+        |&(kind, (label, ..))| format!("durability-{}-{label}", slug(kind)),
+        trace_dir,
+    );
+    for (&(kind, (label, ..)), r) in units.iter().zip(&results) {
         let m = &r.metrics;
         t.push_row(vec![
             kind.to_string(),
             label.to_string(),
-            if m.recovery_ns.count() > 0 {
-                format!("{:.1}", m.recovery_ns.mean() / 1e6)
-            } else {
-                "-".to_string()
-            },
+            ms_cell((m.recovery_ns.count() > 0).then(|| m.recovery_ns.mean())),
             format!("{:.1}", m.sync_bytes as f64 / 1000.0),
             format!("{:.1}", m.delta_sync_saved_bytes as f64 / 1000.0),
             format!("{:.1}", m.wal_bytes as f64 / 1000.0),
@@ -166,14 +124,8 @@ pub fn durability_sweep(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&
             m.fetch_failovers.to_string(),
             (m.degraded_reads + m.degraded_recoveries).to_string(),
             format!("{:.1}", r.duration.as_secs_f64()),
-            match m.apply_latency_p99.estimate() {
-                Some(p) => format!("{:.1}", p / 1e6),
-                None => "-".to_string(),
-            },
-            match m.fetch_rtt_p99.estimate() {
-                Some(p) => format!("{:.1}", p / 1e6),
-                None => "-".to_string(),
-            },
+            ms_cell(m.apply_latency_p99.estimate()),
+            ms_cell(m.fetch_rtt_p99.estimate()),
             m.per_site.total_buffered().to_string(),
         ]);
     }
@@ -187,7 +139,7 @@ mod tests {
     #[test]
     fn durability_sweep_runs_clean_at_quick_scale() {
         let t = durability_sweep(Scale::Quick, 5, 1, None);
-        assert_eq!(t.len(), PROTOCOLS.len() * MODES.len());
+        assert_eq!(t.len(), ProtocolKind::ALL.len() * MODES.len());
         let csv = t.to_csv();
         for (i, line) in csv.lines().skip(1).enumerate() {
             let cols: Vec<&str> = line.split(',').collect();

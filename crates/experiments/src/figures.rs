@@ -7,7 +7,8 @@
 //! the EXPERIMENTS.md comparison.
 
 use crate::analytic;
-use crate::sweep::{Mode, Sweep};
+use crate::harness::paper_cfg;
+use crate::sweep::Sweep;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
 use causal_types::MsgKind;
@@ -22,12 +23,8 @@ pub fn fig1(sw: &mut Sweep) -> Table {
     for n in Sweep::N_GRID {
         let mut cells = vec![n.to_string()];
         for w in Sweep::W_GRID {
-            let ot = sw
-                .cell(ProtocolKind::OptTrack, Mode::Partial, n, w)
-                .total_bytes;
-            let ft = sw
-                .cell(ProtocolKind::FullTrack, Mode::Partial, n, w)
-                .total_bytes;
+            let ot = sw.cell(ProtocolKind::OptTrack, n, w).total_bytes;
+            let ft = sw.cell(ProtocolKind::FullTrack, n, w).total_bytes;
             cells.push(format!("{:.3}", ot / ft));
         }
         t.push_row(cells);
@@ -52,12 +49,8 @@ pub fn fig2_4(sw: &mut Sweep, w_rate: f64) -> Table {
         ],
     );
     for n in Sweep::N_GRID {
-        let ot = sw
-            .cell(ProtocolKind::OptTrack, Mode::Partial, n, w_rate)
-            .clone();
-        let ft = sw
-            .cell(ProtocolKind::FullTrack, Mode::Partial, n, w_rate)
-            .clone();
+        let ot = sw.cell(ProtocolKind::OptTrack, n, w_rate).clone();
+        let ft = sw.cell(ProtocolKind::FullTrack, n, w_rate).clone();
         t.push_row(vec![
             n.to_string(),
             format!("{:.1}", ot.avg(MsgKind::Sm)),
@@ -105,7 +98,7 @@ pub fn table2(sw: &mut Sweep) -> Table {
                 let paper = table2_paper(protocol, kind, w);
                 let mut cells = vec![protocol.to_string(), kind.to_string(), format!("{w}")];
                 for (i, n) in Sweep::N_GRID.iter().enumerate() {
-                    let c = sw.cell(protocol, Mode::Partial, *n, w).avg(kind);
+                    let c = sw.cell(protocol, *n, w).avg(kind);
                     cells.push(format!("{:.3} | {:.3}", c / 1000.0, paper[i]));
                 }
                 t.push_row(cells);
@@ -125,10 +118,8 @@ pub fn fig5(sw: &mut Sweep) -> Table {
     for n in Sweep::N_GRID_FULL {
         let mut cells = vec![n.to_string()];
         for w in Sweep::W_GRID {
-            let crp = sw
-                .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, w)
-                .total_bytes;
-            let op = sw.cell(ProtocolKind::OptP, Mode::Full, n, w).total_bytes;
+            let crp = sw.cell(ProtocolKind::OptTrackCrp, n, w).total_bytes;
+            let op = sw.cell(ProtocolKind::OptP, n, w).total_bytes;
             cells.push(format!("{:.3}", crp / op));
         }
         t.push_row(cells);
@@ -150,11 +141,9 @@ pub fn fig6_8(sw: &mut Sweep, w_rate: f64) -> Table {
     );
     for n in Sweep::N_GRID_FULL {
         let crp = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, w_rate)
+            .cell(ProtocolKind::OptTrackCrp, n, w_rate)
             .avg(MsgKind::Sm);
-        let op = sw
-            .cell(ProtocolKind::OptP, Mode::Full, n, w_rate)
-            .avg(MsgKind::Sm);
+        let op = sw.cell(ProtocolKind::OptP, n, w_rate).avg(MsgKind::Sm);
         t.push_row(vec![
             n.to_string(),
             format!("{crp:.1}"),
@@ -187,18 +176,10 @@ pub fn table3(sw: &mut Sweep) -> Table {
     );
     for n in Sweep::N_GRID_FULL {
         let (p2, p5, p8, popt) = table3_paper(n);
-        let c2 = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, 0.2)
-            .avg(MsgKind::Sm);
-        let c5 = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, 0.5)
-            .avg(MsgKind::Sm);
-        let c8 = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, 0.8)
-            .avg(MsgKind::Sm);
-        let copt = sw
-            .cell(ProtocolKind::OptP, Mode::Full, n, 0.5)
-            .avg(MsgKind::Sm);
+        let c2 = sw.cell(ProtocolKind::OptTrackCrp, n, 0.2).avg(MsgKind::Sm);
+        let c5 = sw.cell(ProtocolKind::OptTrackCrp, n, 0.5).avg(MsgKind::Sm);
+        let c8 = sw.cell(ProtocolKind::OptTrackCrp, n, 0.8).avg(MsgKind::Sm);
+        let copt = sw.cell(ProtocolKind::OptP, n, 0.5).avg(MsgKind::Sm);
         t.push_row(vec![
             n.to_string(),
             format!("{c2:.1} | {p2}"),
@@ -243,12 +224,8 @@ pub fn table4(sw: &mut Sweep) -> Table {
     for n in Sweep::N_GRID {
         for w in Sweep::W_GRID {
             let (pf, pp) = table4_paper(n, w);
-            let full = sw
-                .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, w)
-                .total_count;
-            let part = sw
-                .cell(ProtocolKind::OptTrack, Mode::Partial, n, w)
-                .total_count;
+            let full = sw.cell(ProtocolKind::OptTrackCrp, n, w).total_count;
+            let part = sw.cell(ProtocolKind::OptTrack, n, w).total_count;
             t.push_row(vec![
                 n.to_string(),
                 format!("{w}"),
@@ -279,12 +256,8 @@ pub fn eq2(sw: &mut Sweep) -> Table {
         let below = (th - 0.08).max(0.02);
         let above = (th + 0.08).min(0.98);
         let ratio = |sw: &mut Sweep, w: f64| {
-            let part = sw
-                .cell(ProtocolKind::OptTrack, Mode::Partial, n, w)
-                .total_count;
-            let full = sw
-                .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, w)
-                .total_count;
+            let part = sw.cell(ProtocolKind::OptTrack, n, w).total_count;
+            let full = sw.cell(ProtocolKind::OptTrackCrp, n, w).total_count;
             part / full
         };
         let rb = ratio(sw, below);
@@ -311,7 +284,7 @@ pub fn eq2(sw: &mut Sweep) -> Table {
 /// network (0.1–1.5 s one-way, overlapping the operation cadence) where
 /// message reordering across senders actually occurs.
 pub fn ext_false_causality(sw: &mut Sweep) -> Table {
-    use causal_simnet::{run, LatencyModel, SimConfig};
+    use causal_simnet::{run, LatencyModel};
 
     let mut t = Table::new(
         "Extension — false causality under slow WAN (0.1–1.5 s): HB-Track vs Full-Track",
@@ -331,7 +304,7 @@ pub fn ext_false_causality(sw: &mut Sweep) -> Table {
         crate::sweep::Scale::Quick => 100,
     };
     let cell = |protocol: ProtocolKind, n: usize, w: f64| {
-        let mut cfg = SimConfig::paper_partial(protocol, n, w, sw.base_seed);
+        let mut cfg = paper_cfg(protocol, n, w, sw.base_seed);
         cfg.workload.events_per_process = events;
         cfg.latency = LatencyModel::Uniform {
             min_micros: 100_000,
@@ -385,16 +358,10 @@ pub fn ext_log_size(sw: &mut Sweep) -> Table {
         ],
     );
     for n in Sweep::N_GRID {
-        let ft = sw
-            .cell(ProtocolKind::FullTrack, Mode::Partial, n, 0.5)
-            .sm_entries;
-        let ot = sw
-            .cell(ProtocolKind::OptTrack, Mode::Partial, n, 0.5)
-            .sm_entries;
-        let crp = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, 0.5)
-            .sm_entries;
-        let op = sw.cell(ProtocolKind::OptP, Mode::Full, n, 0.5).sm_entries;
+        let ft = sw.cell(ProtocolKind::FullTrack, n, 0.5).sm_entries;
+        let ot = sw.cell(ProtocolKind::OptTrack, n, 0.5).sm_entries;
+        let crp = sw.cell(ProtocolKind::OptTrackCrp, n, 0.5).sm_entries;
+        let op = sw.cell(ProtocolKind::OptP, n, 0.5).sm_entries;
         t.push_row(vec![
             n.to_string(),
             format!("{ft:.0}"),
@@ -417,18 +384,10 @@ pub fn ext_storage(sw: &mut Sweep) -> Table {
         &["n", "Full-Track", "Opt-Track", "Opt-Track-CRP", "optP"],
     );
     for n in Sweep::N_GRID {
-        let ft = sw
-            .cell(ProtocolKind::FullTrack, Mode::Partial, n, 0.5)
-            .local_meta_mean;
-        let ot = sw
-            .cell(ProtocolKind::OptTrack, Mode::Partial, n, 0.5)
-            .local_meta_mean;
-        let crp = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, n, 0.5)
-            .local_meta_mean;
-        let op = sw
-            .cell(ProtocolKind::OptP, Mode::Full, n, 0.5)
-            .local_meta_mean;
+        let ft = sw.cell(ProtocolKind::FullTrack, n, 0.5).local_meta_mean;
+        let ot = sw.cell(ProtocolKind::OptTrack, n, 0.5).local_meta_mean;
+        let crp = sw.cell(ProtocolKind::OptTrackCrp, n, 0.5).local_meta_mean;
+        let op = sw.cell(ProtocolKind::OptP, n, 0.5).local_meta_mean;
         t.push_row(vec![
             n.to_string(),
             format!("{:.2}", ft / 1000.0),

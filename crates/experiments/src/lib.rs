@@ -15,20 +15,28 @@
 //! | `repro table3` | Table III — average SM overhead for Opt-Track-CRP vs optP |
 //! | `repro table4` | Table IV — total message count, partial vs full replication |
 //! | `repro eq2` | Eq. (1)/(2) — analytic crossover `w_rate > 2/(n+1)` and its empirical check |
+//! | `repro falseco` | extension — false causality: HB-Track vs Full-Track delay under a slow WAN |
+//! | `repro logsize` | extension — mean piggybacked records per SM, per protocol |
+//! | `repro storage` | extension — per-site metadata storage at quiescence |
 //! | `repro chaos` | extension — transport overhead vs. loss rate under fault injection |
-//! | `repro batching` | extension — bytes/op under per-destination update batching |
 //! | `repro durability` | extension — WAL/checkpoint recovery vs. full rebuild under overlapping crashes |
+//! | `repro churn` | extension — membership cost and availability under view changes |
+//! | `repro batching` | extension — bytes/op under per-destination update batching |
+//! | `repro soak` | extension — bounded memory under stable-frontier GC |
 //! | `repro serve` | extension — real-cluster throughput/latency benchmark + sim-vs-real parity |
 //! | `repro scale` | extension — sharded worker-pool fabric over TCP at W = 1, 2, 4 |
 //! | `repro all` | everything above, sharing simulation runs |
 //!
 //! [`analytic`] carries the closed-form complexity models of §V-A/V-B, and
-//! [`sweep`] the multi-seed simulation driver with per-invocation caching so
-//! figures that share parameter cells share runs. [`chaos`] goes beyond the
-//! paper: it re-runs the protocols over lossy channels with crash injection
-//! and measures what the (there-free) TCP guarantees cost. [`durability`]
-//! goes further still, comparing write-ahead-log + checkpoint recovery
-//! against the full peer rebuild under correlated failures.
+//! [`sweep`] the multi-seed figure engine with per-invocation and on-disk
+//! caching so figures that share parameter cells share runs. The extension
+//! sweeps go beyond the paper — lossy channels with crash injection
+//! ([`chaos`]), write-ahead-log recovery under correlated failures
+//! ([`durability`]), dynamic membership ([`churn`]), update batching
+//! ([`batching`]) and long-run memory ([`soak`]) — and each is a unit
+//! list, a config per unit and a row per result over the one checked,
+//! traced run loop in [`harness`], which also fixes every run's placement
+//! by its protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +47,7 @@ pub mod chaos;
 pub mod churn;
 pub mod durability;
 pub mod figures;
+pub mod harness;
 pub mod pool;
 pub mod scale;
 pub mod serve;
@@ -46,4 +55,4 @@ pub mod soak;
 pub mod sweep;
 pub mod trace;
 
-pub use sweep::{CellStats, Mode, Scale, Sweep};
+pub use sweep::{CellStats, Scale, Sweep};

@@ -8,6 +8,8 @@
 //! bit-identical to `jobs = 1`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::thread;
 
 /// Evaluate `f(0..count)` on `jobs` worker threads and return the results
 /// indexed by input position.
@@ -26,32 +28,25 @@ where
         return (0..count).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let workers = jobs.min(count);
+    let (tx, rx) = mpsc::channel();
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(count, || None);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
+    thread::scope(|s| {
+        for _ in 0..jobs.min(count) {
             let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move |_| loop {
+            let (next, f) = (&next, &f);
+            s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let out = f(i);
-                if tx.send((i, out)).is_err() {
+                if i >= count || tx.send((i, f(i))).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        for (i, out) in rx.iter() {
+        for (i, out) in rx {
             slots[i] = Some(out);
         }
-    })
-    .expect("worker pool scope");
+    });
     slots
         .into_iter()
         .map(|s| s.expect("every unit completes exactly once"))

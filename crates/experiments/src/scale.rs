@@ -14,9 +14,10 @@
 //!   causal-consistency checker;
 //! * a cell spawns exactly `W` threads — the workers, which drive their
 //!   sockets themselves — whatever `n` and however many sockets;
-//! * one sim-vs-real replay parity check (Opt-Track, n = 8) re-asserts
-//!   that the scheduler does not perturb protocol behavior: message counts
-//!   must match the simulator exactly.
+//! * one sim-vs-real replay parity check (Opt-Track, n = 8, through
+//!   [`crate::serve::parity`]) re-asserts that the scheduler does not
+//!   perturb protocol behavior: message counts must match the simulator
+//!   exactly.
 //!
 //! Throughput is printed, not gated: cells share one noisy host; with
 //! `--out` the table is also written as `scale.csv`.
@@ -24,12 +25,10 @@
 use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, RuntimeConfig, ServeConfig, ServeTransport};
-use causal_simnet::SimConfig;
-use causal_types::MsgKind;
+use causal_runtime::{ServeConfig, ServeTransport};
 use std::time::Duration;
 
-use crate::Scale;
+use crate::{serve, Scale};
 
 /// Pool sizes swept per system size. Fixed (not auto) so the expected
 /// thread counts are host-independent.
@@ -81,44 +80,16 @@ fn run_cell(scale: Scale, n: usize, workers: usize) -> Vec<String> {
     ]
 }
 
-/// Replay parity at n = 8: the sharded scheduler must reproduce the
-/// simulator's message counts exactly (same workload, same seed).
-fn parity_gate(scale: Scale) {
-    let (n, w, seed) = (8usize, 0.3, 7u64);
+/// The `repro scale` job: parity gate first, then the pool-size sweep.
+pub fn scale_sweep(scale: Scale) -> Table {
+    // Replay parity at n = 8: the sharded scheduler must reproduce the
+    // simulator's message counts exactly (same workload, same seed).
     let events = match scale {
         Scale::Paper => 120,
         Scale::Quick => 40,
     };
-    eprintln!("[scale] parity: {PROTOCOL} n={n} ({events} events/process) …");
-    let mut sim_cfg = SimConfig::paper_partial(PROTOCOL, n, w, seed);
-    sim_cfg.workload.events_per_process = events;
-    let sim = causal_simnet::run(&sim_cfg);
-    let real_cfg = RuntimeConfig::fast(PROTOCOL, n, w, seed, events);
-    let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("parity: tcp replay: {e:?}"));
-    assert_eq!(real.final_pending, 0, "parity: replay must drain");
-    assert_eq!(sim.metrics.writes, real.metrics.writes, "parity: writes");
-    assert_eq!(sim.metrics.reads, real.metrics.reads, "parity: reads");
-    assert_eq!(
-        sim.metrics.remote_reads, real.metrics.remote_reads,
-        "parity: remote reads"
-    );
-    for mk in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-        assert_eq!(
-            sim.metrics.all.count(mk),
-            real.metrics.all.count(mk),
-            "parity: total {mk:?} count"
-        );
-        assert_eq!(
-            sim.metrics.measured.count(mk),
-            real.metrics.measured.count(mk),
-            "parity: measured {mk:?} count"
-        );
-    }
-}
-
-/// The `repro scale` job: parity gate first, then the pool-size sweep.
-pub fn scale_sweep(scale: Scale) -> Table {
-    parity_gate(scale);
+    eprintln!("[scale] parity: {PROTOCOL} n=8 ({events} events/process) …");
+    serve::parity(PROTOCOL, 8, events);
 
     let mut t = Table::new(
         format!(

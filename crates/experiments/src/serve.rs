@@ -38,20 +38,11 @@ use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
 use causal_runtime::{run_tcp, serve, RuntimeConfig, ServeConfig, ServeTransport};
-use causal_simnet::SimConfig;
 use causal_types::MsgKind;
 use std::time::Duration;
 
+use crate::harness::{paper_cfg, PROTOCOLS};
 use crate::Scale;
-
-/// All five protocols, each under its paper placement.
-const PROTOCOLS: [(ProtocolKind, bool); 5] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::HbTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
 
 /// Relative tolerance for sim-vs-real metadata byte totals (see the module
 /// docs for why bytes can differ at all). Protocols with fixed-width
@@ -93,7 +84,7 @@ pub fn serve_bench(scale: Scale) -> Table {
             "sm frames",
         ],
     );
-    for (kind, _) in PROTOCOLS {
+    for kind in PROTOCOLS {
         for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
             let mut cfg = ServeConfig::quick(kind, N, transport, 4242);
             cfg.load.clients_per_site = clients;
@@ -151,65 +142,72 @@ pub fn serve_parity(scale: Scale) -> Table {
             "delta",
         ],
     );
-    let (w, seed, events) = (0.3, 7u64, scale.events());
-    for (kind, partial) in PROTOCOLS {
-        let mut sim_cfg = if partial {
-            SimConfig::paper_partial(kind, N, w, seed)
-        } else {
-            SimConfig::paper_full(kind, N, w, seed)
-        };
-        sim_cfg.workload.events_per_process = events;
-        let sim = causal_simnet::run(&sim_cfg);
-
-        let real_cfg = RuntimeConfig::fast(kind, N, w, seed, events);
-        let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
-        assert_eq!(real.final_pending, 0, "{kind}: replay must drain");
-
-        // The operation tallies are schedule-determined: exact.
-        assert_eq!(sim.metrics.writes, real.metrics.writes, "{kind}: writes");
-        assert_eq!(sim.metrics.reads, real.metrics.reads, "{kind}: reads");
-        assert_eq!(
-            sim.metrics.remote_reads, real.metrics.remote_reads,
-            "{kind}: remote reads"
-        );
-
-        for mk in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-            let (sc, rc) = (
-                sim.metrics.measured.count(mk),
-                real.metrics.measured.count(mk),
-            );
-            let (sb, rb) = (
-                sim.metrics.measured.bytes(mk),
-                real.metrics.measured.bytes(mk),
-            );
-            assert_eq!(sc, rc, "{kind}: measured {mk:?} count must match exactly");
-            assert_eq!(
-                sim.metrics.all.count(mk),
-                real.metrics.all.count(mk),
-                "{kind}: total {mk:?} count must match exactly"
-            );
-            let delta = rel_delta(sb, rb);
-            if kind == ProtocolKind::OptP {
-                assert_eq!(sb, rb, "{kind}: fixed-width piggyback, bytes exact");
-            } else {
-                assert!(
-                    delta <= BYTES_TOLERANCE,
-                    "{kind}: {mk:?} bytes diverge {:.1} % (sim {sb}, real {rb})",
-                    delta * 100.0
-                );
-            }
-            t.push_row(vec![
-                kind.to_string(),
-                format!("{mk:?}"),
-                sc.to_string(),
-                rc.to_string(),
-                sb.to_string(),
-                rb.to_string(),
-                format!("{:.1}%", delta * 100.0),
-            ]);
+    for kind in PROTOCOLS {
+        for row in parity(kind, N, scale.events()) {
+            t.push_row(row);
         }
     }
     t
+}
+
+/// Replay the simulator's workload for `kind` at `n` sites (w = 0.3, seed
+/// 7, `events` per process) on the real TCP cluster and compare, one row
+/// per message kind. Panics on any count mismatch, on byte deltas beyond
+/// [`BYTES_TOLERANCE`], or on optP deviating from exact byte equality.
+pub fn parity(kind: ProtocolKind, n: usize, events: usize) -> Vec<Vec<String>> {
+    let (w, seed) = (0.3, 7u64);
+    let mut sim_cfg = paper_cfg(kind, n, w, seed);
+    sim_cfg.workload.events_per_process = events;
+    let sim = causal_simnet::run(&sim_cfg);
+
+    let real_cfg = RuntimeConfig::fast(kind, n, w, seed, events);
+    let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
+    assert_eq!(real.final_pending, 0, "{kind}: replay must drain");
+
+    // The operation tallies are schedule-determined: exact.
+    assert_eq!(sim.metrics.writes, real.metrics.writes, "{kind}: writes");
+    assert_eq!(sim.metrics.reads, real.metrics.reads, "{kind}: reads");
+    assert_eq!(
+        sim.metrics.remote_reads, real.metrics.remote_reads,
+        "{kind}: remote reads"
+    );
+
+    let row = |mk: MsgKind| {
+        let (sc, rc) = (
+            sim.metrics.measured.count(mk),
+            real.metrics.measured.count(mk),
+        );
+        let (sb, rb) = (
+            sim.metrics.measured.bytes(mk),
+            real.metrics.measured.bytes(mk),
+        );
+        assert_eq!(sc, rc, "{kind}: measured {mk:?} count must match exactly");
+        assert_eq!(
+            sim.metrics.all.count(mk),
+            real.metrics.all.count(mk),
+            "{kind}: total {mk:?} count must match exactly"
+        );
+        let delta = rel_delta(sb, rb);
+        if kind == ProtocolKind::OptP {
+            assert_eq!(sb, rb, "{kind}: fixed-width piggyback, bytes exact");
+        } else {
+            assert!(
+                delta <= BYTES_TOLERANCE,
+                "{kind}: {mk:?} bytes diverge {:.1} % (sim {sb}, real {rb})",
+                delta * 100.0
+            );
+        }
+        vec![
+            kind.to_string(),
+            format!("{mk:?}"),
+            sc.to_string(),
+            rc.to_string(),
+            sb.to_string(),
+            rb.to_string(),
+            format!("{:.1}%", delta * 100.0),
+        ]
+    };
+    MsgKind::ALL.map(row).to_vec()
 }
 
 /// The full `repro serve` job: parity first (it is the gate), then the
@@ -230,7 +228,7 @@ mod tests {
         let t = serve_bench(Scale::Quick);
         assert_eq!(t.len(), PROTOCOLS.len() * 2);
         let csv = t.to_csv();
-        for (kind, _) in PROTOCOLS {
+        for kind in PROTOCOLS {
             assert!(csv.contains(&kind.to_string()), "{kind} missing");
         }
         assert!(csv.contains(",channel,") && csv.contains(",tcp,"));

@@ -29,24 +29,14 @@
 //! every run must drain, and at smoke scale (events ≤ 200k, where the
 //! history fits) every run is checked for causal violations with GC on.
 
-use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, CrashWindow, DurabilityPlan, SimConfig, SimResult, StabilityPlan};
+use causal_simnet::{CrashWindow, DurabilityPlan, SimConfig, StabilityPlan};
 use causal_types::{SimDuration, SimTime, SiteId};
 use causal_workload::{VarDistribution, WorkloadParams};
 
-use crate::{pool, Scale};
-
-/// All five protocols, each under its paper placement (partial where
-/// supported, full otherwise).
-const PROTOCOLS: [(ProtocolKind, bool); 5] = [
-    (ProtocolKind::FullTrack, true),
-    (ProtocolKind::OptTrack, true),
-    (ProtocolKind::HbTrack, true),
-    (ProtocolKind::OptTrackCrp, false),
-    (ProtocolKind::OptP, false),
-];
+use crate::harness::{paper_cfg, run_units, PROTOCOLS};
+use crate::Scale;
 
 /// Sites per soak run.
 const N: usize = 8;
@@ -80,7 +70,6 @@ impl Scenario {
 
 fn soak_cfg(
     kind: ProtocolKind,
-    partial: bool,
     scenario: Scenario,
     gc: bool,
     events_per_process: usize,
@@ -90,11 +79,7 @@ fn soak_cfg(
     } else {
         0.5
     };
-    let mut cfg = if partial {
-        SimConfig::paper_partial(kind, N, w, SEED)
-    } else {
-        SimConfig::paper_full(kind, N, w, SEED)
-    };
+    let mut cfg = paper_cfg(kind, N, w, SEED);
     cfg.workload = WorkloadParams::soak(N, w, SEED);
     cfg.workload.events_per_process = events_per_process;
     cfg.workload.var_dist = match scenario {
@@ -180,42 +165,39 @@ pub fn soak_sweep_events(total_events: usize, jobs: usize) -> Table {
             "virtual s",
         ],
     );
-    let units: Vec<(ProtocolKind, bool, Scenario, bool)> = PROTOCOLS
+    let units: Vec<(ProtocolKind, Scenario, bool)> = PROTOCOLS
         .iter()
-        .flat_map(|&(kind, partial)| {
+        .flat_map(|&kind| {
             [
-                (kind, partial, Scenario::Zipf, true),
-                (kind, partial, Scenario::Zipf, false),
-                (kind, partial, Scenario::Hotspot, true),
-                (kind, partial, Scenario::ReadHeavy, true),
-                (kind, partial, Scenario::Crashed, true),
+                (kind, Scenario::Zipf, true),
+                (kind, Scenario::Zipf, false),
+                (kind, Scenario::Hotspot, true),
+                (kind, Scenario::ReadHeavy, true),
+                (kind, Scenario::Crashed, true),
             ]
         })
         .collect();
-    let results: Vec<SimResult> = pool::run_indexed(jobs, units.len(), |i| {
-        let (kind, partial, scenario, gc) = units[i];
-        run(&soak_cfg(kind, partial, scenario, gc, epp))
-    });
+    let tag = |&(kind, scenario, gc): &(ProtocolKind, Scenario, bool)| {
+        format!("{kind}/{}/gc={gc}", scenario.name())
+    };
+    let results = run_units(
+        jobs,
+        &units,
+        |&(kind, scenario, gc)| soak_cfg(kind, scenario, gc, epp),
+        tag,
+        None,
+    );
     // The GC-off zipf baseline each GC-on zipf row is asserted against.
     let baseline_peak: Vec<u64> = units
         .iter()
         .zip(&results)
-        .filter(|((_, _, sc, gc), _)| *sc == Scenario::Zipf && !gc)
+        .filter(|((_, sc, gc), _)| *sc == Scenario::Zipf && !gc)
         .map(|(_, r)| r.metrics.retained_meta_peak)
         .collect();
     assert_eq!(baseline_peak.len(), PROTOCOLS.len());
-    for (u, ((kind, _, scenario, gc), r)) in units.iter().zip(&results).enumerate() {
-        let (kind, scenario, gc) = (*kind, *scenario, *gc);
-        let tag = format!("{kind}/{}/gc={gc}", scenario.name());
-        assert_eq!(r.final_pending, 0, "{tag}: soak run must drain");
-        if let Some(h) = r.history.as_ref() {
-            let v = check(h);
-            assert!(
-                v.protocol_clean(),
-                "{tag}: causal violations: {:?}",
-                v.examples
-            );
-        }
+    for (u, (unit, r)) in units.iter().zip(&results).enumerate() {
+        let (kind, scenario, gc) = *unit;
+        let tag = tag(unit);
         let m = &r.metrics;
         if gc {
             // The tentpole claim: retention with the collector on is
@@ -292,7 +274,7 @@ mod tests {
         let t = soak_sweep_events(8 * 600, 1);
         assert_eq!(t.len(), PROTOCOLS.len() * 5);
         let csv = t.to_csv();
-        for (kind, _) in PROTOCOLS {
+        for kind in PROTOCOLS {
             assert!(csv.contains(&kind.to_string()), "{kind} missing");
         }
         for scenario in ["zipf", "hotspot", "read-heavy", "crashed"] {

@@ -1,8 +1,8 @@
 //! Multi-seed simulation sweeps: a work-queue of per-seed run units with
 //! in-memory and persistent caching and an optional parallel worker pool.
 //!
-//! Each `(protocol, mode, n, w_rate)` cell expands into one run unit per
-//! seed. Units execute on [`crate::pool::run_indexed`] — sequentially for
+//! Each `(protocol, n, w_rate)` cell expands into one run unit per seed;
+//! the protocol fixes the placement ([`paper_cfg`]). Units execute on [`crate::pool::run_indexed`] — sequentially for
 //! `jobs = 1`, on scoped worker threads otherwise — and are folded back
 //! into [`CellStats`] **in seed order** with the exact floating-point
 //! operation sequence of the sequential code, so every figure and CSV is
@@ -10,12 +10,12 @@
 //! can additionally persist finished cells across invocations.
 
 use crate::cache::{CacheKey, DiskCache};
+use crate::harness::paper_cfg;
 use crate::pool;
 use causal_metrics::MessageStats;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, SimConfig};
+use causal_simnet::run;
 use causal_types::{MsgKind, SizeModel};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
@@ -48,27 +48,7 @@ impl Scale {
     }
 }
 
-/// Whether a protocol runs under the paper's partial placement or full
-/// replication in a given experiment.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Mode {
-    /// `p = round(0.3·n)`, even placement.
-    Partial,
-    /// `p = n`.
-    Full,
-}
-
-impl Mode {
-    /// Stable name used in the persistent cache key.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Partial => "partial",
-            Mode::Full => "full",
-        }
-    }
-}
-
-/// Seed-averaged measurements of one `(protocol, mode, n, w_rate)` cell.
+/// Seed-averaged measurements of one `(protocol, n, w_rate)` cell.
 #[derive(Clone, Debug)]
 pub struct CellStats {
     /// Mean measured (post-warm-up) message count per run.
@@ -137,7 +117,7 @@ impl CellStats {
     }
 }
 
-/// The raw yield of one `(protocol, mode, n, w_rate, seed)` run unit —
+/// The raw yield of one `(protocol, n, w_rate, seed)` run unit —
 /// exactly the quantities the sequential per-seed loop accumulated, so
 /// folding a slice of these in seed order reproduces its arithmetic.
 #[derive(Clone, Debug)]
@@ -151,18 +131,13 @@ pub struct SeedRun {
     local_meta_mean: f64,
 }
 
-type Key = (
-    ProtocolKind,
-    Mode,
-    usize,
-    u64, /* w_rate in per-mille */
-);
+type Key = (ProtocolKind, usize, u64 /* w_rate in per-mille */);
 
 /// A cell's full parameters, kept alongside the [`Key`] because re-running
 /// needs the original `w_rate` as the exact f64 the caller passed.
-type CellParams = (ProtocolKind, Mode, usize, f64);
+type CellParams = (ProtocolKind, usize, f64);
 
-/// A cached sweep runner: each `(protocol, mode, n, w_rate)` cell is
+/// A cached sweep runner: each `(protocol, n, w_rate)` cell is
 /// simulated once per seed and reused across figures — within one
 /// invocation via a memory cache, across invocations via an optional
 /// persistent [`DiskCache`].
@@ -222,14 +197,18 @@ impl Sweep {
     /// The paper's write-rate grid.
     pub const W_GRID: [f64; 3] = [0.2, 0.5, 0.8];
 
-    fn key_of(protocol: ProtocolKind, mode: Mode, n: usize, w_rate: f64) -> Key {
-        (protocol, mode, n, (w_rate * 1000.0).round() as u64)
+    fn key_of(protocol: ProtocolKind, n: usize, w_rate: f64) -> Key {
+        (protocol, n, (w_rate * 1000.0).round() as u64)
     }
 
-    fn cache_key(&self, protocol: ProtocolKind, mode: Mode, n: usize, w_rate: f64) -> CacheKey {
+    fn cache_key(&self, protocol: ProtocolKind, n: usize, w_rate: f64) -> CacheKey {
         CacheKey {
             protocol: protocol.to_string(),
-            mode: mode.name(),
+            mode: if protocol.supports_partial() {
+                "partial"
+            } else {
+                "full"
+            },
             n,
             w_per_mille: (w_rate * 1000.0).round() as u64,
             events: self.scale.events(),
@@ -243,39 +222,16 @@ impl Sweep {
 
     /// Simulate (or fetch) one cell. In planning mode this only records
     /// the request and returns zeroed placeholder stats.
-    pub fn cell(
-        &mut self,
-        protocol: ProtocolKind,
-        mode: Mode,
-        n: usize,
-        w_rate: f64,
-    ) -> &CellStats {
-        let key = Self::key_of(protocol, mode, n, w_rate);
+    pub fn cell(&mut self, protocol: ProtocolKind, n: usize, w_rate: f64) -> &CellStats {
+        let key = Self::key_of(protocol, n, w_rate);
         if let Some((order, seen)) = &mut self.plan {
             if !self.cache.contains_key(&key) && seen.insert(key) {
-                order.push((protocol, mode, n, w_rate));
+                order.push((protocol, n, w_rate));
             }
             return &self.dummy;
         }
-        let scale = self.scale;
-        let base_seed = self.base_seed;
-        let jobs = self.jobs;
-        let ckey = self.cache_key(protocol, mode, n, w_rate);
-        let disk = self.disk.as_ref();
-        match self.cache.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                let stats = disk.and_then(|d| d.load(&ckey)).unwrap_or_else(|| {
-                    let stats =
-                        Self::compute_cell(scale, base_seed, jobs, protocol, mode, n, w_rate);
-                    if let Some(d) = disk {
-                        d.store(&ckey, &stats);
-                    }
-                    stats
-                });
-                v.insert(stats)
-            }
-        }
+        self.execute(vec![(protocol, n, w_rate)]);
+        &self.cache[&key]
     }
 
     /// Enter planning mode: subsequent [`Sweep::cell`] calls record their
@@ -291,98 +247,61 @@ impl Sweep {
         self.plan.is_some()
     }
 
-    /// Leave planning mode and execute every recorded cell: disk-cached
-    /// cells load directly; the rest expand into per-seed run units on the
-    /// worker pool and aggregate in deterministic `(cell, seed)` order.
+    /// Leave planning mode and execute every recorded cell.
     pub fn plan_execute(&mut self) {
-        let Some((order, _)) = self.plan.take() else {
-            return;
-        };
+        if let Some((order, _)) = self.plan.take() {
+            self.execute(order);
+        }
+    }
+
+    /// Fill the memory cache with `cells`: cached cells are skipped,
+    /// disk-cached cells load directly, and the rest expand into per-seed
+    /// run units on the worker pool, aggregate in deterministic `(cell,
+    /// seed)` order and are stored on disk.
+    fn execute(&mut self, cells: Vec<CellParams>) {
         let mut to_run: Vec<CellParams> = Vec::new();
-        for params in order {
-            let (protocol, mode, n, w_rate) = params;
-            let key = Self::key_of(protocol, mode, n, w_rate);
+        for params in cells {
+            let (protocol, n, w_rate) = params;
+            let key = Self::key_of(protocol, n, w_rate);
             if self.cache.contains_key(&key) {
                 continue;
             }
-            let ckey = self.cache_key(protocol, mode, n, w_rate);
+            let ckey = self.cache_key(protocol, n, w_rate);
             if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(&ckey)) {
                 self.cache.insert(key, stats);
-                continue;
+            } else {
+                to_run.push(params);
             }
-            to_run.push(params);
         }
-        let seeds = self.scale.seeds() as usize;
+        let seeds = self.scale.seeds();
         let (scale, base_seed) = (self.scale, self.base_seed);
-        // `--jobs 1` bypasses the worker pool entirely: no unit vector, no
-        // shared-cursor indirection — a plain loop in the exact fold order.
-        // (PR 5 measured the pooled width-1 pass at 0.975× sequential;
-        // planning must never be slower than not planning.)
-        let runs: Vec<SeedRun> = if self.jobs <= 1 {
-            to_run
-                .iter()
-                .flat_map(|&(protocol, mode, n, w_rate)| {
-                    (0..seeds as u64).map(move |s| {
-                        Self::run_seed(scale, base_seed, protocol, mode, n, w_rate, s)
-                    })
-                })
-                .collect()
-        } else {
-            let units: Vec<(CellParams, u64)> = to_run
-                .iter()
-                .flat_map(|&p| (0..seeds as u64).map(move |s| (p, s)))
-                .collect();
-            pool::run_indexed(self.jobs, units.len(), |i| {
-                let ((protocol, mode, n, w_rate), s) = units[i];
-                Self::run_seed(scale, base_seed, protocol, mode, n, w_rate, s)
-            })
-        };
-        for (ci, &(protocol, mode, n, w_rate)) in to_run.iter().enumerate() {
-            let stats = Self::aggregate(&runs[ci * seeds..(ci + 1) * seeds]);
-            if let Some(d) = self.disk.as_ref() {
-                d.store(&self.cache_key(protocol, mode, n, w_rate), &stats);
-            }
-            self.cache
-                .insert(Self::key_of(protocol, mode, n, w_rate), stats);
-        }
-    }
-
-    fn compute_cell(
-        scale: Scale,
-        base_seed: u64,
-        jobs: usize,
-        protocol: ProtocolKind,
-        mode: Mode,
-        n: usize,
-        w_rate: f64,
-    ) -> CellStats {
-        let seeds = scale.seeds() as usize;
-        let runs = pool::run_indexed(jobs, seeds, |s| {
-            Self::run_seed(scale, base_seed, protocol, mode, n, w_rate, s as u64)
+        let units: Vec<(CellParams, u64)> = to_run
+            .iter()
+            .flat_map(|&p| (0..seeds).map(move |s| (p, s)))
+            .collect();
+        let runs = pool::run_indexed(self.jobs, units.len(), |i| {
+            let (params, s) = units[i];
+            Self::run_seed(scale, base_seed, params, s)
         });
-        Self::aggregate(&runs)
+        for (&(protocol, n, w_rate), runs) in to_run.iter().zip(runs.chunks(seeds as usize)) {
+            let stats = Self::aggregate(runs);
+            if let Some(d) = self.disk.as_ref() {
+                d.store(&self.cache_key(protocol, n, w_rate), &stats);
+            }
+            self.cache.insert(Self::key_of(protocol, n, w_rate), stats);
+        }
     }
 
     /// Execute one run unit.
-    fn run_seed(
-        scale: Scale,
-        base_seed: u64,
-        protocol: ProtocolKind,
-        mode: Mode,
-        n: usize,
-        w_rate: f64,
-        s: u64,
-    ) -> SeedRun {
-        // Seed depends on (n, w_rate, replica mode) but NOT on the
-        // protocol: Table IV compares protocols on identical schedules.
+    fn run_seed(scale: Scale, base_seed: u64, params: CellParams, s: u64) -> SeedRun {
+        let (protocol, n, w_rate) = params;
+        // Seed depends on (n, w_rate) but NOT on the protocol: Table IV
+        // compares protocols on identical schedules.
         let seed = base_seed
             .wrapping_add(s)
             .wrapping_add((n as u64) << 16)
             .wrapping_add(((w_rate * 1000.0) as u64) << 32);
-        let mut cfg = match mode {
-            Mode::Partial => SimConfig::paper_partial(protocol, n, w_rate, seed),
-            Mode::Full => SimConfig::paper_full(protocol, n, w_rate, seed),
-        };
+        let mut cfg = paper_cfg(protocol, n, w_rate, seed);
         cfg.workload.events_per_process = scale.events();
         let r = run(&cfg);
         assert_eq!(r.final_pending, 0, "simulation must reach quiescence");
@@ -448,8 +367,8 @@ mod tests {
     #[test]
     fn cell_is_cached() {
         let mut sw = Sweep::new(Scale::Quick);
-        let a = sw.cell(ProtocolKind::OptP, Mode::Full, 5, 0.5).total_count;
-        let b = sw.cell(ProtocolKind::OptP, Mode::Full, 5, 0.5).total_count;
+        let a = sw.cell(ProtocolKind::OptP, 5, 0.5).total_count;
+        let b = sw.cell(ProtocolKind::OptP, 5, 0.5).total_count;
         assert_eq!(a, b);
         assert_eq!(sw.cache.len(), 1);
     }
@@ -457,9 +376,7 @@ mod tests {
     #[test]
     fn avg_bytes_indexing_matches_kind() {
         let mut sw = Sweep::new(Scale::Quick);
-        let c = sw
-            .cell(ProtocolKind::OptTrack, Mode::Partial, 5, 0.5)
-            .clone();
+        let c = sw.cell(ProtocolKind::OptTrack, 5, 0.5).clone();
         assert!(c.avg(MsgKind::Sm) > 0.0);
         assert!(c.avg(MsgKind::Fm) > 0.0);
         assert!(c.avg(MsgKind::Rm) > c.avg(MsgKind::Fm));
@@ -470,12 +387,8 @@ mod tests {
         // The seed derivation ignores the protocol: write/read counts of
         // Opt-Track (partial) and Opt-Track-CRP (full) cells coincide.
         let mut sw = Sweep::new(Scale::Quick);
-        let a = sw
-            .cell(ProtocolKind::OptTrack, Mode::Partial, 5, 0.5)
-            .writes;
-        let b = sw
-            .cell(ProtocolKind::OptTrackCrp, Mode::Full, 5, 0.5)
-            .writes;
+        let a = sw.cell(ProtocolKind::OptTrack, 5, 0.5).writes;
+        let b = sw.cell(ProtocolKind::OptTrackCrp, 5, 0.5).writes;
         assert_eq!(a, b, "Table IV replays identical schedules");
     }
 
@@ -484,26 +397,20 @@ mod tests {
     /// and through the plan/execute path.
     #[test]
     fn parallel_cells_bitwise_match_sequential() {
-        let grid: [(ProtocolKind, Mode); 4] = [
-            (ProtocolKind::FullTrack, Mode::Partial),
-            (ProtocolKind::OptTrack, Mode::Partial),
-            (ProtocolKind::OptTrackCrp, Mode::Full),
-            (ProtocolKind::OptP, Mode::Full),
-        ];
         let mut seq = Sweep::new(Scale::Quick);
         let mut par = Sweep::new(Scale::Quick);
         par.set_jobs(4);
         par.plan_begin();
-        for &(p, m) in &grid {
-            let _ = par.cell(p, m, 10, 0.5);
+        for p in ProtocolKind::ALL {
+            let _ = par.cell(p, 10, 0.5);
         }
         assert!(par.planning());
         par.plan_execute();
         assert!(!par.planning());
-        for &(p, m) in &grid {
-            let s = seq.cell(p, m, 10, 0.5).fingerprint();
-            let q = par.cell(p, m, 10, 0.5).fingerprint();
-            assert_eq!(s, q, "{p} {m:?}: parallel stats must be bit-identical");
+        for p in ProtocolKind::ALL {
+            let s = seq.cell(p, 10, 0.5).fingerprint();
+            let q = par.cell(p, 10, 0.5).fingerprint();
+            assert_eq!(s, q, "{p}: parallel stats must be bit-identical");
         }
     }
 
@@ -515,20 +422,14 @@ mod tests {
 
         let mut cold = Sweep::new(Scale::Quick);
         cold.set_disk_cache(Some(dir.clone()));
-        let a = cold
-            .cell(ProtocolKind::OptTrack, Mode::Partial, 5, 0.2)
-            .fingerprint();
+        let a = cold.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
 
         let mut warm = Sweep::new(Scale::Quick);
         warm.set_disk_cache(Some(dir.clone()));
-        let b = warm
-            .cell(ProtocolKind::OptTrack, Mode::Partial, 5, 0.2)
-            .fingerprint();
+        let b = warm.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
 
         let mut uncached = Sweep::new(Scale::Quick);
-        let c = uncached
-            .cell(ProtocolKind::OptTrack, Mode::Partial, 5, 0.2)
-            .fingerprint();
+        let c = uncached.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
 
         assert_eq!(a, b, "warm load must reproduce the cold run bit-for-bit");
         assert_eq!(a, c, "cached and uncached runs must agree bit-for-bit");
@@ -543,14 +444,14 @@ mod tests {
     fn planning_records_without_running() {
         let mut sw = Sweep::new(Scale::Quick);
         sw.plan_begin();
-        let zero = sw.cell(ProtocolKind::OptP, Mode::Full, 5, 0.5).total_count;
+        let zero = sw.cell(ProtocolKind::OptP, 5, 0.5).total_count;
         assert_eq!(zero, 0.0, "planning returns placeholder stats");
-        let dup = sw.cell(ProtocolKind::OptP, Mode::Full, 5, 0.5).total_count;
+        let dup = sw.cell(ProtocolKind::OptP, 5, 0.5).total_count;
         assert_eq!(dup, 0.0);
         let (order, _) = sw.plan.as_ref().unwrap();
         assert_eq!(order.len(), 1, "duplicate requests plan once");
         sw.plan_execute();
         assert_eq!(sw.cache.len(), 1, "execution fills the cell");
-        assert!(sw.cell(ProtocolKind::OptP, Mode::Full, 5, 0.5).total_count > 0.0);
+        assert!(sw.cell(ProtocolKind::OptP, 5, 0.5).total_count > 0.0);
     }
 }

@@ -72,18 +72,13 @@ pub fn read_trace(path: &Path) -> std::io::Result<Vec<TraceEvent>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::paper_cfg;
     use causal_obs::BufTracer;
     use causal_proto::ProtocolKind;
-    use causal_simnet::{run_traced, SimConfig};
+    use causal_simnet::run_traced;
 
-    fn traced_run(kind: ProtocolKind, partial: bool, seed: u64) -> (Vec<TraceEvent>, History) {
-        let cfg = if partial {
-            SimConfig::paper_partial(kind, 6, 0.5, seed)
-        } else {
-            SimConfig::paper_full(kind, 6, 0.5, seed)
-        }
-        .small()
-        .with_history();
+    fn traced_run(kind: ProtocolKind, seed: u64) -> (Vec<TraceEvent>, History) {
+        let cfg = paper_cfg(kind, 6, 0.5, seed).small().with_history();
         let mut tracer = BufTracer::default();
         let r = run_traced(&cfg, &mut tracer);
         (tracer.events, r.history.expect("recorded"))
@@ -91,12 +86,12 @@ mod tests {
 
     #[test]
     fn reconstructed_history_matches_the_recorded_one() {
-        for (kind, partial) in [
-            (ProtocolKind::FullTrack, true),
-            (ProtocolKind::OptTrack, true),
-            (ProtocolKind::OptP, false),
+        for kind in [
+            ProtocolKind::FullTrack,
+            ProtocolKind::OptTrack,
+            ProtocolKind::OptP,
         ] {
-            let (events, recorded) = traced_run(kind, partial, 17);
+            let (events, recorded) = traced_run(kind, 17);
             let rebuilt = history_from_trace(&events, 6);
             assert_eq!(
                 rebuilt.total_ops(),
@@ -114,14 +109,14 @@ mod tests {
 
     #[test]
     fn reconstructed_history_passes_the_checker() {
-        let (events, _) = traced_run(ProtocolKind::OptTrack, true, 23);
+        let (events, _) = traced_run(ProtocolKind::OptTrack, 23);
         let v = check_trace(&events, 6);
         assert!(v.protocol_clean(), "causal chains broken: {:?}", v.examples);
     }
 
     #[test]
     fn traces_round_trip_through_disk() {
-        let (events, _) = traced_run(ProtocolKind::FullTrack, true, 29);
+        let (events, _) = traced_run(ProtocolKind::FullTrack, 29);
         let dir = std::env::temp_dir().join(format!("causal-trace-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");

@@ -3,7 +3,8 @@
 //! produce byte-identical artifacts.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -17,6 +18,25 @@ fn simulate(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn simulate")
+}
+
+/// `simulate` with `args`, killed and failed if it outlives `limit`.
+fn simulate_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn simulate");
+    let deadline = Instant::now() + limit;
+    while child.try_wait().expect("poll simulate").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("simulate {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect simulate")
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -276,6 +296,32 @@ fn simulate_rejects_bad_parallel_flags() {
     let out = simulate(&["--seeds", "2", "--check"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("incompatible"));
+}
+
+/// Out-of-range values exit 2 before any run, with a message naming the
+/// flag: no panic in the workload generator or the latency sampler, and
+/// no run over a channel that drops every frame and so never quiesces.
+#[test]
+fn simulate_rejects_out_of_range_values_naming_the_flag() {
+    let cases: [(&[&str], &str, &str); 8] = [
+        (&["--faults", "1.0"], "--faults", "drop < 1"),
+        (&["--faults", "0.1,1.5"], "--faults", "dup <= 1"),
+        (&["--w", "1.5"], "--w", "w_rate must be in [0, 1], got 1.5"),
+        (&["--w", "-1"], "--w", "w_rate must be in [0, 1], got -1"),
+        (&["--q", "0"], "--q", "q must be positive"),
+        (&["--zipf", "-2"], "--zipf", "zipf theta must be"),
+        (&["--latency", "5:1"], "--latency", "minimum exceeds"),
+        (&["--partition", "600:200"], "--partition", "is empty"),
+    ];
+    for (bad, flag, reason) in cases {
+        let args = [&["--n", "4", "--events", "20"], bad].concat();
+        let out = simulate_within(&args, Duration::from_secs(10));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: stderr: {err}");
+        assert!(err.starts_with("error: "), "{bad:?}: stderr: {err}");
+        assert!(err.contains(flag), "{bad:?} must name {flag}: {err}");
+        assert!(err.contains(reason), "{bad:?}: stderr: {err}");
+    }
 }
 
 /// `--churn` validation: malformed specs and causally impossible plans

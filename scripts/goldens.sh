@@ -16,8 +16,8 @@ mkdir -p "$2/simulate"
 # compare equal too.
 cd "$2"
 
-# Lines that report the real clock.
-wallclock='wall time|checked .* in .* s|done in|drained in'
+# Lines that report the real clock, and `soak`'s peak RSS.
+wallclock='wall time|checked .* in .* s|done in|drained in|peak RSS'
 
 # name | flags, run once per protocol.
 scenarios=(
@@ -58,7 +58,7 @@ for protocol in full-track opt-track opt-track-crp optp hb-track; do
     done
 done
 
-for job in chaos durability churn batching storage; do
+for job in chaos durability churn batching storage soak table4; do
     mkdir -p "repro/$job"
     "$bin/repro" "$job" --quick --no-cache \
         --out "repro/$job" --trace-dir "repro/$job/traces" 2>&1 |

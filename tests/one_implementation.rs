@@ -12,7 +12,9 @@
 //! MERGE, the write-side record and the `LastWriteOn` materialization are
 //! single passes in `causal_clocks::log`, and the protocols call them
 //! instead of composing whole-log passes by hand. Benchmark: `bench/` is
-//! the only one. A second copy growing back is how the copies drifted
+//! the only one. Experiments: the paper's placement is chosen in one
+//! function, and every sweep fans out through the figure engine or the
+//! extension harness. A second copy growing back is how the copies drifted
 //! apart before.
 
 use std::fs;
@@ -322,5 +324,54 @@ fn bench_is_the_only_benchmark() {
             .map(|(path, _)| rel(path))
             .collect();
         assert!(hits.is_empty(), "`{gone}`: {hits:?}");
+    }
+}
+
+#[test]
+fn experiments_choose_placement_once_and_fan_out_through_two_loops() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crate_dir = root.join("crates/experiments");
+    let mut sources = Vec::new();
+    walk(&crate_dir.join("src"), &mut sources);
+    assert!(sources.len() >= 10, "the walk found the experiments crate");
+    let harness = "crates/experiments/src/harness.rs";
+
+    // The paper's two settings are picked by protocol in `paper_cfg` alone.
+    for call in ["paper_partial(", "paper_full("] {
+        assert_eq!(files_with(&sources, call), [harness], "`{call}`");
+    }
+    let (_, text) = sources
+        .iter()
+        .find(|(p, _)| p.ends_with("harness.rs"))
+        .unwrap();
+    let body = &text[text.find("pub fn paper_cfg(").expect("paper_cfg")..];
+    let body = &body[..body.find("\n}").expect("its end")];
+    for call in ["paper_partial(", "paper_full("] {
+        assert_eq!(text.matches(call).count(), 1, "`{call}` once");
+        assert!(body.contains(call), "`{call}` inside paper_cfg");
+    }
+    // No protocol is paired with a placement flag by hand.
+    assert_eq!(files_with(&sources, "(ProtocolKind, bool)"), [""; 0]);
+
+    // Units fan out on the pool from the figure engine and the harness.
+    let code: Vec<_> = sources
+        .iter()
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    let mut callers = files_with(&code, "run_indexed(");
+    callers.sort();
+    assert_eq!(callers, [harness, "crates/experiments/src/sweep.rs"]);
+
+    // Every `[dependencies]` line names a crate the sources import.
+    let manifest = fs::read_to_string(crate_dir.join("Cargo.toml")).expect("manifest");
+    let deps = &manifest[manifest.find("[dependencies]\n").expect("deps")..];
+    let deps = deps.lines().skip(1).take_while(|l| !l.starts_with('['));
+    for line in deps.filter(|l| !l.trim().is_empty()) {
+        let name = line.split(['.', ' ', '=']).next().expect("a crate name");
+        let import = format!("{}::", name.replace('-', "_"));
+        assert!(
+            !files_with(&sources, &import).is_empty(),
+            "`{name}` is listed but never imported"
+        );
     }
 }
