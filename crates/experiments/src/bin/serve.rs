@@ -5,7 +5,7 @@
 //! in-process channels or a loopback-TCP mesh (`TCP_NODELAY` set), and
 //! offered load comes from closed-loop clients with think time. The run
 //! reports throughput (ops/s) and completion-latency tails (mean / p50 /
-//! p99 via streaming P² estimators) next to the paper's message and
+//! p99 from mergeable histograms) next to the paper's message and
 //! meta-byte accounting.
 //!
 //! ```text

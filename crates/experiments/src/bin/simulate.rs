@@ -726,8 +726,8 @@ fn main() {
     if cfg.stability.is_some() {
         println!();
         let p99 = m
-            .stability_lag_p99
-            .estimate()
+            .stability_lag
+            .quantile(0.99)
             .map_or("-".to_string(), |v| format!("{v:.0}"));
         println!(
             "stability       lag mean {:.1} / p99 {} writes, unstable peak {}, retained peak {:.1} KB",

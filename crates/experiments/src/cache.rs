@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 /// Bump to invalidate every previously cached cell (e.g. after a change to
 /// the simulator, the metrics, or this file's format).
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Everything a cached cell's identity depends on.
 #[derive(Clone, Debug, PartialEq, Eq)]

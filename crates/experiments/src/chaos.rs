@@ -46,7 +46,7 @@ fn chaos_cfg(kind: ProtocolKind, n: usize, loss: f64, events: usize, seed: u64) 
 /// Transport overhead vs. loss rate: for each of the paper's four
 /// protocols and each loss level, the retransmission fraction, duplicate
 /// drops, ack traffic, the protocol-payload vs. transport-overhead byte
-/// split, and the per-site registry's P² tails (apply dwell, fetch RTT)
+/// split, and the per-site registry's p99 tails (apply dwell, fetch RTT)
 /// with the buffered-update total. Runs fan out over `jobs` threads; with a
 /// `trace_dir`, each run's structured trace lands there as
 /// `chaos-<protocol>-<loss>.jsonl`. Panics if any run fails to quiesce or
@@ -86,8 +86,8 @@ pub fn chaos_overhead(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&Pa
             format!("{:.1}", m.sync_bytes as f64 / 1000.0),
             ms_cell((m.recovery_ns.count() > 0).then(|| m.recovery_ns.mean())),
             format!("{:.1}", r.duration.as_secs_f64()),
-            ms_cell(m.apply_latency_p99.estimate()),
-            ms_cell(m.fetch_rtt_p99.estimate()),
+            ms_cell(m.apply_latency_ns.quantile(0.99)),
+            ms_cell(m.fetch_rtt_ns.quantile(0.99)),
             m.per_site.total_buffered().to_string(),
         ]);
     }

@@ -70,7 +70,7 @@ fn durability_cfg(
 /// Recovery cost vs. durability mode under two overlapping crashes: for
 /// each of the paper's four protocols and each mode, the bytes spent on
 /// the WAL and on checkpoints against the sync traffic avoided and the
-/// recovery latency, plus the per-site registry's P² tails and
+/// recovery latency, plus the per-site registry's p99 tails and
 /// buffered-update total. Runs fan out over `jobs` threads; with a
 /// `trace_dir`, each run's structured trace lands there as
 /// `durability-<protocol>-<mode>.jsonl`. Panics if any run fails to
@@ -124,8 +124,8 @@ pub fn durability_sweep(scale: Scale, n: usize, jobs: usize, trace_dir: Option<&
             m.fetch_failovers.to_string(),
             (m.degraded_reads + m.degraded_recoveries).to_string(),
             format!("{:.1}", r.duration.as_secs_f64()),
-            ms_cell(m.apply_latency_p99.estimate()),
-            ms_cell(m.fetch_rtt_p99.estimate()),
+            ms_cell(m.apply_latency_ns.quantile(0.99)),
+            ms_cell(m.fetch_rtt_ns.quantile(0.99)),
             m.per_site.total_buffered().to_string(),
         ]);
     }

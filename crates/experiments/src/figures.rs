@@ -314,7 +314,7 @@ pub fn ext_false_causality(sw: &mut Sweep) -> Table {
         assert_eq!(r.final_pending, 0);
         (
             r.metrics.apply_latency_ns.mean() / 1e6,
-            r.metrics.apply_latency_p99.estimate().unwrap_or(0.0) / 1e6,
+            r.metrics.apply_latency_ns.quantile(0.99).unwrap_or(0.0) / 1e6,
             r.metrics.max_pending,
         )
     };

@@ -6,8 +6,8 @@
 //! 1. **Benchmark** — every protocol on both live fabrics (in-process
 //!    channels and loopback TCP with `TCP_NODELAY`), under the closed-loop
 //!    load generator; reports completed ops, ops/s and the mean/p50/p99
-//!    completion-latency tails from the shared P² recorder. Every run must
-//!    drain to quiescence and pass the causal-consistency checker.
+//!    completion-latency tails of the merged per-site histograms. Every
+//!    run must drain to quiescence and pass the causal-consistency checker.
 //!
 //! 2. **Parity** — the closing step the paper's testbed never had: replay
 //!    the simulator's exact workload (same parameters, same seed) on the

@@ -241,7 +241,7 @@ pub fn soak_sweep_events(total_events: usize, jobs: usize) -> Table {
             kind.to_string(),
             scenario.name().to_string(),
             if gc { "on" } else { "off" }.to_string(),
-            match m.stability_lag_p99.estimate() {
+            match m.stability_lag.quantile(0.99) {
                 Some(p99) => format!("{p99:.0}"),
                 None => "-".to_string(),
             },

@@ -1,72 +1,17 @@
-//! Operation-latency recording for the live serving path.
+//! Operation-latency reporting for the live serving path.
 //!
 //! The `serve` load generator is closed-loop: every client issues one
 //! operation, waits for it to complete (a remote read blocks for its RM),
-//! thinks, and issues the next. An [`OpLatency`] accumulates those
-//! per-operation completion times in O(1) memory — mean/min/max via
-//! [`StatAccum`] and the p50/p99 tails via two [`P2Quantile`] markers —
-//! and snapshots to a plain-number [`LatencySummary`] for reports.
-//!
-//! P² markers cannot be merged across estimators, so a serving cluster
-//! shares *one* recorder behind a mutex instead of folding per-site
-//! estimates: operations complete at most a few thousand times per second,
-//! which makes the lock uncontended in practice and keeps the tails exact
-//! streaming estimates over the full run.
+//! thinks, and issues the next. Each site records those completion times
+//! into its own [`OpLatency`] histogram, the run folds them with the rest
+//! of its metrics, and the merged histogram snapshots to a plain-number
+//! [`LatencySummary`] for reports.
 
-use crate::quantile::P2Quantile;
-use crate::stats::StatAccum;
+use crate::stats::Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Streaming operation-latency accumulator: count, mean, min/max, p50, p99.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OpLatency {
-    /// Mean / min / max over all completions.
-    pub stats: StatAccum,
-    /// Streaming median estimate.
-    pub p50: P2Quantile,
-    /// Streaming 99th-percentile estimate.
-    pub p99: P2Quantile,
-}
-
-impl OpLatency {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        OpLatency {
-            stats: StatAccum::new(),
-            p50: P2Quantile::new(0.5),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    /// Record one operation's completion latency, in nanoseconds.
-    pub fn record(&mut self, ns: f64) {
-        self.stats.record(ns);
-        self.p50.record(ns);
-        self.p99.record(ns);
-    }
-
-    /// Number of completions recorded.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Plain-number snapshot for reports and JSON artifacts.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            ops: self.stats.count(),
-            mean_us: self.stats.mean() / 1e3,
-            p50_us: self.p50.estimate().unwrap_or(0.0) / 1e3,
-            p99_us: self.p99.estimate().unwrap_or(0.0) / 1e3,
-            max_us: self.stats.max().unwrap_or(0.0) / 1e3,
-        }
-    }
-}
-
-impl Default for OpLatency {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Operation completion times, nanoseconds.
+pub type OpLatency = Histogram;
 
 /// A point-in-time latency summary, microseconds.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -75,12 +20,27 @@ pub struct LatencySummary {
     pub ops: u64,
     /// Mean completion latency.
     pub mean_us: f64,
-    /// Median (P² streaming estimate).
+    /// Median.
     pub p50_us: f64,
-    /// 99th percentile (P² streaming estimate).
+    /// 99th percentile.
     pub p99_us: f64,
     /// Worst completion observed.
     pub max_us: f64,
+}
+
+impl LatencySummary {
+    /// Summarise completion times recorded in nanoseconds (all zero when
+    /// nothing completed).
+    pub fn from_ns(h: &OpLatency) -> Self {
+        let us = |ns: Option<f64>| ns.unwrap_or(0.0) / 1e3;
+        LatencySummary {
+            ops: h.count(),
+            mean_us: h.mean() / 1e3,
+            p50_us: us(h.quantile(0.5)),
+            p99_us: us(h.quantile(0.99)),
+            max_us: us(h.max()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,7 +49,7 @@ mod tests {
 
     #[test]
     fn empty_recorder_summarizes_to_zero() {
-        let s = OpLatency::new().summary();
+        let s = LatencySummary::from_ns(&OpLatency::new());
         assert_eq!(s.ops, 0);
         assert_eq!(s.p50_us, 0.0);
         assert_eq!(s.p99_us, 0.0);
@@ -99,12 +59,13 @@ mod tests {
     #[test]
     fn tails_separate_from_the_mean() {
         let mut l = OpLatency::new();
-        // 990 fast ops at ~10 µs, 10 slow ones at 5 ms.
+        // 980 fast ops at ~10 µs, 20 slow ones at 5 ms: rank 989, the p99,
+        // is a slow one.
         for i in 0..1000u64 {
-            let ns = if i % 100 == 99 { 5_000_000.0 } else { 10_000.0 };
+            let ns = if i % 50 == 49 { 5_000_000.0 } else { 10_000.0 };
             l.record(ns);
         }
-        let s = l.summary();
+        let s = LatencySummary::from_ns(&l);
         assert_eq!(s.ops, 1000);
         assert!(
             s.p50_us < 50.0,

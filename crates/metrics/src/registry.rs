@@ -4,11 +4,9 @@
 //! registry keeps the same story *per site*, which is where asymmetries
 //! live — one slow or lossy site shows up as an outlier row here while
 //! the run-wide mean hides it. Counters are exact; dwell time and fetch
-//! RTT additionally keep a streaming P² p99 so the tail survives
-//! aggregation.
+//! RTT are histograms, so their tails survive aggregation.
 
-use crate::quantile::P2Quantile;
-use crate::stats::StatAccum;
+use crate::stats::Histogram;
 use serde::{Deserialize, Serialize};
 
 metrics_struct! {
@@ -27,19 +25,9 @@ metrics_struct! {
         pub retransmits: u64 => sum,
         /// Pending-queue dwell time per applied update, virtual nanoseconds
         /// (0 when applied on arrival).
-        pub dwell_ns: StatAccum => merge,
-        /// Streaming p99 of the dwell time.
-        pub dwell_p99: P2Quantile => p99,
+        pub dwell_ns: Histogram => merge,
         /// Remote-fetch round-trip time observed by this site as the reader.
-        pub fetch_rtt_ns: StatAccum => merge,
-    }
-}
-
-impl SiteMetrics {
-    /// Record one apply with its pending-queue dwell (mean + p99 together).
-    pub fn record_dwell(&mut self, ns: f64) {
-        self.dwell_ns.record(ns);
-        self.dwell_p99.record(ns);
+        pub fetch_rtt_ns: Histogram => merge,
     }
 }
 
@@ -133,23 +121,23 @@ mod tests {
     fn dwell_records_mean_and_p99() {
         let mut s = SiteMetrics::default();
         for x in [10.0, 20.0, 30.0] {
-            s.record_dwell(x);
+            s.dwell_ns.record(x);
         }
         assert_eq!(s.dwell_ns.count(), 3);
         assert!((s.dwell_ns.mean() - 20.0).abs() < 1e-9);
-        // Exact small-sample path: p99 of three samples is the max.
-        assert_eq!(s.dwell_p99.estimate(), Some(30.0));
+        // The last rank is the max, exactly.
+        assert_eq!(s.dwell_ns.quantile(0.99), Some(30.0));
     }
 
     #[test]
     fn merge_adds_counters_and_folds_accums() {
         let mut a = SiteRegistry::new();
         a.site_mut(0).sends = 2;
-        a.site_mut(0).record_dwell(100.0);
+        a.site_mut(0).dwell_ns.record(100.0);
         let mut b = SiteRegistry::new();
         b.site_mut(0).sends = 3;
         b.site_mut(0).retransmits = 1;
-        b.site_mut(0).record_dwell(300.0);
+        b.site_mut(0).dwell_ns.record(300.0);
         b.site_mut(1).delivers = 4;
         a.merge(&b);
         assert_eq!(a.len(), 2);

@@ -1,8 +1,7 @@
 //! Per-run metric aggregation.
 
-use crate::quantile::P2Quantile;
 use crate::registry::SiteRegistry;
-use crate::stats::{MessageStats, StatAccum};
+use crate::stats::{Histogram, MessageStats};
 use causal_types::MsgKind;
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +27,7 @@ metrics_struct! {
         /// Piggybacked dependency-structure entry counts sampled per SM
         /// (Opt-Track log entries, CRP tuples; `n`/`n²` for the clock
         /// protocols). Diagnoses the paper's `d` parameter.
-        pub sm_entries: StatAccum => merge,
+        pub sm_entries: Histogram => merge,
         /// Updates applied across all sites (whole run).
         pub applies: u64 => sum,
         /// Largest pending-buffer population observed at any site.
@@ -36,15 +35,12 @@ metrics_struct! {
         /// Virtual nanoseconds between an update's receipt and its apply
         /// (0 for updates applied on arrival). False causality — waiting on
         /// dependencies that are not real `→co` dependencies — shows up here.
-        pub apply_latency_ns: StatAccum => merge,
+        pub apply_latency_ns: Histogram => merge,
         /// Pending-buffer population sampled after every delivery event.
-        pub pending_samples: StatAccum => merge,
+        pub pending_samples: Histogram => merge,
         /// Channel transit time per message, virtual nanoseconds (simulator
         /// runs only; reflects the latency model, partitions included).
-        pub transit_ns: StatAccum => merge,
-        /// p99 of the apply latency (streaming P² estimate) — tail buffering
-        /// that the mean hides.
-        pub apply_latency_p99: P2Quantile => p99,
+        pub transit_ns: Histogram => merge,
         /// Data-frame retransmissions performed by the reliable transport
         /// (zero on a lossless network or when the transport is bypassed).
         pub retransmissions: u64 => sum,
@@ -71,7 +67,7 @@ metrics_struct! {
         pub sync_bytes: u64 => sum,
         /// Virtual nanoseconds from each crash's recovery instant until the
         /// recovering site finished installing peer state.
-        pub recovery_ns: StatAccum => merge,
+        pub recovery_ns: Histogram => merge,
         /// Records appended to write-ahead logs (durable-storage model).
         pub wal_appends: u64 => sum,
         /// Modeled bytes of those WAL records.
@@ -117,12 +113,10 @@ metrics_struct! {
         pub churn_transfers_degraded: u64 => sum,
         /// Virtual nanoseconds from each view-change proposal to its install
         /// (the quiescence window).
-        pub view_change_ns: StatAccum => merge,
+        pub view_change_ns: Histogram => merge,
         /// Remote-fetch round-trip time, virtual nanoseconds (issue → return,
         /// including failover re-issues' tail).
-        pub fetch_rtt_ns: StatAccum => merge,
-        /// p99 of the fetch RTT (streaming P² estimate).
-        pub fetch_rtt_p99: P2Quantile => p99,
+        pub fetch_rtt_ns: Histogram => merge,
         /// Updates flagged by the stuck-buffer watchdog: parked past the
         /// overdue deadline without applying (each counted once).
         pub buffered_overdue: u64 => sum,
@@ -150,9 +144,7 @@ metrics_struct! {
         pub wal_deleted_bytes: u64 => sum,
         /// Stability lag — max over origins of (issued − stable frontier) —
         /// sampled at every stability tick.
-        pub stability_lag: StatAccum => merge,
-        /// p99 of the stability lag (streaming P² estimate).
-        pub stability_lag_p99: P2Quantile => p99,
+        pub stability_lag: Histogram => merge,
         /// Live-transport connection failures survived without taking the run
         /// down: frames refused because the peer socket died, oversized or
         /// corrupt frames that tore a connection down cleanly, and sends
@@ -191,6 +183,9 @@ metrics_struct! {
         /// Deepest per-site backlog observed by the worker scheduler: the most
         /// frames one taken inbox batch held for one site.
         pub mailbox_depth_peak: u64 => max,
+        /// Wall-clock nanoseconds from each closed-loop client operation's
+        /// issue to its completion (live `serve` runs only).
+        pub op_latency_ns: Histogram => merge,
         /// Per-site breakdown of the counters above (sends, delivers, applies,
         /// buffering, retransmits, dwell, fetch RTT).
         pub per_site: SiteRegistry => merge,
@@ -203,22 +198,9 @@ impl RunMetrics {
         Self::default()
     }
 
-    /// Record one apply latency sample (mean + p99 together).
-    pub fn record_apply_latency(&mut self, ns: f64) {
-        self.apply_latency_ns.record(ns);
-        self.apply_latency_p99.record(ns);
-    }
-
-    /// Record one stability-lag sample (mean + p99 together).
-    pub fn record_stability_lag(&mut self, lag: f64) {
-        self.stability_lag.record(lag);
-        self.stability_lag_p99.record(lag);
-    }
-
-    /// Record one remote-fetch round trip (run total + per-site, mean + p99).
+    /// Record one remote-fetch round trip (run total + per-site).
     pub fn record_fetch_rtt(&mut self, site_index: usize, ns: f64) {
         self.fetch_rtt_ns.record(ns);
-        self.fetch_rtt_p99.record(ns);
         self.per_site.site_mut(site_index).fetch_rtt_ns.record(ns);
     }
 
@@ -253,8 +235,8 @@ impl RunMetrics {
         let s = self.per_site.site_mut(site);
         s.applies += 1;
         if let Some(ns) = dwell_ns {
-            s.record_dwell(ns as f64);
-            self.record_apply_latency(ns as f64);
+            s.dwell_ns.record(ns as f64);
+            self.apply_latency_ns.record(ns as f64);
         }
     }
 
@@ -349,7 +331,7 @@ mod tests {
             };
         }
         macro_rules! check {
-            (counters { $($field:ident: $rule:ident,)* } stats { $($stat:ident,)* } tails { $($tail:ident,)* }) => {{
+            (counters { $($field:ident: $rule:ident,)* } histograms { $($stat:ident,)* }) => {{
                 let (mut a, mut b) = (RunMetrics::new(), RunMetrics::new());
                 // Distinct values per field; the larger side alternates so
                 // a `max` that always kept one side would show.
@@ -361,10 +343,6 @@ mod tests {
                     a.$stat.record(4.0);
                     b.$stat.record(1.0);
                     b.$stat.record(10.0);
-                )*
-                $(
-                    a.$tail.record(5.0);
-                    b.$tail.record(50.0);
                 )*
                 a.record_msg(MsgKind::Sm, 10, true);
                 b.record_msg(MsgKind::Sm, 20, false);
@@ -384,11 +362,10 @@ mod tests {
                     assert!((a.$stat.mean() - 5.0).abs() < 1e-12, stringify!($stat));
                     assert_eq!(a.$stat.min(), Some(1.0), stringify!($stat));
                     assert_eq!(a.$stat.max(), Some(10.0), stringify!($stat));
-                )*
-                // Not mergeable: the other side's tail is dropped.
-                $(
-                    assert_eq!(a.$tail.count(), 1, stringify!($tail));
-                    assert_eq!(a.$tail.estimate(), Some(5.0), stringify!($tail));
+                    // The merged tail covers both sides: the median is this
+                    // side's sample, the p99 the other side's largest.
+                    assert_eq!(a.$stat.quantile(0.5), Some(4.0), stringify!($stat));
+                    assert_eq!(a.$stat.quantile(0.99), Some(10.0), stringify!($stat));
                 )*
                 assert_eq!(a.all.bytes(MsgKind::Sm), 30);
                 assert_eq!(a.measured.bytes(MsgKind::Sm), 10);
@@ -396,7 +373,6 @@ mod tests {
                 let RunMetrics {
                     $($field: _,)*
                     $($stat: _,)*
-                    $($tail: _,)*
                     max_pending: _,
                     measured: _,
                     all: _,
@@ -458,7 +434,7 @@ mod tests {
                 transport_write_stalls: sum,
                 mailbox_depth_peak: max,
             }
-            stats {
+            histograms {
                 sm_entries,
                 apply_latency_ns,
                 pending_samples,
@@ -467,48 +443,33 @@ mod tests {
                 view_change_ns,
                 fetch_rtt_ns,
                 stability_lag,
-            }
-            tails {
-                apply_latency_p99,
-                fetch_rtt_p99,
-                stability_lag_p99,
+                op_latency_ns,
             }
         }
     }
 
     /// Two nodes' fetch round trips and apply dwells, merged as the
-    /// runtime's `drive` merges them: the mean is what the parent's
-    /// formula gave, the spread and the extremes are now the pooled
-    /// samples' own (the parent collapsed each side to its mean).
+    /// runtime's `drive` merges them: the result is the pooled samples'
+    /// histogram, so the mean, the extremes and the tail are theirs.
     #[test]
     fn merged_means_match_the_replayed_mean_formula_and_moments_are_exact() {
-        let nodes: [&[f64]; 2] = [&[1_000.0, 3_000.0, 8_000.0], &[500.0, 2_500.0]];
+        let nodes: [&[u64]; 2] = [&[1_000, 3_000, 8_000], &[500, 2_500]];
         let mut merged = RunMetrics::new();
+        let mut pooled = Histogram::new();
         for (site, samples) in nodes.iter().enumerate() {
             let mut node = RunMetrics::new();
             for &ns in *samples {
-                node.record_fetch_rtt(site, ns);
-                node.record_apply_latency(ns * 2.0);
+                node.record_fetch_rtt(site, ns as f64);
+                node.record_apply(site, Some(ns * 2));
+                pooled.record(ns as f64);
             }
             merged.merge(&node);
         }
-        // The parent's fold: the other side's mean, recorded once per sample.
-        let mut replayed = StatAccum::new();
-        let mut pooled = StatAccum::new();
-        for samples in nodes {
-            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-            for &ns in samples {
-                replayed.record(mean);
-                pooled.record(ns);
-            }
-        }
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
-        assert!(close(merged.fetch_rtt_ns.mean(), replayed.mean()));
-        assert!(close(merged.apply_latency_ns.mean(), 2.0 * replayed.mean()));
-        assert!(close(merged.fetch_rtt_ns.std_dev(), pooled.std_dev()));
-        assert!(replayed.std_dev() < 0.5 * pooled.std_dev());
+        assert_eq!(merged.fetch_rtt_ns, pooled);
+        assert_eq!(merged.fetch_rtt_ns.mean(), 3_000.0);
+        assert_eq!(merged.apply_latency_ns.mean(), 6_000.0);
         assert_eq!(merged.fetch_rtt_ns.min(), Some(500.0));
-        assert_eq!(merged.fetch_rtt_ns.max(), Some(8_000.0));
+        assert_eq!(merged.fetch_rtt_ns.quantile(0.99), Some(8_000.0));
         assert_eq!(merged.apply_latency_ns.max(), Some(16_000.0));
     }
 
@@ -586,7 +547,7 @@ mod tests {
         m.record_fetch_rtt(2, 3_000.0);
         m.record_fetch_rtt(0, 500.0);
         assert_eq!(m.fetch_rtt_ns.count(), 3);
-        assert_eq!(m.fetch_rtt_p99.estimate(), Some(3_000.0));
+        assert_eq!(m.fetch_rtt_ns.quantile(0.99), Some(3_000.0));
         assert_eq!(m.per_site.site(2).unwrap().fetch_rtt_ns.count(), 2);
         assert_eq!(m.per_site.site(0).unwrap().fetch_rtt_ns.count(), 1);
 
@@ -632,7 +593,7 @@ mod tests {
         a.gossip_rows = 10;
         a.retained_meta_peak = 900;
         a.unstable_peak = 5;
-        a.record_stability_lag(4.0);
+        a.stability_lag.record(4.0);
         let mut b = RunMetrics::new();
         b.buffered_overdue = 2;
         b.gossip_rows = 20;
@@ -645,7 +606,7 @@ mod tests {
         b.unstable_peak = 8;
         b.wal_segments_sealed = 4;
         b.wal_deleted_bytes = 4_096;
-        b.record_stability_lag(6.0);
+        b.stability_lag.record(6.0);
         a.merge(&b);
         assert_eq!(a.buffered_overdue, 3);
         assert_eq!(a.gossip_rows, 30);

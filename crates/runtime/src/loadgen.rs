@@ -12,15 +12,12 @@
 //! remote fetch, its siblings wait their turn. Think time is what keeps a
 //! site's clients from degenerating into a single busy loop.
 //!
-//! Completion latencies land in one shared [`OpLatency`] recorder (P²
-//! markers cannot be merged across estimators, so the cluster shares a
-//! mutex-guarded recorder rather than folding per-site estimates).
+//! The loop only schedules: the node times each operation and records its
+//! completion latency into its own metrics, which the run merges.
 
-use causal_metrics::OpLatency;
 use causal_types::{OpKind, SiteId, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The offered-load shape for a serving run.
@@ -70,13 +67,11 @@ pub struct ClosedLoop {
     q: usize,
     w_rate: f64,
     deadline: Option<Duration>,
-    latency: Arc<Mutex<OpLatency>>,
 }
 
 impl ClosedLoop {
-    /// Build `profile`'s client fleet for `site`, recording completion
-    /// latencies into `latency`.
-    pub fn new(profile: &LoadProfile, site: SiteId, latency: Arc<Mutex<OpLatency>>) -> Self {
+    /// Build `profile`'s client fleet for `site`.
+    pub fn new(profile: &LoadProfile, site: SiteId) -> Self {
         assert!(profile.q > 0, "load profile needs at least one variable");
         assert!(
             (0.0..=1.0).contains(&profile.w_rate),
@@ -110,7 +105,6 @@ impl ClosedLoop {
             q: profile.q,
             w_rate: profile.w_rate,
             deadline: profile.duration,
-            latency,
         }
     }
 
@@ -158,13 +152,9 @@ impl ClosedLoop {
         (kind, idx)
     }
 
-    /// Record `client`'s completion at `now_off` after `latency_ns`, and
-    /// schedule its next issue one think interval later.
-    pub fn completed(&mut self, client: usize, now_off: Duration, latency_ns: f64) {
-        self.latency
-            .lock()
-            .expect("latency recorder poisoned")
-            .record(latency_ns);
+    /// `client`'s operation completed at `now_off`: schedule its next
+    /// issue one think interval later.
+    pub fn completed(&mut self, client: usize, now_off: Duration) {
         let c = &mut self.clients[client];
         c.next_due = now_off + jitter(&mut c.rng, c.think);
     }
@@ -197,27 +187,24 @@ mod tests {
 
     #[test]
     fn fleet_issues_exactly_its_budget() {
-        let lat = Arc::new(Mutex::new(OpLatency::new()));
-        let mut lp = ClosedLoop::new(&profile(), SiteId::from(0usize), lat.clone());
+        let mut lp = ClosedLoop::new(&profile(), SiteId::from(0usize));
         let mut issued = 0;
         while lp.next_due().is_some() {
             let (_, c) = lp.pop();
-            lp.completed(c, Duration::from_millis(issued as u64), 1_000.0);
+            lp.completed(c, Duration::from_millis(issued as u64));
             issued += 1;
         }
         assert_eq!(issued, 15, "3 clients x 5 ops each");
-        assert_eq!(lat.lock().unwrap().count(), 15);
     }
 
     #[test]
     fn sites_draw_distinct_operation_streams() {
-        let lat = Arc::new(Mutex::new(OpLatency::new()));
         let ops = |site: usize| {
-            let mut lp = ClosedLoop::new(&profile(), SiteId::from(site), lat.clone());
+            let mut lp = ClosedLoop::new(&profile(), SiteId::from(site));
             let mut out = Vec::new();
             while lp.next_due().is_some() {
                 let (k, c) = lp.pop();
-                lp.completed(c, Duration::ZERO, 0.0);
+                lp.completed(c, Duration::ZERO);
                 out.push(k);
             }
             out
@@ -231,8 +218,7 @@ mod tests {
         let mut p = profile();
         p.ops_per_client = usize::MAX / 2; // effectively unbounded budget
         p.duration = Some(Duration::from_millis(20));
-        let lat = Arc::new(Mutex::new(OpLatency::new()));
-        let mut lp = ClosedLoop::new(&p, SiteId::from(0usize), lat.clone());
+        let mut lp = ClosedLoop::new(&p, SiteId::from(0usize));
         let mut issued = 0u64;
         let mut now = Duration::ZERO;
         while let Some(due) = lp.next_due() {
@@ -242,14 +228,13 @@ mod tests {
             );
             let (_, c) = lp.pop();
             now = now.max(due);
-            lp.completed(c, now, 1_000.0);
+            lp.completed(c, now);
             issued += 1;
             assert!(issued < 10_000, "the deadline must terminate the loop");
         }
         // ~2 ms mean think over a 20 ms window, 3 clients: a handful of
         // ops each, not zero and nowhere near the budget cap.
         assert!(issued >= 3, "every client gets at least its first issue");
-        assert_eq!(lat.lock().unwrap().count(), issued);
     }
 
     #[test]
@@ -257,11 +242,10 @@ mod tests {
         let mut p = profile();
         p.think = Duration::ZERO;
         p.clients_per_site = 1;
-        let lat = Arc::new(Mutex::new(OpLatency::new()));
-        let mut lp = ClosedLoop::new(&p, SiteId::from(0usize), lat);
+        let mut lp = ClosedLoop::new(&p, SiteId::from(0usize));
         assert_eq!(lp.next_due(), Some(Duration::ZERO));
         let (_, c) = lp.pop();
-        lp.completed(c, Duration::from_micros(7), 500.0);
+        lp.completed(c, Duration::from_micros(7));
         assert_eq!(lp.next_due(), Some(Duration::from_micros(7)));
     }
 }

@@ -264,11 +264,11 @@ impl OpDriver {
         }
     }
 
-    /// An operation issued by `client` completed after `latency_ns`;
-    /// schedule the client's next operation past its think time.
-    fn completed(&mut self, client: usize, now_off: Duration, latency_ns: f64) {
+    /// An operation issued by `client` completed at `now_off`; schedule
+    /// the client's next operation past its think time.
+    fn completed(&mut self, client: usize, now_off: Duration) {
         if let OpDriver::Closed(loop_) = self {
-            loop_.completed(client, now_off, latency_ns);
+            loop_.completed(client, now_off);
         }
     }
 }
@@ -490,14 +490,16 @@ impl Node {
         }
     }
 
-    /// Report a completed operation back to its closed-loop client
-    /// (replay drivers ignore this).
+    /// Record a closed-loop client's completed operation and report it
+    /// back to the client (replay operations have no client).
     fn op_completed(&mut self, client: Option<usize>, t0: Instant) {
         if let Some(c) = client {
             // One clock read serves the due-time offset and the latency.
             let now = Instant::now();
-            let latency_ns = (now - t0).as_nanos() as f64;
-            self.ops.completed(c, now - self.start, latency_ns);
+            self.metrics
+                .op_latency_ns
+                .record((now - t0).as_nanos() as f64);
+            self.ops.completed(c, now - self.start);
         }
     }
 

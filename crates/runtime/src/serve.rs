@@ -19,10 +19,10 @@ use crate::node::{BatchWindow, OpDriver};
 use crate::runner::deploy;
 use causal_checker::History;
 use causal_memory::Placement;
-use causal_metrics::{LatencySummary, OpLatency, RunMetrics};
+use causal_metrics::{LatencySummary, RunMetrics};
 use causal_proto::ProtocolKind;
 use causal_types::{Result, SiteId, SizeModel};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which fabric carries the mesh traffic.
@@ -127,7 +127,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     } else {
         Placement::full(cfg.n)?
     };
-    let latency = Arc::new(Mutex::new(OpLatency::new()));
     let run = deploy(
         cfg.protocol,
         Arc::new(placement),
@@ -136,14 +135,14 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
         cfg.payload_len,
         cfg.size_model,
         cfg.batch,
-        |i| OpDriver::Closed(ClosedLoop::new(&cfg.load, SiteId::from(i), latency.clone())),
+        |i| OpDriver::Closed(ClosedLoop::new(&cfg.load, SiteId::from(i))),
     )?;
 
-    let latency = latency.lock().expect("latency recorder poisoned");
+    let latency = &run.metrics.op_latency_ns;
     Ok(ServeReport {
         ops: latency.count(),
         elapsed: run.elapsed,
-        latency: latency.summary(),
+        latency: LatencySummary::from_ns(latency),
         metrics: run.metrics,
         history: run.history,
         final_pending: run.final_pending,

@@ -28,6 +28,11 @@ fn serve_runs_every_protocol_on_the_channel_fabric() {
         let expected = cfg.load.total_ops(5) as u64;
         assert_eq!(report.ops, expected, "{kind}: every client op completes");
         assert_eq!(report.latency.ops, expected, "{kind}: every op timed");
+        assert_eq!(
+            report.ops,
+            report.history.total_ops() as u64,
+            "{kind}: the report counts the operations the clients completed"
+        );
         assert_eq!(report.final_pending, 0, "{kind}: no parked updates");
         assert!(report.ops_per_sec() > 0.0, "{kind}");
         let v = check(&report.history);

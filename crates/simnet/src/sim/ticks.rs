@@ -45,7 +45,7 @@ impl Sim<'_> {
         let stab = stab.expect("stability tick without a plan");
         stab.heartbeat(&up);
         let advanced = stab.advance();
-        self.metrics.record_stability_lag(stab.lag() as f64);
+        self.metrics.stability_lag.record(stab.lag() as f64);
         let (gc, heartbeat_every) = (stab.plan.gc, stab.plan.heartbeat_every);
         for (origin, clock) in &advanced {
             self.emit(*origin, EventKind::FrontierAdvance { clock: *clock });

@@ -14,8 +14,9 @@
 //! instead of composing whole-log passes by hand. Benchmark: `bench/` is
 //! the only one. Experiments: the paper's placement is chosen in one
 //! function, and every sweep fans out through the figure engine or the
-//! extension harness. A second copy growing back is how the copies drifted
-//! apart before.
+//! extension harness. Metrics: every sampled statistic is one mergeable
+//! histogram, folded like any other field. A second copy growing back is
+//! how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -374,4 +375,26 @@ fn experiments_choose_placement_once_and_fan_out_through_two_loops() {
             "`{name}` is listed but never imported"
         );
     }
+}
+
+#[test]
+fn every_sampled_statistic_is_one_mergeable_histogram() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    walk_all(&root.join("crates"), &mut files);
+    assert!(files.len() > 100, "the walk found the crates");
+    // No second estimator beside the histogram, and no recorder shared
+    // across sites instead of merged from them.
+    for gone in ["P2Quantile", "StatAccum", "Mutex<OpLatency>"] {
+        assert_eq!(files_with(&files, gone), [""; 0], "`{gone}`");
+    }
+    // A metrics field folds as a counter, a peak or an exact merge: no rule
+    // keeps one side and drops the other.
+    let fold = fs::read_to_string(root.join("crates/metrics/src/fold.rs")).expect("fold.rs");
+    let rules: Vec<_> = fold
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("(@"))
+        .filter_map(|arm| arm.split(',').next())
+        .collect();
+    assert_eq!(rules, ["fold sum", "fold max", "fold merge"]);
 }
