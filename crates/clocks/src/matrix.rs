@@ -4,17 +4,30 @@ use causal_types::{MetaSized, SiteId, SizeModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// An `n × n` matrix clock, stored row-major in a flat boxed slice.
+/// An `n × n` matrix clock, stored row-major in one flat boxed slice that
+/// also holds one key per row.
 ///
 /// In **Full-Track**, `Write_i[j][k] = c` means that `c` updates sent by
 /// application process `ap_j` to site `s_k` causally happened before (under
 /// the `→co` relation) the current state of site `s_i`. The whole matrix is
 /// piggybacked on every SM and RM message, which is the `O(n²)` per-message
 /// overhead Opt-Track eliminates.
+///
+/// **Rows are chains.** `→co` and `→` both contain program order, so the
+/// writes of `ap_j` that precede any state form a prefix of `ap_j`'s write
+/// sequence: row `j` of every matrix in the system is one of `ap_j`'s own
+/// past rows. Each write has at least one destination, so along that chain
+/// the row sum rises strictly — equal sums mean equal rows, and a larger
+/// sum means a row that dominates cell by cell. The sum is therefore kept
+/// as the row's key, and [`merge_max`](Self::merge_max) compares one key
+/// per row instead of `n` cells (DESIGN.md §5, "Matrix rows are chains").
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MatrixClock {
     n: usize,
-    cells: Box<[u64]>,
+    /// The `n²` row-major cells, then the `n` row keys: `buf[n² + j]` is
+    /// the sum of row `j`. Keys wrap rather than overflow, so a decoded
+    /// matrix of arbitrary cells is still well-formed.
+    buf: Box<[u64]>,
 }
 
 impl MatrixClock {
@@ -22,19 +35,27 @@ impl MatrixClock {
     pub fn new(n: usize) -> Self {
         MatrixClock {
             n,
-            cells: vec![0; n * n].into_boxed_slice(),
+            buf: vec![0; n * n + n].into_boxed_slice(),
         }
     }
 
     /// Build a matrix directly from its row-major cells
     /// (`cells[writer * n + dest]`). The wire decoder uses this to
     /// materialise a received matrix in one pass instead of zeroing `n²`
-    /// cells only to overwrite every one of them.
-    pub fn from_cells(n: usize, cells: Vec<u64>) -> Self {
+    /// cells only to overwrite every one of them. The row keys are
+    /// appended to `cells`, so a vector with room for `n` more entries is
+    /// kept without reallocating.
+    pub fn from_cells(n: usize, mut cells: Vec<u64>) -> Self {
         assert_eq!(cells.len(), n * n, "row-major n x n cells required");
+        cells.reserve_exact(n);
+        for j in 0..n {
+            let row = &cells[j * n..(j + 1) * n];
+            let key = row.iter().fold(0, |sum: u64, &c| sum.wrapping_add(c));
+            cells.push(key);
+        }
         MatrixClock {
             n,
-            cells: cells.into_boxed_slice(),
+            buf: cells.into_boxed_slice(),
         }
     }
 
@@ -50,60 +71,96 @@ impl MatrixClock {
         writer.index() * self.n + dest.index()
     }
 
+    #[inline]
+    fn key_idx(&self, writer: SiteId) -> usize {
+        self.n * self.n + writer.index()
+    }
+
+    /// The `n²` cells, row-major.
+    #[inline]
+    fn cells(&self) -> &[u64] {
+        &self.buf[..self.n * self.n]
+    }
+
     /// `Write[writer][dest]`.
     #[inline]
     pub fn get(&self, writer: SiteId, dest: SiteId) -> u64 {
-        self.cells[self.idx(writer, dest)]
+        self.buf[self.idx(writer, dest)]
     }
 
     /// Set `Write[writer][dest]`.
     #[inline]
     pub fn set(&mut self, writer: SiteId, dest: SiteId, v: u64) {
-        let i = self.idx(writer, dest);
-        self.cells[i] = v;
+        let (i, key) = (self.idx(writer, dest), self.key_idx(writer));
+        self.buf[key] = self.buf[key].wrapping_sub(self.buf[i]).wrapping_add(v);
+        self.buf[i] = v;
     }
 
     /// Increment `Write[writer][dest]` and return the new value. Called once
     /// per destination replica when `writer` performs a write.
     #[inline]
     pub fn increment(&mut self, writer: SiteId, dest: SiteId) -> u64 {
-        let i = self.idx(writer, dest);
-        self.cells[i] += 1;
-        self.cells[i]
+        let (i, key) = (self.idx(writer, dest), self.key_idx(writer));
+        self.buf[key] = self.buf[key].wrapping_add(1);
+        self.buf[i] += 1;
+        self.buf[i]
     }
 
     /// Entry-wise maximum — performed when a *read* observes a piggybacked
     /// matrix (never at message receipt; see §III-A: merging is "delayed
     /// until a later read operation which reads the value that comes with
     /// the message").
+    ///
+    /// Rows are chains (see the type docs), so per row the larger key wins
+    /// whole: one compare per row, and a row is copied only where `other`'s
+    /// key is larger. Debug builds also take the cell-wise maximum and
+    /// assert that it is the same matrix, so every debug test run checks
+    /// the chain precondition.
     pub fn merge_max(&mut self, other: &MatrixClock) {
         debug_assert_eq!(self.n, other.n);
-        for (a, b) in self.cells.iter_mut().zip(other.cells.iter()) {
-            if *b > *a {
-                *a = *b;
+        #[cfg(debug_assertions)]
+        let cellwise = self.cellwise_max(other);
+        let n = self.n;
+        let (cells, keys) = self.buf.split_at_mut(n * n);
+        let (their_cells, their_keys) = other.buf.split_at(n * n);
+        for (j, (key, &theirs)) in keys.iter_mut().zip(their_keys).enumerate() {
+            if theirs > *key {
+                *key = theirs;
+                let row = j * n..(j + 1) * n;
+                cells[row.clone()].copy_from_slice(&their_cells[row]);
             }
         }
+        #[cfg(debug_assertions)]
+        assert!(
+            self.cells() == cellwise,
+            "merge_max: rows are not chains; the keyed merge\n{self:?}is not the cell-wise maximum {cellwise:?}"
+        );
+    }
+
+    /// The cell-wise maximum of the two matrices' cells: the debug-build
+    /// oracle of [`merge_max`](Self::merge_max).
+    #[cfg(debug_assertions)]
+    fn cellwise_max(&self, other: &MatrixClock) -> Vec<u64> {
+        let pairs = self.cells().iter().zip(other.cells());
+        pairs.map(|(&a, &b)| a.max(b)).collect()
     }
 
     /// `true` if every cell of `self` is ≤ the matching cell of `other`.
     pub fn le(&self, other: &MatrixClock) -> bool {
         debug_assert_eq!(self.n, other.n);
-        self.cells
-            .iter()
-            .zip(other.cells.iter())
-            .all(|(a, b)| a <= b)
+        self.cells().iter().zip(other.cells()).all(|(a, b)| a <= b)
     }
 
     /// Sum of all cells (used in tests).
     pub fn total(&self) -> u64 {
-        self.cells.iter().sum()
+        self.cells().iter().sum()
     }
 
     /// The row of a single writer, as `(dest, count)` pairs with non-zero
     /// counts (used by diagnostics).
     pub fn row(&self, writer: SiteId) -> impl Iterator<Item = (SiteId, u64)> + '_ {
         let base = writer.index() * self.n;
-        self.cells[base..base + self.n]
+        self.buf[base..base + self.n]
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -139,7 +196,7 @@ impl MatrixDelta {
             return MatrixDelta::Full(next.clone());
         }
         let mut changed = Vec::new();
-        for (i, (&a, &b)) in prev.cells.iter().zip(next.cells.iter()).enumerate() {
+        for (i, (&a, &b)) in prev.cells().iter().zip(next.cells()).enumerate() {
             if a != b {
                 changed.push((SiteId::from(i / next.n), SiteId::from(i % next.n), b));
             }
@@ -210,6 +267,41 @@ mod tests {
         SiteId::from(i)
     }
 
+    const MAX_N: usize = 8;
+    const MAX_WRITES: usize = 12;
+
+    /// A system size and, per writer, the destination sets of its writes
+    /// (bit `k` = site `k`; never empty).
+    fn chain_writes() -> impl Strategy<Value = (usize, Vec<Vec<u16>>)> {
+        let raw = proptest::collection::vec(
+            proptest::collection::vec(any::<u16>(), 0..=MAX_WRITES),
+            MAX_N,
+        );
+        (1usize..=MAX_N, raw).prop_map(|(n, raw)| {
+            let all = (1u16 << n) - 1;
+            let sets = |w: Vec<u16>| w.into_iter().map(|m| m % all + 1).collect();
+            (n, raw.into_iter().take(n).map(sets).collect())
+        })
+    }
+
+    fn members(n: usize, dests: u16) -> impl Iterator<Item = usize> {
+        (0..n).filter(move |k| dests >> k & 1 == 1)
+    }
+
+    /// The matrix a protocol could hold: row `j` counts writer `j`'s first
+    /// `upto[j]` writes per destination.
+    fn chain_matrix(n: usize, writes: &[Vec<u16>], upto: &[usize]) -> MatrixClock {
+        let mut m = MatrixClock::new(n);
+        for (j, w) in writes.iter().enumerate() {
+            for &dests in &w[..upto[j].min(w.len())] {
+                for k in members(n, dests) {
+                    m.increment(s(j), s(k));
+                }
+            }
+        }
+        m
+    }
+
     #[test]
     fn new_is_zero_and_indexing_works() {
         let mut m = MatrixClock::new(4);
@@ -237,6 +329,20 @@ mod tests {
         a.merge_max(&b);
         assert_eq!(a.get(s(0), s(0)), 3);
         assert_eq!(a.get(s(1), s(0)), 9);
+    }
+
+    /// The keyed merge's precondition: row 0 is `[1, 0]` on one side and
+    /// `[0, 2]` on the other, which no single write sequence produces, so
+    /// the larger key does not dominate and the debug check fires.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows are not chains")]
+    fn merging_rows_that_are_not_chains_trips_the_debug_check() {
+        let mut a = MatrixClock::new(2);
+        let mut b = MatrixClock::new(2);
+        a.set(s(0), s(0), 1);
+        b.set(s(0), s(1), 2);
+        a.merge_max(&b);
     }
 
     #[test]
@@ -311,17 +417,12 @@ mod tests {
 
         #[test]
         fn prop_merge_upper_bound_and_idempotent(
-            xs in proptest::collection::vec(0u64..50, 9),
-            ys in proptest::collection::vec(0u64..50, 9),
+            (n, writes) in chain_writes(),
+            xs in proptest::collection::vec(0usize..=MAX_WRITES, MAX_N),
+            ys in proptest::collection::vec(0usize..=MAX_WRITES, MAX_N),
         ) {
-            let mut a = MatrixClock::new(3);
-            let mut b = MatrixClock::new(3);
-            for j in 0..3 {
-                for k in 0..3 {
-                    a.set(s(j), s(k), xs[j * 3 + k]);
-                    b.set(s(j), s(k), ys[j * 3 + k]);
-                }
-            }
+            let a = chain_matrix(n, &writes, &xs);
+            let b = chain_matrix(n, &writes, &ys);
             let mut m = a.clone();
             m.merge_max(&b);
             prop_assert!(a.le(&m));
@@ -329,6 +430,82 @@ mod tests {
             let snapshot = m.clone();
             m.merge_max(&b);
             prop_assert_eq!(m, snapshot);
+        }
+
+        #[test]
+        fn prop_keyed_merge_is_the_cellwise_max_commutative_and_idempotent(
+            (n, writes) in chain_writes(),
+            xs in proptest::collection::vec(0usize..=MAX_WRITES, MAX_N),
+            ys in proptest::collection::vec(0usize..=MAX_WRITES, MAX_N),
+        ) {
+            let a = chain_matrix(n, &writes, &xs);
+            let b = chain_matrix(n, &writes, &ys);
+            let mut cellwise = MatrixClock::new(n);
+            for j in 0..n {
+                for k in 0..n {
+                    cellwise.set(s(j), s(k), a.get(s(j), s(k)).max(b.get(s(j), s(k))));
+                }
+            }
+            let mut ab = a.clone();
+            ab.merge_max(&b);
+            prop_assert_eq!(&ab, &cellwise);
+            let mut ba = b.clone();
+            ba.merge_max(&a);
+            prop_assert_eq!(&ba, &ab);
+            let snapshot = ab.clone();
+            ab.merge_max(&snapshot);
+            ab.merge_max(&a);
+            prop_assert_eq!(ab, snapshot);
+        }
+
+        #[test]
+        fn prop_keys_are_row_sums_after_any_operation_sequence(
+            (n, writes) in chain_writes(),
+            ops in proptest::collection::vec(
+                (0u8..5, 0usize..MAX_N, proptest::collection::vec(0usize..=MAX_WRITES, MAX_N)),
+                0..24,
+            ),
+        ) {
+            // The model: how many of each writer's writes the matrix counts.
+            let mut upto = vec![0; n];
+            let mut m = MatrixClock::new(n);
+            for (op, j, target) in ops {
+                let j = j % n;
+                let target: Vec<usize> = (0..n).map(|w| target[w].min(writes[w].len())).collect();
+                match op {
+                    0 => {
+                        if let Some(&dests) = writes[j].get(upto[j]) {
+                            for k in members(n, dests) {
+                                m.increment(s(j), s(k));
+                            }
+                            upto[j] += 1;
+                        }
+                    }
+                    1 => {
+                        // Move one row anywhere along its chain, down included.
+                        let row = chain_matrix(n, &writes, &target);
+                        for k in 0..n {
+                            m.set(s(j), s(k), row.get(s(j), s(k)));
+                        }
+                        upto[j] = target[j];
+                    }
+                    2 => m = MatrixClock::from_cells(n, m.cells().to_vec()),
+                    3 => {
+                        m.merge_max(&chain_matrix(n, &writes, &target));
+                        for (u, t) in upto.iter_mut().zip(&target) {
+                            *u = (*u).max(*t);
+                        }
+                    }
+                    _ => {
+                        let next = chain_matrix(n, &writes, &target);
+                        m = MatrixDelta::between(&m, &next).apply_to(&m);
+                        upto = target;
+                    }
+                }
+                let sums: Vec<u64> = m.cells().chunks(n).map(|row| row.iter().sum()).collect();
+                prop_assert_eq!(&m.buf[n * n..], &sums[..]);
+                prop_assert_eq!(&m, &chain_matrix(n, &writes, &upto));
+            }
         }
     }
 }

@@ -710,9 +710,10 @@ impl Reader<'_> {
         // One pass into a pre-sized cell vector: building the zero matrix
         // first and `set()`ing every cell touched the `n²` cells twice and
         // cost an index computation per cell — ~1.8× the encode cost on
-        // the Full-Track hot path before this was flattened.
+        // the Full-Track hot path before this was flattened. The `n` spare
+        // slots take the row keys `from_cells` appends.
         let n = self.dim()?;
-        let mut cells = Vec::with_capacity(n * n);
+        let mut cells = Vec::with_capacity(n * n + n);
         for _ in 0..n * n {
             cells.push(self.varint()?);
         }

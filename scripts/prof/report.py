@@ -10,6 +10,13 @@ function there. --lines breaks the exclusive samples of the matching
 functions down by source line, following the inlining (`addr2line -i`):
 a function's self time is often one line of something inlined into it.
 Read shares, not times: the sampler keeps ~200-250 samples per CPU-second.
+
+Samples in the kernel's vDSO (`clock_gettime` and friends) are reported as
+`[vdso]`: it is mapped without a file, so there is nothing to symbolise.
+Two libc names mislead: addr2line labels an address with the nearest
+exported symbol before it, so `__nss_database_lookup` and
+`__default_morecore` in a report stand for libc's local memmove and malloc
+internals, not for what their names say.
 """
 import argparse
 import collections
@@ -18,8 +25,13 @@ import subprocess
 import sys
 
 
+# The one file-less mapping samples land in: named, never symbolised.
+VDSO = "[vdso]"
+
+
 def load(path):
-    """The stacks, the executable file mappings, and each file's load base."""
+    """The stacks, the executable mappings (files and the vDSO), and each
+    file's load base."""
     stacks, maps, base = [], [], {}
     with open(path) as f:
         lines = iter(f)
@@ -29,7 +41,7 @@ def load(path):
             stacks.append([int(a, 16) for a in line.split()])
         for line in lines:
             fields = line.split()
-            if len(fields) < 6 or not fields[5].startswith("/"):
+            if len(fields) < 6 or not (fields[5].startswith("/") or fields[5] == VDSO):
                 continue
             lo, hi = (int(x, 16) for x in fields[0].split("-"))
             # An object's load base is where its first mapping starts.
@@ -68,6 +80,8 @@ def symbolise(stacks, maps, base):
     keys = {(addr, depth > 0) for stack in stacks for depth, addr in enumerate(stack)}
     by_object, unmapped = locate(keys, maps, base)
     names = {key: "[unmapped]" for key in unmapped}
+    for key, _ in by_object.pop(VDSO, []):
+        names[key] = VDSO
     for path, addrs in by_object.items():
         out = addr2line(path, [rel for _, rel in addrs])
         for (key, _), name in zip(addrs, out[0::2]):
@@ -79,6 +93,7 @@ def inline_chains(addrs, maps, base):
     """{address: [(function, file:line), ...]}, the innermost inlined
     function first and the function whose code the address is in last."""
     by_object, _ = locate({(addr, False) for addr in addrs}, maps, base)
+    by_object.pop(VDSO, None)
     chains = {}
     for path, located in by_object.items():
         # -a prints each queried address ahead of its (function, location)

@@ -29,6 +29,7 @@ fn all_protocols_survive_loss_duplication_and_a_crash() {
     let cases = [
         (ProtocolKind::FullTrack, true),
         (ProtocolKind::OptTrack, true),
+        (ProtocolKind::HbTrack, true),
         (ProtocolKind::OptTrackCrp, false),
         (ProtocolKind::OptP, false),
     ];

@@ -36,7 +36,11 @@ fn window(site: u16, start: u64, end: u64) -> CrashWindow {
 /// out and still pass the causal checker.
 #[test]
 fn overlapping_crashes_of_every_replica_recover_with_wal() {
-    for kind in [ProtocolKind::FullTrack, ProtocolKind::OptTrack] {
+    for kind in [
+        ProtocolKind::FullTrack,
+        ProtocolKind::OptTrack,
+        ProtocolKind::HbTrack,
+    ] {
         let mut cfg = durable(SimConfig::paper_partial(kind, 10, 0.5, 7).with_history());
         cfg.workload.events_per_process = 60;
         cfg.faults = FaultPlan::uniform(0.1, 0.02);
@@ -123,19 +127,21 @@ fn fetch_to_a_crashed_replica_fails_over_within_deadline() {
 /// an empty log and claiming durability it does not have.
 #[test]
 fn media_loss_falls_back_to_full_peer_rebuild() {
-    let mut cfg =
-        durable(SimConfig::paper_partial(ProtocolKind::FullTrack, 6, 0.5, 17).with_history());
-    cfg.workload.events_per_process = 60;
-    cfg.crashes = vec![window(2, 600, 1_300)];
-    cfg.durability.lose_media = vec![SiteId(2)];
-    let r = causal_repro::simnet::run(&cfg);
-    assert_eq!(r.final_pending, 0);
-    assert!(check(r.history.as_ref().unwrap()).protocol_clean());
-    let m = &r.metrics;
-    assert_eq!(m.recovery_ns.count(), 1, "the crash must still recover");
-    assert_eq!(m.recovery_replays, 0, "a wiped store must not replay");
-    assert!(m.sync_count > 0, "fallback must sync from peers");
-    assert_eq!(m.delta_sync_saved_bytes, 0, "no high-water marks survive");
+    for kind in [ProtocolKind::FullTrack, ProtocolKind::HbTrack] {
+        let mut cfg = durable(SimConfig::paper_partial(kind, 6, 0.5, 17).with_history());
+        cfg.workload.events_per_process = 60;
+        cfg.crashes = vec![window(2, 600, 1_300)];
+        cfg.durability.lose_media = vec![SiteId(2)];
+        let r = causal_repro::simnet::run(&cfg);
+        assert_eq!(r.final_pending, 0, "{kind}: parked forever");
+        let v = check(r.history.as_ref().unwrap());
+        assert!(v.protocol_clean(), "{kind}: violations: {:?}", v.examples);
+        let m = &r.metrics;
+        assert_eq!(m.recovery_ns.count(), 1, "{kind}: no recovery");
+        assert_eq!(m.recovery_replays, 0, "{kind}: replayed a wiped store");
+        assert!(m.sync_count > 0, "{kind}: fallback must sync from peers");
+        assert_eq!(m.delta_sync_saved_bytes, 0, "{kind}: no marks survive");
+    }
 }
 
 /// Durable runs are bit-deterministic like every other mode.

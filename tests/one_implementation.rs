@@ -15,8 +15,9 @@
 //! the only one. Experiments: the paper's placement is chosen in one
 //! function, and every sweep fans out through the figure engine or the
 //! extension harness. Metrics: every sampled statistic is one mergeable
-//! histogram, folded like any other field. A second copy growing back is
-//! how the copies drifted apart before.
+//! histogram, folded like any other field. Matrix clock: one merge, a key
+//! compare per row; the cell-wise maximum exists only as its debug-build
+//! check. A second copy growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -397,4 +398,44 @@ fn every_sampled_statistic_is_one_mergeable_histogram() {
         .filter_map(|arm| arm.split(',').next())
         .collect();
     assert_eq!(rules, ["fold sum", "fold max", "fold merge"]);
+}
+
+/// `text` without the statements and items under `#[cfg(debug_assertions)]`.
+fn outside_debug_only(text: &str) -> String {
+    let mut kept = String::new();
+    let (mut skipping, mut depth) = (false, 0i64);
+    for line in text.lines() {
+        if line.trim() == "#[cfg(debug_assertions)]" {
+            skipping = true;
+        } else if skipping {
+            let opened = line.matches(['{', '(', '[']).count();
+            let closed = line.matches(['}', ')', ']']).count();
+            depth += opened as i64 - closed as i64;
+            let end = line.trim_end();
+            skipping = depth != 0 || !(end.ends_with(';') || end.ends_with('}'));
+        } else {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    kept
+}
+
+#[test]
+fn the_matrix_clock_merges_by_row_key_and_keeps_the_cellwise_max_for_debug_builds() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("crates/clocks/src/matrix.rs")).expect("matrix.rs");
+    let code = outside_test_modules(&text);
+    let release = outside_debug_only(&code);
+    assert_eq!(release.matches("fn merge").count(), 1, "one merge");
+    let body = &release[release.find("pub fn merge_max(").expect("merge_max")..];
+    let body = &body[..body.find("\n    }\n").expect("its end")];
+    assert!(body.contains("copy_from_slice"), "rows are copied whole");
+    assert_eq!(body.matches(" > ").count(), 1, "one compare, of keys");
+    // The cell-wise maximum is the debug build's oracle, nothing more.
+    assert!(
+        !release.contains(".max("),
+        "a cell-wise max outside debug builds"
+    );
+    assert!(code.contains(".max("), "the debug-build oracle is there");
 }
