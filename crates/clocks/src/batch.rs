@@ -35,6 +35,10 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
+    /// The lanes of a windowed plan, on either harness: a generous update
+    /// count and no byte bound, so the flush window does the bounding.
+    pub const WINDOWED: BatchPolicy = BatchPolicy::by_count(64);
+
     /// A policy bounded only by `max_items`.
     pub const fn by_count(max_items: usize) -> Self {
         BatchPolicy {

@@ -154,8 +154,8 @@ pub struct PruneConfig {
     /// delays, but not under per-destination update batching, where an
     /// update can sit in a sender's lane for a full flush window while its
     /// dependency chain races ahead through other lanes. Off by default to
-    /// keep unbatched runs byte-identical to the paper calibration; the
-    /// simulator turns it on whenever batching is enabled.
+    /// keep unbatched runs byte-identical to the paper calibration;
+    /// `causal_proto::SiteDriver` turns it on whenever its site has lanes.
     pub pin_self: bool,
 }
 

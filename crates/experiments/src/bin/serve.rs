@@ -134,6 +134,12 @@ fn parse() -> Args {
     if a.n < 2 {
         die("--n must be at least 2");
     }
+    if a.q == 0 {
+        die("--q must be positive");
+    }
+    if a.batch_ms == Some(0) {
+        die("--batch-ms must be positive");
+    }
     a
 }
 

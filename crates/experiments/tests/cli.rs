@@ -1,6 +1,6 @@
-//! CLI contract tests for the `repro` and `simulate` binaries: argument
-//! validation exits with code 2 and a usage message, and parallel runs
-//! produce byte-identical artifacts.
+//! CLI contract tests for the `repro`, `simulate` and `serve` binaries:
+//! argument validation exits with code 2 and a usage message, and parallel
+//! runs produce byte-identical artifacts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -18,6 +18,13 @@ fn simulate(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn simulate")
+}
+
+fn serve(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(args)
+        .output()
+        .expect("spawn serve")
 }
 
 /// `simulate` with `args`, killed and failed if it outlives `limit`.
@@ -321,6 +328,23 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
         assert!(err.starts_with("error: "), "{bad:?}: stderr: {err}");
         assert!(err.contains(flag), "{bad:?} must name {flag}: {err}");
         assert!(err.contains(reason), "{bad:?}: stderr: {err}");
+    }
+}
+
+/// `serve` checks the values its cluster would otherwise panic on — a zero
+/// flush window, no variables to access — before deploying anything.
+#[test]
+fn serve_rejects_out_of_range_values_naming_the_flag() {
+    let cases: [(&[&str], &str); 2] =
+        [(&["--batch-ms", "0"], "--batch-ms"), (&["--q", "0"], "--q")];
+    for (bad, flag) in cases {
+        let args = [&["--protocol", "optp", "--n", "3", "--ops", "2"], bad].concat();
+        let out = serve(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: stderr: {err}");
+        assert!(err.starts_with("error: "), "{bad:?}: stderr: {err}");
+        assert!(err.contains(flag), "{bad:?} must name {flag}: {err}");
+        assert!(err.contains("must be positive"), "{bad:?}: stderr: {err}");
     }
 }
 

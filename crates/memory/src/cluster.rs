@@ -1,17 +1,16 @@
 //! A synchronous in-process cluster.
 //!
-//! `LocalCluster` wires `n` protocol sites together with zero-latency FIFO
-//! delivery: every message is delivered and processed before the issuing
-//! operation returns. This gives a deterministic, totally ordered execution
-//! that is convenient for examples, tutorials and protocol unit tests. The
+//! `LocalCluster` is the smallest harness around [`SiteDriver`]: `n`
+//! drivers wired together with zero-latency FIFO delivery, every message
+//! delivered and processed before the issuing operation returns. No lanes,
+//! no clock, no metrics — a deterministic, totally ordered execution that is
+//! convenient for examples, tutorials and protocol unit tests. The
 //! discrete-event simulator in `causal-simnet` is the instrument for the
 //! paper's experiments — it models latency and reordering across senders;
 //! this cluster intentionally does not.
 
-use causal_proto::{
-    build_site, Effect, ProtocolConfig, ProtocolKind, ProtocolSite, ReadResult, Replication,
-};
-use causal_types::{MetaSized, MsgKind, SiteId, SizeModel, VarId, VersionedValue, WriteId};
+use causal_proto::{Output, ProtocolConfig, ProtocolKind, ProtocolSite, Replication, SiteDriver};
+use causal_types::{MsgKind, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -38,41 +37,29 @@ pub enum ClusterEvent {
         to: SiteId,
         /// SM / FM / RM.
         kind: MsgKind,
-        /// Meta-data bytes under the cluster's size model.
+        /// Meta-data bytes under the default size model.
         meta_bytes: u64,
     },
 }
 
 /// `n` protocol sites with synchronous, zero-latency FIFO delivery.
 pub struct LocalCluster {
-    sites: Vec<Box<dyn ProtocolSite>>,
-    model: SizeModel,
+    sites: Vec<SiteDriver>,
     events: Vec<ClusterEvent>,
-    /// The currently fetched value, parked here by the delivery loop when a
-    /// `FetchDone` effect surfaces.
-    fetched: Option<(SiteId, VarId, Option<VersionedValue>)>,
 }
 
 impl LocalCluster {
     /// Build a cluster of `placement.n()` sites all running `kind`.
     pub fn new(kind: ProtocolKind, placement: Arc<Placement>, cfg: ProtocolConfig) -> Self {
-        let n = placement.n();
-        let repl: Arc<dyn causal_proto::Replication> = placement;
-        let sites = SiteId::all(n)
-            .map(|s| build_site(kind, s, repl.clone(), cfg))
+        let repl: Arc<dyn Replication> = placement;
+        let model = SizeModel::default();
+        let sites = SiteId::all(repl.n())
+            .map(|s| SiteDriver::new(kind, s, repl.clone(), cfg, model, None))
             .collect();
         LocalCluster {
             sites,
-            model: SizeModel::default(),
             events: Vec::new(),
-            fetched: None,
         }
-    }
-
-    /// Use a non-default size model for the `Message` events.
-    pub fn with_size_model(mut self, model: SizeModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Number of sites.
@@ -83,56 +70,52 @@ impl LocalCluster {
     /// Issue `w(var)data` at `site`, delivering all resulting messages
     /// before returning.
     pub fn write(&mut self, site: SiteId, var: VarId, data: u64) -> WriteId {
-        let (wid, effects) = self.sites[site.index()].write(var, data, 0);
-        self.route(site, effects);
+        let mut out = Vec::new();
+        let (wid, _) = self.sites[site.index()].write(0, var, data, 0, true, &mut out);
+        self.run(site, out);
         wid
     }
 
     /// Issue `r(var)` at `site`. Remote fetches complete synchronously.
     pub fn read(&mut self, site: SiteId, var: VarId) -> Option<VersionedValue> {
-        match self.sites[site.index()].read(var) {
-            ReadResult::Local(v) => v,
-            ReadResult::Fetch { target, msg } => {
-                self.route(site, vec![Effect::Send { to: target, msg }]);
-                let (who, which, value) = self
-                    .fetched
-                    .take()
-                    .expect("synchronous delivery must complete the fetch");
-                assert_eq!((who, which), (site, var), "fetch answered out of order");
-                value
-            }
-        }
+        let mut out = Vec::new();
+        self.sites[site.index()].read(0, var, true, &mut out);
+        self.run(site, out)
+            .expect("synchronous delivery must complete the read")
     }
 
-    /// Deliver queued effects breadth-first until quiescence.
-    fn route(&mut self, origin: SiteId, effects: Vec<Effect>) {
-        let mut queue: VecDeque<(SiteId, Effect)> =
-            effects.into_iter().map(|e| (origin, e)).collect();
-        while let Some((from, effect)) = queue.pop_front() {
-            match effect {
-                Effect::Send { to, msg } => {
-                    self.events.push(ClusterEvent::Message {
-                        from,
-                        to,
-                        kind: msg.kind(),
-                        meta_bytes: msg.meta_size(&self.model),
-                    });
-                    let next = self.sites[to.index()].on_message(from, msg);
-                    queue.extend(next.into_iter().map(|e| (to, e)));
+    /// Run `origin`'s outputs and everything they cause, breadth-first,
+    /// until quiescence. Returns the value of the read that completed, if
+    /// one did.
+    fn run(&mut self, origin: SiteId, out: Vec<Output>) -> Option<Option<VersionedValue>> {
+        let mut queue: VecDeque<_> = out.into_iter().map(|o| (origin, o)).collect();
+        let (mut read, mut out) = (None, Vec::new());
+        while let Some((from, o)) = queue.pop_front() {
+            match o {
+                Output::Send {
+                    dsts, msg, bytes, ..
+                } => {
+                    for to in dsts.iter() {
+                        self.events.push(ClusterEvent::Message {
+                            from,
+                            to,
+                            kind: msg.kind(),
+                            meta_bytes: bytes,
+                        });
+                        self.sites[to.index()].on_message(0, from, msg.clone(), true, &mut out);
+                        queue.extend(out.drain(..).map(|o| (to, o)));
+                    }
                 }
-                Effect::Applied { var, write } => {
-                    self.events.push(ClusterEvent::Applied {
-                        site: from,
-                        var,
-                        write,
-                    });
-                }
-                Effect::FetchDone { var, value } => {
-                    assert!(self.fetched.is_none(), "one outstanding fetch at a time");
-                    self.fetched = Some((from, var, value));
-                }
+                Output::Applied { var, write, .. } => self.events.push(ClusterEvent::Applied {
+                    site: from,
+                    var,
+                    write,
+                }),
+                Output::ReadDone { value, .. } => read = Some(value),
+                Output::ArmLaneTimer { .. } => unreachable!("a cluster without lanes"),
             }
         }
+        read
     }
 
     /// Drain the recorded events.
@@ -142,14 +125,14 @@ impl LocalCluster {
 
     /// Direct access to a site (diagnostics, assertions).
     pub fn site(&self, s: SiteId) -> &dyn ProtocolSite {
-        self.sites[s.index()].as_ref()
+        self.sites[s.index()].site()
     }
 
     /// Total parked updates across all sites. In a synchronous cluster this
     /// must be zero between operations — delivery is instantaneous and the
     /// activation predicate can always be satisfied immediately.
     pub fn total_pending(&self) -> usize {
-        self.sites.iter().map(|s| s.pending_len()).sum()
+        self.sites.iter().map(|d| d.site().pending_len()).sum()
     }
 }
 

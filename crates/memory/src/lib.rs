@@ -1,9 +1,9 @@
 //! # causal-memory
 //!
-//! The distributed-shared-memory layer: replica placement strategies and a
-//! synchronous in-process cluster for driving the protocols without a
-//! network (used by unit tests, examples and the consistency checker's
-//! deterministic scenarios).
+//! The distributed-shared-memory layer: replica placement strategies and
+//! [`LocalCluster`], a synchronous in-process harness that drives one
+//! `SiteDriver` per site without a network (used by unit tests, examples
+//! and the consistency checker's deterministic scenarios).
 //!
 //! The paper's system model (§II-B): `n` sites, `q` variables, each site
 //! `s_i` holds a subset `X_i ⊆ Q`; with replication factor `p` and even

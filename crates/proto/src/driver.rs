@@ -1,8 +1,8 @@
 //! The sans-IO site driver: everything one site does between "an operation
 //! or a frame arrived" and "these frames leave, these things happened".
 //!
-//! A [`SiteDriver`] owns a [`ProtocolSite`] and the send-side and
-//! read-side state every deployment needs around it:
+//! A [`SiteDriver`] builds and owns a [`ProtocolSite`] and the send-side
+//! and read-side state every deployment needs around it:
 //!
 //! * optional per-destination **lanes** ([`DestBatcher`]): an SM parks in
 //!   the lane toward its destination and leaves when a count/byte bound
@@ -10,7 +10,9 @@
 //!   same destination — an RM carries `LastWriteOn` metadata and the
 //!   protocols' pruning rules assume per-channel FIFO order, so it may not
 //!   overtake a parked update. An FM carries no metadata and leaves at
-//!   once without touching a lane;
+//!   once without touching a lane. Lanes hold a site's own updates back,
+//!   so a driver with lanes builds its site with
+//!   [`causal_clocks::PruneConfig::pin_self`] on, whatever it was given;
 //! * the single **outstanding-fetch slot** of the paper's synchronous
 //!   RemoteFetch (issue, retarget, resume after a crash, abort, complete)
 //!   and the stray-RM rule ([`SiteDriver::accepts`]);
@@ -20,17 +22,20 @@
 //!
 //! It knows nothing about transport or time: entry points take `now` as
 //! plain nanoseconds and append [`Output`]s to a buffer the harness owns
-//! and reuses. The simulator and the threaded runtime are harnesses that
-//! feed it operations, frames and timer expiries, and turn outputs into
-//! heap events or socket writes, history records, trace events and metric
-//! updates (DESIGN.md, "Driver and harnesses").
+//! and reuses. The simulator, the threaded runtime and `LocalCluster` are
+//! harnesses that feed it operations, frames and timer expiries, and turn
+//! outputs into heap events or socket writes, history records, trace events
+//! and metric updates (DESIGN.md, "Driver and harnesses"). None of them
+//! builds a site itself.
 
 use crate::effect::{Effect, ReadResult};
+use crate::factory::{build_site, ProtocolConfig, ProtocolKind};
 use crate::msg::{BatchedSm, Fm, Msg, Sm, SmBatch};
 use crate::reliable::OwnLedger;
+use crate::replication::Replication;
 use crate::site::ProtocolSite;
 use causal_clocks::{BatchPolicy, DestBatcher, DestSet, Offer};
-use causal_types::{MetaSized, MsgKind, SiteId, SizeModel, VarId, WriteId};
+use causal_types::{MetaSized, MsgKind, SiteId, SizeModel, VarId, VersionedValue, WriteId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -75,8 +80,8 @@ pub enum Output {
     ReadDone {
         /// The variable read.
         var: VarId,
-        /// The write whose value was returned, `None` for `⊥`.
-        writer: Option<WriteId>,
+        /// The value returned, `None` for `⊥`.
+        value: Option<VersionedValue>,
         /// The replica that served it (this site for a local read).
         served_by: SiteId,
         /// Issue-to-return time of the last fetch attempt; `None` for a
@@ -124,6 +129,9 @@ struct PendingSm {
 /// receipt map. See the module docs.
 pub struct SiteDriver {
     id: SiteId,
+    /// What the site was built from, kept for [`SiteDriver::fresh_site`].
+    repl: Arc<dyn Replication>,
+    cfg: ProtocolConfig,
     site: Box<dyn ProtocolSite>,
     size_model: SizeModel,
     lanes: Option<DestBatcher<PendingSm>>,
@@ -136,17 +144,29 @@ pub struct SiteDriver {
 }
 
 impl SiteDriver {
-    /// Drive `site`, sizing messages under `size_model`. `lanes` turns on
-    /// per-destination batching under that policy; `None` sends every SM
-    /// as its own frame.
+    /// Build site `id` of a `kind` deployment over `repl` and drive it,
+    /// sizing messages under `size_model`. `lanes` turns on per-destination
+    /// batching under that policy and with it `pin_self`; `None` sends
+    /// every SM as its own frame and keeps `cfg` as given.
     pub fn new(
-        site: Box<dyn ProtocolSite>,
+        kind: ProtocolKind,
+        id: SiteId,
+        repl: Arc<dyn Replication>,
+        mut cfg: ProtocolConfig,
         size_model: SizeModel,
         lanes: Option<BatchPolicy>,
     ) -> Self {
+        // A parked update may sit in its lane for a whole flush window
+        // while its causal future races ahead through other lanes, so the
+        // prunings that assume "my own sends cover me" lose their timing
+        // justification (docs/PROTOCOLS.md, "Pin the sender's own
+        // obligations").
+        cfg.prune.pin_self |= lanes.is_some();
         SiteDriver {
-            id: site.site(),
-            site,
+            id,
+            site: build_site(kind, id, repl.clone(), cfg),
+            repl,
+            cfg,
             size_model,
             lanes: lanes.map(DestBatcher::new),
             fetch: None,
@@ -164,6 +184,12 @@ impl SiteDriver {
     /// that bypasses the operation path.
     pub fn site_mut(&mut self) -> &mut dyn ProtocolSite {
         self.site.as_mut()
+    }
+
+    /// A state machine built exactly as this driver's was, from nothing —
+    /// what a WAL replay starts from.
+    pub fn fresh_site(&self) -> Box<dyn ProtocolSite> {
+        build_site(self.site.kind(), self.id, self.repl.clone(), self.cfg)
     }
 
     /// Swap in a rebuilt state machine (WAL replay). Lanes, fetch slot and
@@ -212,9 +238,9 @@ impl SiteDriver {
     fn issue(&mut self, now: u64, var: VarId, measured: bool, attempt: u32, out: &mut Vec<Output>) {
         debug_assert!(self.fetch.is_none(), "read issued while fetch outstanding");
         match self.site.read(var) {
-            ReadResult::Local(v) => out.push(Output::ReadDone {
+            ReadResult::Local(value) => out.push(Output::ReadDone {
                 var,
-                writer: v.map(|x| x.writer),
+                value,
                 served_by: self.id,
                 rtt_ns: None,
                 measured,
@@ -417,7 +443,7 @@ impl SiteDriver {
                     debug_assert_eq!(f.var, var, "fetch completion for the wrong variable");
                     out.push(Output::ReadDone {
                         var,
-                        writer: value.map(|x| x.writer),
+                        value,
                         served_by: f.target,
                         rtt_ns: Some(now - f.issued_ns),
                         measured: f.measured,
@@ -531,10 +557,9 @@ impl SiteDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factory::{build_site, ProtocolConfig, ProtocolKind};
     use crate::msg::Rm;
     use crate::replica::kit::Ring;
-    use crate::replication::{FullReplication, Replication};
+    use crate::replication::FullReplication;
     use causal_clocks::PruneConfig;
     use std::collections::VecDeque;
 
@@ -561,10 +586,7 @@ mod tests {
             },
         };
         SiteId::all(n)
-            .map(|s| {
-                let site = build_site(kind, s, repl.clone(), cfg);
-                SiteDriver::new(site, SizeModel::batched(), lanes)
-            })
+            .map(|s| SiteDriver::new(kind, s, repl.clone(), cfg, SizeModel::batched(), lanes))
             .collect()
     }
 

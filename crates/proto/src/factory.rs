@@ -68,7 +68,8 @@ pub struct ProtocolConfig {
     pub prune: PruneConfig,
 }
 
-/// Build one site's protocol state machine.
+/// Build one site's protocol state machine. A harness gets its sites from
+/// [`crate::SiteDriver::new`], which calls this.
 ///
 /// Panics if a full-replication protocol is paired with a partial placement
 /// (the protocols' constructors enforce their own requirements).

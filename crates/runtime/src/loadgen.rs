@@ -4,8 +4,9 @@
 //! hosts `clients_per_site` of them, and every client issues one
 //! operation, waits for it to complete (a remote read blocks until its RM
 //! returns), thinks for a jittered interval, and issues the next — the
-//! closed-loop discipline real causal-store benchmarks use, where offered
-//! load self-limits under back-pressure instead of queueing unboundedly.
+//! closed-loop discipline real causal key-value store benchmarks use,
+//! where offered load self-limits under back-pressure instead of queueing
+//! unboundedly.
 //!
 //! A site is one sequential process in the paper's model, so its clients
 //! are multiplexed on the site's thread: while one client blocks in a

@@ -31,8 +31,8 @@ use crate::runner::{locked, Addressed, OwnLine, Quiesce, Routes};
 use causal_checker::History;
 use causal_clocks::BatchPolicy;
 use causal_metrics::RunMetrics;
-use causal_proto::{Msg, Output, ProtocolSite, SiteDriver};
-use causal_types::{OpKind, ScheduledOp, SiteId, SizeModel};
+use causal_proto::{Msg, Output, SiteDriver};
+use causal_types::{OpKind, ScheduledOp, SiteId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -277,22 +277,19 @@ impl OpDriver {
 /// transports — the runtime counterpart of the simulator's `BatchPlan`.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchWindow {
-    /// Flush a lane once it holds this many updates.
-    pub max_sms: usize,
-    /// Flush a lane once its updates' unbatched wire bytes reach this.
-    pub max_bytes: u64,
+    /// The count and byte bounds every lane flushes at.
+    pub lanes: BatchPolicy,
     /// Flush a lane this long after its first (oldest) parked update.
     pub window: Duration,
 }
 
 impl BatchWindow {
-    /// A plan bounded by the flush window and a generous update count —
-    /// the same defaults the simulator's windowed plan uses.
+    /// A plan bounded by the flush window and [`BatchPolicy::WINDOWED`],
+    /// as the simulator's windowed plan is.
     pub fn windowed(window: Duration) -> Self {
         assert!(window > Duration::ZERO, "flush window must be positive");
         BatchWindow {
-            max_sms: 64,
-            max_bytes: u64::MAX,
+            lanes: BatchPolicy::WINDOWED,
             window,
         }
     }
@@ -330,35 +327,30 @@ pub struct Node {
 }
 
 impl Node {
-    /// A fresh node. `start` is the run's shared zero instant (schedule
-    /// offsets and client due times are relative to it).
+    /// A fresh node around `driver`, whose lanes (if any) flush after
+    /// `window`. `start` is the run's shared zero instant (schedule offsets
+    /// and client due times are relative to it).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        site: SiteId,
-        proto: Box<dyn ProtocolSite>,
+        driver: SiteDriver,
         ops: OpDriver,
         n: usize,
         payload_len: u32,
         transport: Arc<dyn Transport>,
         quiesce: Arc<Quiesce>,
         worker: usize,
-        size_model: SizeModel,
-        batch: Option<BatchWindow>,
+        window: Option<Duration>,
         start: Instant,
     ) -> Self {
-        let lanes = batch.map(|b| BatchPolicy {
-            max_items: b.max_sms,
-            max_bytes: b.max_bytes,
-        });
         Node {
-            site,
-            driver: SiteDriver::new(proto, size_model, lanes),
+            site: driver.site().site(),
+            driver,
             ops,
             payload_len,
             transport,
             quiesce,
             worker,
-            window: batch.map(|b| b.window),
+            window,
             timers: Vec::new(),
             out: Vec::new(),
             dsts: Vec::new(),
@@ -566,11 +558,12 @@ impl Node {
                 }
                 Output::ReadDone {
                     var,
-                    writer,
+                    value,
                     served_by,
                     rtt_ns,
                     measured,
                 } => {
+                    let writer = value.map(|v| v.writer);
                     self.history.record_read(self.site, var, writer, served_by);
                     if let Some(rtt_ns) = rtt_ns {
                         self.metrics.record_fetch_rtt(me, rtt_ns as f64);
@@ -622,7 +615,7 @@ mod tests {
     use causal_proto::{
         build_site, Effect, Fm, ProtocolConfig, ProtocolKind, Replication, Rm, RmMeta,
     };
-    use causal_types::{MsgKind, SimTime, VarId};
+    use causal_types::{MsgKind, SimTime, SizeModel, VarId};
     use parking_lot::Mutex;
 
     /// Swallows every send, remembering destination and kind in order.
@@ -645,17 +638,18 @@ mod tests {
     ) -> (Node, Arc<Recorder>, Arc<Quiesce>) {
         let wire = Arc::new(Recorder::default());
         let quiesce = Arc::new(Quiesce::new(1, 1));
+        let cfg = ProtocolConfig::default();
+        let lanes = batch.map(|b| b.lanes);
+        let driver = SiteDriver::new(kind, SiteId(0), repl, cfg, SizeModel::default(), lanes);
         let node = Node::new(
-            SiteId(0),
-            build_site(kind, SiteId(0), repl, ProtocolConfig::default()),
+            driver,
             OpDriver::replay(schedule, 0, 1.0),
             2,
             0,
             wire.clone(),
             quiesce.clone(),
             0,
-            SizeModel::default(),
-            batch,
+            batch.map(|b| b.window),
             Instant::now(),
         );
         (node, wire, quiesce)

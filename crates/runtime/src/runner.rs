@@ -38,7 +38,7 @@ use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
-use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
+use causal_proto::{ProtocolConfig, ProtocolKind, Replication, SiteDriver};
 use causal_types::{Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -762,19 +762,18 @@ pub(crate) fn deploy(
     };
 
     let quiesce = fabric.quiesce.clone();
+    let (cfg, lanes) = (ProtocolConfig::default(), batch.map(|b| b.lanes));
     let cluster = fabric.spawn(&transport, |i, worker| {
         let site = SiteId::from(i);
         Node::new(
-            site,
-            build_site(protocol, site, repl.clone(), ProtocolConfig::default()),
+            SiteDriver::new(protocol, site, repl.clone(), cfg, size_model, lanes),
             ops(i),
             n,
             payload_len,
             transport.clone(),
             quiesce.clone(),
             worker,
-            size_model,
-            batch,
+            batch.map(|b| b.window),
             start,
         )
     });
@@ -1003,21 +1002,15 @@ mod tests {
         use causal_memory::PlacementKind;
         let site = SiteId::from(i);
         let repl = Arc::new(Placement::new(PlacementKind::Even, 2, 1).expect("valid"));
+        let (kind, cfg) = (ProtocolKind::OptTrack, ProtocolConfig::default());
         Node::new(
-            site,
-            build_site(
-                ProtocolKind::OptTrack,
-                site,
-                repl,
-                ProtocolConfig::default(),
-            ),
+            SiteDriver::new(kind, site, repl, cfg, SizeModel::default(), None),
             OpDriver::replay(Vec::new(), 0, 1.0),
             2,
             0,
             fabric.clone(),
             q.clone(),
             0,
-            SizeModel::default(),
             None,
             Instant::now(),
         )

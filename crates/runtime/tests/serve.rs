@@ -60,19 +60,39 @@ fn serve_runs_every_protocol_on_the_tcp_fabric() {
 
 #[test]
 fn serve_with_batching_drains_every_lane() {
-    let mut cfg = ServeConfig::quick(ProtocolKind::OptTrack, 5, ServeTransport::Tcp, 31);
-    cfg.batch = Some(BatchWindow::windowed(Duration::from_millis(2)));
-    cfg.load.w_rate = 0.8; // update-heavy so lanes actually fill
-    let report = serve(&cfg).expect("serve runs");
-    assert_eq!(report.ops, cfg.load.total_ops(5) as u64);
-    assert_eq!(report.final_pending, 0, "no update may stay parked");
-    let v = check(&report.history);
-    assert!(v.protocol_clean(), "{:?}", v.examples);
-    // Update batching must shrink frames, never lose or duplicate them:
-    // every batched SM is one of the ordinary SM sends it replaced.
-    let m = &report.metrics;
-    if m.batch_flushes > 0 {
-        assert!(m.batched_sms >= 2 * m.batch_flushes, "a batch has >= 2 SMs");
+    // The update-heavy cell fills lanes. The other two, one per fabric,
+    // hold Opt-Track's updates back for a 20 ms window while reads race
+    // ahead, which violates causal delivery unless lanes pin the sender's
+    // own obligations (`PruneConfig::pin_self`) on this harness too.
+    let mut heavy = ServeConfig::quick(ProtocolKind::OptTrack, 5, ServeTransport::Tcp, 31);
+    heavy.batch = Some(BatchWindow::windowed(Duration::from_millis(2)));
+    heavy.load.w_rate = 0.8;
+    let mut cells = vec![heavy];
+    for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
+        let mut long = ServeConfig::quick(ProtocolKind::OptTrack, 6, transport, 1);
+        long.batch = Some(BatchWindow::windowed(Duration::from_millis(20)));
+        long.load.ops_per_client = 60;
+        long.load.think = Duration::from_micros(200);
+        long.load.w_rate = 0.5;
+        long.load.q = 20;
+        cells.push(long);
+    }
+    for cfg in cells {
+        let tag = format!("n={} {:?}", cfg.n, cfg.transport);
+        let report = serve(&cfg).expect("serve runs");
+        assert_eq!(report.ops, cfg.load.total_ops(cfg.n) as u64, "{tag}");
+        assert_eq!(report.final_pending, 0, "{tag}: no update may stay parked");
+        let v = check(&report.history);
+        assert!(v.protocol_clean(), "{tag}: {v:?}");
+        // Update batching must shrink frames, never lose or duplicate them:
+        // every batched SM is one of the ordinary SM sends it replaced.
+        let m = &report.metrics;
+        if m.batch_flushes > 0 {
+            assert!(
+                m.batched_sms >= 2 * m.batch_flushes,
+                "{tag}: a batch has >= 2 SMs"
+            );
+        }
     }
 }
 

@@ -18,13 +18,11 @@ use crate::kernel::{EventHeap, SimEvent};
 use crate::stability::StabilityState;
 use crate::transport::TransportCmd;
 use causal_checker::History;
-use causal_clocks::{BatchPolicy, PruneConfig};
 use causal_memory::DynamicPlacement;
 use causal_metrics::RunMetrics;
 use causal_obs::{EventKind, NoopTracer, TraceEvent, Tracer};
 use causal_proto::{
-    build_site, Effect, Frame, Msg, Output, ProtoTraceEvent, ProtocolConfig, Replication,
-    SiteDriver, WalRecord,
+    Effect, Frame, Msg, Output, ProtoTraceEvent, ProtocolConfig, Replication, SiteDriver, WalRecord,
 };
 use causal_types::{OpKind, SimTime, SiteId, VarId};
 use causal_workload::{generate, Schedule};
@@ -59,10 +57,6 @@ struct Sim<'a> {
     tracer: &'a mut dyn Tracer,
     n: usize,
     schedule: Schedule,
-    /// Placement view and protocol switches every site was built with (a
-    /// WAL replay builds a fresh one).
-    repl: Arc<dyn Replication>,
-    proto_cfg: ProtocolConfig,
     sites: Vec<SiteDriver>,
     /// Next schedule index of each site's application process.
     next_op: Vec<usize>,
@@ -116,26 +110,13 @@ impl<'a> Sim<'a> {
             Some(ch) => ch.dynp.clone(),
             None => cfg.placement.clone(),
         };
-        // Batching parks updates in sender lanes for up to a full flush
-        // window, so the log prunings that assume "my own sends cover me"
-        // lose their timing justification; pin the local site's
-        // destination mentions until a clock witness shows them applied
-        // (see `PruneConfig::pin_self`).
-        let proto_cfg = ProtocolConfig {
-            prune: PruneConfig {
-                pin_self: cfg.batching.is_some() || cfg.prune.pin_self,
-                ..cfg.prune
-            },
-        };
-        let lanes = cfg.batching.map(|plan| BatchPolicy {
-            max_items: plan.max_sms,
-            max_bytes: plan.max_bytes,
-        });
+        let (proto_cfg, model) = (ProtocolConfig { prune: cfg.prune }, cfg.size_model);
+        let lanes = cfg.batching.map(|plan| plan.lanes);
         let sites = SiteId::all(n)
             .map(|s| {
-                let mut site = build_site(cfg.protocol, s, repl.clone(), proto_cfg);
-                site.set_tracing(tracer.enabled());
-                SiteDriver::new(site, cfg.size_model, lanes)
+                let mut d = SiteDriver::new(cfg.protocol, s, repl.clone(), proto_cfg, model, lanes);
+                d.site_mut().set_tracing(tracer.enabled());
+                d
             })
             .collect();
 
@@ -146,8 +127,6 @@ impl<'a> Sim<'a> {
             tracer,
             n,
             schedule,
-            repl,
-            proto_cfg,
             sites,
             next_op: vec![0; n],
             now: SimTime::ZERO,
@@ -574,11 +553,12 @@ impl<'a> Sim<'a> {
                 }
                 Output::ReadDone {
                     var,
-                    writer,
+                    value,
                     served_by,
                     rtt_ns,
                     measured,
                 } => {
+                    let writer = value.map(|v| v.writer);
                     match rtt_ns {
                         Some(rtt_ns) => {
                             self.metrics.record_fetch_rtt(site.index(), rtt_ns as f64);

@@ -3,7 +3,7 @@
 use crate::channel::{FaultPlan, LatencyModel, PartitionWindow};
 use crate::stability::StabilityPlan;
 use causal_checker::History;
-use causal_clocks::PruneConfig;
+use causal_clocks::{BatchPolicy, PruneConfig};
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
 use causal_proto::{ProtocolKind, Replication};
@@ -94,8 +94,8 @@ pub struct DurabilityPlan {
 /// Per-destination update batching: a sender parks consecutive SM updates
 /// addressed to the same destination in a FIFO lane and ships the whole
 /// lane as one [`causal_proto::Msg::Batch`] frame when a flush policy fires —
-/// the lane reaches `max_sms` updates, its unbatched bytes reach `max_bytes`, or the
-/// virtual-time `window` since the lane opened expires.
+/// a `lanes` bound trips, or the virtual-time `window` since the lane
+/// opened expires.
 ///
 /// Batching changes only *when and how* updates travel, never what the
 /// receiver sees: frames are unbatched on delivery back into the exact
@@ -105,22 +105,19 @@ pub struct DurabilityPlan {
 /// frame instead of one per update (see `SmBatch::batch_meta_size`).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPlan {
-    /// Flush a lane once it holds this many updates.
-    pub max_sms: usize,
-    /// Flush a lane once its updates' unbatched wire bytes reach this.
-    pub max_bytes: u64,
+    /// The count and byte bounds every lane flushes at.
+    pub lanes: BatchPolicy,
     /// Flush a lane this long after its first (oldest) parked update.
     pub window: SimDuration,
 }
 
 impl BatchPlan {
-    /// A plan bounded by the flush window and a generous update count,
+    /// A plan bounded by the flush window and [`BatchPolicy::WINDOWED`],
     /// the configuration the `repro batching` sweep explores.
     pub fn windowed(window: SimDuration) -> Self {
         assert!(window > SimDuration::ZERO, "flush window must be positive");
         BatchPlan {
-            max_sms: 64,
-            max_bytes: u64::MAX,
+            lanes: BatchPolicy::WINDOWED,
             window,
         }
     }

@@ -6,7 +6,7 @@ use crate::channel::FaultPlan;
 use crate::kernel::SimEvent;
 use crate::transport::{Transport, TransportTuning};
 use causal_obs::EventKind;
-use causal_proto::{build_site, DurableStore, Frame, OwnLedger, PeerAckInfo, SyncState, WalRecord};
+use causal_proto::{DurableStore, Frame, OwnLedger, PeerAckInfo, SyncState, WalRecord};
 use causal_types::{SimDuration, SimTime, SiteId, WriteId};
 use fxhash::FxHashSet;
 use rand::rngs::StdRng;
@@ -152,9 +152,8 @@ impl Sim<'_> {
             if self.cfg.durability.torn_tail.contains(&site) {
                 store.tear_tail(1);
             }
-            let (protocol, repl, proto_cfg) = (self.cfg.protocol, &self.repl, self.proto_cfg);
-            let fresh = || build_site(protocol, site, repl.clone(), proto_cfg);
-            if let Some((mut replayed, replay_applied)) = store.replay(fresh) {
+            let driver = &self.sites[i];
+            if let Some((mut replayed, replay_applied)) = store.replay(|| driver.fresh_site()) {
                 if let Some(stab) = self.stability.as_mut() {
                     // The rebuilt state has applied exactly the
                     // checkpoint's applies plus these replayed ones;

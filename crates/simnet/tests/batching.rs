@@ -6,6 +6,7 @@
 //! parked, and apply exactly as many updates as the unbatched run.
 
 use causal_checker::check;
+use causal_clocks::BatchPolicy;
 use causal_proto::ProtocolKind;
 use causal_simnet::{run, BatchPlan, SimConfig};
 use causal_types::{MsgKind, SimDuration, SizeModel};
@@ -119,11 +120,10 @@ fn batching_runs_are_deterministic() {
 
 #[test]
 fn count_bound_caps_batch_size() {
-    // max_sms = 2 forces pair-sized flushes: batched_sms per flush is
+    // A count bound of 2 forces pair-sized flushes: batched_sms per flush is
     // exactly 2, and lone stragglers go out unbatched (uncounted).
     let plan = BatchPlan {
-        max_sms: 2,
-        max_bytes: u64::MAX,
+        lanes: BatchPolicy::by_count(2),
         window: SimDuration::from_millis(120_000),
     };
     let r = run(&cfg(ProtocolKind::OptP, false, 3, Some(plan)));

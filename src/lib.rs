@@ -2,8 +2,11 @@
 //!
 //! Reproduction of *"Performance of Causal Consistency Algorithms for
 //! Partially Replicated Systems"* (Hsu & Kshemkalyani, 2016) as a Rust
-//! workspace. This facade crate re-exports every layer; see `README.md` for
-//! a guided tour and `DESIGN.md` for the architecture.
+//! workspace. This facade crate re-exports every layer, from the clocks to
+//! the experiment harness; see `README.md` for a guided tour and
+//! `DESIGN.md` for the architecture. `LocalCluster`, the synchronous
+//! harness below, drives one `SiteDriver` per site, as the simulator and
+//! the threaded runtime do.
 //!
 //! ```
 //! use causal_repro::prelude::*;
@@ -24,11 +27,9 @@ pub use causal_clocks as clocks;
 pub use causal_experiments as experiments;
 pub use causal_memory as memory;
 pub use causal_metrics as metrics;
-pub use causal_multicast as multicast;
 pub use causal_proto as proto;
 pub use causal_runtime as runtime;
 pub use causal_simnet as simnet;
-pub use causal_store as store;
 pub use causal_types as types;
 pub use causal_workload as workload;
 

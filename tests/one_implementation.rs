@@ -17,7 +17,9 @@
 //! extension harness. Metrics: every sampled statistic is one mergeable
 //! histogram, folded like any other field. Matrix clock: one merge, a key
 //! compare per row; the cell-wise maximum exists only as its debug-build
-//! check. A second copy growing back is how the copies drifted apart before.
+//! check. Sites: every harness gets its site from `SiteDriver`, which alone
+//! builds it and reads its effects. A second copy growing back is how the
+//! copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -262,19 +264,58 @@ fn ks_log_operations_are_composed_in_the_log_not_by_its_callers() {
         ".remove_site(",
         ".upsert(",
     ];
-    for (file, allowed) in [
-        ("crates/proto/src/opt_track.rs", [0, 0, 1, 0, 0]),
-        ("crates/multicast/src/ks.rs", [0; 5]),
-    ] {
-        let code = code_of(file);
-        let calls = primitives.map(|call| code.matches(call).count());
-        assert_eq!(calls, allowed, "{file}: calls of {primitives:?}");
-    }
     let opt_track = code_of("crates/proto/src/opt_track.rs");
+    let calls = primitives.map(|call| opt_track.matches(call).count());
+    assert_eq!(calls, [0, 0, 1, 0, 0], "calls of {primitives:?}");
     let recovery = opt_track.find("fn peer_recovered(").expect("the hook");
     let departure = opt_track.find("fn peer_departed(").expect("the next hook");
     let at = opt_track.find(".prune_applied(").expect("counted above");
     assert!((recovery..departure).contains(&at), "in peer_recovered");
+}
+
+#[test]
+fn a_site_is_built_and_its_effects_dispatched_by_the_driver_alone() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code: Vec<_> = sources()
+        .into_iter()
+        .map(|(path, text)| {
+            let code = outside_test_modules(&text);
+            // Comments and the factory's own signature are not calls.
+            let call =
+                |l: &&str| !l.trim_start().starts_with("//") && !l.contains("fn build_site(");
+            (
+                path,
+                code.lines().filter(call).collect::<Vec<_>>().join("\n"),
+            )
+        })
+        .collect();
+    // Every harness — simulator, runtime, `LocalCluster` — gets its site
+    // from `SiteDriver::new` and hands effects to the driver unread.
+    let builders = files_with(&code, "build_site(");
+    assert_eq!(builders, ["crates/proto/src/driver.rs"], "`build_site(`");
+    let mut readers = files_with(&code, "Effect::");
+    readers.retain(|f| !f.starts_with("crates/proto/"));
+    assert_eq!(readers, [""; 0], "`Effect::` outside the protocol crate");
+
+    // The crates no harness reaches are gone; `causal-multicast` is the
+    // re-export `bench/` still imports, nothing else.
+    for gone in ["crates/store", "vendor/bytes"] {
+        assert!(!root.join(gone).exists(), "{gone}");
+    }
+    let mut multicast = Vec::new();
+    walk(&root.join("crates/multicast"), &mut multicast);
+    let [(path, text)] = &multicast[..] else {
+        panic!("crates/multicast holds one source file: {multicast:?}")
+    };
+    assert!(path.ends_with("crates/multicast/src/lib.rs"));
+    let items: Vec<_> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("#!["))
+        .collect();
+    assert_eq!(
+        items,
+        ["pub use causal_clocks::batch::{self, BatchPolicy, DestBatcher, Offer};"]
+    );
 }
 
 /// Add every file under `dir` to `out`, build output excepted.
