@@ -74,13 +74,11 @@
 pub mod bruteforce;
 #[cfg(test)]
 mod differential;
-pub mod dot;
 pub mod history;
 #[cfg(test)]
 mod reference;
 pub mod verify;
 
 pub use bruteforce::delivery_inversions_bruteforce;
-pub use dot::history_to_dot;
 pub use history::{History, OpRecord};
 pub use verify::{check, Violations};

@@ -70,12 +70,13 @@
 //!
 //! `--trace out.jsonl` records a structured event trace (one JSON object
 //! per line, stamped with virtual time — see `docs/OBSERVABILITY.md`) and
-//! writes it atomically at the end of the run. `--verify-trace`
-//! reconstructs the execution history purely from the trace's
-//! write/apply/read events and runs the causal-consistency checker on the
-//! reconstruction — an end-to-end self-test that the trace is complete and
-//! correctly ordered. Both operate on one concrete run, so they are
-//! incompatible with `--seeds > 1`.
+//! writes it atomically at the end of the run. `--verify-trace` parses
+//! the serialized trace back, rebuilds the execution history from its
+//! write/apply/read/leave events and runs the causal-consistency checker
+//! on the reconstruction — an end-to-end self-test that the trace is
+//! complete and correctly ordered; a trace that does not parse fails it.
+//! Both operate on one concrete run, so they are incompatible with
+//! `--seeds > 1`.
 
 //! `--runtime channel|tcp` runs the same configured cell on the *threaded
 //! runtime* instead of the simulator: real OS threads, real (or loopback
@@ -92,7 +93,7 @@ use causal_experiments::harness::{paper_cfg, parse_protocol, run_units};
 use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
 use causal_metrics::{MessageStats, RunMetrics};
-use causal_obs::BufTracer;
+use causal_obs::{to_jsonl, BufTracer};
 use causal_proto::ProtocolKind;
 use causal_simnet::{
     run, run_traced, CrashWindow, DurabilityPlan, FaultPlan, LatencyModel, PartitionWindow,
@@ -761,24 +762,33 @@ fn main() {
     assert_eq!(r.final_pending, 0, "simulation must reach quiescence");
 
     if tracing {
+        // Serialized once: `--trace` writes these bytes and
+        // `--verify-trace` judges the history read back from them.
+        let jsonl = to_jsonl(&tracer.events);
         println!();
         println!("trace           {} events recorded", tracer.events.len());
-    }
-    if let Some(path) = &a.trace {
-        write_trace(std::path::Path::new(path), &tracer.events)
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        println!("                written to {path}");
-    }
-    if a.verify_trace {
-        let v = check_trace(&tracer.events, w.n);
-        if v.protocol_clean() {
-            println!("                reconstructed causal chains pass the checker ✓");
-        } else {
-            println!("                TRACE RECONSTRUCTION VIOLATIONS ✗");
-            for e in &v.examples {
-                println!("    {e}");
+        if let Some(path) = &a.trace {
+            write_trace(std::path::Path::new(path), &jsonl)
+                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            println!("                written to {path}");
+        }
+        if a.verify_trace {
+            match check_trace(&jsonl, w.n) {
+                Ok(v) if v.protocol_clean() => {
+                    println!("                reconstructed causal chains pass the checker ✓");
+                }
+                Ok(v) => {
+                    println!("                TRACE RECONSTRUCTION VIOLATIONS ✗");
+                    for e in &v.examples {
+                        println!("    {e}");
+                    }
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    println!("                TRACE DOES NOT PARSE ✗ {e}");
+                    std::process::exit(1);
+                }
             }
-            std::process::exit(1);
         }
     }
 

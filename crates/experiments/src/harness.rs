@@ -14,7 +14,7 @@
 use crate::pool;
 use crate::trace::write_trace;
 use causal_checker::check;
-use causal_obs::BufTracer;
+use causal_obs::{to_jsonl, BufTracer};
 use causal_proto::ProtocolKind;
 use causal_simnet::{run, run_traced, SimConfig, SimResult};
 use std::path::Path;
@@ -71,7 +71,7 @@ pub fn run_units<U: Sync>(
                 let mut tracer = BufTracer::default();
                 let r = run_traced(&cfg, &mut tracer);
                 let path = dir.join(format!("{tag}.jsonl"));
-                write_trace(&path, &tracer.events).expect("trace write");
+                write_trace(&path, &to_jsonl(&tracer.events)).expect("trace write");
                 r
             }
             None => run(&cfg),

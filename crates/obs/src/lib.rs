@@ -14,18 +14,22 @@
 //! ## Design
 //!
 //! * [`Tracer`] is a trait with a **no-op default**: `enabled()` returns
-//!   `false` and `emit()` discards. The simulator asks `enabled()` before
-//!   assembling an event, so a disabled tracer costs one virtual call on
-//!   the paths it instruments and allocates nothing.
+//!   `false` and `emit()` discards. The simulator assembles an event only
+//!   when a tracer is enabled or a checker history is being recorded from
+//!   the stream, so with neither an instrumented path costs one virtual
+//!   call and a branch, and allocates nothing.
 //! * [`BufTracer`] collects events in memory; [`to_jsonl`] /
 //!   [`parse_jsonl`] serialize them losslessly as one JSON object per
 //!   line with a deterministic field order, so traces of the same seed are
 //!   byte-identical regardless of how many worker threads ran the sweep.
 //!
-//! The JSONL codec is hand-rolled: the workspace's vendored `serde` derives
-//! are inert stand-ins (see `vendor/serde_derive`), so — like the disk
-//! cache in `causal-experiments` — this crate renders and parses its own
-//! flat JSON.
+//! The schema is declared once: each [`EventKind`] variant names its `ev`
+//! tag and its fields in output order, and the `events!` macro generates
+//! the enum, the encoder and the decoder from that one list. The codec is
+//! hand-rolled — the workspace's vendored `serde` derives are inert
+//! stand-ins (see `vendor/serde_derive`) — and the reader is strict: a
+//! line must be a flat object whose keys are `t`, `site`, `ev` and exactly
+//! the fields of its event, each once, comma-separated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,203 +37,251 @@
 use causal_types::{MsgKind, SimTime, SiteId, VarId, WriteId};
 use std::fmt::Write as _;
 
-/// What happened, with the identifiers needed to rebuild causal chains.
-///
-/// `origin`/`clock` pairs name a write (`WriteId` semantics: the writer
-/// site and its per-site write counter), `dep_*` name the first dependency
-/// that held an update in the pending buffer.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventKind {
-    /// The site issued a local write: `clock` is its new own-write counter.
-    Write {
-        /// Variable written.
-        var: VarId,
-        /// The writer's own-write clock (the write's identity with `site`).
-        clock: u64,
-    },
-    /// A protocol message left this site.
-    Send {
-        /// Destination site.
-        to: SiteId,
-        /// SM / FM / RM.
-        kind: MsgKind,
-        /// Modeled metadata bytes of the message.
-        bytes: u64,
-        /// The carried write, for SM messages.
-        writer: Option<WriteId>,
-    },
-    /// A protocol message reached this site's protocol layer.
-    Deliver {
-        /// Originating site.
-        from: SiteId,
-        /// SM / FM / RM.
-        kind: MsgKind,
-        /// The carried write, for SM messages.
-        writer: Option<WriteId>,
-    },
-    /// The activation predicate rejected an arriving update: it parks in
-    /// the pending buffer behind `dep_site`/`dep_clock`.
-    Buffer {
-        /// The buffered write's origin site.
-        origin: SiteId,
-        /// The buffered write's clock at its origin.
-        clock: u64,
-        /// Variable the buffered write targets.
-        var: VarId,
-        /// Origin of the first unsatisfied dependency.
-        dep_site: SiteId,
-        /// Required clock (or per-site write count) from `dep_site`.
-        dep_clock: u64,
-    },
-    /// An update was applied to the local replica (the *release* of a
-    /// buffered update, or an immediate apply with zero dwell).
-    Apply {
-        /// The applied write's origin site.
-        origin: SiteId,
-        /// The applied write's clock at its origin.
-        clock: u64,
-        /// Variable written.
-        var: VarId,
-        /// Virtual nanoseconds between receipt and apply (0 when applied
-        /// on arrival or for the writer's own local apply).
-        dwell_ns: u64,
-    },
-    /// A read served from the local replica.
-    ReadLocal {
-        /// Variable read.
-        var: VarId,
-        /// The write whose value was returned (`None` for `⊥`).
-        writer: Option<WriteId>,
-    },
-    /// A remote fetch (FM) was issued for a non-replicated variable.
-    FetchIssue {
-        /// Variable fetched.
-        var: VarId,
-        /// The replica asked.
-        target: SiteId,
-        /// Issue counter (0 for the first issue; failovers and
-        /// crash-recovery re-issues bump it).
-        attempt: u32,
-    },
-    /// The remote fetch completed (RM arrived and matched).
-    FetchDone {
-        /// Variable fetched.
-        var: VarId,
-        /// The replica that answered.
-        served_by: SiteId,
-        /// Virtual nanoseconds from the latest issue to the return.
-        rtt_ns: u64,
-        /// The write whose value was served (`None` for `⊥`).
-        writer: Option<WriteId>,
-    },
-    /// A blocked fetch failed over to the next candidate replica.
-    FetchFailover {
-        /// Variable fetched.
-        var: VarId,
-        /// The new issue counter.
-        attempt: u32,
-    },
-    /// A blocked fetch exhausted every candidate and was abandoned.
-    DegradedRead {
-        /// Variable the abandoned read targeted.
-        var: VarId,
-    },
-    /// The reliable transport re-sent an unacked data frame.
-    Retransmit {
-        /// Destination of the guarded channel.
-        to: SiteId,
-        /// Re-sent sequence number.
-        seq: u64,
-    },
-    /// A retransmission timer was armed (exponential backoff).
-    Backoff {
-        /// Destination of the guarded channel.
-        to: SiteId,
-        /// Guarded sequence number.
-        seq: u64,
-        /// Retransmission attempt the timer guards.
-        attempt: u32,
-        /// Virtual nanoseconds until the timer fires.
-        after_ns: u64,
-    },
-    /// A record was appended to the site's write-ahead log.
-    WalAppend {
-        /// Modeled bytes of the record.
-        bytes: u64,
-    },
-    /// The site's protocol state was checkpointed into its durable store.
-    Checkpoint {
-        /// Modeled bytes of the checkpoint image.
-        bytes: u64,
-    },
-    /// The site fail-stopped, losing volatile state.
-    Crash,
-    /// The site restarted and began the sync handshake.
-    Recover {
-        /// The new incarnation number.
-        inc: u32,
-    },
-    /// Recovery completed; the site is back up.
-    RecoveryDone {
-        /// Virtual nanoseconds the recovery took.
-        dur_ns: u64,
-    },
-    /// The recovering site asked a peer for its state.
-    SyncReq {
-        /// The asked peer.
-        to: SiteId,
-    },
-    /// A live site answered a recovering peer with a state snapshot.
-    SyncResp {
-        /// The recovering peer.
-        to: SiteId,
-        /// Modeled bytes of the snapshot shipped.
-        bytes: u64,
-    },
-    /// A membership view change was installed at this site's simulator
-    /// (attributed to the joining/leaving/migrated-to site).
-    ViewChange {
-        /// The newly installed epoch.
-        epoch: u64,
-        /// 1 when the install was forced at the view deadline instead of
-        /// reached by quiescence, else 0.
-        forced: u64,
-    },
-    /// Opt-Track pruned its causality log (conditions 1/2 + PURGE).
-    LogPrune {
-        /// Entries removed by this prune.
-        removed: u64,
-        /// Entries remaining afterwards.
-        remaining: u64,
-    },
-    /// The global stable frontier advanced for writes of this site
-    /// (every member has applied its writes through `clock`).
-    FrontierAdvance {
-        /// The new stable clock for this origin.
-        clock: u64,
-    },
-    /// A stability tick garbage-collected state behind this site's
-    /// known-stable frontier.
-    GcRun {
-        /// Causality-log entries reclaimed.
-        log_entries: u64,
-        /// Materialized `LastWriteOn` slots reclaimed.
-        slots: u64,
-    },
-    /// The stuck-buffer watchdog flagged an update parked past the
-    /// overdue deadline at this site.
-    BufferedOverdue {
-        /// The overdue write's origin site.
-        origin: SiteId,
-        /// The overdue write's clock at its origin.
-        clock: u64,
-    },
-    /// Retained metadata crossed the soft cap: writers back off until the
-    /// frontier catches up.
-    Backpressure {
-        /// The retained-bytes estimate that tripped the cap.
-        retained: u64,
-    },
+/// Declares [`EventKind`] and its JSONL codec from one list: each variant
+/// with its `ev` tag and its fields in the order they are written.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal $({
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventKind {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $ty, )* })?, )*
+        }
+
+        impl EventKind {
+            /// Append `,"ev":"<tag>"` and the variant's fields to `out`.
+            fn put(&self, out: &mut String) {
+                match self {
+                    $( EventKind::$variant $({ $($field),* })? => {
+                        out.push_str(concat!(",\"ev\":\"", $tag, "\""));
+                        $($( Field::put($field, stringify!($field), out); )*)?
+                    } )*
+                }
+            }
+
+            /// Take the `ev` tag and the fields of its variant out of `f`.
+            fn take(f: &mut Fields) -> Result<Self, String> {
+                Ok(match f.str("ev")? {
+                    $( $tag => EventKind::$variant $({
+                        $( $field: Field::take(f, stringify!($field))?, )*
+                    })?, )*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// What happened, with the identifiers needed to rebuild causal chains.
+    ///
+    /// `origin`/`clock` pairs name a write (`WriteId` semantics: the writer
+    /// site and its per-site write counter), `dep_*` name the first dependency
+    /// that held an update in the pending buffer.
+    pub enum EventKind {
+        /// The site issued a local write: `clock` is its new own-write counter.
+        Write = "write" {
+            /// Variable written.
+            var: VarId,
+            /// The writer's own-write clock (the write's identity with `site`).
+            clock: u64,
+        },
+        /// A protocol message left this site.
+        Send = "send" {
+            /// Destination site.
+            to: SiteId,
+            /// SM / FM / RM.
+            kind: MsgKind,
+            /// Modeled metadata bytes of the message.
+            bytes: u64,
+            /// The carried write, for SM messages.
+            writer: Option<WriteId>,
+        },
+        /// A protocol message reached this site's protocol layer.
+        Deliver = "deliver" {
+            /// Originating site.
+            from: SiteId,
+            /// SM / FM / RM.
+            kind: MsgKind,
+            /// The carried write, for SM messages.
+            writer: Option<WriteId>,
+        },
+        /// The activation predicate rejected an arriving update: it parks in
+        /// the pending buffer behind `dep_site`/`dep_clock`.
+        Buffer = "buffer" {
+            /// The buffered write's origin site.
+            origin: SiteId,
+            /// The buffered write's clock at its origin.
+            clock: u64,
+            /// Variable the buffered write targets.
+            var: VarId,
+            /// Origin of the first unsatisfied dependency.
+            dep_site: SiteId,
+            /// Required clock (or per-site write count) from `dep_site`.
+            dep_clock: u64,
+        },
+        /// An update was applied to the local replica (the *release* of a
+        /// buffered update, or an immediate apply with zero dwell).
+        Apply = "apply" {
+            /// The applied write's origin site.
+            origin: SiteId,
+            /// The applied write's clock at its origin.
+            clock: u64,
+            /// Variable written.
+            var: VarId,
+            /// Virtual nanoseconds between receipt and apply (0 when applied
+            /// on arrival or for the writer's own local apply).
+            dwell_ns: u64,
+        },
+        /// A read served from the local replica.
+        ReadLocal = "read_local" {
+            /// Variable read.
+            var: VarId,
+            /// The write whose value was returned (`None` for `⊥`).
+            writer: Option<WriteId>,
+        },
+        /// A remote fetch (FM) was issued for a non-replicated variable.
+        FetchIssue = "fetch_issue" {
+            /// Variable fetched.
+            var: VarId,
+            /// The replica asked.
+            target: SiteId,
+            /// Issue counter (0 for the first issue; failovers and
+            /// crash-recovery re-issues bump it).
+            attempt: u32,
+        },
+        /// The remote fetch completed (RM arrived and matched).
+        FetchDone = "fetch_done" {
+            /// Variable fetched.
+            var: VarId,
+            /// The replica that answered.
+            served_by: SiteId,
+            /// Virtual nanoseconds from the latest issue to the return.
+            rtt_ns: u64,
+            /// The write whose value was served (`None` for `⊥`).
+            writer: Option<WriteId>,
+        },
+        /// A blocked fetch failed over to the next candidate replica.
+        FetchFailover = "fetch_failover" {
+            /// Variable fetched.
+            var: VarId,
+            /// The new issue counter.
+            attempt: u32,
+        },
+        /// A blocked fetch exhausted every candidate and was abandoned.
+        DegradedRead = "degraded_read" {
+            /// Variable the abandoned read targeted.
+            var: VarId,
+        },
+        /// The reliable transport re-sent an unacked data frame.
+        Retransmit = "retransmit" {
+            /// Destination of the guarded channel.
+            to: SiteId,
+            /// Re-sent sequence number.
+            seq: u64,
+        },
+        /// A retransmission timer was armed (exponential backoff).
+        Backoff = "backoff" {
+            /// Destination of the guarded channel.
+            to: SiteId,
+            /// Guarded sequence number.
+            seq: u64,
+            /// Retransmission attempt the timer guards.
+            attempt: u32,
+            /// Virtual nanoseconds until the timer fires.
+            after_ns: u64,
+        },
+        /// A record was appended to the site's write-ahead log.
+        WalAppend = "wal_append" {
+            /// Modeled bytes of the record.
+            bytes: u64,
+        },
+        /// The site's protocol state was checkpointed into its durable store.
+        Checkpoint = "checkpoint" {
+            /// Modeled bytes of the checkpoint image.
+            bytes: u64,
+        },
+        /// The site fail-stopped, losing volatile state.
+        Crash = "crash",
+        /// The site restarted and began the sync handshake.
+        Recover = "recover" {
+            /// The new incarnation number.
+            inc: u32,
+        },
+        /// Recovery completed; the site is back up.
+        RecoveryDone = "recovery_done" {
+            /// Virtual nanoseconds the recovery took.
+            dur_ns: u64,
+        },
+        /// The recovering site asked a peer for its state.
+        SyncReq = "sync_req" {
+            /// The asked peer.
+            to: SiteId,
+        },
+        /// A live site answered a recovering peer with a state snapshot.
+        SyncResp = "sync_resp" {
+            /// The recovering peer.
+            to: SiteId,
+            /// Modeled bytes of the snapshot shipped.
+            bytes: u64,
+        },
+        /// A membership view change was installed at this site's simulator
+        /// (attributed to the joining/leaving/migrated-to site).
+        ViewChange = "view_change" {
+            /// The newly installed epoch.
+            epoch: u64,
+            /// 1 when the install was forced at the view deadline instead of
+            /// reached by quiescence, else 0.
+            forced: u64,
+        },
+        /// The site left the membership (a graceful leave or a crash-leave)
+        /// at its view change; the history is sealed there from this point.
+        Leave = "leave",
+        /// Opt-Track pruned its causality log (conditions 1/2 + PURGE).
+        LogPrune = "log_prune" {
+            /// Entries removed by this prune.
+            removed: u64,
+            /// Entries remaining afterwards.
+            remaining: u64,
+        },
+        /// The global stable frontier advanced for writes of this site
+        /// (every member has applied its writes through `clock`).
+        FrontierAdvance = "frontier_advance" {
+            /// The new stable clock for this origin.
+            clock: u64,
+        },
+        /// A stability tick garbage-collected state behind this site's
+        /// known-stable frontier.
+        GcRun = "gc_run" {
+            /// Causality-log entries reclaimed.
+            log_entries: u64,
+            /// Materialized `LastWriteOn` slots reclaimed.
+            slots: u64,
+        },
+        /// The stuck-buffer watchdog flagged an update parked past the
+        /// overdue deadline at this site.
+        BufferedOverdue = "buffered_overdue" {
+            /// The overdue write's origin site.
+            origin: SiteId,
+            /// The overdue write's clock at its origin.
+            clock: u64,
+        },
+        /// Retained metadata crossed the soft cap: writers back off until the
+        /// frontier catches up.
+        Backpressure = "backpressure" {
+            /// The retained-bytes estimate that tripped the cap.
+            retained: u64,
+        },
+    }
 }
 
 /// One structured trace event: what happened, where, and when (virtual
@@ -303,205 +355,81 @@ impl Tracer for BufTracer {
     }
 }
 
-fn msg_kind_name(k: MsgKind) -> &'static str {
-    match k {
-        MsgKind::Sm => "sm",
-        MsgKind::Fm => "fm",
-        MsgKind::Rm => "rm",
+/// A field type of the schema: how it renders after its key, and how it
+/// is taken back out of a parsed line.
+trait Field: Sized {
+    fn put(&self, key: &str, out: &mut String);
+    fn take(f: &mut Fields, key: &str) -> Result<Self, String>;
+}
+
+/// Integer-valued field types, rendered as bare decimal numbers.
+macro_rules! number_fields {
+    ($($ty:ty: $get:expr, $make:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, key: &str, out: &mut String) {
+                let _ = write!(out, ",\"{key}\":{}", $get(self));
+            }
+            fn take(f: &mut Fields, key: &str) -> Result<Self, String> {
+                f.num(key).map($make)
+            }
+        }
+    )*};
+}
+
+number_fields! {
+    u64: |v: &u64| *v, |n: u64| n;
+    u32: |v: &u32| *v, |n: u32| n;
+    SiteId: |v: &SiteId| v.0, SiteId;
+    VarId: |v: &VarId| v.0, VarId;
+}
+
+/// Each message kind's name in a trace.
+const MSG_KINDS: [(MsgKind, &str); 3] = [
+    (MsgKind::Sm, "sm"),
+    (MsgKind::Fm, "fm"),
+    (MsgKind::Rm, "rm"),
+];
+
+impl Field for MsgKind {
+    fn put(&self, key: &str, out: &mut String) {
+        let (_, name) = MSG_KINDS
+            .iter()
+            .find(|(k, _)| k == self)
+            .expect("every kind named");
+        let _ = write!(out, ",\"{key}\":\"{name}\"");
+    }
+    fn take(f: &mut Fields, key: &str) -> Result<Self, String> {
+        let name = f.str(key)?;
+        let found = MSG_KINDS.iter().find(|(_, n)| *n == name);
+        found
+            .map(|(k, _)| *k)
+            .ok_or_else(|| format!("unknown message kind {name:?}"))
     }
 }
 
-fn msg_kind_from(name: &str) -> Result<MsgKind, String> {
-    match name {
-        "sm" => Ok(MsgKind::Sm),
-        "fm" => Ok(MsgKind::Fm),
-        "rm" => Ok(MsgKind::Rm),
-        other => Err(format!("unknown message kind {other:?}")),
+/// A write identity is the `w_site`/`w_clock` pair, absent for `None`.
+impl Field for Option<WriteId> {
+    fn put(&self, _key: &str, out: &mut String) {
+        if let Some(w) = self {
+            w.site.put("w_site", out);
+            w.clock.put("w_clock", out);
+        }
+    }
+    fn take(f: &mut Fields, _key: &str) -> Result<Self, String> {
+        if !f.has("w_site") && !f.has("w_clock") {
+            return Ok(None);
+        }
+        let site = SiteId::take(f, "w_site")?;
+        Ok(Some(WriteId::new(site, u64::take(f, "w_clock")?)))
     }
 }
 
 /// Render one event as a single-line JSON object with a fixed field order
 /// (`t`, `site`, `ev`, then the variant's fields in declaration order).
-/// Optional writer identities serialize as the `w_site`/`w_clock` pair and
-/// are simply absent for `None`.
 pub fn event_to_json(ev: &TraceEvent) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(s, "{{\"t\":{},\"site\":{}", ev.t, ev.site.0);
-    let tag = |s: &mut String, name: &str| {
-        let _ = write!(s, ",\"ev\":\"{name}\"");
-    };
-    let writer = |s: &mut String, w: &Option<WriteId>| {
-        if let Some(w) = w {
-            let _ = write!(s, ",\"w_site\":{},\"w_clock\":{}", w.site.0, w.clock);
-        }
-    };
-    match &ev.kind {
-        EventKind::Write { var, clock } => {
-            tag(&mut s, "write");
-            let _ = write!(s, ",\"var\":{},\"clock\":{clock}", var.0);
-        }
-        EventKind::Send {
-            to,
-            kind,
-            bytes,
-            writer: w,
-        } => {
-            tag(&mut s, "send");
-            let _ = write!(
-                s,
-                ",\"to\":{},\"kind\":\"{}\",\"bytes\":{bytes}",
-                to.0,
-                msg_kind_name(*kind)
-            );
-            writer(&mut s, w);
-        }
-        EventKind::Deliver {
-            from,
-            kind,
-            writer: w,
-        } => {
-            tag(&mut s, "deliver");
-            let _ = write!(
-                s,
-                ",\"from\":{},\"kind\":\"{}\"",
-                from.0,
-                msg_kind_name(*kind)
-            );
-            writer(&mut s, w);
-        }
-        EventKind::Buffer {
-            origin,
-            clock,
-            var,
-            dep_site,
-            dep_clock,
-        } => {
-            tag(&mut s, "buffer");
-            let _ = write!(
-                s,
-                ",\"origin\":{},\"clock\":{clock},\"var\":{},\"dep_site\":{},\"dep_clock\":{dep_clock}",
-                origin.0, var.0, dep_site.0
-            );
-        }
-        EventKind::Apply {
-            origin,
-            clock,
-            var,
-            dwell_ns,
-        } => {
-            tag(&mut s, "apply");
-            let _ = write!(
-                s,
-                ",\"origin\":{},\"clock\":{clock},\"var\":{},\"dwell_ns\":{dwell_ns}",
-                origin.0, var.0
-            );
-        }
-        EventKind::ReadLocal { var, writer: w } => {
-            tag(&mut s, "read_local");
-            let _ = write!(s, ",\"var\":{}", var.0);
-            writer(&mut s, w);
-        }
-        EventKind::FetchIssue {
-            var,
-            target,
-            attempt,
-        } => {
-            tag(&mut s, "fetch_issue");
-            let _ = write!(
-                s,
-                ",\"var\":{},\"target\":{},\"attempt\":{attempt}",
-                var.0, target.0
-            );
-        }
-        EventKind::FetchDone {
-            var,
-            served_by,
-            rtt_ns,
-            writer: w,
-        } => {
-            tag(&mut s, "fetch_done");
-            let _ = write!(
-                s,
-                ",\"var\":{},\"served_by\":{},\"rtt_ns\":{rtt_ns}",
-                var.0, served_by.0
-            );
-            writer(&mut s, w);
-        }
-        EventKind::FetchFailover { var, attempt } => {
-            tag(&mut s, "fetch_failover");
-            let _ = write!(s, ",\"var\":{},\"attempt\":{attempt}", var.0);
-        }
-        EventKind::DegradedRead { var } => {
-            tag(&mut s, "degraded_read");
-            let _ = write!(s, ",\"var\":{}", var.0);
-        }
-        EventKind::Retransmit { to, seq } => {
-            tag(&mut s, "retransmit");
-            let _ = write!(s, ",\"to\":{},\"seq\":{seq}", to.0);
-        }
-        EventKind::Backoff {
-            to,
-            seq,
-            attempt,
-            after_ns,
-        } => {
-            tag(&mut s, "backoff");
-            let _ = write!(
-                s,
-                ",\"to\":{},\"seq\":{seq},\"attempt\":{attempt},\"after_ns\":{after_ns}",
-                to.0
-            );
-        }
-        EventKind::WalAppend { bytes } => {
-            tag(&mut s, "wal_append");
-            let _ = write!(s, ",\"bytes\":{bytes}");
-        }
-        EventKind::Checkpoint { bytes } => {
-            tag(&mut s, "checkpoint");
-            let _ = write!(s, ",\"bytes\":{bytes}");
-        }
-        EventKind::Crash => tag(&mut s, "crash"),
-        EventKind::Recover { inc } => {
-            tag(&mut s, "recover");
-            let _ = write!(s, ",\"inc\":{inc}");
-        }
-        EventKind::RecoveryDone { dur_ns } => {
-            tag(&mut s, "recovery_done");
-            let _ = write!(s, ",\"dur_ns\":{dur_ns}");
-        }
-        EventKind::SyncReq { to } => {
-            tag(&mut s, "sync_req");
-            let _ = write!(s, ",\"to\":{}", to.0);
-        }
-        EventKind::SyncResp { to, bytes } => {
-            tag(&mut s, "sync_resp");
-            let _ = write!(s, ",\"to\":{},\"bytes\":{bytes}", to.0);
-        }
-        EventKind::ViewChange { epoch, forced } => {
-            tag(&mut s, "view_change");
-            let _ = write!(s, ",\"epoch\":{epoch},\"forced\":{forced}");
-        }
-        EventKind::LogPrune { removed, remaining } => {
-            tag(&mut s, "log_prune");
-            let _ = write!(s, ",\"removed\":{removed},\"remaining\":{remaining}");
-        }
-        EventKind::FrontierAdvance { clock } => {
-            tag(&mut s, "frontier_advance");
-            let _ = write!(s, ",\"clock\":{clock}");
-        }
-        EventKind::GcRun { log_entries, slots } => {
-            tag(&mut s, "gc_run");
-            let _ = write!(s, ",\"log_entries\":{log_entries},\"slots\":{slots}");
-        }
-        EventKind::BufferedOverdue { origin, clock } => {
-            tag(&mut s, "buffered_overdue");
-            let _ = write!(s, ",\"origin\":{},\"clock\":{clock}", origin.0);
-        }
-        EventKind::Backpressure { retained } => {
-            tag(&mut s, "backpressure");
-            let _ = write!(s, ",\"retained\":{retained}");
-        }
-    }
+    ev.kind.put(&mut s);
     s.push('}');
     s
 }
@@ -516,203 +444,91 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     s
 }
 
-/// A parsed flat-JSON value: every field this schema uses is either an
-/// unsigned integer or a short string.
-enum JsonVal {
-    Num(u64),
-    Str(String),
+/// A parsed line's `(key, raw value)` pairs. Decoding takes each field
+/// out, so whatever is left is a key the event's schema does not have.
+struct Fields<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Fields<'a> {
+    fn has(&self, key: &str) -> bool {
+        self.0.iter().any(|(k, _)| *k == key)
+    }
+
+    fn take(&mut self, key: &str) -> Result<&'a str, String> {
+        let i = self.0.iter().position(|(k, _)| *k == key);
+        let i = i.ok_or_else(|| format!("missing field {key:?}"))?;
+        Ok(self.0.remove(i).1)
+    }
+
+    fn num<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
+        let raw = self.take(key)?;
+        let n: u64 = raw
+            .parse()
+            .map_err(|_| format!("field {key:?} is not a number"))?;
+        T::try_from(n).map_err(|_| format!("field {key:?} is out of range"))
+    }
+
+    fn str(&mut self, key: &str) -> Result<&'a str, String> {
+        let raw = self.take(key)?;
+        let s = raw.strip_prefix('"').and_then(|s| s.strip_suffix('"'));
+        s.ok_or_else(|| format!("field {key:?} is not a string"))
+    }
 }
 
-/// Parse one `{"k":v,...}` line into its fields. Only the flat subset the
-/// schema emits is accepted — nested objects and escapes are errors.
-fn parse_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
+/// The body of the `"…"` string `s` starts with (no escapes).
+fn quoted(s: &str) -> Option<&str> {
+    let body = s.strip_prefix('"')?;
+    Some(&body[..body.find('"')?])
+}
+
+/// Split one `{"k":v,...}` line into its fields. Only the flat subset the
+/// schema emits is accepted — a value is a run of digits or a string
+/// without escapes — and a missing comma or a repeated key is an error.
+fn parse_object(line: &str) -> Result<Fields<'_>, String> {
     let inner = line
         .trim()
         .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line:?}"))?;
-    let mut fields = Vec::new();
-    let mut rest = inner;
+        .and_then(|s| s.strip_suffix('}'));
+    let mut rest = inner.ok_or_else(|| format!("not a JSON object: {line:?}"))?;
+    let mut fields = Fields(Vec::new());
     while !rest.is_empty() {
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-        let body = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected key at {rest:?}"))?;
-        let ke = body
-            .find('"')
-            .ok_or_else(|| format!("unterminated key at {rest:?}"))?;
-        let key = &body[..ke];
-        let after = body[ke + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?;
-        if let Some(sv) = after.strip_prefix('"') {
-            let ve = sv
-                .find('"')
-                .ok_or_else(|| format!("unterminated string value for {key:?}"))?;
-            fields.push((key.to_string(), JsonVal::Str(sv[..ve].to_string())));
-            rest = &sv[ve + 1..];
-        } else {
-            let ve = after
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(after.len());
-            if ve == 0 {
-                return Err(format!("expected value for {key:?} at {after:?}"));
-            }
-            let num: u64 = after[..ve]
-                .parse()
-                .map_err(|e| format!("bad number for {key:?}: {e}"))?;
-            fields.push((key.to_string(), JsonVal::Num(num)));
-            rest = &after[ve..];
+        if !fields.0.is_empty() {
+            rest = rest
+                .strip_prefix(',')
+                .ok_or_else(|| format!("expected ',' at {rest:?}"))?;
         }
+        let key = quoted(rest).ok_or_else(|| format!("expected key at {rest:?}"))?;
+        let after = rest[key.len() + 2..].strip_prefix(':');
+        let after = after.ok_or_else(|| format!("expected ':' after key {key:?}"))?;
+        let len = match quoted(after) {
+            Some(s) => s.len() + 2,
+            None => after
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(after.len()),
+        };
+        if len == 0 {
+            return Err(format!("expected value for {key:?} at {after:?}"));
+        }
+        if fields.has(key) {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        fields.0.push((key, &after[..len]));
+        rest = &after[len..];
     }
     Ok(fields)
 }
 
-struct Fields(Vec<(String, JsonVal)>);
-
-impl Fields {
-    fn num(&self, key: &str) -> Result<u64, String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, JsonVal::Num(n))) => Ok(*n),
-            Some(_) => Err(format!("field {key:?} is not a number")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, JsonVal::Str(s))) => Ok(s),
-            Some(_) => Err(format!("field {key:?} is not a string")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn site(&self, key: &str) -> Result<SiteId, String> {
-        Ok(SiteId(self.num(key)? as u16))
-    }
-
-    fn var(&self, key: &str) -> Result<VarId, String> {
-        Ok(VarId(self.num(key)? as u32))
-    }
-
-    fn writer(&self) -> Result<Option<WriteId>, String> {
-        match (self.num("w_site"), self.num("w_clock")) {
-            (Ok(s), Ok(c)) => Ok(Some(WriteId::new(SiteId(s as u16), c))),
-            (Err(_), Err(_)) => Ok(None),
-            _ => Err("w_site/w_clock must appear together".to_string()),
-        }
-    }
-}
-
 /// Parse one JSONL line back into a [`TraceEvent`].
 pub fn event_from_json(line: &str) -> Result<TraceEvent, String> {
-    let f = Fields(parse_object(line)?);
-    let kind = match f.str("ev")? {
-        "write" => EventKind::Write {
-            var: f.var("var")?,
-            clock: f.num("clock")?,
-        },
-        "send" => EventKind::Send {
-            to: f.site("to")?,
-            kind: msg_kind_from(f.str("kind")?)?,
-            bytes: f.num("bytes")?,
-            writer: f.writer()?,
-        },
-        "deliver" => EventKind::Deliver {
-            from: f.site("from")?,
-            kind: msg_kind_from(f.str("kind")?)?,
-            writer: f.writer()?,
-        },
-        "buffer" => EventKind::Buffer {
-            origin: f.site("origin")?,
-            clock: f.num("clock")?,
-            var: f.var("var")?,
-            dep_site: f.site("dep_site")?,
-            dep_clock: f.num("dep_clock")?,
-        },
-        "apply" => EventKind::Apply {
-            origin: f.site("origin")?,
-            clock: f.num("clock")?,
-            var: f.var("var")?,
-            dwell_ns: f.num("dwell_ns")?,
-        },
-        "read_local" => EventKind::ReadLocal {
-            var: f.var("var")?,
-            writer: f.writer()?,
-        },
-        "fetch_issue" => EventKind::FetchIssue {
-            var: f.var("var")?,
-            target: f.site("target")?,
-            attempt: f.num("attempt")? as u32,
-        },
-        "fetch_done" => EventKind::FetchDone {
-            var: f.var("var")?,
-            served_by: f.site("served_by")?,
-            rtt_ns: f.num("rtt_ns")?,
-            writer: f.writer()?,
-        },
-        "fetch_failover" => EventKind::FetchFailover {
-            var: f.var("var")?,
-            attempt: f.num("attempt")? as u32,
-        },
-        "degraded_read" => EventKind::DegradedRead { var: f.var("var")? },
-        "retransmit" => EventKind::Retransmit {
-            to: f.site("to")?,
-            seq: f.num("seq")?,
-        },
-        "backoff" => EventKind::Backoff {
-            to: f.site("to")?,
-            seq: f.num("seq")?,
-            attempt: f.num("attempt")? as u32,
-            after_ns: f.num("after_ns")?,
-        },
-        "wal_append" => EventKind::WalAppend {
-            bytes: f.num("bytes")?,
-        },
-        "checkpoint" => EventKind::Checkpoint {
-            bytes: f.num("bytes")?,
-        },
-        "crash" => EventKind::Crash,
-        "recover" => EventKind::Recover {
-            inc: f.num("inc")? as u32,
-        },
-        "recovery_done" => EventKind::RecoveryDone {
-            dur_ns: f.num("dur_ns")?,
-        },
-        "sync_req" => EventKind::SyncReq { to: f.site("to")? },
-        "sync_resp" => EventKind::SyncResp {
-            to: f.site("to")?,
-            bytes: f.num("bytes")?,
-        },
-        "view_change" => EventKind::ViewChange {
-            epoch: f.num("epoch")?,
-            forced: f.num("forced")?,
-        },
-        "log_prune" => EventKind::LogPrune {
-            removed: f.num("removed")?,
-            remaining: f.num("remaining")?,
-        },
-        "frontier_advance" => EventKind::FrontierAdvance {
-            clock: f.num("clock")?,
-        },
-        "gc_run" => EventKind::GcRun {
-            log_entries: f.num("log_entries")?,
-            slots: f.num("slots")?,
-        },
-        "buffered_overdue" => EventKind::BufferedOverdue {
-            origin: f.site("origin")?,
-            clock: f.num("clock")?,
-        },
-        "backpressure" => EventKind::Backpressure {
-            retained: f.num("retained")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(TraceEvent {
+    let mut f = parse_object(line)?;
+    let ev = TraceEvent {
         t: f.num("t")?,
-        site: f.site("site")?,
-        kind,
-    })
+        site: SiteId::take(&mut f, "site")?,
+        kind: EventKind::take(&mut f)?,
+    };
+    match f.0.first() {
+        Some((key, _)) => Err(format!("unexpected field {key:?}")),
+        None => Ok(ev),
+    }
 }
 
 /// Parse a whole JSONL trace. Blank lines are ignored; any malformed line
@@ -817,6 +633,7 @@ mod tests {
                 epoch: 2,
                 forced: 1,
             },
+            EventKind::Leave,
             EventKind::LogPrune {
                 removed: 12,
                 remaining: 3,
@@ -886,6 +703,25 @@ mod tests {
         assert!(parse_jsonl("{\"t\":1,\"site\":0,\"ev\":\"nope\"}\n").is_err());
         let err = parse_jsonl("{\"t\":1,\"site\":0,\"ev\":\"crash\"}\nbad\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        for (line, why) in [
+            ("{\"t\":1\"site\":0,\"ev\":\"crash\"}", "expected ','"),
+            (
+                "{\"t\":1,\"site\":0,\"site\":9,\"ev\":\"crash\"}",
+                "duplicate key",
+            ),
+            (
+                "{\"t\":1,\"site\":0,\"ev\":\"crash\",\"bogus\":7}",
+                "unexpected field",
+            ),
+            (
+                "{\"t\":1,\"site\":0,\"ev\":\"write\",\"var\":2,\"clock\":3,\"w_site\":1}",
+                "unexpected field",
+            ),
+            ("{\"t\":1,\"site\":70000,\"ev\":\"crash\"}", "out of range"),
+        ] {
+            let err = parse_jsonl(line).unwrap_err();
+            assert!(err.contains(why), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub mod transport;
 pub use channel::{BurstWindow, ChannelFault, FaultPlan, LatencyModel, PartitionWindow};
 pub use kernel::{EventHeap, SimEvent};
 pub use sim::{
-    run, run_traced, BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig, SimResult,
+    record_event, run, run_traced, BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig,
+    SimResult,
 };
 pub use stability::StabilityPlan;
 pub use transport::{Transport, TransportCmd, TransportTuning};

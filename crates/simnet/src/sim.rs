@@ -24,7 +24,7 @@ use causal_obs::{EventKind, NoopTracer, TraceEvent, Tracer};
 use causal_proto::{
     Effect, Frame, Msg, Output, ProtoTraceEvent, ProtocolConfig, Replication, SiteDriver, WalRecord,
 };
-use causal_types::{OpKind, SimTime, SiteId, VarId};
+use causal_types::{OpKind, SimTime, SiteId, VarId, WriteId};
 use causal_workload::{generate, Schedule};
 use churn::ChurnState;
 use rand::rngs::StdRng;
@@ -48,6 +48,28 @@ pub fn run_traced(cfg: &SimConfig, tracer: &mut dyn Tracer) -> SimResult {
         sim.step(ev);
     }
     sim.finish()
+}
+
+/// The one mapping from the event stream to an execution history: writes,
+/// applies, reads and departures become history records, and every other
+/// kind records nothing. The simulator records its [`History`] through it
+/// as it emits each event, and a trace read back from JSONL rebuilds the
+/// same history through it.
+pub fn record_event(h: &mut History, ev: &TraceEvent) {
+    let site = ev.site;
+    match ev.kind {
+        EventKind::Write { var, clock } => h.record_write(site, WriteId::new(site, clock), var),
+        EventKind::Apply { origin, clock, .. } => h.record_apply(site, WriteId::new(origin, clock)),
+        EventKind::ReadLocal { var, writer } => h.record_read(site, var, writer, site),
+        EventKind::FetchDone {
+            var,
+            served_by,
+            writer,
+            ..
+        } => h.record_read(site, var, writer, served_by),
+        EventKind::Leave => h.seal_site(site),
+        _ => {}
+    }
 }
 
 /// One run's state. Event handlers are methods; `now` is the timestamp of
@@ -271,11 +293,19 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Emit one trace event at `now`.
+    /// Emit one event at `now`: into the history being recorded, through
+    /// [`record_event`], then to the tracer.
     #[inline]
     fn emit(&mut self, site: SiteId, kind: EventKind) {
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::at(self.now, site, kind));
+        let tracing = self.tracer.enabled();
+        if tracing || self.history.is_some() {
+            let ev = TraceEvent::at(self.now, site, kind);
+            if let Some(h) = self.history.as_mut() {
+                record_event(h, &ev);
+            }
+            if tracing {
+                self.tracer.emit(ev);
+            }
         }
     }
 
@@ -386,9 +416,6 @@ impl<'a> Sim<'a> {
                 self.emit(site, EventKind::Write { var, clock });
                 if measured {
                     self.metrics.record_op(true, false);
-                }
-                if let Some(h) = self.history.as_mut() {
-                    h.record_write(site, wid, var);
                 }
                 self.apply_outputs(site);
                 self.schedule_next(site);
@@ -533,13 +560,10 @@ impl<'a> Sim<'a> {
                         stab.applied(site, write);
                     }
                     // After a crash a site re-applies redelivered updates
-                    // it already recorded before losing state; the history
-                    // (and the trace) keep each apply once.
+                    // it already recorded before losing state; the trace
+                    // (and so the history) keeps each apply once.
                     let seen = self.chaos.as_mut().map(|c| &mut c.applied_seen);
                     if seen.is_none_or(|s| s.insert((site, write))) {
-                        if let Some(h) = self.history.as_mut() {
-                            h.record_apply(site, write);
-                        }
                         self.emit(
                             site,
                             EventKind::Apply {
@@ -579,9 +603,6 @@ impl<'a> Sim<'a> {
                     }
                     if measured {
                         self.metrics.record_op(false, rtt_ns.is_some());
-                    }
-                    if let Some(h) = self.history.as_mut() {
-                        h.record_read(site, var, writer, served_by);
                     }
                     // The application subsystem resumes: its next op fires
                     // at the later of its planned time and this return.

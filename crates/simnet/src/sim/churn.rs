@@ -234,10 +234,8 @@ impl Sim<'_> {
             self.sites[s.index()].site().own_ledger()
         };
         // The checker must not demand deliveries at the departed site past
-        // this point.
-        if let Some(h) = self.history.as_mut() {
-            h.seal_site(s);
-        }
+        // this point: the leave seals it in the history.
+        self.emit(s, EventKind::Leave);
         // Re-home every variable whose replica set would empty, *before*
         // the member list shrinks: a graceful leaver donates its copy; a
         // crashed one cannot (degraded).

@@ -18,8 +18,10 @@
 //! histogram, folded like any other field. Matrix clock: one merge, a key
 //! compare per row; the cell-wise maximum exists only as its debug-build
 //! check. Sites: every harness gets its site from `SiteDriver`, which alone
-//! builds it and reads its effects. A second copy growing back is how the
-//! copies drifted apart before.
+//! builds it and reads its effects. Trace: each event's schema is declared
+//! once, and the simulator records its history through the one
+//! event→history mapping that also rebuilds it from a trace. A second copy
+//! growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -479,4 +481,99 @@ fn the_matrix_clock_merges_by_row_key_and_keeps_the_cellwise_max_for_debug_build
         "a cell-wise max outside debug builds"
     );
     assert!(code.contains(".max("), "the debug-build oracle is there");
+}
+
+/// Every `ev` tag of the trace schema.
+const EVENT_TAGS: [&str; 26] = [
+    "write",
+    "send",
+    "deliver",
+    "buffer",
+    "apply",
+    "read_local",
+    "fetch_issue",
+    "fetch_done",
+    "fetch_failover",
+    "degraded_read",
+    "retransmit",
+    "backoff",
+    "wal_append",
+    "checkpoint",
+    "crash",
+    "recover",
+    "recovery_done",
+    "sync_req",
+    "sync_resp",
+    "view_change",
+    "leave",
+    "log_prune",
+    "frontier_advance",
+    "gc_run",
+    "buffered_overdue",
+    "backpressure",
+];
+
+#[test]
+fn the_trace_schema_is_declared_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("crates/obs/src/lib.rs")).expect("obs lib.rs");
+    let code = outside_test_modules(&text);
+    // Declarations read `Variant = "tag" {` (or `,` for no fields).
+    let declared: Vec<&str> = code
+        .lines()
+        .filter_map(|line| {
+            let (variant, rest) = line.trim().split_once(" = \"")?;
+            let tag = rest.split('"').next()?;
+            variant.starts_with(char::is_uppercase).then_some(tag)
+        })
+        .collect();
+    assert_eq!(declared, EVENT_TAGS, "the schema lists every event");
+    for tag in EVENT_TAGS {
+        let quoted = format!("\"{tag}\"");
+        assert_eq!(code.matches(&quoted).count(), 1, "{quoted} is written once");
+    }
+}
+
+#[test]
+fn the_simulator_records_its_history_only_through_the_event_mapping() {
+    let needles = [
+        "record_write(",
+        "record_read(",
+        "record_apply(",
+        "seal_site(",
+    ];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/simnet/src");
+    let mut files = Vec::new();
+    walk(&src, &mut files);
+    let mut mapping = None;
+    for (path, text) in &files {
+        let mut code = outside_test_modules(text);
+        if let Some(start) = code.find("pub fn record_event(") {
+            let len = code[start..].find("\n}\n").expect("its end");
+            mapping = Some(code[start..start + len].to_string());
+            code.replace_range(start..start + len, "");
+        }
+        // `RunMetrics::record_apply` counts an apply; it records no history.
+        let code = code.replace("metrics.record_apply(", "");
+        for needle in needles {
+            assert!(!code.contains(needle), "{}: {needle}", path.display());
+        }
+    }
+    let mapping = mapping.expect("simnet defines `record_event`");
+    for needle in needles {
+        assert!(mapping.contains(needle), "the mapping calls {needle}");
+    }
+}
+
+#[test]
+fn every_trace_event_is_documented() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = fs::read_to_string(root.join("docs/OBSERVABILITY.md")).expect("the doc");
+    for tag in EVENT_TAGS {
+        let cell = format!("`{tag}`");
+        let documented = doc
+            .lines()
+            .any(|l| l.starts_with("| `") && l.contains(&cell));
+        assert!(documented, "docs/OBSERVABILITY.md has no row for {cell}");
+    }
 }
