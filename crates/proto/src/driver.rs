@@ -555,7 +555,7 @@ impl SiteDriver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::msg::Rm;
     use crate::replica::kit::Ring;
@@ -563,7 +563,7 @@ mod tests {
     use causal_clocks::PruneConfig;
     use std::collections::VecDeque;
 
-    const ALL: [ProtocolKind; 5] = [
+    pub(crate) const ALL: [ProtocolKind; 5] = [
         ProtocolKind::FullTrack,
         ProtocolKind::OptTrack,
         ProtocolKind::HbTrack,
@@ -571,7 +571,11 @@ mod tests {
         ProtocolKind::OptP,
     ];
 
-    fn cluster(kind: ProtocolKind, n: usize, lanes: Option<BatchPolicy>) -> Vec<SiteDriver> {
+    pub(crate) fn cluster(
+        kind: ProtocolKind,
+        n: usize,
+        lanes: Option<BatchPolicy>,
+    ) -> Vec<SiteDriver> {
         let repl: Arc<dyn Replication> = if kind.supports_partial() {
             Arc::new(Ring(n))
         } else {
@@ -608,7 +612,7 @@ mod tests {
         sends
     }
 
-    const LANES: Option<BatchPolicy> = Some(BatchPolicy::by_count(64));
+    pub(crate) const LANES: Option<BatchPolicy> = Some(BatchPolicy::by_count(64));
 
     #[test]
     fn an_rm_drains_the_lane_toward_its_reader_first_and_an_fm_touches_no_lane() {
