@@ -82,4 +82,3 @@ pub use replica::{Replica, Tracker};
 pub use replication::Replication;
 pub use site::{GcStats, ProtocolSite, StableCut};
 pub use wal::{DurableStore, WalRecord};
-pub use wire::{decode, encode, encode_into, encode_with, WireBuf, WireError, MAX_FRAME};

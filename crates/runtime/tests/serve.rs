@@ -60,14 +60,18 @@ fn serve_runs_every_protocol_on_the_tcp_fabric() {
 
 #[test]
 fn serve_with_batching_drains_every_lane() {
-    // The update-heavy cell fills lanes. The other two, one per fabric,
-    // hold Opt-Track's updates back for a 20 ms window while reads race
-    // ahead, which violates causal delivery unless lanes pin the sender's
-    // own obligations (`PruneConfig::pin_self`) on this harness too.
-    let mut heavy = ServeConfig::quick(ProtocolKind::OptTrack, 5, ServeTransport::Tcp, 31);
-    heavy.batch = Some(BatchWindow::windowed(Duration::from_millis(2)));
-    heavy.load.w_rate = 0.8;
-    let mut cells = vec![heavy];
+    // The update-heavy cells fill lanes, one per protocol over TCP, so every
+    // piggyback's batch delta crosses a real socket. The other two, one per
+    // fabric, hold Opt-Track's updates back for a 20 ms window while reads
+    // race ahead, which violates causal delivery unless lanes pin the
+    // sender's own obligations (`PruneConfig::pin_self`) on this harness too.
+    let mut cells = Vec::new();
+    for kind in ALL_PROTOCOLS {
+        let mut heavy = ServeConfig::quick(kind, 5, ServeTransport::Tcp, 31);
+        heavy.batch = Some(BatchWindow::windowed(Duration::from_millis(2)));
+        heavy.load.w_rate = 0.8;
+        cells.push((heavy, true));
+    }
     for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
         let mut long = ServeConfig::quick(ProtocolKind::OptTrack, 6, transport, 1);
         long.batch = Some(BatchWindow::windowed(Duration::from_millis(20)));
@@ -75,10 +79,10 @@ fn serve_with_batching_drains_every_lane() {
         long.load.think = Duration::from_micros(200);
         long.load.w_rate = 0.5;
         long.load.q = 20;
-        cells.push(long);
+        cells.push((long, false));
     }
-    for cfg in cells {
-        let tag = format!("n={} {:?}", cfg.n, cfg.transport);
+    for (cfg, heavy) in cells {
+        let tag = format!("{} n={} {:?}", cfg.protocol, cfg.n, cfg.transport);
         let report = serve(&cfg).expect("serve runs");
         assert_eq!(report.ops, cfg.load.total_ops(cfg.n) as u64, "{tag}");
         assert_eq!(report.final_pending, 0, "{tag}: no update may stay parked");
@@ -87,6 +91,10 @@ fn serve_with_batching_drains_every_lane() {
         // Update batching must shrink frames, never lose or duplicate them:
         // every batched SM is one of the ordinary SM sends it replaced.
         let m = &report.metrics;
+        assert!(
+            !heavy || m.batch_flushes > 0,
+            "{tag}: the heavy cell batches"
+        );
         if m.batch_flushes > 0 {
             assert!(
                 m.batched_sms >= 2 * m.batch_flushes,

@@ -20,8 +20,9 @@
 //! check. Sites: every harness gets its site from `SiteDriver`, which alone
 //! builds it and reads its effects. Trace: each event's schema is declared
 //! once, and the simulator records its history through the one
-//! event→history mapping that also rebuilds it from a trace. A second copy
-//! growing back is how the copies drifted apart before.
+//! event→history mapping that also rebuilds it from a trace. Wire: each
+//! wire type's encoder and decoder are one `Codec` impl, declared once. A
+//! second copy growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -575,5 +576,88 @@ fn every_trace_event_is_documented() {
             .lines()
             .any(|l| l.starts_with("| `") && l.contains(&cell));
         assert!(documented, "docs/OBSERVABILITY.md has no row for {cell}");
+    }
+}
+
+/// Every wire type, with the name a decoder method for it would carry.
+const WIRE_TYPES: [(&str, &str); 24] = [
+    ("u64", "varint"),
+    ("u32", "u32"),
+    ("SiteId", "site"),
+    ("VarId", "var"),
+    ("WriteId", "write_id"),
+    ("VersionedValue", "value"),
+    ("DestSet", "dests"),
+    ("LogEntry", "log_entry"),
+    ("Log", "log"),
+    ("CrpLog", "crp_log"),
+    ("MatrixClock", "matrix"),
+    ("VectorClock", "vector"),
+    ("Sm", "sm_body"),
+    ("Fm", "fm"),
+    ("Rm", "rm"),
+    ("RmMeta", "rm_meta"),
+    ("SmMeta", "sm_meta"),
+    ("SmMetaDelta", "sm_meta_delta"),
+    ("MatrixDelta", "matrix_delta"),
+    ("VectorDelta", "vector_delta"),
+    ("LogDelta", "log_delta"),
+    ("CrpDelta", "crp_delta"),
+    ("SmBatch", "batch"),
+    ("Msg", "msg"),
+];
+
+#[test]
+fn the_wire_format_is_declared_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("crates/proto/src/wire.rs")).expect("wire.rs");
+    let code = outside_test_modules(&text);
+    assert!(
+        !code
+            .lines()
+            .any(|l| l.contains("fn put_") && !l.starts_with(' ')),
+        "no free encoder function: each type's `put` is its `Codec` impl"
+    );
+    let reader = code.split_once("impl Reader").expect("the decode walk").1;
+    let reader = &reader[..reader.find("\n}\n").expect("its end")];
+    for (ty, method) in WIRE_TYPES {
+        let decoder = format!("fn {method}(");
+        assert!(
+            !reader.contains(&decoder),
+            "`Reader::{method}` decodes {ty} outside its impl"
+        );
+    }
+    // A declaration is `impl … Codec for Type`, or a `Type {` entry of a
+    // `fields!` or `tagged!` table.
+    let mut declared = Vec::new();
+    let mut table = false;
+    for line in code.lines() {
+        if line.starts_with("fields! {") || line.starts_with("tagged! {") {
+            table = true;
+        } else if table && line == "}" {
+            table = false;
+        } else if table {
+            // An entry may lead with its attribute: `#[inline] Type {`.
+            let entry = line.strip_prefix("    ").filter(|l| !l.starts_with(' '));
+            let entry = entry.map(|l| l.split_once("] ").map_or(l, |(_, rest)| rest));
+            let name = entry.and_then(|l| l.split_whitespace().next());
+            declared.extend(name.filter(|n| n.starts_with(char::is_uppercase)));
+        } else if let Some((_, ty)) = line
+            .split_once("Codec for ")
+            .filter(|_| line.starts_with("impl"))
+        {
+            declared.extend(ty.split([' ', '<']).next());
+        }
+    }
+    for (ty, _) in WIRE_TYPES {
+        let impls = declared.iter().filter(|d| **d == ty).count();
+        assert_eq!(impls, 1, "{ty} has {impls} codec declarations, not one");
+    }
+    for d in &declared {
+        assert_eq!(
+            declared.iter().filter(|e| e == &d).count(),
+            1,
+            "{d} declared twice"
+        );
     }
 }
