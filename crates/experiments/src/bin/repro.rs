@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all>
-//!       [--quick] [--out <dir>] [--jobs <n>] [--no-cache] [--trace-dir <dir>]
+//!       [--quick] [--out <dir>] [--jobs <n>] [--trace-dir <dir>]
 //! ```
 //!
 //! `--quick` runs at a reduced scale (120 events/process, 2 seeds) for smoke
@@ -15,10 +15,11 @@
 //!
 //! `--jobs <n>` executes the selection's simulation cells as per-seed run
 //! units on `n` worker threads; the output is byte-identical to `--jobs 1`
-//! (results are merged in deterministic order). Finished cells persist in a
-//! content-addressed cache (`<out>/cache`, default `results/cache`) and are
-//! reloaded bit-exactly on the next invocation; `--no-cache` disables both
-//! reading and writing it.
+//! (results are merged in deterministic order). Cells are shared between
+//! the artifacts of one invocation and simulated afresh by the next.
+//!
+//! An `--out` or `--trace-dir` that cannot be created (say, a path under a
+//! regular file) is an `error: <path>: …` and exit 2 before anything runs.
 //!
 //! `--trace-dir <dir>` writes one structured JSONL trace per chaos /
 //! durability run into `dir` (see `docs/OBSERVABILITY.md`); traces are
@@ -42,7 +43,6 @@ fn main() {
     let mut scale = Scale::Paper;
     let mut out: Option<PathBuf> = None;
     let mut jobs = 1usize;
-    let mut no_cache = false;
     let mut trace_dir: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -71,7 +71,6 @@ fn main() {
                     usage("--jobs must be at least 1");
                 }
             }
-            "--no-cache" => no_cache = true,
             "--help" | "-h" => usage(""),
             s if !s.starts_with('-') && subcommand.is_none() => {
                 subcommand = Some(s.to_string());
@@ -81,19 +80,15 @@ fn main() {
     }
     let subcommand = subcommand.unwrap_or_else(|| usage("missing subcommand"));
 
-    if let Some(dir) = &out {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir).expect("create trace directory");
+    for dir in out.iter().chain(&trace_dir) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("error: {}: {e}", dir.display());
+            std::process::exit(2);
+        }
     }
 
     let mut sw = Sweep::new(scale);
     sw.set_jobs(jobs);
-    if !no_cache {
-        let root = out.clone().unwrap_or_else(|| PathBuf::from("results"));
-        sw.set_disk_cache(Some(root.join("cache")));
-    }
 
     // The third field marks generators that go through the sweep's cell
     // cache; only those benefit from (and are safe under) the planning
@@ -289,7 +284,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all> \
-         [--quick] [--out <dir>] [--jobs <n>] [--no-cache] [--trace-dir <dir>]"
+         [--quick] [--out <dir>] [--jobs <n>] [--trace-dir <dir>]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

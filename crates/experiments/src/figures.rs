@@ -7,7 +7,7 @@
 //! the EXPERIMENTS.md comparison.
 
 use crate::analytic;
-use crate::harness::paper_cfg;
+use crate::harness::{paper_cfg, run_units, slug};
 use crate::sweep::Sweep;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
@@ -284,7 +284,7 @@ pub fn eq2(sw: &mut Sweep) -> Table {
 /// network (0.1–1.5 s one-way, overlapping the operation cadence) where
 /// message reordering across senders actually occurs.
 pub fn ext_false_causality(sw: &mut Sweep) -> Table {
-    use causal_simnet::{run, LatencyModel};
+    use causal_simnet::LatencyModel;
 
     let mut t = Table::new(
         "Extension — false causality under slow WAN (0.1–1.5 s): HB-Track vs Full-Track",
@@ -303,40 +303,46 @@ pub fn ext_false_causality(sw: &mut Sweep) -> Table {
         crate::sweep::Scale::Paper => 300,
         crate::sweep::Scale::Quick => 100,
     };
-    let cell = |protocol: ProtocolKind, n: usize, w: f64| {
-        let mut cfg = paper_cfg(protocol, n, w, sw.base_seed);
+    let base_seed = sw.base_seed;
+    // One row per (n, w): its Full-Track unit, then its HB-Track unit.
+    let units: Vec<(usize, f64, ProtocolKind)> = [10usize, 20, 40]
+        .into_iter()
+        .flat_map(|n| [0.2, 0.8].map(|w| (n, w)))
+        .flat_map(|(n, w)| [ProtocolKind::FullTrack, ProtocolKind::HbTrack].map(|p| (n, w, p)))
+        .collect();
+    let cfg = |&(n, w, protocol): &(usize, f64, ProtocolKind)| {
+        let mut cfg = paper_cfg(protocol, n, w, base_seed);
         cfg.workload.events_per_process = events;
         cfg.latency = LatencyModel::Uniform {
             min_micros: 100_000,
             max_micros: 1_500_000,
         };
-        let r = run(&cfg);
-        assert_eq!(r.final_pending, 0);
-        (
-            r.metrics.apply_latency_ns.mean() / 1e6,
-            r.metrics.apply_latency_ns.quantile(0.99).unwrap_or(0.0) / 1e6,
-            r.metrics.max_pending,
-        )
+        cfg
     };
-    for n in [10usize, 20, 40] {
-        for w in [0.2, 0.8] {
-            let (ft_lat, _ft_p99, ft_park) = cell(ProtocolKind::FullTrack, n, w);
-            let (hb_lat, hb_p99, hb_park) = cell(ProtocolKind::HbTrack, n, w);
-            t.push_row(vec![
-                n.to_string(),
-                format!("{w}"),
-                format!("{ft_lat:.2}"),
-                format!("{hb_lat:.2}"),
-                if ft_lat < 0.01 {
-                    "∞ (FT ≈ 0)".to_string()
-                } else {
-                    format!("{:.1}×", hb_lat / ft_lat)
-                },
-                format!("{hb_p99:.1}"),
-                ft_park.to_string(),
-                hb_park.to_string(),
-            ]);
-        }
+    let tag = |&(n, w, protocol): &(usize, f64, ProtocolKind)| {
+        format!("falseco-{}-n{n}-w{w}", slug(protocol))
+    };
+    let results = run_units(sw.jobs(), &units, cfg, tag, None);
+    for (pair, runs) in units.chunks(2).zip(results.chunks(2)) {
+        let (n, w, _) = pair[0];
+        let (ft, hb) = (&runs[0].metrics, &runs[1].metrics);
+        let ft_lat = ft.apply_latency_ns.mean() / 1e6;
+        let hb_lat = hb.apply_latency_ns.mean() / 1e6;
+        let hb_p99 = hb.apply_latency_ns.quantile(0.99).unwrap_or(0.0) / 1e6;
+        t.push_row(vec![
+            n.to_string(),
+            format!("{w}"),
+            format!("{ft_lat:.2}"),
+            format!("{hb_lat:.2}"),
+            if ft_lat < 0.01 {
+                "∞ (FT ≈ 0)".to_string()
+            } else {
+                format!("{:.1}×", hb_lat / ft_lat)
+            },
+            format!("{hb_p99:.1}"),
+            ft.max_pending.to_string(),
+            hb.max_pending.to_string(),
+        ]);
     }
     t
 }

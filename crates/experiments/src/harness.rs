@@ -1,5 +1,6 @@
 //! The extension harness: one checked, traced run loop under every
-//! extension sweep (chaos, durability, churn, soak, batching) and under
+//! simulated sweep — the figure engine's per-seed cells, the extension
+//! sweeps (false causality, chaos, durability, churn, soak, batching) and
 //! `simulate --seeds`.
 //!
 //! A sweep is a unit list, a config per unit and a row per result. The

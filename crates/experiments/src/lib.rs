@@ -28,21 +28,20 @@
 //! | `repro all` | everything above, sharing simulation runs |
 //!
 //! [`analytic`] carries the closed-form complexity models of §V-A/V-B, and
-//! [`sweep`] the multi-seed figure engine with per-invocation and on-disk
-//! caching so figures that share parameter cells share runs. The extension
-//! sweeps go beyond the paper — lossy channels with crash injection
-//! ([`chaos`]), write-ahead-log recovery under correlated failures
-//! ([`durability`]), dynamic membership ([`churn`]), update batching
-//! ([`batching`]) and long-run memory ([`soak`]) — and each is a unit
-//! list, a config per unit and a row per result over the one checked,
-//! traced run loop in [`harness`], which also fixes every run's placement
-//! by its protocol.
+//! [`sweep`] the multi-seed figure engine, whose per-invocation cell cache
+//! lets figures that share parameter cells share runs; nothing persists
+//! between invocations. The extension sweeps go beyond the paper — lossy
+//! channels with crash injection ([`chaos`]), write-ahead-log recovery
+//! under correlated failures ([`durability`]), dynamic membership
+//! ([`churn`]), update batching ([`batching`]) and long-run memory
+//! ([`soak`]). Every simulated run, the figures' per-seed units included,
+//! goes through the one checked, traced run loop in [`harness`], which
+//! also fixes every run's placement by its protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod analytic;
 pub mod batching;
-pub mod cache;
 pub mod chaos;
 pub mod churn;
 pub mod durability;

@@ -1,23 +1,22 @@
-//! Multi-seed simulation sweeps: a work-queue of per-seed run units with
-//! in-memory and persistent caching and an optional parallel worker pool.
+//! Multi-seed simulation sweeps: the figure engine behind every table
+//! and figure of the paper, with an in-memory cell cache and a planning
+//! pass.
 //!
 //! Each `(protocol, n, w_rate)` cell expands into one run unit per seed;
-//! the protocol fixes the placement ([`paper_cfg`]). Units execute on [`crate::pool::run_indexed`] — sequentially for
-//! `jobs = 1`, on scoped worker threads otherwise — and are folded back
-//! into [`CellStats`] **in seed order** with the exact floating-point
-//! operation sequence of the sequential code, so every figure and CSV is
-//! byte-identical whatever the job count. A [`crate::cache::DiskCache`]
-//! can additionally persist finished cells across invocations.
+//! the protocol fixes the placement ([`paper_cfg`]). Units run on the
+//! extension harness's loop, [`run_units`], and are folded back into
+//! [`CellStats`] **in seed order** with the exact floating-point operation
+//! sequence of a sequential per-seed loop, so every figure and CSV is
+//! byte-identical whatever the job count. Nothing persists between
+//! invocations: a cell is simulated once per `Sweep` and shared by every
+//! figure that asks for it.
 
-use crate::cache::{CacheKey, DiskCache};
-use crate::harness::paper_cfg;
-use crate::pool;
+use crate::harness::{paper_cfg, run_units, slug};
 use causal_metrics::MessageStats;
 use causal_proto::ProtocolKind;
-use causal_simnet::run;
-use causal_types::{MsgKind, SizeModel};
+use causal_simnet::SimResult;
+use causal_types::MsgKind;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 
 /// Run scale: paper-size or reduced for smoke tests and CI.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,7 +79,7 @@ impl CellStats {
     }
 
     /// Every field as raw bits, for bitwise identity checks (parallel vs
-    /// sequential, cold vs warm cache).
+    /// sequential, planned vs on-demand).
     pub fn fingerprint(&self) -> Vec<u64> {
         let mut v = vec![self.total_count.to_bits(), self.total_bytes.to_bits()];
         for a in self.avg_bytes {
@@ -117,20 +116,6 @@ impl CellStats {
     }
 }
 
-/// The raw yield of one `(protocol, n, w_rate, seed)` run unit —
-/// exactly the quantities the sequential per-seed loop accumulated, so
-/// folding a slice of these in seed order reproduces its arithmetic.
-#[derive(Clone, Debug)]
-pub struct SeedRun {
-    measured: MessageStats,
-    sm_entries_mean: f64,
-    writes: f64,
-    reads: f64,
-    apply_latency_ms: f64,
-    max_pending: usize,
-    local_meta_mean: f64,
-}
-
 type Key = (ProtocolKind, usize, u64 /* w_rate in per-mille */);
 
 /// A cell's full parameters, kept alongside the [`Key`] because re-running
@@ -138,16 +123,14 @@ type Key = (ProtocolKind, usize, u64 /* w_rate in per-mille */);
 type CellParams = (ProtocolKind, usize, f64);
 
 /// A cached sweep runner: each `(protocol, n, w_rate)` cell is
-/// simulated once per seed and reused across figures — within one
-/// invocation via a memory cache, across invocations via an optional
-/// persistent [`DiskCache`].
+/// simulated once per seed and reused across the figures of one
+/// invocation.
 pub struct Sweep {
     scale: Scale,
     cache: HashMap<Key, CellStats>,
     /// Base seed; cell seeds derive from it deterministically.
     pub base_seed: u64,
     jobs: usize,
-    disk: Option<DiskCache>,
     /// In planning mode, `cell` records its parameters here (first-seen
     /// order, deduplicated) instead of simulating.
     plan: Option<(Vec<CellParams>, HashSet<Key>)>,
@@ -155,14 +138,13 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// New sweep at the given scale: one job, no persistent cache.
+    /// New sweep at the given scale and one job.
     pub fn new(scale: Scale) -> Self {
         Sweep {
             scale,
             cache: HashMap::new(),
             base_seed: 0xCA05_A11B,
             jobs: 1,
-            disk: None,
             plan: None,
             dummy: CellStats::zero(),
         }
@@ -184,12 +166,6 @@ impl Sweep {
         self.jobs
     }
 
-    /// Attach (or detach, with `None`) a persistent cell cache rooted at
-    /// `dir`.
-    pub fn set_disk_cache(&mut self, dir: Option<PathBuf>) {
-        self.disk = dir.map(DiskCache::new);
-    }
-
     /// The paper's `n` grid.
     pub const N_GRID: [usize; 5] = [5, 10, 20, 30, 40];
     /// The paper's extended `n` grid for Table III / Figs. 6–8.
@@ -199,25 +175,6 @@ impl Sweep {
 
     fn key_of(protocol: ProtocolKind, n: usize, w_rate: f64) -> Key {
         (protocol, n, (w_rate * 1000.0).round() as u64)
-    }
-
-    fn cache_key(&self, protocol: ProtocolKind, n: usize, w_rate: f64) -> CacheKey {
-        CacheKey {
-            protocol: protocol.to_string(),
-            mode: if protocol.supports_partial() {
-                "partial"
-            } else {
-                "full"
-            },
-            n,
-            w_per_mille: (w_rate * 1000.0).round() as u64,
-            events: self.scale.events(),
-            seeds: self.scale.seeds(),
-            base_seed: self.base_seed,
-            // The paper presets pin the calibration; fingerprint it so a
-            // calibration change can never resurrect stale cells.
-            size_model: format!("{:?}", SizeModel::java_like()),
-        }
     }
 
     /// Simulate (or fetch) one cell. In planning mode this only records
@@ -254,72 +211,45 @@ impl Sweep {
         }
     }
 
-    /// Fill the memory cache with `cells`: cached cells are skipped,
-    /// disk-cached cells load directly, and the rest expand into per-seed
-    /// run units on the worker pool, aggregate in deterministic `(cell,
-    /// seed)` order and are stored on disk.
+    /// Fill the memory cache with `cells`: cached cells are skipped, and
+    /// the rest expand into per-seed run units on [`run_units`] and
+    /// aggregate in deterministic `(cell, seed)` order.
     fn execute(&mut self, cells: Vec<CellParams>) {
-        let mut to_run: Vec<CellParams> = Vec::new();
-        for params in cells {
-            let (protocol, n, w_rate) = params;
-            let key = Self::key_of(protocol, n, w_rate);
-            if self.cache.contains_key(&key) {
-                continue;
-            }
-            let ckey = self.cache_key(protocol, n, w_rate);
-            if let Some(stats) = self.disk.as_ref().and_then(|d| d.load(&ckey)) {
-                self.cache.insert(key, stats);
-            } else {
-                to_run.push(params);
-            }
-        }
-        let seeds = self.scale.seeds();
-        let (scale, base_seed) = (self.scale, self.base_seed);
+        let to_run: Vec<CellParams> = cells
+            .into_iter()
+            .filter(|&(protocol, n, w_rate)| {
+                !self.cache.contains_key(&Self::key_of(protocol, n, w_rate))
+            })
+            .collect();
+        let (seeds, events, base_seed) = (self.scale.seeds(), self.scale.events(), self.base_seed);
         let units: Vec<(CellParams, u64)> = to_run
             .iter()
             .flat_map(|&p| (0..seeds).map(move |s| (p, s)))
             .collect();
-        let runs = pool::run_indexed(self.jobs, units.len(), |i| {
-            let (params, s) = units[i];
-            Self::run_seed(scale, base_seed, params, s)
-        });
+        let cfg = |&((protocol, n, w_rate), s): &(CellParams, u64)| {
+            // Seed depends on (n, w_rate) but NOT on the protocol: Table IV
+            // compares protocols on identical schedules.
+            let seed = base_seed
+                .wrapping_add(s)
+                .wrapping_add((n as u64) << 16)
+                .wrapping_add(((w_rate * 1000.0) as u64) << 32);
+            let mut cfg = paper_cfg(protocol, n, w_rate, seed);
+            cfg.workload.events_per_process = events;
+            cfg
+        };
+        let tag = |&((protocol, n, w_rate), s): &(CellParams, u64)| {
+            format!("{}-n{n}-w{w_rate}-s{s}", slug(protocol))
+        };
+        let runs = run_units(self.jobs, &units, cfg, tag, None);
         for (&(protocol, n, w_rate), runs) in to_run.iter().zip(runs.chunks(seeds as usize)) {
-            let stats = Self::aggregate(runs);
-            if let Some(d) = self.disk.as_ref() {
-                d.store(&self.cache_key(protocol, n, w_rate), &stats);
-            }
-            self.cache.insert(Self::key_of(protocol, n, w_rate), stats);
-        }
-    }
-
-    /// Execute one run unit.
-    fn run_seed(scale: Scale, base_seed: u64, params: CellParams, s: u64) -> SeedRun {
-        let (protocol, n, w_rate) = params;
-        // Seed depends on (n, w_rate) but NOT on the protocol: Table IV
-        // compares protocols on identical schedules.
-        let seed = base_seed
-            .wrapping_add(s)
-            .wrapping_add((n as u64) << 16)
-            .wrapping_add(((w_rate * 1000.0) as u64) << 32);
-        let mut cfg = paper_cfg(protocol, n, w_rate, seed);
-        cfg.workload.events_per_process = scale.events();
-        let r = run(&cfg);
-        assert_eq!(r.final_pending, 0, "simulation must reach quiescence");
-        SeedRun {
-            measured: r.metrics.measured,
-            sm_entries_mean: r.metrics.sm_entries.mean(),
-            writes: r.metrics.writes as f64,
-            reads: r.metrics.reads as f64,
-            apply_latency_ms: r.metrics.apply_latency_ns.mean() / 1e6,
-            max_pending: r.metrics.max_pending,
-            local_meta_mean: r.final_local_meta.iter().sum::<u64>() as f64
-                / r.final_local_meta.len().max(1) as f64,
+            self.cache
+                .insert(Self::key_of(protocol, n, w_rate), Self::aggregate(runs));
         }
     }
 
     /// Fold per-seed results, in seed order, with the same operation
     /// sequence the sequential loop used.
-    fn aggregate(runs: &[SeedRun]) -> CellStats {
+    fn aggregate(runs: &[SimResult]) -> CellStats {
         let mut agg = MessageStats::new();
         let mut sm_entries = 0.0;
         let mut writes = 0.0;
@@ -328,13 +258,15 @@ impl Sweep {
         let mut max_pending = 0usize;
         let mut local_meta = 0.0;
         for r in runs {
-            agg.merge(&r.measured);
-            sm_entries += r.sm_entries_mean;
-            writes += r.writes;
-            reads += r.reads;
-            apply_latency += r.apply_latency_ms;
-            max_pending = max_pending.max(r.max_pending);
-            local_meta += r.local_meta_mean;
+            let m = &r.metrics;
+            agg.merge(&m.measured);
+            sm_entries += m.sm_entries.mean();
+            writes += m.writes as f64;
+            reads += m.reads as f64;
+            apply_latency += m.apply_latency_ns.mean() / 1e6;
+            max_pending = max_pending.max(m.max_pending);
+            local_meta += r.final_local_meta.iter().sum::<u64>() as f64
+                / r.final_local_meta.len().max(1) as f64;
         }
         let sf = runs.len() as f64;
         CellStats {
@@ -412,32 +344,6 @@ mod tests {
             let q = par.cell(p, 10, 0.5).fingerprint();
             assert_eq!(s, q, "{p}: parallel stats must be bit-identical");
         }
-    }
-
-    /// Cold run == warm (disk-cache) rerun == uncached run, bit for bit.
-    #[test]
-    fn disk_cache_roundtrip_is_bit_exact() {
-        let dir = std::env::temp_dir().join(format!("causal-sweep-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let mut cold = Sweep::new(Scale::Quick);
-        cold.set_disk_cache(Some(dir.clone()));
-        let a = cold.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
-
-        let mut warm = Sweep::new(Scale::Quick);
-        warm.set_disk_cache(Some(dir.clone()));
-        let b = warm.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
-
-        let mut uncached = Sweep::new(Scale::Quick);
-        let c = uncached.cell(ProtocolKind::OptTrack, 5, 0.2).fingerprint();
-
-        assert_eq!(a, b, "warm load must reproduce the cold run bit-for-bit");
-        assert_eq!(a, c, "cached and uncached runs must agree bit-for-bit");
-        assert!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0) > 0,
-            "cache directory must contain the stored cell"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -60,7 +60,9 @@ done
 
 for job in chaos durability churn batching storage soak table4; do
     mkdir -p "repro/$job"
-    "$bin/repro" "$job" --quick --no-cache \
+    "$bin/repro" "$job" --quick \
         --out "repro/$job" --trace-dir "repro/$job/traces" 2>&1 |
         grep -Ev "$wallclock" >"repro/$job/stdout.txt"
+    # Binaries from before the cell cache was removed keep one under --out.
+    rm -rf "repro/$job/cache"
 done

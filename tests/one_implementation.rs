@@ -13,16 +13,17 @@
 //! single passes in `causal_clocks::log`, and the protocols call them
 //! instead of composing whole-log passes by hand. Benchmark: `bench/` is
 //! the only one. Experiments: the paper's placement is chosen in one
-//! function, and every sweep fans out through the figure engine or the
-//! extension harness. Metrics: every sampled statistic is one mergeable
-//! histogram, folded like any other field. Matrix clock: one merge, a key
-//! compare per row; the cell-wise maximum exists only as its debug-build
-//! check. Sites: every harness gets its site from `SiteDriver`, which alone
-//! builds it and reads its effects. Trace: each event's schema is declared
-//! once, and the simulator records its history through the one
-//! event→history mapping that also rebuilds it from a trace. Wire: each
-//! wire type's encoder and decoder are one `Codec` impl, declared once. A
-//! second copy growing back is how the copies drifted apart before.
+//! function, and every simulated cell, the figures' included, runs on the
+//! one loop in the extension harness. Metrics: every sampled statistic is
+//! one mergeable histogram, folded like any other field. Matrix clock: one
+//! merge, a key compare per row; the cell-wise maximum exists only as its
+//! debug-build check. Sites: every harness gets its site from
+//! `SiteDriver`, which alone builds it and reads its effects. Trace: each
+//! event's schema is declared once, and the simulator records its history
+//! through the one event→history mapping that also rebuilds it from a
+//! trace. Wire: each wire type's encoder and decoder are one `Codec` impl,
+//! declared once. A second copy growing back is how the copies drifted
+//! apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -374,7 +375,7 @@ fn bench_is_the_only_benchmark() {
 }
 
 #[test]
-fn experiments_choose_placement_once_and_fan_out_through_two_loops() {
+fn experiments_choose_placement_once_and_fan_out_through_one_loop() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let crate_dir = root.join("crates/experiments");
     let mut sources = Vec::new();
@@ -399,14 +400,24 @@ fn experiments_choose_placement_once_and_fan_out_through_two_loops() {
     // No protocol is paired with a placement flag by hand.
     assert_eq!(files_with(&sources, "(ProtocolKind, bool)"), [""; 0]);
 
-    // Units fan out on the pool from the figure engine and the harness.
+    // Units fan out on the pool from the harness alone, and only the
+    // harness and the one-run parity replay of `serve` call a simulator
+    // entry point; `bin/simulate.rs` keeps its single traced run.
     let code: Vec<_> = sources
         .iter()
         .map(|(path, text)| (path.clone(), outside_test_modules(text)))
         .collect();
-    let mut callers = files_with(&code, "run_indexed(");
-    callers.sort();
-    assert_eq!(callers, [harness, "crates/experiments/src/sweep.rs"]);
+    assert_eq!(files_with(&code, "run_indexed("), [harness]);
+    let library: Vec<_> = code
+        .into_iter()
+        .filter(|(path, _)| !path.to_string_lossy().contains("/src/bin/"))
+        .collect();
+    let allowed = [harness, "crates/experiments/src/serve.rs"];
+    for call in ["causal_simnet::run", "run(&", "run_traced("] {
+        let mut callers = files_with(&library, call);
+        callers.retain(|f| !allowed.contains(&f.as_str()));
+        assert!(callers.is_empty(), "`{call}` called in {callers:?}");
+    }
 
     // Every `[dependencies]` line names a crate the sources import.
     let manifest = fs::read_to_string(crate_dir.join("Cargo.toml")).expect("manifest");
