@@ -1,11 +1,6 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
-//! Usage:
-//!
-//! ```text
-//! repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all>
-//!       [--quick] [--out <dir>] [--jobs <n>] [--trace-dir <dir>]
-//! ```
+//! `repro --help` lists the subcommands and every flag.
 //!
 //! `--quick` runs at a reduced scale (120 events/process, 2 seeds) for smoke
 //! testing; the default is the paper's scale (600 events/process, 3 seeds).
@@ -32,183 +27,111 @@
 //! the same seed, then prints the throughput/latency benchmark table
 //! (which `--out` also writes as `serve.csv`).
 
-use causal_experiments::figures;
+use causal_experiments::cli::{self, die, Flag};
+use causal_experiments::{batching, chaos, churn, durability, figures, flags, scale, serve, soak};
 use causal_experiments::{Scale, Sweep};
 use causal_metrics::Table;
 use std::path::PathBuf;
 
+/// The invocation: which artifact, and how to produce it.
+struct Args {
+    scale: Scale,
+    out: Option<PathBuf>,
+    jobs: usize,
+    trace_dir: Option<PathBuf>,
+}
+
+const FLAGS: &[Flag<Args>] = flags! {
+    "--quick" "" "reduced scale (120 events/process, 2 seeds) for smoke tests" => |a, _| a.scale = Scale::Quick;
+    "--out" "<dir>" "also write each artifact as CSV, and each figure as gnuplot data and script" => |a, v| a.out = Some(v.into());
+    "--jobs" "<n>" "run the simulation cells on n worker threads; the output is the same" => |a, v| a.jobs = v.parse()?;
+    "--trace-dir" "<dir>" "write one JSONL trace per chaos / durability run" => |a, v| a.trace_dir = Some(v.into());
+};
+
+/// An artifact: its subcommand, its generator, and whether the generator
+/// goes through the sweep's cells — only those benefit from (and are
+/// safe under) the planning pass; the others run their own simulations.
+type Job = (&'static str, fn(&mut Sweep, &Args) -> Table, bool);
+
+const JOBS: &[Job] = &[
+    ("fig1", |s, _| figures::fig1(s), true),
+    ("fig2", |s, _| figures::fig2_4(s, 0.2), true),
+    ("fig3", |s, _| figures::fig2_4(s, 0.5), true),
+    ("fig4", |s, _| figures::fig2_4(s, 0.8), true),
+    ("table2", |s, _| figures::table2(s), true),
+    ("fig5", |s, _| figures::fig5(s), true),
+    ("fig6", |s, _| figures::fig6_8(s, 0.2), true),
+    ("fig7", |s, _| figures::fig6_8(s, 0.5), true),
+    ("fig8", |s, _| figures::fig6_8(s, 0.8), true),
+    ("table3", |s, _| figures::table3(s), true),
+    ("table4", |s, _| figures::table4(s), true),
+    ("eq2", |s, _| figures::eq2(s), true),
+    ("falseco", |s, _| figures::ext_false_causality(s), false),
+    ("logsize", |s, _| figures::ext_log_size(s), true),
+    ("storage", |s, _| figures::ext_storage(s), true),
+    (
+        "chaos",
+        |s, a| chaos::chaos_overhead(s.scale(), 10, a.jobs, a.trace_dir.as_deref()),
+        false,
+    ),
+    (
+        "durability",
+        |s, a| durability::durability_sweep(s.scale(), 10, a.jobs, a.trace_dir.as_deref()),
+        false,
+    ),
+    ("churn", |s, a| churn::churn_sweep(s.scale(), a.jobs), false),
+    (
+        "batching",
+        |s, a| batching::batching_sweep(s.scale(), a.jobs),
+        false,
+    ),
+    ("soak", |s, a| soak::soak_sweep(s.scale(), a.jobs), false),
+    ("serve", |s, _| serve::serve_sweep(s.scale()), false),
+    ("scale", |s, _| scale::scale_sweep(s.scale()), false),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut a = Args {
+        scale: Scale::Paper,
+        out: None,
+        jobs: 1,
+        trace_dir: None,
+    };
+    let names: Vec<&str> = JOBS.iter().map(|(name, _, _)| *name).collect();
+    let usage = format!("repro <{}|all> [flags]", names.join("|"));
     let mut subcommand = None;
-    let mut scale = Scale::Paper;
-    let mut out: Option<PathBuf> = None;
-    let mut jobs = 1usize;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--out" => {
-                let dir = it
-                    .next()
-                    .unwrap_or_else(|| usage("missing value for --out"));
-                out = Some(PathBuf::from(dir));
-            }
-            "--trace-dir" => {
-                let dir = it
-                    .next()
-                    .unwrap_or_else(|| usage("missing value for --trace-dir"));
-                trace_dir = Some(PathBuf::from(dir));
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("missing value for --jobs"));
-                jobs = v
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad value for --jobs: {v}")));
-                if jobs == 0 {
-                    usage("--jobs must be at least 1");
-                }
-            }
-            "--help" | "-h" => usage(""),
-            s if !s.starts_with('-') && subcommand.is_none() => {
-                subcommand = Some(s.to_string());
-            }
-            other => usage(&format!("unknown argument: {other}")),
-        }
+    cli::parse(usage, FLAGS, &mut a, |s| {
+        let first = subcommand.is_none();
+        subcommand.get_or_insert_with(|| s.to_string());
+        first
+    });
+    if a.jobs == 0 {
+        die("--jobs must be at least 1");
     }
-    let subcommand = subcommand.unwrap_or_else(|| usage("missing subcommand"));
-
-    for dir in out.iter().chain(&trace_dir) {
+    let subcommand = subcommand.unwrap_or_else(|| die("missing subcommand"));
+    for dir in a.out.iter().chain(&a.trace_dir) {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: {}: {e}", dir.display());
-            std::process::exit(2);
+            die(&format!("{}: {e}", dir.display()));
         }
     }
-
-    let mut sw = Sweep::new(scale);
-    sw.set_jobs(jobs);
-
-    // The third field marks generators that go through the sweep's cell
-    // cache; only those benefit from (and are safe under) the planning
-    // pass — the others run their own simulations directly. Boxed because
-    // the chaos/durability closures capture the worker count and trace
-    // directory.
-    type Job = (&'static str, Box<dyn Fn(&mut Sweep) -> Table>, bool);
-    let chaos_trace = trace_dir.clone();
-    let dur_trace = trace_dir.clone();
-    let jobs_table: Vec<Job> = vec![
-        ("fig1", Box::new(figures::fig1), true),
-        (
-            "fig2",
-            Box::new(|s: &mut Sweep| figures::fig2_4(s, 0.2)),
-            true,
-        ),
-        (
-            "fig3",
-            Box::new(|s: &mut Sweep| figures::fig2_4(s, 0.5)),
-            true,
-        ),
-        (
-            "fig4",
-            Box::new(|s: &mut Sweep| figures::fig2_4(s, 0.8)),
-            true,
-        ),
-        ("table2", Box::new(figures::table2), true),
-        ("fig5", Box::new(figures::fig5), true),
-        (
-            "fig6",
-            Box::new(|s: &mut Sweep| figures::fig6_8(s, 0.2)),
-            true,
-        ),
-        (
-            "fig7",
-            Box::new(|s: &mut Sweep| figures::fig6_8(s, 0.5)),
-            true,
-        ),
-        (
-            "fig8",
-            Box::new(|s: &mut Sweep| figures::fig6_8(s, 0.8)),
-            true,
-        ),
-        ("table3", Box::new(figures::table3), true),
-        ("table4", Box::new(figures::table4), true),
-        ("eq2", Box::new(figures::eq2), true),
-        ("falseco", Box::new(figures::ext_false_causality), false),
-        ("logsize", Box::new(figures::ext_log_size), true),
-        ("storage", Box::new(figures::ext_storage), true),
-        (
-            "chaos",
-            Box::new(move |s: &mut Sweep| {
-                causal_experiments::chaos::chaos_overhead(
-                    s.scale(),
-                    10,
-                    jobs,
-                    chaos_trace.as_deref(),
-                )
-            }),
-            false,
-        ),
-        (
-            "durability",
-            Box::new(move |s: &mut Sweep| {
-                causal_experiments::durability::durability_sweep(
-                    s.scale(),
-                    10,
-                    jobs,
-                    dur_trace.as_deref(),
-                )
-            }),
-            false,
-        ),
-        (
-            "churn",
-            Box::new(move |s: &mut Sweep| causal_experiments::churn::churn_sweep(s.scale(), jobs)),
-            false,
-        ),
-        (
-            "batching",
-            Box::new(move |s: &mut Sweep| {
-                causal_experiments::batching::batching_sweep(s.scale(), jobs)
-            }),
-            false,
-        ),
-        (
-            "soak",
-            Box::new(move |s: &mut Sweep| causal_experiments::soak::soak_sweep(s.scale(), jobs)),
-            false,
-        ),
-        (
-            "serve",
-            Box::new(|s: &mut Sweep| causal_experiments::serve::serve_sweep(s.scale())),
-            false,
-        ),
-        (
-            "scale",
-            Box::new(|s: &mut Sweep| causal_experiments::scale::scale_sweep(s.scale())),
-            false,
-        ),
-    ];
-
-    let selected: Vec<_> = if subcommand == "all" {
-        jobs_table
-    } else {
-        let job = jobs_table
-            .into_iter()
-            .find(|(name, _, _)| *name == subcommand)
-            .unwrap_or_else(|| usage(&format!("unknown subcommand: {subcommand}")));
-        vec![job]
+    let selected: Vec<&Job> = match subcommand.as_str() {
+        "all" => JOBS.iter().collect(),
+        name => match JOBS.iter().find(|(job, _, _)| *job == name) {
+            Some(job) => vec![job],
+            None => die(&format!("unknown subcommand: {name}")),
+        },
     };
 
-    if jobs > 1 {
+    let mut sw = Sweep::new(a.scale);
+    sw.set_jobs(a.jobs);
+    if a.jobs > 1 {
         // Dry pass: discover every cell the selection needs, then run all
         // of their per-seed units on the worker pool at once.
-        eprintln!("[repro] planning cells for {jobs} workers …");
+        eprintln!("[repro] planning cells for {} workers …", a.jobs);
         sw.plan_begin();
         for (_, gen, uses_cells) in &selected {
             if *uses_cells {
-                let _ = gen(&mut sw);
+                let _ = gen(&mut sw, &a);
             }
         }
         let t0 = std::time::Instant::now();
@@ -219,9 +142,9 @@ fn main() {
     for (name, gen, _) in selected {
         eprintln!("[repro] generating {name} …");
         let t0 = std::time::Instant::now();
-        let table = gen(&mut sw);
+        let table = gen(&mut sw, &a);
         println!("{}", table.render());
-        if let Some(dir) = &out {
+        if let Some(dir) = &a.out {
             let path = dir.join(format!("{name}.csv"));
             std::fs::write(&path, table.to_csv()).expect("write CSV");
             eprintln!("[repro] wrote {}", path.display());
@@ -276,15 +199,4 @@ fn write_gnuplot(dir: &std::path::Path, name: &str, table: &Table) {
         dat_path.display(),
         gp_path.display()
     );
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: repro <fig1..fig8|table2|table3|table4|eq2|falseco|logsize|storage|chaos|durability|churn|batching|soak|serve|scale|all> \
-         [--quick] [--out <dir>] [--jobs <n>] [--trace-dir <dir>]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -8,14 +8,7 @@
 //! p99 from mergeable histograms) next to the paper's message and
 //! meta-byte accounting.
 //!
-//! ```text
-//! serve [--protocol full-track|opt-track|opt-track-crp|optp|hb-track|all]
-//!       [--transport channel|tcp|both] [--n <sites>]
-//!       [--clients <per-site>] [--ops <per-client>] [--duration <secs>]
-//!       [--workers <threads>] [--think-us <us>]
-//!       [--w <write-rate>] [--q <variables>] [--seed <u64>]
-//!       [--payload <bytes>] [--batch-ms <ms>] [--check]
-//! ```
+//! `serve --help` lists every flag with its value syntax.
 //!
 //! `--batch-ms 2` turns on per-destination update batching with a 2 ms
 //! wall-clock flush window (the runtime counterpart of the simulator's
@@ -29,117 +22,66 @@
 //! its own worker).
 
 use causal_checker::check;
+use causal_experiments::cli::{self, die, positive, Flag};
+use causal_experiments::flags;
 use causal_experiments::harness::{parse_protocol, PROTOCOLS};
+use causal_memory::Placement;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
 use causal_runtime::{serve, BatchWindow, ServeConfig, ServeTransport};
 use causal_types::MsgKind;
 use std::time::{Duration, Instant};
 
+/// What `serve` deploys: one template config, which most flags write and
+/// every protocol × transport pair clones, and what no config holds.
 struct Args {
+    cfg: ServeConfig,
     protocols: Vec<ProtocolKind>,
     transports: Vec<ServeTransport>,
-    n: usize,
-    clients: usize,
     ops: Option<usize>,
-    duration_s: Option<u64>,
-    workers: usize,
-    think_us: u64,
-    w: f64,
-    q: usize,
-    seed: u64,
-    payload: u32,
-    batch_ms: Option<u64>,
     check: bool,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: serve [--protocol full-track|opt-track|opt-track-crp|optp|hb-track|all] \
-         [--transport channel|tcp|both] [--n <sites>] [--clients <per-site>] \
-         [--ops <per-client>] [--duration <secs>] [--workers <threads>] [--think-us <us>] \
-         [--w <write-rate>] [--q <variables>] \
-         [--seed <u64>] [--payload <bytes>] [--batch-ms <ms>] [--check]"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag<Args>] = flags! {
+    "--protocol" "<name>|all" "full-track | opt-track | opt-track-crp | optp | hb-track, or all of them" => |a, v| a.protocols = match v { "all" => PROTOCOLS.to_vec(), _ => vec![parse_protocol(v).ok_or("unknown protocol")?] };
+    "--transport" "channel|tcp|both" "in-process channels, loopback TCP, or one run over each" => |a, v| a.transports = match v { "channel" => vec![ServeTransport::Channel], "tcp" => vec![ServeTransport::Tcp], "both" => vec![ServeTransport::Channel, ServeTransport::Tcp], _ => return Err("want channel, tcp or both".into()) };
+    "--n" "<sites>" "system size" => |a, v| a.cfg.n = v.parse()?;
+    "--clients" "<per-site>" "closed-loop clients on each site" => |a, v| a.cfg.load.clients_per_site = v.parse()?;
+    "--ops" "<per-client>" "operations each client issues" => |a, v| a.ops = Some(v.parse()?);
+    "--duration" "<secs>" "issue until this deadline instead of an op budget" => |a, v| a.cfg.load.duration = Some(Duration::from_secs(v.parse()?));
+    "--workers" "<threads>" "scheduler worker threads (0: one per core)" => |a, v| a.cfg.workers = v.parse()?;
+    "--think-us" "<us>" "mean think time between a completion and the next issue" => |a, v| a.cfg.load.think = Duration::from_micros(v.parse()?);
+    "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.load.w_rate = v.parse()?;
+    "--q" "<variables>" "number of variables" => |a, v| a.cfg.load.q = positive(v)?;
+    "--seed" "<u64>" "load seed" => |a, v| a.cfg.load.seed = v.parse()?;
+    "--payload" "<bytes>" "modelled payload length of each written value" => |a, v| a.cfg.payload_len = v.parse()?;
+    "--batch-ms" "<ms>" "batch updates per destination, flushed after this window" => |a, v| a.cfg.batch = Some(BatchWindow::windowed(Duration::from_millis(positive(v)?)));
+    "--check" "" "run the causal-consistency checker on each recorded history" => |a, _| a.check = true;
+};
 
 fn parse() -> Args {
     let mut a = Args {
+        cfg: ServeConfig::quick(ProtocolKind::OptTrack, 6, ServeTransport::Channel, 1),
         protocols: PROTOCOLS.to_vec(),
         transports: vec![ServeTransport::Channel, ServeTransport::Tcp],
-        n: 6,
-        clients: 2,
         ops: None,
-        duration_s: None,
-        workers: 0,
-        think_us: 1000,
-        w: 0.3,
-        q: 100,
-        seed: 1,
-        payload: 0,
-        batch_ms: None,
         check: false,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("missing value for {flag}")))
-                .clone()
-        };
-        match flag.as_str() {
-            "--protocol" => {
-                a.protocols = match val().as_str() {
-                    "all" => PROTOCOLS.to_vec(),
-                    name => match parse_protocol(name) {
-                        Some(kind) => vec![kind],
-                        None => die(&format!("unknown protocol {name}")),
-                    },
-                }
-            }
-            "--transport" => {
-                a.transports = match val().as_str() {
-                    "channel" => vec![ServeTransport::Channel],
-                    "tcp" => vec![ServeTransport::Tcp],
-                    "both" => vec![ServeTransport::Channel, ServeTransport::Tcp],
-                    other => die(&format!("unknown transport {other}")),
-                }
-            }
-            "--n" => a.n = val().parse().unwrap_or_else(|_| die("bad --n")),
-            "--clients" => a.clients = val().parse().unwrap_or_else(|_| die("bad --clients")),
-            "--ops" => a.ops = Some(val().parse().unwrap_or_else(|_| die("bad --ops"))),
-            "--duration" => {
-                a.duration_s = Some(val().parse().unwrap_or_else(|_| die("bad --duration")))
-            }
-            "--workers" => a.workers = val().parse().unwrap_or_else(|_| die("bad --workers")),
-            "--think-us" => a.think_us = val().parse().unwrap_or_else(|_| die("bad --think-us")),
-            "--w" => a.w = val().parse().unwrap_or_else(|_| die("bad --w")),
-            "--q" => a.q = val().parse().unwrap_or_else(|_| die("bad --q")),
-            "--seed" => a.seed = val().parse().unwrap_or_else(|_| die("bad --seed")),
-            "--payload" => a.payload = val().parse().unwrap_or_else(|_| die("bad --payload")),
-            "--batch-ms" => {
-                a.batch_ms = Some(val().parse().unwrap_or_else(|_| die("bad --batch-ms")))
-            }
-            "--check" => a.check = true,
-            "--help" | "-h" => die(""),
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    if !(0.0..=1.0).contains(&a.w) {
+    cli::parse("serve [flags]".into(), FLAGS, &mut a, |_| false);
+    if !(0.0..=1.0).contains(&a.cfg.load.w_rate) {
         die("--w must be in [0, 1]");
     }
-    if a.n < 2 {
+    if a.cfg.n < 2 {
         die("--n must be at least 2");
     }
-    if a.q == 0 {
-        die("--q must be positive");
+    if let Err(e) = Placement::full(a.cfg.n) {
+        die(&format!("--n: {e}"));
     }
-    if a.batch_ms == Some(0) {
-        die("--batch-ms must be positive");
-    }
+    let load = &mut a.cfg.load;
+    load.ops_per_client = a.ops.unwrap_or(match load.duration {
+        Some(_) => DURATION_MODE_OPS_CAP,
+        None => 100,
+    });
     a
 }
 
@@ -149,24 +91,21 @@ const DURATION_MODE_OPS_CAP: usize = 1 << 30;
 
 fn main() {
     let a = parse();
-    let ops_per_client = a.ops.unwrap_or(match a.duration_s {
-        Some(_) => DURATION_MODE_OPS_CAP,
-        None => 100,
-    });
+    let load = &a.cfg.load;
     let mut t = Table::new(
         format!(
             "serve: n = {}, {} clients/site x {}, think {} us, w = {}, q = {}{}",
-            a.n,
-            a.clients,
-            match a.duration_s {
-                Some(s) => format!("{s} s"),
-                None => format!("{ops_per_client} ops"),
+            a.cfg.n,
+            load.clients_per_site,
+            match load.duration {
+                Some(d) => format!("{} s", d.as_secs()),
+                None => format!("{} ops", load.ops_per_client),
             },
-            a.think_us,
-            a.w,
-            a.q,
-            match a.batch_ms {
-                Some(ms) => format!(", batch window {ms} ms"),
+            load.think.as_micros(),
+            load.w_rate,
+            load.q,
+            match a.cfg.batch {
+                Some(b) => format!(", batch window {} ms", b.window.as_millis()),
                 None => String::new(),
             }
         ),
@@ -188,18 +127,11 @@ fn main() {
     );
     for &kind in &a.protocols {
         for &transport in &a.transports {
-            let mut cfg = ServeConfig::quick(kind, a.n, transport, a.seed);
-            cfg.load.clients_per_site = a.clients;
-            cfg.load.ops_per_client = ops_per_client;
-            cfg.load.duration = a.duration_s.map(Duration::from_secs);
-            cfg.workers = a.workers;
-            cfg.load.think = Duration::from_micros(a.think_us);
-            cfg.load.w_rate = a.w;
-            cfg.load.q = a.q;
-            cfg.payload_len = a.payload;
-            cfg.batch = a
-                .batch_ms
-                .map(|ms| BatchWindow::windowed(Duration::from_millis(ms)));
+            let cfg = ServeConfig {
+                protocol: kind,
+                transport,
+                ..a.cfg.clone()
+            };
             eprintln!("[serve] {kind} over {} …", transport.label());
             let r = serve(&cfg).unwrap_or_else(|e| {
                 eprintln!("error: {kind}/{}: {e:?}", transport.label());

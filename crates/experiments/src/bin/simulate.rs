@@ -5,22 +5,7 @@
 //! metrics (message counts and sizes per kind, apply latency, storage) plus
 //! an optional consistency verification.
 //!
-//! ```text
-//! simulate [--protocol full-track|opt-track|opt-track-crp|optp|hb-track]
-//!          [--n <sites>] [--w <write-rate>] [--q <variables>]
-//!          [--events <per-process>] [--seed <u64>] [--p <replicas>]
-//!          [--latency <const_us|min_us:max_us>] [--partition <start_ms:end_ms>]
-//!          [--zipf <theta>] [--wire-model] [--check]
-//!          [--faults <drop,dup>] [--crash <site:start_ms:end_ms[:media]>]
-//!          [--wal] [--checkpoint-interval <ms>] [--fetch-deadline <ms>]
-//!          [--churn <spec>]
-//!          [--stability] [--stability-heartbeat <ms>] [--no-gc]
-//!          [--overdue-after <ms>] [--soft-meta-cap <bytes>]
-//!          [--dump-schedule <path>] [--schedule <path>]
-//!          [--seeds <k>] [--jobs <n>]
-//!          [--trace <path>] [--verify-trace]
-//!          [--runtime channel|tcp]
-//! ```
+//! `simulate --help` lists every flag with its value syntax.
 //!
 //! `--seeds 8` runs eight simulations (seeds `seed .. seed+7`) and prints
 //! one summary line per seed plus seed-averaged message statistics;
@@ -77,18 +62,22 @@
 //! complete and correctly ordered; a trace that does not parse fails it.
 //! Both operate on one concrete run, so they are incompatible with
 //! `--seeds > 1`.
-
+//!
 //! `--runtime channel|tcp` runs the same configured cell on the *threaded
 //! runtime* instead of the simulator: real OS threads, real (or loopback
 //! TCP) message passing, wall-clock schedule replay with the simulator's
 //! warm-up attribution — so its counters are directly comparable to the
 //! simulated run of the same seed (`repro serve` asserts that parity
 //! systematically). Simulator-only features (faults, crashes, durability,
-//! churn, stability, partitions, traces, schedule files, multi-seed) are
-//! rejected in runtime mode.
+//! churn, stability, partitions, latency models, traces, schedule files,
+//! multi-seed) are rejected in runtime mode; `--help` marks their flags.
+//! The runtime replays the schedule's gaps at time scale 0.005 and has no
+//! latency model of its own.
 
 use causal_checker::{check, History, Violations};
 use causal_clocks::DestSet;
+use causal_experiments::cli::{self, die, Bad, Flag};
+use causal_experiments::flags;
 use causal_experiments::harness::{paper_cfg, parse_protocol, run_units};
 use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
@@ -96,248 +85,199 @@ use causal_metrics::{MessageStats, RunMetrics};
 use causal_obs::{to_jsonl, BufTracer};
 use causal_proto::ProtocolKind;
 use causal_simnet::{
-    run, run_traced, CrashWindow, DurabilityPlan, FaultPlan, LatencyModel, PartitionWindow,
-    SimConfig, StabilityPlan,
+    run, run_traced, CrashWindow, FaultPlan, LatencyModel, PartitionWindow, SimConfig,
+    StabilityPlan,
 };
 use causal_types::{MsgKind, SimDuration, SimTime, SiteId, SizeModel};
-use causal_workload::{VarDistribution, WorkloadParams};
-use std::str::FromStr;
+use causal_workload::{ChurnPlan, VarDistribution};
 use std::sync::Arc;
 
-/// Flags that configure what only the simulator has; `--runtime` rejects
-/// them (and `--seeds` above 1).
-const SIM_ONLY: [&str; 11] = [
-    "--partition",
-    "--faults",
-    "--crash",
-    "--wal",
-    "--checkpoint-interval",
-    "--fetch-deadline",
-    "--churn",
-    "--stability",
-    "--schedule",
-    "--trace",
-    "--verify-trace",
-];
-
+/// What `simulate` runs: the simulator's own config, which most flags
+/// write, and what no config holds.
 struct Args {
-    protocol: ProtocolKind,
-    /// `--n`, `--w`, `--q`, `--events`, `--seed` and `--zipf`.
-    workload: WorkloadParams,
+    cfg: SimConfig,
     p: Option<usize>,
-    latency: LatencyModel,
-    partition: Option<(u64, u64)>,
-    wire_model: bool,
-    check: bool,
-    faults: FaultPlan,
-    crashes: Vec<CrashWindow>,
-    /// `--wal`, `--checkpoint-interval`, `--fetch-deadline` and the sites
-    /// of `--crash …:media`.
-    durability: DurabilityPlan,
+    seeds: usize,
+    jobs: usize,
     dump_schedule: Option<String>,
     schedule: Option<String>,
-    churn: Option<String>,
-    stability: bool,
-    stability_heartbeat: Option<u64>,
+    trace: Option<String>,
+    verify_trace: bool,
+    runtime: Option<&'static str>,
+    /// The stability tuning, applied once `--stability` is known.
+    heartbeat: Option<u64>,
     no_gc: bool,
     overdue_after: Option<u64>,
     soft_meta_cap: Option<u64>,
-    seeds: usize,
-    jobs: usize,
-    trace: Option<String>,
-    verify_trace: bool,
-    runtime: Option<String>,
-    /// The first [`SIM_ONLY`] flag given.
-    sim_only: Option<String>,
 }
 
-/// `v` as a `T`, or exit 2 with `bad <what>`.
-fn num<T: FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| die(&format!("bad {what}")))
-}
+const FLAGS: &[Flag<Args>] = flags! {
+    "--protocol" "<name>" "full-track | opt-track | opt-track-crp | optp | hb-track" => |a, v| a.cfg.protocol = parse_protocol(v).ok_or("unknown protocol")?;
+    "--n" "<sites>" "system size" => |a, v| a.cfg.workload.n = v.parse()?;
+    "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.workload.w_rate = v.parse()?;
+    "--q" "<variables>" "number of variables" => |a, v| a.cfg.workload.q = v.parse()?;
+    "--events" "<per-process>" "operations each site issues" => |a, v| a.cfg.workload.events_per_process = v.parse()?;
+    "--seed" "<u64>" "workload seed" => |a, v| a.cfg.workload.seed = v.parse()?;
+    "--p" "<replicas>" "replicas per variable for a partial-replication protocol" => |a, v| a.p = Some(v.parse()?);
+    "--latency" "<us|min_us:max_us>" sim "one-way channel latency, constant or uniform" => |a, v| a.cfg.latency = latency(v)?;
+    "--partition" "<start_ms:end_ms>" sim "cut the first half of the sites off the rest for the window" => |a, v| a.cfg.partitions = vec![partition(v)?];
+    "--zipf" "<theta>" "Zipf-distributed variable access instead of uniform" => |a, v| a.cfg.workload.var_dist = VarDistribution::Zipf { theta: v.parse()? };
+    "--wire-model" "" "account bytes as the wire encoding sizes them" => |a, _| a.cfg.size_model = SizeModel::wire();
+    "--check" "" "record the history and run the causal-consistency checker" => |a, _| a.cfg.record_history = true;
+    "--faults" "<drop[,dup]>" sim "every channel drops and duplicates frames at these rates" => |a, v| a.cfg.faults = faults(v)?;
+    "--crash" "<site:start_ms:end_ms[:media]>" sim "fail-stop a site for the window; :media loses its WAL too (repeatable)" => |a, v| crash(a, v)?;
+    "--wal" "" sim "give every site a write-ahead log" => |a, _| a.cfg.durability.wal = true;
+    "--checkpoint-interval" "<ms>" sim "checkpoint each site's state this often (needs --wal)" => |a, v| a.cfg.durability.checkpoint_every = Some(SimDuration::from_millis(v.parse()?));
+    "--fetch-deadline" "<ms>" sim "fail a blocked remote read over to the next replica after this long" => |a, v| a.cfg.durability.fetch_deadline = Some(SimDuration::from_millis(v.parse()?));
+    "--churn" "<spec>" sim "membership changes, e.g. join:5@2s;migrate:12:4->5@4s;leave:1@6s" => |a, v| a.cfg.churn = Some(ChurnPlan::parse(v)?);
+    "--stability" "" sim "track causal stability and collect garbage behind the stable frontier" => |a, _| a.cfg.stability = Some(StabilityPlan::default());
+    "--stability-heartbeat" "<ms>" sim "stability gossip period (needs --stability)" => |a, v| a.heartbeat = Some(v.parse()?);
+    "--no-gc" "" sim "track stability but collect nothing (needs --stability)" => |a, _| a.no_gc = true;
+    "--overdue-after" "<ms>" sim "count updates buffered longer than this (needs --stability)" => |a, v| a.overdue_after = Some(v.parse()?);
+    "--soft-meta-cap" "<bytes>" sim "defer writers while retained metadata exceeds this (needs --stability)" => |a, v| a.soft_meta_cap = Some(v.parse()?);
+    "--dump-schedule" "<path>" "write the operation schedule as CSV" => |a, v| a.dump_schedule = Some(v.into());
+    "--schedule" "<path>" sim "replay a schedule CSV instead of generating one" => |a, v| a.schedule = Some(v.into());
+    "--seeds" "<k>" "run k consecutive seeds and print per-seed lines and means" => |a, v| a.seeds = v.parse()?;
+    "--jobs" "<n>" "worker threads for --seeds" => |a, v| a.jobs = v.parse()?;
+    "--trace" "<path>" sim "write the run's structured event trace as JSONL" => |a, v| a.trace = Some(v.into());
+    "--verify-trace" "" sim "rebuild the history from the trace and check it" => |a, _| a.verify_trace = true;
+    "--runtime" "channel|tcp" "run the cell on the threaded runtime instead of the simulator" => |a, v| a.runtime = Some(["channel", "tcp"].into_iter().find(|r| *r == v).ok_or("want channel or tcp")?);
+};
 
-fn parse() -> Args {
-    let mut a = Args {
-        protocol: ProtocolKind::OptTrack,
-        workload: WorkloadParams {
-            events_per_process: 200,
-            ..WorkloadParams::paper(10, 0.5, 1)
+fn latency(v: &str) -> Result<LatencyModel, Bad> {
+    Ok(match v.split_once(':') {
+        Some((lo, hi)) => LatencyModel::Uniform {
+            min_micros: lo.parse()?,
+            max_micros: hi.parse()?,
         },
+        None => LatencyModel::Constant { micros: v.parse()? },
+    })
+}
+
+/// Its sides are set once `--n` is known.
+fn partition(v: &str) -> Result<PartitionWindow, Bad> {
+    let (s, e) = v.split_once(':').ok_or("want start_ms:end_ms")?;
+    Ok(PartitionWindow {
+        start: SimTime::from_millis(s.parse()?),
+        end: SimTime::from_millis(e.parse()?),
+        side_a: DestSet::default(),
+    })
+}
+
+fn faults(v: &str) -> Result<FaultPlan, Bad> {
+    let (drop, dup) = v.split_once(',').unwrap_or((v, "0"));
+    Ok(FaultPlan::uniform(drop.parse()?, dup.parse()?))
+}
+
+fn crash(a: &mut Args, v: &str) -> Result<(), Bad> {
+    let parts: Vec<&str> = v.split(':').collect();
+    let (site, start, end, media) = match parts[..] {
+        [site, start, end] => (site, start, end, false),
+        [site, start, end, "media"] => (site, start, end, true),
+        _ => return Err("want site:start_ms:end_ms[:media]".into()),
+    };
+    let site = SiteId::from(site.parse::<usize>()?);
+    a.cfg.crashes.push(CrashWindow {
+        site,
+        start: SimTime::from_millis(start.parse()?),
+        end: SimTime::from_millis(end.parse()?),
+    });
+    if media {
+        a.cfg.durability.lose_media.push(site);
+    }
+    Ok(())
+}
+
+/// The command line as a run: flags applied over the paper's cell, then
+/// checked, then what depends on several flags — the placement, the churn
+/// plan's range, the stability tuning, the schedule file and the
+/// partition's sides — derived, so flag order does not matter.
+fn parse() -> Args {
+    let mut cfg = paper_cfg(ProtocolKind::OptTrack, 10, 0.5, 1);
+    cfg.workload.events_per_process = 200;
+    let mut a = Args {
+        cfg,
         p: None,
-        latency: LatencyModel::default_wan(),
-        partition: None,
-        wire_model: false,
-        check: false,
-        faults: FaultPlan::default(),
-        crashes: Vec::new(),
-        durability: DurabilityPlan::default(),
-        dump_schedule: None,
-        schedule: None,
-        churn: None,
-        stability: false,
-        stability_heartbeat: None,
-        no_gc: false,
-        overdue_after: None,
-        soft_meta_cap: None,
         seeds: 1,
         jobs: 1,
+        dump_schedule: None,
+        schedule: None,
         trace: None,
         verify_trace: false,
         runtime: None,
-        sim_only: None,
+        heartbeat: None,
+        no_gc: false,
+        overdue_after: None,
+        soft_meta_cap: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        if a.sim_only.is_none() && SIM_ONLY.contains(&flag.as_str()) {
-            a.sim_only = Some(flag.clone());
-        }
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("missing value for {flag}")))
-                .clone()
-        };
-        match flag.as_str() {
-            "--protocol" => {
-                let v = val();
-                a.protocol =
-                    parse_protocol(&v).unwrap_or_else(|| die(&format!("unknown protocol {v}")));
-            }
-            "--n" => a.workload.n = num(&val(), "--n"),
-            "--w" => a.workload.w_rate = num(&val(), "--w"),
-            "--q" => a.workload.q = num(&val(), "--q"),
-            "--events" => a.workload.events_per_process = num(&val(), "--events"),
-            "--seed" => a.workload.seed = num(&val(), "--seed"),
-            "--p" => a.p = Some(num(&val(), "--p")),
-            "--latency" => {
-                let v = val();
-                a.latency = match v.split_once(':') {
-                    Some((lo, hi)) => LatencyModel::Uniform {
-                        min_micros: num(lo, "--latency"),
-                        max_micros: num(hi, "--latency"),
-                    },
-                    None => LatencyModel::Constant {
-                        micros: num(&v, "--latency"),
-                    },
-                };
-            }
-            "--partition" => {
-                let v = val();
-                let (s, e) = v.split_once(':').unwrap_or_else(|| die("bad --partition"));
-                a.partition = Some((num(s, "--partition"), num(e, "--partition")));
-            }
-            "--zipf" => {
-                let theta = num(&val(), "--zipf");
-                a.workload.var_dist = VarDistribution::Zipf { theta };
-            }
-            "--faults" => {
-                let v = val();
-                let (d, u) = v.split_once(',').unwrap_or((v.as_str(), "0"));
-                a.faults = FaultPlan::uniform(num(d, "--faults"), num(u, "--faults"));
-            }
-            "--crash" => {
-                let v = val();
-                let parts: Vec<&str> = v.split(':').collect();
-                let (site, start, end, media) = match parts[..] {
-                    [site, start, end] => (site, start, end, false),
-                    [site, start, end, "media"] => (site, start, end, true),
-                    _ => die("bad --crash (want site:start_ms:end_ms[:media])"),
-                };
-                let site = SiteId::from(num::<usize>(site, "--crash site"));
-                a.crashes.push(CrashWindow {
-                    site,
-                    start: SimTime::from_millis(num(start, "--crash start")),
-                    end: SimTime::from_millis(num(end, "--crash end")),
-                });
-                if media {
-                    a.durability.lose_media.push(site);
-                }
-            }
-            "--wal" => a.durability.wal = true,
-            "--checkpoint-interval" => {
-                let ms = num(&val(), "--checkpoint-interval (want milliseconds)");
-                a.durability.checkpoint_every = Some(SimDuration::from_millis(ms));
-            }
-            "--fetch-deadline" => {
-                let ms = num(&val(), "--fetch-deadline (want milliseconds)");
-                a.durability.fetch_deadline = Some(SimDuration::from_millis(ms));
-            }
-            "--seeds" => {
-                a.seeds = num(&val(), "--seeds");
-                if a.seeds == 0 {
-                    die("--seeds must be at least 1");
-                }
-            }
-            "--jobs" => {
-                a.jobs = num(&val(), "--jobs");
-                if a.jobs == 0 {
-                    die("--jobs must be at least 1");
-                }
-            }
-            "--wire-model" => a.wire_model = true,
-            "--check" => a.check = true,
-            "--trace" => a.trace = Some(val()),
-            "--verify-trace" => a.verify_trace = true,
-            "--runtime" => {
-                let v = val();
-                match v.as_str() {
-                    "channel" | "tcp" => a.runtime = Some(v),
-                    other => die(&format!("unknown runtime {other} (channel|tcp)")),
-                }
-            }
-            "--churn" => a.churn = Some(val()),
-            "--stability" => a.stability = true,
-            "--stability-heartbeat" => {
-                a.stability_heartbeat =
-                    Some(num(&val(), "--stability-heartbeat (want milliseconds)"));
-            }
-            "--no-gc" => a.no_gc = true,
-            "--overdue-after" => {
-                a.overdue_after = Some(num(&val(), "--overdue-after (want milliseconds)"));
-            }
-            "--soft-meta-cap" => {
-                a.soft_meta_cap = Some(num(&val(), "--soft-meta-cap (want bytes)"));
-            }
-            "--dump-schedule" => a.dump_schedule = Some(val()),
-            "--schedule" => a.schedule = Some(val()),
-            "--help" | "-h" => {
-                eprintln!("see the module docs at the top of simulate.rs");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
+    let sim_only = cli::parse("simulate [flags]".into(), FLAGS, &mut a, |_| false);
+    validate(&a, sim_only);
+    let c = &mut a.cfg;
+    let w = c.workload;
+    c.placement = match a.p.filter(|_| c.protocol.supports_partial()) {
+        Some(p) => Arc::new(
+            Placement::new(PlacementKind::Even, w.n, p)
+                .unwrap_or_else(|e| die(&format!("--p: {e}"))),
+        ),
+        None => paper_cfg(c.protocol, w.n, w.w_rate, w.seed).placement,
+    };
+    if let Some(plan) = &c.churn {
+        plan.validate(w.n, w.q)
+            .unwrap_or_else(|e| die(&e.to_string()));
     }
-    validate(&a);
+    if let Some(plan) = &mut c.stability {
+        if let Some(ms) = a.heartbeat {
+            plan.heartbeat_every = SimDuration::from_millis(ms);
+        }
+        plan.gc = !a.no_gc;
+        plan.overdue_after = a.overdue_after.map(SimDuration::from_millis);
+        plan.soft_meta_cap = a.soft_meta_cap;
+    }
+    if let Some(path) = &a.schedule {
+        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        let sched =
+            causal_workload::schedule_from_csv(&csv, w).unwrap_or_else(|e| die(&e.to_string()));
+        c.schedule_override = Some(sched);
+    }
+    for p in &mut c.partitions {
+        p.side_a = DestSet::from_sites((0..w.n / 2).map(SiteId::from));
+    }
     a
 }
 
 /// Range and cross-flag checks, each with a message naming the flag.
-fn validate(a: &Args) {
+fn validate(a: &Args, sim_only: Option<&str>) {
+    let c = &a.cfg;
     if a.runtime.is_some() {
-        let flag = a.sim_only.as_deref();
-        if let Some(flag) = flag.or((a.seeds > 1).then_some("--seeds")) {
+        if let Some(flag) = sim_only.or((a.seeds > 1).then_some("--seeds")) {
             die(&format!(
                 "{flag} is simulator-only (incompatible with --runtime)"
             ));
         }
     }
-    if a.seeds > 1 && (a.check || a.dump_schedule.is_some() || a.schedule.is_some()) {
+    if a.seeds == 0 {
+        die("--seeds must be at least 1");
+    }
+    if a.jobs == 0 {
+        die("--jobs must be at least 1");
+    }
+    if a.seeds > 1 && (c.record_history || a.dump_schedule.is_some() || a.schedule.is_some()) {
         die("--seeds > 1 is incompatible with --check / --dump-schedule / --schedule (those operate on one concrete run; drop --seeds or run them per seed)");
     }
     if a.seeds > 1 && (a.trace.is_some() || a.verify_trace) {
         die("--seeds > 1 is incompatible with --trace / --verify-trace (a trace records one concrete run; drop --seeds or trace each seed separately)");
     }
-    let n = a.workload.n;
+    let n = c.workload.n;
     if let Err(e) = Placement::full(n) {
         die(&format!("--n: {e}"));
     }
-    if let Err(e) = a.workload.validate() {
+    if let Err(e) = c.workload.validate() {
         die(&format!("--n/--w/--q/--zipf: {e}"));
     }
     if let LatencyModel::Uniform {
         min_micros,
         max_micros,
-    } = a.latency
+    } = c.latency
     {
         if min_micros > max_micros {
             die(&format!(
@@ -345,19 +285,20 @@ fn validate(a: &Args) {
             ));
         }
     }
-    if let Some((s, e)) = a.partition {
+    for p in &c.partitions {
+        let (s, e) = (p.start.as_millis(), p.end.as_millis());
         if s >= e {
             die(&format!("--partition window {s}:{e} is empty"));
         }
     }
-    let FaultPlan { drop, dup, .. } = a.faults;
+    let FaultPlan { drop, dup, .. } = c.faults;
     if !(0.0..1.0).contains(&drop) || !(0.0..=1.0).contains(&dup) {
         die(&format!(
             "--faults drop={drop} dup={dup}: want 0 <= drop < 1 (a channel that drops \
              every frame never delivers) and 0 <= dup <= 1"
         ));
     }
-    let d = &a.durability;
+    let d = &c.durability;
     if d.checkpoint_every == Some(SimDuration::ZERO) {
         die("--checkpoint-interval must be positive (0 would checkpoint never-endingly at t=0; omit the flag to disable checkpoints)");
     }
@@ -367,11 +308,11 @@ fn validate(a: &Args) {
     if !d.lose_media.is_empty() && !d.wal {
         die("--crash ...:media requires --wal (without a durable medium there is nothing to lose)");
     }
-    if a.stability_heartbeat == Some(0) {
+    if a.heartbeat == Some(0) {
         die("--stability-heartbeat must be positive");
     }
-    if !a.stability {
-        if a.stability_heartbeat.is_some() {
+    if c.stability.is_none() {
+        if a.heartbeat.is_some() {
             die("--stability-heartbeat requires --stability");
         }
         if a.no_gc {
@@ -384,8 +325,8 @@ fn validate(a: &Args) {
             die("--soft-meta-cap requires --stability (backpressure reads its retained gauge)");
         }
     }
-    for c in &a.crashes {
-        let (site, s, e) = (c.site.index(), c.start.as_millis(), c.end.as_millis());
+    for w in &c.crashes {
+        let (site, s, e) = (w.site.index(), w.start.as_millis(), w.end.as_millis());
         if site >= n {
             die(&format!("--crash site {site} out of range (n={n})"));
         }
@@ -393,7 +334,7 @@ fn validate(a: &Args) {
             die(&format!("--crash window {s}:{e} is empty"));
         }
     }
-    let mut windows: Vec<&CrashWindow> = a.crashes.iter().collect();
+    let mut windows: Vec<&CrashWindow> = c.crashes.iter().collect();
     windows.sort_by_key(|c| (c.site, c.start));
     for w in windows.windows(2) {
         if w[0].site == w[1].site && w[1].start < w[0].end {
@@ -409,68 +350,6 @@ fn validate(a: &Args) {
             ));
         }
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// The run `a` describes: the paper's cell for the protocol, with every
-/// flag applied on top.
-fn sim_config(a: &Args) -> SimConfig {
-    let w = &a.workload;
-    let mut cfg = paper_cfg(a.protocol, w.n, w.w_rate, w.seed);
-    if let (Some(p), true) = (a.p, a.protocol.supports_partial()) {
-        let placement =
-            Placement::new(PlacementKind::Even, w.n, p).unwrap_or_else(|e| die(&e.to_string()));
-        cfg.placement = Arc::new(placement);
-    }
-    cfg.workload = a.workload;
-    cfg.latency = a.latency;
-    if a.wire_model {
-        cfg.size_model = SizeModel::wire();
-    }
-    cfg.record_history = a.check;
-    cfg.faults = a.faults.clone();
-    cfg.crashes = a.crashes.clone();
-    cfg.durability = a.durability.clone();
-    if let Some(spec) = &a.churn {
-        let plan = causal_workload::ChurnPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
-        plan.validate(w.n, w.q)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        cfg.churn = Some(plan);
-    }
-    if a.stability {
-        let mut plan = StabilityPlan::default();
-        if let Some(ms) = a.stability_heartbeat {
-            plan.heartbeat_every = SimDuration::from_millis(ms);
-        }
-        if a.no_gc {
-            plan = plan.without_gc();
-        }
-        if let Some(ms) = a.overdue_after {
-            plan = plan.with_overdue_after(SimDuration::from_millis(ms));
-        }
-        if let Some(bytes) = a.soft_meta_cap {
-            plan = plan.with_soft_meta_cap(bytes);
-        }
-        cfg.stability = Some(plan);
-    }
-    if let Some(path) = &a.schedule {
-        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let sched = causal_workload::schedule_from_csv(&csv, cfg.workload)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        cfg.schedule_override = Some(sched);
-    }
-    if let Some((s, e)) = a.partition {
-        cfg.partitions.push(PartitionWindow {
-            start: SimTime::from_millis(s),
-            end: SimTime::from_millis(e),
-            side_a: DestSet::from_sites((0..w.n / 2).map(SiteId::from)),
-        });
-    }
-    cfg
 }
 
 /// The measured operation tallies and per-kind message traffic, as both
@@ -495,7 +374,8 @@ fn print_traffic(m: &RunMetrics) {
 /// `--seeds k`: run the configured simulation for `k` consecutive seeds on
 /// the worker pool and print per-seed lines (in seed order) plus
 /// seed-averaged message statistics.
-fn multi_seed(a: &Args, cfg: &SimConfig) {
+fn multi_seed(a: &Args) {
+    let cfg = &a.cfg;
     let t0 = std::time::Instant::now();
     let first = cfg.workload.seed;
     let seeds: Vec<u64> = (first..first + a.seeds as u64).collect();
@@ -510,7 +390,7 @@ fn multi_seed(a: &Args, cfg: &SimConfig) {
         |seed| format!("seed {seed}"),
         None,
     );
-    println!("protocol        {}", a.protocol);
+    println!("protocol        {}", cfg.protocol);
     println!(
         "seeds           {}..{} on {} worker(s)",
         first,
@@ -550,9 +430,9 @@ fn multi_seed(a: &Args, cfg: &SimConfig) {
 /// and size model — on the threaded runtime (real threads, channel or
 /// loopback-TCP transport) and print its counters in the same shape as the
 /// simulated run.
-fn run_on_runtime(a: &Args, cfg: &SimConfig, which: &str) {
+fn run_on_runtime(cfg: &SimConfig, which: &str) {
     let rt = causal_runtime::RuntimeConfig {
-        protocol: a.protocol,
+        protocol: cfg.protocol,
         placement: cfg.placement.clone(),
         workload: cfg.workload,
         time_scale: 0.005,
@@ -568,7 +448,7 @@ fn run_on_runtime(a: &Args, cfg: &SimConfig, which: &str) {
     };
     let m = &out.metrics;
     let w = &cfg.workload;
-    println!("protocol        {} (runtime: {which})", a.protocol);
+    println!("protocol        {} (runtime: {which})", cfg.protocol);
     println!(
         "workload        {} events/proc, w_rate {}, seed {}, time scale 0.005",
         w.events_per_process, w.w_rate, w.seed
@@ -587,7 +467,7 @@ fn run_on_runtime(a: &Args, cfg: &SimConfig, which: &str) {
     if out.final_pending != 0 {
         die(&format!("{} updates left parked", out.final_pending));
     }
-    if a.check {
+    if cfg.record_history {
         let v = timed_check(&out.history);
         if v.protocol_clean() {
             println!("consistency     causal: OK (runtime execution verified)");
@@ -613,11 +493,9 @@ fn timed_check(history: &History) -> Violations {
 
 fn main() {
     let a = parse();
-    let cfg = sim_config(&a);
-    if let Some(which) = &a.runtime {
-        run_on_runtime(&a, &cfg, which);
-        return;
-    }
+    let cfg = &a.cfg;
+    // Before the runtime branch: the runtime replays the schedule this
+    // writes (`--schedule` is simulator-only).
     if let Some(path) = &a.dump_schedule {
         let sched = cfg
             .schedule_override
@@ -627,9 +505,13 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         eprintln!("wrote schedule to {path}");
     }
+    if let Some(which) = a.runtime {
+        run_on_runtime(cfg, which);
+        return;
+    }
 
     if a.seeds > 1 {
-        multi_seed(&a, &cfg);
+        multi_seed(&a);
         return;
     }
 
@@ -637,14 +519,14 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut tracer = BufTracer::default();
     let r = if tracing {
-        run_traced(&cfg, &mut tracer)
+        run_traced(cfg, &mut tracer)
     } else {
-        run(&cfg)
+        run(cfg)
     };
     let m = &r.metrics;
     let w = &cfg.workload;
 
-    println!("protocol        {}", a.protocol);
+    println!("protocol        {}", cfg.protocol);
     println!(
         "system          n={} q={} p={}",
         w.n,
@@ -792,7 +674,7 @@ fn main() {
         }
     }
 
-    if a.check {
+    if cfg.record_history {
         println!();
         let v = timed_check(r.history.as_ref().expect("recorded"));
         println!(

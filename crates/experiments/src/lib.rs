@@ -36,7 +36,9 @@
 //! ([`churn`]), update batching ([`batching`]) and long-run memory
 //! ([`soak`]). Every simulated run, the figures' per-seed units included,
 //! goes through the one checked, traced run loop in [`harness`], which
-//! also fixes every run's placement by its protocol.
+//! also fixes every run's placement by its protocol. The three binaries
+//! (`simulate`, `serve`, `repro`) read their command lines through
+//! [`cli`], each from one table of its flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +46,7 @@ pub mod analytic;
 pub mod batching;
 pub mod chaos;
 pub mod churn;
+pub mod cli;
 pub mod durability;
 pub mod figures;
 pub mod harness;

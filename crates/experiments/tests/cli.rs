@@ -111,10 +111,21 @@ fn repro_rejects_an_unusable_out_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--help` prints the synopsis and every flag of the binary's table to
+/// stdout and exits 0, the same in all three binaries.
 #[test]
-fn repro_help_exits_zero() {
-    let out = repro(&["--help"]);
-    assert_eq!(out.status.code(), Some(0));
+fn help_exits_zero_and_lists_the_flags() {
+    let cases = [
+        (repro(&["--help"]), "--trace-dir"),
+        (serve(&["--help"]), "--batch-ms"),
+        (simulate(&["--help"]), "--stability-heartbeat"),
+    ];
+    for (out, flag) in cases {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {stdout}");
+        assert!(stdout.starts_with("usage:"), "{stdout}");
+        assert!(stdout.contains(flag), "{stdout}");
+    }
 }
 
 /// The parallel engine's acceptance property, end to end through the
@@ -289,7 +300,7 @@ fn simulate_rejects_bad_parallel_flags() {
 /// no run over a channel that drops every frame and so never quiesces.
 #[test]
 fn simulate_rejects_out_of_range_values_naming_the_flag() {
-    let cases: [(&[&str], &str, &str); 8] = [
+    let cases: [(&[&str], &str, &str); 9] = [
         (&["--faults", "1.0"], "--faults", "drop < 1"),
         (&["--faults", "0.1,1.5"], "--faults", "dup <= 1"),
         (&["--w", "1.5"], "--w", "w_rate must be in [0, 1], got 1.5"),
@@ -298,6 +309,7 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
         (&["--zipf", "-2"], "--zipf", "zipf theta must be"),
         (&["--latency", "5:1"], "--latency", "minimum exceeds"),
         (&["--partition", "600:200"], "--partition", "is empty"),
+        (&["--p", "0"], "--p", "replication factor"),
     ];
     for (bad, flag, reason) in cases {
         let args = [&["--n", "4", "--events", "20"], bad].concat();
@@ -310,21 +322,61 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
     }
 }
 
-/// `serve` checks the values its cluster would otherwise panic on — a zero
-/// flush window, no variables to access — before deploying anything.
+/// `serve` checks the values its cluster would otherwise panic on or
+/// refuse — a zero flush window, no variables to access, more sites than a
+/// destination set holds — before deploying anything.
 #[test]
 fn serve_rejects_out_of_range_values_naming_the_flag() {
-    let cases: [(&[&str], &str); 2] =
-        [(&["--batch-ms", "0"], "--batch-ms"), (&["--q", "0"], "--q")];
-    for (bad, flag) in cases {
+    let cases: [(&[&str], &str, &str); 3] = [
+        (&["--batch-ms", "0"], "--batch-ms", "must be positive"),
+        (&["--q", "0"], "--q", "must be positive"),
+        (&["--n", "300"], "--n", "n must be in 1..="),
+    ];
+    for (bad, flag, reason) in cases {
         let args = [&["--protocol", "optp", "--n", "3", "--ops", "2"], bad].concat();
         let out = serve(&args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bad:?}: stderr: {err}");
         assert!(err.starts_with("error: "), "{bad:?}: stderr: {err}");
         assert!(err.contains(flag), "{bad:?} must name {flag}: {err}");
-        assert!(err.contains("must be positive"), "{bad:?}: stderr: {err}");
+        assert!(err.contains(reason), "{bad:?}: stderr: {err}");
     }
+}
+
+/// Under `--runtime` no flag is silently ignored: one only the simulator
+/// honours — the runtime has no latency model — is refused by name.
+#[test]
+fn simulate_runtime_refuses_latency_as_simulator_only() {
+    let out = simulate(&["--runtime", "channel", "--latency", "5"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.starts_with("error: --latency"), "{err}");
+    assert!(err.contains("simulator-only"), "{err}");
+}
+
+/// `--runtime` honours `--dump-schedule`: it writes the schedule the
+/// runtime replays, the simulator's byte for byte.
+#[test]
+fn simulate_runtime_dumps_the_schedule_it_replays() {
+    let dir = tmp_dir("runtime-schedule");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dump = |runtime: &[&str], name: &str| {
+        let path = dir.join(name);
+        let path = path.to_str().unwrap();
+        let args = [
+            &["--n", "4", "--events", "10", "--dump-schedule", path],
+            runtime,
+        ]
+        .concat();
+        let out = simulate(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        std::fs::read(path).unwrap_or_else(|e| panic!("{args:?} wrote no schedule: {e}"))
+    };
+    let simulated = dump(&[], "sim.csv");
+    assert!(!simulated.is_empty());
+    assert_eq!(dump(&["--runtime", "channel"], "runtime.csv"), simulated);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--churn` validation: malformed specs and causally impossible plans

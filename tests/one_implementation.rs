@@ -22,8 +22,9 @@
 //! event's schema is declared once, and the simulator records its history
 //! through the one event→history mapping that also rebuilds it from a
 //! trace. Wire: each wire type's encoder and decoder are one `Codec` impl,
-//! declared once. A second copy growing back is how the copies drifted
-//! apart before.
+//! declared once. Command line: each binary declares each flag once, as a
+//! row of a table the one parser in `causal_experiments::cli` reads. A
+//! second copy growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -670,5 +671,26 @@ fn the_wire_format_is_declared_once() {
             1,
             "{d} declared twice"
         );
+    }
+}
+
+#[test]
+fn each_command_line_flag_is_declared_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    walk(&root.join("crates/experiments/src"), &mut sources);
+    let code: Vec<_> = sources
+        .iter()
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    let cli = "crates/experiments/src/cli.rs";
+    assert_eq!(files_with(&code, "std::env::args"), [cli], "one parser");
+    let bins: Vec<_> = code
+        .into_iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("/src/bin/"))
+        .collect();
+    assert_eq!(bins.len(), 3, "simulate, serve and repro");
+    for copy in ["fn die(", "fn usage(", "SIM_ONLY"] {
+        assert_eq!(files_with(&bins, copy), [""; 0], "`{copy}` in a binary");
     }
 }
