@@ -21,16 +21,14 @@
 //! (0 = one worker per core, the default; `--workers <n>` gives every site
 //! its own worker).
 
-use causal_checker::check;
-use causal_experiments::cli::{self, die, positive, Flag};
+use causal_experiments::cli::{self, positive, Flag};
 use causal_experiments::flags;
 use causal_experiments::harness::{parse_protocol, PROTOCOLS};
-use causal_memory::Placement;
+use causal_experiments::serve::{serve_row, SERVE_COLUMNS};
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{serve, BatchWindow, ServeConfig, ServeTransport};
-use causal_types::MsgKind;
-use std::time::{Duration, Instant};
+use causal_runtime::{BatchWindow, ServeConfig, ServeTransport};
+use std::time::Duration;
 
 /// What `serve` deploys: one template config, which most flags write and
 /// every protocol × transport pair clones, and what no config holds.
@@ -45,13 +43,13 @@ struct Args {
 const FLAGS: &[Flag<Args>] = flags! {
     "--protocol" "<name>|all" "full-track | opt-track | opt-track-crp | optp | hb-track, or all of them" => |a, v| a.protocols = match v { "all" => PROTOCOLS.to_vec(), _ => vec![parse_protocol(v).ok_or("unknown protocol")?] };
     "--transport" "channel|tcp|both" "in-process channels, loopback TCP, or one run over each" => |a, v| a.transports = match v { "channel" => vec![ServeTransport::Channel], "tcp" => vec![ServeTransport::Tcp], "both" => vec![ServeTransport::Channel, ServeTransport::Tcp], _ => return Err("want channel, tcp or both".into()) };
-    "--n" "<sites>" "system size" => |a, v| a.cfg.n = v.parse()?;
-    "--clients" "<per-site>" "closed-loop clients on each site" => |a, v| a.cfg.load.clients_per_site = v.parse()?;
-    "--ops" "<per-client>" "operations each client issues" => |a, v| a.ops = Some(v.parse()?);
-    "--duration" "<secs>" "issue until this deadline instead of an op budget" => |a, v| a.cfg.load.duration = Some(Duration::from_secs(v.parse()?));
+    "--n" "<sites>" "system size, at least 2" => |a, v| a.cfg.n = match cli::sites(v)? { 1 => return Err("must be at least 2".into()), n => n };
+    "--clients" "<per-site>" "closed-loop clients on each site" => |a, v| a.cfg.load.clients_per_site = positive(v)?;
+    "--ops" "<per-client>" "operations each client issues" => |a, v| a.ops = Some(positive(v)?);
+    "--duration" "<secs>" "issue until this deadline instead of an op budget" => |a, v| a.cfg.load.duration = Some(Duration::from_secs(positive(v)?));
     "--workers" "<threads>" "scheduler worker threads (0: one per core)" => |a, v| a.cfg.workers = v.parse()?;
     "--think-us" "<us>" "mean think time between a completion and the next issue" => |a, v| a.cfg.load.think = Duration::from_micros(v.parse()?);
-    "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.load.w_rate = v.parse()?;
+    "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.load.w_rate = match v.parse()? { w if (0.0..=1.0).contains(&w) => w, _ => return Err("must be in [0, 1]".into()) };
     "--q" "<variables>" "number of variables" => |a, v| a.cfg.load.q = positive(v)?;
     "--seed" "<u64>" "load seed" => |a, v| a.cfg.load.seed = v.parse()?;
     "--payload" "<bytes>" "modelled payload length of each written value" => |a, v| a.cfg.payload_len = v.parse()?;
@@ -68,15 +66,6 @@ fn parse() -> Args {
         check: false,
     };
     cli::parse("serve [flags]".into(), FLAGS, &mut a, |_| false);
-    if !(0.0..=1.0).contains(&a.cfg.load.w_rate) {
-        die("--w must be in [0, 1]");
-    }
-    if a.cfg.n < 2 {
-        die("--n must be at least 2");
-    }
-    if let Err(e) = Placement::full(a.cfg.n) {
-        die(&format!("--n: {e}"));
-    }
     let load = &mut a.cfg.load;
     load.ops_per_client = a.ops.unwrap_or(match load.duration {
         Some(_) => DURATION_MODE_OPS_CAP,
@@ -109,21 +98,7 @@ fn main() {
                 None => String::new(),
             }
         ),
-        &[
-            "protocol",
-            "transport",
-            "ops",
-            "ops/s",
-            "mean us",
-            "p50 us",
-            "p99 us",
-            "sm frames",
-            "sm KB",
-            "tcp frames",
-            "wr stalls",
-            "batched",
-            "conn errs",
-        ],
+        &SERVE_COLUMNS,
     );
     for &kind in &a.protocols {
         for &transport in &a.transports {
@@ -133,44 +108,11 @@ fn main() {
                 ..a.cfg.clone()
             };
             eprintln!("[serve] {kind} over {} …", transport.label());
-            let r = serve(&cfg).unwrap_or_else(|e| {
-                eprintln!("error: {kind}/{}: {e:?}", transport.label());
+            let (_, row) = serve_row(&cfg, a.check).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
                 std::process::exit(1);
             });
-            if r.final_pending != 0 {
-                eprintln!("error: {kind}: {} updates left parked", r.final_pending);
-                std::process::exit(1);
-            }
-            if a.check {
-                let t = Instant::now();
-                let v = check(&r.history);
-                if !v.protocol_clean() {
-                    eprintln!("error: {kind}: causal violations: {:?}", v.examples);
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[serve] checked {} ops, {} applies in {:.3} s",
-                    r.history.total_ops(),
-                    r.history.total_applies(),
-                    t.elapsed().as_secs_f64()
-                );
-            }
-            let m = &r.metrics;
-            t.push_row(vec![
-                kind.to_string(),
-                transport.label().to_string(),
-                r.ops.to_string(),
-                format!("{:.0}", r.ops_per_sec()),
-                format!("{:.0}", r.latency.mean_us),
-                format!("{:.0}", r.latency.p50_us),
-                format!("{:.0}", r.latency.p99_us),
-                m.all.count(MsgKind::Sm).to_string(),
-                format!("{:.1}", m.all.bytes(MsgKind::Sm) as f64 / 1024.0),
-                m.transport_frames.to_string(),
-                m.transport_write_stalls.to_string(),
-                m.batched_sms.to_string(),
-                m.transport_conn_errors.to_string(),
-            ]);
+            t.push_row(row);
         }
     }
     println!("{}", t.render());

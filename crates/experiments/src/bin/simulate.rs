@@ -5,7 +5,11 @@
 //! metrics (message counts and sizes per kind, apply latency, storage) plus
 //! an optional consistency verification.
 //!
-//! `simulate --help` lists every flag with its value syntax.
+//! `simulate --help` lists every flag with its value syntax. A value
+//! that is wrong on its own (`--latency 5:1`) exits 2 naming its flag; a
+//! combination the simulator cannot run (`--checkpoint-interval` without
+//! `--wal`) exits 2 with the rule of `SimConfig::check` it breaks, before
+//! anything runs.
 //!
 //! `--seeds 8` runs eight simulations (seeds `seed .. seed+7`) and prints
 //! one summary line per seed plus seed-averaged message statistics;
@@ -30,7 +34,9 @@
 //! that site's durable medium too (recovery falls back to the full peer
 //! rebuild). `--fetch-deadline 150` makes a blocked remote read fail over
 //! to the next replica after 150 ms instead of waiting indefinitely, and
-//! give up as a degraded read once the candidates are exhausted.
+//! give up as a degraded read once the candidates are exhausted. The
+//! deadline is armed by the reliable transport, so it needs faults,
+//! crashes, `--wal` or churn.
 //!
 //! `--churn "join:5@2s;migrate:12:4->5@4s;leave:1@6s"` runs the simulation
 //! under dynamic membership: each `;`-separated event proposes a view
@@ -50,7 +56,7 @@
 //! keeps the tracker but disables the collectors — the measurement-only
 //! baseline. `--overdue-after 5000` reports any update buffered longer
 //! than 5 s (`buffered_overdue`); `--soft-meta-cap 500000` defers writers
-//! while retained metadata exceeds 500 KB. The three tuning flags require
+//! while retained metadata exceeds 500 KB. Each tuning flag implies
 //! `--stability`.
 //!
 //! `--trace out.jsonl` records a structured event trace (one JSON object
@@ -104,16 +110,11 @@ struct Args {
     trace: Option<String>,
     verify_trace: bool,
     runtime: Option<&'static str>,
-    /// The stability tuning, applied once `--stability` is known.
-    heartbeat: Option<u64>,
-    no_gc: bool,
-    overdue_after: Option<u64>,
-    soft_meta_cap: Option<u64>,
 }
 
 const FLAGS: &[Flag<Args>] = flags! {
     "--protocol" "<name>" "full-track | opt-track | opt-track-crp | optp | hb-track" => |a, v| a.cfg.protocol = parse_protocol(v).ok_or("unknown protocol")?;
-    "--n" "<sites>" "system size" => |a, v| a.cfg.workload.n = v.parse()?;
+    "--n" "<sites>" "system size" => |a, v| a.cfg.workload.n = cli::sites(v)?;
     "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.workload.w_rate = v.parse()?;
     "--q" "<variables>" "number of variables" => |a, v| a.cfg.workload.q = v.parse()?;
     "--events" "<per-process>" "operations each site issues" => |a, v| a.cfg.workload.events_per_process = v.parse()?;
@@ -128,13 +129,13 @@ const FLAGS: &[Flag<Args>] = flags! {
     "--crash" "<site:start_ms:end_ms[:media]>" sim "fail-stop a site for the window; :media loses its WAL too (repeatable)" => |a, v| crash(a, v)?;
     "--wal" "" sim "give every site a write-ahead log" => |a, _| a.cfg.durability.wal = true;
     "--checkpoint-interval" "<ms>" sim "checkpoint each site's state this often (needs --wal)" => |a, v| a.cfg.durability.checkpoint_every = Some(SimDuration::from_millis(v.parse()?));
-    "--fetch-deadline" "<ms>" sim "fail a blocked remote read over to the next replica after this long" => |a, v| a.cfg.durability.fetch_deadline = Some(SimDuration::from_millis(v.parse()?));
+    "--fetch-deadline" "<ms>" sim "fail a blocked remote read over to the next replica after this long (needs --faults, --crash, --wal or --churn)" => |a, v| a.cfg.durability.fetch_deadline = Some(SimDuration::from_millis(v.parse()?));
     "--churn" "<spec>" sim "membership changes, e.g. join:5@2s;migrate:12:4->5@4s;leave:1@6s" => |a, v| a.cfg.churn = Some(ChurnPlan::parse(v)?);
-    "--stability" "" sim "track causal stability and collect garbage behind the stable frontier" => |a, _| a.cfg.stability = Some(StabilityPlan::default());
-    "--stability-heartbeat" "<ms>" sim "stability gossip period (needs --stability)" => |a, v| a.heartbeat = Some(v.parse()?);
-    "--no-gc" "" sim "track stability but collect nothing (needs --stability)" => |a, _| a.no_gc = true;
-    "--overdue-after" "<ms>" sim "count updates buffered longer than this (needs --stability)" => |a, v| a.overdue_after = Some(v.parse()?);
-    "--soft-meta-cap" "<bytes>" sim "defer writers while retained metadata exceeds this (needs --stability)" => |a, v| a.soft_meta_cap = Some(v.parse()?);
+    "--stability" "" sim "track causal stability and collect garbage behind the stable frontier" => |a, _| stability(a);
+    "--stability-heartbeat" "<ms>" sim "stability gossip period (implies --stability)" => |a, v| stability(a).heartbeat_every = SimDuration::from_millis(v.parse()?);
+    "--no-gc" "" sim "track stability but collect nothing (implies --stability)" => |a, _| stability(a).gc = false;
+    "--overdue-after" "<ms>" sim "count updates buffered longer than this (implies --stability)" => |a, v| stability(a).overdue_after = Some(SimDuration::from_millis(v.parse()?));
+    "--soft-meta-cap" "<bytes>" sim "defer writers while retained metadata exceeds this (implies --stability)" => |a, v| stability(a).soft_meta_cap = Some(v.parse()?);
     "--dump-schedule" "<path>" "write the operation schedule as CSV" => |a, v| a.dump_schedule = Some(v.into());
     "--schedule" "<path>" sim "replay a schedule CSV instead of generating one" => |a, v| a.schedule = Some(v.into());
     "--seeds" "<k>" "run k consecutive seeds and print per-seed lines and means" => |a, v| a.seeds = v.parse()?;
@@ -145,28 +146,50 @@ const FLAGS: &[Flag<Args>] = flags! {
 };
 
 fn latency(v: &str) -> Result<LatencyModel, Bad> {
-    Ok(match v.split_once(':') {
-        Some((lo, hi)) => LatencyModel::Uniform {
-            min_micros: lo.parse()?,
-            max_micros: hi.parse()?,
-        },
-        None => LatencyModel::Constant { micros: v.parse()? },
+    let Some((lo, hi)) = v.split_once(':') else {
+        return Ok(LatencyModel::Constant { micros: v.parse()? });
+    };
+    let (min_micros, max_micros) = (lo.parse()?, hi.parse()?);
+    if min_micros > max_micros {
+        return Err("the minimum exceeds the maximum".into());
+    }
+    Ok(LatencyModel::Uniform {
+        min_micros,
+        max_micros,
     })
 }
 
 /// Its sides are set once `--n` is known.
 fn partition(v: &str) -> Result<PartitionWindow, Bad> {
     let (s, e) = v.split_once(':').ok_or("want start_ms:end_ms")?;
+    let (start, end) = (
+        SimTime::from_millis(s.parse()?),
+        SimTime::from_millis(e.parse()?),
+    );
+    if start >= end {
+        return Err("the window is empty".into());
+    }
     Ok(PartitionWindow {
-        start: SimTime::from_millis(s.parse()?),
-        end: SimTime::from_millis(e.parse()?),
+        start,
+        end,
         side_a: DestSet::default(),
     })
 }
 
 fn faults(v: &str) -> Result<FaultPlan, Bad> {
     let (drop, dup) = v.split_once(',').unwrap_or((v, "0"));
-    Ok(FaultPlan::uniform(drop.parse()?, dup.parse()?))
+    let (drop, dup) = (drop.parse()?, dup.parse()?);
+    if !(0.0..1.0).contains(&drop) || !(0.0..=1.0).contains(&dup) {
+        return Err(
+            "want 0 <= drop < 1 (dropping every frame never delivers), 0 <= dup <= 1".into(),
+        );
+    }
+    Ok(FaultPlan::uniform(drop, dup))
+}
+
+/// The stability plan the tuning flags write, installed by the first.
+fn stability(a: &mut Args) -> &mut StabilityPlan {
+    a.cfg.stability.get_or_insert_with(StabilityPlan::default)
 }
 
 fn crash(a: &mut Args, v: &str) -> Result<(), Bad> {
@@ -176,7 +199,7 @@ fn crash(a: &mut Args, v: &str) -> Result<(), Bad> {
         [site, start, end, "media"] => (site, start, end, true),
         _ => return Err("want site:start_ms:end_ms[:media]".into()),
     };
-    let site = SiteId::from(site.parse::<usize>()?);
+    let site = SiteId(site.parse()?);
     a.cfg.crashes.push(CrashWindow {
         site,
         start: SimTime::from_millis(start.parse()?),
@@ -189,9 +212,9 @@ fn crash(a: &mut Args, v: &str) -> Result<(), Bad> {
 }
 
 /// The command line as a run: flags applied over the paper's cell, then
-/// checked, then what depends on several flags — the placement, the churn
-/// plan's range, the stability tuning, the schedule file and the
-/// partition's sides — derived, so flag order does not matter.
+/// what depends on several flags — the placement, the schedule file and
+/// the partition's sides — derived, so flag order does not matter, then
+/// the run checked by the simulator's own rules.
 fn parse() -> Args {
     let mut cfg = paper_cfg(ProtocolKind::OptTrack, 10, 0.5, 1);
     cfg.workload.events_per_process = 200;
@@ -205,51 +228,10 @@ fn parse() -> Args {
         trace: None,
         verify_trace: false,
         runtime: None,
-        heartbeat: None,
-        no_gc: false,
-        overdue_after: None,
-        soft_meta_cap: None,
     };
     let sim_only = cli::parse("simulate [flags]".into(), FLAGS, &mut a, |_| false);
-    validate(&a, sim_only);
-    let c = &mut a.cfg;
-    let w = c.workload;
-    c.placement = match a.p.filter(|_| c.protocol.supports_partial()) {
-        Some(p) => Arc::new(
-            Placement::new(PlacementKind::Even, w.n, p)
-                .unwrap_or_else(|e| die(&format!("--p: {e}"))),
-        ),
-        None => paper_cfg(c.protocol, w.n, w.w_rate, w.seed).placement,
-    };
-    if let Some(plan) = &c.churn {
-        plan.validate(w.n, w.q)
-            .unwrap_or_else(|e| die(&e.to_string()));
-    }
-    if let Some(plan) = &mut c.stability {
-        if let Some(ms) = a.heartbeat {
-            plan.heartbeat_every = SimDuration::from_millis(ms);
-        }
-        plan.gc = !a.no_gc;
-        plan.overdue_after = a.overdue_after.map(SimDuration::from_millis);
-        plan.soft_meta_cap = a.soft_meta_cap;
-    }
-    if let Some(path) = &a.schedule {
-        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let sched =
-            causal_workload::schedule_from_csv(&csv, w).unwrap_or_else(|e| die(&e.to_string()));
-        c.schedule_override = Some(sched);
-    }
-    for p in &mut c.partitions {
-        p.side_a = DestSet::from_sites((0..w.n / 2).map(SiteId::from));
-    }
-    a
-}
-
-/// Range and cross-flag checks, each with a message naming the flag.
-fn validate(a: &Args, sim_only: Option<&str>) {
-    let c = &a.cfg;
-    if a.runtime.is_some() {
-        if let Some(flag) = sim_only.or((a.seeds > 1).then_some("--seeds")) {
+    if let Some(flag) = sim_only.or((a.seeds > 1).then_some("--seeds")) {
+        if a.runtime.is_some() {
             die(&format!(
                 "{flag} is simulator-only (incompatible with --runtime)"
             ));
@@ -261,95 +243,37 @@ fn validate(a: &Args, sim_only: Option<&str>) {
     if a.jobs == 0 {
         die("--jobs must be at least 1");
     }
-    if a.seeds > 1 && (c.record_history || a.dump_schedule.is_some() || a.schedule.is_some()) {
+    if a.seeds > 1 && (a.cfg.record_history || a.dump_schedule.is_some() || a.schedule.is_some()) {
         die("--seeds > 1 is incompatible with --check / --dump-schedule / --schedule (those operate on one concrete run; drop --seeds or run them per seed)");
     }
     if a.seeds > 1 && (a.trace.is_some() || a.verify_trace) {
         die("--seeds > 1 is incompatible with --trace / --verify-trace (a trace records one concrete run; drop --seeds or trace each seed separately)");
     }
-    let n = c.workload.n;
-    if let Err(e) = Placement::full(n) {
-        die(&format!("--n: {e}"));
-    }
-    if let Err(e) = c.workload.validate() {
+    let c = &mut a.cfg;
+    let w = c.workload;
+    if let Err(e) = w.validate() {
         die(&format!("--n/--w/--q/--zipf: {e}"));
     }
-    if let LatencyModel::Uniform {
-        min_micros,
-        max_micros,
-    } = c.latency
-    {
-        if min_micros > max_micros {
-            die(&format!(
-                "--latency {min_micros}:{max_micros}: the minimum exceeds the maximum"
-            ));
-        }
+    c.placement = match a.p.filter(|_| c.protocol.supports_partial()) {
+        Some(p) => Arc::new(
+            Placement::new(PlacementKind::Even, w.n, p)
+                .unwrap_or_else(|e| die(&format!("--p: {e}"))),
+        ),
+        None => paper_cfg(c.protocol, w.n, w.w_rate, w.seed).placement,
+    };
+    if let Some(path) = &a.schedule {
+        let csv = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        let sched =
+            causal_workload::schedule_from_csv(&csv, w).unwrap_or_else(|e| die(&e.to_string()));
+        c.schedule_override = Some(sched);
     }
-    for p in &c.partitions {
-        let (s, e) = (p.start.as_millis(), p.end.as_millis());
-        if s >= e {
-            die(&format!("--partition window {s}:{e} is empty"));
-        }
+    for p in &mut c.partitions {
+        p.side_a = DestSet::from_sites((0..w.n / 2).map(SiteId::from));
     }
-    let FaultPlan { drop, dup, .. } = c.faults;
-    if !(0.0..1.0).contains(&drop) || !(0.0..=1.0).contains(&dup) {
-        die(&format!(
-            "--faults drop={drop} dup={dup}: want 0 <= drop < 1 (a channel that drops \
-             every frame never delivers) and 0 <= dup <= 1"
-        ));
+    if let Err(e) = c.check() {
+        die(&e.to_string());
     }
-    let d = &c.durability;
-    if d.checkpoint_every == Some(SimDuration::ZERO) {
-        die("--checkpoint-interval must be positive (0 would checkpoint never-endingly at t=0; omit the flag to disable checkpoints)");
-    }
-    if d.checkpoint_every.is_some() && !d.wal {
-        die("--checkpoint-interval requires --wal (checkpoints live in the write-ahead log's durable store)");
-    }
-    if !d.lose_media.is_empty() && !d.wal {
-        die("--crash ...:media requires --wal (without a durable medium there is nothing to lose)");
-    }
-    if a.heartbeat == Some(0) {
-        die("--stability-heartbeat must be positive");
-    }
-    if c.stability.is_none() {
-        if a.heartbeat.is_some() {
-            die("--stability-heartbeat requires --stability");
-        }
-        if a.no_gc {
-            die("--no-gc requires --stability (there is no collector to disable)");
-        }
-        if a.overdue_after.is_some() {
-            die("--overdue-after requires --stability (the watchdog runs on its tick)");
-        }
-        if a.soft_meta_cap.is_some() {
-            die("--soft-meta-cap requires --stability (backpressure reads its retained gauge)");
-        }
-    }
-    for w in &c.crashes {
-        let (site, s, e) = (w.site.index(), w.start.as_millis(), w.end.as_millis());
-        if site >= n {
-            die(&format!("--crash site {site} out of range (n={n})"));
-        }
-        if s >= e {
-            die(&format!("--crash window {s}:{e} is empty"));
-        }
-    }
-    let mut windows: Vec<&CrashWindow> = c.crashes.iter().collect();
-    windows.sort_by_key(|c| (c.site, c.start));
-    for w in windows.windows(2) {
-        if w[0].site == w[1].site && w[1].start < w[0].end {
-            let (a0, b0, a1) = (
-                w[0].start.as_millis(),
-                w[0].end.as_millis(),
-                w[1].start.as_millis(),
-            );
-            die(&format!(
-                "--crash windows on site {} overlap ({a0}:{b0} vs {a1}:..): \
-                 a site cannot crash while already down; merge the windows or move one",
-                w[0].site.index()
-            ));
-        }
-    }
+    a
 }
 
 /// The measured operation tallies and per-kind message traffic, as both

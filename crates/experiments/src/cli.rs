@@ -72,6 +72,13 @@ where
     Ok(n)
 }
 
+/// `v` as a system size: a number of sites a destination set holds.
+pub fn sites(v: &str) -> Result<usize, Bad> {
+    let n = v.parse()?;
+    causal_memory::Placement::full(n)?;
+    Ok(n)
+}
+
 /// Apply the process's arguments to `target` by the rows of `flags`; a
 /// word that is no flag goes to `operand`, which returns `false` to refuse
 /// it. `usage` is the synopsis `--help` and [`die`] print. Returns the

@@ -34,12 +34,11 @@
 //! which is fully replicated and never fetches, must match byte-for-byte;
 //! the sweep asserts that stricter bound where it holds.
 
-use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, serve, RuntimeConfig, ServeConfig, ServeTransport};
+use causal_runtime::{run_tcp, serve, RuntimeConfig, ServeConfig, ServeReport, ServeTransport};
 use causal_types::MsgKind;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::harness::{paper_cfg, PROTOCOLS};
 use crate::Scale;
@@ -59,6 +58,65 @@ fn rel_delta(a: u64, b: u64) -> f64 {
     (a as f64 - b as f64).abs() / (a.max(1) as f64)
 }
 
+/// The columns of a [`serve_row`].
+pub const SERVE_COLUMNS: [&str; 13] = [
+    "protocol",
+    "transport",
+    "ops",
+    "ops/s",
+    "mean us",
+    "p50 us",
+    "p99 us",
+    "sm frames",
+    "sm KB",
+    "tcp frames",
+    "wr stalls",
+    "batched",
+    "conn errs",
+];
+
+/// Deploy one protocol × fabric cell and make its row of
+/// [`SERVE_COLUMNS`]. Errs when the deployment fails, when updates are
+/// left parked, and — with `check` — when the recorded history breaks
+/// causal consistency.
+pub fn serve_row(cfg: &ServeConfig, check: bool) -> Result<(ServeReport, Vec<String>), String> {
+    let tag = format!("{}/{}", cfg.protocol, cfg.transport.label());
+    let r = serve(cfg).map_err(|e| format!("{tag}: {e:?}"))?;
+    if r.final_pending != 0 {
+        return Err(format!("{tag}: {} updates left parked", r.final_pending));
+    }
+    if check {
+        let t = Instant::now();
+        let v = causal_checker::check(&r.history);
+        if !v.protocol_clean() {
+            return Err(format!("{tag}: causal violations: {:?}", v.examples));
+        }
+        eprintln!(
+            "[serve] checked {} ops, {} applies in {:.3} s",
+            r.history.total_ops(),
+            r.history.total_applies(),
+            t.elapsed().as_secs_f64()
+        );
+    }
+    let (m, l) = (&r.metrics, &r.latency);
+    let row = vec![
+        cfg.protocol.to_string(),
+        cfg.transport.label().to_string(),
+        r.ops.to_string(),
+        format!("{:.0}", r.ops_per_sec()),
+        format!("{:.0}", l.mean_us),
+        format!("{:.0}", l.p50_us),
+        format!("{:.0}", l.p99_us),
+        m.all.count(MsgKind::Sm).to_string(),
+        format!("{:.1}", m.all.bytes(MsgKind::Sm) as f64 / 1024.0),
+        m.transport_frames.to_string(),
+        m.transport_write_stalls.to_string(),
+        m.batched_sms.to_string(),
+        m.transport_conn_errors.to_string(),
+    ];
+    Ok((r, row))
+}
+
 /// The serving benchmark: ops/s and latency tails for every protocol on
 /// both fabrics. Panics when a run fails its correctness net (incomplete
 /// client budget, parked updates, checker violation, connection errors on
@@ -73,16 +131,7 @@ pub fn serve_bench(scale: Scale) -> Table {
             "Real-cluster serve: n = {N}, {clients} clients/site x {ops} ops, \
              think {think_us} us, w = 0.3, closed loop"
         ),
-        &[
-            "protocol",
-            "transport",
-            "ops",
-            "ops/s",
-            "mean us",
-            "p50 us",
-            "p99 us",
-            "sm frames",
-        ],
+        &SERVE_COLUMNS,
     );
     for kind in PROTOCOLS {
         for transport in [ServeTransport::Channel, ServeTransport::Tcp] {
@@ -90,31 +139,13 @@ pub fn serve_bench(scale: Scale) -> Table {
             cfg.load.clients_per_site = clients;
             cfg.load.ops_per_client = ops;
             cfg.load.think = Duration::from_micros(think_us);
+            let (r, row) = serve_row(&cfg, true).unwrap_or_else(|e| panic!("{e}"));
             let tag = format!("{kind}/{}", transport.label());
-            let r = serve(&cfg).unwrap_or_else(|e| panic!("{tag}: serve failed: {e:?}"));
-            assert_eq!(
-                r.ops,
-                cfg.load.total_ops(N) as u64,
-                "{tag}: every client op must complete"
-            );
-            assert_eq!(r.final_pending, 0, "{tag}: run must drain");
-            assert_eq!(
-                r.metrics.transport_conn_errors, 0,
-                "{tag}: healthy mesh, no connection errors"
-            );
-            let v = check(&r.history);
-            assert!(v.protocol_clean(), "{tag}: causal violations: {v:?}");
-            let l = &r.latency;
-            t.push_row(vec![
-                kind.to_string(),
-                transport.label().to_string(),
-                r.ops.to_string(),
-                format!("{:.0}", r.ops_per_sec()),
-                format!("{:.0}", l.mean_us),
-                format!("{:.0}", l.p50_us),
-                format!("{:.0}", l.p99_us),
-                r.metrics.all.count(MsgKind::Sm).to_string(),
-            ]);
+            let total = cfg.load.total_ops(N) as u64;
+            assert_eq!(r.ops, total, "{tag}: every client op must complete");
+            let conn_errors = r.metrics.transport_conn_errors;
+            assert_eq!(conn_errors, 0, "{tag}: healthy mesh, no connection errors");
+            t.push_row(row);
         }
     }
     t

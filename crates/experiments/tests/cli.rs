@@ -300,7 +300,7 @@ fn simulate_rejects_bad_parallel_flags() {
 /// no run over a channel that drops every frame and so never quiesces.
 #[test]
 fn simulate_rejects_out_of_range_values_naming_the_flag() {
-    let cases: [(&[&str], &str, &str); 9] = [
+    let cases: [(&[&str], &str, &str); 10] = [
         (&["--faults", "1.0"], "--faults", "drop < 1"),
         (&["--faults", "0.1,1.5"], "--faults", "dup <= 1"),
         (&["--w", "1.5"], "--w", "w_rate must be in [0, 1], got 1.5"),
@@ -310,6 +310,7 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
         (&["--latency", "5:1"], "--latency", "minimum exceeds"),
         (&["--partition", "600:200"], "--partition", "is empty"),
         (&["--p", "0"], "--p", "replication factor"),
+        (&["--crash", "70000:1:2"], "--crash", "too large"),
     ];
     for (bad, flag, reason) in cases {
         let args = [&["--n", "4", "--events", "20"], bad].concat();
@@ -324,13 +325,17 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
 
 /// `serve` checks the values its cluster would otherwise panic on or
 /// refuse — a zero flush window, no variables to access, more sites than a
-/// destination set holds — before deploying anything.
+/// destination set holds — and the ones that would serve nothing, before
+/// deploying anything.
 #[test]
 fn serve_rejects_out_of_range_values_naming_the_flag() {
-    let cases: [(&[&str], &str, &str); 3] = [
+    let cases: [(&[&str], &str, &str); 6] = [
         (&["--batch-ms", "0"], "--batch-ms", "must be positive"),
         (&["--q", "0"], "--q", "must be positive"),
         (&["--n", "300"], "--n", "n must be in 1..="),
+        (&["--clients", "0"], "--clients", "must be positive"),
+        (&["--ops", "0"], "--ops", "must be positive"),
+        (&["--duration", "0"], "--duration", "must be positive"),
     ];
     for (bad, flag, reason) in cases {
         let args = [&["--protocol", "optp", "--n", "3", "--ops", "2"], bad].concat();
@@ -341,6 +346,54 @@ fn serve_rejects_out_of_range_values_naming_the_flag() {
         assert!(err.contains(flag), "{bad:?} must name {flag}: {err}");
         assert!(err.contains(reason), "{bad:?}: stderr: {err}");
     }
+}
+
+/// A combination of flags the simulator cannot run exits 2 with the rule
+/// it breaks, before anything runs: a deadline no transport would arm, a
+/// zero period, a checkpoint with nowhere to live, a site crashing while
+/// already down.
+#[test]
+fn simulate_refuses_a_config_the_simulator_cannot_run() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--fetch-deadline", "10"], "needs the reliable transport"),
+        (
+            &["--fetch-deadline", "0", "--faults", "0.01"],
+            "must be positive",
+        ),
+        (&["--stability-heartbeat", "0"], "must be positive"),
+        (&["--checkpoint-interval", "100"], "needs the WAL"),
+        (&["--crash", "1:100:500", "--crash", "1:300:900"], "overlap"),
+    ];
+    for (bad, reason) in cases {
+        let args = [&["--n", "4", "--events", "20"], bad].concat();
+        let out = simulate_within(&args, Duration::from_secs(10));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: stderr: {err}");
+        assert!(err.starts_with("error: "), "{bad:?}: stderr: {err}");
+        assert!(err.contains(reason), "{bad:?}: stderr: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bad:?}: nothing runs before the error"
+        );
+    }
+}
+
+/// A stability tuning flag implies `--stability`: the run tracks
+/// stability and prints its section.
+#[test]
+fn simulate_tuning_flag_implies_stability() {
+    let out = simulate(&["--n", "4", "--events", "20", "--no-gc"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("\nstability       lag"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("gc 0 log entries + 0 slots"),
+        "stdout: {stdout}"
+    );
 }
 
 /// Under `--runtime` no flag is silently ignored: one only the simulator

@@ -32,7 +32,8 @@ use rand::SeedableRng;
 use recovery::{Chaos, SiteStatus};
 use std::sync::Arc;
 
-/// Run one simulation to quiescence.
+/// Run one simulation to quiescence. Panics on a config
+/// [`SimConfig::check`] refuses.
 pub fn run(cfg: &SimConfig) -> SimResult {
     run_traced(cfg, &mut NoopTracer)
 }
@@ -102,16 +103,13 @@ struct Sim<'a> {
 impl<'a> Sim<'a> {
     fn new(cfg: &'a SimConfig, tracer: &'a mut dyn Tracer) -> Self {
         let n = cfg.workload.n;
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let schedule = cfg
             .schedule_override
             .clone()
             .unwrap_or_else(|| generate(&cfg.workload));
-        assert_eq!(
-            schedule.per_site.len(),
-            n,
-            "override schedule shape mismatch"
-        );
 
         // A churn plan swaps the static placement for a shared dynamic
         // view: every site holds the same `Arc`, so an installed view
@@ -119,8 +117,6 @@ impl<'a> Sim<'a> {
         let plan = cfg.churn.as_ref().filter(|p| !p.is_empty());
         let members = plan.map_or_else(|| vec![true; n], |p| p.initial_members(n));
         let churn = plan.map(|plan| {
-            plan.validate(n, cfg.workload.q)
-                .expect("invalid churn plan (validate before running)");
             let dynp = Arc::new(DynamicPlacement::new((*cfg.placement).clone(), &members));
             // Variables homed solely on not-yet-joined sites start
             // orphaned; re-home them onto view-1 members so every read and

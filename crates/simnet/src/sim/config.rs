@@ -7,7 +7,7 @@ use causal_clocks::{BatchPolicy, PruneConfig};
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
 use causal_proto::{ProtocolKind, Replication};
-use causal_types::{SimDuration, SimTime, SiteId, SizeModel};
+use causal_types::{Error, Result, SimDuration, SimTime, SiteId, SizeModel};
 use causal_workload::{ChurnPlan, WorkloadParams};
 use std::sync::Arc;
 
@@ -42,8 +42,8 @@ impl PauseWindow {
 /// Unlike [`PauseWindow`], messages arriving while the site is down are
 /// *lost* (the reliable transport's senders retransmit them), so crash
 /// windows require chaos mode and are orchestrated together with the
-/// [`FaultPlan`]. Windows of one *site* must not overlap (asserted at
-/// runtime). Windows of different sites may overlap — a correlated
+/// [`FaultPlan`]. Windows of one *site* must not overlap
+/// ([`SimConfig::check`] refuses them). Windows of different sites may overlap — a correlated
 /// failure — which a [`DurabilityPlan`] WAL recovery survives with full
 /// state, and which otherwise completes in degraded mode once the sync
 /// deadline expires.
@@ -76,7 +76,10 @@ pub struct DurabilityPlan {
     pub checkpoint_every: Option<SimDuration>,
     /// Deadline after which a blocked remote read fails over to the next
     /// candidate replica, and after `2·p` expired attempts is abandoned as
-    /// a degraded read. `None` blocks indefinitely.
+    /// a degraded read. `None` blocks indefinitely. Must be positive, and
+    /// needs the reliable transport ([`SimConfig::chaos`]): the deadline is
+    /// armed only there, so without faults, crashes, a WAL or churn a read
+    /// would wait on its replica whatever the deadline says.
     pub fetch_deadline: Option<SimDuration>,
     /// Sites whose crash also destroys the durable medium
     /// ([`causal_proto::DurableStore::wipe`]): their recovery falls back to
@@ -112,10 +115,10 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// A plan bounded by the flush window and [`BatchPolicy::WINDOWED`],
-    /// the configuration the `repro batching` sweep explores.
+    /// A plan bounded by the flush window (which must be positive) and
+    /// [`BatchPolicy::WINDOWED`], the configuration the `repro batching`
+    /// sweep explores.
     pub fn windowed(window: SimDuration) -> Self {
-        assert!(window > SimDuration::ZERO, "flush window must be positive");
         BatchPlan {
             lanes: BatchPolicy::WINDOWED,
             window,
@@ -177,12 +180,9 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The paper's partial-replication setting (`p = 0.3·n`, even
-    /// placement) for the given protocol.
+    /// placement) for the given protocol, which must support partial
+    /// replication.
     pub fn paper_partial(protocol: ProtocolKind, n: usize, w_rate: f64, seed: u64) -> Self {
-        assert!(
-            protocol.supports_partial(),
-            "{protocol} is full-replication only"
-        );
         SimConfig {
             protocol,
             placement: Arc::new(Placement::paper_partial(n).expect("valid n")),
@@ -275,53 +275,88 @@ impl SimConfig {
         self
     }
 
-    /// Panic on a configuration no run can honor.
-    pub(super) fn validate(&self) {
+    /// Every rule a run relies on, stated once: `Err` names the first one
+    /// this config breaks. [`crate::run`] panics on it; a front door
+    /// reports it before running anything.
+    pub fn check(&self) -> Result<()> {
         let n = self.workload.n;
-        assert_eq!(
-            self.placement.n(),
-            n,
-            "placement and workload disagree on n"
-        );
+        let bad = |what: String| Err(Error::InvalidConfig(what));
+        self.workload.validate()?;
+        if self.placement.n() != n {
+            return bad(format!(
+                "the placement has {} sites, the workload {n}",
+                self.placement.n()
+            ));
+        }
+        if !self.protocol.supports_partial() && self.placement.p() < n {
+            return bad(format!("{} is full-replication only", self.protocol));
+        }
+        let shape = self
+            .schedule_override
+            .as_ref()
+            .map_or(n, |s| s.per_site.len());
+        if shape != n {
+            return bad(format!(
+                "the override schedule has {shape} sites, the workload {n}"
+            ));
+        }
+        let d = &self.durability;
+        let sites = self.crashes.iter().map(|c| c.site);
+        if let Some(s) = sites
+            .chain(d.lose_media.iter().chain(&d.torn_tail).copied())
+            .find(|s| s.index() >= n)
+        {
+            return bad(format!("crashing site {s} is out of range (n={n})"));
+        }
+        let ms = |c: &CrashWindow| (c.start.as_millis(), c.end.as_millis());
+        if let Some(c) = self.crashes.iter().find(|c| c.start >= c.end) {
+            let (s, e) = ms(c);
+            return bad(format!("the crash window {s}:{e} of {} is empty", c.site));
+        }
         // Windows of one site must not overlap; windows of different sites
         // may (a correlated failure), which WAL recovery survives and which
         // otherwise completes degraded.
         let mut sorted: Vec<&CrashWindow> = self.crashes.iter().collect();
         sorted.sort_by_key(|c| (c.site, c.start));
-        for w in sorted.windows(2) {
-            assert!(
-                w[0].site != w[1].site || w[0].end <= w[1].start,
-                "crash windows on s{} overlap: {:?} vs {:?}",
-                w[0].site,
-                w[0],
-                w[1]
-            );
+        if let Some(w) = sorted
+            .windows(2)
+            .find(|w| w[0].site == w[1].site && w[1].start < w[0].end)
+        {
+            let ((s0, e0), (s1, e1)) = (ms(w[0]), ms(w[1]));
+            return bad(format!(
+                "the crash windows {s0}:{e0} and {s1}:{e1} of {} overlap: \
+                 a site cannot crash while already down",
+                w[0].site
+            ));
         }
-        for c in &self.crashes {
-            assert!(c.start < c.end, "empty crash window: {c:?}");
-            assert!(c.site.index() < n, "crash site out of range: {c:?}");
+        let periods = [
+            (d.checkpoint_every, "checkpoint interval"),
+            (d.fetch_deadline, "fetch deadline"),
+            (
+                self.stability.as_ref().map(|s| s.heartbeat_every),
+                "stability heartbeat",
+            ),
+            (self.batching.map(|b| b.window), "batching window"),
+        ];
+        if let Some((_, what)) = periods.iter().find(|(t, _)| *t == Some(SimDuration::ZERO)) {
+            return bad(format!("the {what} must be positive"));
         }
-        let d = &self.durability;
-        if let Some(every) = d.checkpoint_every {
-            assert!(d.wal, "checkpoint interval requires the WAL");
-            assert!(
-                every > SimDuration::ZERO,
-                "checkpoint interval must be positive"
-            );
+        let needs_wal = [
+            (d.checkpoint_every.is_some(), "a checkpoint interval"),
+            (!d.lose_media.is_empty(), "media loss"),
+            (!d.torn_tail.is_empty(), "a torn tail"),
+        ];
+        if let Some((_, what)) = needs_wal.iter().find(|(on, _)| *on && !d.wal) {
+            return bad(format!("{what} needs the WAL"));
         }
-        assert!(
-            d.lose_media.is_empty() || d.wal,
-            "media loss requires the WAL"
-        );
-        for s in &d.lose_media {
-            assert!(s.index() < n, "lose-media site out of range: s{s}");
+        if d.fetch_deadline.is_some() && !self.chaos() {
+            return bad("a fetch deadline needs the reliable transport \
+                        (faults, crashes, a WAL or churn)"
+                .into());
         }
-        assert!(
-            d.torn_tail.is_empty() || d.wal,
-            "torn-tail injection requires the WAL"
-        );
-        for s in &d.torn_tail {
-            assert!(s.index() < n, "torn-tail site out of range: s{s}");
+        match &self.churn {
+            Some(plan) => plan.validate(n, self.workload.q),
+            None => Ok(()),
         }
     }
 
@@ -351,4 +386,117 @@ pub struct SimResult {
     /// model). The paper notes Full-Track "incurs the same storage cost"
     /// as its piggybacks; this measures it.
     pub final_local_meta: Vec<u64>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn crash(site: u16, start: u64, end: u64) -> CrashWindow {
+        CrashWindow {
+            site: SiteId(site),
+            start: SimTime::from_millis(start),
+            end: SimTime::from_millis(end),
+        }
+    }
+
+    #[test]
+    fn each_rule_refuses_in_its_own_words() {
+        /// The words a refusal must contain, and how to break the rule.
+        type Case = (&'static str, fn(&mut SimConfig));
+        let cases: [Case; 16] = [
+            ("the placement has 10 sites, the workload 6", |c| {
+                c.workload.n = 6
+            }),
+            ("q must be positive", |c| c.workload.q = 0),
+            ("optP is full-replication only", |c| {
+                c.protocol = ProtocolKind::OptP
+            }),
+            ("the override schedule has 3 sites, the workload 10", |c| {
+                let mut w = c.workload;
+                w.n = 3;
+                c.schedule_override = Some(causal_workload::generate(&w));
+            }),
+            ("crashing site s12 is out of range (n=10)", |c| {
+                c.crashes = vec![crash(12, 100, 200)]
+            }),
+            ("crashing site s10 is out of range", |c| {
+                c.durability.lose_media = vec![SiteId(10)]
+            }),
+            ("the crash window 900:900 of s2 is empty", |c| {
+                c.crashes = vec![crash(2, 900, 900)]
+            }),
+            ("windows 500:1500 and 1000:2000 of s1 overlap", |c| {
+                c.crashes = vec![
+                    crash(1, 1_000, 2_000),
+                    crash(0, 0, 9_000),
+                    crash(1, 500, 1_500),
+                ]
+            }),
+            ("the checkpoint interval must be positive", |c| {
+                c.durability.wal = true;
+                c.durability.checkpoint_every = Some(SimDuration::ZERO);
+            }),
+            ("the fetch deadline must be positive", |c| {
+                c.faults = FaultPlan::uniform(0.01, 0.0);
+                c.durability.fetch_deadline = Some(SimDuration::ZERO);
+            }),
+            ("the stability heartbeat must be positive", |c| {
+                c.stability = Some(StabilityPlan {
+                    heartbeat_every: SimDuration::ZERO,
+                    ..StabilityPlan::default()
+                })
+            }),
+            ("the batching window must be positive", |c| {
+                c.batching = Some(BatchPlan::windowed(SimDuration::ZERO))
+            }),
+            ("a checkpoint interval needs the WAL", |c| {
+                c.durability.checkpoint_every = Some(SimDuration::from_millis(100))
+            }),
+            ("media loss needs the WAL", |c| {
+                c.durability.lose_media = vec![SiteId(1)]
+            }),
+            ("a torn tail needs the WAL", |c| {
+                c.durability.torn_tail = vec![SiteId(1)]
+            }),
+            ("a fetch deadline needs the reliable transport", |c| {
+                c.durability.fetch_deadline = Some(SimDuration::from_millis(10))
+            }),
+        ];
+        let base = SimConfig::paper_partial(ProtocolKind::OptTrack, 10, 0.5, 1).small();
+        base.check().expect("the base config runs");
+        for (words, breaks) in cases {
+            let mut cfg = base.clone();
+            breaks(&mut cfg);
+            let err = cfg.check().expect_err(words).to_string();
+            assert!(err.contains(words), "want {words:?}, got {err:?}");
+        }
+        let mut churned = base.clone();
+        churned.churn = Some(ChurnPlan::parse("join:12@5s").unwrap());
+        let err = churned.check().expect_err("churn").to_string();
+        assert!(err.contains("churn plan"), "{err}");
+    }
+
+    #[test]
+    fn the_paper_configs_and_a_deadline_under_chaos_pass() {
+        for n in [5, 10, 20, 40] {
+            for kind in [ProtocolKind::HbTrack].into_iter().chain(ProtocolKind::ALL) {
+                SimConfig::paper_full(kind, n, 0.5, 1).check().unwrap();
+                if kind.supports_partial() {
+                    SimConfig::paper_partial(kind, n, 0.5, 1).check().unwrap();
+                }
+            }
+        }
+        let mut cfg = SimConfig::paper_partial(ProtocolKind::OptTrack, 10, 0.5, 1);
+        cfg.durability.fetch_deadline = Some(SimDuration::from_millis(150));
+        for chaos in [
+            |c: &mut SimConfig| c.faults = FaultPlan::uniform(0.01, 0.0),
+            |c: &mut SimConfig| c.crashes = vec![crash(1, 500, 900), crash(2, 600, 800)],
+            |c: &mut SimConfig| c.durability.wal = true,
+        ] {
+            let mut c = cfg.clone();
+            chaos(&mut c);
+            c.check().unwrap();
+        }
+    }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: every file under a crate's src/, minus
-# top-level `#[cfg(test)]` items (the test modules), blank lines and
-# comment-only lines. One way to state the number a simplicity PR moves:
+# top-level `#[cfg(test)]` items (the test modules), files whose parent
+# declares them `#[cfg(test)] mod name;`, blank lines and comment-only
+# lines. One way to state the number a simplicity PR moves:
 #
 #   scripts/loc.sh                 # table for the working tree
 #   scripts/loc.sh path/to/file.rs # the same count for the named files
@@ -20,6 +21,26 @@ count() {
     ' "$@"
 }
 
+# The files of the modules declared under `#[cfg(test)]` by one of "$@":
+# `name.rs` or `name/mod.rs` beside `lib.rs`, `main.rs` or `mod.rs`, or
+# under `parent/` for `parent.rs`.
+test_modules() {
+    awk '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && match($0, /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/) {
+            name = $0
+            sub(/^(pub(\([a-z]+\))? )?mod /, "", name)
+            sub(/;.*/, "", name)
+            dir = FILENAME
+            if (dir ~ /\/(lib|main|mod)\.rs$/) sub(/\/[^\/]*$/, "", dir)
+            else sub(/\.rs$/, "", dir)
+            print dir "/" name ".rs"
+            print dir "/" name "/mod.rs"
+        }
+        { pending = 0 }
+    ' "$@"
+}
+
 if [ "$#" -gt 0 ]; then
     count "$@"
     exit
@@ -29,7 +50,9 @@ total=0
 printf '%-22s %8s\n' crate lines
 for dir in . crates/*; do
     [ -d "$dir/src" ] || continue
-    mapfile -d '' files < <(find "$dir/src" -name '*.rs' -print0 | sort -z)
+    mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
+    mapfile -t tests < <(test_modules "${files[@]}")
+    mapfile -t files < <(printf '%s\n' "${files[@]}" | grep -vxF -f <(printf '%s\n' "${tests[@]}" ""))
     lines=$(count "${files[@]}")
     name=$(basename "$dir")
     [ "$dir" = . ] && name="(root)"

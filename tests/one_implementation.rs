@@ -23,8 +23,11 @@
 //! through the one event→history mapping that also rebuilds it from a
 //! trace. Wire: each wire type's encoder and decoder are one `Codec` impl,
 //! declared once. Command line: each binary declares each flag once, as a
-//! row of a table the one parser in `causal_experiments::cli` reads. A
-//! second copy growing back is how the copies drifted apart before.
+//! row of a table the one parser in `causal_experiments::cli` reads. Run
+//! rules: every rule a simulation relies on is stated in
+//! `SimConfig::check`, and `serve` and `repro serve` make a serving row in
+//! one function. A second copy growing back is how the copies drifted
+//! apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -692,5 +695,25 @@ fn each_command_line_flag_is_declared_once() {
     assert_eq!(bins.len(), 3, "simulate, serve and repro");
     for copy in ["fn die(", "fn usage(", "SIM_ONLY"] {
         assert_eq!(files_with(&bins, copy), [""; 0], "`{copy}` in a binary");
+    }
+}
+
+#[test]
+fn each_rule_about_a_run_is_stated_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |rel: &str| outside_test_modules(&fs::read_to_string(root.join(rel)).expect(rel));
+    let config = code("crates/simnet/src/sim/config.rs");
+    assert!(
+        !config.contains("assert!"),
+        "a rule asserted beside `check`"
+    );
+    let simulate = code("crates/experiments/src/bin/simulate.rs");
+    assert!(
+        !simulate.contains("fn validate("),
+        "`simulate` restates the rules"
+    );
+    let serve = code("crates/experiments/src/bin/serve.rs");
+    for copy in ["causal_checker", "final_pending", "push_row(vec!"] {
+        assert!(!serve.contains(copy), "`serve` makes its own row: {copy}");
     }
 }
