@@ -53,12 +53,11 @@
 //!    those at or below a per-origin last-applied cap;
 //! 3. applies the marker rule (an empty entry survives only as its run's
 //!    tail);
-//! 4. adds one popcount to the destination-member total;
-//! 5. pushes;
+//! 4. pushes;
 //!
-//! and reverses the output once at the end. Nothing is purged afterwards
-//! and nothing is recounted: a feeder reads its (possibly shared) inputs
-//! and the builder writes the one new vector. The operations used to be
+//! and reverses the output once at the end. Nothing is purged afterwards:
+//! a feeder reads its (possibly shared) inputs and the builder writes the
+//! one new vector. The operations used to be
 //! compositions of whole-log passes (`merge; prune_applied; purge`,
 //! `upsert; remove_site; normalize`); the fusion is exact, not
 //! approximately right, because of two facts.
@@ -84,11 +83,13 @@
 //! `Arc` (a write's fan-out piggybacks one snapshot by refcount), so no hot
 //! path clones a log; the feeders read shared snapshots in place.
 //!
-//! The log also keeps its total destination-set member count as an
-//! aggregate counter, so [`MetaSized::meta_size`] is O(1) instead of a full
-//! walk per piggyback/snapshot. The reference implementation
-//! ([`crate::reference::NaiveLog`]) composes the whole-log passes literally
-//! and recomputes the count from scratch; the differential proptests
+//! The log keeps no destination-member total: only a size model that
+//! charges per site id reads one, so [`MetaSized::meta_size`] counts
+//! members on demand ([`SizeModel::dest_sets_with`]) and is O(1) under the
+//! `java_like` model, while a counter kept up to date would cost a
+//! popcount per surviving entry in every builder pass and every decode.
+//! The reference implementation ([`crate::reference::NaiveLog`]) composes
+//! the whole-log passes literally; the differential proptests
 //! (`tests/log_differential.rs`) hold the two implementations to identical
 //! observable state after every operation.
 
@@ -183,8 +184,6 @@ impl Default for PruneConfig {
 pub struct Log {
     /// Entries sorted by `(origin, clock)`.
     entries: Vec<LogEntry>,
-    /// Total destination-set members across entries (incremental).
-    dest_ids: usize,
 }
 
 impl Log {
@@ -198,7 +197,6 @@ impl Log {
     /// pass. `None` when the order is violated (out of order or a
     /// duplicate write), so a decoder stays total on hostile input.
     pub fn from_sorted(entries: Vec<LogEntry>) -> Option<Log> {
-        let mut dest_ids = 0;
         let mut prev = None;
         for e in &entries {
             // `None` sorts below every key, so the first entry passes.
@@ -206,9 +204,8 @@ impl Log {
                 return None;
             }
             prev = Some(e.key());
-            dest_ids += e.dests.len();
         }
-        Some(Log { entries, dest_ids })
+        Some(Log { entries })
     }
 
     /// Number of entries (including empty-destination markers).
@@ -258,15 +255,10 @@ impl Log {
             Ok(i) => {
                 // Same write already present: combine knowledge (both
                 // sides' prunings are sound, so intersect).
-                let before = self.entries[i].dests.len();
                 let d = self.entries[i].dests.intersect(&entry.dests);
                 self.entries[i].dests = d;
-                self.dest_ids -= before - d.len();
             }
-            Err(i) => {
-                self.entries.insert(i, entry);
-                self.dest_ids += entry.dests.len();
-            }
+            Err(i) => self.entries.insert(i, entry),
         }
     }
 
@@ -352,13 +344,9 @@ impl Log {
     /// because the activation predicate guaranteed those writes were applied
     /// at `site` first).
     pub fn remove_site(&mut self, site: SiteId) {
-        let mut removed = 0;
         for e in &mut self.entries {
-            if e.dests.remove(site) {
-                removed += 1;
-            }
+            e.dests.remove(site);
         }
-        self.dest_ids -= removed;
     }
 
     /// Implicit condition 1 driven by apply knowledge: remove `site` from
@@ -371,7 +359,6 @@ impl Log {
     /// prefix does destination-set work; the rest of the run is skipped with
     /// a plain origin comparison.
     pub fn prune_applied(&mut self, site: SiteId, last_applied_clock: &[u64]) {
-        let mut removed = 0;
         let mut i = 0;
         while i < self.entries.len() {
             let origin = self.entries[i].origin;
@@ -381,9 +368,7 @@ impl Log {
                 && self.entries[i].origin == origin
                 && self.entries[i].clock <= cap
             {
-                if self.entries[i].dests.remove(site) {
-                    removed += 1;
-                }
+                self.entries[i].dests.remove(site);
                 i += 1;
             }
             // Skip the unapplied remainder of the run.
@@ -391,7 +376,6 @@ impl Log {
                 i += 1;
             }
         }
-        self.dest_ids -= removed;
     }
 
     /// A site left the system for good: drop every entry it originated
@@ -404,16 +388,7 @@ impl Log {
     /// reintroduce entries; that is sound — merely wasteful until the
     /// peer forgets too — because forgotten entries carry no obligations.
     pub fn forget_site(&mut self, departed: SiteId, cfg: PruneConfig) {
-        let mut removed = 0;
-        self.entries.retain(|e| {
-            if e.origin == departed {
-                removed += e.dests.len();
-                false
-            } else {
-                true
-            }
-        });
-        self.dest_ids -= removed;
+        self.entries.retain(|e| e.origin != departed);
         self.remove_site(departed);
         self.normalize(cfg);
     }
@@ -527,8 +502,7 @@ impl Log {
 
     /// Drop entries with empty destination sets. With `cfg.keep_markers`,
     /// the newest entry of each origin (its run's tail) survives even when
-    /// empty. Purged entries have empty destination sets, so the
-    /// destination-member counter is unchanged.
+    /// empty.
     pub fn purge(&mut self, cfg: PruneConfig) {
         let len = self.entries.len();
         let mut w = 0;
@@ -556,26 +530,25 @@ impl Log {
     /// (forgotten entries carry no obligations) and bounded by that peer's
     /// own GC. Returns the number of entries removed.
     pub fn prune_stable(&mut self, frontier: &[u64], cfg: PruneConfig) -> usize {
-        let mut removed_ids = 0;
         for e in &mut self.entries {
             let stable = frontier
                 .get(e.origin.index())
                 .is_some_and(|&f| e.clock <= f);
-            if stable && !e.dests.is_empty() {
-                removed_ids += e.dests.len();
+            if stable {
                 e.dests = DestSet::EMPTY;
             }
         }
-        self.dest_ids -= removed_ids;
         let before = self.entries.len();
         self.purge(cfg);
         before - self.entries.len()
     }
 
     /// Total number of site ids across all destination lists (for size
-    /// accounting and diagnostics). O(1) — maintained incrementally.
+    /// accounting under a per-site-id model, and diagnostics). O(len): one
+    /// popcount per entry, counted when asked — nothing keeps a running
+    /// total.
     pub fn dest_id_count(&self) -> usize {
-        self.dest_ids
+        self.entries.iter().map(|e| e.dests.len()).sum()
     }
 }
 
@@ -598,7 +571,6 @@ struct Builder<'a> {
     strip: Option<Strip<'a>>,
     /// Surviving entries, newest first until [`Builder::finish`].
     out: Vec<LogEntry>,
-    dest_ids: usize,
     /// Entries that survived normalization and were emptied by `strip`.
     dropped: usize,
     /// Origin of the run being fed.
@@ -615,7 +587,6 @@ impl<'a> Builder<'a> {
             cfg,
             strip,
             out: Vec::with_capacity(capacity),
-            dest_ids: 0,
             dropped: 0,
             run: None,
             newer: DestSet::EMPTY,
@@ -646,13 +617,9 @@ impl<'a> Builder<'a> {
                 e.dests.remove(strip.site);
             }
         }
-        if e.dests.is_empty() {
-            if !(tail && self.cfg.keep_markers) {
-                self.dropped += usize::from(live);
-                return;
-            }
-        } else {
-            self.dest_ids += e.dests.len();
+        if e.dests.is_empty() && !(tail && self.cfg.keep_markers) {
+            self.dropped += usize::from(live);
+            return;
         }
         self.out.push(e);
     }
@@ -660,11 +627,7 @@ impl<'a> Builder<'a> {
     /// The built log and the number of entries `strip` alone dropped.
     fn finish(mut self) -> (Log, usize) {
         self.out.reverse();
-        let log = Log {
-            entries: self.out,
-            dest_ids: self.dest_ids,
-        };
-        (log, self.dropped)
+        (Log { entries: self.out }, self.dropped)
     }
 }
 
@@ -688,10 +651,11 @@ impl MetaSized for Log {
     /// `java_like` model each entry therefore costs three packed words;
     /// under the `wire` model the destination set is an explicit id list.
     ///
-    /// O(1): the total destination-member count is maintained incrementally
-    /// on insert/prune (module docs).
+    /// O(1) under `java_like`; a per-site-id model counts the members,
+    /// one popcount per entry (module docs).
     fn meta_size(&self, model: &SizeModel) -> u64 {
-        model.scalars(2 * self.entries.len()) + model.dest_sets(self.entries.len(), self.dest_ids)
+        let sets = self.entries.len();
+        model.scalars(2 * sets) + model.dest_sets_with(sets, || self.dest_id_count())
     }
 }
 
@@ -780,8 +744,7 @@ impl LogDelta {
             entries.push(*e);
         }
         entries.extend(ups.copied());
-        let dest_ids = entries.iter().map(|e| e.dests.len()).sum();
-        Log { entries, dest_ids }
+        Log { entries }
     }
 }
 
@@ -789,9 +752,9 @@ impl MetaSized for LogDelta {
     /// Each upsert is a full entry (two scalars plus its destination set);
     /// each removal is a two-scalar key.
     fn meta_size(&self, model: &SizeModel) -> u64 {
-        let members: usize = self.upserts.iter().map(|e| e.dests.len()).sum();
+        let members = || self.upserts.iter().map(|e| e.dests.len()).sum();
         model.scalars(2 * (self.upserts.len() + self.removals.len()))
-            + model.dest_sets(self.upserts.len(), members)
+            + model.dest_sets_with(self.upserts.len(), members)
     }
 }
 
@@ -810,14 +773,14 @@ mod tests {
         PruneConfig::default()
     }
 
-    /// The incremental counters must always equal a full recount.
-    fn assert_counters(log: &Log) {
-        assert_eq!(log.len(), log.iter().count(), "len counter drifted");
-        assert_eq!(
-            log.dest_id_count(),
-            log.iter().map(|e| e.dests.len()).sum::<usize>(),
-            "dest_ids counter drifted"
-        );
+    /// A log is strictly `(origin, clock)`-sorted — what `from_sorted`
+    /// and the wire decoder accept — and its counts read its entries.
+    fn assert_well_formed(log: &Log) {
+        let entries: Vec<LogEntry> = log.iter().copied().collect();
+        assert_eq!(log.len(), entries.len());
+        let members = entries.iter().map(|e| e.dests.len()).sum::<usize>();
+        assert_eq!(log.dest_id_count(), members);
+        assert_eq!(Log::from_sorted(entries).as_ref(), Some(log), "unsorted");
     }
 
     #[test]
@@ -833,7 +796,7 @@ mod tests {
         let delta = LogDelta::between(&a, &b);
         let rebuilt = delta.apply_to(&a);
         assert_eq!(rebuilt, b);
-        assert_counters(&rebuilt);
+        assert_well_formed(&rebuilt);
     }
 
     proptest! {
@@ -857,7 +820,7 @@ mod tests {
             b.prune_stable(&stable, cfg());
             let rebuilt = LogDelta::between(&a, &b).apply_to(&a);
             prop_assert_eq!(&rebuilt, &b);
-            assert_counters(&rebuilt);
+            assert_well_formed(&rebuilt);
         }
     }
 
@@ -884,7 +847,7 @@ mod tests {
         let entries: Vec<LogEntry> = log.iter().copied().collect();
         let back = Log::from_sorted(entries.clone()).expect("iter order is sorted");
         assert_eq!(back, log);
-        assert_counters(&back);
+        assert_well_formed(&back);
         assert_eq!(Log::from_sorted(Vec::new()), Some(Log::new()));
 
         let mut swapped = entries.clone();
@@ -902,7 +865,7 @@ mod tests {
         assert_eq!(log.len(), 1);
         let e = log.get(s(0), 1).unwrap();
         assert_eq!(e.dests, d(&[1, 2]));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -914,7 +877,7 @@ mod tests {
         log.record_write(s(0), 1, d(&[2, 4]), cfg());
         assert_eq!(log.get(s(1), 1).unwrap().dests, d(&[3]));
         assert_eq!(log.get(s(0), 1).unwrap().dests, d(&[2, 4]));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -938,7 +901,7 @@ mod tests {
         // Older same-sender entry loses dests covered by the newer one.
         assert_eq!(log.get(s(1), 1).unwrap().dests, d(&[3]));
         assert_eq!(log.get(s(1), 2).unwrap().dests, d(&[2, 4]));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -960,7 +923,7 @@ mod tests {
         assert!(log.get(s(1), 2).is_none());
         assert_eq!(log.get(s(2), 1).unwrap().dests, d(&[3]));
         assert_eq!(log.get(s(3), 1).unwrap().dests, d(&[0]));
-        assert_counters(&log);
+        assert_well_formed(&log);
         // Reference implementation agrees entry-for-entry.
         assert_eq!(
             log.iter().copied().collect::<Vec<_>>(),
@@ -988,7 +951,7 @@ mod tests {
         assert_eq!(log.get(s(1), 1).unwrap().dests, d(&[0]));
         // The write's own entry keeps its full destination set.
         assert_eq!(log.get(s(0), 5).unwrap().dests, d(&[0, 2]));
-        assert_counters(&log);
+        assert_well_formed(&log);
         // The default behaviour drops the self mention (the paper's rule,
         // sound only when in-flight delays are short).
         let mut legacy = Log::new();
@@ -1007,7 +970,7 @@ mod tests {
         assert!(log.get(s(1), 1).is_none(), "old empty entry purged");
         assert!(log.get(s(1), 2).is_some(), "newest kept as marker");
         assert!(log.get(s(2), 1).is_some());
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -1020,7 +983,7 @@ mod tests {
         log.upsert(LogEntry::new(s(1), 2, DestSet::EMPTY));
         log.purge(no_markers);
         assert!(log.is_empty());
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -1031,7 +994,7 @@ mod tests {
         b.upsert(LogEntry::new(s(1), 1, d(&[3, 4, 5])));
         a.merge(&b, cfg());
         assert_eq!(a.get(s(1), 1).unwrap().dests, d(&[3, 4]));
-        assert_counters(&a);
+        assert_well_formed(&a);
     }
 
     #[test]
@@ -1041,7 +1004,7 @@ mod tests {
         b.upsert(LogEntry::new(s(2), 7, d(&[0, 1])));
         a.merge(&b, cfg());
         assert_eq!(a.get(s(2), 7).unwrap().dests, d(&[0, 1]));
-        assert_counters(&a);
+        assert_well_formed(&a);
     }
 
     #[test]
@@ -1066,7 +1029,7 @@ mod tests {
         c.merge(&old, cfg());
         assert!(c.get(s(1), 2).is_none(), "stale incoming entry skipped");
         assert_eq!(c.get(s(1), 5).unwrap().dests, d(&[0]));
-        assert_counters(&c);
+        assert_well_formed(&c);
     }
 
     #[test]
@@ -1077,7 +1040,7 @@ mod tests {
         log.remove_site(s(0));
         assert_eq!(log.get(s(1), 1).unwrap().dests, d(&[2]));
         assert!(log.get(s(3), 4).unwrap().dests.is_empty());
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -1092,7 +1055,7 @@ mod tests {
         log.prune_applied(s(0), &last);
         assert_eq!(log.get(s(1), 3).unwrap().dests, d(&[2]));
         assert_eq!(log.get(s(1), 9).unwrap().dests, d(&[0, 2]));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -1114,7 +1077,7 @@ mod tests {
         assert_eq!(log.get(s(1), 5).unwrap().dests, d(&[0]));
         assert!(log.get(s(2), 1).unwrap().dests.is_empty());
         assert_eq!(log.latest_clock(s(2)), Some(1));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     #[test]
@@ -1172,7 +1135,7 @@ mod tests {
         log.upsert(LogEntry::new(s(1), 1, d(&[3, 4])));
         assert_eq!(log.len(), 1);
         assert_eq!(log.get(s(1), 1).unwrap().dests, d(&[3]));
-        assert_counters(&log);
+        assert_well_formed(&log);
     }
 
     /// Strategy: a small random log.
@@ -1282,21 +1245,20 @@ mod tests {
 
         #[test]
         fn prop_counters_track_contents(a in arb_log(), b in arb_log()) {
-            // The incremental len/dest_ids counters survive every public
-            // mutation path.
+            // Every public mutation path keeps the log well formed.
             let mut m = a.clone();
-            assert_counters(&m);
+            assert_well_formed(&m);
             m.merge(&b, cfg());
-            assert_counters(&m);
+            assert_well_formed(&m);
             m.record_write(s(0), 99, d(&[1, 2, 3]), cfg());
-            assert_counters(&m);
+            assert_well_formed(&m);
             m.remove_site(s(2));
-            assert_counters(&m);
+            assert_well_formed(&m);
             let last = vec![4u64; 6];
             m.prune_applied(s(1), &last);
-            assert_counters(&m);
+            assert_well_formed(&m);
             m.purge(cfg());
-            assert_counters(&m);
+            assert_well_formed(&m);
         }
     }
 }

@@ -50,7 +50,7 @@ const FLAGS: &[Flag<Args>] = flags! {
     "--workers" "<threads>" "scheduler worker threads (0: one per core)" => |a, v| a.cfg.workers = v.parse()?;
     "--think-us" "<us>" "mean think time between a completion and the next issue" => |a, v| a.cfg.load.think = Duration::from_micros(v.parse()?);
     "--w" "<write-rate>" "fraction of operations that are writes, in [0, 1]" => |a, v| a.cfg.load.w_rate = match v.parse()? { w if (0.0..=1.0).contains(&w) => w, _ => return Err("must be in [0, 1]".into()) };
-    "--q" "<variables>" "number of variables" => |a, v| a.cfg.load.q = positive(v)?;
+    "--q" "<variables>" "number of variables" => |a, v| a.cfg.load.q = cli::variables(v)?;
     "--seed" "<u64>" "load seed" => |a, v| a.cfg.load.seed = v.parse()?;
     "--payload" "<bytes>" "modelled payload length of each written value" => |a, v| a.cfg.payload_len = v.parse()?;
     "--batch-ms" "<ms>" "batch updates per destination, flushed after this window" => |a, v| a.cfg.batch = Some(BatchWindow::windowed(Duration::from_millis(positive(v)?)));

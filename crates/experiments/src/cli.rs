@@ -8,6 +8,7 @@
 //! exit-2 error goes through [`die`], which prints `error: <msg>` and the
 //! binary's usage line to stderr.
 
+use causal_types::MAX_VARS;
 use std::error::Error;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -70,6 +71,14 @@ where
         return Err("must be positive".into());
     }
     Ok(n)
+}
+
+/// `v` as a number of variables: positive and at most [`MAX_VARS`].
+pub fn variables(v: &str) -> Result<usize, Bad> {
+    match positive(v)? {
+        q if q > MAX_VARS => Err(format!("must be at most {MAX_VARS}").into()),
+        q => Ok(q),
+    }
 }
 
 /// `v` as a system size: a number of sites a destination set holds.

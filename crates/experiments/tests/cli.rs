@@ -329,9 +329,10 @@ fn simulate_rejects_out_of_range_values_naming_the_flag() {
 /// deploying anything.
 #[test]
 fn serve_rejects_out_of_range_values_naming_the_flag() {
-    let cases: [(&[&str], &str, &str); 6] = [
+    let cases: [(&[&str], &str, &str); 7] = [
         (&["--batch-ms", "0"], "--batch-ms", "must be positive"),
         (&["--q", "0"], "--q", "must be positive"),
+        (&["--q", "65537"], "--q", "must be at most 65536"),
         (&["--n", "300"], "--n", "n must be in 1..="),
         (&["--clients", "0"], "--clients", "must be positive"),
         (&["--ops", "0"], "--ops", "must be positive"),
@@ -349,13 +350,14 @@ fn serve_rejects_out_of_range_values_naming_the_flag() {
 }
 
 /// A combination of flags the simulator cannot run exits 2 with the rule
-/// it breaks, before anything runs: a deadline no transport would arm, a
-/// zero period, a checkpoint with nowhere to live, a site crashing while
-/// already down.
+/// it breaks, before anything runs: a deadline no transport would arm, more
+/// variables than the dense per-site state holds, a zero period, a
+/// checkpoint with nowhere to live, a site crashing while already down.
 #[test]
 fn simulate_refuses_a_config_the_simulator_cannot_run() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--fetch-deadline", "10"], "needs the reliable transport"),
+        (&["--q", "65537"], "q must be at most 65536"),
         (
             &["--fetch-deadline", "0", "--faults", "0.01"],
             "must be positive",

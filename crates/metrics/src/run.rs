@@ -212,11 +212,26 @@ impl RunMetrics {
         }
     }
 
-    /// Site `site` sent one protocol message (one copy of a multicast, or
-    /// one batch frame): the traffic totals and the site's send count.
-    pub fn record_send(&mut self, site: usize, kind: MsgKind, meta_bytes: u64, measured: bool) {
-        self.record_msg(kind, meta_bytes, measured);
-        self.per_site.site_mut(site).sends += 1;
+    /// Site `site` sent the `k` copies of one multicast (`k = 1` for a
+    /// unicast or a batch frame), `meta_bytes` each: the traffic totals and
+    /// the site's send count, recorded once however many copies there are.
+    /// `k = 0` records nothing.
+    pub fn record_sends(
+        &mut self,
+        site: usize,
+        kind: MsgKind,
+        meta_bytes: u64,
+        measured: bool,
+        k: u64,
+    ) {
+        if k == 0 {
+            return;
+        }
+        self.all.record_n(kind, meta_bytes, k);
+        if measured {
+            self.measured.record_n(kind, meta_bytes, k);
+        }
+        self.per_site.site_mut(site).sends += k;
     }
 
     /// A lane flushed `sms ≥ 2` updates as one batch frame that cost
@@ -286,6 +301,35 @@ mod tests {
         assert_eq!(m.all.count(MsgKind::Sm), 2);
         assert_eq!(m.measured.count(MsgKind::Sm), 1);
         assert_eq!(m.measured.bytes(MsgKind::Sm), 200);
+    }
+
+    /// The per-copy rule `record_sends` replaced: one message, one send.
+    fn record_send(m: &mut RunMetrics, site: usize, kind: MsgKind, bytes: u64, measured: bool) {
+        m.record_msg(kind, bytes, measured);
+        m.per_site.site_mut(site).sends += 1;
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_record_sends_equals_k_record_sends(
+            sends in proptest::collection::vec(
+                (0usize..4, 0usize..3, 0u64..5_000, proptest::prelude::any::<bool>(), 0u64..6),
+                0..40,
+            ),
+        ) {
+            let (mut once, mut each) = (RunMetrics::new(), RunMetrics::new());
+            for &(site, kind, bytes, measured, k) in &sends {
+                let kind = MsgKind::ALL[kind];
+                once.record_sends(site, kind, bytes, measured, k);
+                (0..k).for_each(|_| record_send(&mut each, site, kind, bytes, measured));
+            }
+            proptest::prop_assert_eq!(once.all, each.all);
+            proptest::prop_assert_eq!(once.measured, each.measured);
+            for site in 0..4 {
+                let sends = |m: &RunMetrics| m.per_site.site(site).map(|s| s.sends);
+                proptest::prop_assert_eq!(sends(&once), sends(&each));
+            }
+        }
     }
 
     #[test]

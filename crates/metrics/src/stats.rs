@@ -19,8 +19,15 @@ impl MessageStats {
     /// Record one message of `kind` carrying `bytes` of meta-data.
     #[inline]
     pub fn record(&mut self, kind: MsgKind, bytes: u64) {
-        self.counts[kind.index()] += 1;
-        self.meta_bytes[kind.index()] += bytes;
+        self.record_n(kind, bytes, 1);
+    }
+
+    /// Record `k` messages of `kind` carrying `bytes` each — the copies of
+    /// one multicast. Equal to `k` calls of [`MessageStats::record`].
+    #[inline]
+    pub fn record_n(&mut self, kind: MsgKind, bytes: u64, k: u64) {
+        self.counts[kind.index()] += k;
+        self.meta_bytes[kind.index()] += bytes * k;
     }
 
     /// Number of messages of `kind`.
@@ -130,12 +137,22 @@ impl Histogram {
     /// and a negative value counts as 0.
     #[inline]
     pub fn record(&mut self, x: f64) {
+        self.record_n(x, 1);
+    }
+
+    /// Record the sample `x` `k` times (one per copy of a multicast).
+    /// Equal to `k` calls of [`Histogram::record`]; `k = 0` is a no-op.
+    #[inline]
+    pub fn record_n(&mut self, x: f64, k: u64) {
+        if k == 0 {
+            return;
+        }
         let v = x as u64;
         let i = bucket(v);
         grow(&mut self.counts, i + 1);
-        self.counts[i] += 1;
-        self.count += 1;
-        self.sum += u128::from(v);
+        self.counts[i] += k;
+        self.count += k;
+        self.sum += u128::from(v) * u128::from(k);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -304,6 +321,25 @@ mod tests {
     }
 
     #[test]
+    fn record_n_of_zero_copies_is_a_no_op() {
+        let mut h = fed(&[3, 70]);
+        let before = h.clone();
+        h.record_n(9_000.0, 0);
+        assert_eq!(h, before);
+        let mut empty = Histogram::new();
+        empty.record_n(5.0, 0);
+        assert_eq!(empty, Histogram::new());
+        assert_eq!(
+            empty.counts.capacity(),
+            0,
+            "nothing recorded, nothing allocated"
+        );
+        let mut s = MessageStats::new();
+        s.record_n(MsgKind::Sm, 100, 0);
+        assert_eq!(s, MessageStats::new());
+    }
+
+    #[test]
     fn default_is_the_empty_accumulator() {
         let h = Histogram::default();
         assert_eq!(h, Histogram::new());
@@ -368,6 +404,38 @@ mod tests {
                 from = to;
             }
             prop_assert_eq!(merged, fed(&xs));
+        }
+
+        #[test]
+        fn prop_record_n_equals_k_records(
+            xs in samples(0..40),
+            ks in proptest::collection::vec(0u64..6, 40),
+        ) {
+            let mut once = Histogram::new();
+            let mut each = Histogram::new();
+            for (&v, &k) in xs.iter().zip(&ks) {
+                once.record_n(v as f64, k);
+                (0..k).for_each(|_| each.record(v as f64));
+            }
+            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(once.quantile(q), each.quantile(q));
+            }
+            prop_assert_eq!((once.count(), once.sum), (each.count(), each.sum));
+            prop_assert_eq!((once.min(), once.max()), (each.min(), each.max()));
+            prop_assert_eq!(once, each);
+        }
+
+        #[test]
+        fn prop_message_stats_record_n_equals_k_records(
+            sends in proptest::collection::vec((0usize..3, 0u64..10_000, 0u64..6), 0..40),
+        ) {
+            let (mut once, mut each) = (MessageStats::new(), MessageStats::new());
+            for &(kind, bytes, k) in &sends {
+                let kind = MsgKind::ALL[kind];
+                once.record_n(kind, bytes, k);
+                (0..k).for_each(|_| each.record(kind, bytes));
+            }
+            prop_assert_eq!(once, each);
         }
 
         #[test]

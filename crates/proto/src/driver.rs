@@ -141,6 +141,9 @@ pub struct SiteDriver {
     arriving: Option<WriteId>,
     /// Receipt time of every SM delivered earlier and not yet applied.
     receipt: BTreeMap<WriteId, u64>,
+    /// The one buffer every write and delivery collects its effects in,
+    /// drained by [`SiteDriver::route`]'s loop and reused.
+    effects: Vec<Effect>,
 }
 
 impl SiteDriver {
@@ -172,6 +175,7 @@ impl SiteDriver {
             fetch: None,
             arriving: None,
             receipt: BTreeMap::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -211,7 +215,8 @@ impl SiteDriver {
         measured: bool,
         out: &mut Vec<Output>,
     ) -> (WriteId, DestSet) {
-        let (id, effects) = self.site.write(var, data, payload_len);
+        let mut effects = std::mem::take(&mut self.effects);
+        let id = self.site.write_into(var, data, payload_len, &mut effects);
         let mut dests = DestSet::EMPTY;
         for e in &effects {
             match e {
@@ -223,7 +228,8 @@ impl SiteDriver {
                 _ => {}
             }
         }
-        self.route(now, effects, measured, out);
+        self.route_each(now, effects.drain(..), measured, out);
+        self.effects = effects;
         (id, dests)
     }
 
@@ -352,8 +358,10 @@ impl SiteDriver {
             self.arriving = Some(sm.value.writer);
         }
         let before = self.site.pending_len();
-        let effects = self.site.on_message(from, msg);
-        self.route(now, effects, measured, out);
+        let mut effects = std::mem::take(&mut self.effects);
+        self.site.on_message_into(from, msg, &mut effects);
+        self.route_each(now, effects.drain(..), measured, out);
+        self.effects = effects;
         if let Some(parked) = self.arriving.take() {
             self.receipt.insert(parked, now);
         }
@@ -369,7 +377,17 @@ impl SiteDriver {
     /// [`ProtocolSite::note_peer_recovery`] and friends rather than from
     /// an operation or a delivery.
     pub fn route(&mut self, now: u64, effects: Vec<Effect>, measured: bool, out: &mut Vec<Output>) {
-        let mut effects = effects.into_iter().peekable();
+        self.route_each(now, effects.into_iter(), measured, out);
+    }
+
+    fn route_each(
+        &mut self,
+        now: u64,
+        effects: impl Iterator<Item = Effect>,
+        measured: bool,
+        out: &mut Vec<Output>,
+    ) {
+        let mut effects = effects.peekable();
         while let Some(e) = effects.next() {
             match e {
                 Effect::Send {

@@ -15,9 +15,9 @@ use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replica::{retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
 use crate::site::{GcStats, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::{DestSet, MatrixClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Full-Track's `Write_i` matrix and its rules; one site is a
@@ -165,17 +165,12 @@ impl Tracker for FullTrack {
         true
     }
 
-    fn local_meta_size(
-        &self,
-        _cx: &Core,
-        slots: &HashMap<VarId, Self::Slot>,
-        model: &SizeModel,
-    ) -> u64 {
+    fn local_meta_size(&self, _cx: &Core, slots: &VarMap<Self::Slot>, model: &SizeModel) -> u64 {
         let stashed: u64 = slots.values().map(|w| w.meta_size(model)).sum();
         self.write.meta_size(model) + stashed
     }
 
-    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut VarMap<Self::Slot>, cut: &StableCut) -> GcStats {
         // A stashed `LastWriteOn` matrix wholly within the stable cut
         // describes only writes already applied at every live member: a
         // future read's merge of it could never raise the local matrix

@@ -27,9 +27,9 @@ use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replica::{Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
 use crate::site::{GcStats, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::{DestSet, MatrixClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// HB-Track's happened-before matrix and its rules; one site is a
@@ -116,11 +116,11 @@ impl Tracker for HbTrack {
         true
     }
 
-    fn local_meta_size(&self, _cx: &Core, _slots: &HashMap<VarId, ()>, model: &SizeModel) -> u64 {
+    fn local_meta_size(&self, _cx: &Core, _slots: &VarMap<()>, model: &SizeModel) -> u64 {
         self.write.meta_size(model)
     }
 
-    fn gc_stable(&mut self, _slots: &mut HashMap<VarId, ()>, _cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, _slots: &mut VarMap<()>, _cut: &StableCut) -> GcStats {
         // The one fixed matrix is already O(n²)-bounded: nothing to collect.
         GcStats::default()
     }

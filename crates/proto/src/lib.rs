@@ -64,6 +64,7 @@ pub mod reliable;
 pub mod replica;
 pub mod replication;
 pub mod site;
+pub mod var_map;
 pub mod wal;
 pub mod wire;
 
@@ -81,4 +82,5 @@ pub use reliable::{Frame, OwnLedger, PeerAckInfo, SyncState};
 pub use replica::{Replica, Tracker};
 pub use replication::Replication;
 pub use site::{GcStats, ProtocolSite, StableCut};
+pub use var_map::VarMap;
 pub use wal::{DurableStore, WalRecord};

@@ -19,9 +19,9 @@ use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replica::{Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
 use crate::site::{GcStats, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::{DestSet, Log, LogEntry, PruneConfig};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The `LastWriteOn⟨h⟩` slot: the log that will accompany this variable's
@@ -242,12 +242,7 @@ impl Tracker for OptTrack {
         true
     }
 
-    fn local_meta_size(
-        &self,
-        cx: &Core,
-        slots: &HashMap<VarId, Self::Slot>,
-        model: &SizeModel,
-    ) -> u64 {
+    fn local_meta_size(&self, cx: &Core, slots: &VarMap<Self::Slot>, model: &SizeModel) -> u64 {
         let stashed: u64 = slots
             .values()
             .map(|lw| lw.meta_size(model, cx.site, &self.last_clock, self.prune))
@@ -259,7 +254,7 @@ impl Tracker for OptTrack {
         Some(self.log.len())
     }
 
-    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut VarMap<Self::Slot>, cut: &StableCut) -> GcStats {
         let mut stats = GcStats::default();
         // The main KS log: entries at or below the cut are applied at every
         // destination, so their (now vacuous) constraints can go. Run-tail

@@ -14,9 +14,9 @@ use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replica::{raise_to_horizon, retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
 use crate::site::{GcStats, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::{CrpLog, DestSet};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Opt-Track-CRP's 2-tuple log and its rules; one site is a
@@ -111,12 +111,7 @@ impl Tracker for OptTrackCrp {
         Some(&self.last_clock)
     }
 
-    fn local_meta_size(
-        &self,
-        _cx: &Core,
-        slots: &HashMap<VarId, Self::Slot>,
-        model: &SizeModel,
-    ) -> u64 {
+    fn local_meta_size(&self, _cx: &Core, slots: &VarMap<Self::Slot>, model: &SizeModel) -> u64 {
         // Log tuples + one stored tuple per written variable.
         self.log.meta_size(model) + model.scalars(2 * slots.len())
     }
@@ -125,7 +120,7 @@ impl Tracker for OptTrackCrp {
         Some(self.log.len())
     }
 
-    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut VarMap<Self::Slot>, cut: &StableCut) -> GcStats {
         // Tuples at or below the stable frontier piggyback constraints that
         // are vacuous at every live member; likewise a stable stored
         // `LastWriteOn` tuple would only ever feed such a vacuous observe.

@@ -15,9 +15,9 @@ use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replica::{raise_to_horizon, retain_slots, Core, Donor, Parked, Tracker};
 use crate::replication::Replication;
 use crate::site::{GcStats, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::{DestSet, VectorClock};
 use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// optP's `Write_i` vector and its rules; one site is a
@@ -97,17 +97,12 @@ impl Tracker for OptP {
         Some(&cx.apply)
     }
 
-    fn local_meta_size(
-        &self,
-        _cx: &Core,
-        slots: &HashMap<VarId, Self::Slot>,
-        model: &SizeModel,
-    ) -> u64 {
+    fn local_meta_size(&self, _cx: &Core, slots: &VarMap<Self::Slot>, model: &SizeModel) -> u64 {
         let stashed: u64 = slots.values().map(|w| w.meta_size(model)).sum();
         self.write.meta_size(model) + stashed
     }
 
-    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats {
+    fn gc_stable(&mut self, slots: &mut VarMap<Self::Slot>, cut: &StableCut) -> GcStats {
         // Full replication makes per-origin write clocks and destination
         // counts the same number, so the clock frontier is directly the
         // stability test for a stashed vector: a `LastWriteOn` clock wholly

@@ -16,9 +16,9 @@ use crate::pending::{PendingQueues, ProtoTrace, ProtoTraceEvent};
 use crate::reliable::{OwnLedger, PeerAckInfo, SyncState};
 use crate::replication::Replication;
 use crate::site::{GcStats, ProtocolSite, StableCut};
+use crate::var_map::VarMap;
 use causal_clocks::DestSet;
 use causal_types::{SiteId, SizeModel, VarId, VersionedValue, WriteId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The part of a site's shared state a [`Tracker`] hook may consult.
@@ -120,19 +120,14 @@ pub trait Tracker: Clone + Send + 'static {
     }
 
     /// Bytes of causality metadata held: the `Write` structure plus `slots`.
-    fn local_meta_size(
-        &self,
-        cx: &Core,
-        slots: &HashMap<VarId, Self::Slot>,
-        model: &SizeModel,
-    ) -> u64;
+    fn local_meta_size(&self, cx: &Core, slots: &VarMap<Self::Slot>, model: &SizeModel) -> u64;
     /// Entries in the causality log, for the log-based protocols.
     fn log_len(&self) -> Option<usize> {
         None
     }
     /// Drop what the stability `cut` proves redundant (drop only — clocks
     /// and counters stay).
-    fn gc_stable(&mut self, slots: &mut HashMap<VarId, Self::Slot>, cut: &StableCut) -> GcStats;
+    fn gc_stable(&mut self, slots: &mut VarMap<Self::Slot>, cut: &StableCut) -> GcStats;
 
     /// The durable per-destination row of own writes.
     fn own_row(&self, cx: &Core) -> Vec<u64>;
@@ -183,9 +178,9 @@ pub trait Tracker: Clone + Send + 'static {
 #[derive(Clone)]
 pub struct Replica<T: Tracker> {
     core: Core,
-    values: HashMap<VarId, VersionedValue>,
+    values: VarMap<VersionedValue>,
     /// `LastWriteOn_i`.
-    slots: HashMap<VarId, T::Slot>,
+    slots: VarMap<T::Slot>,
     pending: PendingQueues<Parked<T::Stamp>>,
     /// The single outstanding `RemoteFetch`.
     fetch: Option<VarId>,
@@ -196,8 +191,8 @@ pub struct Replica<T: Tracker> {
 /// [`PendingQueues::drain`] while `pending` itself is borrowed.
 struct Applying<'a, T: Tracker> {
     core: &'a mut Core,
-    values: &'a mut HashMap<VarId, VersionedValue>,
-    slots: &'a mut HashMap<VarId, T::Slot>,
+    values: &'a mut VarMap<VersionedValue>,
+    slots: &'a mut VarMap<T::Slot>,
     tracker: &'a mut T,
     out: &'a mut Vec<Effect>,
 }
@@ -242,8 +237,8 @@ impl<T: Tracker> Replica<T> {
                 apply: vec![0; n],
                 trace: ProtoTrace::default(),
             },
-            values: HashMap::new(),
-            slots: HashMap::new(),
+            values: VarMap::new(),
+            slots: VarMap::new(),
             pending: PendingQueues::new(n),
             fetch: None,
         }
@@ -306,7 +301,13 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         self.core.n
     }
 
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
+    fn write_into(
+        &mut self,
+        var: VarId,
+        data: u64,
+        payload_len: u32,
+        out: &mut Vec<Effect>,
+    ) -> WriteId {
         let me = self.core.site;
         self.core.clock += 1;
         let wid = WriteId::new(me, self.core.clock);
@@ -315,11 +316,10 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         // One stamp serves the whole fan-out: every destination's SM shares
         // the same immutable snapshot.
         let stamp = self.tracker.stamp(&self.core, wid, dests);
-        let mut effects = Vec::with_capacity(dests.len() + 1);
         for to in dests.iter().filter(|&k| k != me) {
             let meta = T::sm_meta(&stamp);
             let msg = Msg::Sm(Sm { var, value, meta });
-            effects.push(Effect::Send { to, msg });
+            out.push(Effect::Send { to, msg });
         }
         if dests.contains(me) {
             // The writer applies its own update immediately: everything in
@@ -327,9 +327,9 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
             // applied here or was learned through a remote read (see the
             // crate-level note on remote reads). That apply can unblock
             // parked updates that were waiting on this site's own writes.
-            self.apply_ready(Some(Parked { var, value, stamp }), &mut effects);
+            self.apply_ready(Some(Parked { var, value, stamp }), out);
         }
-        (wid, effects)
+        wid
     }
 
     fn read(&mut self, var: VarId) -> ReadResult {
@@ -337,10 +337,10 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         if self.core.repl.is_replicated_at(var, me) {
             // Reading the value creates the →co edge to the write it
             // returns.
-            if let Some(slot) = self.slots.get_mut(&var) {
+            if let Some(slot) = self.slots.get_mut(var) {
                 self.tracker.read_merge(&mut self.core, slot);
             }
-            ReadResult::Local(self.values.get(&var).copied())
+            ReadResult::Local(self.values.get(var).copied())
         } else {
             assert!(
                 self.fetch.is_none(),
@@ -355,7 +355,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         }
     }
 
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
+    fn on_message_into(&mut self, from: SiteId, msg: Msg, out: &mut Vec<Effect>) {
         match msg {
             Msg::Sm(sm) => {
                 let Some(stamp) = T::from_sm_meta(sm.meta) else {
@@ -368,7 +368,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
                 // it would roll the variable backwards.
                 let horizon = self.tracker.horizon(&self.core);
                 if horizon.is_some_and(|h| sm.value.writer.clock <= h[from.index()]) {
-                    return Vec::new();
+                    return;
                 }
                 // The predicate is evaluated here, once: its witness is what
                 // a trace names, its verdict what the offer acts on.
@@ -383,8 +383,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
                     });
                 }
                 let (var, value) = (sm.var, sm.value);
-                let mut effects = Vec::new();
-                let (pending, mut st) = self.applying(&mut effects);
+                let (pending, mut st) = self.applying(out);
                 pending.offer(
                     &mut st,
                     from,
@@ -393,7 +392,6 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
                     Applying::ready,
                     Applying::apply,
                 );
-                effects
             }
             Msg::Fm(_) | Msg::Rm(_) if self.core.repl.is_full() => panic!(
                 "{} never receives {:?} messages: reads are local under full \
@@ -404,10 +402,10 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
             Msg::Fm(Fm { var }) => {
                 // Serve the fetch from current local state (remote_return
                 // event). FMs carry no causal metadata, so no waiting.
-                let value = self.values.get(&var).copied();
-                let meta = self.tracker.rm_reply(&self.core, self.slots.get_mut(&var));
+                let value = self.values.get(var).copied();
+                let meta = self.tracker.rm_reply(&self.core, self.slots.get_mut(var));
                 let msg = Msg::Rm(Rm { var, value, meta });
-                vec![Effect::Send { to: from, msg }]
+                out.push(Effect::Send { to: from, msg });
             }
             Msg::Rm(Rm { var, value, meta }) => {
                 assert_eq!(
@@ -419,7 +417,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
                 if !self.tracker.rm_merge(&mut self.core, meta) {
                     panic!("{} site received a foreign RM meta", T::KIND);
                 }
-                vec![Effect::FetchDone { var, value }]
+                out.push(Effect::FetchDone { var, value });
             }
             Msg::Batch(_) => panic!("batches are unbatched by the transport before delivery"),
         }
@@ -434,7 +432,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
     }
 
     fn value_of(&self, var: VarId) -> Option<VersionedValue> {
-        self.values.get(&var).copied()
+        self.values.get(var).copied()
     }
 
     fn log_len(&self) -> Option<usize> {
@@ -489,8 +487,8 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         let shared = self
             .values
             .iter()
-            .filter(|(var, _)| self.core.repl.is_replicated_at(**var, requester))
-            .map(|(var, value)| (*var, *value, self.slots.get(var)));
+            .filter(|(var, _)| self.core.repl.is_replicated_at(*var, requester))
+            .map(|(var, value)| (var, *value, self.slots.get(var)));
         self.tracker.export_sync(&self.core, shared)
     }
 
@@ -500,7 +498,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
         let knows =
             |known: &[u64], w: WriteId| known.get(w.site.index()).is_some_and(|&hw| hw >= w.clock);
         let pair = |w: WriteId| (w.clock, w.site);
-        let mut best: HashMap<VarId, (VersionedValue, &T::SyncMeta, &[u64])> = HashMap::new();
+        let mut best: VarMap<(VersionedValue, &T::SyncMeta, &[u64])> = VarMap::new();
         for (peer, ack, state) in sources {
             let donor = self.tracker.absorb_sync(&mut self.core, *peer, ack, state);
             let Some(Donor { known, vars }) = donor else {
@@ -512,7 +510,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
             // value whose overwriter carries a smaller clock. A protocol
             // that ships no attestation gets that writer-pair order.
             for (var, value, meta) in vars {
-                let replace = best.get(&var).is_none_or(|(b, _, b_known)| {
+                let replace = best.get(var).is_none_or(|(b, _, b_known)| {
                     let v_covers_b = knows(known, b.writer);
                     let b_covers_v = knows(b_known, value.writer);
                     if v_covers_b != b_covers_v {
@@ -527,11 +525,11 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
             }
         }
         self.tracker.sync_merged(&self.core);
-        for (var, (value, meta, known)) in best {
+        for (var, &(value, meta, known)) in best.iter() {
             // Install unless it would roll a WAL-replayed local state back:
             // the donor attesting the local write makes its value at least
             // as fresh; otherwise only a strictly newer writer pair does.
-            let newer = self.values.get(&var).is_none_or(|cur| {
+            let newer = self.values.get(var).is_none_or(|cur| {
                 knows(known, cur.writer) || pair(value.writer) > pair(cur.writer)
             });
             if newer {
@@ -558,8 +556,8 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
     }
 
     fn drop_var(&mut self, var: VarId) {
-        self.values.remove(&var);
-        self.slots.remove(&var);
+        self.values.remove(var);
+        self.slots.remove(var);
     }
 
     fn gc_stable(&mut self, cut: &StableCut) -> GcStats {
@@ -581,7 +579,7 @@ impl<T: Tracker> ProtocolSite for Replica<T> {
 }
 
 /// Drop the `LastWriteOn` slots `keep` rejects; the number dropped.
-pub(crate) fn retain_slots<S>(slots: &mut HashMap<VarId, S>, keep: impl Fn(&S) -> bool) -> usize {
+pub(crate) fn retain_slots<S>(slots: &mut VarMap<S>, keep: impl Fn(&S) -> bool) -> usize {
     let before = slots.len();
     slots.retain(|_, slot| keep(slot));
     before - slots.len()
@@ -998,6 +996,29 @@ mod tests {
             let rm = Msg::Rm(Rm { var, value, meta });
             let text = panic_of("RM", || drop(s.on_message(SiteId(0), rm)));
             assert!(text.contains("reads are local"), "{kind}: {text}");
+        }
+    }
+
+    #[test]
+    fn export_sync_lists_the_shared_variables_in_ascending_order() {
+        let vars = |state: SyncState| -> Vec<VarId> {
+            match state {
+                SyncState::FullTrack { vars, .. } => vars.into_iter().map(|v| v.0).collect(),
+                SyncState::OptTrack { vars, .. } => vars.into_iter().map(|v| v.0).collect(),
+                SyncState::Crp { vars, .. } => vars.into_iter().map(|v| v.0).collect(),
+                SyncState::OptP { vars, .. } => vars.into_iter().map(|v| v.0).collect(),
+                SyncState::HbTrack { vars, .. } => vars.into_iter().map(|v| v.0).collect(),
+            }
+        };
+        for kind in KINDS {
+            // s1 holds and s0 shares every variable `x ≡ 0 (mod 3)`, under
+            // `Ring` as under full replication.
+            let mut sys = cluster(kind);
+            for x in [9, 3, 6, 0] {
+                sys[1].write(VarId(x), u64::from(x), 0);
+            }
+            let got = vars(sys[1].export_sync(SiteId(0)));
+            assert_eq!(got, [0, 3, 6, 9].map(VarId), "{kind}");
         }
     }
 

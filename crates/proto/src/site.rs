@@ -60,12 +60,26 @@ pub trait ProtocolSite: Send {
     /// System size `n`.
     fn n(&self) -> usize;
 
-    /// Perform a local write `w(var)data`.
-    ///
-    /// Returns the new write's identity and the effects: one
-    /// [`Effect::Send`] per remote destination replica and, when this site
-    /// replicates `var`, an [`Effect::Applied`] for the local apply.
-    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>);
+    /// Perform a local write `w(var)data`, appending its effects to `out`:
+    /// one [`Effect::Send`] per remote destination replica and, when this
+    /// site replicates `var`, an [`Effect::Applied`] for the local apply
+    /// (and for every parked update it releases). Returns the new write's
+    /// identity.
+    fn write_into(
+        &mut self,
+        var: VarId,
+        data: u64,
+        payload_len: u32,
+        out: &mut Vec<Effect>,
+    ) -> WriteId;
+
+    /// [`ProtocolSite::write_into`] into a fresh vector, sized for a
+    /// fan-out to every site.
+    fn write(&mut self, var: VarId, data: u64, payload_len: u32) -> (WriteId, Vec<Effect>) {
+        let mut out = Vec::with_capacity(self.n());
+        let id = self.write_into(var, data, payload_len, &mut out);
+        (id, out)
+    }
 
     /// Perform a local read `r(var)`.
     ///
@@ -79,8 +93,17 @@ pub trait ProtocolSite: Send {
     /// application subsystem blocks on `RemoteFetch`.
     fn read(&mut self, var: VarId) -> ReadResult;
 
-    /// Deliver a transport message from `from`.
-    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect>;
+    /// Deliver a transport message from `from`, appending its effects to
+    /// `out`. A driver reuses one `out` for every delivery, so the hot path
+    /// allocates nothing.
+    fn on_message_into(&mut self, from: SiteId, msg: Msg, out: &mut Vec<Effect>);
+
+    /// [`ProtocolSite::on_message_into`] into a fresh vector.
+    fn on_message(&mut self, from: SiteId, msg: Msg) -> Vec<Effect> {
+        let mut out = Vec::new();
+        self.on_message_into(from, msg, &mut out);
+        out
+    }
 
     /// Number of parked (received, not yet applied) updates.
     fn pending_len(&self) -> usize;

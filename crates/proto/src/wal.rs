@@ -586,28 +586,10 @@ mod tests {
         }
     }
 
-    /// `export_sync` serializes HashMap-backed variable sets, whose
-    /// iteration order is not canonical; sort before comparing.
-    fn canon(mut s: crate::reliable::SyncState) -> crate::reliable::SyncState {
-        use crate::reliable::SyncState;
-        match &mut s {
-            SyncState::FullTrack { vars, .. } => vars.sort_by_key(|(v, _, _)| *v),
-            SyncState::OptTrack { vars, .. } => vars.sort_by_key(|(v, _, _)| *v),
-            SyncState::Crp { vars, .. } => vars.sort_by_key(|(v, _)| *v),
-            SyncState::OptP { vars, .. } => vars.sort_by_key(|(v, _, _)| *v),
-            SyncState::HbTrack { vars, .. } => vars.sort_by_key(|(v, _)| *v),
-        }
-        s
-    }
-
     fn assert_same_state(a: &dyn ProtocolSite, b: &dyn ProtocolSite, n: usize) {
         let model = SizeModel::java_like();
         for r in (1..n).map(SiteId::from) {
-            assert_eq!(
-                canon(a.export_sync(r)),
-                canon(b.export_sync(r)),
-                "sync export to {r}"
-            );
+            assert_eq!(a.export_sync(r), b.export_sync(r), "sync export to {r}");
         }
         for var in VarId::all(Q) {
             assert_eq!(a.value_of(var), b.value_of(var), "replica of {var}");

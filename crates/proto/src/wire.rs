@@ -43,7 +43,7 @@ use causal_clocks::{
     dests::MAX_SITES, CrpDelta, CrpLog, DestSet, Log, LogDelta, LogEntry, MatrixClock, MatrixDelta,
     VectorClock, VectorDelta,
 };
-use causal_types::{SiteId, VarId, VersionedValue, WriteId};
+use causal_types::{SiteId, VarId, VersionedValue, WriteId, MAX_VARS};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
@@ -62,9 +62,9 @@ pub enum WireError {
     /// value no encoder emits: a count larger than the remaining input
     /// could hold (for a log, more entries than a third of it), a site id
     /// of `MAX_SITES` or more, a matrix or vector dimension or a
-    /// multi-routed destination count beyond `MAX_SITES`, a variable id or
-    /// payload length beyond `u32`, or a batch delta naming a cell outside
-    /// its predecessor's clock.
+    /// multi-routed destination count beyond `MAX_SITES`, a variable id of
+    /// `MAX_VARS` or more, a payload length beyond `u32`, or a batch delta
+    /// naming a cell outside its predecessor's clock.
     Truncated,
     /// An enum tag or flag byte was out of range.
     BadTag(u8),
@@ -414,6 +414,23 @@ impl Codec for SiteId {
     }
 }
 
+/// A run holds at most `MAX_VARS` variables, and a replica keeps a dense
+/// slot per id up to the largest it sees: an id past the bound is not one
+/// this codec's peers wrote, and decoding it would size that state.
+impl Codec for VarId {
+    #[inline]
+    fn put(&self, out: &mut WireBuf) {
+        self.0.put(out);
+    }
+    #[inline]
+    fn take(r: &mut Reader) -> Result<Self, WireError> {
+        match u32::take(r)? {
+            x if x as usize >= MAX_VARS => Err(WireError::Truncated),
+            x => Ok(VarId(x)),
+        }
+    }
+}
+
 /// Tuples: the elements in order.
 macro_rules! tuples {
     ($(($($t:ident $i:tt),*))*) => {$(
@@ -483,7 +500,6 @@ macro_rules! fields {
 }
 
 fields! {
-    #[inline] VarId { 0 }
     #[inline] WriteId { site, clock }
     #[inline] VersionedValue { writer, data, payload_len }
     #[inline] Sm { var, value, meta }
@@ -617,10 +633,16 @@ impl Codec for VectorClock {
 /// A count, then the member sites.
 impl Codec for DestSet {
     fn put(&self, out: &mut WireBuf) {
-        (self.len() as u64).put(out);
+        // Gather the member bytes (a site id is one, see `SiteId::take`)
+        // and count them on the way: the count costs no popcount.
+        let mut ids = [0u8; MAX_SITES];
+        let mut n = 0;
         for s in self.iter() {
-            s.put(out);
+            ids[n] = s.0 as u8;
+            n += 1;
         }
+        (n as u64).put(out);
+        ids[..n].iter().for_each(|&b| out.push(b));
     }
     // Forced, as `LogEntry::take` is.
     #[inline(always)]
@@ -1072,6 +1094,39 @@ mod tests {
             inner
         });
         assert_eq!(nested, encode_routed_with(src, dst, &msg, routed));
+    }
+
+    #[test]
+    fn a_dest_set_is_its_count_then_its_members_up_to_all_128_sites() {
+        let bytes = |d: DestSet| {
+            let mut out = WireBuf::new();
+            d.put(&mut out);
+            out.as_slice().to_vec()
+        };
+        let sites = |ids: &[u16]| DestSet::from_sites(ids.iter().map(|&i| SiteId(i)));
+        assert_eq!(bytes(DestSet::EMPTY), [0]);
+        assert_eq!(bytes(sites(&[0, 5, 127])), [3, 0, 5, 127]);
+        // 128 members: a two-byte count.
+        let full = DestSet::full(MAX_SITES);
+        let encoded = bytes(full);
+        assert_eq!(encoded[..2], [0x80, 0x01]);
+        assert_eq!(encoded[2..], (0..128u8).collect::<Vec<_>>()[..]);
+        let mut r = Reader {
+            buf: &encoded,
+            pos: 0,
+        };
+        assert_eq!(DestSet::take(&mut r), Ok(full));
+    }
+
+    #[test]
+    fn a_variable_id_past_max_vars_is_refused() {
+        let fm = |x: u32| encode(&Msg::Fm(Fm { var: VarId(x) }));
+        let last = Msg::Fm(Fm {
+            var: VarId(MAX_VARS as u32 - 1),
+        });
+        assert_eq!(decode(&encode(&last)), Ok(last));
+        assert_eq!(decode(&fm(MAX_VARS as u32)), Err(WireError::Truncated));
+        assert_eq!(decode(&fm(u32::MAX)), Err(WireError::Truncated));
     }
 
     #[test]

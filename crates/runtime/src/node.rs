@@ -529,17 +529,16 @@ impl Node {
                     // whatever the transport makes of the list.
                     self.dsts.clear();
                     self.dsts.extend(dsts.iter());
-                    for _ in &self.dsts {
-                        self.metrics.record_send(me, msg.kind(), bytes, measured);
-                        let entries = &mut self.metrics.sm_entries;
-                        msg.sms()
-                            .for_each(|sm| entries.record(sm.meta.entry_count() as f64));
-                    }
+                    let k = self.dsts.len() as u64;
+                    self.metrics
+                        .record_sends(me, msg.kind(), bytes, measured, k);
+                    let entries = &mut self.metrics.sm_entries;
+                    msg.sms()
+                        .for_each(|sm| entries.record_n(sm.meta.entry_count() as f64, k));
                     // One frame per destination, counted sent before the
                     // transport sees it and done at once for the copies a
                     // dead peer refused (the transport counted those as
                     // connection errors).
-                    let k = self.dsts.len() as u64;
                     self.quiesce.frames_sent(self.worker, k);
                     let refused = self.transport.send(self.site, &self.dsts, &msg, measured);
                     if refused > 0 {

@@ -124,16 +124,40 @@ pub enum SimEvent {
     },
 }
 
+/// Low bits of a heap key that name the event's slab slot: up to 2^24
+/// events queued at once (a paper-scale run peaks at a few hundred).
+const SLOT_BITS: u32 = 24;
+/// Bits of the insertion sequence above the slot: 2^40 pushes per run.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+
+/// The heap key of the `seq`-th event pushed, due at `at` and held in slab
+/// slot `slot`: `at` in the high word, then `seq`, then `slot`, so one
+/// `u128` comparison orders by `(at, seq)` and `slot` (below a unique
+/// `seq`) never decides. Panics past either bound, in every build.
+fn pack(at: SimTime, seq: u64, slot: u32) -> u128 {
+    assert!(
+        seq < 1 << SEQ_BITS,
+        "under 2^{SEQ_BITS} events pushed per run"
+    );
+    assert!(slot < 1 << SLOT_BITS, "under 2^{SLOT_BITS} queued events");
+    u128::from(at.as_nanos()) << 64 | u128::from(seq << SLOT_BITS | u64::from(slot))
+}
+
+/// The due time and slab slot of a key [`pack`] built.
+fn unpack(key: u128) -> (SimTime, u32) {
+    let slot = key as u32 & ((1 << SLOT_BITS) - 1);
+    (SimTime((key >> 64) as u64), slot)
+}
+
 /// A deterministic event heap ordered by `(time, insertion sequence)`.
 ///
-/// The heap sifts 24-byte keys; the events themselves sit still in a slab
-/// until popped.
+/// The heap sifts one packed `u128` key per event ([`pack`]); the events
+/// themselves sit still in a slab until popped.
 #[derive(Default)]
 pub struct EventHeap {
-    /// `BinaryHeap` is a max-heap: `Reverse` makes the earliest `(at, seq)`
-    /// pop first, and `seq` breaks ties in insertion order. The last field
-    /// is the event's slot in `slab` (never compared: `seq` is unique).
-    heap: BinaryHeap<(Reverse<SimTime>, Reverse<u64>, u32)>,
+    /// `BinaryHeap` is a max-heap: `Reverse` makes the smallest key — the
+    /// earliest `(at, seq)` — pop first.
+    heap: BinaryHeap<Reverse<u128>>,
     slab: Vec<Option<SimEvent>>,
     /// Vacant `slab` slots.
     free: Vec<u32>,
@@ -158,16 +182,18 @@ impl EventHeap {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(None);
-            u32::try_from(self.slab.len() - 1).expect("under 2^32 queued events")
+            // Past `u32`, past `pack`'s slot bound too: it panics there.
+            u32::try_from(self.slab.len() - 1).unwrap_or(u32::MAX)
         });
+        let key = pack(at, self.seq, slot);
         self.slab[slot as usize] = Some(ev);
-        self.heap.push((Reverse(at), Reverse(self.seq), slot));
+        self.heap.push(Reverse(key));
         self.seq += 1;
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, SimEvent)> {
-        let (Reverse(at), _, slot) = self.heap.pop()?;
+        let (at, slot) = unpack(self.heap.pop()?.0);
         debug_assert!(at >= self.now, "clock must be monotone");
         self.now = at;
         let ev = self.slab[slot as usize]
@@ -198,6 +224,7 @@ impl EventHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causal_types::SimDuration;
 
     fn op(site: u16) -> SimEvent {
         SimEvent::OpReady { site: SiteId(site) }
@@ -250,6 +277,78 @@ mod tests {
         }
         assert_eq!((sites, proposals), (2, 1));
         assert_eq!(h.len(), 3, "the scan must not consume events");
+    }
+
+    #[test]
+    fn a_key_packs_the_largest_seq_and_slot_and_orders_by_time_then_seq() {
+        let (seq, slot) = ((1u64 << SEQ_BITS) - 1, (1u32 << SLOT_BITS) - 1);
+        let at = SimTime(u64::MAX);
+        assert_eq!(unpack(pack(at, seq, slot)), (at, slot));
+        assert_eq!(unpack(pack(SimTime::ZERO, 0, 0)), (SimTime::ZERO, 0));
+        // Time decides first, then seq; the slot never does.
+        assert!(pack(SimTime(1), seq, slot) < pack(SimTime(2), 0, 0));
+        assert!(pack(SimTime(5), 3, slot) < pack(SimTime(5), 4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "events pushed per run")]
+    fn a_seq_one_past_the_bound_panics() {
+        pack(SimTime::ZERO, 1 << SEQ_BITS, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "queued events")]
+    fn a_slot_one_past_the_bound_panics() {
+        pack(SimTime::ZERO, 0, 1 << SLOT_BITS);
+    }
+
+    /// The heap this one replaced: tuple keys, compared field by field.
+    #[derive(Default)]
+    struct TupleHeap {
+        heap: BinaryHeap<(Reverse<SimTime>, Reverse<u64>, usize)>,
+        seq: u64,
+    }
+
+    impl TupleHeap {
+        fn push(&mut self, at: SimTime, id: usize) {
+            self.heap.push((Reverse(at), Reverse(self.seq), id));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            self.heap.pop().map(|(Reverse(at), _, id)| (at, id))
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of pushes (`0..4`: that many nanoseconds
+        /// from now, so many timestamps tie) and pops (`4`) pop the same
+        /// `(at, event)` sequence as the tuple heap.
+        #[test]
+        fn prop_pops_in_the_tuple_heaps_order(
+            ops in proptest::collection::vec(0u64..5, 0..300),
+        ) {
+            let (mut packed, mut oracle) = (EventHeap::new(), TupleHeap::default());
+            let pop = |h: &mut EventHeap| {
+                h.pop().map(|(at, ev)| match ev {
+                    SimEvent::ViewPropose { idx } => (at, idx),
+                    _ => unreachable!(),
+                })
+            };
+            for (idx, op) in ops.iter().enumerate() {
+                if *op == 4 {
+                    proptest::prop_assert_eq!(pop(&mut packed), oracle.pop());
+                } else {
+                    let at = packed.now() + SimDuration::from_nanos(*op);
+                    packed.push(at, SimEvent::ViewPropose { idx });
+                    oracle.push(at, idx);
+                }
+            }
+            while let Some(want) = oracle.pop() {
+                proptest::prop_assert_eq!(pop(&mut packed), Some(want));
+            }
+            proptest::prop_assert!(packed.is_empty());
+        }
     }
 
     #[test]

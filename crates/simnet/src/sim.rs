@@ -522,16 +522,19 @@ impl<'a> Sim<'a> {
                     if let Msg::Batch(b) = &msg {
                         self.metrics.record_batch_flush(b.len() as u64, saved);
                     }
+                    // The paper's counters take one record per multicast,
+                    // however many copies it has.
+                    let k = dsts.len() as u64;
+                    self.metrics
+                        .record_sends(site.index(), msg.kind(), bytes, measured, k);
+                    let entries = &mut self.metrics.sm_entries;
+                    msg.sms()
+                        .for_each(|sm| entries.record_n(sm.meta.entry_count() as f64, k));
                     // Every destination but the last gets a clone (a
                     // refcount bump of the shared piggyback); the last
                     // takes the message itself.
                     let mut dsts = dsts.iter().peekable();
                     while let Some(to) = dsts.next() {
-                        self.metrics
-                            .record_send(site.index(), msg.kind(), bytes, measured);
-                        let entries = &mut self.metrics.sm_entries;
-                        msg.sms()
-                            .for_each(|sm| entries.record(sm.meta.entry_count() as f64));
                         self.trace_send(site, to, &msg, bytes);
                         if dsts.peek().is_none() {
                             self.transmit(site, to, msg, measured);

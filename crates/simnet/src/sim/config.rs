@@ -391,6 +391,7 @@ pub struct SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causal_types::MAX_VARS;
 
     fn crash(site: u16, start: u64, end: u64) -> CrashWindow {
         CrashWindow {
@@ -404,11 +405,12 @@ mod tests {
     fn each_rule_refuses_in_its_own_words() {
         /// The words a refusal must contain, and how to break the rule.
         type Case = (&'static str, fn(&mut SimConfig));
-        let cases: [Case; 16] = [
+        let cases: [Case; 17] = [
             ("the placement has 10 sites, the workload 6", |c| {
                 c.workload.n = 6
             }),
             ("q must be positive", |c| c.workload.q = 0),
+            ("q must be at most 65536", |c| c.workload.q = MAX_VARS + 1),
             ("optP is full-replication only", |c| {
                 c.protocol = ProtocolKind::OptP
             }),

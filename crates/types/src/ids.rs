@@ -43,10 +43,16 @@ impl fmt::Display for SiteId {
     }
 }
 
+/// The most variables a run may declare: every site keeps its per-variable
+/// state densely, one slot per id up to the largest it has seen, so `q`
+/// bounds that memory (a few MB per site at this bound; the paper's
+/// experiments use `q = 100`).
+pub const MAX_VARS: usize = 1 << 16;
+
 /// Identifier of a shared variable `x_h ∈ Q`.
 ///
-/// The distributed shared memory holds `q` variables; variables are numbered
-/// densely `0..q`.
+/// The distributed shared memory holds `q ≤ MAX_VARS` variables; variables
+/// are numbered densely `0..q`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VarId(pub u32);
 

@@ -31,7 +31,7 @@ pub mod time;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use ids::{SiteId, VarId, WriteId};
+pub use ids::{SiteId, VarId, WriteId, MAX_VARS};
 pub use msg::MsgKind;
 pub use op::{OpId, OpKind, ScheduledOp};
 pub use size::{DestsEncoding, MetaSized, SizeModel};

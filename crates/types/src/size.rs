@@ -141,15 +141,16 @@ impl SizeModel {
         }
     }
 
-    /// Bytes for `sets` destination sets holding `members` site ids in
-    /// total. Algebraically equal to summing [`SizeModel::dest_set`] over
-    /// the individual sets, but computable in O(1) from aggregate counters —
-    /// the indexed Opt-Track log sizes its piggybacks this way.
+    /// Bytes for `sets` destination sets holding `members()` site ids in
+    /// total: algebraically the sum of [`SizeModel::dest_set`] over the
+    /// individual sets. `members` is called only under a model that charges
+    /// per site id — a packed-word model prices a set by count alone — so
+    /// the Opt-Track log counts its members only when a model reads them.
     #[inline]
-    pub fn dest_sets(&self, sets: usize, members: usize) -> u64 {
+    pub fn dest_sets_with(&self, sets: usize, members: impl FnOnce() -> usize) -> u64 {
         match self.dests {
             DestsEncoding::PackedWord => self.scalars(sets),
-            DestsEncoding::PerSiteId => self.site_ids(members),
+            DestsEncoding::PerSiteId => self.site_ids(members()),
         }
     }
 }
@@ -216,9 +217,25 @@ mod tests {
             let members = [3usize, 0, 7, 1];
             let total: usize = members.iter().sum();
             let per_set: u64 = members.iter().map(|&m| model.dest_set(m)).sum();
-            assert_eq!(model.dest_sets(members.len(), total), per_set);
+            assert_eq!(model.dest_sets_with(members.len(), || total), per_set);
         }
-        assert_eq!(SizeModel::java_like().dest_sets(0, 0), 0);
+        assert_eq!(SizeModel::java_like().dest_sets_with(0, || 0), 0);
+    }
+
+    #[test]
+    fn dest_sets_with_counts_members_only_under_a_per_site_id_model() {
+        let packed = SizeModel::java_like();
+        let counted = |model: &SizeModel| {
+            let mut asked = 0;
+            let bytes = model.dest_sets_with(4, || {
+                asked += 1;
+                11
+            });
+            assert_eq!(bytes, model.dest_set(11) + 3 * model.dest_set(0));
+            asked
+        };
+        assert_eq!(counted(&packed), 0, "a packed word is priced by count");
+        assert_eq!(counted(&SizeModel::wire()), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Workload parameters.
 
-use causal_types::{Error, Result};
+use causal_types::{Error, Result, MAX_VARS};
 
 /// How target variables are drawn.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -101,6 +101,12 @@ impl WorkloadParams {
         }
         if self.q == 0 {
             return Err(Error::InvalidConfig("q must be positive".into()));
+        }
+        if self.q > MAX_VARS {
+            return Err(Error::InvalidConfig(format!(
+                "q must be at most {MAX_VARS}, got {}",
+                self.q
+            )));
         }
         if !(0.0..=1.0).contains(&self.w_rate) {
             return Err(Error::InvalidConfig(format!(

@@ -26,8 +26,10 @@
 //! row of a table the one parser in `causal_experiments::cli` reads. Run
 //! rules: every rule a simulation relies on is stated in
 //! `SimConfig::check`, and `serve` and `repro serve` make a serving row in
-//! one function. A second copy growing back is how the copies drifted
-//! apart before.
+//! one function. Per-message path: a multicast is counted once, by
+//! `RunMetrics::record_sends`, in either harness, and a replica's
+//! per-variable state is a dense `VarMap`, never a hash map. A second copy
+//! growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -715,5 +717,31 @@ fn each_rule_about_a_run_is_stated_once() {
     let serve = code("crates/experiments/src/bin/serve.rs");
     for copy in ["causal_checker", "final_pending", "push_row(vec!"] {
         assert!(!serve.contains(copy), "`serve` makes its own row: {copy}");
+    }
+}
+
+#[test]
+fn a_multicast_is_counted_once_and_per_variable_state_is_dense() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut proto = Vec::new();
+    walk(&root.join("crates/proto/src"), &mut proto);
+    let code: Vec<_> = proto
+        .iter()
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    assert!(code.len() > 10, "the walk found the protocol crate");
+    let hashed = files_with(&code, "HashMap<VarId");
+    assert_eq!(hashed, [""; 0], "per-variable state hashed, not a `VarMap`");
+    for harness in ["crates/simnet/src/sim.rs", "crates/runtime/src/node.rs"] {
+        let text = fs::read_to_string(root.join(harness)).expect(harness);
+        let text = outside_test_modules(&text);
+        assert!(
+            !text.contains("record_send("),
+            "{harness} counts a multicast copy by copy"
+        );
+        assert!(
+            text.contains("record_sends("),
+            "{harness} counts a multicast once"
+        );
     }
 }
