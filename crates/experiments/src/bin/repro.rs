@@ -1,17 +1,18 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
-//! `repro --help` lists the subcommands and every flag.
+//! Each subcommand is a row of `causal_experiments::artifacts::ARTIFACTS`,
+//! which names the cells the artifact reads; `repro --help` lists the rows
+//! and every flag. `repro all` makes every artifact. The selection's cells
+//! are simulated first, in one pass, as per-seed run units on `--jobs <n>`
+//! worker threads, and each artifact is then read off them; the output is
+//! byte-identical whatever the job count (results are merged in
+//! deterministic order). Nothing persists between invocations.
 //!
 //! `--quick` runs at a reduced scale (120 events/process, 2 seeds) for smoke
 //! testing; the default is the paper's scale (600 events/process, 3 seeds).
 //! With `--out`, each artifact is also written as CSV into the directory,
 //! plus — for the figures — a gnuplot data file and script, so
 //! `gnuplot results/fig1.gp` renders the actual plot.
-//!
-//! `--jobs <n>` executes the selection's simulation cells as per-seed run
-//! units on `n` worker threads; the output is byte-identical to `--jobs 1`
-//! (results are merged in deterministic order). Cells are shared between
-//! the artifacts of one invocation and simulated afresh by the next.
 //!
 //! An `--out` or `--trace-dir` that cannot be created (say, a path under a
 //! regular file) is an `error: <path>: …` and exit 2 before anything runs.
@@ -27,9 +28,9 @@
 //! the same seed, then prints the throughput/latency benchmark table
 //! (which `--out` also writes as `serve.csv`).
 
+use causal_experiments::artifacts::{Artifact, Kind, ARTIFACTS};
 use causal_experiments::cli::{self, die, Flag};
-use causal_experiments::{batching, chaos, churn, durability, figures, flags, scale, serve, soak};
-use causal_experiments::{Scale, Sweep};
+use causal_experiments::{flags, Ctx, Scale};
 use causal_metrics::Table;
 use std::path::PathBuf;
 
@@ -48,48 +49,6 @@ const FLAGS: &[Flag<Args>] = flags! {
     "--trace-dir" "<dir>" "write one JSONL trace per chaos / durability run" => |a, v| a.trace_dir = Some(v.into());
 };
 
-/// An artifact: its subcommand, its generator, and whether the generator
-/// goes through the sweep's cells — only those benefit from (and are
-/// safe under) the planning pass; the others run their own simulations.
-type Job = (&'static str, fn(&mut Sweep, &Args) -> Table, bool);
-
-const JOBS: &[Job] = &[
-    ("fig1", |s, _| figures::fig1(s), true),
-    ("fig2", |s, _| figures::fig2_4(s, 0.2), true),
-    ("fig3", |s, _| figures::fig2_4(s, 0.5), true),
-    ("fig4", |s, _| figures::fig2_4(s, 0.8), true),
-    ("table2", |s, _| figures::table2(s), true),
-    ("fig5", |s, _| figures::fig5(s), true),
-    ("fig6", |s, _| figures::fig6_8(s, 0.2), true),
-    ("fig7", |s, _| figures::fig6_8(s, 0.5), true),
-    ("fig8", |s, _| figures::fig6_8(s, 0.8), true),
-    ("table3", |s, _| figures::table3(s), true),
-    ("table4", |s, _| figures::table4(s), true),
-    ("eq2", |s, _| figures::eq2(s), true),
-    ("falseco", |s, _| figures::ext_false_causality(s), false),
-    ("logsize", |s, _| figures::ext_log_size(s), true),
-    ("storage", |s, _| figures::ext_storage(s), true),
-    (
-        "chaos",
-        |s, a| chaos::chaos_overhead(s.scale(), 10, a.jobs, a.trace_dir.as_deref()),
-        false,
-    ),
-    (
-        "durability",
-        |s, a| durability::durability_sweep(s.scale(), 10, a.jobs, a.trace_dir.as_deref()),
-        false,
-    ),
-    ("churn", |s, a| churn::churn_sweep(s.scale(), a.jobs), false),
-    (
-        "batching",
-        |s, a| batching::batching_sweep(s.scale(), a.jobs),
-        false,
-    ),
-    ("soak", |s, a| soak::soak_sweep(s.scale(), a.jobs), false),
-    ("serve", |s, _| serve::serve_sweep(s.scale()), false),
-    ("scale", |s, _| scale::scale_sweep(s.scale()), false),
-];
-
 fn main() {
     let mut a = Args {
         scale: Scale::Paper,
@@ -97,10 +56,11 @@ fn main() {
         jobs: 1,
         trace_dir: None,
     };
-    let names: Vec<&str> = JOBS.iter().map(|(name, _, _)| *name).collect();
-    let usage = format!("repro <{}|all> [flags]", names.join("|"));
+    let mut operands: Vec<(&str, &str)> = ARTIFACTS.iter().map(|x| (x.name, x.paper)).collect();
+    operands.push(("all", "every artifact above"));
     let mut subcommand = None;
-    cli::parse(usage, FLAGS, &mut a, |s| {
+    let usage = "repro <artifact|all> [flags]".to_string();
+    cli::parse(usage, &operands, FLAGS, &mut a, |s| {
         let first = subcommand.is_none();
         subcommand.get_or_insert_with(|| s.to_string());
         first
@@ -114,45 +74,34 @@ fn main() {
             die(&format!("{}: {e}", dir.display()));
         }
     }
-    let selected: Vec<&Job> = match subcommand.as_str() {
-        "all" => JOBS.iter().collect(),
-        name => match JOBS.iter().find(|(job, _, _)| *job == name) {
-            Some(job) => vec![job],
+    let selected: Vec<&Artifact> = match subcommand.as_str() {
+        "all" => ARTIFACTS.iter().collect(),
+        name => match ARTIFACTS.iter().find(|x| x.name == name) {
+            Some(x) => vec![x],
             None => die(&format!("unknown subcommand: {name}")),
         },
     };
 
-    let mut sw = Sweep::new(a.scale);
-    sw.set_jobs(a.jobs);
-    if a.jobs > 1 {
-        // Dry pass: discover every cell the selection needs, then run all
-        // of their per-seed units on the worker pool at once.
-        eprintln!("[repro] planning cells for {} workers …", a.jobs);
-        sw.plan_begin();
-        for (_, gen, uses_cells) in &selected {
-            if *uses_cells {
-                let _ = gen(&mut sw, &a);
-            }
-        }
-        let t0 = std::time::Instant::now();
-        sw.plan_execute();
-        eprintln!("[repro] cell pool drained in {:.1?}\n", t0.elapsed());
+    let cells: Vec<_> = selected.iter().flat_map(|x| (x.cells)()).collect();
+    let t0 = std::time::Instant::now();
+    let ctx = Ctx::new(a.scale, a.jobs, a.trace_dir, &cells);
+    if !cells.is_empty() {
+        eprintln!("[repro] cell pool drained in {:.1?}", t0.elapsed());
     }
-
-    for (name, gen, _) in selected {
-        eprintln!("[repro] generating {name} …");
+    for x in selected {
+        eprintln!("[repro] generating {} …", x.name);
         let t0 = std::time::Instant::now();
-        let table = gen(&mut sw, &a);
+        let table = (x.table)(&ctx, x.printed);
         println!("{}", table.render());
         if let Some(dir) = &a.out {
-            let path = dir.join(format!("{name}.csv"));
+            let path = dir.join(format!("{}.csv", x.name));
             std::fs::write(&path, table.to_csv()).expect("write CSV");
             eprintln!("[repro] wrote {}", path.display());
-            if name.starts_with("fig") {
-                write_gnuplot(dir, name, &table);
+            if x.kind == Kind::Figure {
+                write_gnuplot(dir, x.name, &table);
             }
         }
-        eprintln!("[repro] {name} done in {:.1?}\n", t0.elapsed());
+        eprintln!("[repro] {} done in {:.1?}\n", x.name, t0.elapsed());
     }
 }
 

@@ -65,7 +65,7 @@ fn parse() -> Args {
         ops: None,
         check: false,
     };
-    cli::parse("serve [flags]".into(), FLAGS, &mut a, |_| false);
+    cli::parse("serve [flags]".into(), &[], FLAGS, &mut a, |_| false);
     let load = &mut a.cfg.load;
     load.ops_per_client = a.ops.unwrap_or(match load.duration {
         Some(_) => DURATION_MODE_OPS_CAP,

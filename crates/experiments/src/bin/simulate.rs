@@ -229,7 +229,7 @@ fn parse() -> Args {
         verify_trace: false,
         runtime: None,
     };
-    let sim_only = cli::parse("simulate [flags]".into(), FLAGS, &mut a, |_| false);
+    let sim_only = cli::parse("simulate [flags]".into(), &[], FLAGS, &mut a, |_| false);
     if let Some(flag) = sim_only.or((a.seeds > 1).then_some("--seeds")) {
         if a.runtime.is_some() {
             die(&format!(

@@ -90,10 +90,12 @@ pub fn sites(v: &str) -> Result<usize, Bad> {
 
 /// Apply the process's arguments to `target` by the rows of `flags`; a
 /// word that is no flag goes to `operand`, which returns `false` to refuse
-/// it. `usage` is the synopsis `--help` and [`die`] print. Returns the
-/// first simulator-only flag given.
+/// it. `usage` is the synopsis `--help` and [`die`] print; `--help` lists
+/// `operands` (each a word and what it means) between it and the flags.
+/// Returns the first simulator-only flag given.
 pub fn parse<T>(
     usage: String,
+    operands: &[(&str, &str)],
     flags: &[Flag<T>],
     target: &mut T,
     mut operand: impl FnMut(&str) -> bool,
@@ -108,6 +110,13 @@ pub fn parse<T>(
     while let Some(arg) = args.next() {
         if arg == "--help" || arg == "-h" {
             println!("usage: {usage}\n");
+            let width = operands.iter().map(|(word, _)| word.len()).max();
+            for (word, about) in operands {
+                println!("  {word:0$}  {about}", width.unwrap_or(0));
+            }
+            if width.is_some() {
+                println!();
+            }
             let syntax = |f: &Flag<T>| format!("{} {}", f.name, f.value);
             let width = flags.iter().map(|f| syntax(f).len()).max().unwrap_or(0);
             for f in flags {

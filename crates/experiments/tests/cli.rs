@@ -128,6 +128,25 @@ fn help_exits_zero_and_lists_the_flags() {
     }
 }
 
+/// `repro --help` lists each artifact beside where the paper shows it.
+#[test]
+fn repro_help_lists_the_artifacts() {
+    let out = repro(&["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for (name, paper) in [
+        ("fig1", "Fig. 1"),
+        ("table4", "Table IV"),
+        ("eq2", "Eq. (2)"),
+        ("soak", "extension"),
+        ("all", "every artifact"),
+    ] {
+        let row = stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name));
+        assert!(row.is_some_and(|l| l.contains(paper)), "{name}: {stdout}");
+    }
+}
+
 /// The parallel engine's acceptance property, end to end through the
 /// binary: stdout and the written CSV of `--jobs 4` are byte-identical to
 /// `--jobs 1`.

@@ -281,15 +281,6 @@ impl SmBatch {
             .sum();
         model.batch_base as u64 + merged + per_sm
     }
-
-    /// What the same updates would have cost as individual SM messages
-    /// (used for the `batch_bytes_saved` counter).
-    pub fn unbatched_size(&self, model: &SizeModel) -> u64 {
-        self.sms
-            .iter()
-            .map(|b| model.base(MsgKind::Sm) + b.sm.meta.meta_size(model))
-            .sum()
-    }
 }
 
 /// A remote fetch request. Carries no causal meta-data (Table I): the
@@ -490,7 +481,9 @@ mod tests {
                 .collect(),
         );
         let batched = Msg::Batch(Arc::new(batch.clone())).meta_size(&model);
-        let unbatched = batch.unbatched_size(&model);
+        let unbatched: u64 = (batch.sms.iter())
+            .map(|b| model.base(MsgKind::Sm) + b.sm.meta.meta_size(&model))
+            .sum();
         assert!(
             batched * 10 <= unbatched,
             "expected ≥10× amortization at k={k}: {batched} vs {unbatched}"

@@ -244,12 +244,6 @@ impl SimConfig {
         self
     }
 
-    /// Inject fail-stop crash windows.
-    pub fn with_crashes(mut self, crashes: Vec<CrashWindow>) -> Self {
-        self.crashes = crashes;
-        self
-    }
-
     /// Install a durability plan (WAL, checkpoints, fetch deadlines).
     pub fn with_durability(mut self, durability: DurabilityPlan) -> Self {
         self.durability = durability;
@@ -266,12 +260,6 @@ impl SimConfig {
     /// GC, overdue watchdog, soft-cap backpressure).
     pub fn with_stability(mut self, stability: StabilityPlan) -> Self {
         self.stability = Some(stability);
-        self
-    }
-
-    /// Enable per-destination update batching under `plan`.
-    pub fn with_batching(mut self, plan: BatchPlan) -> Self {
-        self.batching = Some(plan);
         self
     }
 

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::time::Duration;
 
 /// A point in virtual time, with nanosecond resolution.
 ///
@@ -105,13 +104,6 @@ impl SimDuration {
     pub fn as_nanos(self) -> u64 {
         self.0
     }
-
-    /// Convert to a real [`Duration`] (used by the threaded runtime when
-    /// replaying a virtual schedule in wall-clock time, possibly scaled).
-    #[inline]
-    pub fn to_std(self) -> Duration {
-        Duration::from_nanos(self.0)
-    }
 }
 
 impl fmt::Debug for SimDuration {
@@ -180,13 +172,5 @@ mod tests {
     fn saturating_add_does_not_overflow() {
         let t = SimTime::MAX.saturating_add(SimDuration::from_millis(1));
         assert_eq!(t, SimTime::MAX);
-    }
-
-    #[test]
-    fn to_std_duration() {
-        assert_eq!(
-            SimDuration::from_millis(7).to_std(),
-            Duration::from_millis(7)
-        );
     }
 }

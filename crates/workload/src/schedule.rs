@@ -31,11 +31,6 @@ impl Schedule {
             .filter(|op| op.kind.is_write())
             .count()
     }
-
-    /// Empirical write rate of the generated schedule.
-    pub fn empirical_w_rate(&self) -> f64 {
-        self.total_writes() as f64 / self.total_ops() as f64
-    }
 }
 
 /// Precomputed CDF for Zipf sampling over `q` ranks.
@@ -165,7 +160,7 @@ mod tests {
         for target in [0.2, 0.5, 0.8] {
             let p = WorkloadParams::paper(10, target, 11);
             let s = generate(&p);
-            let got = s.empirical_w_rate();
+            let got = s.total_writes() as f64 / s.total_ops() as f64;
             assert!((got - target).abs() < 0.03, "target {target}, got {got}");
         }
     }

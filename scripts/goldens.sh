@@ -3,8 +3,9 @@
 # produced by the binaries in <bin-dir> and written under <out-dir>: CLI
 # output and JSONL traces of `simulate` across the fault / crash / WAL /
 # churn / stability matrix for all five protocols, and the quick sweep
-# tables with their traces. Wall-clock lines are filtered, so two builds
-# of the same behaviour compare equal:
+# tables with their traces, every paper figure and table among them.
+# Wall-clock lines are filtered, so two builds of the same behaviour
+# compare equal:
 #
 #   scripts/goldens.sh parent/ a && scripts/goldens.sh target/release/ b && diff -r a b
 set -euo pipefail
@@ -58,7 +59,9 @@ for protocol in full-track opt-track opt-track-crp optp hb-track; do
     done
 done
 
-for job in chaos durability churn batching storage soak table4; do
+# The extension sweeps, then every artifact read off the paper's cells.
+for job in chaos durability churn batching storage soak table4 \
+    fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2 table3 eq2 logsize falseco; do
     mkdir -p "repro/$job"
     "$bin/repro" "$job" --quick \
         --out "repro/$job" --trace-dir "repro/$job/traces" 2>&1 |

@@ -28,8 +28,10 @@
 //! `SimConfig::check`, and `serve` and `repro serve` make a serving row in
 //! one function. Per-message path: a multicast is counted once, by
 //! `RunMetrics::record_sends`, in either harness, and a replica's
-//! per-variable state is a dense `VarMap`, never a hash map. A second copy
-//! growing back is how the copies drifted apart before.
+//! per-variable state is a dense `VarMap`, never a hash map. Artifacts:
+//! each of `repro`'s subcommands is one row of `ARTIFACTS`, which names
+//! the cells it reads, and the selection's cells run in one pass. A second
+//! copy growing back is how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -744,4 +746,53 @@ fn a_multicast_is_counted_once_and_per_variable_state_is_dense() {
             "{harness} counts a multicast once"
         );
     }
+}
+
+#[test]
+fn each_paper_artifact_is_declared_once_and_its_cells_run_in_one_pass() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut experiments = Vec::new();
+    walk(&root.join("crates/experiments/src"), &mut experiments);
+    let code: Vec<_> = experiments
+        .iter()
+        .map(|(path, text)| (path.clone(), outside_test_modules(text)))
+        .collect();
+    // No dry pass over placeholder stats, no second path for `--jobs 1`,
+    // no per-job flag, no settable seed and no paper values in a function.
+    let gone = [
+        "plan_begin",
+        "fn zero(",
+        "fn set_jobs(",
+        "uses_cells",
+        "base_seed",
+        "_paper(",
+    ];
+    for copy in gone {
+        assert_eq!(files_with(&code, copy), [""; 0], "`{copy}`");
+    }
+    // Each subcommand is named once, by its row of `ARTIFACTS`.
+    let artifacts = ["crates/experiments/src/artifacts.rs"];
+    let names = "fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2 table3 table4 eq2 \
+        falseco logsize storage chaos durability churn batching soak serve scale";
+    for name in names.split_whitespace() {
+        let quoted = format!("\"{name}\"");
+        assert_eq!(files_with(&code, &quoted), artifacts, "{quoted}");
+    }
+    // Functions no caller used.
+    let everywhere = sources();
+    for dead in [
+        "fn with_crashes(",
+        "fn with_batching(",
+        "fn to_std(",
+        "fn unbatched_size(",
+        "fn empirical_w_rate(",
+    ] {
+        assert_eq!(files_with(&everywhere, dead), [""; 0], "`{dead}`");
+    }
+    let sweep = code.iter().find(|(path, _)| path.ends_with("sweep.rs"));
+    let (_, sweep) = sweep.expect("sweep.rs is in the walk");
+    assert!(
+        !sweep.contains("fn fingerprint("),
+        "`fingerprint` only for tests"
+    );
 }
