@@ -165,16 +165,6 @@ impl<T> DestBatcher<T> {
         out
     }
 
-    /// Drop everything queued for `dest` without delivering it (the
-    /// destination crashed; its lane contents die with the sender's intent
-    /// to transmit).
-    pub fn clear_dest(&mut self, dest: SiteId) -> usize {
-        match self.lanes.get_mut(&dest) {
-            Some(lane) => lane.drain().len(),
-            None => 0,
-        }
-    }
-
     /// Number of updates currently parked across all lanes.
     pub fn pending(&self) -> usize {
         self.lanes.values().map(|l| l.items.len()).sum()
@@ -273,21 +263,5 @@ mod tests {
         );
         assert!(q.is_empty());
         assert!(q.flush_all().is_empty());
-    }
-
-    #[test]
-    fn clear_dest_drops_and_bumps_epoch() {
-        let mut q = b(10);
-        let Offer::First { epoch } = q.offer(SiteId(2), 7, 1) else {
-            panic!("expected First")
-        };
-        assert_eq!(q.clear_dest(SiteId(2)), 1);
-        assert!(q.is_empty());
-        assert_eq!(
-            q.on_timer(SiteId(2), epoch),
-            None,
-            "cleared lane's timer is stale"
-        );
-        assert_eq!(q.clear_dest(SiteId(9)), 0);
     }
 }

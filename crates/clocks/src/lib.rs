@@ -28,8 +28,11 @@ pub mod batch;
 pub mod crplog;
 pub mod dests;
 pub mod log;
+#[cfg(test)]
+mod log_differential;
 pub mod matrix;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod stability;
 pub mod vector;
 
@@ -38,6 +41,5 @@ pub use crplog::{CrpDelta, CrpLog};
 pub use dests::DestSet;
 pub use log::{Log, LogDelta, LogEntry, PruneConfig};
 pub use matrix::{MatrixClock, MatrixDelta};
-pub use reference::NaiveLog;
-pub use stability::{NaiveStability, StabilityTracker};
+pub use stability::StabilityTracker;
 pub use vector::{VectorClock, VectorDelta};

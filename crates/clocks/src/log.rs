@@ -78,8 +78,10 @@
 //!   event's `removed`).
 //!
 //! [`Log::purge`], [`Log::prune_applied`], [`Log::remove_site`] and
-//! [`Log::upsert`] remain as the in-place primitives for the stability GC,
-//! [`Log::forget_site`], probes and tests. Snapshots of a log are shared by
+//! [`Log::upsert`] remain as in-place primitives: the stability GC's
+//! [`Log::prune_stable`] ends in `purge`, [`Log::forget_site`] runs
+//! `remove_site`, Opt-Track's peer recovery runs `prune_applied`, and the
+//! tests build logs with `upsert`. Snapshots of a log are shared by
 //! `Arc` (a write's fan-out piggybacks one snapshot by refcount), so no hot
 //! path clones a log; the feeders read shared snapshots in place.
 //!
@@ -88,9 +90,9 @@
 //! members on demand ([`SizeModel::dest_sets_with`]) and is O(1) under the
 //! `java_like` model, while a counter kept up to date would cost a
 //! popcount per surviving entry in every builder pass and every decode.
-//! The reference implementation ([`crate::reference::NaiveLog`]) composes
-//! the whole-log passes literally; the differential proptests
-//! (`tests/log_differential.rs`) hold the two implementations to identical
+//! The test-only reference implementation (`NaiveLog`, in `reference.rs`)
+//! composes the whole-log passes literally; the differential proptests
+//! (`log_differential.rs`) hold the two implementations to identical
 //! observable state after every operation.
 
 use crate::dests::DestSet;

@@ -5,14 +5,12 @@
 //! (or binary-search-per-entry) scan. It is deliberately simple — each method
 //! is a direct transcription of the paper's MERGE / PURGE rules — and it is
 //! **retained as the executable specification** for the indexed [`Log`]
-//! (crate::log): the differential proptests in `tests/log_differential.rs`
+//! (crate::log): the differential proptests in `log_differential.rs`
 //! replay arbitrary operation interleavings against both structures and
 //! require identical observable state (entry sets, destination sets, sizes)
 //! after every step.
 //!
-//! Nothing on the simulation hot path uses this type; it exists for
-//! verification and for the `log_merge`/`log_record_write` microbenchmarks'
-//! naive-vs-indexed comparison.
+//! It is compiled for the crate's tests only; no run uses it.
 //!
 //! [`Log`]: crate::Log
 

@@ -19,8 +19,8 @@
 //! incremental update recomputes a column's minimum only when the raised
 //! cell could have been the binding one — the formulation Moirai's
 //! incremental-LSV benchmark shows is the only one that survives at scale.
-//! [`NaiveStability`] is the full-recompute executable specification, held
-//! equivalent by differential proptests in the `reference.rs` style of PR5.
+//! `NaiveStability`, compiled for the tests only, is the full-recompute
+//! executable specification the differential proptests hold it to.
 
 use causal_types::SiteId;
 
@@ -173,6 +173,7 @@ impl StabilityTracker {
 /// the matrix itself is the monotonicity clamp. Retained (not dead code) so
 /// the differential proptests below can hold the incremental tracker to it
 /// forever.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct NaiveStability {
     n: usize,
@@ -181,6 +182,7 @@ pub struct NaiveStability {
     clamp: Vec<u64>,
 }
 
+#[cfg(test)]
 impl NaiveStability {
     /// A fresh reference tracker for `n` sites.
     pub fn new(n: usize) -> Self {

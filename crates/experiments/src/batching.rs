@@ -52,7 +52,7 @@ fn batching_cfg(
     // Bytes/op comparisons need the calibrated flat-wire cost model; the
     // java_like model's per-message object overhead would mask the
     // piggyback amortization that batching actually buys.
-    cfg.size_model = SizeModel::batched();
+    cfg.size_model = SizeModel::wire();
     cfg.batching = window.map(|s| BatchPlan::windowed(SimDuration::from_millis(s * 1000)));
     cfg
 }

@@ -149,14 +149,12 @@ fn latency(v: &str) -> Result<LatencyModel, Bad> {
     let Some((lo, hi)) = v.split_once(':') else {
         return Ok(LatencyModel::Constant { micros: v.parse()? });
     };
-    let (min_micros, max_micros) = (lo.parse()?, hi.parse()?);
-    if min_micros > max_micros {
-        return Err("the minimum exceeds the maximum".into());
-    }
-    Ok(LatencyModel::Uniform {
-        min_micros,
-        max_micros,
-    })
+    let model = LatencyModel::Uniform {
+        min_micros: lo.parse()?,
+        max_micros: hi.parse()?,
+    };
+    model.check()?;
+    Ok(model)
 }
 
 /// Its sides are set once `--n` is known.
@@ -178,13 +176,9 @@ fn partition(v: &str) -> Result<PartitionWindow, Bad> {
 
 fn faults(v: &str) -> Result<FaultPlan, Bad> {
     let (drop, dup) = v.split_once(',').unwrap_or((v, "0"));
-    let (drop, dup) = (drop.parse()?, dup.parse()?);
-    if !(0.0..1.0).contains(&drop) || !(0.0..=1.0).contains(&dup) {
-        return Err(
-            "want 0 <= drop < 1 (dropping every frame never delivers), 0 <= dup <= 1".into(),
-        );
-    }
-    Ok(FaultPlan::uniform(drop, dup))
+    let plan = FaultPlan::uniform(drop.parse()?, dup.parse()?);
+    plan.check()?;
+    Ok(plan)
 }
 
 /// The stability plan the tuning flags write, installed by the first.
@@ -361,7 +355,6 @@ fn run_on_runtime(cfg: &SimConfig, which: &str) {
         workload: cfg.workload,
         time_scale: 0.005,
         size_model: cfg.size_model,
-        batch: None,
         workers: 0,
     };
     let t0 = std::time::Instant::now();

@@ -36,8 +36,6 @@ metrics_struct! {
         /// (0 for updates applied on arrival). False causality — waiting on
         /// dependencies that are not real `→co` dependencies — shows up here.
         pub apply_latency_ns: Histogram => merge,
-        /// Pending-buffer population sampled after every delivery event.
-        pub pending_samples: Histogram => merge,
         /// Channel transit time per message, virtual nanoseconds (simulator
         /// runs only; reflects the latency model, partitions included).
         pub transit_ns: Histogram => merge,
@@ -263,7 +261,6 @@ impl RunMetrics {
         s.delivers += 1;
         s.buffered += buffered;
         self.max_pending = self.max_pending.max(pending);
-        self.pending_samples.record(pending as f64);
     }
 
     /// Record an issued operation (post-warm-up only).
@@ -481,7 +478,6 @@ mod tests {
             histograms {
                 sm_entries,
                 apply_latency_ns,
-                pending_samples,
                 transit_ns,
                 recovery_ns,
                 view_change_ns,

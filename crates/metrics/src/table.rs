@@ -111,16 +111,6 @@ impl Table {
     }
 }
 
-/// Format a byte count the way the paper's tables do: raw bytes below 1 KB,
-/// otherwise KB with three decimals.
-pub fn fmt_bytes(bytes: f64) -> String {
-    if bytes < 1000.0 {
-        format!("{bytes:.1}")
-    } else {
-        format!("{:.3} KB", bytes / 1000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +139,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("", &["a", "b"]);
         t.push_row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn fmt_bytes_matches_paper_style() {
-        assert_eq!(fmt_bytes(489.0), "489.0");
-        assert_eq!(fmt_bytes(13547.0), "13.547 KB");
     }
 
     #[test]

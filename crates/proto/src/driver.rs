@@ -608,7 +608,7 @@ pub(crate) mod tests {
             },
         };
         SiteId::all(n)
-            .map(|s| SiteDriver::new(kind, s, repl.clone(), cfg, SizeModel::batched(), lanes))
+            .map(|s| SiteDriver::new(kind, s, repl.clone(), cfg, SizeModel::wire(), lanes))
             .collect()
     }
 
@@ -668,7 +668,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_one_item_lane_leaves_as_a_plain_sm_and_a_k_item_lane_as_one_batch() {
-        let model = SizeModel::batched();
+        let model = SizeModel::wire();
         for k in [1usize, 2, 5] {
             let mut sites = cluster(ProtocolKind::FullTrack, 3, LANES);
             let mut out = Vec::new();
@@ -740,7 +740,7 @@ pub(crate) mod tests {
 
     #[test]
     fn grouping_keeps_writes_apart_destinations_distinct_and_bytes_per_copy() {
-        let model = SizeModel::batched();
+        let model = SizeModel::wire();
         for kind in ALL {
             let n = 5;
             let mut grouped = cluster(kind, n, None);

@@ -471,7 +471,7 @@ mod tests {
     fn batch_amortizes_the_piggyback() {
         // k matrix-carrying SMs in one frame: one matrix + k small headers,
         // against k full matrices unbatched.
-        let model = SizeModel::batched();
+        let model = SizeModel::wire();
         let k = 16;
         let batch = batch_of(
             (0..k)
@@ -496,7 +496,7 @@ mod tests {
     fn singleton_batch_costs_more_than_a_plain_sm() {
         // The flush path must degrade a one-element lane to a plain SM;
         // this pins the reason (the batch framing is pure overhead at k=1).
-        let model = SizeModel::batched();
+        let model = SizeModel::wire();
         let meta = SmMeta::OptP {
             write: Arc::new(VectorClock::new(10)),
         };

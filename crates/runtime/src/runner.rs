@@ -62,11 +62,6 @@ pub struct RuntimeConfig {
     pub time_scale: f64,
     /// Byte accounting for the metrics.
     pub size_model: SizeModel,
-    /// Per-destination update batching on the send path; `None` ships
-    /// every SM as its own frame (required for sim-vs-real parity runs:
-    /// wall-clock windows group updates differently than virtual-time
-    /// ones, so message counts only line up unbatched).
-    pub batch: Option<BatchWindow>,
     /// Scheduler worker threads. `0` auto-sizes to the machine's available
     /// parallelism; `n` gives every site its own worker. Always clamped to
     /// `[1, n]`.
@@ -90,7 +85,6 @@ impl RuntimeConfig {
             workload,
             time_scale: 0.005,
             size_model: SizeModel::java_like(),
-            batch: None,
             workers: 0,
         }
     }
@@ -793,7 +787,9 @@ pub(crate) fn deploy(
 }
 
 /// Replay `cfg`'s workload (the simulator's schedule for the same seed)
-/// on a deployment over `transport`.
+/// on a deployment over `transport`. Every SM ships as its own frame:
+/// wall-clock windows group updates differently than virtual-time ones, so
+/// message counts line up with the simulator's only unbatched.
 pub(crate) fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<RunOutcome> {
     assert_eq!(cfg.placement.n(), cfg.workload.n);
     let schedule = generate(&cfg.workload);
@@ -804,7 +800,7 @@ pub(crate) fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<R
         cfg.workers,
         cfg.workload.payload_len,
         cfg.size_model,
-        cfg.batch,
+        None,
         |i| {
             OpDriver::replay(
                 schedule.per_site[i].clone(),

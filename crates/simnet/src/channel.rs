@@ -1,6 +1,8 @@
-//! Reliable FIFO channels with pluggable latency.
+//! Reliable FIFO channels with pluggable latency, partition windows, and
+//! the fault plan's two rates: one drop and one duplication probability for
+//! every frame on every channel.
 
-use causal_types::{SimDuration, SimTime, SiteId};
+use causal_types::{Error, Result, SimDuration, SimTime, SiteId};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -47,6 +49,20 @@ impl LatencyModel {
         LatencyModel::Uniform {
             min_micros: 20_000,
             max_micros: 80_000,
+        }
+    }
+
+    /// `Err` when a uniform model's minimum exceeds its maximum (an empty
+    /// range to sample from).
+    pub fn check(&self) -> Result<()> {
+        match *self {
+            LatencyModel::Uniform {
+                min_micros,
+                max_micros,
+            } if min_micros > max_micros => Err(Error::InvalidConfig(format!(
+                "the latency's minimum exceeds its maximum ({min_micros} > {max_micros} µs)"
+            ))),
+            _ => Ok(()),
         }
     }
 
@@ -103,37 +119,9 @@ impl PartitionWindow {
     }
 }
 
-/// A burst-loss window: during `[start, end)` every channel's drop
-/// probability is raised to at least `drop` (correlated loss, as produced by
-/// a congested or flapping link — the failure mode that most stresses
-/// retransmission backoff).
-#[derive(Clone, Debug)]
-pub struct BurstWindow {
-    /// Burst onset (frames departing at or after this instant are affected).
-    pub start: SimTime,
-    /// Burst end.
-    pub end: SimTime,
-    /// Drop probability during the burst (overrides the base rate when
-    /// larger).
-    pub drop: f64,
-}
-
-/// Per-ordered-pair fault override, taking precedence over the plan's base
-/// rates on that channel.
-#[derive(Clone, Debug)]
-pub struct ChannelFault {
-    /// Sending site of the affected channel.
-    pub from: SiteId,
-    /// Receiving site of the affected channel.
-    pub to: SiteId,
-    /// Drop probability on this channel.
-    pub drop: f64,
-    /// Duplication probability on this channel.
-    pub dup: f64,
-}
-
-/// A lossy-network fault plan: per-frame drop and duplication probabilities,
-/// optionally modulated by [`BurstWindow`]s and per-channel overrides.
+/// A lossy-network fault plan: every frame on every channel is dropped with
+/// probability `drop` and, when delivered, arrives a second time with
+/// probability `dup`.
 ///
 /// The plan acts on transport *frames* (see `crate::transport`), never on
 /// protocol messages directly: a dropped frame is retransmitted until
@@ -144,63 +132,45 @@ pub struct ChannelFault {
 /// stream untouched (an empty plan consumes no randomness at all).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Base probability that a frame is dropped in transit.
+    /// Probability that a frame is dropped in transit.
     pub drop: f64,
-    /// Base probability that a delivered frame arrives a second time.
+    /// Probability that a delivered frame arrives a second time.
     pub dup: f64,
-    /// Correlated burst-loss windows.
-    pub bursts: Vec<BurstWindow>,
-    /// Per-channel overrides.
-    pub overrides: Vec<ChannelFault>,
 }
 
 impl FaultPlan {
-    /// A plan with uniform base rates and no bursts or overrides.
+    /// A plan with these rates.
     pub fn uniform(drop: f64, dup: f64) -> Self {
-        FaultPlan {
-            drop,
-            dup,
-            ..FaultPlan::default()
+        FaultPlan { drop, dup }
+    }
+
+    /// `Err` unless `0 <= drop < 1` and `0 <= dup <= 1` (NaN fails both).
+    /// Dropping every frame would retransmit forever and deliver nothing.
+    pub fn check(&self) -> Result<()> {
+        if (0.0..1.0).contains(&self.drop) && (0.0..=1.0).contains(&self.dup) {
+            return Ok(());
         }
+        Err(Error::InvalidConfig(format!(
+            "the fault rates drop={} dup={} are out of range: want \
+             0 <= drop < 1 (dropping every frame never delivers), 0 <= dup <= 1",
+            self.drop, self.dup
+        )))
     }
 
     /// `true` when the plan can never drop or duplicate anything — the
     /// transport layer is bypassed entirely in that case.
     pub fn is_noop(&self) -> bool {
-        self.drop == 0.0
-            && self.dup == 0.0
-            && self.bursts.iter().all(|b| b.drop == 0.0)
-            && self.overrides.iter().all(|o| o.drop == 0.0 && o.dup == 0.0)
-    }
-
-    fn channel(&self, from: SiteId, to: SiteId) -> Option<&ChannelFault> {
-        self.overrides.iter().find(|o| o.from == from && o.to == to)
-    }
-
-    /// The drop probability for a frame departing `from → to` at `at`.
-    pub fn drop_prob(&self, from: SiteId, to: SiteId, at: SimTime) -> f64 {
-        let base = self.channel(from, to).map_or(self.drop, |o| o.drop);
-        self.bursts
-            .iter()
-            .filter(|b| at >= b.start && at < b.end)
-            .fold(base, |p, b| p.max(b.drop))
-    }
-
-    /// The duplication probability on the `from → to` channel.
-    pub fn dup_prob(&self, from: SiteId, to: SiteId) -> f64 {
-        self.channel(from, to).map_or(self.dup, |o| o.dup)
+        self.drop == 0.0 && self.dup == 0.0
     }
 
     /// Sample the drop decision for one frame departure.
-    pub fn should_drop(&self, from: SiteId, to: SiteId, at: SimTime, rng: &mut StdRng) -> bool {
-        let p = self.drop_prob(from, to, at);
-        p > 0.0 && rng.gen_bool(p.min(1.0))
+    pub fn should_drop(&self, rng: &mut StdRng) -> bool {
+        self.drop > 0.0 && rng.gen_bool(self.drop)
     }
 
     /// Sample the duplication decision for one delivered frame.
-    pub fn should_dup(&self, from: SiteId, to: SiteId, rng: &mut StdRng) -> bool {
-        let p = self.dup_prob(from, to);
-        p > 0.0 && rng.gen_bool(p.min(1.0))
+    pub fn should_dup(&self, rng: &mut StdRng) -> bool {
+        self.dup > 0.0 && rng.gen_bool(self.dup)
     }
 }
 
@@ -432,52 +402,10 @@ mod fault_plan_tests {
     }
 
     #[test]
-    fn bursts_raise_the_drop_rate_inside_the_window() {
-        let plan = FaultPlan {
-            drop: 0.05,
-            bursts: vec![BurstWindow {
-                start: SimTime::from_millis(100),
-                end: SimTime::from_millis(200),
-                drop: 0.9,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.is_noop());
-        let (a, b) = (SiteId(0), SiteId(1));
-        assert_eq!(plan.drop_prob(a, b, SimTime::from_millis(50)), 0.05);
-        assert_eq!(plan.drop_prob(a, b, SimTime::from_millis(150)), 0.9);
-        assert_eq!(plan.drop_prob(a, b, SimTime::from_millis(200)), 0.05);
-    }
-
-    #[test]
-    fn overrides_take_precedence_per_channel() {
-        let plan = FaultPlan {
-            drop: 0.5,
-            dup: 0.5,
-            overrides: vec![ChannelFault {
-                from: SiteId(0),
-                to: SiteId(1),
-                drop: 0.0,
-                dup: 0.0,
-            }],
-            ..FaultPlan::default()
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        // The overridden channel is lossless regardless of the base rates.
-        assert_eq!(plan.drop_prob(SiteId(0), SiteId(1), SimTime::ZERO), 0.0);
-        assert!(!plan.should_drop(SiteId(0), SiteId(1), SimTime::ZERO, &mut rng));
-        assert!(!plan.should_dup(SiteId(0), SiteId(1), &mut rng));
-        // Other channels keep the base rates.
-        assert_eq!(plan.drop_prob(SiteId(1), SiteId(0), SimTime::ZERO), 0.5);
-    }
-
-    #[test]
     fn sampled_drop_rate_tracks_the_probability() {
         let plan = FaultPlan::uniform(0.3, 0.0);
         let mut rng = StdRng::seed_from_u64(42);
-        let hits = (0..10_000)
-            .filter(|_| plan.should_drop(SiteId(0), SiteId(1), SimTime::ZERO, &mut rng))
-            .count();
+        let hits = (0..10_000).filter(|_| plan.should_drop(&mut rng)).count();
         assert!((2_500..3_500).contains(&hits), "drop rate skewed: {hits}");
     }
 }

@@ -35,11 +35,11 @@ pub mod sim;
 pub mod stability;
 pub mod transport;
 
-pub use channel::{BurstWindow, ChannelFault, FaultPlan, LatencyModel, PartitionWindow};
+pub use channel::{FaultPlan, LatencyModel, PartitionWindow};
 pub use kernel::{EventHeap, SimEvent};
 pub use sim::{
     record_event, run, run_traced, BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig,
     SimResult,
 };
 pub use stability::StabilityPlan;
-pub use transport::{Transport, TransportCmd, TransportTuning};
+pub use transport::{Transport, TransportCmd};

@@ -717,11 +717,11 @@ impl<'a> Sim<'a> {
                         sync => unreachable!("transport never emits sync frames: {sync:?}"),
                     }
                     let c = self.chaos.as_mut().expect("transport implies chaos mode");
-                    if c.faults.should_drop(origin, to, self.now, &mut c.fault_rng) {
+                    if c.faults.should_drop(&mut c.fault_rng) {
                         self.metrics.fault_drops += 1;
                         continue;
                     }
-                    if c.faults.should_dup(origin, to, &mut c.fault_rng) {
+                    if c.faults.should_dup(&mut c.fault_rng) {
                         self.metrics.fault_dups += 1;
                         self.send_frame(origin, to, frame.clone(), measured);
                     }

@@ -270,6 +270,8 @@ impl SimConfig {
         let n = self.workload.n;
         let bad = |what: String| Err(Error::InvalidConfig(what));
         self.workload.validate()?;
+        self.faults.check()?;
+        self.latency.check()?;
         if self.placement.n() != n {
             return bad(format!(
                 "the placement has {} sites, the workload {n}",
@@ -393,7 +395,7 @@ mod tests {
     fn each_rule_refuses_in_its_own_words() {
         /// The words a refusal must contain, and how to break the rule.
         type Case = (&'static str, fn(&mut SimConfig));
-        let cases: [Case; 17] = [
+        let cases: [Case; 20] = [
             ("the placement has 10 sites, the workload 6", |c| {
                 c.workload.n = 6
             }),
@@ -406,6 +408,18 @@ mod tests {
                 let mut w = c.workload;
                 w.n = 3;
                 c.schedule_override = Some(causal_workload::generate(&w));
+            }),
+            ("want 0 <= drop < 1", |c| {
+                c.faults = FaultPlan::uniform(1.0, 0.0)
+            }),
+            ("0 <= dup <= 1", |c| {
+                c.faults = FaultPlan::uniform(0.1, f64::NAN)
+            }),
+            ("minimum exceeds", |c| {
+                c.latency = LatencyModel::Uniform {
+                    min_micros: 5,
+                    max_micros: 1,
+                }
             }),
             ("crashing site s12 is out of range (n=10)", |c| {
                 c.crashes = vec![crash(12, 100, 200)]

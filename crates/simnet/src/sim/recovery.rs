@@ -4,7 +4,7 @@
 use super::{Sim, SimConfig};
 use crate::channel::FaultPlan;
 use crate::kernel::SimEvent;
-use crate::transport::{Transport, TransportTuning};
+use crate::transport::Transport;
 use causal_obs::EventKind;
 use causal_proto::{DurableStore, Frame, OwnLedger, PeerAckInfo, SyncState, WalRecord};
 use causal_types::{SimDuration, SimTime, SiteId, WriteId};
@@ -75,7 +75,7 @@ impl Chaos {
         let n = members.len();
         let status = |m: &bool| if *m { SiteStatus::Up } else { SiteStatus::Out };
         Chaos {
-            transport: Transport::new(n, TransportTuning::default()),
+            transport: Transport::new(n),
             faults: cfg.faults.clone(),
             fault_rng: StdRng::seed_from_u64(cfg.workload.seed ^ 0xFA17_BAD0_0DD5_EED5),
             status: members.iter().map(status).collect(),

@@ -10,9 +10,10 @@
 //!   already-seen sequence numbers and buffer out-of-order arrivals until
 //!   the gap fills, handing messages to the protocol strictly in send
 //!   order;
-//! * senders keep a bounded in-flight window, park excess sends in a
-//!   backlog, and guard every unacked frame with a retransmission timer
-//!   under exponential backoff.
+//! * senders keep at most `WINDOW` (32) frames in flight per channel,
+//!   park excess sends in a backlog, and guard every unacked frame with a
+//!   retransmission timer that starts at `RTO_BASE_MICROS` (250 ms) and
+//!   doubles per attempt up to `RTO_MAX_SHIFT` (5) times.
 //!
 //! Timer jitter is derived deterministically from the channel coordinates
 //! (site pair, sequence number, attempt), staggering retransmission storms
@@ -30,42 +31,18 @@ use causal_proto::{Frame, Msg, PeerAckInfo};
 use causal_types::{SimDuration, SiteId};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Transport knobs. The defaults suit the default WAN latency model
-/// (20–80 ms one-way): the first retransmission waits just over one RTT,
-/// backoff doubles up to `2^rto_max_shift` times.
-#[derive(Clone, Copy, Debug)]
-pub struct TransportTuning {
-    /// Maximum unacked data frames per ordered site pair; further sends
-    /// wait in a backlog.
-    pub window: usize,
-    /// Base retransmission timeout, microseconds.
-    pub rto_base_micros: u64,
-    /// Backoff cap: the timeout never exceeds `base << rto_max_shift`.
-    pub rto_max_shift: u32,
-}
+/// Maximum unacked data frames per ordered site pair; further sends wait
+/// in a backlog.
+const WINDOW: usize = 32;
 
-impl Default for TransportTuning {
-    fn default() -> Self {
-        TransportTuning {
-            window: 32,
-            rto_base_micros: 250_000,
-            rto_max_shift: 5,
-        }
-    }
-}
+/// Base retransmission timeout, microseconds. It suits the default WAN
+/// latency model (20–80 ms one-way): the first retransmission waits just
+/// over one RTT.
+const RTO_BASE_MICROS: u64 = 250_000;
 
-/// Absolute ceiling on the retransmission timeout, microseconds. Equals the
-/// default tuning's `base << rto_max_shift` (250 ms × 2⁵ = 8 s), so default
-/// runs are unaffected; its job is to keep pathological tunings (a huge
-/// base, `rto_max_shift` ≥ 64) from overflowing the shift into a
-/// near-zero timeout — which would turn backoff into a retransmission storm
-/// that starves every other channel.
-pub const MAX_RTO_MICROS: u64 = 8_000_000;
-
-/// The deterministic jitter spans `base / RTO_JITTER_DIVISOR` microseconds
-/// (a quarter of the base timeout), enough to stagger synchronized
-/// retransmission storms without materially stretching the backoff.
-pub const RTO_JITTER_DIVISOR: u64 = 4;
+/// Backoff cap: the timeout doubles per attempt up to
+/// `RTO_BASE_MICROS << RTO_MAX_SHIFT` (250 ms × 2⁵ = 8 s).
+const RTO_MAX_SHIFT: u32 = 5;
 
 /// What the simulator must do on the transport's behalf.
 #[derive(Debug)]
@@ -174,7 +151,6 @@ fn sm_clock(msg: &Msg) -> Option<u64> {
 /// The transport state machine for all `n·(n−1)` ordered channels.
 pub struct Transport {
     n: usize,
-    tuning: TransportTuning,
     /// Per-site incarnation numbers (bumped at each recovery).
     inc: Vec<u32>,
     /// Per-channel stream generations — a simulator artifact identifying
@@ -188,10 +164,9 @@ pub struct Transport {
 
 impl Transport {
     /// A transport for `n` sites.
-    pub fn new(n: usize, tuning: TransportTuning) -> Self {
+    pub fn new(n: usize) -> Self {
         Transport {
             n,
-            tuning,
             inc: vec![0; n],
             gens: vec![0; n * n],
             tx: (0..n * n).map(|_| TxChannel::fresh(0)).collect(),
@@ -210,18 +185,8 @@ impl Transport {
 
     /// Retransmission timeout for the given attempt, with deterministic
     /// per-(channel, seq, attempt) jitter of up to a quarter of the base.
-    /// Clamped to [`MAX_RTO_MICROS`]: the exponential must saturate, never
-    /// wrap (a wrapped shift yields a near-zero timeout and a storm).
     fn rto(&self, from: SiteId, to: SiteId, seq: u64, attempt: u32) -> SimDuration {
-        let shift = attempt.saturating_sub(1).min(self.tuning.rto_max_shift);
-        let base = if shift >= u64::BITS {
-            MAX_RTO_MICROS
-        } else {
-            self.tuning
-                .rto_base_micros
-                .checked_mul(1 << shift)
-                .map_or(MAX_RTO_MICROS, |b| b.min(MAX_RTO_MICROS))
-        };
+        let base = RTO_BASE_MICROS << attempt.saturating_sub(1).min(RTO_MAX_SHIFT);
         let mut key = (from.index() as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(to.index() as u64)
@@ -232,11 +197,7 @@ impl Transport {
         key ^= key >> 31;
         key = key.wrapping_mul(0xD6E8_FEB8_6659_FD93);
         key ^= key >> 32;
-        // The jitter span is clamped alongside the base: an overflowing
-        // tuning must not smuggle an unbounded addend past the RTO ceiling.
-        let span = (self.tuning.rto_base_micros / RTO_JITTER_DIVISOR)
-            .clamp(1, MAX_RTO_MICROS / RTO_JITTER_DIVISOR);
-        SimDuration::from_micros(base.saturating_add(key % span))
+        SimDuration::from_micros(base + key % (RTO_BASE_MICROS / 4))
     }
 
     fn emit_in_flight(
@@ -281,7 +242,7 @@ impl Transport {
     ) -> Vec<TransportCmd> {
         let i = self.idx(from, to);
         let mut cmds = Vec::new();
-        if self.tx[i].unacked.len() < self.tuning.window {
+        if self.tx[i].unacked.len() < WINDOW {
             let seq = self.tx[i].next_seq;
             self.tx[i].next_seq += 1;
             self.tx[i].unacked.push_back(InFlight {
@@ -431,7 +392,7 @@ impl Transport {
         }
         // Opened window space admits backlog frames.
         let mut cmds = Vec::new();
-        while self.tx[i].unacked.len() < self.tuning.window && !self.tx[i].backlog.is_empty() {
+        while self.tx[i].unacked.len() < WINDOW && !self.tx[i].backlog.is_empty() {
             let (msg, measured) = self.tx[i].backlog.pop_front().expect("nonempty");
             let seq = self.tx[i].next_seq;
             self.tx[i].next_seq += 1;
@@ -619,7 +580,7 @@ mod tests {
 
     #[test]
     fn send_emits_and_arms() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let cmds = t.send(SiteId(0), SiteId(1), fm(3), true);
         assert_eq!(cmds.len(), 2);
         assert_eq!(data_seq(emits(&cmds)[0]), 1);
@@ -635,7 +596,7 @@ mod tests {
 
     #[test]
     fn in_order_frames_hand_off_immediately() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         for k in 1..=3u64 {
             let frame = Frame::Data {
@@ -657,7 +618,7 @@ mod tests {
 
     #[test]
     fn reordered_frames_buffer_until_the_gap_fills() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         let f2 = Frame::Data {
             src_inc: 0,
@@ -683,7 +644,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_dropped_but_reacked() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         let f = Frame::Data {
             src_inc: 0,
@@ -702,7 +663,7 @@ mod tests {
 
     #[test]
     fn retransmit_until_acked_with_backoff() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         t.send(SiteId(0), SiteId(1), fm(1), false);
         let cmds = t.retransmit_check(SiteId(0), SiteId(1), 0, 1, 1);
         assert!(matches!(
@@ -730,58 +691,28 @@ mod tests {
     }
 
     #[test]
-    fn backoff_saturates_at_the_cap_under_pathological_tunings() {
-        // A tuning that would overflow `base << shift` must clamp to the
-        // ceiling, not wrap to a near-zero timeout (retransmission storm).
-        let pathological = TransportTuning {
-            window: 32,
-            rto_base_micros: u64::MAX / 2,
-            rto_max_shift: u32::MAX,
-        };
-        let mut t = Transport::new(2, pathological);
-        t.send(SiteId(0), SiteId(1), fm(1), false);
-        for attempt in [1, 2, 63, 64, 1_000, u32::MAX] {
-            let cmds = t.retransmit_check(SiteId(0), SiteId(1), 0, 1, attempt);
-            let TransportCmd::Arm {
-                attempt: next,
-                after,
-                ..
-            } = &cmds[1]
-            else {
-                panic!("expected rearm at attempt {attempt}");
-            };
-            assert_eq!(*next, attempt.saturating_add(1), "attempt must saturate");
-            let micros = after.as_nanos() / 1_000;
-            assert!(
-                micros >= MAX_RTO_MICROS,
-                "attempt {attempt}: timeout collapsed to {micros} µs"
-            );
-        }
-        // Default tuning: the cap coincides with `base << rto_max_shift`,
-        // so deep backoff sits exactly at the ceiling (plus jitter < base/4).
-        let mut t = Transport::new(2, TransportTuning::default());
+    fn deep_backoff_saturates_at_the_cap() {
+        // Deep backoff sits at `RTO_BASE_MICROS << RTO_MAX_SHIFT` (8 s) plus
+        // jitter below a quarter of the base (62.5 ms).
+        let mut t = Transport::new(2);
         t.send(SiteId(0), SiteId(1), fm(1), false);
         let cmds = t.retransmit_check(SiteId(0), SiteId(1), 0, 1, 40);
         let TransportCmd::Arm { after, .. } = &cmds[1] else {
             panic!("expected rearm");
         };
         let micros = after.as_nanos() / 1_000;
-        assert!(micros >= MAX_RTO_MICROS);
-        assert!(micros < MAX_RTO_MICROS + 250_000 / RTO_JITTER_DIVISOR);
+        assert!(micros >= 8_000_000);
+        assert!(micros < 8_062_500);
     }
 
     #[test]
     fn window_limits_in_flight_and_acks_release_backlog() {
-        let tuning = TransportTuning {
-            window: 2,
-            ..TransportTuning::default()
-        };
-        let mut t = Transport::new(2, tuning);
+        let mut t = Transport::new(2);
         let mut emitted = 0;
-        for k in 0..5 {
+        for k in 0..WINDOW as u32 + 3 {
             emitted += emits(&t.send(SiteId(0), SiteId(1), fm(k), false)).len();
         }
-        assert_eq!(emitted, 2, "only the window goes out");
+        assert_eq!(emitted, WINDOW, "only the window goes out");
         let ack = Frame::Ack {
             epoch: 0,
             src_inc: 0,
@@ -791,13 +722,13 @@ mod tests {
         let cmds = t.on_frame(SiteId(0), SiteId(1), ack, false, &mut m);
         let released = emits(&cmds);
         assert_eq!(released.len(), 2, "two slots freed, two backlog frames fly");
-        assert_eq!(data_seq(released[0]), 3);
-        assert_eq!(data_seq(released[1]), 4);
+        assert_eq!(data_seq(released[0]), WINDOW as u64 + 1);
+        assert_eq!(data_seq(released[1]), WINDOW as u64 + 2);
     }
 
     #[test]
     fn stale_epoch_frames_are_dropped() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         let ledger = causal_proto::OwnLedger {
             site: SiteId(1),
@@ -821,7 +752,7 @@ mod tests {
 
     #[test]
     fn stale_acks_for_a_previous_incarnation_are_ignored() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         // Site 0 crashes and restarts its streams; an old ack arrives.
         t.send(SiteId(0), SiteId(1), fm(1), false);
@@ -855,7 +786,7 @@ mod tests {
 
     #[test]
     fn peer_recovery_renumbers_the_sm_backlog_and_reports_acks() {
-        let mut t = Transport::new(2, TransportTuning::default());
+        let mut t = Transport::new(2);
         let mut m = RunMetrics::new();
         // Site 0 sends three SMs and one FM to site 1; the first SM is
         // acked, the rest stay in flight.
@@ -898,7 +829,7 @@ mod tests {
 
     #[test]
     fn forget_kills_timers_and_clears_both_directions() {
-        let mut t = Transport::new(3, TransportTuning::default());
+        let mut t = Transport::new(3);
         // Traffic in both directions involving site 1, left unacked.
         t.send(SiteId(0), SiteId(1), sm(0, 1), false);
         t.send(SiteId(1), SiteId(2), sm(1, 1), false);
@@ -915,7 +846,7 @@ mod tests {
 
     #[test]
     fn quiescent_ignores_channels_touching_down_sites() {
-        let mut t = Transport::new(3, TransportTuning::default());
+        let mut t = Transport::new(3);
         t.send(SiteId(0), SiteId(2), fm(1), false);
         assert!(!t.quiescent(&[true, true, true]));
         // The unsettled frame targets site 2: masking site 2 out excludes
@@ -934,7 +865,7 @@ mod tests {
 
     #[test]
     fn jitter_staggers_but_stays_bounded() {
-        let t = Transport::new(4, TransportTuning::default());
+        let t = Transport::new(4);
         let a = t.rto(SiteId(0), SiteId(1), 1, 1);
         let b = t.rto(SiteId(0), SiteId(1), 2, 1);
         assert_ne!(a, b, "jitter must vary per sequence number");

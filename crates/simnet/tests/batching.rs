@@ -26,7 +26,7 @@ fn cfg(kind: ProtocolKind, partial: bool, seed: u64, plan: Option<BatchPlan>) ->
         SimConfig::paper_full(kind, 8, 0.5, seed)
     };
     let mut c = base.small().with_history();
-    c.size_model = SizeModel::batched();
+    c.size_model = SizeModel::wire();
     c.batching = plan;
     c
 }

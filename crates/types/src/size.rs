@@ -95,21 +95,6 @@ impl SizeModel {
         }
     }
 
-    /// The calibration the batching sweep quantifies amortization under.
-    ///
-    /// Batching amortizes one piggyback across a frame, which only makes
-    /// sense to measure against a tight encoding — under [`java_like`]'s
-    /// 209-byte message base the piggyback is not always the dominant term.
-    /// This is therefore the [`wire`] calibration (whose `batch_base` /
-    /// `batch_sm_base` fields size the frame header and the per-update
-    /// framing), under a name that documents the intent.
-    ///
-    /// [`java_like`]: SizeModel::java_like
-    /// [`wire`]: SizeModel::wire
-    pub const fn batched() -> Self {
-        SizeModel::wire()
-    }
-
     /// Fixed overhead for a message of the given kind.
     #[inline]
     pub fn base(&self, kind: MsgKind) -> u64 {
@@ -254,15 +239,5 @@ mod tests {
     #[test]
     fn default_is_java_like() {
         assert_eq!(SizeModel::default(), SizeModel::java_like());
-    }
-
-    #[test]
-    fn batched_is_the_wire_calibration_with_small_frame_overheads() {
-        let b = SizeModel::batched();
-        assert_eq!(b, SizeModel::wire());
-        // The frame overheads must be small against one scalar-heavy
-        // piggyback, or batching could never amortize anything.
-        assert!(b.batch_base as u64 <= b.base(MsgKind::Sm));
-        assert!((b.batch_sm_base as u64) < b.base(MsgKind::Sm));
     }
 }

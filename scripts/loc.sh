@@ -6,19 +6,25 @@
 #
 #   scripts/loc.sh                 # table for the working tree
 #   scripts/loc.sh path/to/file.rs # the same count for the named files
+#
+# Sourced (as scripts/unused.sh does), it only defines its functions.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-count() {
+# The counted lines of "$@", each as `file:line:text`.
+code() {
     awk '
         FNR == 1 { pending = 0; skip = 0 }
         /^#\[cfg\(test\)\]/ { pending = 1; next }
         pending { pending = 0; if ($0 !~ /;[[:space:]]*$/) skip = 1; next }
         skip { if ($0 ~ /^\}/) skip = 0; next }
         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-        { n++ }
-        END { print n + 0 }
+        { print FILENAME ":" FNR ":" $0 }
     ' "$@"
+}
+
+count() {
+    code "$@" | awk 'END { print NR }'
 }
 
 # The files of the modules declared under `#[cfg(test)]` by one of "$@":
@@ -41,6 +47,16 @@ test_modules() {
     ' "$@"
 }
 
+# The `.rs` files under "$1"/src that are not test modules, one a line.
+sources() {
+    local files tests
+    mapfile -t files < <(find "$1/src" -name '*.rs' | sort)
+    mapfile -t tests < <(test_modules "${files[@]}")
+    printf '%s\n' "${files[@]}" | grep -vxF -f <(printf '%s\n' "${tests[@]}" "")
+}
+
+[ "${BASH_SOURCE[0]}" = "$0" ] || return 0
+
 if [ "$#" -gt 0 ]; then
     count "$@"
     exit
@@ -50,9 +66,7 @@ total=0
 printf '%-22s %8s\n' crate lines
 for dir in . crates/*; do
     [ -d "$dir/src" ] || continue
-    mapfile -t files < <(find "$dir/src" -name '*.rs' | sort)
-    mapfile -t tests < <(test_modules "${files[@]}")
-    mapfile -t files < <(printf '%s\n' "${files[@]}" | grep -vxF -f <(printf '%s\n' "${tests[@]}" ""))
+    mapfile -t files < <(sources "$dir")
     lines=$(count "${files[@]}")
     name=$(basename "$dir")
     [ "$dir" = . ] && name="(root)"

@@ -30,8 +30,10 @@
 //! `RunMetrics::record_sends`, in either harness, and a replica's
 //! per-variable state is a dense `VarMap`, never a hash map. Artifacts:
 //! each of `repro`'s subcommands is one row of `ARTIFACTS`, which names
-//! the cells it reads, and the selection's cells run in one pass. A second
-//! copy growing back is how the copies drifted apart before.
+//! the cells it reads, and the selection's cells run in one pass. Knobs:
+//! the reliable transport's tuning is three constants and a fault plan is
+//! two rates. A second copy growing back is how the copies drifted apart
+//! before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -795,4 +797,23 @@ fn each_paper_artifact_is_declared_once_and_its_cells_run_in_one_pass() {
         !sweep.contains("fn fingerprint("),
         "`fingerprint` only for tests"
     );
+}
+
+#[test]
+fn only_what_a_run_sets_calls_or_reads_is_defined() {
+    // One transport tuning, two fault rates, no unread histogram and no
+    // function only its own test called.
+    let everywhere = sources();
+    for dead in [
+        "TransportTuning",
+        "BurstWindow",
+        "ChannelFault",
+        "fn clear_dest",
+        "fn fmt_bytes",
+        "_sm_scalars",
+        "fn batched",
+        "pending_samples",
+    ] {
+        assert_eq!(files_with(&everywhere, dead), [""; 0], "`{dead}`");
+    }
 }
