@@ -42,6 +42,20 @@ impl DestSet {
         }
     }
 
+    /// The `len` sites `start, start + 1, …` counted round a ring of `n`
+    /// sites (`start < n`, `len ≤ n ≤ MAX_SITES`): a run of `len` low bits
+    /// rotated left by `start` within the ring's `n` bits. One mask, not
+    /// an insert per site — a partially replicated variable's replica set.
+    #[inline]
+    pub fn ring(start: usize, len: usize, n: usize) -> Self {
+        assert!(start < n && len <= n, "ring({start}, {len}) of {n} sites");
+        let run = DestSet::full(len).0;
+        // The bits pushed past site `n - 1` come back round from site 0;
+        // `checked_shr` covers the 128-bit shift of `start == 0, n == 128`.
+        let wrapped = run.checked_shr((n - start) as u32).unwrap_or(0);
+        DestSet((run << start | wrapped) & DestSet::full(n).0)
+    }
+
     /// Insert a site.
     #[inline]
     pub fn insert(&mut self, s: SiteId) {

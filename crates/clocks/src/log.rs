@@ -194,20 +194,28 @@ impl Log {
         Log::default()
     }
 
-    /// Adopt entries that are already strictly `(origin, clock)`-sorted —
-    /// what [`Log::iter`] yields, and so what the wire codec emits — in one
-    /// pass. `None` when the order is violated (out of order or a
-    /// duplicate write), so a decoder stays total on hostile input.
-    pub fn from_sorted(entries: Vec<LogEntry>) -> Option<Log> {
-        let mut prev = None;
-        for e in &entries {
+    /// Build a log from the `n` entries `next` yields, which must be
+    /// strictly `(origin, clock)`-sorted — what [`Log::iter`] yields, and so
+    /// what the wire codec emits. The order is checked as the entries
+    /// arrive, in the one pass that collects them. `Ok(None)` when it is
+    /// violated (out of order or a duplicate write), so a decoder stays
+    /// total on hostile input; an error from `next` ends the build at once
+    /// and wins over a violation before it.
+    #[inline]
+    pub fn from_sorted<E>(
+        n: usize,
+        mut next: impl FnMut() -> Result<LogEntry, E>,
+    ) -> Result<Option<Log>, E> {
+        let mut entries = Vec::with_capacity(n);
+        let (mut prev, mut sorted) = (None, true);
+        for _ in 0..n {
+            let e = next()?;
             // `None` sorts below every key, so the first entry passes.
-            if prev >= Some(e.key()) {
-                return None;
-            }
+            sorted &= prev < Some(e.key());
             prev = Some(e.key());
+            entries.push(e);
         }
-        Some(Log { entries })
+        Ok(sorted.then_some(Log { entries }))
     }
 
     /// Number of entries (including empty-destination markers).
@@ -775,6 +783,12 @@ mod tests {
         PruneConfig::default()
     }
 
+    /// `Log::from_sorted` over a slice.
+    fn adopt(entries: &[LogEntry]) -> Option<Log> {
+        let mut it = entries.iter().copied();
+        Log::from_sorted(entries.len(), || it.next().ok_or(())).expect("enough entries")
+    }
+
     /// A log is strictly `(origin, clock)`-sorted — what `from_sorted`
     /// and the wire decoder accept — and its counts read its entries.
     fn assert_well_formed(log: &Log) {
@@ -782,7 +796,7 @@ mod tests {
         assert_eq!(log.len(), entries.len());
         let members = entries.iter().map(|e| e.dests.len()).sum::<usize>();
         assert_eq!(log.dest_id_count(), members);
-        assert_eq!(Log::from_sorted(entries).as_ref(), Some(log), "unsorted");
+        assert_eq!(adopt(&entries).as_ref(), Some(log), "unsorted");
     }
 
     #[test]
@@ -847,17 +861,21 @@ mod tests {
         log.record_write(s(0), 1, d(&[2, 4]), cfg());
         log.record_write(s(1), 2, d(&[0]), cfg());
         let entries: Vec<LogEntry> = log.iter().copied().collect();
-        let back = Log::from_sorted(entries.clone()).expect("iter order is sorted");
+        let back = adopt(&entries).expect("iter order is sorted");
         assert_eq!(back, log);
         assert_well_formed(&back);
-        assert_eq!(Log::from_sorted(Vec::new()), Some(Log::new()));
+        assert_eq!(adopt(&[]), Some(Log::new()));
 
         let mut swapped = entries.clone();
         swapped.swap(0, 1);
-        assert_eq!(Log::from_sorted(swapped), None, "out of order");
+        assert_eq!(adopt(&swapped), None, "out of order");
         let mut dup = entries;
         dup.insert(1, dup[0]);
-        assert_eq!(Log::from_sorted(dup), None, "duplicate write");
+        assert_eq!(adopt(&dup), None, "duplicate write");
+        // A failing `next` wins over an order violation before it.
+        let mut it = swapped.iter().copied();
+        let short = Log::from_sorted(swapped.len() + 1, || it.next().ok_or("short"));
+        assert_eq!(short, Err("short"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The command line of `simulate`, `serve` and `repro`, parsed one way.
 //!
-//! Each binary declares each of its flags once, as one row of a [`flags!`]
+//! Each binary declares each of its flags once, as one row of a [`flags!`](crate::flags)
 //! table: its name, value syntax, help line, simulator-only mark and a
 //! setter that writes the field the run reads. [`parse`] walks the
 //! arguments against that table; `--help`, and the messages for a missing
@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 /// Why a setter refused its value.
 pub type Bad = Box<dyn Error>;
 
-/// One flag of a binary: a row of its [`flags!`] table.
+/// One flag of a binary: a row of its [`flags!`](crate::flags) table.
 pub struct Flag<T> {
     /// The flag as typed, `--n`.
     pub name: &'static str,

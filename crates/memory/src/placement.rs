@@ -130,12 +130,10 @@ impl Replication for Placement {
         self.n
     }
 
+    /// The `p` consecutive sites from the variable's start site, round the
+    /// ring: one rotated mask.
     fn replicas(&self, var: VarId) -> DestSet {
-        if self.p == self.n {
-            return DestSet::full(self.n);
-        }
-        let start = self.start_site(var);
-        DestSet::from_sites((0..self.p).map(|j| SiteId::from((start + j) % self.n)))
+        DestSet::ring(self.start_site(var), self.p, self.n)
     }
 
     fn fetch_target(&self, var: VarId, site: SiteId) -> SiteId {
@@ -224,6 +222,28 @@ mod tests {
         let b = Placement::new(PlacementKind::Hashed { seed: 2 }, 20, 6).unwrap();
         let differs = VarId::all(50).any(|v| a.replicas(v) != b.replicas(v));
         assert!(differs);
+    }
+
+    #[test]
+    fn replicas_are_the_p_sites_from_the_start_site_round_the_ring() {
+        let kinds = [
+            PlacementKind::Even,
+            PlacementKind::Hashed { seed: 7 },
+            PlacementKind::Clustered,
+            PlacementKind::Full,
+        ];
+        for kind in kinds {
+            for n in 1..=causal_clocks::dests::MAX_SITES {
+                for p in 1..=n {
+                    let pl = Placement::new(kind, n, p).unwrap();
+                    for var in VarId::all(2 * n) {
+                        let start = pl.start_site(var);
+                        let walked = (0..pl.p()).map(|j| SiteId::from((start + j) % n));
+                        assert_eq!(pl.replicas(var), DestSet::from_sites(walked));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

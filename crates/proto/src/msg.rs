@@ -231,7 +231,7 @@ pub struct BatchedSm {
 /// share most of their causal context, so a batch frame amortizes the
 /// piggyback across its updates. The in-memory representation keeps every
 /// update's exact meta (see [`BatchedSm::sm`]); the *byte accounting*
-/// ([`SmBatch::meta_size`]) models the merged-piggyback wire format: one
+/// ([`MetaSized::meta_size`]) models the merged-piggyback wire format: one
 /// structure — the final update's, which supersedes its same-sender
 /// predecessors (matrix/vector snapshots are monotone under `merge_max`;
 /// a KS/CRP log's dropped entries are exactly the ones proven redundant) —

@@ -17,9 +17,24 @@
 //! from that one declaration, under the inline attribute the entry names
 //! (small `put`s and `take`s left out of line cost a call per field). The
 //! rest are written by hand: the scalars, the generic containers (`Vec`,
-//! `Arc`, `Option`, tuples), `RmMeta`'s four folded tags, and the types
-//! whose decoding validates (clocks, logs, destination sets, batches),
-//! each check beside the field it guards.
+//! `Arc`, `Option`, tuples), `RmMeta`'s four folded tags, the KS-log entry
+//! (below), and the types whose decoding validates (clocks, logs,
+//! destination sets, batches), each check beside the field it guards.
+//!
+//! ## The KS log: one loop per direction
+//!
+//! Every Opt-Track SM carries its writer's log, so the log's entries are
+//! most of what an Opt-Track run encodes and decodes. `Log`'s codec is one
+//! loop each way over the `LogEntry` codec, which `LogDelta`'s upserts use
+//! too. An entry is staged on the stack — origin, clock, member count,
+//! member ids — and appended with one copy, one `MAX_FRAME` check and one
+//! capacity check, where a per-field encode pays both per byte. It is
+//! decoded by one walk over the borrowed input with the clock varint read
+//! inline (past an origin's 127th write it is two or three bytes), and the
+//! log's strict `(origin, clock)` order is checked as the entries arrive
+//! (`Log::from_sorted`), not in a second pass. The bytes, and the error
+//! any input gives, are the per-field codec's: a proptest keeps that codec
+//! as the oracle.
 //!
 //! ## Tigerstyle: there IS a limit
 //!
@@ -135,11 +150,101 @@ impl WireBuf {
         self.buf.push(b);
     }
 
+    /// What a [`Stage`] holds, appended at once: one `MAX_FRAME` check and
+    /// one capacity check for all of it, where `push` pays both per byte.
+    /// A stage of at most 16 bytes — most log entries — is copied as a
+    /// fixed 16-byte block and the excess cut off again: a copy of fixed
+    /// size is a few moves, one of a run-time length a call to `memcpy`,
+    /// which cost more than the rest of the entry's encode (measured).
+    #[inline]
+    fn extend(&mut self, stage: &Stage) {
+        let end = self.buf.len() + stage.len;
+        assert!(
+            end <= MAX_FRAME,
+            "wire frame exceeds MAX_FRAME ({MAX_FRAME} bytes): runaway sender"
+        );
+        if stage.len <= 16 {
+            self.buf.extend_from_slice(&stage.bytes[..16]);
+            self.buf.truncate(end);
+        } else {
+            self.buf.extend_from_slice(&stage.bytes[..stage.len]);
+        }
+    }
+
     /// A count, then `len` elements.
     fn put_seq<'a, T: Codec + 'a>(&mut self, len: usize, items: impl IntoIterator<Item = &'a T>) {
         (len as u64).put(self);
         for x in items {
             x.put(self);
+        }
+    }
+}
+
+/// The most bytes one KS-log entry encodes to: its origin (a `u16` site id,
+/// at most three varint bytes), its clock (ten), its destination count (two,
+/// for all 128 sites) and one byte per member.
+const ENTRY_MAX: usize = 3 + 10 + 2 + MAX_SITES;
+
+/// Stack room for one KS-log entry's encoding, filled field by field and
+/// appended to a [`WireBuf`] with one [`WireBuf::extend`]. Its bytes are
+/// exactly what the per-byte `Codec` puts would push. A log reuses one
+/// stage for all its entries.
+struct Stage {
+    bytes: [u8; ENTRY_MAX],
+    len: usize,
+}
+
+impl Stage {
+    #[inline(always)]
+    fn new() -> Self {
+        Stage {
+            bytes: [0; ENTRY_MAX],
+            len: 0,
+        }
+    }
+
+    /// One KS-log entry — its origin, its clock and its destination set —
+    /// in place of what the stage held.
+    #[inline(always)]
+    fn entry(&mut self, e: &LogEntry) {
+        self.len = 0;
+        self.varint(e.origin.0 as u64);
+        self.varint(e.clock);
+        self.dests(e.dests);
+    }
+
+    /// LEB128, as `u64::put` writes it.
+    #[inline(always)]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.bytes[self.len] = v as u8 | 0x80;
+            self.len += 1;
+            v >>= 7;
+        }
+        self.bytes[self.len] = v as u8;
+        self.len += 1;
+    }
+
+    /// A destination set: the member count, then each member's id (one
+    /// byte, see `SiteId::take`) in increasing order. The members are
+    /// gathered behind a one-byte count and counted on the way: on the
+    /// baseline x86-64 target a popcount of the 128-bit mask is a software
+    /// routine. Only all 128 sites need the two-byte count.
+    #[inline(always)]
+    fn dests(&mut self, d: DestSet) {
+        let at = self.len;
+        let mut n = 0;
+        for s in d.iter() {
+            self.bytes[at + 1 + n] = s.0 as u8;
+            n += 1;
+        }
+        if n < 0x80 {
+            self.bytes[at] = n as u8;
+            self.len = at + 1 + n;
+        } else {
+            self.bytes.copy_within(at + 1..at + 1 + n, at + 2);
+            self.varint(n as u64);
+            self.len += n;
         }
     }
 }
@@ -306,20 +411,31 @@ impl Reader<'_> {
         Ok(b)
     }
 
-    /// The multi-byte (or truncated) continuation of `u64::take`. Total: at
-    /// most 10 bytes are consumed, and a continuation past the 64-bit
-    /// range is a tag error, not a wrap.
+    /// The multi-byte (or truncated) continuation of `u64::take`, out of
+    /// line: clock cells, counts and site ids are almost always one byte.
     #[cold]
     fn varint_multi(&mut self) -> Result<u64, WireError> {
-        let mut x = 0u64;
-        for shift in (0..64).step_by(7) {
+        self.leb128()
+    }
+
+    /// A whole LEB128 varint, inline — for a field, such as a log entry's
+    /// clock, that is two or three bytes in any long run. Total: at most
+    /// 10 bytes are consumed, and a continuation past the 64-bit range is
+    /// a tag error, not a wrap.
+    #[inline(always)]
+    fn leb128(&mut self) -> Result<u64, WireError> {
+        let (mut x, mut shift) = (0u64, 0);
+        loop {
             let b = self.u8()?;
             x |= ((b & 0x7f) as u64) << shift;
             if b & 0x80 == 0 {
                 return Ok(x);
             }
+            shift += 7;
+            if shift == 70 {
+                return Err(WireError::BadTag(self.u8()?));
+            }
         }
-        Err(WireError::BadTag(self.u8()?))
     }
 
     /// A count field for a sequence whose elements occupy ≥ 1 byte each:
@@ -507,10 +623,6 @@ fields! {
     #[inline] Rm { var, value, meta }
     #[inline] LogDelta { upserts, removals }
     #[inline] CrpDelta { upserts, removals }
-    // Forced: left to the heuristics, a log keeps a call per entry here
-    // and in `DestSet::take`, and an Opt-Track SM decodes 1.6x slower
-    // (measured).
-    #[inline(always)] LogEntry { origin, clock, dests }
 }
 
 /// Enums whose encoding is a tag byte, then the variant's fields in order.
@@ -633,16 +745,9 @@ impl Codec for VectorClock {
 /// A count, then the member sites.
 impl Codec for DestSet {
     fn put(&self, out: &mut WireBuf) {
-        // Gather the member bytes (a site id is one, see `SiteId::take`)
-        // and count them on the way: the count costs no popcount.
-        let mut ids = [0u8; MAX_SITES];
-        let mut n = 0;
-        for s in self.iter() {
-            ids[n] = s.0 as u8;
-            n += 1;
-        }
-        (n as u64).put(out);
-        ids[..n].iter().for_each(|&b| out.push(b));
+        let mut stage = Stage::new();
+        stage.dests(*self);
+        out.extend(&stage);
     }
     // Forced, as `LogEntry::take` is.
     #[inline(always)]
@@ -663,12 +768,42 @@ impl Codec for DestSet {
     }
 }
 
+/// The origin, the clock and the destination set. Both halves are forced
+/// inline into the loops of `Log` and of `LogDelta`'s upserts: left to the
+/// heuristics, a log keeps a call per entry and an Opt-Track SM decodes
+/// 1.6x slower (measured).
+impl Codec for LogEntry {
+    /// Staged on the stack and appended at once: one bound check and one
+    /// copy per entry, not one per byte.
+    #[inline(always)]
+    fn put(&self, out: &mut WireBuf) {
+        let mut stage = Stage::new();
+        stage.entry(self);
+        out.extend(&stage);
+    }
+    /// The clock is read inline: past the first 127 writes of its origin it
+    /// is two or three bytes, which `u64::take` leaves to a call.
+    #[inline(always)]
+    fn take(r: &mut Reader) -> Result<Self, WireError> {
+        let origin = SiteId::take(r)?;
+        let clock = r.leb128()?;
+        let dests = DestSet::take(r)?;
+        Ok(LogEntry::new(origin, clock, dests))
+    }
+}
+
 /// A count, then the entries in `Log::iter` order, which is strictly
-/// sorted: the decoder fills a pre-sized vector in one pass, and anything
-/// unsorted is not a log this codec wrote.
+/// sorted: one loop per direction, and the decoder checks the order as it
+/// fills a pre-sized vector — anything unsorted is not a log this codec
+/// wrote.
 impl Codec for Log {
     fn put(&self, out: &mut WireBuf) {
-        out.put_seq(self.len(), self.iter());
+        (self.len() as u64).put(out);
+        let mut stage = Stage::new();
+        for e in self.iter() {
+            stage.entry(e);
+            out.extend(&stage);
+        }
     }
     fn take(r: &mut Reader) -> Result<Self, WireError> {
         let n = r.count()?;
@@ -676,7 +811,7 @@ impl Codec for Log {
             // An entry is at least three bytes: bound the allocation.
             return Err(WireError::Truncated);
         }
-        Log::from_sorted(r.take_seq(n)?).ok_or(WireError::BadTag(0))
+        Log::from_sorted(n, || LogEntry::take(r))?.ok_or(WireError::BadTag(0))
     }
 }
 
@@ -1310,6 +1445,171 @@ mod tests {
         assert!(decode(&with(a, b)).is_ok());
         assert_eq!(decode(&with(b, a)), Err(WireError::BadTag(0)));
         assert_eq!(decode(&with(a, a)), Err(WireError::BadTag(0)));
+    }
+
+    /// The KS-log codec as it was before each direction became one loop:
+    /// a count, then each entry's fields pushed byte by byte, and on
+    /// decode the entries collected first and their order checked in a
+    /// second pass. The oracle the staged encoder and the one-pass decoder
+    /// must match byte for byte and error for error.
+    mod per_field {
+        use super::*;
+
+        fn varint(out: &mut Vec<u8>, mut v: u64) {
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        }
+
+        /// Any entry sequence, sorted or not, legal or not.
+        pub fn put(entries: &[LogEntry]) -> Vec<u8> {
+            let mut out = Vec::new();
+            varint(&mut out, entries.len() as u64);
+            for e in entries {
+                varint(&mut out, e.origin.0 as u64);
+                varint(&mut out, e.clock);
+                varint(&mut out, e.dests.len() as u64);
+                out.extend(e.dests.iter().map(|s| s.0 as u8));
+            }
+            out
+        }
+
+        fn byte(buf: &[u8], pos: &mut usize) -> Result<u8, WireError> {
+            let b = *buf.get(*pos).ok_or(WireError::Truncated)?;
+            *pos += 1;
+            Ok(b)
+        }
+
+        fn take_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
+            let mut x = 0u64;
+            for shift in (0..64).step_by(7) {
+                let b = byte(buf, pos)?;
+                x |= ((b & 0x7f) as u64) << shift;
+                if b & 0x80 == 0 {
+                    return Ok(x);
+                }
+            }
+            Err(WireError::BadTag(byte(buf, pos)?))
+        }
+
+        /// The log and how many bytes it took.
+        pub fn take(buf: &[u8]) -> Result<(Log, usize), WireError> {
+            let mut pos = 0;
+            let n = take_varint(buf, &mut pos)? as usize;
+            if n > buf.len() - pos || n > (buf.len() - pos) / 3 {
+                return Err(WireError::Truncated);
+            }
+            let mut entries = Vec::new();
+            for _ in 0..n {
+                let origin = match byte(buf, &mut pos)? {
+                    b @ 0..=0x7f => SiteId(b as u16),
+                    _ => return Err(WireError::Truncated),
+                };
+                let clock = take_varint(buf, &mut pos)?;
+                let k = take_varint(buf, &mut pos)? as usize;
+                if k > buf.len() - pos {
+                    return Err(WireError::Truncated);
+                }
+                let mut dests = DestSet::EMPTY;
+                for _ in 0..k {
+                    match byte(buf, &mut pos)? {
+                        b @ 0..=0x7f => dests.insert(SiteId(b as u16)),
+                        _ => return Err(WireError::Truncated),
+                    }
+                }
+                entries.push(LogEntry::new(origin, clock, dests));
+            }
+            let key = |e: &LogEntry| (e.origin, e.clock);
+            if entries.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+                return Err(WireError::BadTag(0));
+            }
+            let mut it = entries.into_iter();
+            let log = Log::from_sorted(n, || it.next().ok_or(WireError::Truncated))?;
+            Ok((log.expect("checked above"), pos))
+        }
+    }
+
+    /// What `Log::take` makes of `buf`: the log and the bytes it took.
+    fn take_log(buf: &[u8]) -> Result<(Log, usize), WireError> {
+        let mut r = Reader { buf, pos: 0 };
+        Log::take(&mut r).map(|log| (log, r.pos))
+    }
+
+    /// A clock: one, two or three varint bytes, or anything up to
+    /// `u64::MAX`.
+    fn arb_clock() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1u64..128,
+            128u64..3_000_000,
+            0u64..=u64::MAX,
+            u64::MAX - 2..=u64::MAX
+        ]
+    }
+
+    /// A destination set: empty, all 128 sites, two sites, or any mask.
+    fn arb_dests() -> impl Strategy<Value = DestSet> {
+        (0u8..4, any::<u64>(), any::<u64>()).prop_map(|(kind, lo, hi)| match kind {
+            0 => DestSet::EMPTY,
+            1 => DestSet::full(MAX_SITES),
+            2 => DestSet::from_sites([
+                SiteId::from(lo as usize % 40),
+                SiteId::from(hi as usize % 40),
+            ]),
+            _ => {
+                let mask = (hi as u128) << 64 | lo as u128;
+                DestSet::from_sites(
+                    (0..MAX_SITES)
+                        .filter(|i| mask >> i & 1 == 1)
+                        .map(SiteId::from),
+                )
+            }
+        })
+    }
+
+    /// Entries in any order, duplicates allowed, origins past the legal
+    /// range included.
+    fn arb_entries() -> impl Strategy<Value = Vec<LogEntry>> {
+        let origin = prop_oneof![0u16..128, 0u16..400];
+        let entry =
+            (origin, arb_clock(), arb_dests()).prop_map(|(o, c, d)| LogEntry::new(SiteId(o), c, d));
+        proptest::collection::vec(entry, 0..10)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        #[test]
+        fn prop_the_log_codec_matches_the_per_field_codec(
+            entries in arb_entries(),
+            cut in any::<usize>(),
+            flip in (any::<usize>(), any::<u8>()),
+        ) {
+            // Sorted and deduplicated by key, the entries are a log: both
+            // encoders write the same bytes and both decoders read it back.
+            let mut legal: Vec<LogEntry> = entries.iter().filter(|e| e.origin.index() < MAX_SITES).copied().collect();
+            legal.sort_by_key(|e| (e.origin, e.clock));
+            legal.dedup_by_key(|e| (e.origin, e.clock));
+            let mut it = legal.iter().copied();
+            let log = Log::from_sorted(legal.len(), || it.next().ok_or(())).unwrap().unwrap();
+            let mut out = WireBuf::new();
+            log.put(&mut out);
+            let bytes = out.as_slice().to_vec();
+            prop_assert_eq!(&bytes, &per_field::put(&legal));
+            prop_assert_eq!(take_log(&bytes), Ok((log, bytes.len())));
+            // Unsorted, duplicated or out-of-range entries, any prefix of
+            // an encoding, and one byte changed: the same verdict.
+            let raw = per_field::put(&entries);
+            let mut flipped = bytes.clone();
+            if !flipped.is_empty() {
+                let at = flip.0 % flipped.len();
+                flipped[at] = flip.1;
+            }
+            let (raw_cut, cut) = (&raw[..cut % (raw.len() + 1)], &bytes[..cut % bytes.len()]);
+            for input in [&raw[..], raw_cut, cut, &flipped] {
+                prop_assert_eq!(take_log(input), per_field::take(input), "{:x?}", input);
+            }
+        }
     }
 
     proptest! {

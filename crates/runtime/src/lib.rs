@@ -9,7 +9,7 @@
 //! per worker pair, read by its owning worker when a pass begins — either
 //! way shipped once per peer when the pass ends), and two ways to drive
 //! operations — wall-clock schedule replay (scaled) and the closed-loop
-//! load generator behind [`serve`] (budget- or duration-bounded).
+//! load generator behind [`serve`](fn@serve) (budget- or duration-bounded).
 //!
 //! The paper's testbed ran each site as a JDK process over TCP; this runtime
 //! is the analogous live deployment of the *identical* protocol objects that

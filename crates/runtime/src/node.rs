@@ -12,12 +12,19 @@
 //! closed-loop clients of the `serve` load generator.
 //!
 //! The sharded scheduler in [`crate::runner`] multiplexes K sites onto
-//! each worker, calling [`Node::on_wire`] for every frame the worker's
-//! inbox held for the site and [`Node::poll`] to issue due operations; a
-//! node must therefore never block. While the driver's fetch slot is occupied the site issues no new
-//! operations (one sequential process, exactly the paper's model) but
-//! keeps serving incoming messages, which is what unblocks the fetch in
-//! the first place.
+//! each worker, calling `Node::on_wire` for every frame the worker's inbox
+//! held for the site and `Node::poll` to issue due operations; a node must
+//! therefore never block. While the driver's fetch slot is occupied the
+//! site issues no new operations (one sequential process, exactly the
+//! paper's model) but keeps serving incoming messages, which is what
+//! unblocks the fetch in the first place.
+//!
+//! Per-frame bookkeeping is the worker's, once per pass: `on_wire` gets
+//! the instant its worker took the inbox — the delivery time a fetch's RTT
+//! and an update's apply dwell are measured to — and counts the cascade
+//! sends it makes, while the worker counts the delivered frames done in
+//! one step after the batch. An operation's own latency is stamped
+//! exactly, at issue and at completion.
 //!
 //! Measured-traffic attribution mirrors the simulator exactly: an
 //! operation is measured iff its schedule index is past the warm-up
@@ -297,7 +304,7 @@ impl BatchWindow {
 
 /// One site's full state: its driver, operation source, armed lane
 /// timers, and the recorded history/metrics. Owned by a scheduler worker
-/// and driven through [`Node::poll`] / [`Node::on_wire`].
+/// and driven through `Node::poll` / `Node::on_wire`.
 pub struct Node {
     site: SiteId,
     driver: SiteDriver,
@@ -412,22 +419,22 @@ impl Node {
         }
     }
 
-    /// Feed one inbox frame. Returns `false` on `Stop` — the node is
-    /// done and must be collected with [`Node::finish`].
-    pub(crate) fn on_wire(&mut self, wire: Wire) -> bool {
+    /// Feed one inbox frame, taken from the inbox at `taken`. Returns
+    /// `false` on `Stop` — the node is done and must be collected with
+    /// [`Node::finish`]. A delivered frame's cascade sends are counted sent
+    /// here; the worker counts the frame itself done, once per pass for
+    /// every frame it delivered.
+    pub(crate) fn on_wire(&mut self, wire: Wire, taken: Instant) -> bool {
         match wire {
             Wire::Msg {
                 from,
                 msg,
                 measured,
             } => {
-                let now = self.now_ns(Instant::now());
+                let now = self.now_ns(taken);
                 SiteDriver::unbatch(msg, measured, |msg, measured| {
                     self.deliver(now, from, msg, measured)
                 });
-                // Cascade sends were counted while delivering, so the
-                // coordinator cannot find the tallies equal too early.
-                self.quiesce.frames_done(self.worker, 1);
                 true
             }
             Wire::Stop => {
@@ -669,8 +676,15 @@ mod tests {
             msg: stray,
             measured: true,
         };
-        assert!(node.on_wire(wire), "the worker keeps running");
-        assert_eq!(quiesce.in_flight(), 0, "the frame still leaves the tally");
+        assert!(
+            node.on_wire(wire, Instant::now()),
+            "the worker keeps running"
+        );
+        assert_eq!(
+            quiesce.in_flight(),
+            1,
+            "its worker, not the node, counts the frame done"
+        );
         let out = node.finish();
         assert_eq!(out.metrics.dup_drops, 1);
         assert_eq!(out.metrics.per_site.total_buffered(), 0);
@@ -715,11 +729,12 @@ mod tests {
             panic!("the server answers the fetch")
         };
         quiesce.frames_sent(0, 1);
-        node.on_wire(Wire::Msg {
+        let answer = Wire::Msg {
             from: SiteId(1),
             msg,
             measured: true,
-        });
+        };
+        node.on_wire(answer, Instant::now());
         // The schedule is exhausted: the lane drains before the site
         // reports itself finished.
         node.poll();

@@ -9,6 +9,12 @@
 //! the pass's sends staged for it). `W = n` gives every site its own
 //! worker; `W = 0` auto-sizes to the machine's available parallelism.
 //!
+//! A pass also does once what a frame would otherwise do each: it reads
+//! the clock when it takes the inbox, and every frame of the batch is
+//! delivered at that instant; and it counts the frames it delivered done
+//! with one add to its tally, after the last delivery's cascade sends were
+//! counted sent (see `Worker::deliver`).
+//!
 //! Frames cross workers once per pass, not once per frame: every worker
 //! has *one* inbox, a mutex-guarded `Vec` of `(destination, frame)`. A
 //! send toward a shard-mate appends to the sender's own inbox and wakes
@@ -530,7 +536,7 @@ impl Fabric {
         for (w, slots) in per_worker.into_iter().enumerate() {
             let (routes, quiesce, transport) = (routes.clone(), quiesce.clone(), transport.clone());
             handles.push(std::thread::spawn(move || {
-                worker_loop(Worker::new(w, slots, &routes, &*transport), &quiesce)
+                worker_loop(Worker::new(w, slots, &routes, &*transport, &quiesce))
             }));
         }
         Cluster {
@@ -588,7 +594,7 @@ const UNSETTLED_PARK: Duration = Duration::from_micros(50);
 /// that are both always runnable, which is what the pair becomes once each
 /// pass ends in a yield (docs/RUNTIME.md, "Scheduling loop"). A worker
 /// alone on its CPU pays one `sched_yield` that returns at once.
-fn worker_loop(mut worker: Worker<'_>, quiesce: &Quiesce) -> Vec<NodeOutcome> {
+fn worker_loop(mut worker: Worker<'_>) -> Vec<NodeOutcome> {
     while worker.live > 0 {
         let pass = worker.pass();
         if pass.progressed {
@@ -600,7 +606,7 @@ fn worker_loop(mut worker: Worker<'_>, quiesce: &Quiesce) -> Vec<NodeOutcome> {
             // pump and take leaves the token set and the wait returns at
             // once. The frame this worker counted done last may have been
             // the run's last: the coordinator is told to look.
-            quiesce.idle();
+            worker.quiesce.idle();
             let retry = pass.unsettled.then(|| Instant::now() + UNSETTLED_PARK);
             let wake = &worker.routes.wakes[worker.me];
             wake.wait_until(earlier(pass.next_wake, retry));
@@ -621,6 +627,8 @@ struct Worker<'a> {
     batch: Vec<Addressed>,
     routes: &'a Routes,
     transport: &'a dyn Transport,
+    /// The run's tallies: the worker counts its delivered frames done.
+    quiesce: &'a Quiesce,
 }
 
 /// What one pass of a worker came to.
@@ -639,6 +647,7 @@ impl<'a> Worker<'a> {
         slots: Vec<SiteSlot>,
         routes: &'a Routes,
         transport: &'a dyn Transport,
+        quiesce: &'a Quiesce,
     ) -> Self {
         Worker {
             me,
@@ -647,6 +656,7 @@ impl<'a> Worker<'a> {
             batch: Vec::new(),
             routes,
             transport,
+            quiesce,
         }
     }
 
@@ -662,17 +672,8 @@ impl<'a> Worker<'a> {
         let mut unsettled = self.transport.pump(self.me);
         self.routes.take(self.me, &mut self.batch);
         let mut progressed = !self.batch.is_empty();
-        let stride = self.routes.workers();
-        for (site, wire) in self.batch.drain(..) {
-            let slot = &mut self.slots[site.index() / stride];
-            if slot.stopped {
-                continue;
-            }
-            slot.taken += 1;
-            if !slot.node.on_wire(wire) {
-                slot.stopped = true;
-                self.live -= 1;
-            }
+        if progressed {
+            self.deliver();
         }
         let mut next_wake = None;
         for slot in self.slots.iter_mut().filter(|s| !s.stopped) {
@@ -689,6 +690,34 @@ impl<'a> Worker<'a> {
             progressed,
             next_wake,
             unsettled,
+        }
+    }
+
+    /// Deliver the taken batch in arrival order, stamped and tallied once:
+    /// every frame is delivered at the instant the batch was taken (its
+    /// fetch RTT and apply dwell are read there), and the frames delivered
+    /// are counted done in one add after the last delivery, when every
+    /// cascade send of the batch has been counted sent — so the
+    /// coordinator cannot find the tallies equal too early.
+    fn deliver(&mut self) {
+        let now = Instant::now();
+        let stride = self.routes.workers();
+        let mut delivered = 0;
+        for (site, wire) in self.batch.drain(..) {
+            let slot = &mut self.slots[site.index() / stride];
+            if slot.stopped {
+                continue;
+            }
+            slot.taken += 1;
+            if slot.node.on_wire(wire, now) {
+                delivered += 1;
+            } else {
+                slot.stopped = true;
+                self.live -= 1;
+            }
+        }
+        if delivered > 0 {
+            self.quiesce.frames_done(self.me, delivered);
         }
     }
 }
@@ -1025,7 +1054,7 @@ mod tests {
             Arc::default(),
         ));
         let slots = (0..2).map(|i| SiteSlot::new(idle_node(i, &fabric, &quiesce)));
-        let mut worker = Worker::new(0, slots.collect(), &routes, &*fabric);
+        let mut worker = Worker::new(0, slots.collect(), &routes, &*fabric, &quiesce);
         assert!(worker.pass().progressed, "both sites report finished");
         assert!(!worker.pass().progressed, "and have nothing else to do");
 

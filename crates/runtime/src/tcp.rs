@@ -59,7 +59,7 @@
 //! A site's send appends one frame per peer worker to that endpoint's
 //! queue and returns. When the worker's pass ends it encodes each
 //! endpoint's queue into one reusable buffer — outside every operation's
-//! latency window, in slices of up to [`WRITE_COALESCE_BYTES`] — and
+//! latency window, in slices of up to `WRITE_COALESCE_BYTES` (256 KiB) — and
 //! `write`s until done or `WouldBlock` (`RunMetrics::syscall_writes`,
 //! carrying `RunMetrics::transport_frames` frames), then advances the
 //! peer's byte counter and notifies its wake latch: write, then count,
@@ -69,7 +69,7 @@
 //! (`RunMetrics::transport_write_stalls`); later sends queue behind it,
 //! the worker keeps pumping — which is why two full socket buffers cannot
 //! deadlock — and parks only briefly until the tail is gone. A tail that
-//! makes no progress for [`WRITE_TIMEOUT`], or a failed write, marks the
+//! makes no progress for `WRITE_TIMEOUT` (5 s), or a failed write, marks the
 //! connection dead and counts done, on the failing worker's tally, exactly
 //! the messages not yet fully written — every destination of every such
 //! frame — and later sends fail fast. Lane flushes from per-destination
@@ -872,7 +872,11 @@ mod tests {
             value: VersionedValue::new(WriteId::new(site(0), 3), 77),
             meta: SmMeta::OptTrack {
                 clock: 3,
-                log: Arc::new(Log::from_sorted(vec![entry]).unwrap()),
+                log: Arc::new({
+                    let mut log = Log::new();
+                    log.upsert(entry);
+                    log
+                }),
             },
         })
     }

@@ -151,7 +151,7 @@ fn unpack(key: u128) -> (SimTime, u32) {
 
 /// A deterministic event heap ordered by `(time, insertion sequence)`.
 ///
-/// The heap sifts one packed `u128` key per event ([`pack`]); the events
+/// The heap sifts one packed `u128` key per event (`pack`); the events
 /// themselves sit still in a slab until popped.
 #[derive(Default)]
 pub struct EventHeap {

@@ -28,7 +28,9 @@
 //! `SimConfig::check`, and `serve` and `repro serve` make a serving row in
 //! one function. Per-message path: a multicast is counted once, by
 //! `RunMetrics::record_sends`, in either harness, and a replica's
-//! per-variable state is a dense `VarMap`, never a hash map. Artifacts:
+//! per-variable state is a dense `VarMap`, never a hash map; a worker
+//! stamps and tallies the frames it delivers once per pass, not per frame,
+//! and the KS log crosses the codec in one loop per direction. Artifacts:
 //! each of `repro`'s subcommands is one row of `ARTIFACTS`, which names
 //! the cells it reads, and the selection's cells run in one pass. Knobs:
 //! the reliable transport's tuning is three constants and a fault plan is
@@ -747,6 +749,43 @@ fn a_multicast_is_counted_once_and_per_variable_state_is_dense() {
             text.contains("record_sends("),
             "{harness} counts a multicast once"
         );
+    }
+}
+
+/// The body of the item that starts with `head` in `code`, up to the
+/// closing brace at `indent`.
+fn item<'a>(code: &'a str, head: &str, indent: &str) -> &'a str {
+    let at = code.find(head).unwrap_or_else(|| panic!("`{head}`"));
+    let end = format!("\n{indent}}}\n");
+    &code[at..][..code[at..].find(&end).expect("its end")]
+}
+
+#[test]
+fn a_worker_stamps_and_tallies_per_pass_and_the_ks_log_codec_is_one_loop_each_way() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = |rel: &str| outside_test_modules(&fs::read_to_string(root.join(rel)).expect(rel));
+    // A delivered frame is stamped with the instant its worker took the
+    // inbox and counted done with the rest of the pass's frames.
+    let node = code("crates/runtime/src/node.rs");
+    let on_wire = item(&node, "pub(crate) fn on_wire(", "    ");
+    for per_frame in ["Instant::now(", "frames_done("] {
+        assert!(
+            !on_wire.contains(per_frame),
+            "`Node::on_wire` calls {per_frame}"
+        );
+    }
+    let runner = code("crates/runtime/src/runner.rs");
+    let deliver = item(&runner, "    fn deliver(&mut self)", "    ");
+    for once in ["Instant::now(", "frames_done("] {
+        let calls = deliver.matches(once).count();
+        assert_eq!(calls, 1, "`Worker::deliver` calls {once} {calls} times");
+    }
+    // The KS log is encoded and decoded in one loop over its entries, not
+    // through the generic sequence helpers.
+    let wire = code("crates/proto/src/wire.rs");
+    let log = item(&wire, "impl Codec for Log {", "");
+    for generic in ["put_seq(", "take_seq("] {
+        assert!(!log.contains(generic), "the `Log` codec calls {generic}");
     }
 }
 
