@@ -88,11 +88,11 @@ use causal_experiments::harness::{paper_cfg, parse_protocol, run_units};
 use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
 use causal_metrics::{MessageStats, RunMetrics};
-use causal_obs::{to_jsonl, BufTracer};
+use causal_obs::to_jsonl;
 use causal_proto::ProtocolKind;
+use causal_runtime::{replay, ServeTransport};
 use causal_simnet::{
-    run, run_traced, CrashWindow, FaultPlan, LatencyModel, PartitionWindow, SimConfig,
-    StabilityPlan,
+    run, CrashWindow, FaultPlan, LatencyModel, PartitionWindow, SimConfig, StabilityPlan,
 };
 use causal_types::{MsgKind, SimDuration, SimTime, SiteId, SizeModel};
 use causal_workload::{ChurnPlan, VarDistribution};
@@ -109,7 +109,7 @@ struct Args {
     schedule: Option<String>,
     trace: Option<String>,
     verify_trace: bool,
-    runtime: Option<&'static str>,
+    runtime: Option<ServeTransport>,
 }
 
 const FLAGS: &[Flag<Args>] = flags! {
@@ -142,7 +142,7 @@ const FLAGS: &[Flag<Args>] = flags! {
     "--jobs" "<n>" "worker threads for --seeds" => |a, v| a.jobs = v.parse()?;
     "--trace" "<path>" sim "write the run's structured event trace as JSONL" => |a, v| a.trace = Some(v.into());
     "--verify-trace" "" sim "rebuild the history from the trace and check it" => |a, _| a.verify_trace = true;
-    "--runtime" "channel|tcp" "run the cell on the threaded runtime instead of the simulator" => |a, v| a.runtime = Some(["channel", "tcp"].into_iter().find(|r| *r == v).ok_or("want channel or tcp")?);
+    "--runtime" "channel|tcp" "run the cell on the threaded runtime instead of the simulator" => |a, v| a.runtime = Some([ServeTransport::Channel, ServeTransport::Tcp].into_iter().find(|t| t.label() == v).ok_or("want channel or tcp")?);
 };
 
 fn latency(v: &str) -> Result<LatencyModel, Bad> {
@@ -224,6 +224,7 @@ fn parse() -> Args {
         runtime: None,
     };
     let sim_only = cli::parse("simulate [flags]".into(), &[], FLAGS, &mut a, |_| false);
+    a.cfg.record_trace = a.trace.is_some() || a.verify_trace;
     if let Some(flag) = sim_only.or((a.seeds > 1).then_some("--seeds")) {
         if a.runtime.is_some() {
             die(&format!(
@@ -240,7 +241,7 @@ fn parse() -> Args {
     if a.seeds > 1 && (a.cfg.record_history || a.dump_schedule.is_some() || a.schedule.is_some()) {
         die("--seeds > 1 is incompatible with --check / --dump-schedule / --schedule (those operate on one concrete run; drop --seeds or run them per seed)");
     }
-    if a.seeds > 1 && (a.trace.is_some() || a.verify_trace) {
+    if a.seeds > 1 && a.cfg.record_trace {
         die("--seeds > 1 is incompatible with --trace / --verify-trace (a trace records one concrete run; drop --seeds or trace each seed separately)");
     }
     let c = &mut a.cfg;
@@ -348,7 +349,7 @@ fn multi_seed(a: &Args) {
 /// and size model — on the threaded runtime (real threads, channel or
 /// loopback-TCP transport) and print its counters in the same shape as the
 /// simulated run.
-fn run_on_runtime(cfg: &SimConfig, which: &str) {
+fn run_on_runtime(cfg: &SimConfig, transport: ServeTransport) {
     let rt = causal_runtime::RuntimeConfig {
         protocol: cfg.protocol,
         placement: cfg.placement.clone(),
@@ -358,13 +359,9 @@ fn run_on_runtime(cfg: &SimConfig, which: &str) {
         workers: 0,
     };
     let t0 = std::time::Instant::now();
-    let out = match which {
-        "channel" => causal_runtime::run_threaded(&rt),
-        "tcp" => causal_runtime::run_tcp(&rt).unwrap_or_else(|e| die(&format!("{e:?}"))),
-        _ => unreachable!("validated in parse"),
-    };
+    let out = replay(&rt, transport).unwrap_or_else(|e| die(&format!("{e:?}")));
     let m = &out.metrics;
-    let w = &cfg.workload;
+    let (w, which) = (&cfg.workload, transport.label());
     println!("protocol        {} (runtime: {which})", cfg.protocol);
     println!(
         "workload        {} events/proc, w_rate {}, seed {}, time scale 0.005",
@@ -422,8 +419,8 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         eprintln!("wrote schedule to {path}");
     }
-    if let Some(which) = a.runtime {
-        run_on_runtime(cfg, which);
+    if let Some(transport) = a.runtime {
+        run_on_runtime(cfg, transport);
         return;
     }
 
@@ -432,14 +429,8 @@ fn main() {
         return;
     }
 
-    let tracing = a.trace.is_some() || a.verify_trace;
     let t0 = std::time::Instant::now();
-    let mut tracer = BufTracer::default();
-    let r = if tracing {
-        run_traced(cfg, &mut tracer)
-    } else {
-        run(cfg)
-    };
+    let r = run(cfg);
     let m = &r.metrics;
     let w = &cfg.workload;
 
@@ -560,12 +551,12 @@ fn main() {
     }
     assert_eq!(r.final_pending, 0, "simulation must reach quiescence");
 
-    if tracing {
+    if let Some(events) = &r.trace {
         // Serialized once: `--trace` writes these bytes and
         // `--verify-trace` judges the history read back from them.
-        let jsonl = to_jsonl(&tracer.events);
+        let jsonl = to_jsonl(events);
         println!();
-        println!("trace           {} events recorded", tracer.events.len());
+        println!("trace           {} events recorded", events.len());
         if let Some(path) = &a.trace {
             write_trace(std::path::Path::new(path), &jsonl)
                 .unwrap_or_else(|e| die(&format!("{path}: {e}")));

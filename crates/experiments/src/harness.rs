@@ -15,9 +15,9 @@
 use crate::pool;
 use crate::trace::write_trace;
 use causal_checker::check;
-use causal_obs::{to_jsonl, BufTracer};
+use causal_obs::to_jsonl;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, run_traced, SimConfig, SimResult};
+use causal_simnet::{run, SimConfig, SimResult};
 use std::path::Path;
 
 /// All five bundled protocols in table order: the three that run under
@@ -66,17 +66,14 @@ pub fn run_units<U: Sync>(
     trace_dir: Option<&Path>,
 ) -> Vec<SimResult> {
     pool::run_indexed(jobs, units.len(), |i| {
-        let (cfg, tag) = (cfg(&units[i]), tag(&units[i]));
-        let r = match trace_dir {
-            Some(dir) => {
-                let mut tracer = BufTracer::default();
-                let r = run_traced(&cfg, &mut tracer);
-                let path = dir.join(format!("{tag}.jsonl"));
-                write_trace(&path, &to_jsonl(&tracer.events)).expect("trace write");
-                r
-            }
-            None => run(&cfg),
-        };
+        let (mut cfg, tag) = (cfg(&units[i]), tag(&units[i]));
+        cfg.record_trace = trace_dir.is_some();
+        let mut r = run(&cfg);
+        // Written and dropped here, so a sweep never holds its traces.
+        if let (Some(dir), Some(events)) = (trace_dir, r.trace.take()) {
+            let path = dir.join(format!("{tag}.jsonl"));
+            write_trace(&path, &to_jsonl(&events)).expect("trace write");
+        }
         assert_eq!(r.final_pending, 0, "{tag}: run must drain");
         if let Some(h) = &r.history {
             let v = check(h);

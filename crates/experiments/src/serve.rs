@@ -36,7 +36,7 @@
 
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, serve, RuntimeConfig, ServeConfig, ServeReport, ServeTransport};
+use causal_runtime::{replay, serve, RuntimeConfig, ServeConfig, ServeReport, ServeTransport};
 use causal_types::MsgKind;
 use std::time::{Duration, Instant};
 
@@ -192,7 +192,8 @@ pub fn parity(kind: ProtocolKind, n: usize, events: usize) -> Vec<Vec<String>> {
     let sim = causal_simnet::run(&sim_cfg);
 
     let real_cfg = RuntimeConfig::fast(kind, n, w, seed, events);
-    let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
+    let real = replay(&real_cfg, ServeTransport::Tcp)
+        .unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
     assert_eq!(real.final_pending, 0, "{kind}: replay must drain");
 
     // The operation tallies are schedule-determined: exact.

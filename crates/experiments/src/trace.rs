@@ -47,15 +47,14 @@ pub fn write_trace(path: &Path, jsonl: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::harness::paper_cfg;
-    use causal_obs::{to_jsonl, BufTracer};
+    use causal_obs::to_jsonl;
     use causal_proto::ProtocolKind;
-    use causal_simnet::{run_traced, SimConfig};
+    use causal_simnet::{run, SimConfig};
     use causal_workload::ChurnPlan;
 
     fn traced(cfg: &SimConfig) -> (Vec<TraceEvent>, History) {
-        let mut tracer = BufTracer::default();
-        let r = run_traced(&cfg.clone().with_history(), &mut tracer);
-        (tracer.events, r.history.expect("recorded"))
+        let r = run(&cfg.clone().with_history().with_trace());
+        (r.trace.expect("recorded"), r.history.expect("recorded"))
     }
 
     fn traced_run(kind: ProtocolKind, seed: u64) -> (Vec<TraceEvent>, History) {

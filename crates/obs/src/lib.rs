@@ -13,15 +13,14 @@
 //!
 //! ## Design
 //!
-//! * [`Tracer`] is a trait with a **no-op default**: `enabled()` returns
-//!   `false` and `emit()` discards. The simulator assembles an event only
-//!   when a tracer is enabled or a checker history is being recorded from
-//!   the stream, so with neither an instrumented path costs one virtual
-//!   call and a branch, and allocates nothing.
-//! * [`BufTracer`] collects events in memory; [`to_jsonl`] /
-//!   [`parse_jsonl`] serialize them losslessly as one JSON object per
-//!   line with a deterministic field order, so traces of the same seed are
-//!   byte-identical regardless of how many worker threads ran the sweep.
+//! * A trace is a recorded output of a run, like its history: the
+//!   simulator keeps an `Option<Vec<TraceEvent>>` and assembles an event
+//!   only when a trace or a checker history is being recorded, so with
+//!   neither an instrumented path costs one branch and allocates nothing.
+//! * [`to_jsonl`] / [`parse_jsonl`] serialize the events losslessly as one
+//!   JSON object per line with a deterministic field order, so traces of
+//!   the same seed are byte-identical regardless of how many worker
+//!   threads ran the sweep.
 //!
 //! The schema is declared once: each [`EventKind`] variant names its `ev`
 //! tag and its fields in output order, and the `events!` macro generates
@@ -304,54 +303,6 @@ impl TraceEvent {
             site,
             kind,
         }
-    }
-}
-
-/// A trace sink. The defaults make every implementation opt-in:
-/// `enabled()` is `false` and `emit()` discards, so instrumented code can
-/// hold a `&mut dyn Tracer` unconditionally and pay one virtual call when
-/// tracing is off.
-pub trait Tracer: Send {
-    /// Whether events should be assembled and emitted at all. Callers
-    /// gate event construction on this, so a disabled tracer allocates
-    /// nothing.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Consume one event. No-op by default.
-    fn emit(&mut self, ev: TraceEvent) {
-        let _ = ev;
-    }
-}
-
-/// The always-off tracer (what [`Tracer`]'s defaults describe).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {}
-
-/// An in-memory tracer: collects every event in emission order.
-#[derive(Clone, Debug, Default)]
-pub struct BufTracer {
-    /// The collected events, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl BufTracer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Tracer for BufTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn emit(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
     }
 }
 
@@ -677,23 +628,6 @@ mod tests {
             assert!(line.ends_with('}'), "line: {line}");
             assert_eq!(line.matches('{').count(), 1, "flat object: {line}");
         }
-    }
-
-    #[test]
-    fn tracer_defaults_are_off() {
-        struct Plain;
-        impl Tracer for Plain {}
-        assert!(!Plain.enabled());
-        assert!(!NoopTracer.enabled());
-        let mut buf = BufTracer::new();
-        assert!(buf.enabled());
-        buf.emit(TraceEvent::at(
-            SimTime::from_millis(1),
-            SiteId(0),
-            EventKind::Crash,
-        ));
-        assert_eq!(buf.events.len(), 1);
-        assert_eq!(buf.events[0].t, 1_000_000);
     }
 
     #[test]

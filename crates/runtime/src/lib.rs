@@ -8,8 +8,10 @@
 //! inbox, or a multiplexed loopback-TCP mesh with one nonblocking socket
 //! per worker pair, read by its owning worker when a pass begins — either
 //! way shipped once per peer when the pass ends), and two ways to drive
-//! operations — wall-clock schedule replay (scaled) and the closed-loop
-//! load generator behind [`serve`](fn@serve) (budget- or duration-bounded).
+//! operations — wall-clock schedule replay (scaled, [`replay`]) and the
+//! closed-loop load generator behind [`serve`](fn@serve) (budget- or
+//! duration-bounded). Both deploy through one path and return one
+//! [`ServeReport`].
 //!
 //! The paper's testbed ran each site as a JDK process over TCP; this runtime
 //! is the analogous live deployment of the *identical* protocol objects that
@@ -39,7 +41,7 @@
 //! that a finishing site and a worker about to park notify, not a
 //! sleep-poll — then broadcasts `Stop` at once and joins the worker pool.
 //! A parked update at that point would be a protocol bug (reported in
-//! [`RunOutcome::final_pending`]).
+//! [`ServeReport::final_pending`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +53,5 @@ pub mod tcp;
 
 pub use loadgen::LoadProfile;
 pub use node::BatchWindow;
-pub use runner::{run_threaded, RunOutcome, RuntimeConfig};
+pub use runner::{replay, RuntimeConfig};
 pub use serve::{serve, ServeConfig, ServeReport, ServeTransport};
-pub use tcp::run_tcp;

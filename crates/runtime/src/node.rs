@@ -489,15 +489,15 @@ impl Node {
         }
     }
 
-    /// Record a closed-loop client's completed operation and report it
-    /// back to the client (replay operations have no client).
+    /// Time a completed operation, and report it back to its closed-loop
+    /// client (replay operations have none).
     fn op_completed(&mut self, client: Option<usize>, t0: Instant) {
+        // One clock read serves the due-time offset and the latency.
+        let now = Instant::now();
+        self.metrics
+            .op_latency_ns
+            .record((now - t0).as_nanos() as f64);
         if let Some(c) = client {
-            // One clock read serves the due-time offset and the latency.
-            let now = Instant::now();
-            self.metrics
-                .op_latency_ns
-                .record((now - t0).as_nanos() as f64);
             self.ops.completed(c, now - self.start);
         }
     }

@@ -39,13 +39,13 @@
 //! notify; there is no settle window and no sleep-poll.
 
 use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Transport, Wire};
-use crate::serve::ServeTransport;
+use crate::serve::{ServeReport, ServeTransport};
 use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_memory::Placement;
-use causal_metrics::RunMetrics;
+use causal_metrics::{LatencySummary, RunMetrics};
 use causal_proto::{ProtocolConfig, ProtocolKind, Replication, SiteDriver};
-use causal_types::{Result, SiteId, SizeModel};
+use causal_types::{Error, Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -94,21 +94,6 @@ impl RuntimeConfig {
             workers: 0,
         }
     }
-}
-
-/// What a threaded run produced.
-pub struct RunOutcome {
-    /// The combined execution history (feed to `causal_checker::check`).
-    pub history: History,
-    /// Aggregated metrics across sites. Replay runs attribute traffic to
-    /// the measured window exactly as the simulator does (operations past
-    /// the 15 % warm-up, with each frame's attribution carried on the
-    /// wire); `metrics.all` always covers everything.
-    pub metrics: RunMetrics,
-    /// Parked updates at shutdown, summed over sites (must be 0).
-    pub final_pending: usize,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
 }
 
 /// Resolve a configured worker count against a system size: `0` means one
@@ -723,9 +708,10 @@ impl<'a> Worker<'a> {
 }
 
 /// Wait for quiescence (every driver exhausted and every frame sent
-/// done), broadcast `Stop`, join the worker pool, and merge the
-/// per-site outcomes; the pool size lands in `metrics.threads_spawned`.
-fn drive(cluster: Cluster) -> (History, RunMetrics, usize) {
+/// done), broadcast `Stop`, join the worker pool, and fold the per-site
+/// outcomes into one report, `elapsed` counted from `start`; the pool
+/// size lands in `metrics.threads_spawned`.
+fn drive(cluster: Cluster, start: Instant) -> ServeReport {
     let n = cluster.routes.sites();
     cluster.quiesce.wait_quiescent();
     for site in 0..n {
@@ -743,14 +729,23 @@ fn drive(cluster: Cluster) -> (History, RunMetrics, usize) {
             final_pending += out.final_pending;
         }
     }
-    (history, metrics, final_pending)
+    let latency = &metrics.op_latency_ns;
+    ServeReport {
+        ops: latency.count(),
+        elapsed: start.elapsed(),
+        latency: LatencySummary::from_ns(latency),
+        metrics,
+        history,
+        final_pending,
+    }
 }
 
 /// Deploy one cluster and run it to quiescence: build the fabric, pick
 /// the transport, spawn the worker pool with one [`Node`] per site —
 /// `ops(i)` is site `i`'s operation driver — drive it, and fold the
 /// transport's gauges in *after* the join, so late teardown races are
-/// included. `elapsed` runs from before the fabric exists to quiescence.
+/// included. `elapsed` runs from before the fabric exists to quiescence;
+/// `ops` and `latency` count every operation the drivers issued.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deploy(
     protocol: ProtocolKind,
@@ -761,7 +756,7 @@ pub(crate) fn deploy(
     size_model: SizeModel,
     batch: Option<BatchWindow>,
     ops: impl Fn(usize) -> OpDriver,
-) -> Result<RunOutcome> {
+) -> Result<ServeReport> {
     let n = placement.n();
     let repl: Arc<dyn Replication> = placement;
     let start = Instant::now();
@@ -801,26 +796,28 @@ pub(crate) fn deploy(
         )
     });
 
-    let (history, mut metrics, final_pending) = drive(cluster);
-    let elapsed = start.elapsed();
+    let mut report = drive(cluster, start);
     if let Some(m) = mesh {
-        m.fold_gauges(&mut metrics);
+        m.fold_gauges(&mut report.metrics);
     }
-    metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
-    Ok(RunOutcome {
-        history,
-        metrics,
-        final_pending,
-        elapsed,
-    })
+    report.metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
+    Ok(report)
 }
 
 /// Replay `cfg`'s workload (the simulator's schedule for the same seed)
-/// on a deployment over `transport`. Every SM ships as its own frame:
-/// wall-clock windows group updates differently than virtual-time ones, so
-/// message counts line up with the simulator's only unbatched.
-pub(crate) fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<RunOutcome> {
-    assert_eq!(cfg.placement.n(), cfg.workload.n);
+/// on a deployment over `transport`, and block until quiescent. Every SM
+/// ships as its own frame: wall-clock windows group updates differently
+/// than virtual-time ones, so message counts line up with the simulator's
+/// only unbatched. The report's traffic is attributed to the measured
+/// window exactly as the simulator attributes it (operations past the
+/// 15 % warm-up, each frame's attribution carried on the wire);
+/// `metrics.all`, `ops` and `latency` cover every operation.
+pub fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<ServeReport> {
+    let (sites, n) = (cfg.placement.n(), cfg.workload.n);
+    if sites != n {
+        let e = format!("the placement has {sites} sites, the workload {n}");
+        return Err(Error::InvalidConfig(e));
+    }
     let schedule = generate(&cfg.workload);
     deploy(
         cfg.protocol,
@@ -840,16 +837,23 @@ pub(crate) fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<R
     )
 }
 
-/// Run the workload on the sharded worker pool over in-process channels.
-/// Blocks until quiescent.
-pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
-    replay(cfg, ServeTransport::Channel).expect("the channel fabric opens no socket")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use causal_proto::Msg;
+
+    #[test]
+    fn replay_refuses_a_workload_the_placement_does_not_fit() {
+        let mut cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.5, 1, 10);
+        cfg.workload.n = 4;
+        let err = replay(&cfg, ServeTransport::Channel)
+            .err()
+            .expect("refused");
+        let Error::InvalidConfig(why) = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(why, "the placement has 6 sites, the workload 4");
+    }
 
     /// A lost wake-up parks `wait_until` forever; the deadline turns that
     /// into a failed assertion.

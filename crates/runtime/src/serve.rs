@@ -11,8 +11,9 @@
 //!
 //! Since client operations are generated at issue time from real completion
 //! instants, a serve run is *not* schedule-replayable on the simulator;
-//! sim-vs-real cross-validation uses replay mode ([`crate::run_tcp`] /
-//! [`crate::run_threaded`] with the simulator's workload) instead.
+//! sim-vs-real cross-validation uses replay mode ([`crate::replay`] with
+//! the simulator's workload) instead, which reports in the same
+//! [`ServeReport`].
 
 use crate::loadgen::{ClosedLoop, LoadProfile};
 use crate::node::{BatchWindow, OpDriver};
@@ -95,16 +96,17 @@ impl ServeConfig {
     }
 }
 
-/// What a serving run produced.
+/// What a deployment produced: a serving run or a replay.
 pub struct ServeReport {
-    /// Client operations completed.
+    /// Operations completed.
     pub ops: u64,
     /// Wall-clock duration of the run (spawn to quiescence).
     pub elapsed: Duration,
     /// Completion-latency summary (mean / p50 / p99 / max).
     pub latency: LatencySummary,
     /// Protocol-level message and meta-byte accounting (all client ops are
-    /// measured; there is no warm-up window under closed-loop load).
+    /// measured; there is no warm-up window under closed-loop load, and a
+    /// replay's is the simulator's).
     pub metrics: RunMetrics,
     /// The combined execution history (feed to `causal_checker::check`).
     pub history: History,
@@ -127,7 +129,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
     } else {
         Placement::full(cfg.n)?
     };
-    let run = deploy(
+    deploy(
         cfg.protocol,
         Arc::new(placement),
         cfg.transport,
@@ -136,15 +138,5 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
         cfg.size_model,
         cfg.batch,
         |i| OpDriver::Closed(ClosedLoop::new(&cfg.load, SiteId::from(i))),
-    )?;
-
-    let latency = &run.metrics.op_latency_ns;
-    Ok(ServeReport {
-        ops: latency.count(),
-        elapsed: run.elapsed,
-        latency: LatencySummary::from_ns(latency),
-        metrics: run.metrics,
-        history: run.history,
-        final_pending: run.final_pending,
-    })
+    )
 }

@@ -90,8 +90,7 @@
 //! carry them and is where a `poll`/`epoll` shim would be needed.
 
 use crate::node::{Transport, Wire};
-use crate::runner::{locked, replay, Quiesce, Routes, RunOutcome, RuntimeConfig};
-use crate::serve::ServeTransport;
+use crate::runner::{locked, Quiesce, Routes};
 use causal_metrics::RunMetrics;
 use causal_proto::{wire, Msg};
 use causal_types::{Error, Result, SiteId};
@@ -582,12 +581,6 @@ fn route_frame(
         let r = wire::decode_routed(body).map_err(drop)?;
         deliver(r.src, &[r.dst], r.msg)
     }
-}
-
-/// Run the workload over the multiplexed loopback-TCP worker mesh. Blocks
-/// until quiescent.
-pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
-    replay(cfg, ServeTransport::Tcp)
 }
 
 #[cfg(test)]

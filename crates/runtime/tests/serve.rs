@@ -6,9 +6,7 @@
 use causal_checker::{check, OpRecord};
 use causal_memory::Placement;
 use causal_proto::{ProtocolKind, Replication};
-use causal_runtime::{
-    run_tcp, run_threaded, serve, BatchWindow, RuntimeConfig, ServeConfig, ServeTransport,
-};
+use causal_runtime::{replay, serve, BatchWindow, RuntimeConfig, ServeConfig, ServeTransport};
 use causal_types::MsgKind;
 use std::time::Duration;
 
@@ -131,11 +129,11 @@ fn optp_replay_counters_agree_byte_for_byte_across_transports_and_pool_sizes() {
     // thread-per-site fabric, so this also pins new-fabric == old-fabric.
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 5, 0.4, 13, 40);
     cfg.workers = 1;
-    let baseline = run_threaded(&cfg);
+    let baseline = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     for workers in [1usize, 2, 4, 5] {
         cfg.workers = workers;
-        let chan = run_threaded(&cfg);
-        let tcp = run_tcp(&cfg).expect("tcp run");
+        let chan = replay(&cfg, ServeTransport::Channel).expect("channel replay");
+        let tcp = replay(&cfg, ServeTransport::Tcp).expect("tcp run");
         for (label, out) in [("channel", &chan), ("tcp", &tcp)] {
             let tag = format!("W={workers}/{label}");
             for kind in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
@@ -196,7 +194,7 @@ fn replay_warmup_window_is_attributed_like_the_simulator() {
     // measured op tally must cover exactly the post-warm-up window while
     // `all` covers everything.
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.3, 4, 40);
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     let measured_ops = out.metrics.writes + out.metrics.reads;
     assert_eq!(measured_ops, 6 * (40 - 6), "measured ops span the window");
     assert!(

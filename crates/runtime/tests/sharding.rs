@@ -5,7 +5,7 @@
 
 use causal_checker::{check, History, OpRecord};
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, run_threaded, serve, RuntimeConfig, ServeConfig, ServeTransport};
+use causal_runtime::{replay, serve, RuntimeConfig, ServeConfig, ServeTransport};
 
 #[test]
 fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
@@ -15,7 +15,7 @@ fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
     // workers drive their sockets themselves, so the mesh adds no thread.
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 40, 0.3, 7, 8);
     cfg.workers = 4;
-    let out = run_tcp(&cfg).expect("tcp run");
+    let out = replay(&cfg, ServeTransport::Tcp).expect("tcp run");
     assert_eq!(out.metrics.threads_spawned, 4);
     assert_eq!(out.metrics.transport_conn_errors, 0);
     assert_eq!(out.final_pending, 0);
@@ -34,7 +34,7 @@ fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
 fn channel_fabric_spawns_exactly_the_worker_pool() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 40, 0.3, 7, 8);
     cfg.workers = 4;
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert_eq!(out.metrics.threads_spawned, 4);
     assert_eq!(out.final_pending, 0);
     let v = check(&out.history);
@@ -47,7 +47,7 @@ fn auto_sizing_never_exceeds_the_site_count() {
     // any machine a 2-site run must use at most 2 workers.
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 2, 0.3, 5, 10);
     cfg.workers = 0;
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert!((1..=2).contains(&out.metrics.threads_spawned));
     assert_eq!(out.final_pending, 0);
 }
@@ -144,9 +144,9 @@ fn a_write_heavy_fan_out_crosses_the_socket_once_per_write() {
 fn thread_per_site_emulation_spawns_one_worker_per_site() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 5, 0.3, 3, 12);
     cfg.workers = 5;
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert_eq!(out.metrics.threads_spawned, 5);
-    let tcp = run_tcp(&cfg).expect("tcp run");
+    let tcp = replay(&cfg, ServeTransport::Tcp).expect("tcp run");
     assert_eq!(tcp.metrics.threads_spawned, 5);
 }
 
@@ -157,7 +157,7 @@ fn mailbox_depth_gauge_observes_backlog_under_load() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 8, 0.8, 17, 30);
     cfg.workers = 1;
     cfg.time_scale = 0.0005; // compress gaps so sends pile up
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert!(
         out.metrics.mailbox_depth_peak > 0,
         "peak mailbox depth should register under a 1-worker pileup"

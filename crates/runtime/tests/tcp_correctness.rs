@@ -7,7 +7,7 @@
 
 use causal_checker::check;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, run_threaded, RuntimeConfig};
+use causal_runtime::{replay, RuntimeConfig, ServeTransport};
 use causal_types::MsgKind;
 
 #[test]
@@ -19,7 +19,7 @@ fn tcp_mesh_runs_all_protocols_causally() {
         (ProtocolKind::OptP, 5),
     ] {
         let cfg = RuntimeConfig::fast(kind, n, 0.5, 77, 30);
-        let out = run_tcp(&cfg).expect("tcp mesh");
+        let out = replay(&cfg, ServeTransport::Tcp).expect("tcp mesh");
         assert_eq!(out.final_pending, 0, "{kind}");
         let v = check(&out.history);
         assert!(v.protocol_clean(), "{kind}: {:?}", v.examples);
@@ -30,8 +30,16 @@ fn tcp_mesh_runs_all_protocols_causally() {
 #[test]
 fn tcp_and_channel_transports_agree_on_traffic() {
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.5, 91, 40);
-    let tcp = run_tcp(&cfg).expect("tcp mesh");
-    let chan = run_threaded(&cfg);
+    let tcp = replay(&cfg, ServeTransport::Tcp).expect("tcp mesh");
+    let chan = replay(&cfg, ServeTransport::Channel).expect("channel replay");
+    // Every replayed operation is timed, warm-up included, on either
+    // fabric.
+    let scheduled = (cfg.workload.n * cfg.workload.events_per_process) as u64;
+    for out in [&tcp, &chan] {
+        assert_eq!(out.ops, scheduled, "every operation completes");
+        assert_eq!(out.latency.ops, out.ops, "every operation is timed");
+    }
+    assert_eq!(tcp.ops, chan.ops, "fabrics agree on ops");
     for kind in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
         assert_eq!(
             tcp.metrics.all.count(kind),
@@ -58,7 +66,7 @@ fn tcp_and_channel_transports_agree_on_traffic() {
 fn tcp_remote_fetch_round_trip() {
     // Partial replication at low write rate exercises FM/RM over sockets.
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.2, 55, 40);
-    let out = run_tcp(&cfg).expect("tcp mesh");
+    let out = replay(&cfg, ServeTransport::Tcp).expect("tcp mesh");
     assert_eq!(
         out.metrics.all.count(MsgKind::Fm),
         out.metrics.all.count(MsgKind::Rm)

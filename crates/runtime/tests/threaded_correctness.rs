@@ -5,7 +5,7 @@
 
 use causal_checker::check;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_threaded, RuntimeConfig};
+use causal_runtime::{replay, RuntimeConfig, ServeTransport};
 use causal_types::MsgKind;
 
 #[test]
@@ -13,7 +13,7 @@ fn threaded_full_replication_protocols_are_causal() {
     for kind in [ProtocolKind::OptTrackCrp, ProtocolKind::OptP] {
         for seed in 0..3 {
             let cfg = RuntimeConfig::fast(kind, 4, 0.5, seed, 40);
-            let out = run_threaded(&cfg);
+            let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
             assert_eq!(out.final_pending, 0, "{kind} seed {seed}");
             let v = check(&out.history);
             assert!(v.protocol_clean(), "{kind} seed {seed}: {:?}", v.examples);
@@ -28,7 +28,7 @@ fn threaded_partial_replication_protocols_are_causal() {
     for kind in [ProtocolKind::FullTrack, ProtocolKind::OptTrack] {
         for seed in 0..3 {
             let cfg = RuntimeConfig::fast(kind, 6, 0.5, seed, 40);
-            let out = run_threaded(&cfg);
+            let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
             assert_eq!(out.final_pending, 0, "{kind} seed {seed}");
             let v = check(&out.history);
             assert!(v.protocol_clean(), "{kind} seed {seed}: {:?}", v.examples);
@@ -39,7 +39,7 @@ fn threaded_partial_replication_protocols_are_causal() {
 #[test]
 fn threaded_history_is_complete() {
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrackCrp, 4, 0.5, 9, 30);
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert_eq!(out.history.total_ops(), 4 * 30, "every op recorded");
     // Every write applies everywhere under full replication.
     let writes = out
@@ -55,7 +55,7 @@ fn threaded_history_is_complete() {
 #[test]
 fn threaded_metrics_account_for_traffic() {
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.3, 4, 40);
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     // Partial replication at w=0.3 generates all three message kinds.
     assert!(out.metrics.all.count(MsgKind::Sm) > 0);
     assert_eq!(
@@ -80,7 +80,7 @@ fn threaded_metrics_account_for_traffic() {
 fn threaded_write_heavy_stress() {
     // Maximum write contention: every op is a write, everything multicasts.
     let cfg = RuntimeConfig::fast(ProtocolKind::OptP, 8, 1.0, 5, 50);
-    let out = run_threaded(&cfg);
+    let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert_eq!(out.final_pending, 0);
     let v = check(&out.history);
     assert!(v.strictly_clean(), "{:?}", v.examples);

@@ -38,8 +38,7 @@ pub mod transport;
 pub use channel::{FaultPlan, LatencyModel, PartitionWindow};
 pub use kernel::{EventHeap, SimEvent};
 pub use sim::{
-    record_event, run, run_traced, BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig,
-    SimResult,
+    record_event, run, BatchPlan, CrashWindow, DurabilityPlan, PauseWindow, SimConfig, SimResult,
 };
 pub use stability::StabilityPlan;
 pub use transport::{Transport, TransportCmd};

@@ -20,7 +20,7 @@ use crate::transport::TransportCmd;
 use causal_checker::History;
 use causal_memory::DynamicPlacement;
 use causal_metrics::RunMetrics;
-use causal_obs::{EventKind, NoopTracer, TraceEvent, Tracer};
+use causal_obs::{EventKind, TraceEvent};
 use causal_proto::{
     Effect, Frame, Msg, Output, ProtoTraceEvent, ProtocolConfig, Replication, SiteDriver, WalRecord,
 };
@@ -33,17 +33,12 @@ use recovery::{Chaos, SiteStatus};
 use std::sync::Arc;
 
 /// Run one simulation to quiescence. Panics on a config
-/// [`SimConfig::check`] refuses.
+/// [`SimConfig::check`] refuses. The run records its history and its
+/// trace only when [`SimConfig::record_history`] and
+/// [`SimConfig::record_trace`] ask for them; untraced, every emission site
+/// is one branch and the protocol-side trace buffers are never allocated.
 pub fn run(cfg: &SimConfig) -> SimResult {
-    run_traced(cfg, &mut NoopTracer)
-}
-
-/// Run one simulation to quiescence, emitting structured trace events into
-/// `tracer`. With a disabled tracer ([`NoopTracer`]) this is exactly
-/// [`run`]: every emission site is gated on `tracer.enabled()` and the
-/// protocol-side trace buffers are never allocated.
-pub fn run_traced(cfg: &SimConfig, tracer: &mut dyn Tracer) -> SimResult {
-    let mut sim = Sim::new(cfg, tracer);
+    let mut sim = Sim::new(cfg);
     while let Some((now, ev)) = sim.heap.pop() {
         sim.now = now;
         sim.step(ev);
@@ -77,7 +72,6 @@ pub fn record_event(h: &mut History, ev: &TraceEvent) {
 /// the event being handled.
 struct Sim<'a> {
     cfg: &'a SimConfig,
-    tracer: &'a mut dyn Tracer,
     n: usize,
     schedule: Schedule,
     sites: Vec<SiteDriver>,
@@ -91,6 +85,7 @@ struct Sim<'a> {
     lat_rng: StdRng,
     metrics: RunMetrics,
     history: Option<History>,
+    trace: Option<Vec<TraceEvent>>,
     /// The drivers' output buffer, drained after every driver call.
     out: Vec<Output>,
     chaos: Option<Chaos>,
@@ -101,7 +96,7 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(cfg: &'a SimConfig, tracer: &'a mut dyn Tracer) -> Self {
+    fn new(cfg: &'a SimConfig) -> Self {
         let n = cfg.workload.n;
         if let Err(e) = cfg.check() {
             panic!("{e}");
@@ -133,7 +128,7 @@ impl<'a> Sim<'a> {
         let sites = SiteId::all(n)
             .map(|s| {
                 let mut d = SiteDriver::new(cfg.protocol, s, repl.clone(), proto_cfg, model, lanes);
-                d.site_mut().set_tracing(tracer.enabled());
+                d.site_mut().set_tracing(cfg.record_trace);
                 d
             })
             .collect();
@@ -142,7 +137,6 @@ impl<'a> Sim<'a> {
         metrics.per_site.ensure(n);
         let mut sim = Sim {
             cfg,
-            tracer,
             n,
             schedule,
             sites,
@@ -153,6 +147,7 @@ impl<'a> Sim<'a> {
             lat_rng: StdRng::seed_from_u64(cfg.workload.seed ^ 0xC0FF_EE00_D15E_A5E5),
             metrics,
             history: cfg.record_history.then(|| History::new(n)),
+            trace: cfg.record_trace.then(Vec::new),
             out: Vec::new(),
             chaos: cfg.chaos().then(|| Chaos::new(cfg, &members)),
             churn,
@@ -285,33 +280,33 @@ impl<'a> Sim<'a> {
                 .collect(),
             metrics: self.metrics,
             history: self.history,
+            trace: self.trace,
             duration: self.heap.now(),
         }
     }
 
     /// Emit one event at `now`: into the history being recorded, through
-    /// [`record_event`], then to the tracer.
+    /// [`record_event`], then into the trace being recorded.
     #[inline]
     fn emit(&mut self, site: SiteId, kind: EventKind) {
-        let tracing = self.tracer.enabled();
-        if tracing || self.history.is_some() {
+        if self.trace.is_some() || self.history.is_some() {
             let ev = TraceEvent::at(self.now, site, kind);
             if let Some(h) = self.history.as_mut() {
                 record_event(h, &ev);
             }
-            if tracing {
-                self.tracer.emit(ev);
+            if let Some(trace) = self.trace.as_mut() {
+                trace.push(ev);
             }
         }
     }
 
-    /// Drain the protocol-side trace buffer of `site` into the tracer. The
+    /// Drain the protocol-side trace buffer of `site` into the trace. The
     /// protocols have no notion of simulated time, so their events are
     /// timestamped here, at the instant that triggered them.
     fn drain_proto(&mut self, site: SiteId) {
-        if !self.tracer.enabled() {
+        let Some(trace) = self.trace.as_mut() else {
             return;
-        }
+        };
         for ev in self.sites[site.index()].site_mut().take_trace() {
             let kind = match ev {
                 ProtoTraceEvent::Buffered {
@@ -332,7 +327,7 @@ impl<'a> Sim<'a> {
                     remaining: remaining as u64,
                 },
             };
-            self.tracer.emit(TraceEvent::at(self.now, site, kind));
+            trace.push(TraceEvent::at(self.now, site, kind));
         }
     }
 
@@ -618,7 +613,7 @@ impl<'a> Sim<'a> {
     /// match the metrics. An FM is traced as the fetch attempt it belongs
     /// to instead.
     fn trace_send(&mut self, from: SiteId, to: SiteId, msg: &Msg, bytes: u64) {
-        if !self.tracer.enabled() || matches!(msg, Msg::Fm(_)) {
+        if self.trace.is_none() || matches!(msg, Msg::Fm(_)) {
             return;
         }
         let mut writers: Vec<_> = msg.sms().map(|sm| Some(sm.value.writer)).collect();

@@ -6,6 +6,7 @@ use causal_checker::History;
 use causal_clocks::{BatchPolicy, PruneConfig};
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
+use causal_obs::TraceEvent;
 use causal_proto::{ProtocolKind, Replication};
 use causal_types::{Error, Result, SimDuration, SimTime, SiteId, SizeModel};
 use causal_workload::{ChurnPlan, WorkloadParams};
@@ -144,6 +145,10 @@ pub struct SimConfig {
     /// Record a [`History`] for post-run consistency checking. Adds memory
     /// proportional to the operation count; off for large sweeps.
     pub record_history: bool,
+    /// Record the structured event trace ([`SimResult::trace`]). Adds
+    /// memory proportional to the event count; off unless a trace is
+    /// written or verified.
+    pub record_trace: bool,
     /// Injected network partitions (empty by default).
     pub partitions: Vec<PartitionWindow>,
     /// Replay this exact schedule instead of generating one from
@@ -191,6 +196,7 @@ impl SimConfig {
             size_model: SizeModel::java_like(),
             prune: PruneConfig::default(),
             record_history: false,
+            record_trace: false,
             partitions: Vec::new(),
             schedule_override: None,
             pauses: Vec::new(),
@@ -214,6 +220,7 @@ impl SimConfig {
             size_model: SizeModel::java_like(),
             prune: PruneConfig::default(),
             record_history: false,
+            record_trace: false,
             partitions: Vec::new(),
             schedule_override: None,
             pauses: Vec::new(),
@@ -235,6 +242,12 @@ impl SimConfig {
     /// Enable history recording (for the consistency checker).
     pub fn with_history(mut self) -> Self {
         self.record_history = true;
+        self
+    }
+
+    /// Enable trace recording (for a JSONL trace).
+    pub fn with_trace(mut self) -> Self {
+        self.record_trace = true;
         self
     }
 
@@ -366,6 +379,8 @@ pub struct SimResult {
     pub metrics: RunMetrics,
     /// The recorded execution, when requested.
     pub history: Option<History>,
+    /// The structured event trace in emission order, when requested.
+    pub trace: Option<Vec<TraceEvent>>,
     /// Virtual time at which the system went quiescent.
     pub duration: SimTime,
     /// Updates still parked at the end — **must** be zero; nonzero means an

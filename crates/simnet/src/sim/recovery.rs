@@ -168,7 +168,7 @@ impl Sim<'_> {
                 // events): discard it, then restore the run's tracing
                 // mode.
                 let _ = replayed.take_trace();
-                replayed.set_tracing(self.tracer.enabled());
+                replayed.set_tracing(self.trace.is_some());
                 // A truncated tail may have lost the site's latest own
                 // writes: raise the replayed state to the durable ledger
                 // so no WriteId is ever reused.

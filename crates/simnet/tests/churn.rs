@@ -9,9 +9,9 @@
 //! epoch.
 
 use causal_checker::check;
-use causal_obs::{BufTracer, EventKind};
+use causal_obs::EventKind;
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, run_traced, CrashWindow, DurabilityPlan, SimConfig};
+use causal_simnet::{run, CrashWindow, DurabilityPlan, SimConfig};
 use causal_types::{SimDuration, SimTime, SiteId};
 use causal_workload::ChurnPlan;
 
@@ -139,9 +139,9 @@ fn crash_leave_of_a_site_blocked_in_a_remote_fetch_releases_the_read() {
         let traced = |at_ms: u64| {
             let plan = ChurnPlan::parse(&format!("crash-leave:2@{at_ms}ms")).expect("valid spec");
             let cfg = cfg_for(kind, true, 6, 305).with_churn(plan);
-            let mut tracer = BufTracer::new();
-            let r = run_traced(&cfg, &mut tracer);
-            (r, tracer.events)
+            let mut r = run(&cfg.with_trace());
+            let events = r.trace.take().expect("recorded");
+            (r, events)
         };
         // A departure after the workload ends shows when the leaver's
         // fetches are in flight; the run is identical up to the crash.

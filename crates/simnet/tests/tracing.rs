@@ -2,15 +2,15 @@
 //! perturbing it, cover the causally significant transitions, and survive a
 //! JSONL round trip.
 
-use causal_obs::{parse_jsonl, to_jsonl, BufTracer, EventKind};
+use causal_obs::{parse_jsonl, to_jsonl, EventKind, TraceEvent};
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, run_traced, CrashWindow, DurabilityPlan, FaultPlan, SimConfig};
+use causal_simnet::{run, CrashWindow, DurabilityPlan, FaultPlan, SimConfig};
 use causal_types::{SimDuration, SimTime, SiteId};
 
-fn traced(cfg: &SimConfig) -> (causal_simnet::SimResult, BufTracer) {
-    let mut tracer = BufTracer::default();
-    let r = run_traced(cfg, &mut tracer);
-    (r, tracer)
+fn traced(cfg: &SimConfig) -> (causal_simnet::SimResult, Vec<TraceEvent>) {
+    let mut r = run(&cfg.clone().with_trace());
+    let events = r.trace.take().expect("recorded");
+    (r, events)
 }
 
 #[test]
@@ -28,8 +28,8 @@ fn tracing_does_not_perturb_the_run() {
         .small()
         .with_history();
         let base = run(&cfg);
-        let (tr, tracer) = traced(&cfg);
-        assert!(!tracer.events.is_empty(), "{kind}: empty trace");
+        let (tr, events) = traced(&cfg);
+        assert!(!events.is_empty(), "{kind}: empty trace");
         assert_eq!(base.duration, tr.duration, "{kind}: duration diverged");
         assert_eq!(
             base.metrics.applies, tr.metrics.applies,
@@ -55,8 +55,8 @@ fn tracing_does_not_perturb_the_run() {
 #[test]
 fn trace_timestamps_are_nondecreasing() {
     let cfg = SimConfig::paper_partial(ProtocolKind::OptTrack, 6, 0.5, 3).small();
-    let (_, tracer) = traced(&cfg);
-    for w in tracer.events.windows(2) {
+    let (_, events) = traced(&cfg);
+    for w in events.windows(2) {
         assert!(
             w[0].t <= w[1].t,
             "trace out of order: {:?} then {:?}",
@@ -72,9 +72,8 @@ fn every_apply_references_a_traced_write() {
     // clock) that the trace saw being written, so a post-hoc tool can walk
     // apply → write chains without dangling references.
     let cfg = SimConfig::paper_partial(ProtocolKind::FullTrack, 6, 0.5, 11).small();
-    let (_, tracer) = traced(&cfg);
-    let writes: Vec<(u16, u64)> = tracer
-        .events
+    let (_, events) = traced(&cfg);
+    let writes: Vec<(u16, u64)> = events
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::Write { clock, .. } => Some((e.site.0, clock)),
@@ -83,7 +82,7 @@ fn every_apply_references_a_traced_write() {
         .collect();
     assert!(!writes.is_empty());
     let mut applies = 0;
-    for e in &tracer.events {
+    for e in &events {
         if let EventKind::Apply { origin, clock, .. } = e.kind {
             applies += 1;
             assert!(
@@ -112,9 +111,9 @@ fn chaos_runs_trace_faults_and_recovery() {
         lose_media: Vec::new(),
         torn_tail: Vec::new(),
     };
-    let (r, tracer) = traced(&cfg);
+    let (r, events) = traced(&cfg);
     assert_eq!(r.final_pending, 0);
-    let has = |f: &dyn Fn(&EventKind) -> bool| tracer.events.iter().any(|e| f(&e.kind));
+    let has = |f: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| f(&e.kind));
     assert!(has(&|k| matches!(k, EventKind::Crash)));
     assert!(has(&|k| matches!(k, EventKind::Recover { .. })));
     assert!(has(&|k| matches!(k, EventKind::RecoveryDone { .. })));
@@ -132,16 +131,16 @@ fn chaos_runs_trace_faults_and_recovery() {
 #[test]
 fn traces_survive_a_jsonl_round_trip() {
     let cfg = SimConfig::paper_partial(ProtocolKind::OptTrack, 6, 0.5, 9).small();
-    let (_, tracer) = traced(&cfg);
-    let text = to_jsonl(&tracer.events);
+    let (_, events) = traced(&cfg);
+    let text = to_jsonl(&events);
     let back = parse_jsonl(&text).expect("parses");
-    assert_eq!(back, tracer.events);
+    assert_eq!(back, events);
 }
 
 #[test]
 fn per_site_registry_is_populated_without_tracing() {
     // Registry counters feed sweep columns, so they must be live even when
-    // no tracer is attached.
+    // no trace is recorded.
     let cfg = SimConfig::paper_partial(ProtocolKind::FullTrack, 6, 0.5, 2).small();
     let r = run(&cfg);
     assert_eq!(r.metrics.per_site.len(), 6);

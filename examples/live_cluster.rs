@@ -2,9 +2,9 @@
 //!
 //! Spawns the scheduler's worker pool (running the same protocol objects
 //! the simulator drives), replays a workload in scaled wall-clock time over
-//! the in-process fabric — the workers' inboxes — then verifies the recorded execution with the independent
-//! checker — the closest thing to the paper's JDK-over-TCP testbed that
-//! fits in an example.
+//! the in-process fabric — the workers' inboxes — then verifies the
+//! recorded execution with the independent checker — the closest thing to
+//! the paper's JDK-over-TCP testbed that fits in an example.
 //!
 //! ```text
 //! cargo run --release --example live_cluster
@@ -20,7 +20,7 @@ fn main() {
         (ProtocolKind::OptP, 8),
     ] {
         let cfg = RuntimeConfig::fast(protocol, n, 0.5, 42, 60);
-        let out = run_threaded(&cfg);
+        let out = replay(&cfg, ServeTransport::Channel).expect("channel fabric");
         let v = check(&out.history);
         println!(
             "{protocol:<14} n={n}: {} ops, {} applies, {} msgs in {:?} — {}",
@@ -47,7 +47,7 @@ fn main() {
     // Once more over the paper's actual transport: a real loopback TCP
     // mesh with wire-encoded frames.
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.5, 7, 40);
-    let out = causal_repro::runtime::run_tcp(&cfg).expect("tcp mesh");
+    let out = replay(&cfg, ServeTransport::Tcp).expect("tcp mesh");
     let v = check(&out.history);
     println!(
         "TCP mesh (Opt-Track, 6 sites): {} msgs over real sockets in {:?} — {}",

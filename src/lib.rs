@@ -38,7 +38,7 @@ pub mod prelude {
     pub use causal_checker::{check, History, Violations};
     pub use causal_memory::{LocalCluster, Placement, PlacementKind};
     pub use causal_proto::{ProtocolConfig, ProtocolKind};
-    pub use causal_runtime::{run_threaded, RuntimeConfig};
+    pub use causal_runtime::{replay, RuntimeConfig, ServeTransport};
     pub use causal_simnet::{run, CrashWindow, DurabilityPlan, FaultPlan, LatencyModel, SimConfig};
     pub use causal_types::{MsgKind, SimTime, SiteId, SizeModel, VarId, VersionedValue, WriteId};
     pub use causal_workload::{VarDistribution, WorkloadParams};

@@ -72,7 +72,7 @@ fn sim_and_threaded_runtime_agree_on_message_counts() {
         let sim = causal_repro::simnet::run(&sim_cfg);
 
         let rt_cfg = RuntimeConfig::fast(kind, n, 0.5, seed, events);
-        let rt = run_threaded(&rt_cfg);
+        let rt = replay(&rt_cfg, ServeTransport::Channel).expect("channel replay");
 
         for kind_m in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
             assert_eq!(

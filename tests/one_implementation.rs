@@ -34,8 +34,10 @@
 //! each of `repro`'s subcommands is one row of `ARTIFACTS`, which names
 //! the cells it reads, and the selection's cells run in one pass. Knobs:
 //! the reliable transport's tuning is three constants and a fault plan is
-//! two rates. A second copy growing back is how the copies drifted apart
-//! before.
+//! two rates. Entry points: the simulator runs through `run` alone and
+//! records its trace as it records its history, and a deployment, served
+//! or replayed, returns one `ServeReport`. A second copy growing back is
+//! how the copies drifted apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -425,7 +427,7 @@ fn experiments_choose_placement_once_and_fan_out_through_one_loop() {
         .filter(|(path, _)| !path.to_string_lossy().contains("/src/bin/"))
         .collect();
     let allowed = [harness, "crates/experiments/src/serve.rs"];
-    for call in ["causal_simnet::run", "run(&", "run_traced("] {
+    for call in ["causal_simnet::run", "run(&"] {
         let mut callers = files_with(&library, call);
         callers.retain(|f| !allowed.contains(&f.as_str()));
         assert!(callers.is_empty(), "`{call}` called in {callers:?}");
@@ -854,5 +856,24 @@ fn only_what_a_run_sets_calls_or_reads_is_defined() {
         "pending_samples",
     ] {
         assert_eq!(files_with(&everywhere, dead), [""; 0], "`{dead}`");
+    }
+}
+
+#[test]
+fn each_harness_has_one_entry_point_and_one_result() {
+    // The simulator records its trace through a config field, as it
+    // records its history, not through a sink passed to a second entry
+    // point; a replay and a serving run return the same report.
+    let everywhere = sources();
+    for second in [
+        "trait Tracer",
+        "struct NoopTracer",
+        "struct BufTracer",
+        "fn run_traced",
+        "fn run_threaded",
+        "fn run_tcp",
+        "struct RunOutcome",
+    ] {
+        assert_eq!(files_with(&everywhere, second), [""; 0], "`{second}`");
     }
 }
