@@ -348,9 +348,10 @@ pub fn decode_routed(buf: &[u8]) -> Result<Routed, WireError> {
 pub struct MultiRouted {
     /// The sending site.
     pub src: SiteId,
-    /// The destination sites, in the sender's order: at least one, each in
-    /// the legal range, no site twice.
-    pub dsts: Vec<SiteId>,
+    /// The destination sites: at least one, each in the legal range. The
+    /// header names each once, in whatever order the sender wrote them; a
+    /// receiver routes every copy on its own, so the set is all it needs.
+    pub dsts: DestSet,
     /// The message every destination receives.
     pub msg: Msg,
 }
@@ -367,15 +368,13 @@ pub fn decode_multi_routed(buf: &[u8]) -> Result<MultiRouted, WireError> {
         k if k > MAX_SITES => return Err(WireError::Truncated),
         k => k,
     };
-    let mut dsts = Vec::with_capacity(k);
-    let mut seen = DestSet::EMPTY;
+    let mut dsts = DestSet::EMPTY;
     for _ in 0..k {
         let d = SiteId::take(&mut r)?;
-        if seen.contains(d) {
+        if dsts.contains(d) {
             return Err(WireError::BadTag(d.0 as u8));
         }
-        seen.insert(d);
-        dsts.push(d);
+        dsts.insert(d);
     }
     let msg = Msg::take(&mut r)?;
     r.finish(MultiRouted { src, dsts, msg })
@@ -1400,7 +1399,8 @@ mod tests {
             // Header: src, k, one varint per destination — then one body.
             assert_eq!(bytes.len(), encode(&msg).len() + 2 + dsts.len());
             let m = decode_multi_routed(&bytes).expect("roundtrip");
-            assert_eq!((m.src, &m.dsts[..], &m.msg), (SiteId(17), &dsts[..], &msg));
+            let set = DestSet::from_sites(dsts);
+            assert_eq!((m.src, m.dsts, &m.msg), (SiteId(17), set, &msg));
             for cut in 0..bytes.len() {
                 assert!(decode_multi_routed(&bytes[..cut]).is_err(), "prefix {cut}");
             }
@@ -1764,7 +1764,7 @@ mod tests {
             let msg = &msgs[which % msgs.len()];
             let m = decode_multi_routed(&encode_multi(SiteId(src), &dsts, msg)).unwrap();
             prop_assert_eq!(m.src, SiteId(src));
-            prop_assert_eq!(m.dsts, dsts);
+            prop_assert_eq!(m.dsts, DestSet::from_sites(dsts));
             prop_assert_eq!(&m.msg, msg);
         }
 
@@ -1811,7 +1811,7 @@ mod tests {
             let i = flip_at % bytes.len();
             bytes[i] ^= 1 << flip_bit;
             if let Ok(m) = decode_multi_routed(&bytes) {
-                let _ = encode_multi(m.src, &m.dsts, &m.msg);
+                let _ = encode_multi(m.src, &m.dsts.iter().collect::<Vec<_>>(), &m.msg);
             }
         }
     }

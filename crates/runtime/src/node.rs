@@ -36,7 +36,7 @@
 use crate::loadgen::ClosedLoop;
 use crate::runner::{locked, Addressed, OwnLine, Quiesce, Routes};
 use causal_checker::History;
-use causal_clocks::BatchPolicy;
+use causal_clocks::{BatchPolicy, DestSet};
 use causal_metrics::RunMetrics;
 use causal_proto::{Msg, Output, SiteDriver};
 use causal_types::{OpKind, ScheduledOp, SiteId};
@@ -51,10 +51,10 @@ use std::time::{Duration, Instant};
 /// actual transport.
 pub trait Transport: Send + Sync {
     /// Deliver one copy of `msg` (tagged with its warm-up attribution)
-    /// from `from` to every site in `to` — non-empty, no site twice —
-    /// reliably and in FIFO order per ordered pair. A unicast is the
-    /// one-destination case. Copies for another worker's sites may sit in
-    /// the transport until the sending worker's [`Transport::flush`].
+    /// from `from` to every site in `to` (non-empty), reliably and in FIFO
+    /// order per ordered pair. A unicast is the one-destination case.
+    /// Copies for another worker's sites may sit in the transport until
+    /// the sending worker's [`Transport::flush`].
     ///
     /// Returns how many of the destinations are unreachable — those copies
     /// never entered the network. The transport records the failures in
@@ -62,7 +62,7 @@ pub trait Transport: Send + Sync {
     /// quiescence detection cannot hang on a message that will never
     /// arrive. (A copy the transport loses *after* `send` returned, it
     /// counts done itself.)
-    fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize;
+    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) -> usize;
 
     /// `worker`'s pass begins: move whatever peers have shipped toward it
     /// into its inbox. Only `worker`'s own thread calls this.
@@ -85,9 +85,10 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// The in-process transport: nothing but the workers' inboxes. A copy for
-/// a shard-mate of the sender goes straight into the sending worker's own
-/// inbox; a copy for another worker's site is *staged* — per (sending
+/// The in-process transport: nothing but the workers' inboxes. A send's
+/// destinations are split by shard mask (`Routes::peers`): the copies
+/// for the sender's shard-mates go straight into the sending worker's own
+/// inbox; those for another worker's sites are *staged* — per (sending
 /// worker → peer worker), in send order — and handed over when the sending
 /// worker's pass ends: one lock, one append and one wake per peer and
 /// pass, however many frames (the shape [`crate::tcp`] has: queue in
@@ -121,20 +122,21 @@ impl ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
+    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) -> usize {
         let wa = self.routes.owner(from.index());
         // One copy per destination: a refcount bump of the piggyback.
-        let copy = |d: &SiteId| (*d, Wire::msg(from, msg, measured));
-        let owner = |d: &SiteId| self.routes.owner(d.index());
+        let copy = |d: SiteId| (d, Wire::msg(from, msg, measured));
         // Same shard: the worker executing this very send takes the copy
         // with its next pass — no wake.
-        let own = to.iter().filter(|d| owner(d) == wa);
-        let refused = self.routes.push_own(wa, own.map(copy));
-        locked(&self.stages[wa].0, |stage| {
-            for d in to.iter().filter(|d| owner(d) != wa) {
-                stage[owner(d)].push(copy(d));
-            }
-        });
+        let own = to.intersect(&self.routes.shard(wa));
+        let refused = self.routes.push_own(wa, own.iter().map(copy));
+        if own != to {
+            locked(&self.stages[wa].0, |stage| {
+                for (wb, part) in self.routes.peers(wa, to) {
+                    stage[wb].extend(part.iter().map(copy));
+                }
+            });
+        }
         if refused > 0 {
             // A late frame lost the race against shutdown: drop it cleanly
             // instead of poisoning the run.
@@ -319,10 +321,8 @@ pub struct Node {
     /// Armed lane timers `(expiry, destination, lane epoch)`; the driver
     /// ignores one whose epoch went stale.
     timers: Vec<(Instant, SiteId, u64)>,
-    /// The driver's output buffer and the destination list of the send
-    /// being shipped, both reused across steps.
+    /// The driver's output buffer, reused across steps.
     out: Vec<Output>,
-    dsts: Vec<SiteId>,
     history: History,
     metrics: RunMetrics,
     start: Instant,
@@ -360,7 +360,6 @@ impl Node {
             window,
             timers: Vec::new(),
             out: Vec::new(),
-            dsts: Vec::new(),
             history: History::new(n),
             metrics: RunMetrics::new(),
             start,
@@ -533,10 +532,8 @@ impl Node {
                         self.metrics.record_batch_flush(b.len() as u64, saved);
                     }
                     // The paper's counters are per logical message,
-                    // whatever the transport makes of the list.
-                    self.dsts.clear();
-                    self.dsts.extend(dsts.iter());
-                    let k = self.dsts.len() as u64;
+                    // whatever the transport makes of the set.
+                    let k = dsts.len() as u64;
                     self.metrics
                         .record_sends(me, msg.kind(), bytes, measured, k);
                     let entries = &mut self.metrics.sm_entries;
@@ -547,7 +544,7 @@ impl Node {
                     // dead peer refused (the transport counted those as
                     // connection errors).
                     self.quiesce.frames_sent(self.worker, k);
-                    let refused = self.transport.send(self.site, &self.dsts, &msg, measured);
+                    let refused = self.transport.send(self.site, dsts, &msg, measured);
                     if refused > 0 {
                         self.quiesce.frames_done(self.worker, refused as u64);
                     }
@@ -629,8 +626,8 @@ mod tests {
     struct Recorder(Mutex<Vec<(SiteId, MsgKind)>>);
 
     impl Transport for Recorder {
-        fn send(&self, _: SiteId, to: &[SiteId], msg: &Msg, _: bool) -> usize {
-            self.0.lock().extend(to.iter().map(|d| (*d, msg.kind())));
+        fn send(&self, _: SiteId, to: DestSet, msg: &Msg, _: bool) -> usize {
+            self.0.lock().extend(to.iter().map(|d| (d, msg.kind())));
             0
         }
     }
@@ -763,6 +760,11 @@ mod tests {
         Msg::Fm(Fm { var: VarId(var) })
     }
 
+    /// Site `i` alone.
+    fn to(i: usize) -> DestSet {
+        DestSet::from_sites([SiteId::from(i)])
+    }
+
     /// `(destination, variable)` of every FM worker `w`'s inbox holds, in
     /// arrival order.
     fn inbox(routes: &Routes, w: usize) -> Vec<(usize, u32)> {
@@ -779,26 +781,34 @@ mod tests {
             .collect()
     }
 
+    /// The sites of `shard`, ascending.
+    fn sites(shard: DestSet) -> Vec<usize> {
+        shard.iter().map(SiteId::index).collect()
+    }
+
     #[test]
     fn hand_over_keeps_pair_fifo_with_own_shard_and_cross_worker_copies_interleaved() {
-        // 4 sites over 2 workers: {0, 2} on worker 0, {1, 3} on worker 1.
-        // Site 0 alternates unicasts and a multicast toward its shard-mate
-        // and the other worker's sites; every receiver must see its frames
-        // in send order whichever way they travelled.
+        // 4 sites over 2 workers: site 0 and its shard-mate on worker 0,
+        // `a` and `b` on worker 1. Site 0 alternates unicasts and a
+        // multicast toward its shard-mate and the other worker's sites;
+        // every receiver must see its frames in send order whichever way
+        // they travelled.
         let (fabric, routes, _) = channel(4, 2);
-        let sends: [&[usize]; 5] = [&[1], &[2], &[3, 2, 1], &[2], &[1]];
+        let (mine, theirs) = (sites(routes.shard(0)), sites(routes.shard(1)));
+        let (mate, a, b) = (mine[1], theirs[0], theirs[1]);
+        let sends: [&[usize]; 5] = [&[a], &[mate], &[b, mate, a], &[mate], &[a]];
         for (var, to) in sends.iter().enumerate() {
-            let to: Vec<SiteId> = to.iter().map(|d| SiteId::from(*d)).collect();
-            assert_eq!(fabric.send(SiteId(0), &to, &fm(var as u32), false), 0);
+            let to = DestSet::from_sites(to.iter().map(|d| SiteId::from(*d)));
+            assert_eq!(fabric.send(SiteId(0), to, &fm(var as u32), false), 0);
         }
         assert_eq!(
             inbox(&routes, 0),
-            [(2, 1), (2, 2), (2, 3)],
+            [(mate, 1), (mate, 2), (mate, 3)],
             "own-shard copies arrive with the send"
         );
         assert!(inbox(&routes, 1).is_empty(), "cross-worker copies wait");
         assert!(!fabric.flush(0));
-        assert_eq!(inbox(&routes, 1), [(1, 0), (3, 2), (1, 2), (1, 4)]);
+        assert_eq!(inbox(&routes, 1), [(a, 0), (a, 2), (b, 2), (a, 4)]);
         assert!(inbox(&routes, 0).is_empty() && inbox(&routes, 1).is_empty());
     }
 
@@ -809,7 +819,7 @@ mod tests {
         quiesce.frames_sent(0, 3);
         for var in 0..3 {
             // The copy is only staged: `send` cannot know yet.
-            assert_eq!(fabric.send(SiteId(0), &[SiteId(1)], &fm(var), false), 0);
+            assert_eq!(fabric.send(SiteId(0), to(1), &fm(var), false), 0);
         }
         routes.close(1);
         assert_eq!((errors(), quiesce.in_flight()), (0, 3));
@@ -821,7 +831,7 @@ mod tests {
         // A worker that has left refuses its own sites' copies at `send`,
         // where the caller counts them done.
         routes.close(0);
-        assert_eq!(fabric.send(SiteId(0), &[SiteId(0)], &fm(9), false), 1);
+        assert_eq!(fabric.send(SiteId(0), to(0), &fm(9), false), 1);
         assert_eq!((errors(), quiesce.in_flight()), (4, 0));
     }
 
@@ -831,7 +841,7 @@ mod tests {
         // other inboxes' locks: a flush that touched either would never
         // report back.
         let (fabric, routes, _) = channel(3, 3);
-        fabric.send(SiteId(0), &[SiteId(0)], &fm(0), false);
+        fabric.send(SiteId(0), to(0), &fm(0), false);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             routes.with_inbox_locked(1, || {

@@ -1,8 +1,9 @@
 //! The sharded M:N scheduler and run coordinator.
 //!
 //! A run spawns a fixed pool of `W` worker threads (not one thread per
-//! site) and nothing else: site `i` is owned by worker `i mod W`, and each
-//! worker runs one event loop — pump the transport (move what peers wrote
+//! site) and nothing else: worker `w` owns the contiguous arc of sites
+//! `[⌈w·n/W⌉, ⌈(w+1)·n/W⌉)` (see [`shards`]), and each worker runs one
+//! event loop — pump the transport (move what peers wrote
 //! toward it into its inbox), take the inbox (one swap under the worker's
 //! own mutex), deliver what it held in arrival order, issue every owned
 //! site's due operations, flush the transport (hand each peer worker what
@@ -42,6 +43,7 @@ use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Tr
 use crate::serve::{ServeReport, ServeTransport};
 use crate::tcp::MuxTransport;
 use causal_checker::History;
+use causal_clocks::DestSet;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, RunMetrics};
 use causal_proto::{ProtocolConfig, ProtocolKind, Replication, SiteDriver};
@@ -340,13 +342,33 @@ impl Quiesce {
     }
 }
 
-/// The run's routing table: every worker's inbox and wake latch, and each
-/// site's owning worker. Shared by the transports and the coordinator —
-/// anything that needs to hand a frame to a site.
+/// How `n` sites are sharded over `workers` workers: worker `w` runs the
+/// contiguous arc `[⌈w·n/W⌉, ⌈(w+1)·n/W⌉)` of the site ring, one mask per
+/// worker. Every placement puts a variable's replicas on consecutive
+/// sites and a reader fetches from the nearest one, so sites that share
+/// variables share a worker as often as the shard sizes allow, and a
+/// write or a fetch crosses workers less often than under `i mod W`.
+/// Shard sizes differ by at most one; `W = n` is one site per worker and
+/// `W = 1` one shard of every site. Requires `1 ≤ workers ≤ n ≤
+/// MAX_SITES`.
+pub fn shards(n: usize, workers: usize) -> Vec<DestSet> {
+    assert!((1..=n).contains(&workers), "workers must be in [1, n]");
+    let first = |w: usize| (w * n).div_ceil(workers);
+    let below = |w: usize| DestSet::full(first(w));
+    (0..workers)
+        .map(|w| below(w + 1).minus(&below(w)))
+        .collect()
+}
+
+/// The run's routing table: every worker's inbox and wake latch, each
+/// worker's shard and each site's owning worker. Shared by the transports
+/// and the coordinator — anything that needs to hand a frame to a site.
 pub(crate) struct Routes {
     inboxes: Vec<OwnLine<Mutex<Inbox>>>,
     /// `owner[site]` = index of the worker that runs the site.
     owner: Vec<usize>,
+    /// `shards[w]` = the sites worker `w` runs (see [`shards`]).
+    shards: Vec<DestSet>,
     wakes: Vec<WakeLatch>,
 }
 
@@ -364,6 +386,29 @@ impl Routes {
     /// The worker that owns `site`.
     pub(crate) fn owner(&self, site: usize) -> usize {
         self.owner[site]
+    }
+
+    /// The sites `worker` runs.
+    pub(crate) fn shard(&self, worker: usize) -> DestSet {
+        self.shards[worker]
+    }
+
+    /// Split the destinations `to` of a send from a site of `worker` by
+    /// shard: one `(peer, its sites in to)` per other worker `to` reaches,
+    /// in ascending worker order — one mask intersection each, however
+    /// many destinations. The own-shard part is `to ∩ shard(worker)`.
+    pub(crate) fn peers(
+        &self,
+        worker: usize,
+        to: DestSet,
+    ) -> impl Iterator<Item = (usize, DestSet)> + '_ {
+        let mut rest = to.minus(&self.shards[worker]);
+        std::iter::from_fn(move || {
+            let wb = self.owner[rest.iter().next()?.index()];
+            let part = rest.intersect(&self.shards[wb]);
+            rest.subtract(&part);
+            Some((wb, part))
+        })
     }
 
     /// Wake `worker` — the caller has already published what it should
@@ -459,11 +504,16 @@ fn build_fabric(n: usize, workers: usize) -> Fabric {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
     let inboxes = (0..workers).map(|_| OwnLine(Mutex::default())).collect();
     let wakes = (0..workers).map(|_| WakeLatch::new()).collect();
-    let owner = (0..n).map(|i| i % workers).collect();
+    let shards = shards(n, workers);
+    let mut owner = vec![0; n];
+    for (w, shard) in shards.iter().enumerate() {
+        shard.iter().for_each(|site| owner[site.index()] = w);
+    }
     Fabric {
         routes: Arc::new(Routes {
             inboxes,
             owner,
+            shards,
             wakes,
         }),
         quiesce: Arc::new(Quiesce::new(n, workers)),
@@ -601,10 +651,12 @@ fn worker_loop(mut worker: Worker<'_>) -> Vec<NodeOutcome> {
     worker.slots.into_iter().map(|s| s.node.finish()).collect()
 }
 
-/// A scheduler worker: the sites it owns (site `i` of worker `me` sits at
-/// `slots[i / W]`) and the batch it swaps its inbox into.
+/// A scheduler worker: the sites it owns (site `i` sits at `slots[i -
+/// first]`, its shard being the arc that starts at site `first`) and the
+/// batch it swaps its inbox into.
 struct Worker<'a> {
     me: usize,
+    first: usize,
     slots: Vec<SiteSlot>,
     /// Owned sites that have not taken their `Stop`.
     live: usize,
@@ -634,8 +686,10 @@ impl<'a> Worker<'a> {
         transport: &'a dyn Transport,
         quiesce: &'a Quiesce,
     ) -> Self {
+        let first = routes.shard(me).iter().next().expect("no shard is empty");
         Worker {
             me,
+            first: first.index(),
             live: slots.len(),
             slots,
             batch: Vec::new(),
@@ -686,10 +740,9 @@ impl<'a> Worker<'a> {
     /// coordinator cannot find the tallies equal too early.
     fn deliver(&mut self) {
         let now = Instant::now();
-        let stride = self.routes.workers();
         let mut delivered = 0;
         for (site, wire) in self.batch.drain(..) {
-            let slot = &mut self.slots[site.index() / stride];
+            let slot = &mut self.slots[site.index() - self.first];
             if slot.stopped {
                 continue;
             }
@@ -919,8 +972,9 @@ mod tests {
         // token; each peer is woken once, by the hand-over, not by `send`.
         let (routes, quiesce) = test_fabric(40, 4);
         let fabric = ChannelTransport::new(routes.clone(), quiesce, Arc::default());
-        let dsts: Vec<SiteId> = (1..40usize).rev().map(SiteId::from).collect();
-        assert_eq!(fabric.send(SiteId(0), &dsts, &fm(), true), 0);
+        let me = DestSet::from_sites([SiteId(0)]);
+        let dsts = DestSet::full(40).minus(&me);
+        assert_eq!(fabric.send(SiteId(0), dsts, &fm(), true), 0);
         let woken = |w| routes.take_wake(w, Duration::ZERO);
         assert!(!(0..4).any(woken), "a send wakes nobody");
         let inbox = |w: usize| {
@@ -934,7 +988,10 @@ mod tests {
             };
             routes.taken(w).into_iter().map(copy).collect::<Vec<_>>()
         };
-        let owned = |w: usize| (1..40).rev().filter(|i| i % 4 == w).collect::<Vec<_>>();
+        let owned = |w: usize| {
+            let sites = routes.shard(w).minus(&me);
+            sites.iter().map(SiteId::index).collect::<Vec<_>>()
+        };
         assert_eq!(inbox(0), owned(0));
         assert!((1..4).all(|w| inbox(w).is_empty()), "the rest is staged");
         assert!(!fabric.flush(0));
@@ -945,10 +1002,55 @@ mod tests {
         }
         // The paths with no pass to ride on push one frame and wake at
         // once: the coordinator's `Stop` (and a pump's re-route).
-        for site in 0..4 {
-            assert!(routes.deliver(SiteId::from(site), Wire::Stop));
+        for w in 0..4 {
+            let site = routes.shard(w).iter().next().expect("a site");
+            assert!(routes.deliver(site, Wire::Stop));
         }
         assert!((0..4).all(woken));
+    }
+
+    #[test]
+    fn shards_are_contiguous_arcs_of_near_equal_size_that_cover_every_site_once() {
+        use causal_clocks::dests::MAX_SITES;
+        for n in 1..=MAX_SITES {
+            for w in 1..=n {
+                let shards = shards(n, w);
+                assert_eq!(shards.len(), w);
+                // Walking the shards in worker order walks the sites
+                // 0, 1, …, n − 1: each shard is a run of consecutive
+                // sites, the next starts where it ends, and none is empty.
+                let mut next = 0;
+                for shard in &shards {
+                    assert!(!shard.is_empty(), "n = {n}, W = {w}");
+                    for site in shard.iter() {
+                        assert_eq!(site.index(), next, "n = {n}, W = {w}");
+                        next += 1;
+                    }
+                }
+                assert_eq!(next, n, "n = {n}, W = {w}");
+                let sizes = shards.iter().map(DestSet::len);
+                let (min, max) = (sizes.clone().min(), sizes.max());
+                assert!(max.unwrap() - min.unwrap() <= 1, "n = {n}, W = {w}");
+            }
+            let single = (0..n).map(|i| DestSet::from_sites([SiteId::from(i)]));
+            assert!(shards(n, n).into_iter().eq(single), "W = n = {n}");
+            assert_eq!(shards(n, 1), [DestSet::full(n)], "W = 1, n = {n}");
+        }
+        // The fabric's owner table is the same map.
+        let (routes, _) = test_fabric(6, 4);
+        let owners: Vec<usize> = (0..6).map(|i| routes.owner(i)).collect();
+        assert_eq!(owners, [0, 0, 1, 2, 2, 3]);
+        // The paper's partial cell, n = 40 and p = 12, on two workers: 18
+        // of the 40 replica rings lie inside one shard (none under
+        // `i mod 2`), so a write to one of those variables crosses to the
+        // peer worker only when its writer sits on the other shard.
+        let placement = Placement::paper_partial(40).expect("valid n");
+        let (routes, _) = test_fabric(40, 2);
+        let inside = (0..40usize)
+            .map(|v| placement.replicas(causal_types::VarId::from(v)))
+            .filter(|ring| (0..2).any(|w| ring.is_subset(&routes.shard(w))))
+            .count();
+        assert_eq!(inside, 18);
     }
 
     #[test]

@@ -91,6 +91,7 @@
 
 use crate::node::{Transport, Wire};
 use crate::runner::{locked, Quiesce, Routes};
+use causal_clocks::{dests::MAX_SITES, DestSet};
 use causal_metrics::RunMetrics;
 use causal_proto::{wire, Msg};
 use causal_types::{Error, Result, SiteId};
@@ -126,7 +127,7 @@ const READ_BUF_BYTES: usize = 64 * 1024;
 /// `dsts` (all owned by that peer; never empty).
 struct OutFrame {
     src: SiteId,
-    dsts: Vec<SiteId>,
+    dsts: DestSet,
     msg: Msg,
     measured: bool,
 }
@@ -154,8 +155,6 @@ struct Endpoint {
     dead: bool,
     /// Frames sent but not yet encoded, in send order.
     queue: Vec<OutFrame>,
-    /// `send`'s scratch: this peer's share of the multicast being sent.
-    group: Vec<SiteId>,
     /// The encoded slice being written; `wbuf[wpos..]` is the tail the
     /// socket has not taken yet.
     wbuf: Vec<u8>,
@@ -180,7 +179,6 @@ impl Endpoint {
             stream,
             dead: false,
             queue: Vec::new(),
-            group: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
             unwritten: VecDeque::new(),
@@ -197,18 +195,15 @@ impl Endpoint {
     }
 }
 
-/// Everything worker `a` owns of the mesh: `peers[b]` is its endpoint
+/// Everything worker `a` owns of the mesh: entry `b` is its endpoint
 /// toward worker `b` (`None` iff `a == b`).
-struct WorkerIo {
-    peers: Vec<Option<Endpoint>>,
-    /// `send`'s scratch: the peers the multicast being sent touches.
-    touched: Vec<usize>,
-}
+type WorkerIo = Vec<Option<Endpoint>>;
 
-/// The multiplexed transport every site shares: same-worker copies go
-/// straight to the worker's own inbox, cross-worker copies are queued on
-/// the owning pair's endpoint — one frame per peer worker — and move when
-/// the owning worker pumps and flushes.
+/// The multiplexed transport every site shares: a send's destinations are
+/// split by shard mask ([`Routes::peers`]); same-worker copies go straight
+/// to the worker's own inbox, cross-worker copies are queued on the owning
+/// pair's endpoint — one frame per peer worker — and move when the owning
+/// worker pumps and flushes.
 pub(crate) struct MuxTransport {
     routes: Arc<Routes>,
     quiesce: Arc<Quiesce>,
@@ -222,47 +217,32 @@ pub(crate) struct MuxTransport {
 }
 
 impl Transport for MuxTransport {
-    fn send(&self, from: SiteId, to: &[SiteId], msg: &Msg, measured: bool) -> usize {
+    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) -> usize {
         let wa = self.routes.owner(from.index());
-        let owner = |d: &SiteId| self.routes.owner(d.index());
         // Same shard: the copy never touches a socket, and the thread that
         // takes the inbox is the one executing this send — no wake needed.
-        let own = to.iter().filter(|d| owner(d) == wa);
-        let mut refused = self
-            .routes
-            .push_own(wa, own.map(|d| (*d, Wire::msg(from, msg, measured))));
-        locked(&self.workers[wa], |io| {
-            let WorkerIo { peers, touched } = io;
-            // One walk buckets the other destinations by owner, in send
-            // order.
-            for d in to {
-                let wb = owner(d);
-                if wb == wa {
-                    continue;
+        let own = to.intersect(&self.routes.shard(wa));
+        let copy = |d| (d, Wire::msg(from, msg, measured));
+        let mut refused = self.routes.push_own(wa, own.iter().map(copy));
+        if own != to {
+            // One frame per peer worker, behind every earlier frame of the
+            // pair (per-pair FIFO).
+            locked(&self.workers[wa], |peers| {
+                for (wb, dsts) in self.routes.peers(wa, to) {
+                    let ep = endpoint(peers, wb);
+                    if ep.dead {
+                        refused += dsts.len();
+                        continue;
+                    }
+                    ep.queue.push(OutFrame {
+                        src: from,
+                        dsts,
+                        msg: msg.clone(),
+                        measured,
+                    });
                 }
-                let group = &mut endpoint(peers, wb).group;
-                if group.is_empty() {
-                    touched.push(wb);
-                }
-                group.push(*d);
-            }
-            // One frame per peer, in the queue slot its first destination's
-            // own frame would have had (per-pair FIFO).
-            for wb in touched.drain(..) {
-                let ep = endpoint(peers, wb);
-                let dsts = std::mem::take(&mut ep.group);
-                if ep.dead {
-                    refused += dsts.len();
-                    continue;
-                }
-                ep.queue.push(OutFrame {
-                    src: from,
-                    dsts,
-                    msg: msg.clone(),
-                    measured,
-                });
-            }
-        });
+            });
+        }
         if refused > 0 {
             self.gauges
                 .conn_errors
@@ -274,8 +254,8 @@ impl Transport for MuxTransport {
     fn pump(&self, wa: usize) -> bool {
         let w = self.workers.len();
         let mut behind = false;
-        locked(&self.workers[wa], |io| {
-            for (wb, ep) in io.peers.iter_mut().enumerate() {
+        locked(&self.workers[wa], |peers| {
+            for (wb, ep) in peers.iter_mut().enumerate() {
                 let Some(ep) = ep else { continue };
                 let announced = self.arrived[wa * w + wb].load(Ordering::Acquire);
                 if !ep.dead && announced > ep.consumed {
@@ -289,8 +269,8 @@ impl Transport for MuxTransport {
     fn flush(&self, wa: usize) -> bool {
         let w = self.workers.len();
         let mut tail = false;
-        locked(&self.workers[wa], |io| {
-            for (wb, ep) in io.peers.iter_mut().enumerate() {
+        locked(&self.workers[wa], |peers| {
+            for (wb, ep) in peers.iter_mut().enumerate() {
                 let Some(ep) = ep else { continue };
                 if ep.queue.is_empty() && !ep.has_tail() {
                     continue;
@@ -359,12 +339,7 @@ impl MuxTransport {
         }
 
         let mut peers = peers.into_iter();
-        let worker_io = |_| {
-            Mutex::new(WorkerIo {
-                peers: peers.by_ref().take(w).collect(),
-                touched: Vec::new(),
-            })
-        };
+        let worker_io = |_| Mutex::new(peers.by_ref().take(w).collect());
         Ok(MuxTransport {
             routes: routes.clone(),
             quiesce: quiesce.clone(),
@@ -533,16 +508,23 @@ impl MuxTransport {
 }
 
 /// Append one framed message to an endpoint's write buffer: the body is
-/// encoded once however many destinations it has.
+/// encoded once however many destinations it has, which the header names
+/// in ascending order.
 fn append_frame(buf: &mut Vec<u8>, f: &OutFrame) {
     let mut put = |flags: u8, body: &[u8]| {
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.push(flags | if f.measured { FLAG_MEASURED } else { 0 });
         buf.extend_from_slice(body);
     };
-    match f.dsts[..] {
+    let mut ids = [SiteId(0); MAX_SITES];
+    let mut k = 0;
+    for d in f.dsts.iter() {
+        ids[k] = d;
+        k += 1;
+    }
+    match ids[..k] {
         [dst] => wire::encode_routed_with(f.src, dst, &f.msg, |body| put(0, body)),
-        _ => wire::encode_multi_routed_with(f.src, &f.dsts, &f.msg, |body| put(FLAG_MULTI, body)),
+        _ => wire::encode_multi_routed_with(f.src, &ids[..k], &f.msg, |body| put(FLAG_MULTI, body)),
     }
 }
 
@@ -561,25 +543,24 @@ fn route_frame(
     // Route on the header, not the connection: any in-range destination
     // is honoured, so a wrong-shard frame is rerouted to its owner rather
     // than dropped.
-    let deliver = |src: SiteId, dsts: &[SiteId], msg: Msg| {
-        if dsts.iter().any(|d| d.index() >= routes.sites()) {
+    let deliver = |src: SiteId, dsts: DestSet, msg: Msg| {
+        if !dsts.is_subset(&DestSet::full(routes.sites())) {
             return Err(());
         }
-        let copy = |d: &SiteId| (*d, Wire::msg(src, &msg, flags & FLAG_MEASURED != 0));
-        let mine = |d: &&SiteId| routes.owner(d.index()) == me;
-        let mut gone = routes.push_own(me, dsts.iter().filter(mine).map(copy));
-        for d in dsts.iter().filter(|d| !mine(d)) {
-            let (site, wire) = copy(d);
+        let copy = |d| (d, Wire::msg(src, &msg, flags & FLAG_MEASURED != 0));
+        let mine = dsts.intersect(&routes.shard(me));
+        let mut gone = routes.push_own(me, mine.iter().map(copy));
+        for (site, wire) in dsts.minus(&mine).iter().map(copy) {
             gone += usize::from(!routes.deliver(site, wire));
         }
         Ok(gone)
     };
     if flags & FLAG_MULTI != 0 {
         let m = wire::decode_multi_routed(body).map_err(drop)?;
-        deliver(m.src, &m.dsts, m.msg)
+        deliver(m.src, m.dsts, m.msg)
     } else {
         let r = wire::decode_routed(body).map_err(drop)?;
-        deliver(r.src, &[r.dst], r.msg)
+        deliver(r.src, DestSet::from_sites([r.dst]), r.msg)
     }
 }
 
@@ -623,7 +604,7 @@ mod tests {
 
         /// Look at worker `a`'s endpoint toward worker `b`.
         fn endpoint<R>(&self, a: usize, b: usize, f: impl FnOnce(&mut Endpoint) -> R) -> R {
-            locked(&self.mesh.workers[a], |io| f(endpoint(&mut io.peers, b)))
+            locked(&self.mesh.workers[a], |peers| f(endpoint(peers, b)))
         }
 
         /// Put raw bytes on the wire from worker `a`'s end toward worker
@@ -683,10 +664,20 @@ mod tests {
         fn no_mailbox_touched(&self) -> bool {
             self.mailboxes(|boxes| boxes.iter().all(VecDeque::is_empty))
         }
+
+        /// The sites worker `w` runs, ascending.
+        fn shard(&self, w: usize) -> Vec<usize> {
+            self.routes.shard(w).iter().map(SiteId::index).collect()
+        }
     }
 
     fn site(i: usize) -> SiteId {
         SiteId::from(i)
+    }
+
+    /// The sites `ids`, as a send names them.
+    fn to(ids: &[usize]) -> DestSet {
+        DestSet::from_sites(ids.iter().map(|&i| site(i)))
     }
 
     fn fm(var: u32) -> Msg {
@@ -700,7 +691,7 @@ mod tests {
             &mut f,
             &OutFrame {
                 src: site(0),
-                dsts: vec![site(dst)],
+                dsts: to(&[dst]),
                 msg: msg.clone(),
                 measured: false,
             },
@@ -769,20 +760,20 @@ mod tests {
 
     #[test]
     fn wrong_shard_frame_is_rerouted_not_dropped() {
-        // 4 sites over 2 workers: sites {0, 2} on worker 0, {1, 3} on
-        // worker 1. A frame addressed to site 2 arriving at worker 1 must
-        // land in worker 0's inbox, for site 2, and wake worker 0 — the
-        // pump trusts the routing header, not the socket the frame came in
-        // on — while an own-shard frame wakes nobody: the pumping worker
-        // takes it next.
+        // 4 sites over 2 workers. A frame addressed to a site of worker 0
+        // arriving at worker 1 must land in worker 0's inbox, for that
+        // site, and wake worker 0 — the pump trusts the routing header, not
+        // the socket the frame came in on — while an own-shard frame wakes
+        // nobody: the pumping worker takes it next.
         let r = rig(4, 2);
-        let mut wrong = frame(2, &fm(7));
+        let (wrong_dst, own_dst) = (r.shard(0)[1], r.shard(1)[1]);
+        let mut wrong = frame(wrong_dst, &fm(7));
         wrong[4] |= FLAG_MEASURED;
         r.inject(0, 1, &wrong);
-        r.inject(0, 1, &frame(3, &fm(8)));
+        r.inject(0, 1, &frame(own_dst, &fm(8)));
         r.pump_all(1);
 
-        match r.try_recv(2) {
+        match r.try_recv(wrong_dst) {
             Some(Wire::Msg {
                 from,
                 msg,
@@ -797,7 +788,7 @@ mod tests {
             r.routes.take_wake(0, Duration::ZERO),
             "the destination's owner is woken"
         );
-        assert_eq!(r.next_msg(3), (site(0), fm(8)));
+        assert_eq!(r.next_msg(own_dst), (site(0), fm(8)));
         assert!(
             !r.routes.take_wake(1, Duration::ZERO),
             "own-shard copies need no wake"
@@ -808,14 +799,15 @@ mod tests {
 
     #[test]
     fn dead_connection_fails_sends_fast_without_blocking() {
-        // Two sites on two workers with the connection already marked
-        // dead: the send must fail immediately (no socket interaction, no
+        // Sites on two workers with the connection already marked dead:
+        // the send must fail immediately (no socket interaction, no
         // sleep-poll) and count a connection error per refused copy.
         let r = rig(4, 2);
+        let (a, b) = (r.shard(0), r.shard(1));
         r.endpoint(0, 1, |ep| ep.dead = true);
         r.endpoint(1, 0, |ep| ep.dead = true);
-        assert_eq!(r.mesh.send(site(0), &[site(1)], &fm(0), true), 1);
-        assert_eq!(r.mesh.send(site(1), &[site(0), site(2)], &fm(0), true), 2);
+        assert_eq!(r.mesh.send(site(a[0]), to(&b[..1]), &fm(0), true), 1);
+        assert_eq!(r.mesh.send(site(b[0]), to(&a), &fm(0), true), 2);
         assert_eq!(r.conn_errors(), 3);
         assert!(r.endpoint(0, 1, |ep| ep.queue.is_empty()));
         assert!(!r.mesh.flush(0) && !r.mesh.flush(1));
@@ -834,10 +826,10 @@ mod tests {
         // kernel, a later one must fail (RST).
         let (frames, k): (u64, u64) = (100_000, 3);
         let sent = frames * k;
-        let dsts = [site(1), site(3), site(5)];
+        let dsts = to(&r.shard(1)[..3]);
         for _ in 0..frames {
             r.quiesce.frames_sent(0, k);
-            assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 0);
+            assert_eq!(r.mesh.send(site(0), dsts, &fm(0), false), 0);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         while !r.endpoint(0, 1, |ep| ep.dead) {
@@ -851,7 +843,7 @@ mod tests {
         // nothing received them in this test) or was un-counted as failed.
         assert_eq!(r.quiesce.in_flight(), sent - failed);
         // Later sends fail fast and leave the tally where it was.
-        assert_eq!(r.mesh.send(site(0), &dsts, &fm(0), false), 3);
+        assert_eq!(r.mesh.send(site(0), dsts, &fm(0), false), 3);
     }
 
     /// An Opt-Track SM whose piggyback holds one log entry.
@@ -876,19 +868,19 @@ mod tests {
 
     #[test]
     fn multicast_crosses_each_connection_once_and_keeps_pair_fifo() {
-        // 6 sites over 2 workers: {0, 2, 4} on worker 0, {1, 3, 5} on
-        // worker 1. Site 0 multicasts to everyone else, then answers site
-        // 1 with a unicast RM.
+        // 6 sites over 2 workers, three each. Site 0 multicasts to
+        // everyone else, then answers a site of the other worker with a
+        // unicast RM.
         let r = rig(6, 2);
+        let (mine, theirs) = (r.shard(0), r.shard(1));
         let sm = sm_with_log();
-        let everyone: Vec<SiteId> = (1..6).map(site).collect();
-        assert_eq!(r.mesh.send(site(0), &everyone, &sm, true), 0);
+        assert_eq!(r.mesh.send(site(0), to(&[1, 2, 3, 4, 5]), &sm, true), 0);
         let rm = Msg::Rm(causal_proto::Rm {
             var: VarId(9),
             value: None,
             meta: causal_proto::RmMeta::OptTrack(None),
         });
-        assert_eq!(r.mesh.send(site(0), &[site(1)], &rm, true), 0);
+        assert_eq!(r.mesh.send(site(0), to(&theirs[..1]), &rm, true), 0);
         assert!(
             !r.routes.take_wake(1, Duration::ZERO),
             "nothing moves, and nobody is woken, before the pass ends"
@@ -898,19 +890,19 @@ mod tests {
         r.pump_all(1);
 
         // Exactly one copy per destination, local or remote.
-        let copies: Vec<Msg> = (1..6)
-            .map(|i| {
-                let (from, msg) = r.next_msg(i);
-                assert_eq!((from, &msg), (site(0), &sm), "site {i}");
-                msg
-            })
-            .collect();
+        let copy = |i: usize| {
+            let (from, msg) = r.next_msg(i);
+            assert_eq!((from, &msg), (site(0), &sm), "site {i}");
+            msg
+        };
+        let remote: Vec<Msg> = theirs.iter().map(|&i| copy(i)).collect();
+        let local: Vec<Msg> = mine[1..].iter().map(|&i| copy(i)).collect();
         // Per-pair FIFO: the later unicast arrives behind the multicast.
-        assert_eq!(r.next_msg(1).1, rm);
+        assert_eq!(r.next_msg(theirs[0]).1, rm);
         assert!(r.no_mailbox_touched());
 
-        // The remote copies (sites 1, 3, 5) were decoded once: they share
-        // one piggyback, distinct from the sender's.
+        // The remote copies were decoded once: they share one piggyback,
+        // distinct from the sender's.
         let log_of = |m: &Msg| match m {
             Msg::Sm(causal_proto::Sm {
                 meta: causal_proto::SmMeta::OptTrack { log, .. },
@@ -918,12 +910,11 @@ mod tests {
             }) => log.clone(),
             _ => panic!("expected an Opt-Track SM"),
         };
-        let (sent, remote) = (log_of(&sm), log_of(&copies[0]));
-        assert!(Arc::ptr_eq(&remote, &log_of(&copies[2])));
-        assert!(Arc::ptr_eq(&remote, &log_of(&copies[4])));
-        assert!(!Arc::ptr_eq(&remote, &sent));
+        let (sent, decoded) = (log_of(&sm), log_of(&remote[0]));
+        assert!(remote.iter().all(|m| Arc::ptr_eq(&decoded, &log_of(m))));
+        assert!(!Arc::ptr_eq(&decoded, &sent));
         assert!(
-            Arc::ptr_eq(&sent, &log_of(&copies[1])),
+            local.iter().all(|m| Arc::ptr_eq(&sent, &log_of(m))),
             "local copies share the sender's"
         );
 
@@ -940,20 +931,18 @@ mod tests {
 
     #[test]
     fn a_wide_multicast_is_one_frame_per_peer_in_send_order() {
-        // 40 sites over 4 workers; site 0 multicasts to the other 39. One
-        // walk of the list must leave exactly one frame per peer worker,
-        // each naming that worker's destinations in send order.
+        // 40 sites over 4 workers; site 0 multicasts to the other 39. The
+        // split must leave exactly one frame per peer worker, each naming
+        // that worker's destinations.
         let r = rig(40, 4);
-        let everyone: Vec<SiteId> = (1..40).rev().map(site).collect();
-        assert_eq!(r.mesh.send(site(0), &everyone, &fm(1), false), 0);
+        let everyone = DestSet::full(40).minus(&to(&[0]));
+        assert_eq!(r.mesh.send(site(0), everyone, &fm(1), false), 0);
         for wb in 1..4 {
             let dsts = r.endpoint(0, wb, |ep| {
                 assert_eq!(ep.queue.len(), 1, "one frame toward worker {wb}");
-                assert!(ep.group.is_empty());
-                ep.queue[0].dsts.clone()
+                ep.queue[0].dsts
             });
-            let expected: Vec<SiteId> = (1..40).rev().filter(|i| i % 4 == wb).map(site).collect();
-            assert_eq!(dsts, expected, "worker {wb}");
+            assert_eq!(dsts, r.routes.shard(wb), "worker {wb}");
         }
         assert!(!r.mesh.flush(0));
         for wb in 1..4 {
@@ -1003,7 +992,7 @@ mod tests {
     /// Site 0 sends site 1 the next distinct ~100 KB frame.
     fn send_big(r: &Rig, sent: &mut u32) {
         r.quiesce.frames_sent(0, 1);
-        assert_eq!(r.mesh.send(site(0), &[site(1)], &big_sm(*sent), false), 0);
+        assert_eq!(r.mesh.send(site(0), to(&[1]), &big_sm(*sent), false), 0);
         *sent += 1;
     }
 
@@ -1080,10 +1069,10 @@ mod tests {
     fn an_idle_pass_makes_no_syscall() {
         let r = rig(6, 3);
         // Some traffic first, so every endpoint has been used.
-        let everyone: Vec<SiteId> = (0..6).map(site).collect();
-        for from in 0..3 {
-            r.mesh.send(site(from), &everyone, &fm(0), false);
-            assert!(!r.mesh.flush(from));
+        for w in 0..3 {
+            r.mesh
+                .send(site(r.shard(w)[0]), DestSet::full(6), &fm(0), false);
+            assert!(!r.mesh.flush(w));
         }
         (0..3).for_each(|w| r.pump_all(w));
         let syscalls = || r.gauge(|g| &g.syscall_reads) + r.gauge(|g| &g.syscall_writes);
@@ -1126,12 +1115,12 @@ mod tests {
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     await_frame(1, round);
-                    mesh.send(site(1), &[site(0)], &fm(round), false);
+                    mesh.send(site(1), to(&[0]), &fm(round), false);
                     assert!(!mesh.flush(1));
                 }
             });
             for round in 0..ROUNDS {
-                mesh.send(site(0), &[site(1)], &fm(round), false);
+                mesh.send(site(0), to(&[1]), &fm(round), false);
                 assert!(!mesh.flush(0));
                 await_frame(0, round);
             }

@@ -5,7 +5,9 @@
 
 use causal_checker::{check, History, OpRecord};
 use causal_proto::ProtocolKind;
+use causal_runtime::runner::shards;
 use causal_runtime::{replay, serve, RuntimeConfig, ServeConfig, ServeTransport};
+use causal_types::SiteId;
 
 #[test]
 fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
@@ -99,10 +101,13 @@ fn every_protocol_is_checker_clean_on_every_pool_size_and_fabric() {
 }
 
 /// Logical messages that crossed between the two workers of a `W = 2` run
-/// (site `i` lives on worker `i mod 2`), recovered from the history: every
-/// remote apply is one SM, every remotely served read one FM and one RM.
-fn cross_worker_messages(h: &History) -> u64 {
-    let crosses = |a: usize, b: usize| a % 2 != b % 2;
+/// of `n` sites (each site's worker read from the runtime's shard map),
+/// recovered from the history: every remote apply is one SM, every
+/// remotely served read one FM and one RM.
+fn cross_worker_messages(h: &History, n: usize) -> u64 {
+    let shards = shards(n, 2);
+    let worker = |i: usize| shards.iter().position(|s| s.contains(SiteId::from(i)));
+    let crosses = |a: usize, b: usize| worker(a) != worker(b);
     let sms = h.applies().iter().enumerate().map(|(j, applied)| {
         let remote = applied.iter().filter(|w| crosses(w.site.index(), j));
         remote.count() as u64
@@ -132,7 +137,7 @@ fn a_write_heavy_fan_out_crosses_the_socket_once_per_write() {
     assert!(v.protocol_clean(), "{:?}", v.examples);
 
     let frames = report.metrics.transport_frames;
-    let crossed = cross_worker_messages(&report.history);
+    let crossed = cross_worker_messages(&report.history, 40);
     assert!(frames > 0 && frames >= report.metrics.syscall_writes);
     assert!(
         frames as f64 <= 0.3 * crossed as f64,

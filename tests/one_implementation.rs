@@ -239,7 +239,7 @@ fn frames_cross_workers_through_one_inbox_each_and_are_counted_per_worker() {
         &found.unwrap_or_else(|| panic!("{file} is in the walk")).1
     };
     // `Routes` holds one queue type — a worker's inbox — and nothing per site
-    // but the owner table.
+    // but the owner table; per worker, its inbox, its shard and its wake.
     let runner = code_of("runner.rs");
     let routes = runner.find("pub(crate) struct Routes {").expect("Routes");
     let body = &runner[routes..][..runner[routes..].find("\n}").expect("its end")];
@@ -254,9 +254,16 @@ fn frames_cross_workers_through_one_inbox_each_and_are_counted_per_worker() {
         [
             "inboxes: Vec<OwnLine<Mutex<Inbox>>>,",
             "owner: Vec<usize>,",
+            "shards: Vec<DestSet>,",
             "wakes: Vec<WakeLatch>,"
         ]
     );
+    // A send's destinations stay one `DestSet` from the driver's output to
+    // the frame header, split by shard mask: no destination list is built
+    // on the way, and the shard map is `shards` alone, not a modulus.
+    for gone in ["Vec<SiteId>", "% workers"] {
+        assert_eq!(files_with(&runtime, gone), [""; 0], "`{gone}`");
+    }
     // Cross-worker copies move at the end of a pass, on both fabrics.
     let node = code_of("node.rs");
     let imp = node.find("impl Transport for ChannelTransport {");
