@@ -2,7 +2,7 @@
 //!
 //! A run spawns a fixed pool of `W` worker threads (not one thread per
 //! site) and nothing else: worker `w` owns the contiguous arc of sites
-//! `[⌈w·n/W⌉, ⌈(w+1)·n/W⌉)` (see [`shards`]), and each worker runs one
+//! `[⌈w·n/W⌉, ⌈(w+1)·n/W⌉)` (see `shards`), and each worker runs one
 //! event loop — pump the transport (move what peers wrote
 //! toward it into its inbox), take the inbox (one swap under the worker's
 //! own mutex), deliver what it held in arrival order, issue every owned
@@ -351,6 +351,11 @@ impl Quiesce {
 /// Shard sizes differ by at most one; `W = n` is one site per worker and
 /// `W = 1` one shard of every site. Requires `1 ≤ workers ≤ n ≤
 /// MAX_SITES`.
+///
+/// Not part of the crate's API: it is `pub` only so that integration
+/// tests can read which worker runs a site; the fabric reads the map
+/// through `Routes`.
+#[doc(hidden)]
 pub fn shards(n: usize, workers: usize) -> Vec<DestSet> {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
     let first = |w: usize| (w * n).div_ceil(workers);

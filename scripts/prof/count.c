@@ -5,10 +5,10 @@
 //
 //   count: malloc M calloc C realloc R free F
 //
-// With $SAMP_OUT set, every $COUNT_EVERY-th allocating call (default 64)
-// also records its frame-pointer stack in samp.c's dump format, headed by
-// the interposer itself, so `report.py --callers malloc` (or calloc,
-// realloc) names the allocating sites. As for samp.c, the profiled binary
+// With $SAMP_OUT set, every EVERY-th (64th) allocating call also records
+// its frame-pointer stack in samp.c's dump format, headed by the
+// interposer itself, so `report.py --callers malloc` (or calloc, realloc)
+// names the allocating sites. As for samp.c, the profiled binary
 // must keep frame pointers. Aligned allocations (posix_memalign,
 // aligned_alloc) are not counted. x86-64 Linux only.
 #define _GNU_SOURCE
@@ -24,10 +24,11 @@ extern void __libc_free(void *);
 
 enum { MALLOC, CALLOC, REALLOC, FREE, KINDS };
 enum { DEPTH = 48, WORDS = 1 << 22 }; // 32 MB of address space, touched as used
+enum { EVERY = 64 };                  // allocating calls per recorded stack
 static unsigned long calls[KINDS];
 static unsigned long buf[WORDS];
 static unsigned long used; // words claimed; stacks are [depth, pc, ret, ret, ...]
-static unsigned long every; // 0: no stacks (no $SAMP_OUT, or not started yet)
+static int sampling; // 0: no stacks (no $SAMP_OUT, not started yet, or dumping)
 static pid_t pid;
 
 // Two words at `fp`, or failure — never a fault, whatever garbage rbp held.
@@ -36,13 +37,12 @@ static int peek(unsigned long fp, unsigned long out[2]) {
     return process_vm_readv(pid, &to, 1, &from, 1, 0) == 16;
 }
 
-// Count one call of `kind`; every `every`-th allocating one records the
+// Count one call of `kind`; every EVERY-th allocating one records the
 // stack above the interposer `self` (inlined into it, so the frame walked
 // first is the interposer's own).
 static inline __attribute__((always_inline)) void count(int kind, void *self) {
     unsigned long nth = __atomic_fetch_add(&calls[kind], 1, __ATOMIC_RELAXED);
-    unsigned long n = __atomic_load_n(&every, __ATOMIC_RELAXED);
-    if (kind == FREE || n == 0 || nth % n) return;
+    if (kind == FREE || nth % EVERY || !__atomic_load_n(&sampling, __ATOMIC_RELAXED)) return;
     unsigned long stack[DEPTH], depth = 0, frame[2];
     unsigned long fp = (unsigned long)__builtin_frame_address(0), sp = (unsigned long)&depth;
     stack[depth++] = (unsigned long)self;
@@ -81,12 +81,11 @@ void free(void *p) {
 __attribute__((constructor)) static void start(void) {
     pid = getpid();
     unsetenv("LD_PRELOAD"); // the named binary only, not what it spawns
-    const char *n = getenv("COUNT_EVERY");
-    if (getenv("SAMP_OUT")) __atomic_store_n(&every, n ? strtoul(n, NULL, 10) : 64, __ATOMIC_RELAXED);
+    if (getenv("SAMP_OUT")) __atomic_store_n(&sampling, 1, __ATOMIC_RELAXED);
 }
 
 __attribute__((destructor)) static void dump(void) {
-    __atomic_store_n(&every, 0, __ATOMIC_RELAXED); // the dump's own allocations are not sampled
+    __atomic_store_n(&sampling, 0, __ATOMIC_RELAXED); // the dump's own allocations are not sampled
     unsigned long n[KINDS];
     for (int k = 0; k < KINDS; k++) n[k] = __atomic_load_n(&calls[k], __ATOMIC_RELAXED);
     dprintf(2, "count: malloc %lu calloc %lu realloc %lu free %lu\n", n[MALLOC], n[CALLOC], n[REALLOC], n[FREE]);

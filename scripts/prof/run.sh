@@ -12,9 +12,9 @@
 # --alloc preloads the allocation counter count.c instead of the sampler:
 # the run prints `count: malloc M calloc C realloc R free F` to stderr at
 # exit (every thread's calls), and the dump holds every 64th allocating
-# stack ($COUNT_EVERY), headed by the interposer, so `--callers malloc`
-# names the allocating sites (its shares are of sampled allocations; the
-# report's CPU-seconds figure does not apply). The counter alone is
+# stack, headed by the interposer, so `--callers malloc` names the
+# allocating sites (its shares are of sampled allocations; the report's
+# CPU-seconds figure does not apply). The counter alone is
 #   gcc -O2 -Wall -fno-omit-frame-pointer -shared -fPIC -o count.so scripts/prof/count.c
 #   LD_PRELOAD=./count.so <binary> <args...>
 # Per-operation figures are slopes: count two run lengths and divide the
