@@ -10,7 +10,7 @@
 //! O(W²) per site; use on small histories only.
 
 use crate::history::{History, OpRecord};
-use causal_types::WriteId;
+use causal_types::{SiteId, WriteId};
 use std::collections::HashMap;
 
 /// Count causal apply-order inversions at each site by brute force:
@@ -23,11 +23,11 @@ pub fn delivery_inversions_bruteforce(history: &History) -> u64 {
     // Collect writes in a stable order and index them.
     let mut index: HashMap<WriteId, usize> = HashMap::new();
     let mut writes: Vec<WriteId> = Vec::new();
-    for ops in history.ops() {
-        for op in ops {
+    for site in SiteId::all(n) {
+        for op in history.ops(site) {
             if let OpRecord::Write { write, .. } = op {
-                index.insert(*write, writes.len());
-                writes.push(*write);
+                index.insert(write, writes.len());
+                writes.push(write);
             }
         }
     }
@@ -43,23 +43,22 @@ pub fn delivery_inversions_bruteforce(history: &History) -> u64 {
     // accumulated causal-past bitset (same worklist shape as the fast
     // checker, but with explicit sets).
     let mut proc_past: Vec<Vec<u64>> = vec![vec![0; words]; n];
-    let mut cursor = vec![0usize; n];
+    let mut cursor: Vec<_> = SiteId::all(n).map(|s| history.ops(s).peekable()).collect();
     loop {
         let mut progressed = false;
         let mut done = true;
         for i in 0..n {
-            let ops = &history.ops()[i];
-            while cursor[i] < ops.len() {
-                match &ops[cursor[i]] {
+            while let Some(&op) = cursor[i].peek() {
+                match op {
                     OpRecord::Write { write, .. } => {
-                        let wi = index[write];
+                        let wi = index[&write];
                         set(&mut proc_past[i], wi);
                         reach[wi].copy_from_slice(&proc_past[i]);
                     }
                     OpRecord::Read {
                         read_from: Some(w), ..
                     } => {
-                        let wi = *index.get(w).expect("resolvable history");
+                        let wi = *index.get(&w).expect("resolvable history");
                         // The observed write must be resolved first.
                         if reach[wi].iter().all(|&x| x == 0) && !get(&proc_past[w.site.index()], wi)
                         {
@@ -73,10 +72,10 @@ pub fn delivery_inversions_bruteforce(history: &History) -> u64 {
                     }
                     OpRecord::Read { .. } => {}
                 }
-                cursor[i] += 1;
+                cursor[i].next();
                 progressed = true;
             }
-            if cursor[i] < ops.len() {
+            if cursor[i].peek().is_some() {
                 done = false;
             }
         }
@@ -88,8 +87,8 @@ pub fn delivery_inversions_bruteforce(history: &History) -> u64 {
 
     // Pairwise apply-order comparison per site.
     let mut inversions = 0;
-    for k in 0..n {
-        let seq = &history.applies()[k];
+    for site in SiteId::all(n) {
+        let seq: Vec<WriteId> = history.applies(site).collect();
         for (pos2, w2) in seq.iter().enumerate() {
             let i2 = index[w2];
             for w1 in &seq[pos2 + 1..] {
@@ -107,7 +106,7 @@ pub fn delivery_inversions_bruteforce(history: &History) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_types::{SiteId, VarId};
+    use causal_types::VarId;
 
     fn w(site: usize, clock: u64) -> WriteId {
         WriteId::new(SiteId::from(site), clock)

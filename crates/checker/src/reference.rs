@@ -5,7 +5,7 @@
 
 use crate::history::{History, OpRecord};
 use crate::verify::Violations;
-use causal_types::{VarId, WriteId};
+use causal_types::{SiteId, VarId, WriteId};
 use std::collections::HashMap;
 
 /// Per-write causal timestamp: `vc[j]` = number of writes by process `j` in
@@ -29,16 +29,15 @@ pub fn check(history: &History) -> Violations {
     let mut writes: HashMap<WriteId, WriteInfo> = HashMap::new();
     // Writes per variable, for the freshness check (filled as resolved).
     let mut writes_on: HashMap<VarId, Vec<WriteId>> = HashMap::new();
-    let mut cursor = vec![0usize; n];
+    let mut cursor: Vec<_> = SiteId::all(n).map(|s| history.ops(s).peekable()).collect();
     let mut proc_vc: Vec<Vec<u64>> = vec![vec![0; n]; n];
     // (reader, op index) of stale reads, resolved during the sweep.
     loop {
         let mut progressed = false;
         let mut done = true;
         for i in 0..n {
-            let ops = &history.ops()[i];
-            while cursor[i] < ops.len() {
-                match &ops[cursor[i]] {
+            while let Some(&op) = cursor[i].peek() {
+                match &op {
                     OpRecord::Write { write, var } => {
                         proc_vc[i][i] += 1;
                         if proc_vc[i][i] != write.clock {
@@ -66,15 +65,15 @@ pub fn check(history: &History) -> Violations {
                     } => {
                         if let Some(w) = read_from {
                             let Some(info) = writes.get(w) else {
-                                if history.ops()[w.site.index()].iter().any(
-                                    |o| matches!(o, OpRecord::Write { write, .. } if write == w),
+                                if history.ops(w.site).any(
+                                    |o| matches!(o, OpRecord::Write { write, .. } if write == *w),
                                 ) {
                                     // Not yet resolved: retry later.
                                     break;
                                 }
                                 v.reads_from += 1;
                                 v.note(format!("read of {var} at s{i} observed unknown write {w}"));
-                                cursor[i] += 1;
+                                cursor[i].next();
                                 continue;
                             };
                             if info.var != *var {
@@ -137,10 +136,10 @@ pub fn check(history: &History) -> Violations {
                         }
                     }
                 }
-                cursor[i] += 1;
+                cursor[i].next();
                 progressed = true;
             }
-            if cursor[i] < ops.len() {
+            if cursor[i].peek().is_some() {
                 done = false;
             }
         }
@@ -158,10 +157,10 @@ pub fn check(history: &History) -> Violations {
     // Pass 2: per-site apply sequences.
     // ------------------------------------------------------------------
     for k in 0..n {
-        let seq = &history.applies()[k];
+        let seq: Vec<WriteId> = history.applies(SiteId::from(k)).collect();
         // FIFO per origin: clocks strictly increase.
         let mut last_clock = vec![0u64; n];
-        for w in seq {
+        for w in &seq {
             if w.clock <= last_clock[w.site.index()] {
                 v.fifo += 1;
                 v.note(format!(
@@ -244,8 +243,9 @@ pub fn check(history: &History) -> Violations {
         let Some((ops_mark, applies_mark)) = seal else {
             continue;
         };
-        let late_ops = history.ops()[k].len().saturating_sub(*ops_mark);
-        let late_applies = history.applies()[k].len().saturating_sub(*applies_mark);
+        let site = SiteId::from(k);
+        let late_ops = history.ops(site).len().saturating_sub(*ops_mark);
+        let late_applies = history.applies(site).len().saturating_sub(*applies_mark);
         if late_ops + late_applies > 0 {
             v.out_of_view += (late_ops + late_applies) as u64;
             v.note(format!(

@@ -120,10 +120,10 @@ impl Writes {
         let n = history.n();
         let (mut base, mut slots, mut odd) =
             (Vec::with_capacity(n + 1), Vec::new(), HashMap::new());
-        for (i, ops) in history.ops().iter().enumerate() {
+        for (i, site) in SiteId::all(n).enumerate() {
             base.push(slots.len());
-            for op in ops {
-                if let OpRecord::Write { write, var } = *op {
+            for op in history.ops(site) {
+                if let OpRecord::Write { write, var } = op {
                     let ordinal = (slots.len() - base[i] + 1) as u64;
                     if write.site.index() != i || write.clock != ordinal {
                         odd.insert(write, slots.len());
@@ -234,16 +234,15 @@ pub fn check(history: &History) -> Violations {
     // histories in causal order (a read blocks until the write it observed
     // has its clock; program order otherwise).
     // ------------------------------------------------------------------
-    let mut cursor = vec![0usize; n];
+    let mut cursor: Vec<_> = SiteId::all(n).map(|s| history.ops(s).peekable()).collect();
     // Row `i` is process `i`'s causal past so far.
     let mut past = vec![0u32; n * n];
     loop {
         let mut progressed = false;
         let mut done = true;
         for i in 0..n {
-            let ops = &history.ops()[i];
-            while cursor[i] < ops.len() {
-                match &ops[cursor[i]] {
+            while let Some(&op) = cursor[i].peek() {
+                match op {
                     OpRecord::Write { write, .. } => {
                         past[i * n + i] += 1;
                         let ordinal = past[i * n + i];
@@ -262,17 +261,17 @@ pub fn check(history: &History) -> Violations {
                         read_from: Some(w),
                         ..
                     } => {
-                        let Some(slot) = ws.find(*w) else {
+                        let Some(slot) = ws.find(w) else {
                             v.reads_from += 1;
                             v.note(format!("read of {var} at s{i} observed unknown write {w}"));
-                            cursor[i] += 1;
+                            cursor[i].next();
                             continue;
                         };
                         if !ws.slots[slot].resolved {
                             // Issued but not yet reached: retry later.
                             break;
                         }
-                        if ws.slots[slot].var != *var {
+                        if ws.slots[slot].var != var {
                             v.reads_from += 1;
                             v.note(format!(
                                 "read of {var} at s{i} observed {w}, which wrote {}",
@@ -283,7 +282,7 @@ pub fn check(history: &History) -> Violations {
                         // causal past may causally follow the returned
                         // write.
                         let me = &mut past[i * n..][..n];
-                        if let Some(w1) = ws.newer_in_past(*var, me, Some(*w)) {
+                        if let Some(w1) = ws.newer_in_past(var, me, Some(w)) {
                             v.stale_reads += 1;
                             v.note(format!(
                                 "stale read of {var} at s{i}: returned {w} \
@@ -298,7 +297,7 @@ pub fn check(history: &History) -> Violations {
                     OpRecord::Read { var, .. } => {
                         // ⊥ read: a violation if any write on var is in
                         // the reader's causal past.
-                        if let Some(w1) = ws.newer_in_past(*var, &past[i * n..][..n], None) {
+                        if let Some(w1) = ws.newer_in_past(var, &past[i * n..][..n], None) {
                             v.stale_reads += 1;
                             v.note(format!(
                                 "⊥ read of {var} at s{i} despite {w1} in causal past"
@@ -306,10 +305,10 @@ pub fn check(history: &History) -> Violations {
                         }
                     }
                 }
-                cursor[i] += 1;
+                cursor[i].next();
                 progressed = true;
             }
-            if cursor[i] < ops.len() {
+            if cursor[i].peek().is_some() {
                 done = false;
             }
         }
@@ -324,14 +323,17 @@ pub fn check(history: &History) -> Violations {
     }
 
     // ------------------------------------------------------------------
-    // Pass 2: per-site apply sequences.
+    // Pass 2: per-site apply sequences, one site's decoded at a time.
     // ------------------------------------------------------------------
     let mut last_clock = vec![0u64; n];
     let mut next_clock = vec![u32::MAX; n];
-    for (k, seq) in history.applies().iter().enumerate() {
+    let mut seq = Vec::new();
+    for (k, site) in SiteId::all(n).enumerate() {
+        seq.clear();
+        seq.extend(history.applies(site));
         // FIFO per origin: clocks strictly increase.
         last_clock.fill(0);
-        for w in seq {
+        for w in &seq {
             let Some(last) = last_clock.get_mut(w.site.index()) else {
                 continue; // counted as an unknown write below
             };
@@ -396,8 +398,9 @@ pub fn check(history: &History) -> Violations {
         let Some((ops_mark, applies_mark)) = seal else {
             continue;
         };
-        let late_ops = history.ops()[k].len().saturating_sub(*ops_mark);
-        let late_applies = history.applies()[k].len().saturating_sub(*applies_mark);
+        let site = SiteId::from(k);
+        let late_ops = history.ops(site).len().saturating_sub(*ops_mark);
+        let late_applies = history.applies(site).len().saturating_sub(*applies_mark);
         if late_ops + late_applies > 0 {
             v.out_of_view += (late_ops + late_applies) as u64;
             v.note(format!(

@@ -149,12 +149,12 @@ pub fn churn_sweep(scale: Scale, jobs: usize) -> Table {
         }
         // Availability: the fraction of scheduled operations that actually
         // executed. Leavers stop mid-schedule; joiners defer but catch up.
-        let n_sites = h.ops().len();
+        let n_sites = h.n();
         let scheduled = match scenario {
             Scenario::DonorCrash => 20 * n_sites,
             _ => events * n_sites,
         };
-        let executed: usize = h.ops().iter().map(Vec::len).sum();
+        let executed = h.total_ops();
         let reads = m.reads.max(1);
         t.push_row(vec![
             kind.to_string(),

@@ -50,6 +50,7 @@ mod tests {
     use causal_obs::to_jsonl;
     use causal_proto::ProtocolKind;
     use causal_simnet::{run, SimConfig};
+    use causal_types::SiteId;
     use causal_workload::ChurnPlan;
 
     fn traced(cfg: &SimConfig) -> (Vec<TraceEvent>, History) {
@@ -93,12 +94,16 @@ mod tests {
                 recorded.total_applies(),
                 "{kind}: apply counts diverge"
             );
-            assert_eq!(rebuilt.ops(), recorded.ops(), "{kind}: op records diverge");
-            assert_eq!(
-                rebuilt.applies(),
-                recorded.applies(),
-                "{kind}: applies diverge"
-            );
+            for site in SiteId::all(n) {
+                let ops = |h: &History| h.ops(site).collect::<Vec<_>>();
+                assert_eq!(ops(&rebuilt), ops(&recorded), "{kind}: op records diverge");
+                let applies = |h: &History| h.applies(site).collect::<Vec<_>>();
+                assert_eq!(
+                    applies(&rebuilt),
+                    applies(&recorded),
+                    "{kind}: applies diverge"
+                );
+            }
             assert_eq!(rebuilt.sealed(), recorded.sealed(), "{kind}: seals diverge");
             // Without seals to compare, the last check would be vacuous.
             let sealed: Vec<usize> = (0..n).filter(|&k| recorded.sealed()[k].is_some()).collect();

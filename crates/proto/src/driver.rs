@@ -443,7 +443,15 @@ impl SiteDriver {
                     self.send(to, msg, measured, out);
                 }
                 Effect::Applied { var, write } => {
-                    let mut received = self.receipt.remove(&write);
+                    // The map holds only updates parked and not yet
+                    // applied, so it is empty unless something parks —
+                    // on every apply but a few hundred of a paper-scale
+                    // run, where only Hb-Track parks at all.
+                    let mut received = if self.receipt.is_empty() {
+                        None
+                    } else {
+                        self.receipt.remove(&write)
+                    };
                     if self.arriving == Some(write) {
                         (self.arriving, received) = (None, Some(now));
                     }
@@ -664,6 +672,46 @@ pub(crate) mod tests {
             Some((s1, 0))
         );
         let _ = s0;
+    }
+
+    #[test]
+    fn a_dwell_runs_from_receipt_to_apply_and_the_receipt_map_holds_only_parked_updates() {
+        let mut sites = cluster(ProtocolKind::OptP, 3, None);
+        let (s0, s1) = (SiteId(0), SiteId(1));
+        let (w1, w2) = (WriteId::new(s0, 1), WriteId::new(s1, 1));
+        let applied = |out: &[Output]| -> Vec<(WriteId, Option<u64>)> {
+            let applied = out.iter().filter_map(|o| match o {
+                Output::Applied {
+                    write, dwell_ns, ..
+                } => Some((*write, *dwell_ns)),
+                _ => None,
+            });
+            applied.collect()
+        };
+        let mut out = Vec::new();
+        // Opt-P replicates everything everywhere, so both writes reach
+        // every site. w1 applies at site 1 on arrival and never enters the
+        // map; site 1
+        // reads it, then writes w2, which causally follows it.
+        sites[0].write(0, VarId(0), 1, 0, true, &mut out);
+        let sm1 = sends(&out)[0].1.clone();
+        out.clear();
+        sites[1].on_message(1, s0, sm1.clone(), true, &mut out);
+        assert_eq!(applied(&out), [(w1, Some(0))]);
+        assert!(sites[1].receipt.is_empty());
+        sites[1].read(2, VarId(0), true, &mut out);
+        out.clear();
+        sites[1].write(3, VarId(1), 2, 0, true, &mut out);
+        let sm2 = sends(&out)[0].1.clone();
+        out.clear();
+        // At site 2, w2 arrives first: it parks at 5 with its receipt, and
+        // drains behind w1 at 9 with a dwell of 4.
+        sites[2].on_message(5, s1, sm2, true, &mut out);
+        assert!(applied(&out).is_empty());
+        assert_eq!(sites[2].receipt.get(&w2), Some(&5));
+        sites[2].on_message(9, s0, sm1, true, &mut out);
+        assert_eq!(applied(&out), [(w1, Some(0)), (w2, Some(4))]);
+        assert!(sites[2].receipt.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use causal_checker::{check, OpRecord};
 use causal_memory::Placement;
 use causal_proto::{ProtocolKind, Replication};
 use causal_runtime::{replay, serve, BatchWindow, RuntimeConfig, ServeConfig, ServeTransport};
-use causal_types::MsgKind;
+use causal_types::{MsgKind, SiteId};
 use std::time::Duration;
 
 const ALL_PROTOCOLS: [ProtocolKind; 5] = [
@@ -239,13 +239,10 @@ fn stop_never_outruns_a_frame_across_200_tiny_deployments() {
                         Placement::full(N)
                     }
                     .expect("valid n");
-                    let owed: usize = report
-                        .history
-                        .ops()
-                        .iter()
-                        .flatten()
+                    let owed: usize = SiteId::all(N)
+                        .flat_map(|site| report.history.ops(site))
                         .map(|op| match op {
-                            OpRecord::Write { var, .. } => placement.replicas(*var).len(),
+                            OpRecord::Write { var, .. } => placement.replicas(var).len(),
                             OpRecord::Read { .. } => 0,
                         })
                         .sum();

@@ -108,13 +108,13 @@ fn cross_worker_messages(h: &History, n: usize) -> u64 {
     let shards = shards(n, 2);
     let worker = |i: usize| shards.iter().position(|s| s.contains(SiteId::from(i)));
     let crosses = |a: usize, b: usize| worker(a) != worker(b);
-    let sms = h.applies().iter().enumerate().map(|(j, applied)| {
-        let remote = applied.iter().filter(|w| crosses(w.site.index(), j));
+    let sms = SiteId::all(n).map(|j| {
+        let remote = h.applies(j).filter(|w| crosses(w.site.index(), j.index()));
         remote.count() as u64
     });
-    let fetches = h.ops().iter().enumerate().map(|(i, ops)| {
-        let remote = ops.iter().filter(
-            |op| matches!(op, OpRecord::Read { served_by, .. } if crosses(served_by.index(), i)),
+    let fetches = SiteId::all(n).map(|i| {
+        let remote = h.ops(i).filter(
+            |op| matches!(op, OpRecord::Read { served_by, .. } if crosses(served_by.index(), i.index())),
         );
         2 * remote.count() as u64
     });

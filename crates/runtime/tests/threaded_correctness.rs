@@ -6,7 +6,7 @@
 use causal_checker::check;
 use causal_proto::ProtocolKind;
 use causal_runtime::{replay, RuntimeConfig, ServeTransport};
-use causal_types::MsgKind;
+use causal_types::{MsgKind, SiteId};
 
 #[test]
 fn threaded_full_replication_protocols_are_causal() {
@@ -42,11 +42,8 @@ fn threaded_history_is_complete() {
     let out = replay(&cfg, ServeTransport::Channel).expect("channel replay");
     assert_eq!(out.history.total_ops(), 4 * 30, "every op recorded");
     // Every write applies everywhere under full replication.
-    let writes = out
-        .history
-        .ops()
-        .iter()
-        .flatten()
+    let writes = SiteId::all(4)
+        .flat_map(|site| out.history.ops(site))
         .filter(|o| matches!(o, causal_checker::OpRecord::Write { .. }))
         .count();
     assert_eq!(out.history.total_applies(), writes * 4);

@@ -143,7 +143,9 @@ pub struct SimConfig {
     /// Opt-Track pruning switches (ignored by the other protocols).
     pub prune: PruneConfig,
     /// Record a [`History`] for post-run consistency checking. Adds memory
-    /// proportional to the operation count; off for large sweeps.
+    /// proportional to the operation and apply counts, about 4 bytes per
+    /// operation and 2 per apply at n = 40, q = 100 (the history's byte
+    /// streams, `causal_checker::history`); off for large sweeps.
     pub record_history: bool,
     /// Record the structured event trace ([`SimResult::trace`]). Adds
     /// memory proportional to the event count; off unless a trace is

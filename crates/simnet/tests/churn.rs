@@ -83,7 +83,7 @@ fn joiner_executes_its_full_schedule_after_bootstrap() {
     assert_eq!(r.metrics.joins, 1);
     let h = r.history.as_ref().unwrap();
     assert_eq!(
-        h.ops()[5].len(),
+        h.ops(SiteId(5)).len(),
         per_process,
         "the joiner runs every scheduled op after its bootstrap"
     );
@@ -104,7 +104,10 @@ fn graceful_leave_drains_and_seals_the_departed_site() {
         "the departed site's history is sealed at the view change"
     );
     // The leaver stops mid-schedule: ops past the departure never run.
-    assert!(h.ops()[2].len() < 60, "ops at the leaver stop at departure");
+    assert!(
+        h.ops(SiteId(2)).len() < 60,
+        "ops at the leaver stop at departure"
+    );
     let v = check(h);
     assert!(v.protocol_clean(), "{:?}", v.examples);
 }
@@ -250,10 +253,10 @@ fn churned_runs_are_deterministic() {
         b.metrics.churn_transfer_bytes
     );
     assert_eq!(a.final_local_meta, b.final_local_meta);
-    assert_eq!(
-        a.history.as_ref().unwrap().applies(),
-        b.history.as_ref().unwrap().applies()
-    );
+    let (a, b) = (a.history.as_ref().unwrap(), b.history.as_ref().unwrap());
+    for site in SiteId::all(a.n()) {
+        assert!(a.applies(site).eq(b.applies(site)), "{site}'s applies");
+    }
 }
 
 #[test]

@@ -16,10 +16,11 @@ use causal_checker::History;
 use causal_clocks::PruneConfig;
 use causal_proto::ProtocolKind;
 use causal_simnet::{run, SimConfig};
-use causal_types::WriteId;
+use causal_types::{SiteId, WriteId};
 
 fn applies(history: &History) -> Vec<Vec<WriteId>> {
-    history.applies().to_vec()
+    let sites = SiteId::all(history.n());
+    sites.map(|s| history.applies(s).collect()).collect()
 }
 
 fn run_partial(

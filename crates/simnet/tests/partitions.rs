@@ -159,7 +159,7 @@ mod pauses {
             assert!(v.protocol_clean(), "{kind}: {:?}", v.examples);
             // The paused site still executes its full schedule (ops defer,
             // they are not dropped).
-            assert_eq!(r.history.as_ref().unwrap().ops()[2].len(), 60);
+            assert_eq!(r.history.as_ref().unwrap().ops(SiteId(2)).len(), 60);
         }
     }
 

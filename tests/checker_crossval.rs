@@ -47,28 +47,29 @@ fn both_checkers_flag_a_corrupted_history() {
 
     // Rebuild the history with site 0's applies reversed.
     let mut corrupted = causal_repro::checker::History::new(5);
-    for (i, ops) in clean.ops().iter().enumerate() {
-        for op in ops {
+    for site in SiteId::all(5) {
+        for op in clean.ops(site) {
             match op {
                 causal_repro::checker::OpRecord::Write { write, var } => {
-                    corrupted.record_write(SiteId::from(i), *write, *var)
+                    corrupted.record_write(site, write, var)
                 }
                 causal_repro::checker::OpRecord::Read {
                     var,
                     read_from,
                     served_by,
-                } => corrupted.record_read(SiteId::from(i), *var, *read_from, *served_by),
+                } => corrupted.record_read(site, var, read_from, served_by),
             }
         }
     }
-    for (i, applies) in clean.applies().iter().enumerate() {
-        if i == 0 {
-            for w in applies.iter().rev() {
-                corrupted.record_apply(SiteId(0), *w);
+    for site in SiteId::all(5) {
+        let applies: Vec<_> = clean.applies(site).collect();
+        if site == SiteId(0) {
+            for w in applies.into_iter().rev() {
+                corrupted.record_apply(site, w);
             }
         } else {
             for w in applies {
-                corrupted.record_apply(SiteId::from(i), *w);
+                corrupted.record_apply(site, w);
             }
         }
     }

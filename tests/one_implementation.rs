@@ -36,8 +36,10 @@
 //! the reliable transport's tuning is three constants and a fault plan is
 //! two rates. Entry points: the simulator runs through `run` alone and
 //! records its trace as it records its history, and a deployment, served
-//! or replayed, returns one `ServeReport`. A second copy growing back is
-//! how the copies drifted apart before.
+//! or replayed, returns one `ServeReport`. History: each site's ops and
+//! applies are one byte stream each, decoded in order, never a `Vec` of
+//! records per site. A second copy growing back is how the copies drifted
+//! apart before.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -882,5 +884,22 @@ fn each_harness_has_one_entry_point_and_one_result() {
         "struct RunOutcome",
     ] {
         assert_eq!(files_with(&everywhere, second), [""; 0], "`{second}`");
+    }
+}
+
+#[test]
+fn a_recorded_history_is_byte_streams_not_record_vectors() {
+    // A `Vec` of records costs 32 bytes per op and 16 per apply; the
+    // streams cost a few (DESIGN.md, "Recording a history").
+    let everywhere = sources();
+    let history = everywhere
+        .iter()
+        .find(|(path, _)| path.ends_with("crates/checker/src/history.rs"));
+    let (_, history) = history.expect("history.rs is in the walk");
+    for layout in ["Vec<Vec<OpRecord>>", "Vec<Vec<WriteId>>"] {
+        assert!(
+            !outside_test_modules(history).contains(layout),
+            "`{layout}` in history.rs"
+        );
     }
 }
