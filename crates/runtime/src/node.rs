@@ -40,7 +40,6 @@ use causal_clocks::{BatchPolicy, DestSet};
 use causal_metrics::RunMetrics;
 use causal_proto::{Msg, Output, SiteDriver};
 use causal_types::{OpKind, ScheduledOp, SiteId};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -48,21 +47,22 @@ use std::time::{Duration, Instant};
 /// is transport-agnostic: in-process runs use [`ChannelTransport`] (the
 /// workers' inboxes, nothing in between), the TCP runner in [`crate::tcp`]
 /// moves the same frames over multiplexed loopback sockets — the paper's
-/// actual transport.
-pub trait Transport: Send + Sync {
+/// actual transport. Both split a send the same way: the own-shard half
+/// goes straight into the sender's worker's inbox ([`Routes::send_own`]),
+/// and each fabric only moves the rest.
+pub(crate) trait Transport: Send + Sync {
     /// Deliver one copy of `msg` (tagged with its warm-up attribution)
     /// from `from` to every site in `to` (non-empty), reliably and in FIFO
     /// order per ordered pair. A unicast is the one-destination case.
     /// Copies for another worker's sites may sit in the transport until
     /// the sending worker's [`Transport::flush`].
     ///
-    /// Returns how many of the destinations are unreachable — those copies
-    /// never entered the network. The transport records the failures in
-    /// its connection-error counter; the caller counts them done, so
+    /// The caller has counted every copy sent. A copy the fabric cannot
+    /// deliver — its worker has left, or its connection failed — it
+    /// counts lost ([`Quiesce::lost`]), now or whenever it finds out, so
     /// quiescence detection cannot hang on a message that will never
-    /// arrive. (A copy the transport loses *after* `send` returned, it
-    /// counts done itself.)
-    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) -> usize;
+    /// arrive.
+    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool);
 
     /// `worker`'s pass begins: move whatever peers have shipped toward it
     /// into its inbox. Only `worker`'s own thread calls this.
@@ -83,81 +83,65 @@ pub trait Transport: Send + Sync {
     fn flush(&self, _worker: usize) -> bool {
         false
     }
+
+    /// Add the fabric's own gauges to `metrics`, once the workers are
+    /// joined.
+    fn fold_gauges(&self, _metrics: &mut RunMetrics) {}
 }
 
-/// The in-process transport: nothing but the workers' inboxes. A send's
-/// destinations are split by shard mask (`Routes::peers`): the copies
-/// for the sender's shard-mates go straight into the sending worker's own
-/// inbox; those for another worker's sites are *staged* — per (sending
-/// worker → peer worker), in send order — and handed over when the sending
-/// worker's pass ends: one lock, one append and one wake per peer and
-/// pass, however many frames (the shape [`crate::tcp`] has: queue in
-/// `send`, ship in `flush`).
-pub struct ChannelTransport {
+/// The in-process transport: nothing but the workers' inboxes. Copies for
+/// another worker's sites are *staged* — per (sending worker → peer
+/// worker), in send order — and handed over when the sending worker's
+/// pass ends: one lock, one append and one wake per peer and pass, however
+/// many frames (the shape [`crate::tcp`] has: queue in `send`, ship in
+/// `flush`).
+pub(crate) struct ChannelTransport {
     routes: Arc<Routes>,
     quiesce: Arc<Quiesce>,
-    conn_errors: Arc<AtomicU64>,
     /// `stages[a][b]`: what worker `a`'s sites sent toward worker `b`'s
     /// since `a`'s last flush. Only `a`'s thread locks `stages[a]`.
     stages: Vec<OwnLine<Mutex<Vec<Vec<Addressed>>>>>,
 }
 
 impl ChannelTransport {
-    /// A channel fabric over `routes`, counting refused copies (the
-    /// destination's worker already gone) into `conn_errors`.
-    pub(crate) fn new(
-        routes: Arc<Routes>,
-        quiesce: Arc<Quiesce>,
-        conn_errors: Arc<AtomicU64>,
-    ) -> Self {
+    /// A channel fabric over `routes`.
+    pub(crate) fn new(routes: &Arc<Routes>, quiesce: &Arc<Quiesce>) -> Self {
         let w = routes.workers();
         let stage = || OwnLine(Mutex::new((0..w).map(|_| Vec::new()).collect()));
         ChannelTransport {
             stages: (0..w).map(|_| stage()).collect(),
-            routes,
-            quiesce,
-            conn_errors,
+            routes: routes.clone(),
+            quiesce: quiesce.clone(),
         }
     }
 }
 
 impl Transport for ChannelTransport {
-    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) -> usize {
+    fn send(&self, from: SiteId, to: DestSet, msg: &Msg, measured: bool) {
         let wa = self.routes.owner(from.index());
+        let rest = self
+            .routes
+            .send_own(&self.quiesce, wa, from, to, msg, measured);
+        if rest.is_empty() {
+            return;
+        }
         // One copy per destination: a refcount bump of the piggyback.
         let copy = |d: SiteId| (d, Wire::msg(from, msg, measured));
-        // Same shard: the worker executing this very send takes the copy
-        // with its next pass — no wake.
-        let own = to.intersect(&self.routes.shard(wa));
-        let refused = self.routes.push_own(wa, own.iter().map(copy));
-        if own != to {
-            locked(&self.stages[wa].0, |stage| {
-                for (wb, part) in self.routes.peers(wa, to) {
-                    stage[wb].extend(part.iter().map(copy));
-                }
-            });
-        }
-        if refused > 0 {
-            // A late frame lost the race against shutdown: drop it cleanly
-            // instead of poisoning the run.
-            self.conn_errors
-                .fetch_add(refused as u64, Ordering::Relaxed);
-        }
-        refused
+        locked(&self.stages[wa].0, |stage| {
+            for (wb, part) in self.routes.peers(wa, rest) {
+                stage[wb].extend(part.iter().map(copy));
+            }
+        });
     }
 
     fn flush(&self, worker: usize) -> bool {
         locked(&self.stages[worker].0, |stage| {
             for (peer, staged) in stage.iter_mut().enumerate() {
-                if staged.is_empty() {
-                    continue;
-                }
-                // `send` has long returned: a copy the peer's closed inbox
-                // refuses is counted lost, and done, here.
-                let refused = self.routes.hand_over(peer, staged) as u64;
-                if refused > 0 {
-                    self.conn_errors.fetch_add(refused, Ordering::Relaxed);
-                    self.quiesce.frames_done(worker, refused);
+                if !staged.is_empty() {
+                    // `send` has long returned: a copy the peer's closed
+                    // inbox refuses is lost here.
+                    let refused = self.routes.hand_over(peer, staged);
+                    self.quiesce.lost(worker, refused as u64);
                 }
             }
         });
@@ -540,14 +524,9 @@ impl Node {
                     msg.sms()
                         .for_each(|sm| entries.record_n(sm.meta.entry_count() as f64, k));
                     // One frame per destination, counted sent before the
-                    // transport sees it and done at once for the copies a
-                    // dead peer refused (the transport counted those as
-                    // connection errors).
+                    // transport sees it; a copy it loses, it counts done.
                     self.quiesce.frames_sent(self.worker, k);
-                    let refused = self.transport.send(self.site, dsts, &msg, measured);
-                    if refused > 0 {
-                        self.quiesce.frames_done(self.worker, refused as u64);
-                    }
+                    self.transport.send(self.site, dsts, &msg, measured);
                 }
                 Output::ArmLaneTimer { to, epoch } => {
                     let window = self.window.expect("lanes imply a window");
@@ -619,16 +598,22 @@ mod tests {
         build_site, Effect, Fm, ProtocolConfig, ProtocolKind, Replication, Rm, RmMeta,
     };
     use causal_types::{MsgKind, SimTime, SizeModel, VarId};
-    use parking_lot::Mutex;
 
     /// Swallows every send, remembering destination and kind in order.
     #[derive(Default)]
     struct Recorder(Mutex<Vec<(SiteId, MsgKind)>>);
 
+    impl Recorder {
+        fn sent(&self) -> Vec<(SiteId, MsgKind)> {
+            locked(&self.0, |sent| sent.clone())
+        }
+    }
+
     impl Transport for Recorder {
-        fn send(&self, _: SiteId, to: DestSet, msg: &Msg, _: bool) -> usize {
-            self.0.lock().extend(to.iter().map(|d| (d, msg.kind())));
-            0
+        fn send(&self, _: SiteId, to: DestSet, msg: &Msg, _: bool) {
+            locked(&self.0, |sent| {
+                sent.extend(to.iter().map(|d| (d, msg.kind())));
+            });
         }
     }
 
@@ -714,7 +699,7 @@ mod tests {
         let (mut node, wire, quiesce) =
             node0(ProtocolKind::OptTrack, repl.clone(), schedule, Some(window));
         node.poll();
-        assert_eq!(*wire.0.lock(), [(SiteId(1), MsgKind::Fm)]);
+        assert_eq!(wire.sent(), [(SiteId(1), MsgKind::Fm)]);
         let mut server = build_site(
             ProtocolKind::OptTrack,
             SiteId(1),
@@ -736,7 +721,7 @@ mod tests {
         // reports itself finished.
         node.poll();
         assert_eq!(
-            *wire.0.lock(),
+            wire.sent(),
             [(SiteId(1), MsgKind::Fm), (SiteId(1), MsgKind::Sm)]
         );
         let out = node.finish();
@@ -749,10 +734,10 @@ mod tests {
     }
 
     /// A channel fabric of `n` sites over `workers` workers that the test
-    /// drives itself, with its refused-copy counter.
+    /// drives itself.
     fn channel(n: usize, workers: usize) -> (ChannelTransport, Arc<Routes>, Arc<Quiesce>) {
         let (routes, quiesce) = crate::runner::test_fabric(n, workers);
-        let fabric = ChannelTransport::new(routes.clone(), quiesce.clone(), Arc::default());
+        let fabric = ChannelTransport::new(&routes, &quiesce);
         (fabric, routes, quiesce)
     }
 
@@ -799,7 +784,7 @@ mod tests {
         let sends: [&[usize]; 5] = [&[a], &[mate], &[b, mate, a], &[mate], &[a]];
         for (var, to) in sends.iter().enumerate() {
             let to = DestSet::from_sites(to.iter().map(|d| SiteId::from(*d)));
-            assert_eq!(fabric.send(SiteId(0), to, &fm(var as u32), false), 0);
+            fabric.send(SiteId(0), to, &fm(var as u32), false);
         }
         assert_eq!(
             inbox(&routes, 0),
@@ -815,11 +800,11 @@ mod tests {
     #[test]
     fn hand_over_to_a_closed_inbox_is_refused_at_flush_and_counted_once() {
         let (fabric, routes, quiesce) = channel(2, 2);
-        let errors = || fabric.conn_errors.load(Ordering::Relaxed);
+        let errors = || quiesce.conn_errors();
         quiesce.frames_sent(0, 3);
         for var in 0..3 {
             // The copy is only staged: `send` cannot know yet.
-            assert_eq!(fabric.send(SiteId(0), to(1), &fm(var), false), 0);
+            fabric.send(SiteId(0), to(1), &fm(var), false);
         }
         routes.close(1);
         assert_eq!((errors(), quiesce.in_flight()), (0, 3));
@@ -829,9 +814,10 @@ mod tests {
         fabric.flush(0);
         assert_eq!((errors(), quiesce.in_flight()), (3, 0), "once");
         // A worker that has left refuses its own sites' copies at `send`,
-        // where the caller counts them done.
+        // which counts them lost, and done, at once.
         routes.close(0);
-        assert_eq!(fabric.send(SiteId(0), to(0), &fm(9), false), 1);
+        quiesce.frames_sent(0, 1);
+        fabric.send(SiteId(0), to(0), &fm(9), false);
         assert_eq!((errors(), quiesce.in_flight()), (4, 0));
     }
 

@@ -46,7 +46,7 @@ use causal_checker::History;
 use causal_clocks::DestSet;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, RunMetrics};
-use causal_proto::{ProtocolConfig, ProtocolKind, Replication, SiteDriver};
+use causal_proto::{Msg, ProtocolConfig, ProtocolKind, Replication, SiteDriver};
 use causal_types::{Error, Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -207,20 +207,24 @@ struct Tally {
 }
 
 /// The run-wide quiescence tracker: per-worker sent and done frame
-/// tallies, a finished-drivers count, and a condvar the coordinator parks
-/// on.
+/// tallies, a finished-drivers count, a condvar the coordinator parks on,
+/// and the run's connection errors.
 ///
 /// A frame is counted *sent* on its sender's worker the moment the sender
 /// commits to shipping it (before it can touch a queue or socket) and
 /// *done* on its receiver's worker once the receiving node has processed
 /// it — including any cascade sends, which are counted sent before the
 /// triggering frame is counted done. A frame the fabric positively loses
-/// is counted done by whoever lost it. No worker ever writes another's
-/// line; the coordinator sums them (see [`Quiesce::quiescent`]).
+/// is counted done by whoever lost it ([`Quiesce::lost`]). No worker ever
+/// writes another's line; the coordinator sums them (see
+/// [`Quiesce::quiescent`]).
 pub(crate) struct Quiesce {
     sites: usize,
     tallies: Vec<OwnLine<Tally>>,
     finished: AtomicUsize,
+    /// Copies either fabric lost, plus received frames that failed
+    /// validation: `RunMetrics::transport_conn_errors`.
+    conn_errors: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,
 }
@@ -231,9 +235,28 @@ impl Quiesce {
             sites,
             tallies: (0..workers).map(|_| OwnLine(Tally::default())).collect(),
             finished: AtomicUsize::new(0),
+            conn_errors: AtomicU64::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
+    }
+
+    /// `copies` frames, counted sent, will never arrive — a closed inbox
+    /// refused them or their connection failed — and `worker` is the one
+    /// that found out. The one rule for a lost copy, on either fabric: it
+    /// is a connection error, and it is done on `worker`'s tally, so
+    /// quiescence cannot wait for it.
+    pub(crate) fn lost(&self, worker: usize, copies: u64) {
+        if copies > 0 {
+            self.conn_errors.fetch_add(copies, Ordering::Relaxed);
+            self.frames_done(worker, copies);
+        }
+    }
+
+    /// A received frame failed validation, and with it its connection:
+    /// one connection error, apart from the copies the failure lost.
+    pub(crate) fn bad_frame(&self) {
+        self.conn_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `k` frames are about to enter the network from a site of `worker`.
@@ -340,6 +363,11 @@ impl Quiesce {
         let done = self.scan(|t| &t.done);
         self.scan(|t| &t.sent) - done
     }
+
+    /// The connection errors so far (exact while nothing moves).
+    pub(crate) fn conn_errors(&self) -> u64 {
+        self.conn_errors.load(Ordering::Relaxed)
+    }
 }
 
 /// How `n` sites are sharded over `workers` workers: worker `w` runs the
@@ -422,19 +450,36 @@ impl Routes {
         self.wakes[worker].notify();
     }
 
-    /// Append `copies` — frames for sites `worker` owns — to `worker`'s
-    /// inbox, called by `worker`'s own thread: one lock that only a peer's
-    /// hand-over contends for, and no wake, because the thread that takes
-    /// the inbox is the one running. Returns how many were refused (the
-    /// inbox is closed).
-    pub(crate) fn push_own(&self, worker: usize, copies: impl Iterator<Item = Addressed>) -> usize {
-        locked(&self.inboxes[worker].0, |inbox| {
-            if inbox.closed {
-                return copies.count();
-            }
-            inbox.q.extend(copies);
-            0
-        })
+    /// The own-shard half of a send of `msg` from `from` to `to`, made on
+    /// `worker`'s own thread — a site's send, or a pump routing a received
+    /// frame: one copy for every site of `to` that `worker` runs, appended
+    /// to `worker`'s inbox under one lock that only a peer's hand-over
+    /// contends for, and no wake, because the thread that takes the inbox
+    /// is the one running. A closed inbox refuses the copies, and they are
+    /// lost ([`Quiesce::lost`]). Returns the destinations other workers
+    /// run, which the fabric moves.
+    pub(crate) fn send_own(
+        &self,
+        quiesce: &Quiesce,
+        worker: usize,
+        from: SiteId,
+        to: DestSet,
+        msg: &Msg,
+        measured: bool,
+    ) -> DestSet {
+        let own = to.intersect(&self.shards[worker]);
+        if !own.is_empty() {
+            let copies = own.iter().map(|d| (d, Wire::msg(from, msg, measured)));
+            let refused = locked(&self.inboxes[worker].0, |inbox| {
+                if inbox.closed {
+                    return copies.count();
+                }
+                inbox.q.extend(copies);
+                0
+            });
+            quiesce.lost(worker, refused as u64);
+        }
+        to.minus(&own)
     }
 
     /// Hand everything in `stage` — frames for sites `worker` owns, in
@@ -767,8 +812,8 @@ impl<'a> Worker<'a> {
 
 /// Wait for quiescence (every driver exhausted and every frame sent
 /// done), broadcast `Stop`, join the worker pool, and fold the per-site
-/// outcomes into one report, `elapsed` counted from `start`; the pool
-/// size lands in `metrics.threads_spawned`.
+/// outcomes and the run's connection errors into one report, `elapsed`
+/// counted from `start`; the pool size lands in `metrics.threads_spawned`.
 fn drive(cluster: Cluster, start: Instant) -> ServeReport {
     let n = cluster.routes.sites();
     cluster.quiesce.wait_quiescent();
@@ -787,6 +832,8 @@ fn drive(cluster: Cluster, start: Instant) -> ServeReport {
             final_pending += out.final_pending;
         }
     }
+    // After the join, so copies lost in teardown races are included.
+    metrics.transport_conn_errors += cluster.quiesce.conn_errors.load(Ordering::Relaxed);
     let latency = &metrics.op_latency_ns;
     ServeReport {
         ops: latency.count(),
@@ -801,8 +848,7 @@ fn drive(cluster: Cluster, start: Instant) -> ServeReport {
 /// Deploy one cluster and run it to quiescence: build the fabric, pick
 /// the transport, spawn the worker pool with one [`Node`] per site —
 /// `ops(i)` is site `i`'s operation driver — drive it, and fold the
-/// transport's gauges in *after* the join, so late teardown races are
-/// included. `elapsed` runs from before the fabric exists to quiescence;
+/// mesh's gauges in *after* the join. `elapsed` runs from before the fabric exists to quiescence;
 /// `ops` and `latency` count every operation the drivers issued.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deploy(
@@ -820,21 +866,9 @@ pub(crate) fn deploy(
     let start = Instant::now();
 
     let fabric = build_fabric(n, resolve_workers(workers, n));
-    let channel_errors = Arc::new(AtomicU64::new(0));
-    let mesh = match transport {
-        ServeTransport::Tcp => Some(Arc::new(MuxTransport::connect(
-            &fabric.routes,
-            &fabric.quiesce,
-        )?)),
-        ServeTransport::Channel => None,
-    };
-    let transport: Arc<dyn Transport> = match &mesh {
-        Some(m) => m.clone(),
-        None => Arc::new(ChannelTransport::new(
-            fabric.routes.clone(),
-            fabric.quiesce.clone(),
-            channel_errors.clone(),
-        )),
+    let transport: Arc<dyn Transport> = match transport {
+        ServeTransport::Tcp => Arc::new(MuxTransport::connect(&fabric.routes, &fabric.quiesce)?),
+        ServeTransport::Channel => Arc::new(ChannelTransport::new(&fabric.routes, &fabric.quiesce)),
     };
 
     let quiesce = fabric.quiesce.clone();
@@ -855,10 +889,7 @@ pub(crate) fn deploy(
     });
 
     let mut report = drive(cluster, start);
-    if let Some(m) = mesh {
-        m.fold_gauges(&mut report.metrics);
-    }
-    report.metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
+    transport.fold_gauges(&mut report.metrics);
     Ok(report)
 }
 
@@ -898,7 +929,7 @@ pub fn replay(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<ServeRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_proto::Msg;
+    use causal_types::{OpKind, ScheduledOp, SimTime, VarId};
 
     #[test]
     fn replay_refuses_a_workload_the_placement_does_not_fit() {
@@ -976,10 +1007,10 @@ mod tests {
         // order. Own-shard copies are there with the send and set no
         // token; each peer is woken once, by the hand-over, not by `send`.
         let (routes, quiesce) = test_fabric(40, 4);
-        let fabric = ChannelTransport::new(routes.clone(), quiesce, Arc::default());
+        let fabric = ChannelTransport::new(&routes, &quiesce);
         let me = DestSet::from_sites([SiteId(0)]);
         let dsts = DestSet::full(40).minus(&me);
-        assert_eq!(fabric.send(SiteId(0), dsts, &fm(), true), 0);
+        fabric.send(SiteId(0), dsts, &fm(), true);
         let woken = |w| routes.take_wake(w, Duration::ZERO);
         assert!(!(0..4).any(woken), "a send wakes nobody");
         let inbox = |w: usize| {
@@ -1132,21 +1163,27 @@ mod tests {
         assert_eq!(q.in_flight(), 0);
     }
 
-    /// A node of a two-site Opt-Track cluster (variable `i` lives on site
-    /// `i` only) with nothing to issue.
-    fn idle_node(i: usize, fabric: &Arc<dyn Transport>, q: &Arc<Quiesce>) -> Node {
+    /// Site `i` of a two-site Opt-Track cluster (variable `i` lives on
+    /// site `i` only), run by `worker` and replaying `schedule`.
+    fn node(
+        i: usize,
+        worker: usize,
+        schedule: Vec<ScheduledOp>,
+        fabric: &Arc<dyn Transport>,
+        q: &Arc<Quiesce>,
+    ) -> Node {
         use causal_memory::PlacementKind;
         let site = SiteId::from(i);
         let repl = Arc::new(Placement::new(PlacementKind::Even, 2, 1).expect("valid"));
         let (kind, cfg) = (ProtocolKind::OptTrack, ProtocolConfig::default());
         Node::new(
             SiteDriver::new(kind, site, repl, cfg, SizeModel::default(), None),
-            OpDriver::replay(Vec::new(), 0, 1.0),
+            OpDriver::replay(schedule, 0, 1.0),
             2,
             0,
             fabric.clone(),
             q.clone(),
-            0,
+            worker,
             None,
             Instant::now(),
         )
@@ -1159,19 +1196,17 @@ mod tests {
         // taken, so this pass does not deliver it, reports progress, and
         // the next one does.
         let (routes, quiesce) = test_fabric(2, 1);
-        let fabric: Arc<dyn Transport> = Arc::new(ChannelTransport::new(
-            routes.clone(),
-            quiesce.clone(),
-            Arc::default(),
-        ));
-        let slots = (0..2).map(|i| SiteSlot::new(idle_node(i, &fabric, &quiesce)));
+        let fabric: Arc<dyn Transport> = Arc::new(ChannelTransport::new(&routes, &quiesce));
+        let idle = |i| SiteSlot::new(node(i, 0, Vec::new(), &fabric, &quiesce));
+        let slots = (0..2).map(idle);
         let mut worker = Worker::new(0, slots.collect(), &routes, &*fabric, &quiesce);
         assert!(worker.pass().progressed, "both sites report finished");
         assert!(!worker.pass().progressed, "and have nothing else to do");
 
         quiesce.frames_sent(0, 1);
-        let fetch = (SiteId(0), Wire::msg(SiteId(1), &fm(), true));
-        assert_eq!(routes.push_own(0, std::iter::once(fetch)), 0);
+        let server = DestSet::from_sites([SiteId(0)]);
+        let rest = routes.send_own(&quiesce, 0, SiteId(1), server, &fm(), true);
+        assert!(rest.is_empty(), "one worker runs both sites");
         assert!(worker.pass().progressed);
         assert_eq!(quiesce.in_flight(), 1, "the FM is done, its RM is not");
         assert!(!quiesce.quiescent());
@@ -1186,6 +1221,67 @@ mod tests {
             (server.metrics.dup_drops, fetcher.metrics.dup_drops),
             (0, 1)
         );
+    }
+
+    /// One pass of worker 0 of a two-site cluster on two workers over
+    /// `fabric`, in which site 0 writes `x1` — which only site 1, worker
+    /// 1's, replicates. The pass delivers nothing: it only issues.
+    fn write_toward_the_peer(routes: &Routes, fabric: &Arc<dyn Transport>, q: &Arc<Quiesce>) {
+        let write = ScheduledOp {
+            at: SimTime::ZERO,
+            kind: OpKind::Write {
+                var: VarId(1),
+                data: 7,
+            },
+        };
+        let slot = SiteSlot::new(node(0, 0, vec![write], fabric, q));
+        let mut worker = Worker::new(0, vec![slot], routes, &**fabric, q);
+        assert!(worker.pass().progressed, "the write was issued");
+        assert_eq!(q.in_flight(), 1, "one SM, toward site 1");
+    }
+
+    /// Whether `taken` is exactly site 0's SM for site 1.
+    fn one_sm_for_site_1(taken: &[Addressed]) -> bool {
+        let sm = |wire: &Wire| {
+            let Wire::Msg { from, msg, .. } = wire else {
+                return false;
+            };
+            *from == SiteId(0) && matches!(msg, Msg::Sm(_))
+        };
+        matches!(taken, [(SiteId(1), wire)] if sm(wire))
+    }
+
+    #[test]
+    fn a_pass_that_only_issued_hands_its_sends_over_and_wakes_the_peer() {
+        let (routes, quiesce) = test_fabric(2, 2);
+        let fabric: Arc<dyn Transport> = Arc::new(ChannelTransport::new(&routes, &quiesce));
+        write_toward_the_peer(&routes, &fabric, &quiesce);
+        assert!(
+            routes.take_wake(1, Duration::ZERO),
+            "the peer is woken within the pass"
+        );
+        assert!(one_sm_for_site_1(&routes.taken(1)), "and finds the SM");
+    }
+
+    #[test]
+    fn a_pass_that_only_issued_writes_its_sends_to_the_socket_and_wakes_the_peer() {
+        let (routes, quiesce) = test_fabric(2, 2);
+        let mesh = Arc::new(MuxTransport::connect(&routes, &quiesce).expect("loopback"));
+        let fabric: Arc<dyn Transport> = mesh.clone();
+        write_toward_the_peer(&routes, &fabric, &quiesce);
+        assert!(
+            routes.take_wake(1, Duration::ZERO),
+            "the peer is woken within the pass"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fabric.pump(1) {
+            assert!(Instant::now() < deadline, "announced bytes never arrived");
+            std::thread::yield_now();
+        }
+        assert!(one_sm_for_site_1(&routes.taken(1)), "and pumps the SM");
+        let mut metrics = RunMetrics::new();
+        mesh.fold_gauges(&mut metrics);
+        assert_eq!(metrics.transport_frames, 1);
     }
 
     #[test]

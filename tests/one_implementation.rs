@@ -8,7 +8,10 @@
 //! spawned in one place; the TCP fabric has none of its own, and a cluster
 //! is deployed — fabric, transport, spawn, drive — in one place; frames
 //! cross workers through one inbox per worker, counted on per-worker
-//! tallies — no channel per site, no shared in-flight counter. KS log:
+//! tallies — no channel per site, no shared in-flight counter; both
+//! fabrics split a send's own-shard half in one function and count a lost
+//! copy in one function, and a TCP connection's state is a `Conn` that
+//! holds no socket. KS log:
 //! MERGE, the write-side record and the `LastWriteOn` materialization are
 //! single passes in `causal_clocks::log`, and the protocols call them
 //! instead of composing whole-log passes by hand. Benchmark: `bench/` is
@@ -902,4 +905,32 @@ fn a_recorded_history_is_byte_streams_not_record_vectors() {
             "`{layout}` in history.rs"
         );
     }
+}
+
+#[test]
+fn a_lost_copy_is_counted_in_one_place_and_a_connection_holds_no_socket() {
+    // Either fabric loses a copy the same way — a connection error, and
+    // done on the losing worker's tally — through `Quiesce::lost`: no
+    // fabric, node or deployment keeps an error counter or counts a copy
+    // done by itself.
+    let runtime: Vec<_> = sources()
+        .into_iter()
+        .filter(|(path, _)| path.to_string_lossy().contains("crates/runtime/src/"))
+        .map(|(path, text)| (path, outside_test_modules(&text)))
+        .collect();
+    assert!(runtime.len() >= 5, "the walk found the runtime");
+    for counting in ["conn_errors", "frames_done("] {
+        let found = files_with(&runtime, counting);
+        assert_eq!(found, ["crates/runtime/src/runner.rs"], "`{counting}`");
+    }
+    // The framing, queueing and failure logic of a TCP connection run
+    // without a socket, and time reaches them as an argument.
+    let tcp = runtime.iter().find(|(path, _)| path.ends_with("tcp.rs"));
+    let (_, tcp) = tcp.expect("tcp.rs is in the walk");
+    let conn = item(tcp, "struct Conn {", "");
+    assert!(!conn.contains("TcpStream"), "`Conn` holds a socket");
+    assert!(
+        !tcp.contains("write_timeout"),
+        "the write timeout is a field"
+    );
 }
