@@ -128,7 +128,7 @@ impl Transport for ChannelTransport {
         // One copy per destination: a refcount bump of the piggyback.
         let copy = |d: SiteId| (d, Wire::msg(from, msg, measured));
         locked(&self.stages[wa].0, |stage| {
-            for (wb, part) in self.routes.peers(wa, rest) {
+            for (wb, part) in self.routes.peers(rest) {
                 stage[wb].extend(part.iter().map(copy));
             }
         });

@@ -267,8 +267,8 @@ impl Quiesce {
     }
 
     /// `k` frames left the system on `worker` — fully processed by their
-    /// receiver (cascade sends already counted), or positively lost
-    /// (refused send, dead connection, closed inbox).
+    /// receiver (cascade sends already counted), or lost
+    /// ([`Quiesce::lost`]).
     pub(crate) fn frames_done(&self, worker: usize, k: u64) {
         self.tallies[worker].0.done.fetch_add(k, Ordering::Release);
     }
@@ -426,16 +426,11 @@ impl Routes {
         self.shards[worker]
     }
 
-    /// Split the destinations `to` of a send from a site of `worker` by
-    /// shard: one `(peer, its sites in to)` per other worker `to` reaches,
-    /// in ascending worker order — one mask intersection each, however
-    /// many destinations. The own-shard part is `to ∩ shard(worker)`.
-    pub(crate) fn peers(
-        &self,
-        worker: usize,
-        to: DestSet,
-    ) -> impl Iterator<Item = (usize, DestSet)> + '_ {
-        let mut rest = to.minus(&self.shards[worker]);
+    /// Split `rest` — the destinations of a send that
+    /// [`Routes::send_own`] left for other workers — by shard: one
+    /// `(peer, its sites in rest)` per worker `rest` reaches, in ascending
+    /// worker order, one mask intersection each however many destinations.
+    pub(crate) fn peers(&self, mut rest: DestSet) -> impl Iterator<Item = (usize, DestSet)> + '_ {
         std::iter::from_fn(move || {
             let wb = self.owner[rest.iter().next()?.index()];
             let part = rest.intersect(&self.shards[wb]);
@@ -848,8 +843,9 @@ fn drive(cluster: Cluster, start: Instant) -> ServeReport {
 /// Deploy one cluster and run it to quiescence: build the fabric, pick
 /// the transport, spawn the worker pool with one [`Node`] per site —
 /// `ops(i)` is site `i`'s operation driver — drive it, and fold the
-/// mesh's gauges in *after* the join. `elapsed` runs from before the fabric exists to quiescence;
-/// `ops` and `latency` count every operation the drivers issued.
+/// transport's gauges in *after* the join. `elapsed` runs from before the
+/// fabric exists to quiescence; `ops` and `latency` count every operation
+/// the drivers issued.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deploy(
     protocol: ProtocolKind,

@@ -190,11 +190,10 @@ impl Conn {
         if self.dead {
             return dsts.len() as u64;
         }
-        let msg = msg.clone();
         self.queue.push(OutFrame {
             src,
             dsts,
-            msg,
+            msg: msg.clone(),
             measured,
         });
         0
@@ -364,10 +363,8 @@ impl Transport for MuxTransport {
             return;
         }
         let refused = locked(&self.workers[wa], |peers| {
-            let parts = self.routes.peers(wa, rest);
-            parts
-                .map(|(wb, dsts)| endpoint(peers, wb).conn.queue(from, dsts, msg, measured))
-                .sum()
+            let queue = |(wb, dsts)| endpoint(peers, wb).conn.queue(from, dsts, msg, measured);
+            self.routes.peers(rest).map(queue).sum()
         });
         self.quiesce.lost(wa, refused);
     }
@@ -770,10 +767,28 @@ mod tests {
         fn read_all(&mut self, most: usize) {
             while self.read(most) > 0 {}
         }
+
+        /// Read `bytes`, `most` at a time, into a new receiving end that
+        /// keeps the last one's receive buffer, so that reading one stream
+        /// after another allocates nothing new.
+        fn reread(&mut self, bytes: &[u8], most: usize) {
+            let rbuf = std::mem::take(&mut self.b.rbuf);
+            self.b = Conn {
+                rbuf,
+                ..Conn::default()
+            };
+            self.got.clear();
+            self.bad = 0;
+            self.wire.clear();
+            self.wire.extend(bytes);
+            self.read_all(most);
+        }
     }
 
     /// `bytes` arrive at a connection of a two-site system and must fail
-    /// it: one bad frame, the connection dead, nothing delivered, no panic.
+    /// it: one bad frame, the connection dead, nothing delivered, no panic
+    /// — on a `Conn`, and through the shell's pump, where the bad frame is
+    /// the run's one connection error and a later pump reads nothing.
     fn assert_bad_frame_fails_the_connection(bytes: &[u8]) {
         let mut p = Pipe::new(2);
         p.wire.extend(bytes);
@@ -781,6 +796,18 @@ mod tests {
         assert_eq!(p.bad, 1);
         assert!(p.b.dead, "the connection is failed");
         assert!(p.got.is_empty(), "no message is delivered");
+
+        let r = rig(2, 2);
+        r.inject(0, 1, bytes);
+        r.pump_all(1);
+        assert_eq!(r.conn_errors(), 1);
+        let dead = r.endpoint(1, 0, |ep| ep.conn.dead);
+        assert!(dead, "the endpoint is failed");
+        assert!(r.no_mailbox_touched(), "no message is delivered");
+        let reads = || r.gauge(|g| &g.syscall_reads);
+        let before = reads();
+        assert!(!r.mesh.pump(1));
+        assert_eq!(reads(), before, "a dead end is not read");
     }
 
     #[test]
@@ -1039,15 +1066,10 @@ mod tests {
             let frames: Vec<Got> = frames.into_iter().map(|(k, b)| drawn(k, b)).collect();
             let stream = encoded(&frames);
             let ends = frame_ends(&stream);
-            let received = |bytes: &[u8]| {
-                let mut p = Pipe::new(SITES);
-                p.wire.extend(bytes);
-                p.read_all(chunk);
-                p
-            };
+            let mut p = Pipe::new(SITES);
             // Every truncation delivers the whole frames it holds.
             for cut in 0..=stream.len() {
-                let p = received(&stream[..cut]);
+                p.reread(&stream[..cut], chunk);
                 let whole = ends.partition_point(|&e| e <= cut);
                 prop_assert_eq!(&p.got[..], &frames[..whole], "cut at {}", cut);
                 prop_assert_eq!(p.bad, 0);
@@ -1060,7 +1082,7 @@ mod tests {
             let mut flipped = stream.clone();
             for bit in 0..stream.len() * 8 {
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                let p = received(&flipped);
+                p.reread(&flipped, chunk);
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 let intact = ends.partition_point(|&e| e <= bit / 8);
                 prop_assert!(p.got.len() >= intact, "bit {}", bit);
@@ -1362,6 +1384,50 @@ mod tests {
         }
         assert!(r.no_mailbox_touched(), "one copy each");
         assert_eq!(r.gauge(|g| &g.frames), 3);
+    }
+
+    #[test]
+    fn a_stuck_socket_fails_its_connection_after_the_write_timeout() {
+        // Worker 1 never pumps while site 0 sends until a flush leaves a
+        // tail. The shell then finds the tail stuck since a whole timeout
+        // ago — its stall instant is set back rather than slept through —
+        // and fails the connection, with every copy not fully written
+        // counted lost.
+        let r = rig(2, 2);
+        let mut sent = 0;
+        loop {
+            assert!(sent < 1_000, "100 MB and the socket never filled");
+            r.quiesce.frames_sent(0, 1);
+            r.mesh.send(site(0), to(&[1]), &big_sm(sent), false);
+            sent += 1;
+            if r.mesh.flush(0) {
+                break;
+            }
+        }
+        let since_a_timeout = || Instant::now().checked_sub(WRITE_TIMEOUT);
+        for _ in 0..100 {
+            if r.endpoint(0, 1, |ep| ep.conn.dead) {
+                break;
+            }
+            r.endpoint(0, 1, |ep| ep.conn.stalled_since = since_a_timeout());
+            r.mesh.flush(0);
+        }
+        assert!(r.endpoint(0, 1, |ep| ep.conn.dead), "the stall timed out");
+        let lost = r.conn_errors();
+        assert!(lost > 0, "the frame cut in two is lost, at least");
+        assert!(!r.mesh.flush(0), "nothing is kept for a dead peer");
+        // What the socket did take is still deliverable: received plus
+        // lost is exactly what was sent, so the tally ends at zero.
+        r.pump_all(1);
+        let mut received = 0;
+        while let Some(Wire::Msg { msg, .. }) = r.try_recv(1) {
+            assert_eq!(msg, big_sm(received));
+            r.quiesce.frames_done(1, 1);
+            received += 1;
+        }
+        assert_eq!(u64::from(received) + lost, u64::from(sent));
+        assert_eq!(r.quiesce.in_flight(), 0);
+        assert_eq!(r.conn_errors(), lost, "the peer counts nothing twice");
     }
 
     #[test]
